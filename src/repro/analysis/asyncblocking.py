@@ -63,6 +63,8 @@ BLOCKING_PROJECT: dict[str, str] = {
     "repro.transport.channel.Channel.request": "sync socket round-trip",
     "repro.transport.channel.Channel.send_error": "sync socket send",
     "repro.transport.channel.connect": "sync TCP connect",
+    "repro.transport.endpoint.Endpoint.stop":
+        "listener close + connection thread joins",
     "repro.transport.pool.ConnectionPool.checkout": "sync pool checkout",
     "repro.transport.pool.ConnectionPool.checkin": "sync pool checkin",
     "repro.transport.pool.ConnectionPool.discard": "sync pool discard",

@@ -52,16 +52,18 @@ DEADLINE_PARAMS = frozenset({
     "timeout", "deadline", "connect_timeout", "poll_timeout",
 })
 
-#: ``obj.<attr>(...)`` transport primitives that accept a deadline.
-TRANSPORT_ATTRS = frozenset({"send", "recv", "request"})
+#: ``obj.<attr>(...)`` transport primitives that accept a deadline:
+#: the channel surface, and the async frame stream underneath it
+#: (``FrameStream.read_frame``/``write_frame``/``drain``) -- ``await``-ing
+#: those without a deadline is the same unbounded hang.
+TRANSPORT_ATTRS = frozenset({
+    "send", "recv", "request", "read_frame", "write_frame", "drain",
+})
 
-#: Bare-name transport primitives that accept a deadline.  The async
-#: framing twins (``read_frame``/``write_frame``) and dialer
-#: (``aconnect``) are judged identically: ``await``-ing them without a
-#: deadline is the same unbounded hang.
+#: Bare-name transport primitives that accept a deadline (sync framing
+#: and the dialers, ``aconnect`` included).
 TRANSPORT_NAMES = frozenset({
-    "connect", "send_frame", "recv_frame", "create_connection",
-    "read_frame", "write_frame", "aconnect",
+    "connect", "send_frame", "recv_frame", "create_connection", "aconnect",
 })
 
 _FunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]

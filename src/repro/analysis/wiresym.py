@@ -21,7 +21,9 @@ wire tokens it has produced or consumed:
 - **W3 op pairing** -- encoder sequences are bound to a
   ``MessageType`` at their *consumption site* (any call whose
   arguments contain both ``enc.getvalue()``/``getbuffer()`` and a
-  ``MessageType.X`` literal -- the first one names the op being sent);
+  ``MessageType.X`` literal -- the first one names the op being sent),
+  or through :data:`PAYLOAD_BUILDERS` for a function that builds a
+  payload for senders elsewhere (the client's ``_CallPayload``);
   decoder sequences are bound through the ``register_handler`` map
   (handler's payload parameter), through ``if msg_type ==
   MessageType.X`` equality guards, or through the *last*
@@ -77,6 +79,13 @@ _ROW_RE = re.compile(
     r"^\|\s*\d+\s*\|\s*`(?P<name>\w+)`\s*\|[^|]*\|(?P<payload>[^|]*)\|")
 
 Tokens = tuple[str, ...]
+
+#: Functions that encode an op's whole payload for senders elsewhere (no
+#: ``MessageType`` at the consumption site): qualname -> the ops every
+#: encoder the function leaves behind is bound to (W3).
+PAYLOAD_BUILDERS: dict[str, tuple[str, ...]] = {
+    "repro.client.api._CallPayload.__init__": ("CALL", "CALL_DETACHED"),
+}
 
 
 def _canon(token: str) -> str:
@@ -685,7 +694,11 @@ class WireSymmetryChecker(ProjectChecker):
             walker = _Walker(self, graph, info.module, qualname,
                              handler_mts=handler_map.get(qualname, ()),
                              emissions=emissions)
-            walker.run(info.node)
+            env = walker.run(info.node)
+            for mt in PAYLOAD_BUILDERS.get(qualname, ()):
+                for acc in env.values():
+                    if acc.kind == "enc":
+                        walker._emit("enc", mt, acc, info.node)
         yield from self._check_ops(emissions)
 
     # -- W1 -------------------------------------------------------------------

@@ -77,8 +77,8 @@ def _run_case(dtype: str, count: int, repeats: int, seed: int) -> dict:
         itemsize = 4
 
     wire_scalar = scalar_pack(values)
-    buf = bytearray()
-    pack_into(buf, values)
+    buf = bytearray(count * itemsize)
+    pack_into(buf, 0, values)
     wire_match = bytes(buf) == wire_scalar
 
     def scalar_round_trip() -> None:
@@ -86,8 +86,8 @@ def _run_case(dtype: str, count: int, repeats: int, seed: int) -> dict:
         scalar_unpack(wire, count)
 
     def bulk_round_trip() -> None:
-        out = bytearray()
-        pack_into(out, values)
+        out = bytearray(count * itemsize)
+        pack_into(out, 0, values)
         unpack(memoryview(out), count)
 
     scalar_s = _best_of(scalar_round_trip, repeats)

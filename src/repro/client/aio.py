@@ -21,11 +21,10 @@ the channel contract.
 from __future__ import annotations
 
 import asyncio
-import itertools
-import uuid
 from typing import Any, Callable, Optional
 
-from repro.client.api import CallRecord, DetachedCall, _call_ids
+from repro.client.api import CallRecord, DetachedCall, _CallPayload, \
+    _call_ids
 from repro.idl import Signature
 from repro.obs import MetricsRegistry, Tracer, names
 from repro.obs.trace import (
@@ -40,10 +39,9 @@ from repro.obs.trace import (
 )
 from repro.protocol.errors import ProtocolError, RemoteError, ServerBusy, \
     TimeoutError
-from repro.protocol.marshal import marshal_inputs, unmarshal_outputs
+from repro.protocol.marshal import unmarshal_outputs
 from repro.protocol.messages import (
     BusyReply,
-    CallHeader,
     ErrorReply,
     JobTimestamps,
     LoadReply,
@@ -297,28 +295,18 @@ class AsyncNinfClient:
         call_id = next(_call_ids)
         budget = self.call_budget if timeout is None else timeout
         deadline = None if budget is None else submit_time + budget
-        logical_id = uuid.uuid4().hex
-        attempt_ids = itertools.count(1)
         trace = self.tracer.trace(SPAN_ROOT, start=submit_time,
                                   function=function, call_id=call_id,
                                   source="live")
 
         async def attempt() -> bytes:
-            remaining = 0.0
-            if deadline is not None:
-                remaining = max(0.001, deadline - self.clock())
-            enc = XdrEncoder()
-            CallHeader(function=function, call_id=call_id,
-                       logical_id=logical_id,
-                       attempt=next(attempt_ids),
-                       budget=remaining).encode(enc)
-            enc.pack_opaque(args_payload)
+            payload = call.stamp(deadline, self.clock)
             self._attempts.inc()
             with trace.span(SPAN_CONNECT):
                 channel = await self._pool.checkout(self.host, self.port)
             try:
                 with trace.span(SPAN_SEND):
-                    await channel.send(MessageType.CALL, enc.getbuffer())
+                    await channel.send(MessageType.CALL, payload)
                 recv_start = self.clock()
                 while True:
                     reply_type, reply = await channel.recv()
@@ -354,7 +342,7 @@ class AsyncNinfClient:
 
         try:
             with trace.span(SPAN_MARSHAL):
-                args_payload = marshal_inputs(signature, list(args))
+                call = _CallPayload(function, signature, call_id, args)
             if self.retry is not None and self.retry_calls:
                 reply = await self._retrying(attempt, deadline=deadline)
             else:
@@ -388,7 +376,7 @@ class AsyncNinfClient:
             submit_time=submit_time,
             complete_time=complete_time,
             server=timestamps,
-            input_bytes=len(args_payload),
+            input_bytes=call.args_bytes,
             output_bytes=len(out_payload),
         )
         self.records.append(record)
@@ -404,22 +392,12 @@ class AsyncNinfClient:
         submit_time = self.clock()
         budget = self.call_budget if timeout is None else timeout
         deadline = None if budget is None else submit_time + budget
-        args_payload = marshal_inputs(signature, list(args))
         call_id = next(_call_ids)
-        logical_id = uuid.uuid4().hex
-        attempt_ids = itertools.count(1)
+        call = _CallPayload(function, signature, call_id, args)
 
         async def submit_once() -> bytes:
-            remaining = 0.0
-            if deadline is not None:
-                remaining = max(0.001, deadline - self.clock())
-            enc = XdrEncoder()
-            CallHeader(function=function, call_id=call_id,
-                       logical_id=logical_id, attempt=next(attempt_ids),
-                       budget=remaining).encode(enc)
-            enc.pack_opaque(args_payload)
             return await self._roundtrip(MessageType.CALL_DETACHED,
-                                         enc.getbuffer(),
+                                         call.stamp(deadline, self.clock),
                                          MessageType.CALL_ACCEPTED)
 
         if self.retry is not None and self.retry_calls:
@@ -437,7 +415,7 @@ class AsyncNinfClient:
         return DetachedCall(client=self, function=function, args=args,
                             signature=signature, ticket=ticket,
                             call_id=call_id, submit_time=submit_time,
-                            input_bytes=len(args_payload))
+                            input_bytes=call.args_bytes)
 
     async def fetch_detached(self, call: DetachedCall,
                              timeout: Optional[float] = None,

@@ -41,6 +41,38 @@ __all__ = ["CallRecord", "DetachedCall", "NinfClient", "NinfFuture",
 _call_ids = itertools.count(1)
 
 
+class _CallPayload:
+    """One logical call's CALL / CALL_DETACHED payload, marshalled once:
+    the arguments are packed straight into the header's encoder
+    (``begin_opaque``/``end_opaque``), never built apart and copied in,
+    and attempts differ only in ``attempt``/``budget``, which
+    :meth:`stamp` rewrites in place.  Argument errors raise here, before
+    any dial.  Stamp only between sends (DESIGN.md §3.1)."""
+
+    def __init__(self, function: str, signature: Signature, call_id: int,
+                 args: Sequence[Any]) -> None:
+        enc = XdrEncoder()
+        CallHeader(function=function, call_id=call_id,
+                   logical_id=uuid.uuid4().hex).encode(enc)
+        token = enc.begin_opaque()  # its offset is where the header ends
+        marshal_inputs(signature, args, into=enc)
+        self.args_bytes = len(enc) - token - 4
+        enc.end_opaque(token)
+        self._enc = enc
+        self._header_end = token
+        self._attempts = itertools.count(1)
+
+    def stamp(self, deadline: Optional[float],
+              clock: Callable[[], float]) -> memoryview:
+        """The next attempt's payload: attempt number advanced, budget
+        recomputed as what is left until ``deadline`` now."""
+        remaining = (0.0 if deadline is None
+                     else max(0.001, deadline - clock()))
+        CallHeader.restamp(self._enc, self._header_end,
+                           next(self._attempts), remaining)
+        return self._enc.getbuffer()
+
+
 @dataclass(frozen=True)
 class CallRecord:
     """Everything measured about one completed Ninf_call.
@@ -533,8 +565,6 @@ class NinfClient:
         call_id = next(_call_ids)
         budget = self.call_budget if timeout is None else timeout
         deadline = None if budget is None else submit_time + budget
-        logical_id = uuid.uuid4().hex
-        attempt_ids = itertools.count(1)
         trace = self.tracer.trace(SPAN_ROOT, start=submit_time,
                                   function=function, call_id=call_id,
                                   source="live")
@@ -542,21 +572,13 @@ class NinfClient:
             """One wire attempt of the logical call; returns the RESULT
             payload.  Re-invoked by the retry policy (same logical id,
             fresh attempt number and re-computed remaining budget)."""
-            remaining = 0.0
-            if deadline is not None:
-                remaining = max(0.001, deadline - self.clock())
-            enc = XdrEncoder()
-            CallHeader(function=function, call_id=call_id,
-                       logical_id=logical_id,
-                       attempt=next(attempt_ids),
-                       budget=remaining).encode(enc)
-            enc.pack_opaque(args_payload)
+            payload = call.stamp(deadline, self.clock)
             self._attempts.inc()
             with trace.span(SPAN_CONNECT):
                 channel = self._connect()
             try:
                 with trace.span(SPAN_SEND):
-                    channel.send(MessageType.CALL, enc.getbuffer())
+                    channel.send(MessageType.CALL, payload)
                 recv_start = self.clock()
                 while True:
                     reply_type, reply = channel.recv()
@@ -595,7 +617,7 @@ class NinfClient:
 
         try:
             with trace.span(SPAN_MARSHAL):
-                args_payload = marshal_inputs(signature, list(args))
+                call = _CallPayload(function, signature, call_id, args)
             if self.retry is not None and self.retry_calls:
                 # Exactly-once: safe because the server dedups on
                 # logical_id (DESIGN.md §3.5).
@@ -639,7 +661,7 @@ class NinfClient:
             submit_time=submit_time,
             complete_time=complete_time,
             server=timestamps,
-            input_bytes=len(args_payload),
+            input_bytes=call.args_bytes,
             output_bytes=len(out_payload),
         )
         with self._records_lock:
@@ -665,21 +687,12 @@ class NinfClient:
         submit_time = self.clock()
         budget = self.call_budget if timeout is None else timeout
         deadline = None if budget is None else submit_time + budget
-        args_payload = marshal_inputs(signature, list(args))
         call_id = next(_call_ids)
-        logical_id = uuid.uuid4().hex
-        attempt_ids = itertools.count(1)
+        call = _CallPayload(function, signature, call_id, args)
 
         def submit_once() -> bytes:
-            remaining = 0.0
-            if deadline is not None:
-                remaining = max(0.001, deadline - self.clock())
-            enc = XdrEncoder()
-            CallHeader(function=function, call_id=call_id,
-                       logical_id=logical_id, attempt=next(attempt_ids),
-                       budget=remaining).encode(enc)
-            enc.pack_opaque(args_payload)
-            return self._roundtrip(MessageType.CALL_DETACHED, enc.getbuffer(),
+            return self._roundtrip(MessageType.CALL_DETACHED,
+                                   call.stamp(deadline, self.clock),
                                    MessageType.CALL_ACCEPTED)
 
         if self.retry is not None and self.retry_calls:
@@ -699,7 +712,7 @@ class NinfClient:
         return DetachedCall(client=self, function=function, args=args,
                             signature=signature, ticket=ticket,
                             call_id=call_id, submit_time=submit_time,
-                            input_bytes=len(args_payload))
+                            input_bytes=call.args_bytes)
 
     def fetch_detached(self, call: "DetachedCall",
                        timeout: Optional[float] = None,

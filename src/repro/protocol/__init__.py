@@ -17,8 +17,9 @@ two-stage RPC:
 Modules:
 
 - :mod:`repro.protocol.framing` -- socket framing: magic, type, length.
-- :mod:`repro.protocol.aframing` -- the same frame format over asyncio
-  streams (:func:`read_frame` / :func:`write_frame`).
+- :mod:`repro.protocol.aframing` -- the same frame format on an event
+  loop: :class:`FrameStream`, one ``asyncio.BufferedProtocol`` per
+  connection that receives each payload straight into its own buffer.
 - :mod:`repro.protocol.messages` -- typed message encode/decode.
 - :mod:`repro.protocol.marshal` -- signature-driven argument and result
   marshalling.
@@ -32,7 +33,7 @@ from repro.protocol.errors import (
     ServerShutdown,
     TimeoutError,
 )
-from repro.protocol.aframing import read_frame, write_frame
+from repro.protocol.aframing import FrameStream
 from repro.protocol.framing import MAX_FRAME_SIZE, recv_frame, send_frame
 from repro.protocol.messages import (
     BusyReply,
@@ -54,6 +55,7 @@ __all__ = [
     "CallHeader",
     "ConnectionClosed",
     "ErrorReply",
+    "FrameStream",
     "JobTimestamps",
     "LoadReply",
     "MAX_FRAME_SIZE",
@@ -65,10 +67,8 @@ __all__ = [
     "TimeoutError",
     "marshal_inputs",
     "marshal_outputs",
-    "read_frame",
     "recv_frame",
     "send_frame",
-    "write_frame",
     "unmarshal_inputs",
     "unmarshal_outputs",
 ]

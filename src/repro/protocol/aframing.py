@@ -1,112 +1,254 @@
-"""Asyncio framing: the :mod:`repro.protocol.framing` wire format on
-:class:`asyncio.StreamReader` / :class:`asyncio.StreamWriter`.
+"""Asyncio framing: the :mod:`repro.protocol.framing` wire format as one
+:class:`asyncio.BufferedProtocol` per connection.
 
-Byte-for-byte the same protocol -- ``MAGIC | type | length | crc |
-payload`` with the 16-byte ``>4sIII`` header -- produced by the shared
-:func:`repro.protocol.framing.encode_frame`, so a sync client speaks to
-an async server (and vice versa) without either noticing.
+Byte-for-byte the same protocol (``MAGIC | type | length | crc |
+payload``, header from the shared ``encode_header``), so a sync client
+speaks to an async server and vice versa.  :class:`FrameStream` is the
+whole receive path: ``get_buffer`` hands the event loop first the
+16-byte header buffer, then a view of the frame's own
+``bytearray(length)``, so the kernel's ``recv_into`` puts payload bytes
+straight into the buffer ``read_frame`` returns.  CRC-32 is folded in
+chunk by chunk as the bytes land, magic and length are checked before
+the payload buffer is allocated, and at most one complete frame waits
+ahead of the reader (the transport is paused until it is taken).
 
-Deadline semantics also match the sync framing layer: ``timeout``
-covers the *whole* frame, not each ``read`` -- a peer trickling one
-byte per second cannot stretch a 5-second deadline indefinitely.  The
-deadline is tracked against :func:`time.monotonic` and each await is
-bounded by the remaining budget via :func:`asyncio.wait_for`.  Expiry
-raises :class:`repro.protocol.errors.TimeoutError` (the repro type, on
-every Python version -- ``asyncio.TimeoutError`` is *not* the builtin
-``TimeoutError`` on 3.10, so it is always converted here and never
-allowed to escape).
+Deadlines match the sync layer: ``timeout`` covers the *whole* frame (a
+trickling peer cannot stretch it) and expiry raises the repro
+:class:`~repro.protocol.errors.TimeoutError` on every Python version.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
-from typing import Any, Awaitable, Optional
+import socket
+import struct
+import zlib
+from typing import Callable, Optional, TypeVar, Union, cast
 
 from repro.protocol.errors import ConnectionClosed, ProtocolError, TimeoutError
-from repro.protocol.framing import BytesLike, HEADER, MAGIC, \
-    MAX_FRAME_SIZE, _checksum, encode_header
+from repro.protocol.framing import BytesLike, HEADER, checksum_mismatch, \
+    decode_header, encode_header
 
-__all__ = ["read_frame", "write_frame"]
+__all__ = ["FrameStream"]
 
-
-class _Deadline:
-    """Remaining-budget tracker for a whole-frame deadline."""
-
-    def __init__(self, timeout: Optional[float]) -> None:
-        self.at = None if timeout is None else time.monotonic() + timeout
-
-    def remaining(self, what: str) -> Optional[float]:
-        if self.at is None:
-            return None
-        left = self.at - time.monotonic()
-        if left <= 0:
-            raise TimeoutError(f"frame {what} deadline expired")
-        return left
+Frame = tuple[int, bytearray]
+_T = TypeVar("_T")
 
 
-async def _bounded(awaitable: Awaitable[Any], deadline: _Deadline,
-                   what: str) -> Any:
-    left = deadline.remaining(what)
-    try:
-        return await asyncio.wait_for(awaitable, left)
-    except asyncio.TimeoutError:
-        raise TimeoutError(f"frame {what} timed out") from None
+class FrameStream(asyncio.BufferedProtocol):
+    """One framed connection on an event loop: frames in, frames out.
 
-
-async def _read_exact(reader: asyncio.StreamReader, count: int,
-                      deadline: _Deadline, what: str) -> bytes:
-    if not count:
-        return b""
-    try:
-        return await _bounded(reader.readexactly(count), deadline, what)
-    except asyncio.IncompleteReadError as exc:
-        raise ConnectionClosed(
-            f"connection closed with {count - len(exc.partial)} bytes "
-            f"outstanding"
-        ) from None
-
-
-async def write_frame(writer: asyncio.StreamWriter, msg_type: int,
-                      payload: BytesLike = b"",
-                      timeout: Optional[float] = None) -> None:
-    """Write one frame; raises ProtocolError on oversize payloads.
-
-    ``payload`` may be any bytes-like object; header and payload are
-    handed to the transport as two writes, so the frame is never
-    concatenated in user space.  ``timeout`` bounds the whole write
-    (including the ``drain`` that waits out transport backpressure);
-    expiry raises :class:`~repro.protocol.errors.TimeoutError`.
+    Pass the class (or a factory closing over ``on_connect``, which
+    ``connection_made`` calls with the stream -- how a server learns of
+    an accepted connection) to ``loop.create_connection`` /
+    ``create_server``.  Loop-affine.  A payload returned by
+    :meth:`read_frame` is a private ``bytearray``; one given to
+    :meth:`write_frame` must not be mutated until that call returns
+    (the transport may still reference it while it drains).
     """
-    header = encode_header(msg_type, payload)
-    deadline = _Deadline(timeout)
-    writer.write(header)
-    if len(payload):
-        writer.write(payload)
-    await _bounded(writer.drain(), deadline, "send")
 
+    #: Set by :meth:`connection_made`, before anyone is handed the stream.
+    transport: asyncio.Transport
 
-async def read_frame(reader: asyncio.StreamReader,
-                     timeout: Optional[float] = None) -> tuple[int, bytes]:
-    """Read one frame; returns ``(msg_type, payload)``.
+    def __init__(self, on_connect: Optional[
+            Callable[["FrameStream"], None]] = None) -> None:
+        self._on_connect = on_connect
+        self._loop = asyncio.get_running_loop()
+        # Receive: bytes land in _header until it is full, then in
+        # _payload; _got counts into whichever is being filled.
+        self._header = bytearray(HEADER.size)
+        self._payload: Optional[bytearray] = None
+        self._got = 0
+        self._msg_type = self._crc = self._crc_want = 0
+        # Delivery: a complete frame (or the checksum error it turned out
+        # to be) goes to the waiting reader, else parks in _ready with
+        # reading paused.  _failure is terminal: EOF, loss, desync.
+        self._ready: Union[None, Frame, ProtocolError] = None
+        self._reader: Optional[asyncio.Future[Frame]] = None
+        self._failure: Optional[BaseException] = None
+        # Send: write-buffer backpressure, and what drain raises once lost.
+        self._write_paused = False
+        self._drainer: Optional[asyncio.Future[None]] = None
+        self._lost: Optional[Exception] = None
 
-    Raises :class:`ConnectionClosed` on clean EOF before a header,
-    :class:`ProtocolError` on bad magic, implausible length, or a
-    checksum mismatch, and :class:`~repro.protocol.errors.TimeoutError`
-    when ``timeout`` seconds elapse before the full frame arrives --
-    the exact contract of the sync :func:`repro.protocol.framing.recv_frame`.
-    """
-    deadline = _Deadline(timeout)
-    header = await _read_exact(reader, HEADER.size, deadline, "header")
-    magic, msg_type, length, crc = HEADER.unpack(header)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad frame magic {magic!r}")
-    if length > MAX_FRAME_SIZE:
-        raise ProtocolError(f"implausible frame length {length}")
-    payload = await _read_exact(reader, length, deadline, "payload")
-    if crc != _checksum(msg_type, payload):
-        raise ProtocolError(
-            f"frame checksum mismatch for message {msg_type} "
-            f"({length}-byte payload)"
-        )
-    return msg_type, payload
+    # -- transport callbacks -------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        """Adopt the transport, set ``TCP_NODELAY``, tell ``on_connect``."""
+        self.transport = cast(asyncio.Transport, transport)
+        sock = transport.get_extra_info("socket")
+        if sock is not None:
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:
+                pass  # not a TCP socket -- fine
+        if self._on_connect is not None:
+            self._on_connect(self)
+
+    def eof_received(self) -> bool:
+        """Peer closed its side: readers fail once a parked frame is taken."""
+        self._fail(None)
+        return True  # stay open for writing; the owner closes
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        """Connection gone: fail the reader and the writer in :meth:`drain`."""
+        self._fail(exc)
+        self._lost = exc or ConnectionResetError("Connection lost")
+        if self._drainer is not None and not self._drainer.done():
+            self._drainer.set_exception(self._lost)
+
+    def pause_writing(self) -> None:
+        """Write buffer over its high-water mark: :meth:`drain` now waits."""
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        """Write buffer drained: release the writer in :meth:`drain`."""
+        self._write_paused = False
+        if self._drainer is not None and not self._drainer.done():
+            self._drainer.set_result(None)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        """Where the next bytes go: the unfilled rest of the header, or
+        of the current frame's own payload buffer."""
+        target = self._header if self._payload is None else self._payload
+        return memoryview(target)[self._got:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        """``nbytes`` landed where :meth:`get_buffer` pointed: parse a
+        completed header, fold a payload chunk into the running CRC,
+        deliver a completed frame."""
+        start = self._got
+        self._got = end = start + nbytes
+        payload = self._payload
+        if payload is None:
+            if end < HEADER.size:
+                return
+            try:  # magic and length, before any peer-sized allocation
+                msg_type, length, crc = decode_header(self._header)
+            except ProtocolError as error:
+                # Frame boundaries are lost: nothing after it is read.
+                self.transport.pause_reading()
+                self._fail(error)
+                return
+            self._msg_type, self._crc_want = msg_type, crc
+            self._crc = zlib.crc32(struct.pack(">II", msg_type, length))
+            self._payload = payload = bytearray(length)
+            self._got = end = 0
+        else:
+            self._crc = zlib.crc32(memoryview(payload)[start:end], self._crc)
+        if end < len(payload):
+            return
+        self._payload, self._got = None, 0
+        item: Union[Frame, ProtocolError] = (self._msg_type, payload)
+        if self._crc != self._crc_want:
+            item = checksum_mismatch(self._msg_type, len(payload))
+        reader = self._reader
+        if reader is None or reader.done():
+            self._ready = item
+            self.transport.pause_reading()
+        elif isinstance(item, ProtocolError):
+            reader.set_exception(item)
+        else:
+            reader.set_result(item)
+
+    def _fail(self, error: Optional[BaseException]) -> None:
+        """Terminal: ``error``, or (None) EOF with what was outstanding."""
+        if self._failure is None:
+            outstanding = (HEADER.size if self._payload is None
+                           else len(self._payload)) - self._got
+            self._failure = error or ConnectionClosed(
+                f"connection closed with {outstanding} bytes outstanding")
+        if self._reader is not None and not self._reader.done():
+            self._reader.set_exception(self._failure)
+
+    # -- the frame API -------------------------------------------------------
+
+    def idle(self) -> bool:
+        """Whether the connection is intact and owes the reader nothing:
+        no EOF or error seen, no parked frame, no partial one (between
+        request/reply exchanges anything else means the peer closed or
+        broke protocol)."""
+        return (self._failure is None and self._ready is None
+                and self._payload is None and self._got == 0)
+
+    async def read_frame(self, timeout: Optional[float] = None) -> Frame:
+        """Read one frame; returns ``(msg_type, payload)``.
+
+        Raises :class:`ConnectionClosed` on EOF (naming the bytes still
+        outstanding), :class:`ProtocolError` on bad magic, implausible
+        length, or a checksum mismatch, and
+        :class:`~repro.protocol.errors.TimeoutError` when ``timeout``
+        seconds elapse before the full frame arrives -- the exact
+        contract of the sync :func:`repro.protocol.framing.recv_frame`.
+        One reader at a time.
+        """
+        if timeout is not None and timeout <= 0:
+            raise TimeoutError(f"frame {self._receiving()} deadline expired")
+        item = self._ready
+        if item is not None:
+            self._ready = None
+            if self._failure is None:
+                self.transport.resume_reading()
+            if isinstance(item, ProtocolError):
+                raise item
+            return item
+        if self._failure is not None:
+            raise self._failure
+        self._reader = reader = self._loop.create_future()
+        try:
+            return await self._bounded(reader, timeout, None)
+        finally:
+            self._reader = None
+
+    async def write_frame(self, msg_type: int, payload: BytesLike = b"",
+                          timeout: Optional[float] = None) -> None:
+        """Write one frame; raises ProtocolError on oversize payloads.
+
+        ``payload`` may be any bytes-like object; header and payload are
+        handed to the transport as two writes, never concatenated.
+        ``timeout`` bounds the whole write, the wait for transport
+        backpressure to clear included; expiry raises
+        :class:`~repro.protocol.errors.TimeoutError`.
+        """
+        header = encode_header(msg_type, payload)
+        if timeout is not None and timeout <= 0:
+            raise TimeoutError("frame send deadline expired")
+        self.transport.write(header)
+        if len(payload):
+            self.transport.write(payload)
+        await self.drain(timeout)
+
+    async def drain(self, timeout: Optional[float] = None) -> None:
+        """Wait until the transport's write buffer is below its
+        high-water mark; raises the connection's error if it was lost.
+        One writer at a time (the channel's send lock)."""
+        if self._lost is not None:
+            raise self._lost
+        if self._write_paused:
+            self._drainer = drainer = self._loop.create_future()
+            try:
+                await self._bounded(drainer, timeout, "send")
+            finally:
+                self._drainer = None
+
+    # -- deadlines -----------------------------------------------------------
+
+    def _receiving(self) -> str:
+        return "header" if self._payload is None else "payload"
+
+    async def _bounded(self, waiter: "asyncio.Future[_T]",
+                       timeout: Optional[float], what: Optional[str]) -> _T:
+        """Await ``waiter`` with one timer; ``what`` None = whichever part
+        of a frame is being received when the timer fires."""
+        if timeout is None:
+            return await waiter
+
+        def expire() -> None:
+            if not waiter.done():
+                waiter.set_exception(TimeoutError(
+                    f"frame {what or self._receiving()} timed out"))
+        timer = self._loop.call_later(timeout, expire)
+        try:
+            return await waiter
+        finally:
+            timer.cancel()

@@ -20,19 +20,21 @@ timeout setting is restored afterwards.
 
 from __future__ import annotations
 
+import functools
 import socket
 import struct
 import time
 import zlib
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.protocol.errors import ConnectionClosed, ProtocolError, TimeoutError
 
 #: Anything the framing layer will put on the wire without copying.
 BytesLike = Union[bytes, bytearray, memoryview]
 
-__all__ = ["MAGIC", "MAX_FRAME_SIZE", "encode_frame", "encode_header",
-           "recv_frame", "send_frame"]
+__all__ = ["MAGIC", "MAX_FRAME_SIZE", "checksum_mismatch", "decode_header",
+           "encode_frame", "encode_header", "recv_frame", "recv_frame_from",
+           "send_frame"]
 
 MAGIC = b"NINF"
 HEADER = struct.Struct(">4sIII")
@@ -68,7 +70,7 @@ def encode_frame(msg_type: int, payload: BytesLike = b"") -> bytes:
     re-implementing the header layout.  This *does* concatenate -- the
     hot paths use :func:`encode_header` plus scatter-gather instead.
     """
-    return b"".join((encode_header(msg_type, payload), payload))
+    return encode_header(msg_type, payload) + payload
 
 
 class _DeadlineSocket:
@@ -107,10 +109,10 @@ class _DeadlineSocket:
             raise TimeoutError(f"frame {what} deadline expired")
         self.sock.settimeout(remaining)
 
-    def recv(self, nbytes: int, what: str) -> bytes:
+    def recv_into(self, view: memoryview, what: str) -> int:
         self._arm(what)
         try:
-            return self.sock.recv(nbytes)
+            return self.sock.recv_into(view)
         except socket.timeout:
             raise TimeoutError(f"frame {what} timed out") from None
 
@@ -162,23 +164,58 @@ def send_frame(sock: socket.socket, msg_type: int, payload: BytesLike = b"",
             guarded.sendall(encode_frame(msg_type, payload), "send")
 
 
-def _recv_exact(guarded: _DeadlineSocket, count: int, what: str) -> bytes:
-    chunks = []
+def _recv_exact(guarded: _DeadlineSocket, count: int,
+                what: str) -> bytearray:
+    """``count`` bytes received straight into their final buffer: one
+    fresh ``bytearray`` the caller owns, no chunk list, no join."""
+    out = bytearray(count)
+    view = memoryview(out)
     got = 0
     while got < count:
-        chunk = guarded.recv(min(count - got, 1 << 20), what)
-        if not chunk:
+        nbytes = guarded.recv_into(view[got:], what)
+        if not nbytes:
             raise ConnectionClosed(
                 f"connection closed with {count - got} bytes outstanding"
             )
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+        got += nbytes
+    return out
+
+
+def checksum_mismatch(msg_type: int, length: int) -> ProtocolError:
+    """The error every receiver raises for a frame that fails its CRC."""
+    return ProtocolError(f"frame checksum mismatch for message {msg_type} "
+                         f"({length}-byte payload)")
+
+
+def decode_header(header: BytesLike) -> tuple[int, int, int]:
+    """``(msg_type, length, crc)`` of a 16-byte header; bad magic or an
+    implausible length raises :class:`ProtocolError` -- before a caller
+    allocates anything sized by the peer."""
+    magic, msg_type, length, crc = HEADER.unpack(header)
+    if magic != MAGIC:
+        raise ProtocolError(f"bad frame magic {magic!r}")
+    if length > MAX_FRAME_SIZE:
+        raise ProtocolError(f"implausible frame length {length}")
+    return msg_type, length, crc
+
+
+def recv_frame_from(read_exact: Callable[[int, str], bytearray]
+                    ) -> tuple[int, bytearray]:
+    """One CRC-verified frame from ``read_exact(count, what)`` -- the
+    blocking receive shared by the socket and the shm ring."""
+    msg_type, length, crc = decode_header(read_exact(HEADER.size, "header"))
+    payload = read_exact(length, "payload")
+    if crc != _checksum(msg_type, payload):
+        raise checksum_mismatch(msg_type, length)
+    return msg_type, payload
 
 
 def recv_frame(sock: socket.socket,
-               timeout: Optional[float] = None) -> tuple[int, bytes]:
+               timeout: Optional[float] = None) -> tuple[int, bytearray]:
     """Read one frame; returns ``(msg_type, payload)``.
+
+    The payload is a private, mutable ``bytearray`` the bytes were
+    received into directly (``recv_into``); the caller owns it.
 
     Raises :class:`ConnectionClosed` on clean EOF before a header,
     :class:`ProtocolError` on bad magic, implausible length, or a
@@ -187,16 +224,4 @@ def recv_frame(sock: socket.socket,
     seconds elapse before the full frame arrives.
     """
     with _DeadlineSocket(sock, timeout) as guarded:
-        header = _recv_exact(guarded, HEADER.size, "header")
-        magic, msg_type, length, crc = HEADER.unpack(header)
-        if magic != MAGIC:
-            raise ProtocolError(f"bad frame magic {magic!r}")
-        if length > MAX_FRAME_SIZE:
-            raise ProtocolError(f"implausible frame length {length}")
-        payload = _recv_exact(guarded, length, "payload") if length else b""
-        if crc != _checksum(msg_type, payload):
-            raise ProtocolError(
-                f"frame checksum mismatch for message {msg_type} "
-                f"({length}-byte payload)"
-            )
-    return msg_type, payload
+        return recv_frame_from(functools.partial(_recv_exact, guarded))

@@ -20,7 +20,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.idl import IdlError, Signature
+from repro.idl import ArgSpec, IdlError, Signature
 from repro.protocol.framing import BytesLike
 from repro.idl.signature import NUMPY_DTYPES
 from repro.xdr import XdrDecoder, XdrEncoder, XdrError
@@ -79,21 +79,38 @@ def _unpack_scalar(dec: XdrDecoder, dtype: str) -> Any:
     raise XdrError(f"cannot unmarshal scalar dtype {dtype!r}")  # pragma: no cover
 
 
+def _wire_room(block: Sequence[tuple[ArgSpec, Any]]) -> int:
+    """Bytes to announce (``XdrEncoder.ensure_room``) before packing
+    ``(spec, value)`` pairs, so the block lands in a buffer allocated
+    once at final size; generous, since unwritten room is free."""
+    room = 0
+    for spec, value in block:
+        if spec.is_array:
+            room += value.nbytes + 4 * value.ndim + 32
+        elif isinstance(value, (str, bytes)):
+            room += 4 * len(value) + 8
+        else:
+            room += 16
+    return room
+
+
 def marshal_inputs(signature: Signature, args: Sequence[Any],
                    into: Optional[XdrEncoder] = None) -> Optional[bytes]:
     """Client side: encode the input halves of a positional call.
 
     With ``into`` the block is packed straight into that encoder (the
     enclosing CALL payload) and ``None`` is returned; otherwise a fresh
-    ``bytes`` comes back.
+    ``bytes`` comes back.  Arguments are validated (``signature.bind``)
+    before the first byte is packed.
     """
     bound = signature.bind(args)
     enc = into if into is not None else XdrEncoder()
-    for spec, value in zip(signature.args, args):
-        if not spec.is_input:
-            continue
+    block = [(spec, bound.inputs[spec.name] if spec.is_array else value)
+             for spec, value in zip(signature.args, args) if spec.is_input]
+    enc.ensure_room(_wire_room(block))
+    for spec, value in block:
         if spec.is_array:
-            enc.pack_ndarray(bound.inputs[spec.name])
+            enc.pack_ndarray(value)
         else:
             _pack_scalar(enc, spec.dtype, value)
     return None if into is not None else enc.getvalue()
@@ -153,18 +170,23 @@ def marshal_outputs(signature: Signature, values: Sequence[Any],
     enclosing RESULT payload) and ``None`` is returned.
     """
     enc = into if into is not None else XdrEncoder()
+    block = []
     for spec, value in zip(signature.args, values):
         if not spec.is_output:
             continue
         if spec.is_array:
-            arr = np.ascontiguousarray(value, dtype=NUMPY_DTYPES[spec.dtype])
-            enc.pack_ndarray(arr)
+            value = np.ascontiguousarray(value, dtype=NUMPY_DTYPES[spec.dtype])
+        elif value is None:
+            raise IdlError(
+                f"executable produced no value for output scalar "
+                f"{spec.name!r}"
+            )
+        block.append((spec, value))
+    enc.ensure_room(_wire_room(block))
+    for spec, value in block:
+        if spec.is_array:
+            enc.pack_ndarray(value)
         else:
-            if value is None:
-                raise IdlError(
-                    f"executable produced no value for output scalar "
-                    f"{spec.name!r}"
-                )
             _pack_scalar(enc, spec.dtype, value)
     return None if into is not None else enc.getvalue()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import hmac
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +23,10 @@ __all__ = [
     "ServerInfo",
     "SyncMessage",
 ]
+
+
+#: ``CallHeader.attempt`` + ``CallHeader.budget`` as they sit on the wire.
+_ATTEMPT_TAIL = struct.Struct(">Id")
 
 
 class MessageType(enum.IntEnum):
@@ -137,6 +142,17 @@ class CallHeader:
             attempt=dec.unpack_uint(),
             budget=dec.unpack_double(),
         )
+
+    @staticmethod
+    def restamp(enc: XdrEncoder, end: int, attempt: int,
+                budget: float) -> None:
+        """Rewrite ``attempt`` and ``budget`` of a header already encoded
+        into ``enc`` and ending at offset ``end``: the fixed-size tail of
+        the wire form and the only bytes that differ between attempts of
+        one logical call, so a retry re-sends the payload it already
+        marshalled instead of encoding the arguments again."""
+        _ATTEMPT_TAIL.pack_into(enc.getbuffer(), end - _ATTEMPT_TAIL.size,
+                                attempt, budget)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,11 @@ is parked in :meth:`DedupCache.complete`.  A retried attempt then either
 
 Entries are TTL'd (a retry arriving after ``ttl`` seconds re-executes —
 acceptable, since the client has long since timed out) and the cache is
-size-bounded, evicting the oldest *completed* entries first; pending
-entries are never evicted, because a waiter may be blocked on them.
+bounded both in entries and in retained reply *bytes* (a RESULT frame
+can be megabytes), evicting the oldest *completed* entries first;
+pending entries are never evicted, because a waiter may be blocked on
+them.  Completed entries live in completion order, so every bound is
+enforced by popping from the front: O(1) per operation.
 """
 
 from __future__ import annotations
@@ -52,6 +55,11 @@ class DedupCache:
         Completed-entry bound; exceeded -> oldest completed entries are
         evicted (pending entries don't count against the bound and are
         never evicted).
+    max_bytes:
+        Bound on reply payload bytes retained by completed entries;
+        exceeded -> oldest completed entries are evicted (their late
+        duplicates re-execute, as under ``max_entries``), but the newest
+        is always kept, so an immediate retry still replays.
     ttl:
         Seconds a completed entry stays replayable.
     clock:
@@ -65,14 +73,18 @@ class DedupCache:
 
     def __init__(self, max_entries: int = 1024, ttl: float = 300.0,
                  clock: Callable[[], float] = time.monotonic,
-                 metrics=None):
+                 metrics=None, max_bytes: int = 64 << 20):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
+        self.max_bytes = max_bytes
         self.ttl = ttl
         self.clock = clock
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, DedupEntry] = OrderedDict()
+        self._pending: dict[str, DedupEntry] = {}
+        # Completion order = stamp order: the front is the oldest.
+        self._done: OrderedDict[str, DedupEntry] = OrderedDict()
+        self._done_bytes = 0
         self.hits = 0
         self._hits_metric = self._entries_metric = None
         if metrics is not None:
@@ -89,23 +101,24 @@ class DedupCache:
 
     def _purge_locked(self, now: float) -> None:
         """Drop expired + over-bound completed entries (oldest first)."""
-        expired = [key for key, entry in self._entries.items()
-                   if entry.reply is not None and now - entry.stamp > self.ttl]
-        for key in expired:
-            del self._entries[key]
-        # OrderedDict iterates insertion-order = oldest first;
-        # completion re-inserts at the back, so the front is the
-        # coldest.  Pending entries neither count against the bound
-        # nor get evicted — waiters hold them.
-        completed = [k for k, e in self._entries.items()
-                     if e.reply is not None]
-        excess = max(0, len(completed) - self.max_entries)
-        for key in completed[:excess]:
-            del self._entries[key]
+        done = self._done
+        while done:
+            key, oldest = next(iter(done.items()))
+            if not (now - oldest.stamp > self.ttl
+                    or len(done) > self.max_entries
+                    or (self._done_bytes > self.max_bytes and len(done) > 1)):
+                break
+            self._forget_done_locked(key)
+
+    def _forget_done_locked(self, key: str) -> Optional[DedupEntry]:
+        entry = self._done.pop(key, None)
+        if entry is not None:
+            self._done_bytes -= len(entry.reply[1])
+        return entry
 
     def _note_size_locked(self) -> None:
         if self._entries_metric is not None:
-            self._entries_metric.set(len(self._entries))
+            self._entries_metric.set(len(self._pending) + len(self._done))
 
     def _hit(self) -> None:
         with self._lock:
@@ -127,12 +140,15 @@ class DedupCache:
         now = self.clock()
         with self._lock:
             self._purge_locked(now)
-            entry = self._entries.get(key)
+            entry = self._done.get(key)
+            state = "done"
             if entry is None:
-                entry = self._entries[key] = DedupEntry(now)
+                entry = self._pending.get(key)
+                state = "pending"
+            if entry is None:
+                entry = self._pending[key] = DedupEntry(now)
                 self._note_size_locked()
                 return "new", entry
-            state = "done" if entry.reply is not None else "pending"
         self._hit()
         return state, entry
 
@@ -140,12 +156,14 @@ class DedupCache:
         """Park the encoded reply and release any blocked attempts."""
         now = self.clock()
         with self._lock:
-            entry = self._entries.pop(key, None)
+            entry = (self._pending.pop(key, None)
+                     or self._forget_done_locked(key))
             if entry is None:  # aborted or evicted concurrently
                 entry = DedupEntry(now)
             entry.reply = reply
             entry.stamp = now
-            self._entries[key] = entry  # re-insert at the back (freshest)
+            self._done[key] = entry  # at the back: the freshest
+            self._done_bytes += len(reply[1])
             self._purge_locked(now)
             self._note_size_locked()
         entry.done.set()
@@ -157,7 +175,8 @@ class DedupCache:
         ``None`` — they re-:meth:`begin` and become the new executor.
         """
         with self._lock:
-            entry = self._entries.pop(key, None)
+            entry = (self._pending.pop(key, None)
+                     or self._forget_done_locked(key))
             self._note_size_locked()
         if entry is not None:
             entry.done.set()
@@ -171,4 +190,4 @@ class DedupCache:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._pending) + len(self._done)

@@ -328,7 +328,7 @@ class NinfRpcServices:
             enc.end_opaque(token)
             self._record_trace(executable, job,
                                len(args_payload) + out_len)
-            finish(MessageType.RESULT, enc.getvalue())
+            finish(MessageType.RESULT, enc.getbuffer())
 
         def send_callback(progress: float, message: str) -> None:
             enc = XdrEncoder()
@@ -434,7 +434,7 @@ class NinfRpcServices:
                     enc.end_opaque(token)
             evictions = 0
             with self._detached_lock:
-                self._detached[ticket] = enc.getvalue()
+                self._detached[ticket] = enc.getbuffer()
                 self._detached_jobs.pop(ticket, None)
                 # Bound the store: evict the oldest *finished* results,
                 # leaving a tombstone so the owner's late FETCH gets a

@@ -1,7 +1,8 @@
 """The asyncio twin of :class:`~repro.transport.channel.Channel`.
 
 :class:`AsyncChannel` speaks the identical wire protocol (via
-:mod:`repro.protocol.aframing`) with the identical deadline and error
+:class:`repro.protocol.aframing.FrameStream`, which receives each
+payload straight into its final buffer) with the identical deadline and error
 semantics, but multiplexes thousands of connections on one event loop
 instead of parking a thread per socket.  Within a loop, coroutine
 interleaving replaces thread preemption, so the channel's send/recv/rpc
@@ -22,12 +23,12 @@ from __future__ import annotations
 import asyncio
 from typing import Optional, Union
 
-from repro.protocol.aframing import read_frame, write_frame
+from repro.protocol.aframing import FrameStream
 from repro.protocol.errors import ConnectionClosed, ProtocolError, \
     RemoteError, ServerBusy, TimeoutError
-from repro.protocol.framing import encode_frame
+from repro.protocol.framing import BytesLike, encode_frame
 from repro.protocol.messages import BusyReply, ErrorReply, MessageType
-from repro.transport.channel import _DEFAULT, _Unset
+from repro.transport.channel import _DEFAULT, _Unset, _note_io
 from repro.transport.faults import CORRUPT, DELAY, DROP_PRE, REFUSE_DIAL, \
     TRUNCATE, FaultPlan, _corrupt
 from repro.xdr import XdrDecoder, XdrEncoder
@@ -39,20 +40,23 @@ __all__ = ["AsyncChannel", "AsyncFaultyChannel", "aconnect",
 class AsyncChannel:
     """One framed connection on an event loop, Channel-equivalent.
 
-    Owns an :class:`asyncio.StreamReader`/``StreamWriter`` pair and
-    applies the channel-default ``timeout`` to every operation unless a
-    call passes its own (the same ``_DEFAULT`` sentinel protocol as the
-    sync :class:`~repro.transport.channel.Channel`).  All methods must
-    run on the loop that created the streams; cross-thread use goes
-    through the sync facade (:mod:`repro.transport.loopbridge`).
+    Owns a connected :class:`~repro.protocol.aframing.FrameStream`
+    (which sets ``TCP_NODELAY``) and applies the channel-default
+    ``timeout`` to every operation unless a call passes its own (the
+    same ``_DEFAULT`` sentinel protocol as the sync
+    :class:`~repro.transport.channel.Channel`).  All methods must run
+    on the loop that created the stream; cross-thread use goes through
+    the sync facade (:mod:`repro.transport.loopbridge`).
+
+    Buffer ownership (DESIGN.md §3.1): :meth:`recv` returns a private,
+    mutable ``bytearray``; a payload passed to :meth:`send` must not be
+    mutated until ``send`` returns.
     """
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter,
+    def __init__(self, stream: FrameStream,
                  timeout: Optional[float] = None,
                  remote: Optional[tuple[str, int]] = None) -> None:
-        self.reader = reader
-        self.writer = writer
+        self.stream = stream
         self.timeout = timeout
         self.remote = remote
         self.metrics = None
@@ -60,15 +64,6 @@ class AsyncChannel:
         self._recv_lock = asyncio.Lock()
         self._rpc_lock = asyncio.Lock()
         self._closed = False
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            try:
-                import socket as _socket
-
-                sock.setsockopt(_socket.IPPROTO_TCP,
-                                _socket.TCP_NODELAY, 1)
-            except OSError:
-                pass  # not a TCP socket -- fine
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -80,15 +75,8 @@ class AsyncChannel:
         """Drop the transport (idempotent, synchronous, loop-affine)."""
         self._closed = True
         try:
-            self.writer.close()
+            self.stream.transport.close()
         except (OSError, RuntimeError):
-            pass
-
-    async def wait_closed(self) -> None:
-        """Await the transport teardown after :meth:`close`."""
-        try:
-            await self.writer.wait_closed()
-        except (OSError, ConnectionError):
             pass
 
     async def __aenter__(self) -> "AsyncChannel":
@@ -96,11 +84,10 @@ class AsyncChannel:
 
     async def __aexit__(self, *exc_info: object) -> None:
         self.close()
-        await self.wait_closed()
 
     def fileno(self) -> int:
         """The underlying socket's file descriptor (for diagnostics)."""
-        sock = self.writer.get_extra_info("socket")
+        sock = self.stream.transport.get_extra_info("socket")
         if sock is None:
             raise OSError("transport has no socket")
         return sock.fileno()
@@ -108,15 +95,13 @@ class AsyncChannel:
     def healthy(self) -> bool:
         """Whether an *idle* channel is still usable for a request.
 
-        The loop eagerly drains readable bytes into the stream buffer,
+        The loop eagerly drains readable bytes into the frame stream,
         so the sync channel's zero-timeout ``select`` probe translates
-        to: not closed, no EOF seen, and nothing buffered (an idle
+        to: not closed, no EOF seen, and nothing received (an idle
         request/reply channel owes us no bytes; anything pending means
         the peer closed or broke protocol).
         """
-        if self._closed or self.reader.at_eof():
-            return False
-        return not getattr(self.reader, "_buffer", b"")
+        return not self._closed and self.stream.idle()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"
@@ -127,28 +112,6 @@ class AsyncChannel:
     def _resolve(self, timeout: Union[None, float, _Unset]) -> Optional[float]:
         return self.timeout if isinstance(timeout, _Unset) else timeout
 
-    def _note_io(self, direction: str, payload_len: int) -> None:
-        """Record one framed exchange into the attached registry."""
-        registry = self.metrics
-        if registry is None:
-            return
-        from repro.obs import names
-        from repro.protocol.framing import HEADER
-
-        nbytes = HEADER.size + payload_len
-        if direction == "sent":
-            registry.counter(names.TRANSPORT_BYTES_SENT,
-                             "Framed bytes written, header included"
-                             ).inc(nbytes)
-            registry.counter(names.TRANSPORT_FRAMES_SENT,
-                             "Frames written").inc()
-        else:
-            registry.counter(names.TRANSPORT_BYTES_RECEIVED,
-                             "Framed bytes read, header included"
-                             ).inc(nbytes)
-            registry.counter(names.TRANSPORT_FRAMES_RECEIVED,
-                             "Frames read").inc()
-
     def _check_open(self) -> None:
         # Same observable as the sync channel, where I/O on a locally
         # closed socket raises EBADF: local close -> OSError, only a
@@ -156,29 +119,29 @@ class AsyncChannel:
         if self._closed:
             raise OSError("I/O operation on closed channel")
 
-    async def send(self, msg_type: int, payload: bytes = b"",
+    async def send(self, msg_type: int, payload: BytesLike = b"",
                    timeout: Union[None, float, _Unset] = _DEFAULT) -> None:
         """Write one frame; safe to call from multiple tasks."""
         self._check_open()
         async with self._send_lock:
-            await write_frame(self.writer, msg_type, payload,
-                              timeout=self._resolve(timeout))
-        self._note_io("sent", len(payload))
+            await self.stream.write_frame(msg_type, payload,
+                                          timeout=self._resolve(timeout))
+        _note_io(self.metrics, "sent", len(payload))
 
     async def recv(self, timeout: Union[None, float, _Unset] = _DEFAULT
-                   ) -> tuple[int, bytes]:
+                   ) -> tuple[int, bytearray]:
         """Read one frame as ``(msg_type, payload)``."""
         self._check_open()
         async with self._recv_lock:
-            msg_type, payload = await read_frame(
-                self.reader, timeout=self._resolve(timeout))
-        self._note_io("received", len(payload))
+            msg_type, payload = await self.stream.read_frame(
+                timeout=self._resolve(timeout))
+        _note_io(self.metrics, "received", len(payload))
         return msg_type, payload
 
-    async def request(self, msg_type: int, payload: bytes = b"",
+    async def request(self, msg_type: int, payload: BytesLike = b"",
                       expect: Optional[int] = None,
                       timeout: Union[None, float, _Unset] = _DEFAULT
-                      ) -> tuple[int, bytes]:
+                      ) -> tuple[int, bytearray]:
         """One send + one recv, atomically with respect to other tasks.
 
         Reply decoding matches :meth:`Channel.request`: ``ERROR`` ->
@@ -215,20 +178,21 @@ async def aconnect(host: str, port: int, timeout: Optional[float] = None,
     :class:`~repro.protocol.errors.TimeoutError`, never a bare
     ``asyncio.TimeoutError``.
     """
+    return AsyncChannel(await _dial(host, port, timeout, connect_timeout),
+                        timeout=timeout, remote=(host, port))
+
+
+async def _dial(host: str, port: int, timeout: Optional[float],
+                connect_timeout: Optional[float]) -> FrameStream:
     budget = timeout if connect_timeout is None else connect_timeout
     try:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), budget)
+        _transport, stream = await asyncio.wait_for(
+            asyncio.get_running_loop().create_connection(
+                FrameStream, host, port), budget)
     except asyncio.TimeoutError:
         raise TimeoutError(
             f"connect to {host}:{port} timed out after {budget}s") from None
-    try:
-        return AsyncChannel(reader, writer, timeout=timeout,
-                            remote=(host, port))
-    except BaseException:
-        # Nothing owns the transport until construction succeeds.
-        writer.close()
-        raise
+    return stream
 
 
 class AsyncFaultyChannel(AsyncChannel):
@@ -244,14 +208,13 @@ class AsyncFaultyChannel(AsyncChannel):
     the same schedule on either transport.
     """
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, plan: FaultPlan,
+    def __init__(self, stream: FrameStream, plan: FaultPlan,
                  timeout: Optional[float] = None,
                  remote: Optional[tuple[str, int]] = None) -> None:
-        super().__init__(reader, writer, timeout=timeout, remote=remote)
+        super().__init__(stream, timeout=timeout, remote=remote)
         self.plan = plan
 
-    async def send(self, msg_type: int, payload: bytes = b"",
+    async def send(self, msg_type: int, payload: BytesLike = b"",
                    timeout: Union[None, float, _Unset] = _DEFAULT) -> None:
         """Send one frame, subject to the plan's send-applicable faults."""
         event = self.plan.draw("send")
@@ -268,35 +231,30 @@ class AsyncFaultyChannel(AsyncChannel):
         frame = encode_frame(msg_type, payload)
         if event.kind == TRUNCATE:
             cut = max(1, min(len(frame) - 1, int(event.ratio * len(frame))))
-            async with self._send_lock:
-                self.writer.write(frame[:cut])
-                await self._drain()
+            await self._write_raw(frame[:cut])
             self.close()
             raise ConnectionClosed(
                 f"[fault #{event.seq}] frame truncated after "
                 f"{cut}/{len(frame)} bytes"
             )
         if event.kind == CORRUPT:
-            frame = _corrupt(frame, event.ratio)
-            async with self._send_lock:
-                self.writer.write(frame)
-                await self._drain()
+            await self._write_raw(_corrupt(frame, event.ratio))
             return None
         # DROP_POST: deliver, then kill the connection.
-        async with self._send_lock:
-            self.writer.write(frame)
-            await self._drain()
+        await self._write_raw(frame)
         self.close()
         return None
 
-    async def _drain(self) -> None:
-        try:
-            await self.writer.drain()
-        except (OSError, ConnectionError):
-            pass  # injected writes are best-effort, like raw sendall
+    async def _write_raw(self, data: bytes) -> None:
+        async with self._send_lock:
+            self.stream.transport.write(data)
+            try:
+                await self.stream.drain()
+            except OSError:
+                pass  # injected writes are best-effort, like raw sendall
 
     async def recv(self, timeout: Union[None, float, _Unset] = _DEFAULT
-                   ) -> tuple[int, bytes]:
+                   ) -> tuple[int, bytearray]:
         """Receive one frame, subject to delay/drop faults."""
         event = self.plan.draw("recv")
         if event is not None:
@@ -321,9 +279,6 @@ async def aconnect_with_faults(plan: FaultPlan, host: str, port: int,
                 f"[fault #{event.seq}] dial to {host}:{port} refused"
             )
         await asyncio.sleep(event.delay)
-    channel = await aconnect(host, port, timeout=timeout,
-                             connect_timeout=connect_timeout)
-    faulty = AsyncFaultyChannel(channel.reader, channel.writer, plan,
-                                timeout=channel.timeout,
-                                remote=channel.remote)
-    return faulty
+    return AsyncFaultyChannel(
+        await _dial(host, port, timeout, connect_timeout), plan,
+        timeout=timeout, remote=(host, port))

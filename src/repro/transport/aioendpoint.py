@@ -39,6 +39,7 @@ import threading
 from typing import Callable, Optional
 
 from repro.obs import MetricsRegistry, names
+from repro.protocol.aframing import FrameStream
 from repro.protocol.errors import ConnectionClosed, ProtocolError
 from repro.protocol.messages import MessageType
 from repro.transport.aiochannel import AsyncChannel, AsyncFaultyChannel
@@ -254,8 +255,9 @@ class AsyncEndpoint:
     # -- loop-side lifecycle -------------------------------------------------
 
     async def _open_listener(self) -> tuple[asyncio.Server, tuple[str, int]]:
-        server = await asyncio.start_server(
-            self._client_connected, self._bind_host, self._bind_port,
+        server = await asyncio.get_running_loop().create_server(
+            lambda: FrameStream(on_connect=self._accept),
+            self._bind_host, self._bind_port,
             backlog=self.backlog, reuse_address=True, start_serving=False)
         return server, server.sockets[0].getsockname()[:2]
 
@@ -272,7 +274,7 @@ class AsyncEndpoint:
 
     async def _cancel_connections(self) -> None:
         # One tick first: a connection accepted just before the
-        # listener closed may have its _client_connected callback
+        # listener closed may have its connection_made callback
         # queued but not yet run -- let it register (and see _running
         # False) so it is torn down here, not leaked to GC.
         await asyncio.sleep(0)
@@ -301,26 +303,21 @@ class AsyncEndpoint:
 
     # -- accept / dispatch --------------------------------------------------
 
-    async def _client_connected(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
+    def _accept(self, stream: FrameStream) -> None:
+        """``connection_made`` of an accepted socket: one task serves it."""
         if not self._running:
-            writer.close()
+            stream.transport.close()
             return
         self._accepted.inc()
         if self.fault_plan is not None:
-            channel: AsyncChannel = AsyncFaultyChannel(
-                reader, writer, self.fault_plan)
+            channel: AsyncChannel = AsyncFaultyChannel(stream, self.fault_plan)
         else:
-            channel = AsyncChannel(reader, writer)
+            channel = AsyncChannel(stream)
         channel.metrics = self.metrics
-        task = asyncio.current_task()
+        task = asyncio.get_running_loop().create_task(
+            self._serve_connection(channel))
         self._conn_tasks.add(task)
-        self._open_gauge.inc()
-        try:
-            await self._serve_connection(channel)
-        finally:
-            self._open_gauge.dec()
-            self._conn_tasks.discard(task)
+        task.add_done_callback(self._conn_tasks.discard)
 
     async def _serve_connection(self, channel: AsyncChannel) -> None:
         # Captured once: stop() nulls the attributes concurrently, but a
@@ -328,6 +325,7 @@ class AsyncEndpoint:
         runner = self._runner
         pool = self._handler_pool
         facade: Optional[FacadeChannel] = None
+        self._open_gauge.inc()
         try:
             while True:
                 try:
@@ -355,4 +353,5 @@ class AsyncEndpoint:
         except (ProtocolError, OSError, RuntimeError):
             pass
         finally:
+            self._open_gauge.dec()
             channel.close()

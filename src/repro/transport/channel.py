@@ -20,6 +20,7 @@ from repro.protocol.errors import ProtocolError, RemoteError, ServerBusy
 from repro.protocol.framing import BytesLike, HEADER, recv_frame, send_frame
 
 if TYPE_CHECKING:  # annotation only -- shm imports channel at runtime
+    from repro.obs import MetricsRegistry
     from repro.transport.shm import ShmTransport
 from repro.protocol.messages import BusyReply, ErrorReply, MessageType
 from repro.xdr import XdrDecoder, XdrEncoder
@@ -35,6 +36,29 @@ class _Unset:
 
 
 _DEFAULT = _Unset()
+
+
+def _note_io(registry: Optional["MetricsRegistry"], direction: str,
+             payload_len: int) -> None:
+    """Record one framed exchange into a channel's attached registry
+    (shared by the sync and asyncio channels)."""
+    if registry is None:
+        return
+    from repro.obs import names
+
+    nbytes = HEADER.size + payload_len
+    if direction == "sent":
+        registry.counter(names.TRANSPORT_BYTES_SENT,
+                         "Framed bytes written, header included"
+                         ).inc(nbytes)
+        registry.counter(names.TRANSPORT_FRAMES_SENT,
+                         "Frames written").inc()
+    else:
+        registry.counter(names.TRANSPORT_BYTES_RECEIVED,
+                         "Framed bytes read, header included"
+                         ).inc(nbytes)
+        registry.counter(names.TRANSPORT_FRAMES_RECEIVED,
+                         "Frames read").inc()
 
 
 class Channel:
@@ -87,7 +111,8 @@ class Channel:
 
     def attach_io(self, io: "ShmTransport") -> None:
         """Reroute this channel's frames onto ``io`` (an object with
-        ``send_frame``/``recv_frame``/``sendall``/``healthy``/``close``,
+        ``send_frame``/``recv_frame``/``sendall``/``healthy``/
+        ``shutdown``/``close``,
         e.g. :class:`repro.transport.shm.ShmTransport`).  Existing locks
         and deadline semantics keep applying; the socket remains owned
         and becomes pure liveness signal."""
@@ -114,6 +139,18 @@ class Channel:
             self.sock.close()
         except OSError:
             pass
+
+    def shutdown(self) -> None:
+        """From another thread: make a blocked :meth:`recv` read EOF, so
+        the owning thread closes the channel (and any attached medium)
+        itself -- never torn down under it."""
+        io = self._io
+        if io is not None:
+            io.shutdown()
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already closed or never connected
 
     def __enter__(self) -> "Channel":
         return self
@@ -154,27 +191,6 @@ class Channel:
     def _resolve(self, timeout: Union[None, float, _Unset]) -> Optional[float]:
         return self.timeout if isinstance(timeout, _Unset) else timeout
 
-    def _note_io(self, direction: str, payload_len: int) -> None:
-        """Record one framed exchange into the attached registry."""
-        registry = self.metrics
-        if registry is None:
-            return
-        from repro.obs import names
-
-        nbytes = HEADER.size + payload_len
-        if direction == "sent":
-            registry.counter(names.TRANSPORT_BYTES_SENT,
-                             "Framed bytes written, header included"
-                             ).inc(nbytes)
-            registry.counter(names.TRANSPORT_FRAMES_SENT,
-                             "Frames written").inc()
-        else:
-            registry.counter(names.TRANSPORT_BYTES_RECEIVED,
-                             "Framed bytes read, header included"
-                             ).inc(nbytes)
-            registry.counter(names.TRANSPORT_FRAMES_RECEIVED,
-                             "Frames read").inc()
-
     def send(self, msg_type: int, payload: BytesLike = b"",
              timeout: Union[None, float, _Unset] = _DEFAULT) -> None:
         """Write one frame; safe to call from multiple threads.
@@ -189,7 +205,7 @@ class Channel:
             else:
                 send_frame(self.sock, msg_type, payload,
                            timeout=self._resolve(timeout))
-        self._note_io("sent", len(payload))
+        _note_io(self.metrics, "sent", len(payload))
 
     def _raw_sendall(self, data: BytesLike,
                      timeout: Optional[float] = None) -> None:
@@ -207,8 +223,9 @@ class Channel:
                 self.sock.sendall(data)
 
     def recv(self, timeout: Union[None, float, _Unset] = _DEFAULT
-             ) -> tuple[int, bytes]:
-        """Read one frame as ``(msg_type, payload)``."""
+             ) -> tuple[int, bytearray]:
+        """Read one frame as ``(msg_type, payload)``; the payload is a
+        private, mutable buffer the caller owns."""
         with self._recv_lock:
             if self._io is not None:
                 msg_type, payload = self._io.recv_frame(
@@ -216,13 +233,13 @@ class Channel:
             else:
                 msg_type, payload = recv_frame(self.sock,
                                                timeout=self._resolve(timeout))
-        self._note_io("received", len(payload))
+        _note_io(self.metrics, "received", len(payload))
         return msg_type, payload
 
-    def request(self, msg_type: int, payload: bytes = b"",
+    def request(self, msg_type: int, payload: BytesLike = b"",
                 expect: Optional[int] = None,
                 timeout: Union[None, float, _Unset] = _DEFAULT
-                ) -> tuple[int, bytes]:
+                ) -> tuple[int, bytearray]:
         """One send + one recv, atomically with respect to other callers.
 
         An ``ERROR`` reply is decoded and re-raised as

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.obs import MetricsRegistry, names
@@ -93,6 +94,8 @@ class Endpoint:
         # Loop threads still read _running unlocked by design (a stale
         # True costs one extra accept() wakeup, nothing more).
         self._lock = threading.Lock()
+        # Live connection threads, for stop().  GUARDED_BY(_lock).
+        self._connections: dict[threading.Thread, Channel] = {}
         self._handlers: dict[int, Handler] = {}
         # Server-side observability: the connection-reuse acceptance
         # metric of the LAN benchmarks (pooled clients keep this at 1);
@@ -243,7 +246,9 @@ class Endpoint:
         return self
 
     def stop(self) -> None:
-        """Shut down: close the listener, run :meth:`on_stop`, join."""
+        """Shut down: close the listener, run :meth:`on_stop`, then end
+        and join the connection threads (bounded wait), so a connection's
+        socket and shm rings are released by its own thread first."""
         with self._lock:
             self._running = False
             listener = self._listener
@@ -266,6 +271,15 @@ class Endpoint:
         self.on_stop()
         if thread is not None:
             thread.join(timeout=5.0)
+        # After the accept thread: no new connection can register now.
+        with self._lock:
+            connections = dict(self._connections)
+        for channel in connections.values():
+            channel.shutdown()
+        deadline = time.monotonic() + 5.0
+        for conn_thread in connections:
+            if conn_thread is not threading.current_thread():
+                conn_thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "Endpoint":
         return self.start()
@@ -298,10 +312,13 @@ class Endpoint:
             if self.fault_plan is not None:
                 channel = self.fault_plan.wrap(channel)
             channel.metrics = self.metrics
-            threading.Thread(
+            conn_thread = threading.Thread(
                 target=self._serve_connection, args=(channel,),
                 name=f"{self.name}-conn", daemon=True,
-            ).start()
+            )
+            with self._lock:
+                self._connections[conn_thread] = channel
+            conn_thread.start()
 
     def _serve_connection(self, channel: Channel) -> None:
         try:
@@ -324,3 +341,5 @@ class Endpoint:
             pass
         finally:
             channel.close()
+            with self._lock:
+                self._connections.pop(threading.current_thread(), None)

@@ -407,7 +407,7 @@ class FaultyChannel(Channel):
         return None
 
     def recv(self, timeout: Union[None, float, _Unset] = _DEFAULT
-             ) -> tuple[int, bytes]:
+             ) -> tuple[int, bytearray]:
         """Receive one frame, subject to delay/drop faults."""
         if self.plan.partition_drop(self.remote):
             self.close()

@@ -39,6 +39,7 @@ from repro.transport.channel import _DEFAULT, _Unset
 
 if TYPE_CHECKING:  # annotations only -- aiochannel is imported lazily
     from repro.obs import MetricsRegistry
+    from repro.protocol.framing import BytesLike
     from repro.transport.aiochannel import AsyncChannel
     from repro.transport.faults import FaultPlan
 
@@ -244,21 +245,21 @@ class FacadeChannel:
 
     # -- framed I/O ---------------------------------------------------------
 
-    def send(self, msg_type: int, payload: bytes = b"",
+    def send(self, msg_type: int, payload: BytesLike = b"",
              timeout: Union[None, float, _Unset] = _DEFAULT) -> None:
         """Write one frame (blocking facade of ``AsyncChannel.send``)."""
         self._runner.run(
             self._channel.send(msg_type, payload, timeout=timeout))
 
     def recv(self, timeout: Union[None, float, _Unset] = _DEFAULT
-             ) -> tuple[int, bytes]:
+             ) -> tuple[int, bytearray]:
         """Read one frame as ``(msg_type, payload)``."""
         return self._runner.run(self._channel.recv(timeout=timeout))
 
-    def request(self, msg_type: int, payload: bytes = b"",
+    def request(self, msg_type: int, payload: BytesLike = b"",
                 expect: Optional[int] = None,
                 timeout: Union[None, float, _Unset] = _DEFAULT
-                ) -> tuple[int, bytes]:
+                ) -> tuple[int, bytearray]:
         """One send + one recv with the sync channel's reply decoding."""
         return self._runner.run(
             self._channel.request(msg_type, payload, expect=expect,

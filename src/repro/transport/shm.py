@@ -53,8 +53,8 @@ from repro.protocol.errors import (
     RemoteError,
     TimeoutError,
 )
-from repro.protocol.framing import BytesLike, HEADER, MAGIC, \
-    MAX_FRAME_SIZE, _checksum, encode_header
+from repro.protocol.framing import BytesLike, encode_header, \
+    recv_frame_from
 from repro.protocol.messages import MessageType
 from repro.xdr import XdrDecoder, XdrEncoder, XdrError
 
@@ -377,22 +377,12 @@ class ShmTransport:
         self.send_ring.write(data, self._deadline(timeout))
 
     def recv_frame(self, timeout: Optional[float] = None
-                   ) -> tuple[int, bytes]:
-        """Read one CRC-verified frame from the receive ring."""
+                   ) -> tuple[int, bytearray]:
+        """Read one CRC-verified frame from the receive ring; the
+        payload is the private ``bytearray`` it was copied out into."""
         deadline = self._deadline(timeout)
-        header = self.recv_ring.read_exact(HEADER.size, deadline)
-        magic, msg_type, length, crc = HEADER.unpack(bytes(header))
-        if magic != MAGIC:
-            raise ProtocolError(f"bad frame magic {magic!r}")
-        if length > MAX_FRAME_SIZE:
-            raise ProtocolError(f"implausible frame length {length}")
-        payload = (self.recv_ring.read_exact(length, deadline)
-                   if length else b"")
-        if crc != _checksum(msg_type, payload):
-            raise ProtocolError(
-                f"frame checksum mismatch for message {msg_type} "
-                f"({length}-byte payload)")
-        return msg_type, bytes(payload)
+        return recv_frame_from(
+            lambda count, _what: self.recv_ring.read_exact(count, deadline))
 
     def healthy(self) -> bool:
         """Whether both rings are still open (peer has not closed)."""
@@ -400,6 +390,15 @@ class ShmTransport:
             return not (self.send_ring.closed or self.recv_ring.closed)
         except ConnectionClosed:
             return False  # rings already detached
+
+    def shutdown(self) -> None:
+        """Mark both rings closed without detaching: a thread blocked in
+        :meth:`recv_frame`/:meth:`send_frame` sees EOF and closes."""
+        for ring in (self.send_ring, self.recv_ring):
+            try:
+                ring.mark_closed()
+            except ValueError:
+                pass  # already detached
 
     def close(self) -> None:
         """Close both rings (marking them for the peer; owner unlinks)."""

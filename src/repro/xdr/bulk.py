@@ -7,8 +7,9 @@ module is the engine behind the fast paths in
 :class:`~repro.xdr.encoder.XdrEncoder` /
 :class:`~repro.xdr.decoder.XdrDecoder`: whole arrays are converted to
 or from big-endian wire order in one vectorized pass, written directly
-into the caller's preallocated frame buffer (a ``bytearray``), with no
-per-element Python bytecode and no intermediate list-of-chunks copies.
+into room the caller reserved in its frame buffer (a ``bytearray``
+and an offset), with no per-element Python bytecode, no intermediate
+list-of-chunks copies and no growth of the buffer here.
 
 Two implementations, one wire format:
 
@@ -95,34 +96,27 @@ def swap_needed(byteorder: str = sys.byteorder) -> bool:
     return byteorder != "big"
 
 
-def _grow(buf: bytearray, nbytes: int) -> int:
-    """Append ``nbytes`` of zeroed room to ``buf``; return its offset."""
-    offset = len(buf)
-    buf += bytes(nbytes)
-    return offset
-
-
 # -- encode ----------------------------------------------------------------
 
 
-def pack_doubles_into(buf: bytearray, values: Sequence[float],
+def pack_doubles_into(buf: bytearray, offset: int, values: Sequence[float],
                       byteorder: str = sys.byteorder) -> int:
-    """Append ``values`` as big-endian IEEE-754 doubles; return nbytes.
+    """Write ``values`` as big-endian IEEE-754 doubles at ``buf[offset:]``;
+    return nbytes.
 
-    One vectorized pass writes directly into freshly reserved room at
-    the end of ``buf`` -- no per-element loop, no intermediate bytes
-    object on the NumPy path.
+    ``buf`` must already hold ``8 * len(values)`` bytes of room at
+    ``offset`` (the encoder reserves it): one vectorized pass writes
+    straight into it -- no per-element loop, no intermediate bytes
+    object on the NumPy path, and no growth of ``buf`` here.
     """
     if using_numpy():
         src = _np.ascontiguousarray(values, dtype=_np.float64)
         if src.ndim != 1:
             raise XdrError("bulk double pack expects a 1-D sequence")
-        nbytes = src.size * 8
-        offset = _grow(buf, nbytes)
         dest = _np.frombuffer(buf, dtype=">f8", count=src.size,
                               offset=offset)
         dest[:] = src  # fused byteswap-and-copy
-        return nbytes
+        return src.size * 8
     arr = values if (isinstance(values, array.array)
                      and values.typecode == "d") else array.array(
                          "d", [float(v) for v in values])
@@ -130,14 +124,15 @@ def pack_doubles_into(buf: bytearray, values: Sequence[float],
         arr = array.array("d", arr)  # don't mutate the caller's array
         arr.byteswap()
     nbytes = len(arr) * 8
-    offset = _grow(buf, nbytes)
     buf[offset:offset + nbytes] = memoryview(arr).cast("B")
     return nbytes
 
 
-def pack_ints_into(buf: bytearray, values: Sequence[int],
+def pack_ints_into(buf: bytearray, offset: int, values: Sequence[int],
                    byteorder: str = sys.byteorder) -> int:
-    """Append ``values`` as big-endian signed 32-bit ints; return nbytes.
+    """Write ``values`` as big-endian signed 32-bit ints at
+    ``buf[offset:]`` (room for ``4 * len(values)`` bytes must exist);
+    return nbytes.
 
     Raises :class:`~repro.xdr.errors.XdrError` when any element is out
     of 32-bit range (checked in bulk, not per element).
@@ -151,12 +146,10 @@ def pack_ints_into(buf: bytearray, values: Sequence[int],
         if src.size and (int(src.min()) < _INT_MIN
                          or int(src.max()) > _INT_MAX):
             raise XdrError("int array element out of 32-bit range")
-        nbytes = src.size * 4
-        offset = _grow(buf, nbytes)
         dest = _np.frombuffer(buf, dtype=">i4", count=src.size,
                               offset=offset)
         dest[:] = src
-        return nbytes
+        return src.size * 4
     try:
         arr = array.array("i" if array.array("i").itemsize == 4 else "l",
                           [int(v) for v in values])
@@ -167,7 +160,6 @@ def pack_ints_into(buf: bytearray, values: Sequence[int],
     if swap_needed(byteorder):
         arr.byteswap()
     nbytes = len(arr) * 4
-    offset = _grow(buf, nbytes)
     buf[offset:offset + nbytes] = memoryview(arr).cast("B")
     return nbytes
 

@@ -6,14 +6,17 @@ packing uses :mod:`struct`; bulk numeric arrays go through
 pass (NumPy when available, :mod:`array`-module fallback otherwise)
 directly into this encoder's frame buffer.
 
-The encoder owns a single growing ``bytearray``: every ``pack_*`` call
-appends in place, :meth:`XdrEncoder.getbuffer` exposes the result as a
-zero-copy ``memoryview`` for the framing layer, and
-:meth:`XdrEncoder.reserve`/:meth:`XdrEncoder.patch_uint` support
-length-prefixed regions whose size is only known after encoding
+The encoder owns one ``bytearray`` of zeroed room and a cursor: every
+``pack_*`` call writes at the cursor, :meth:`XdrEncoder.getbuffer`
+exposes the written prefix as a zero-copy ``memoryview`` for the
+framing layer, and :meth:`XdrEncoder.reserve`/:meth:`XdrEncoder.patch_uint`
+support length-prefixed regions whose size is only known after encoding
 (:meth:`begin_opaque`/:meth:`end_opaque`) -- the primitive that lets a
 CALL or RESULT payload be marshalled into one buffer with no
 intermediate concatenation (PROTOCOL.md §"Zero-copy fast paths").
+Room comes from ``bytearray(n)`` (calloc: untouched until written), so
+a caller that announces its size (:meth:`XdrEncoder.ensure_room`) gets
+a payload touched exactly once, by the pack that writes it.
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ _UHYPER_MAX = 2**64 - 1
 
 _PACK_INT = struct.Struct(">i")
 _PACK_UINT = struct.Struct(">I")
+_PACK_HYPER = struct.Struct(">q")
+_PACK_UHYPER = struct.Struct(">Q")
+_PACK_FLOAT = struct.Struct(">f")
+_PACK_DOUBLE = struct.Struct(">d")
+
+#: Room a fresh encoder starts with: a control message or a CALL header.
+_INITIAL_ROOM = 128
 
 # dtype -> (XDR type code used by the Ninf protocol, big-endian numpy dtype)
 if np is not None:
@@ -58,7 +68,7 @@ else:  # pragma: no cover - stdlib-only environments
 
 
 class XdrEncoder:
-    """Accumulates XDR-encoded bytes in one preallocated-growth buffer.
+    """Accumulates XDR-encoded bytes in one preallocated buffer.
 
     >>> enc = XdrEncoder()
     >>> enc.pack_int(7)
@@ -68,40 +78,64 @@ class XdrEncoder:
     """
 
     def __init__(self) -> None:
-        self._buf = bytearray()
+        # ``_buf`` is capacity (zeros past ``_len``); ``_len`` is the cursor.
+        self._buf = bytearray(_INITIAL_ROOM)
+        self._len = 0
 
     # -- plumbing ------------------------------------------------------------
 
-    def _append(self, data) -> None:
-        self._buf += data
+    def ensure_room(self, nbytes: int) -> None:
+        """Make room for ``nbytes`` more in (at most) one allocation: a
+        fresh zeroed ``bytearray`` plus a copy of the written prefix --
+        never a zero-filled temporary, never the unwritten tail.
+        Unannounced growth at least doubles; a caller that knows what it
+        is about to pack (``marshal_inputs``/``marshal_outputs``) says so
+        here first, so a bulk payload is allocated once at final size."""
+        need = self._len + nbytes
+        if need > len(self._buf):
+            grown = bytearray(max(need, 2 * len(self._buf)))
+            grown[:self._len] = memoryview(self._buf)[:self._len]
+            self._buf = grown
+
+    def reserve(self, nbytes: int) -> int:
+        """Skip ``nbytes`` of zeros; return their offset for patching."""
+        offset = self._len
+        if offset + nbytes > len(self._buf):
+            self.ensure_room(nbytes)
+        self._len = offset + nbytes
+        return offset
+
+    def _pack(self, packer: struct.Struct, value) -> None:
+        """One scalar, packed in place at the cursor (the hot path of
+        every control message: no intermediate ``bytes``)."""
+        offset = self._len
+        if offset + packer.size > len(self._buf):
+            self.ensure_room(packer.size)
+        packer.pack_into(self._buf, offset, value)
+        self._len = offset + packer.size
 
     def getvalue(self) -> bytes:
         """The encoded byte string so far (a copy; see getbuffer)."""
-        return bytes(self._buf)
+        return bytes(self.getbuffer())
 
     def getbuffer(self) -> memoryview:
         """Zero-copy view of the encoded bytes.
 
-        The view aliases the live buffer: it is invalidated by any
-        further ``pack_*`` call (Python raises ``BufferError`` if the
-        buffer must grow while a view is exported), so take it last --
-        the pattern the framing layer uses is encode-everything, then
+        The view aliases the live buffer: bytes packed later are not
+        part of it (and land in a different buffer if the encoder has
+        to grow), so take it last -- the pattern the framing layer uses
+        is encode-everything, then
         ``channel.send(msg_type, enc.getbuffer())``.
         """
-        return memoryview(self._buf)
+        return memoryview(self._buf)[:self._len]
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return self._len
 
     def reset(self) -> None:
         """Discard everything encoded so far."""
-        self._buf = bytearray()
-
-    def reserve(self, nbytes: int) -> int:
-        """Append ``nbytes`` of zeros; return their offset for patching."""
-        offset = len(self._buf)
-        self._buf += bytes(nbytes)
-        return offset
+        self._buf = bytearray(_INITIAL_ROOM)
+        self._len = 0
 
     def patch_uint(self, offset: int, value: int) -> None:
         """Overwrite 4 bytes at ``offset`` with an unsigned int."""
@@ -122,13 +156,11 @@ class XdrEncoder:
     def end_opaque(self, token: int) -> None:
         """Close a :meth:`begin_opaque` region: patch the length word
         and add XDR padding for the body packed since."""
-        body_len = len(self._buf) - token - 4
+        body_len = self._len - token - 4
         if body_len < 0:
             raise XdrError("end_opaque before begin_opaque")
         self.patch_uint(token, body_len)
-        pad = (4 - body_len % 4) % 4
-        if pad:
-            self._buf += b"\x00" * pad
+        self.reserve((4 - body_len % 4) % 4)
 
     # -- integral types ---------------------------------------------------------
 
@@ -136,29 +168,29 @@ class XdrEncoder:
         """Signed 32-bit integer."""
         if not _INT_MIN <= value <= _INT_MAX:
             raise XdrError(f"int out of range: {value}")
-        self._append(_PACK_INT.pack(value))
+        self._pack(_PACK_INT, value)
 
     def pack_uint(self, value: int) -> None:
         """Unsigned 32-bit integer."""
         if not 0 <= value <= _UINT_MAX:
             raise XdrError(f"unsigned int out of range: {value}")
-        self._append(_PACK_UINT.pack(value))
+        self._pack(_PACK_UINT, value)
 
     def pack_hyper(self, value: int) -> None:
         """Signed 64-bit integer."""
         if not _HYPER_MIN <= value <= _HYPER_MAX:
             raise XdrError(f"hyper out of range: {value}")
-        self._append(struct.pack(">q", value))
+        self._pack(_PACK_HYPER, value)
 
     def pack_uhyper(self, value: int) -> None:
         """Unsigned 64-bit integer."""
         if not 0 <= value <= _UHYPER_MAX:
             raise XdrError(f"unsigned hyper out of range: {value}")
-        self._append(struct.pack(">Q", value))
+        self._pack(_PACK_UHYPER, value)
 
     def pack_bool(self, value: bool) -> None:
         """Boolean as 32-bit 0/1."""
-        self._append(_PACK_INT.pack(1 if value else 0))
+        self._pack(_PACK_INT, 1 if value else 0)
 
     def pack_enum(self, value: int) -> None:
         """Enumeration: same wire form as int."""
@@ -168,11 +200,11 @@ class XdrEncoder:
 
     def pack_float(self, value: float) -> None:
         """IEEE-754 single precision."""
-        self._append(struct.pack(">f", value))
+        self._pack(_PACK_FLOAT, value)
 
     def pack_double(self, value: float) -> None:
         """IEEE-754 double precision."""
-        self._append(struct.pack(">d", value))
+        self._pack(_PACK_DOUBLE, value)
 
     # -- opaque and string -----------------------------------------------------------
 
@@ -185,15 +217,17 @@ class XdrEncoder:
         """
         if len(data) != n:
             raise XdrError(f"fixed opaque length mismatch: want {n}, got {len(data)}")
-        self._append(data)
-        pad = (4 - n % 4) % 4
-        if pad:
-            self._append(b"\x00" * pad)
+        offset = self.reserve(n + (4 - n % 4) % 4)  # padding stays zero
+        self._buf[offset:offset + n] = data
 
     def pack_opaque(self, data) -> None:
         """Variable-length opaque: length word, bytes, zero padding."""
-        self.pack_uint(len(data))
-        self.pack_fopaque(len(data), data)
+        n = len(data)
+        if n > _UINT_MAX:
+            raise XdrError(f"unsigned int out of range: {n}")
+        offset = self.reserve(4 + n + (4 - n % 4) % 4)  # padding stays zero
+        _PACK_UINT.pack_into(self._buf, offset, n)
+        self._buf[offset + 4:offset + 4 + n] = data
 
     def pack_string(self, text: str) -> None:
         """String: UTF-8 bytes as variable opaque."""
@@ -240,14 +274,13 @@ class XdrEncoder:
             self.pack_uint(dim)
         self.pack_string(wire)
         nbytes = arr.size * arr.itemsize
+        self.ensure_room(4 + nbytes + 3)
         self.pack_uint(nbytes)
         offset = self.reserve(nbytes)
         dest = np.frombuffer(self._buf, dtype=wire, count=arr.size,
                              offset=offset)
         dest[:] = arr.reshape(-1)  # one pass: byteswap + copy, no temp
-        pad = (4 - nbytes % 4) % 4
-        if pad:
-            self._append(b"\x00" * pad)
+        self.reserve((4 - nbytes % 4) % 4)
 
     def pack_double_array(self, values: Sequence[float]) -> None:
         """Variable array of doubles via the bulk vectorized path."""
@@ -255,13 +288,11 @@ class XdrEncoder:
             arr = np.asarray(values, dtype=np.float64)
             if arr.ndim != 1:
                 raise XdrError("pack_double_array expects a 1-D sequence")
-            self.pack_uint(arr.size)
         else:
-            values = (values if isinstance(values, (list, tuple))
-                      or hasattr(values, "__len__") else list(values))
-            self.pack_uint(len(values))
-            arr = values
-        bulk.pack_doubles_into(self._buf, arr)
+            arr = values if hasattr(values, "__len__") else list(values)
+        self.ensure_room(4 + 8 * len(arr))
+        self.pack_uint(len(arr))
+        bulk.pack_doubles_into(self._buf, self.reserve(8 * len(arr)), arr)
 
     def pack_int_array(self, values: Sequence[int]) -> None:
         """Variable array of 32-bit ints via the bulk vectorized path."""
@@ -269,10 +300,8 @@ class XdrEncoder:
             arr = np.asarray(values)
             if arr.ndim != 1:
                 raise XdrError("pack_int_array expects a 1-D sequence")
-            self.pack_uint(arr.size)
         else:
-            values = (values if hasattr(values, "__len__")
-                      else list(values))
-            self.pack_uint(len(values))
-            arr = values
-        bulk.pack_ints_into(self._buf, arr)
+            arr = values if hasattr(values, "__len__") else list(values)
+        self.ensure_room(4 + 4 * len(arr))
+        self.pack_uint(len(arr))
+        bulk.pack_ints_into(self._buf, self.reserve(4 * len(arr)), arr)

@@ -189,7 +189,7 @@ def test_deleting_one_pack_call_fails_wire_symmetry(tmp_path, capsys):
 
 def test_inserting_sleep_into_reachable_helper_fails_lint(tmp_path, capsys):
     """Acceptance: ``time.sleep`` planted in a sync helper called from
-    a coroutine (``AsyncChannel._note_io``) must exit 1, reported with
+    a coroutine (``AsyncChannel._check_open``) must exit 1, reported with
     the reachability chain."""
     source = (REPO_ROOT / "src" / "repro" / "transport"
               / "aiochannel.py").read_text(encoding="utf-8")
@@ -198,7 +198,7 @@ def test_inserting_sleep_into_reachable_helper_fails_lint(tmp_path, capsys):
     assert main([str(pristine), "--rules",
                  "async-blocking-reachability"]) == 0
 
-    needle = "def _note_io(self, direction: str, payload_len: int) -> None:"
+    needle = "def _check_open(self) -> None:"
     assert needle in source
     mutated = tmp_path / "aiochannel.py"
     mutated.write_text(
@@ -209,4 +209,4 @@ def test_inserting_sleep_into_reachable_helper_fails_lint(tmp_path, capsys):
                  "async-blocking-reachability"]) == 1
     out = capsys.readouterr().out
     assert "time.sleep" in out
-    assert "via AsyncChannel.recv -> AsyncChannel._note_io" in out
+    assert "via AsyncChannel.recv -> AsyncChannel._check_open" in out

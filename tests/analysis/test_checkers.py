@@ -108,16 +108,16 @@ def test_deadline_propagation_covers_async_framing_primitives():
     from repro.analysis.core import SourceModule
 
     source = textwrap.dedent("""
-        async def unforwarded(reader, timeout=None):
+        async def unforwarded(stream, timeout=None):
             if timeout:
                 pass
-            return await read_frame(reader)
+            return await stream.read_frame()
     """)
     module = SourceModule(Path("inline.py"), "inline.py", source,
                           ast.parse(source))
     findings = list(DeadlinePropagationChecker().check(module))
     assert len(findings) == 1
-    assert "read_frame(...)" in findings[0].message
+    assert ".read_frame(...)" in findings[0].message
 
 
 # -- deadline-propagation (call-graph sub-rule) -------------------------------

@@ -1,6 +1,7 @@
 """DedupCache: TTL, bounds, pending protection, and concurrency."""
 
 import threading
+import time
 
 from repro.obs import MetricsRegistry
 from repro.obs import names
@@ -70,6 +71,68 @@ def test_bounded_size_evicts_oldest_completed():
     assert cache.begin("a")[0] == "new"  # oldest was evicted
     assert cache.begin("b")[0] == "done"
     assert cache.begin("c")[0] == "done"
+
+
+def test_byte_bound_evicts_oldest_completed_and_keeps_the_newest():
+    cache = DedupCache(max_bytes=100)
+    for key in ("a", "b", "c"):
+        cache.begin(key)
+        cache.complete(key, (10, bytes(40)))
+    # 120 retained bytes > 100: the oldest goes, its late duplicate
+    # re-executes; the rest still replay.
+    assert len(cache) == 2
+    assert cache.begin("b")[0] == "done"
+    assert cache.begin("c")[0] == "done"
+    assert cache.begin("a")[0] == "new"
+    # One reply larger than the whole bound is still kept while it is
+    # the newest (an immediate retry must replay) -- and evicts the rest.
+    cache.begin("huge")
+    cache.complete("huge", (10, memoryview(bytes(500))))
+    assert cache.begin("huge")[0] == "done"
+    assert cache.begin("b")[0] == "new"
+    assert cache.begin("c")[0] == "new"
+    # ... until something newer completes; pending entries ("a", "b",
+    # "c" now) are never evicted by the byte bound.
+    cache.complete("a", (10, b"x"))
+    assert cache.begin("huge")[0] == "new"
+    assert cache.begin("b")[0] == "pending"
+
+
+def test_retained_bytes_tracked_across_complete_abort_and_ttl():
+    clock = ManualClock()
+    cache = DedupCache(ttl=10.0, clock=clock, max_bytes=100)
+    cache.begin("a")
+    cache.complete("a", (10, bytes(60)))
+    cache.complete("a", (10, bytes(30)))  # re-completion replaces
+    cache.begin("b")
+    cache.complete("b", (10, bytes(60)))
+    assert cache.begin("a")[0] == "done"  # 90 bytes: both fit
+    cache.abort("b")
+    cache.begin("c")
+    cache.complete("c", (10, bytes(60)))
+    assert cache.begin("a")[0] == "done"  # b's bytes were released
+    clock.advance(11.0)
+    assert cache.begin("a")[0] == "new"
+    assert cache._done_bytes == 0
+
+
+def test_purge_cost_does_not_grow_with_the_cache():
+    """begin + complete pop from the front of the completed queue; a
+    full cache is not scanned per operation (two scans of 4096 entries
+    cost ~1 ms; the bound leaves an order of magnitude either side)."""
+    cache = DedupCache(max_entries=4096)
+    for i in range(4096):
+        cache.begin(f"warm{i}")
+        cache.complete(f"warm{i}", REPLY)
+    best = float("inf")
+    for batch in range(5):
+        start = time.perf_counter()
+        for i in range(200):
+            cache.begin(f"k{batch}-{i}")
+            cache.complete(f"k{batch}-{i}", REPLY)
+        best = min(best, (time.perf_counter() - start) / 200)
+    assert len(cache) == 4096
+    assert best < 100e-6
 
 
 def test_pending_entries_never_evicted():

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.protocol import ConnectionClosed, ProtocolError, TimeoutError
-from repro.protocol.aframing import read_frame, write_frame
+from repro.protocol.aframing import FrameStream
 from repro.protocol.framing import encode_frame
 from repro.protocol.messages import MessageType
 from repro.transport import (
@@ -32,21 +32,37 @@ def _free_port() -> int:
 # -- framing ------------------------------------------------------------------
 
 
+async def _serve_streams(on_connect):
+    """A listening FrameStream server; returns ``(server, port)``."""
+    server = await asyncio.get_running_loop().create_server(
+        lambda: FrameStream(on_connect=on_connect), "127.0.0.1", 0)
+    return server, server.sockets[0].getsockname()[1]
+
+
+async def _dial_stream(port):
+    _transport, stream = await asyncio.get_running_loop().create_connection(
+        FrameStream, "127.0.0.1", port)
+    return stream
+
+
 def test_async_framing_roundtrips_the_sync_wire_format():
     async def main():
-        async def echo(reader, writer):
-            msg_type, payload = await read_frame(reader, timeout=5.0)
-            await write_frame(writer, msg_type, payload, timeout=5.0)
-            writer.close()
+        tasks = []
 
-        server = await asyncio.start_server(echo, "127.0.0.1", 0)
-        port = server.sockets[0].getsockname()[1]
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        async def echo(stream):
+            msg_type, payload = await stream.read_frame(timeout=5.0)
+            await stream.write_frame(msg_type, payload, timeout=5.0)
+            stream.transport.close()
+
+        server, port = await _serve_streams(
+            lambda stream: tasks.append(asyncio.ensure_future(echo(stream))))
+        stream = await _dial_stream(port)
         payload = bytes(range(256)) * 11
-        await write_frame(writer, MessageType.CALL, payload, timeout=5.0)
-        result = await read_frame(reader, timeout=5.0)
-        writer.close()
+        await stream.write_frame(MessageType.CALL, payload, timeout=5.0)
+        result = await stream.read_frame(timeout=5.0)
+        stream.transport.close()
         server.close()
+        await asyncio.gather(*tasks)
         return result
 
     assert asyncio.run(main()) == (MessageType.CALL, bytes(range(256)) * 11)
@@ -62,11 +78,12 @@ def test_async_framing_rejects_corrupt_crc():
 
         server = await asyncio.start_server(corrupter, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
-        reader, _writer = await asyncio.open_connection("127.0.0.1", port)
+        stream = await _dial_stream(port)
         try:
             with pytest.raises(ProtocolError, match="checksum"):
-                await read_frame(reader, timeout=5.0)
+                await stream.read_frame(timeout=5.0)
         finally:
+            stream.transport.close()
             server.close()
 
     asyncio.run(main())
@@ -87,12 +104,13 @@ def test_async_framing_deadline_covers_the_whole_frame():
 
         server = await asyncio.start_server(trickler, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
-        reader, _writer = await asyncio.open_connection("127.0.0.1", port)
+        stream = await _dial_stream(port)
         try:
             with pytest.raises(TimeoutError):
-                await read_frame(reader, timeout=0.2)
+                await stream.read_frame(timeout=0.2)
         finally:
             stall.set()
+            stream.transport.close()
             server.close()
 
     asyncio.run(main())

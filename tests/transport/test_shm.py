@@ -19,6 +19,7 @@ pins the mechanism and ``test_cross_process_stream_integrity`` pins
 the behaviour.
 """
 
+import glob
 import hashlib
 import multiprocessing
 import threading
@@ -259,6 +260,35 @@ def test_is_local_host():
     assert is_local_host("127.0.0.1")
     assert is_local_host("localhost")
     assert not is_local_host("ninf.example.org")
+
+
+def test_stop_releases_the_rings_of_a_connection_still_open():
+    """``stop()`` ends and joins its connection threads: the rings of a
+    client that is still connected are closed and unlinked by their
+    owning thread before ``stop`` returns (they used to outlive it, to
+    be reaped by the resource tracker at process exit)."""
+    from repro.client import NinfClient
+
+    def segments():
+        return set(glob.glob("/dev/shm/psm_*"))
+
+    before = segments()
+    threads_before = set(threading.enumerate())
+    server = NinfServer(build_registry(), num_pes=1).start()
+    client = NinfClient(*server.address, transport="threads", shm=True,
+                        timeout=5.0)
+    try:
+        assert "dmmul" in client.list_functions()
+        assert server.metrics.counter(names.SHM_UPGRADES).value() == 1
+        assert len(segments() - before) == 2  # c2s + s2c, pooled and open
+        server.stop()
+        assert segments() - before == set()
+        left = [t for t in set(threading.enumerate()) - threads_before
+                if t.name.endswith("-conn") or not t.daemon]
+        assert left == []
+    finally:
+        client.close()
+        server.stop()
 
 
 # -- fault injection parity (the chaos contract) ---------------------------

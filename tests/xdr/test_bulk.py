@@ -65,9 +65,11 @@ def bits(values) -> bytes:
 @settings(suppress_health_check=[HealthCheck.differing_executors])
 def test_pack_doubles_matches_scalar_oracle(eng, values):
     with engine(eng):
-        buf = bytearray(b"prefix--")  # bulk appends in place
-        nbytes = bulk.pack_doubles_into(buf, values)
+        # bulk writes in place into room the caller reserved
+        buf = bytearray(b"prefix--") + bytearray(8 * len(values))
+        nbytes = bulk.pack_doubles_into(buf, 8, values)
     assert nbytes == 8 * len(values)
+    assert bytes(buf[:8]) == b"prefix--"
     assert bytes(buf[8:]) == bulk.scalar_pack_doubles(values)
 
 
@@ -79,8 +81,8 @@ def test_pack_doubles_matches_scalar_oracle(eng, values):
 @settings(suppress_health_check=[HealthCheck.differing_executors])
 def test_pack_ints_matches_scalar_oracle(eng, values):
     with engine(eng):
-        buf = bytearray()
-        nbytes = bulk.pack_ints_into(buf, values)
+        buf = bytearray(4 * len(values))
+        nbytes = bulk.pack_ints_into(buf, 0, values)
     assert nbytes == 4 * len(values)
     assert bytes(buf) == bulk.scalar_pack_ints(values)
 
@@ -90,7 +92,7 @@ def test_pack_ints_matches_scalar_oracle(eng, values):
 def test_pack_ints_range_check(eng, bad):
     with engine(eng):
         with pytest.raises(XdrError):
-            bulk.pack_ints_into(bytearray(), [0, bad, 1])
+            bulk.pack_ints_into(bytearray(12), 0, [0, bad, 1])
 
 
 # -- decode: bulk(scalar wire) == original, bit for bit --------------------
@@ -137,11 +139,11 @@ def test_unpack_length_mismatch_raises(eng):
 @settings(suppress_health_check=[HealthCheck.differing_executors])
 def test_engines_are_byte_identical(values):
     with engine("numpy"):
-        np_buf = bytearray()
-        bulk.pack_doubles_into(np_buf, values)
+        np_buf = bytearray(8 * len(values))
+        bulk.pack_doubles_into(np_buf, 0, values)
     with engine("stdlib"):
-        std_buf = bytearray()
-        bulk.pack_doubles_into(std_buf, values)
+        std_buf = bytearray(8 * len(values))
+        bulk.pack_doubles_into(std_buf, 0, values)
     assert bytes(np_buf) == bytes(std_buf)
 
 
@@ -157,9 +159,10 @@ def test_big_endian_host_skips_the_swap(values):
     with engine("stdlib"):
         assert not bulk.swap_needed("big")
         assert bulk.swap_needed("little")
-        le_buf, be_buf = bytearray(), bytearray()
-        bulk.pack_doubles_into(le_buf, values, byteorder="little")
-        bulk.pack_doubles_into(be_buf, values, byteorder="big")
+        le_buf = bytearray(8 * len(values))
+        be_buf = bytearray(8 * len(values))
+        bulk.pack_doubles_into(le_buf, 0, values, byteorder="little")
+        bulk.pack_doubles_into(be_buf, 0, values, byteorder="big")
         # A simulated big-endian host writes native bytes unswapped, so
         # the two buffers are each other's element-wise byteswap ...
         swapped = b"".join(bytes(be_buf[i:i + 8][::-1])
@@ -177,8 +180,8 @@ def test_big_endian_host_skips_the_swap(values):
 def test_big_endian_host_roundtrip_ints(values):
     with engine("stdlib"):
         for order in ("little", "big"):
-            buf = bytearray()
-            bulk.pack_ints_into(buf, values, byteorder=order)
+            buf = bytearray(4 * len(values))
+            bulk.pack_ints_into(buf, 0, values, byteorder=order)
             assert list(bulk.unpack_ints(bytes(buf), len(values),
                                          byteorder=order)) == values
 
