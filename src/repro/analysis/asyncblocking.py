@@ -7,7 +7,9 @@ exactly the loop-lag and saturation measurements the bench harness
 exists to take.  The intraprocedural rules (PR 4) can only flag what
 they can see inside one function; this rule walks the project call
 graph from every ``async def`` and flags any *path* to a blocking
-primitive.
+primitive.  The generators of :data:`LOOP_STEPPED_MODULES` -- the
+sans-IO client core, which the asyncio driver steps on its loop -- are
+roots too.
 
 The registry has three layers:
 
@@ -45,7 +47,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from repro.analysis.callgraph import CallGraph, FunctionInfo
+from repro.analysis.callgraph import CallGraph, FunctionInfo, _local_nodes
 from repro.analysis.core import Finding, Project, ProjectChecker
 
 __all__ = [
@@ -53,6 +55,7 @@ __all__ = [
     "BLOCKING_EXTERNAL",
     "BLOCKING_EXTERNAL_PREFIXES",
     "BLOCKING_PROJECT",
+    "LOOP_STEPPED_MODULES",
     "SANCTIONED_BRIDGES",
 ]
 
@@ -73,8 +76,6 @@ BLOCKING_PROJECT: dict[str, str] = {
     "repro.transport.pool.ConnectionPool.close": "sync pool close",
     "repro.transport.loopbridge.LoopThread.run":
         "cross-thread future wait",
-    "repro.transport.loopbridge.facade_connect": "sync bridge connect",
-    "repro.transport.loopbridge.shared_loop": "bridge startup lock",
     "repro.transport.loopbridge.FacadeChannel.send": "sync bridge send",
     "repro.transport.loopbridge.FacadeChannel.recv": "sync bridge recv",
     "repro.transport.loopbridge.FacadeChannel.request":
@@ -101,6 +102,12 @@ BLOCKING_PROJECT: dict[str, str] = {
     "repro.obs.registry.MetricsRegistry.render_prometheus":
         "registry-wide lock + full scrape",
 }
+
+#: Modules of sans-IO generators that an asyncio driver steps on its
+#: event loop (``AsyncNinfClient._drive`` over ``repro.client.core``):
+#: their code runs between two awaits, so every generator function in
+#: them is a root exactly like an ``async def``.
+LOOP_STEPPED_MODULES: frozenset[str] = frozenset({"repro.client.core"})
 
 #: Blocking stdlib/builtin calls by exact dotted name.
 BLOCKING_EXTERNAL: frozenset[str] = frozenset({
@@ -148,7 +155,8 @@ class AsyncBlockingReachabilityChecker(ProjectChecker):
         blocking primitive whose shortest path is reachable, naming
         the path in the finding."""
         graph = project.callgraph
-        roots = sorted(q for q, f in graph.functions.items() if f.is_async)
+        roots = sorted(q for q, f in graph.functions.items()
+                       if f.is_async or _is_loop_stepped(f))
         pred: dict[str, Optional[str]] = {}
         origin: dict[str, str] = {}
         queue: list[str] = []
@@ -189,9 +197,10 @@ class AsyncBlockingReachabilityChecker(ProjectChecker):
     def _check_function(self, graph: CallGraph, info: FunctionInfo,
                         chain: str, root: FunctionInfo
                         ) -> Iterator[Finding]:
-        via = (f"reachable from async def {root.short}() "
+        kind = "async def" if root.is_async else "loop-stepped generator"
+        via = (f"reachable from {kind} {root.short}() "
                f"via {chain}") if chain != root.short else \
-              f"called directly inside async def {root.short}()"
+              f"called directly inside {kind} {root.short}()"
 
         for site in graph.callees(info.qualname):
             desc = BLOCKING_PROJECT.get(site.target)
@@ -256,6 +265,12 @@ class AsyncBlockingReachabilityChecker(ProjectChecker):
                     module, node,
                     f"blocking Future.result() {via}; await the "
                     f"future instead")
+
+
+def _is_loop_stepped(info: FunctionInfo) -> bool:
+    return info.module_prefix in LOOP_STEPPED_MODULES and any(
+        isinstance(node, (ast.Yield, ast.YieldFrom))
+        for node in _local_nodes(info.node))
 
 
 def _receiver_name(node: ast.expr) -> str:

@@ -9,7 +9,7 @@ are guarded by which lock, populated from the actual ``self._lock``
 usage in ``repro.obs.registry``, ``repro.transport.pool``,
 ``repro.transport.faults``, ``repro.transport.endpoint``,
 ``repro.server.executor``, ``repro.server.services``,
-``repro.metaserver.metaserver``, and ``repro.client.api``.
+``repro.metaserver.metaserver``, and ``repro.client.core``.
 
 Two guard strengths:
 
@@ -104,8 +104,8 @@ GUARDED_BY: dict[str, tuple[LockSpec, ...]] = {
                                          "_detached_jobs")),
         _spec("_load_lock", guarded=("_load_value", "_load_stamp")),
     ),
-    # repro.client.api
-    "NinfClient": (_spec("_records_lock", guarded=("records",)),),
+    # repro.client.core -- NinfClient and AsyncNinfClient inherit it
+    "ClientState": (_spec("_records_lock", guarded=("records",)),),
     # repro.metaserver.metaserver
     "BrokeredClient": (_spec("_lock", guarded=("_clients", "records",
                                                "failovers")),),

@@ -84,7 +84,7 @@ Tokens = tuple[str, ...]
 #: ``MessageType`` at the consumption site): qualname -> the ops every
 #: encoder the function leaves behind is bound to (W3).
 PAYLOAD_BUILDERS: dict[str, tuple[str, ...]] = {
-    "repro.client.api._CallPayload.__init__": ("CALL", "CALL_DETACHED"),
+    "repro.client.core._CallPayload.__init__": ("CALL", "CALL_DETACHED"),
 }
 
 
@@ -373,7 +373,10 @@ class _Walker:
 
     def _assign(self, targets: Sequence[ast.expr], value: ast.expr,
                 env: _Env) -> None:
-        rhs = value.value if isinstance(value, ast.Await) else value
+        # ``await f()`` / ``yield Req()`` / ``yield from op()``: the
+        # operand is what names the reply op.
+        rhs = value.value if isinstance(
+            value, (ast.Await, ast.Yield, ast.YieldFrom)) else value
         names = [t.id for t in targets if isinstance(t, ast.Name)]
         if isinstance(rhs, ast.Call):
             ctor = _ctor_name(rhs)

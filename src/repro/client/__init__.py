@@ -9,10 +9,11 @@ are filled in place, and results are also returned.
 - :class:`NinfClient` -- connection to one computational server:
   :meth:`~NinfClient.call` (synchronous), :meth:`~NinfClient.call_async`
   (returns a :class:`NinfFuture`), signature cache, ping/load queries.
-  By default a blocking facade over asyncio connections (DESIGN.md
-  §3.6); ``transport="threads"`` restores the blocking-socket wire.
+  Blocking sockets, on the calling thread.
 - :class:`AsyncNinfClient` -- the same client natively ``async``:
-  ``await client.call(...)`` on the caller's event loop.
+  ``await client.call(...)`` on the caller's event loop.  Both are thin
+  drivers of the one sans-IO core, :mod:`repro.client.core` (DESIGN.md
+  §3.6).
 - :func:`ninf_call` / :func:`ninf_call_async` -- the paper's free-form
   API: ``ninf_call("ninf://host:port/dmmul", n, A, B, C)``.
 - :class:`Transaction` -- ``Ninf_transaction_begin``/``end``: records

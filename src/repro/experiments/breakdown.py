@@ -198,11 +198,11 @@ def live_loopback_breakdown(calls: int = 4, n: int = 64,
     also keep the raw spans (e.g. for ``--trace`` capture).
 
     ``shm`` selects the transport-ablation arm (PROTOCOL.md
-    §"Shared-memory handshake"): ``None`` (default) keeps the stock
-    asyncio client over loopback TCP; ``True``/``False`` switch to the
-    threaded client with the shared-memory upgrade forced on or off,
-    which is how ``ninf-experiment breakdown`` shows the transfer-phase
-    drop the shm rings buy on the same host.
+    §"Shared-memory handshake"): ``None`` (default) and ``False`` both
+    run the stock client over loopback TCP (they differ only in the row
+    label); ``True`` offers the shared-memory upgrade, which is how
+    ``ninf-experiment breakdown`` shows the transfer-phase drop the shm
+    rings buy on the same host.
 
     ``cross_process`` runs the server in a spawned child process
     instead of background threads.  This is the configuration the shm
@@ -226,12 +226,10 @@ def live_loopback_breakdown(calls: int = 4, n: int = 64,
     a = rng.random((n, n))
     b = rng.random((n, n))
     c = np.zeros((n, n))
-    client_kwargs = ({} if shm is None
-                     else {"transport": "threads", "shm": shm})
 
     def run_calls(host: str, port: int) -> None:
         with NinfClient(host, port, tracer=tracer,
-                        **client_kwargs) as client:
+                        shm=bool(shm)) as client:
             for _ in range(calls):
                 client.call("dmmul", n, a, b, c)
 

@@ -9,6 +9,8 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.protocol.errors import ProtocolError, RemoteError, ServerBusy
+from repro.protocol.framing import BytesLike
 from repro.xdr import XdrDecoder, XdrEncoder
 
 __all__ = [
@@ -22,6 +24,7 @@ __all__ = [
     "MessageType",
     "ServerInfo",
     "SyncMessage",
+    "checked_reply",
 ]
 
 
@@ -434,3 +437,21 @@ class SyncMessage:
         return cls(origin=origin,
                    deltas=tuple(DirectoryDelta.decode(dec)
                                 for _ in range(count)))
+
+
+def checked_reply(reply_type: int, reply: BytesLike,
+                  expect: Optional[int] = None) -> BytesLike:
+    """The reply convention of every requester: an ``ERROR`` reply is
+    raised as :class:`RemoteError`, a ``BUSY`` reply as
+    :class:`ServerBusy` (carrying the server's retry-after hint), any
+    other type than ``expect`` (when given) as :class:`ProtocolError`;
+    otherwise the payload is handed back."""
+    if reply_type == MessageType.ERROR:
+        err = ErrorReply.decode(XdrDecoder(reply))
+        raise RemoteError(err.code, err.message)
+    if reply_type == MessageType.BUSY:
+        busy = BusyReply.decode(XdrDecoder(reply))
+        raise ServerBusy(busy.reason, retry_after=busy.retry_after)
+    if expect is not None and reply_type != expect:
+        raise ProtocolError(f"expected message {expect}, got {reply_type}")
+    return reply

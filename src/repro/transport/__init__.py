@@ -27,7 +27,8 @@ three abstractions:
   abstractions above, one event loop instead of a thread per
   connection (DESIGN.md §3.6).  :class:`LoopThread` and
   :class:`FacadeChannel` (:mod:`repro.transport.loopbridge`) bridge
-  them back to synchronous callers.
+  an :class:`AsyncEndpoint`'s connections to its plain-function
+  handlers.
 - :class:`ShmRing` / :class:`ShmTransport` / :func:`shm_negotiate`
   (:mod:`repro.transport.shm`) -- the same-host shared-memory fast
   path.  A dialing channel that believes it shares a machine with the
@@ -35,13 +36,13 @@ three abstractions:
   a ring pair in place (``Channel.attach_io``) and frames -- same
   ``MAGIC|type|len|crc`` format -- flow through shared memory while
   the socket stays open purely as the liveness/close signal.
-  Negotiation policy is a tri-state ``shm`` flag everywhere it
-  appears (``connect``, ``ConnectionPool``, ``Endpoint``,
-  ``NinfClient``): ``False`` = never, ``True`` = always offer,
-  ``None`` = auto (same-host peers, unless ``NINF_SHM=0`` opts out).
-  Refusals fall back to TCP silently; the threaded transport is the
-  only negotiating client side (the asyncio loop never blocks on ring
-  polls).
+  Negotiation policy is a tri-state ``shm`` flag on ``connect``,
+  ``ConnectionPool`` and ``Endpoint``: ``False`` = never, ``True`` =
+  always offer, ``None`` = auto (same-host peers, unless
+  ``NINF_SHM=0`` opts out); ``NinfClient(shm=True)`` offers it and the
+  default never does.  Refusals fall back to TCP silently; blocking
+  channels are the only negotiating client side (the asyncio loop
+  never blocks on ring polls).
 
 Layering: ``xdr`` (encoding) -> ``protocol`` (framing + messages) ->
 ``transport`` (connections) -> ``client`` / ``server`` / ``metaserver``.
@@ -64,12 +65,7 @@ from repro.transport.faults import (
     FaultyChannel,
     PartitionMap,
 )
-from repro.transport.loopbridge import (
-    FacadeChannel,
-    LoopThread,
-    facade_connect,
-    shared_loop,
-)
+from repro.transport.loopbridge import FacadeChannel, LoopThread
 from repro.transport.pool import ConnectionPool
 from repro.transport.retry import RetryPolicy, is_transient
 from repro.transport.shm import ShmRing, ShmTransport
@@ -96,8 +92,6 @@ __all__ = [
     "aconnect",
     "aconnect_with_faults",
     "connect",
-    "facade_connect",
     "is_transient",
-    "shared_loop",
     "shm_negotiate",
 ]

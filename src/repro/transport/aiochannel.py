@@ -24,14 +24,13 @@ import asyncio
 from typing import Optional, Union
 
 from repro.protocol.aframing import FrameStream
-from repro.protocol.errors import ConnectionClosed, ProtocolError, \
-    RemoteError, ServerBusy, TimeoutError
+from repro.protocol.errors import ConnectionClosed, TimeoutError
 from repro.protocol.framing import BytesLike, encode_frame
-from repro.protocol.messages import BusyReply, ErrorReply, MessageType
+from repro.protocol.messages import ErrorReply, MessageType, checked_reply
 from repro.transport.channel import _DEFAULT, _Unset, _note_io
 from repro.transport.faults import CORRUPT, DELAY, DROP_PRE, REFUSE_DIAL, \
     TRUNCATE, FaultPlan, _corrupt
-from repro.xdr import XdrDecoder, XdrEncoder
+from repro.xdr import XdrEncoder
 
 __all__ = ["AsyncChannel", "AsyncFaultyChannel", "aconnect",
            "aconnect_with_faults"]
@@ -151,14 +150,7 @@ class AsyncChannel:
         async with self._rpc_lock:
             await self.send(msg_type, payload, timeout=timeout)
             reply_type, reply = await self.recv(timeout=timeout)
-        if reply_type == MessageType.ERROR:
-            err = ErrorReply.decode(XdrDecoder(reply))
-            raise RemoteError(err.code, err.message)
-        if reply_type == MessageType.BUSY:
-            busy = BusyReply.decode(XdrDecoder(reply))
-            raise ServerBusy(busy.reason, retry_after=busy.retry_after)
-        if expect is not None and reply_type != expect:
-            raise ProtocolError(f"expected message {expect}, got {reply_type}")
+        checked_reply(reply_type, reply, expect)
         return reply_type, reply
 
     async def send_error(self, code: str, message: str) -> None:

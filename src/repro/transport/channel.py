@@ -16,14 +16,13 @@ import socket
 import threading
 from typing import Optional, TYPE_CHECKING, Union
 
-from repro.protocol.errors import ProtocolError, RemoteError, ServerBusy
 from repro.protocol.framing import BytesLike, HEADER, recv_frame, send_frame
 
 if TYPE_CHECKING:  # annotation only -- shm imports channel at runtime
     from repro.obs import MetricsRegistry
     from repro.transport.shm import ShmTransport
-from repro.protocol.messages import BusyReply, ErrorReply, MessageType
-from repro.xdr import XdrDecoder, XdrEncoder
+from repro.protocol.messages import ErrorReply, MessageType, checked_reply
+from repro.xdr import XdrEncoder
 
 __all__ = ["Channel", "connect"]
 
@@ -252,14 +251,7 @@ class Channel:
         with self._rpc_lock:
             self.send(msg_type, payload, timeout=timeout)
             reply_type, reply = self.recv(timeout=timeout)
-        if reply_type == MessageType.ERROR:
-            err = ErrorReply.decode(XdrDecoder(reply))
-            raise RemoteError(err.code, err.message)
-        if reply_type == MessageType.BUSY:
-            busy = BusyReply.decode(XdrDecoder(reply))
-            raise ServerBusy(busy.reason, retry_after=busy.retry_after)
-        if expect is not None and reply_type != expect:
-            raise ProtocolError(f"expected message {expect}, got {reply_type}")
+        checked_reply(reply_type, reply, expect)
         return reply_type, reply
 
     def send_error(self, code: str, message: str) -> None:

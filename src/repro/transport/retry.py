@@ -7,18 +7,10 @@ never is.  :func:`is_transient` is that classification, shared by
 :class:`RetryPolicy`, the :class:`~repro.client.NinfClient` counters,
 and the metaserver's liveness prober.
 
-Idempotent operations (``ping``, ``get_signature``, ``list_functions``,
-``query_load``, result polling) always ride a :class:`RetryPolicy`.
-``CALL`` historically could not: a request that died in flight may
-still execute server-side, so auto-retry risked running the remote
-routine twice.  Since the server grew a dedup/result cache keyed on
-the logical call id (DESIGN.md §3.5), a retried CALL that actually
-completed replays the cached reply instead of recomputing, and
-``NinfClient(retry_calls=True)`` opts CALL into the policy too.
-:class:`~repro.protocol.errors.ServerBusy` (a shed call — never
-queued) and :class:`~repro.protocol.errors.ServerShutdown` (queued but
-never dispatched) are therefore classified transient even though they
-arrive as remote replies.
+Which client operations ride a policy -- the idempotent ones always,
+``CALL`` only with ``retry_calls`` and the server's dedup cache behind
+it -- is documented on :class:`~repro.client.NinfClient` and in
+DESIGN.md §3.5.
 
 Emitted metrics (conventions and exact semantics in OBSERVABILITY.md):
 a policy given a :class:`~repro.obs.MetricsRegistry` counts every
@@ -137,11 +129,6 @@ class RetryPolicy:
                 names.RETRY_RETRIES,
                 "Backoff-then-retry cycles taken by a RetryPolicy")
 
-    @classmethod
-    def none(cls) -> "RetryPolicy":
-        """A policy that never retries (single attempt)."""
-        return cls(max_attempts=1)
-
     def backoff(self, retry_index: int) -> float:
         """Jittered delay before 1-based retry ``retry_index``."""
         delay = min(self.max_delay,
@@ -152,48 +139,62 @@ class RetryPolicy:
             delay *= 1.0 + spread
         return max(0.0, delay)
 
+    def count_attempt(self) -> None:
+        """Count one wrapped invocation (``attempts`` + mirror metric)."""
+        with self._lock:
+            self.attempts += 1
+        if self._attempts_metric is not None:
+            self._attempts_metric.inc()
+
+    def retry_delay(self, attempt: int, exc: BaseException,
+                    deadline: Optional[float] = None,
+                    clock: Callable[[], float] = time.monotonic) -> float:
+        """The retry decision after 1-based ``attempt`` failed with
+        ``exc``: re-raise it, or count a retry and return the backoff.
+
+        Non-transient errors and the final transient error propagate
+        unchanged.  A ``deadline`` (on ``clock``) stops retrying once
+        the budget is spent: an error raised at or past the deadline
+        propagates even if transient, and the delay never overshoots
+        the remaining budget.  A :class:`ServerBusy` failure stretches
+        the delay to its ``retry_after`` hint (capped at ``max_delay``)
+        -- retrying sooner than the server asked is guaranteed to be
+        shed again.  This is the whole policy; :meth:`run` and the
+        client core (:mod:`repro.client.core`) only differ in how they
+        sleep the returned delay.
+        """
+        if (not self.classify(exc) or attempt >= self.max_attempts
+                or (deadline is not None and clock() >= deadline)):
+            raise exc
+        with self._lock:
+            self.retries += 1
+        if self._retries_metric is not None:
+            self._retries_metric.inc()
+        delay = self.backoff(attempt)
+        hint = getattr(exc, "retry_after", 0.0)
+        if hint:
+            delay = max(delay, min(float(hint), self.max_delay))
+        if deadline is not None:
+            delay = min(delay, max(0.0, deadline - clock()))
+        return delay
+
     def run(self, fn: Callable[[], T],
             on_retry: Optional[Callable[[int, BaseException], None]] = None,
             deadline: Optional[float] = None,
             clock: Callable[[], float] = time.monotonic) -> T:
-        """Call ``fn`` until it succeeds or retries are exhausted.
+        """Call ``fn`` until it succeeds or :meth:`retry_delay` re-raises.
 
         ``on_retry(retry_index, exc)`` fires before each backoff sleep.
-        Non-transient errors and the final transient error propagate
-        unchanged.  A ``deadline`` (on ``clock``) stops retrying once
-        the budget is spent: an error raised at or past the deadline
-        propagates even if transient, and the backoff sleep never
-        overshoots the remaining budget.  A :class:`ServerBusy` failure
-        stretches the sleep to its ``retry_after`` hint (capped at
-        ``max_delay``) -- retrying sooner than the server asked is
-        guaranteed to be shed again.
         """
         attempt = 1
         while True:
-            with self._lock:
-                self.attempts += 1
-            if self._attempts_metric is not None:
-                self._attempts_metric.inc()
+            self.count_attempt()
             try:
                 return fn()
             except BaseException as exc:
-                if (not self.classify(exc)
-                        or attempt >= self.max_attempts
-                        or (deadline is not None and clock() >= deadline)):
-                    raise
-                failure = exc
-            with self._lock:
-                self.retries += 1
-            if self._retries_metric is not None:
-                self._retries_metric.inc()
-            if on_retry is not None:
-                on_retry(attempt, failure)
-            delay = self.backoff(attempt)
-            hint = getattr(failure, "retry_after", 0.0)
-            if hint:
-                delay = max(delay, min(float(hint), self.max_delay))
-            if deadline is not None:
-                delay = min(delay, max(0.0, deadline - clock()))
+                delay = self.retry_delay(attempt, exc, deadline, clock)
+                if on_retry is not None:
+                    on_retry(attempt, exc)
             self.sleep(delay)
             attempt += 1
 

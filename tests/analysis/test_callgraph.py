@@ -210,3 +210,59 @@ def test_inserting_sleep_into_reachable_helper_fails_lint(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "time.sleep" in out
     assert "via AsyncChannel.recv -> AsyncChannel._check_open" in out
+
+
+def _copy_sources(tmp_path, monkeypatch, *relative):
+    """Copies of ``src/repro/<relative>`` under ``./repro`` of a fresh
+    working directory (module names derive from the relative path)."""
+    monkeypatch.chdir(tmp_path)
+    for rel in relative:
+        target = Path("repro", rel)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text((REPO_ROOT / "src" / "repro" / rel).read_text(
+            encoding="utf-8"), encoding="utf-8")
+    return Path("repro")
+
+
+def test_sleep_planted_in_the_client_core_fails_lint(
+        tmp_path, monkeypatch, capsys):
+    """The asyncio driver steps the sans-IO core's generators on its
+    loop, so they are roots like any ``async def``: a blocking call in
+    any core helper must be found through the ``yield from`` chain."""
+    root = _copy_sources(tmp_path, monkeypatch, "client/core.py")
+    rule = ["--rules", "async-blocking-reachability"]
+    assert main([str(root), *rule]) == 0
+
+    core = root / "client" / "core.py"
+    needle = "def _note_fault(state: ClientState, exc: BaseException) -> None:"
+    source = core.read_text(encoding="utf-8")
+    assert needle in source
+    core.write_text(source.replace(needle,
+                                   needle + "\n    time.sleep(0.001)"),
+                    encoding="utf-8")
+    assert main([str(root), *rule]) == 1
+    out = capsys.readouterr().out
+    assert "time.sleep" in out
+    assert "reachable from loop-stepped generator" in out
+    assert "-> _note_fault" in out
+
+
+def test_reply_bound_through_yield_from_is_checked_against_its_encoder(
+        tmp_path, monkeypatch, capsys):
+    """W3 binds ``_type, reply = yield from _idempotent(state,
+    Exchange(MessageType.STATS, ..., expect=MessageType.STATS_REPLY))``
+    to op STATS_REPLY: dropping one of the core's reads must disagree
+    with the endpoint's encoder."""
+    root = _copy_sources(tmp_path, monkeypatch, "client/core.py",
+                         "transport/endpoint.py")
+    rule = ["--rules", "wire-symmetry"]
+    assert main([str(root), *rule]) == 0
+
+    core = root / "client" / "core.py"
+    needle = "    text = dec.unpack_string()\n"
+    source = core.read_text(encoding="utf-8")
+    assert source.count(needle) == 1
+    core.write_text(source.replace(needle, '    text = ""\n'),
+                    encoding="utf-8")
+    assert main([str(root), *rule]) == 1
+    assert "op STATS_REPLY" in capsys.readouterr().out

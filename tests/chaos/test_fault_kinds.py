@@ -25,7 +25,7 @@ from repro.transport.faults import (
     TRUNCATE,
 )
 from tests.chaos.conftest import fast_retry
-from tests.rpc.conftest import build_registry
+from tests.rpc.conftest import NativeClientDriver, build_registry
 
 # The kinds that make a bare request fail outright (DELAY only slows).
 FAILING_KINDS = (TRUNCATE, CORRUPT, DROP_PRE, DROP_POST, REFUSE_DIAL)
@@ -189,6 +189,26 @@ def test_same_seed_same_schedule_end_to_end(server):
     second = run(1997)
     assert first == second
     assert first  # the runs did fault
+
+
+def test_same_seed_same_schedule_on_both_drivers(server):
+    """The blocking and the asyncio driver run the same core, so equal
+    seeds and op sequences draw the same faults on either wire."""
+
+    def run(driver):
+        plan = FaultPlan(seed=1997, rate=0.3)
+        with driver(*server.address, timeout=5.0, retry=fast_retry(6),
+                    fault_plan=plan) as client:
+            for _ in range(10):
+                try:
+                    client.list_functions()
+                    client.call("ep", 4, 0, 16, None, None, None)
+                except (ProtocolError, OSError):
+                    pass
+            counters = (client.attempts, client.retries)
+        return plan.schedule(), counters
+
+    assert run(NinfClient) == run(NativeClientDriver)
 
 
 # -- the availability criterion --------------------------------------------

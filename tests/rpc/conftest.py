@@ -6,9 +6,10 @@ test runs against the full transport matrix (DESIGN.md §3.6):
 - ``server``: the thread-per-connection :class:`NinfServer` and the
   asyncio :class:`AsyncNinfServer`, both composing the same
   :class:`~repro.server.services.NinfRpcServices` handlers.
-- ``client``: the synchronous :class:`NinfClient` facade and the native
-  :class:`AsyncNinfClient` driven from blocking test code through a
-  private :class:`~repro.transport.loopbridge.LoopThread`
+- ``client``: the two drivers of ``repro.client.core`` -- the blocking
+  :class:`NinfClient` and the native :class:`AsyncNinfClient`, the
+  latter driven from blocking test code through a private
+  :class:`~repro.transport.loopbridge.LoopThread`
   (:class:`NativeClientDriver` below).
 """
 
@@ -150,9 +151,9 @@ class NativeClientDriver:
         asyncio.run_coroutine_threadsafe(drive(), self._runner.loop)
         return future
 
-    def call_detached(self, function, *args):
+    def call_detached(self, function, *args, timeout=None):
         handle = self._runner.run(
-            self._client.call_detached(function, *args))
+            self._client.call_detached(function, *args, timeout=timeout))
         # Re-home the handle so handle.fetch() blocks via this driver
         # instead of returning the async client's coroutine.
         handle.client = self
@@ -181,11 +182,10 @@ class NativeClientDriver:
         return self._client.retries
 
     def close(self):
-        if self._runner.alive():
-            try:
-                self._runner.run(self._shutdown())
-            except OSError:
-                pass
+        try:
+            self._runner.run(self._shutdown())
+        except OSError:  # loop already stopped (second close)
+            pass
         self._runner.stop()
 
     async def _shutdown(self):
@@ -211,6 +211,8 @@ def server(request):
         yield srv
 
 
+# The blocking NinfClient keeps the param id "facade": the ids are part
+# of the test names the suite's pass-floor lists.
 @pytest.fixture(params=["facade", "native"])
 def client(request, server):
     host, port = server.address

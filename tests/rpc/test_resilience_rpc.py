@@ -9,10 +9,12 @@ import pytest
 from repro.client import NinfClient
 from repro.idl import Signature
 from repro.protocol import RemoteError, ServerBusy
+from repro.protocol import TimeoutError as ProtocolTimeoutError
 from repro.protocol.marshal import marshal_inputs
 from repro.protocol.messages import CallHeader, MessageType
 from repro.server import Registry
-from repro.transport import RetryPolicy, connect
+from repro.transport import RetryPolicy, connect, is_transient
+from tests.rpc.conftest import NativeClientDriver
 
 SLEEP_IDL = 'Define sleeper(mode_in double seconds) "waits on an event";'
 BUMP_IDL = 'Define bump(mode_in int n) "records the call";'
@@ -107,6 +109,29 @@ def test_fetch_deadline_expiry_cancels_queued_job(env, server_cls):
             with pytest.raises(TimeoutError):
                 client.fetch_detached(doomed, timeout=0.1,
                                       poll_interval=0.01)
+            assert server.executor.cancelled == 1
+            env.release.set()
+            client.fetch_detached(parked, timeout=5.0)
+
+
+@pytest.mark.parametrize("driver", [NinfClient, NativeClientDriver],
+                         ids=["sync", "native"])
+def test_fetch_timeout_is_the_protocol_error_on_both_drivers(env, server_cls,
+                                                             driver):
+    """One core, one exception: the transient ``repro.protocol``
+    TimeoutError (a builtin ``TimeoutError`` too), after a best-effort
+    CANCEL of the still-queued job."""
+    with server_cls(env.registry, num_pes=1) as server:
+        with driver(*server.address) as client:
+            parked = occupy(env, client)
+            doomed = client.call_detached("sleeper", 0.0, timeout=30.0)
+            with pytest.raises(TimeoutError) as info:
+                client.fetch_detached(doomed, timeout=0.1,
+                                      poll_interval=0.01)
+            assert type(info.value) is ProtocolTimeoutError
+            assert is_transient(info.value)
+            assert str(info.value) == (f"detached call sleeper (ticket "
+                                       f"{doomed.ticket}) still pending")
             assert server.executor.cancelled == 1
             env.release.set()
             client.fetch_detached(parked, timeout=5.0)

@@ -18,8 +18,9 @@ from repro.protocol.messages import MessageType
 from repro.transport import (
     AsyncConnectionPool,
     AsyncEndpoint,
+    FacadeChannel,
+    LoopThread,
     aconnect,
-    facade_connect,
 )
 
 
@@ -250,12 +251,15 @@ def test_async_pool_counts_refused_dials():
 def test_facade_channel_drives_the_loop_from_blocking_code():
     with AsyncEndpoint() as endpoint:
         host, port = endpoint.address
-        channel = facade_connect(host, port, timeout=5.0)
+        runner = LoopThread(name="ninf-test-loop")
+        channel = FacadeChannel(runner.run(aconnect(host, port, timeout=5.0)),
+                                runner)
         try:
             assert channel.request(MessageType.PING, b"sync",
                                    expect=MessageType.PONG) \
                 == (MessageType.PONG, b"sync")
-            assert channel.healthy()
+            assert not channel.closed
         finally:
             channel.close()
+            runner.stop()
         assert channel.closed

@@ -262,6 +262,27 @@ def test_is_local_host():
     assert not is_local_host("ninf.example.org")
 
 
+def test_client_offers_shm_only_when_asked():
+    """A default ``NinfClient`` never sends SHM_HELLO, even to a local
+    shm-enabled server (perf/ counts on exactly that); ``shm=True``
+    upgrades its one pooled connection exactly once."""
+    from repro.client import NinfClient
+
+    def counts(server):
+        snapshot = server.metrics.snapshot()
+        return tuple(sum(v["value"] for v in snapshot[name]["values"])
+                     if name in snapshot else 0
+                     for name in (names.SHM_UPGRADES, names.SHM_FALLBACKS))
+
+    with NinfServer(build_registry(), num_pes=1) as server:
+        with NinfClient(*server.address, timeout=5.0) as client:
+            assert client.ping() and "dmmul" in client.list_functions()
+        assert counts(server) == (0, 0)
+        with NinfClient(*server.address, timeout=5.0, shm=True) as client:
+            assert client.ping() and "dmmul" in client.list_functions()
+        assert counts(server) == (1, 0)
+
+
 def test_stop_releases_the_rings_of_a_connection_still_open():
     """``stop()`` ends and joins its connection threads: the rings of a
     client that is still connected are closed and unlinked by their
@@ -275,7 +296,7 @@ def test_stop_releases_the_rings_of_a_connection_still_open():
     before = segments()
     threads_before = set(threading.enumerate())
     server = NinfServer(build_registry(), num_pes=1).start()
-    client = NinfClient(*server.address, transport="threads", shm=True,
+    client = NinfClient(*server.address, shm=True,
                         timeout=5.0)
     try:
         assert "dmmul" in client.list_functions()
@@ -302,7 +323,7 @@ def test_corrupt_fault_over_shm_is_rejected_by_crc():
 
     plan = FaultPlan(seed=7, rate=1.0, kinds=(CORRUPT,), max_faults=1)
     with NinfServer(build_registry(), num_pes=1) as server:
-        with NinfClient(*server.address, transport="threads", shm=True,
+        with NinfClient(*server.address, shm=True,
                         timeout=5.0, fault_plan=plan) as client:
             with pytest.raises((ProtocolError, ConnectionClosed, OSError)):
                 client.list_functions()

@@ -7,6 +7,7 @@ payload it moves: one buffer of the payload's size, plus slack, and no
 second one.
 """
 
+import asyncio
 import re
 import socket
 import threading
@@ -18,13 +19,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.client.api import _CallPayload
+from repro.client.core import _CallPayload
 from repro.idl import Signature
 from repro.protocol.framing import recv_frame, send_frame
 from repro.protocol.messages import MessageType
 from repro.server import NinfServer, Registry
 from repro.transport import AsyncEndpoint, Channel, ShmRing, ShmTransport, \
-    facade_connect
+    aconnect
 from repro.xdr import XdrDecoder
 
 ECHO_IDL = ('Define bench_echo(mode_in int n, mode_in double A[n], '
@@ -158,13 +159,16 @@ def test_shm_recv_frame_receives_into_one_buffer(traced):
 @pytest.mark.parametrize("probe", [b"", b"probe"])
 def test_recv_returns_a_private_bytearray_on_all_three_transports(probe):
     with AsyncEndpoint() as endpoint:
-        # asyncio: the default stack's channel, through its sync facade.
-        facade = facade_connect(*endpoint.address, timeout=5.0)
-        try:
-            _type, pong = facade.request(MessageType.PING, probe,
-                                         expect=MessageType.PONG)
-        finally:
-            facade.close()
+        # asyncio: AsyncNinfClient's channel.
+        async def ping():
+            channel = await aconnect(*endpoint.address, timeout=5.0)
+            try:
+                return await channel.request(MessageType.PING, probe,
+                                             expect=MessageType.PONG)
+            finally:
+                channel.close()
+
+        _type, pong = asyncio.run(ping())
         assert type(pong) is bytearray and pong == probe
 
     left, right = socket.socketpair()
