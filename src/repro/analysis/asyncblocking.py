@@ -7,15 +7,22 @@ exactly the loop-lag and saturation measurements the bench harness
 exists to take.  The intraprocedural rules (PR 4) can only flag what
 they can see inside one function; this rule walks the project call
 graph from every ``async def`` and flags any *path* to a blocking
-primitive.  The generators of :data:`LOOP_STEPPED_MODULES` -- the
-sans-IO client core, which the asyncio driver steps on its loop -- are
-roots too.
+primitive.  Two more kinds of function run on a loop without being
+coroutines, and are roots too: the generators of
+:data:`LOOP_STEPPED_MODULES` (the sans-IO client core, which the
+asyncio driver steps on its loop), and every endpoint handler -- the
+``register_handler`` map is the one contract for both endpoint drivers
+(DESIGN.md §3.6: a handler never blocks), and the event-loop driver
+calls them inline.  A handler registered with
+``register_blocking_handler`` is exempt: that driver hands it to an
+executor.
 
 The registry has three layers:
 
 - **project primitives** (:data:`BLOCKING_PROJECT`): the sync
-  transport surface (``Channel``/``ConnectionPool``/``loopbridge``
-  facades, sync framing, shm ring waits) and the lock-taking
+  transport surface (``Channel``, the dialing half of
+  ``ConnectionPool``, ``LoopThread.run``, sync framing, shm ring
+  waits) and the lock-taking
   ``MetricsRegistry`` lookup methods.  Instrument *micro-ops*
   (``Counter.inc``, ``Gauge.set``, ``Histogram.observe``) are
   deliberately absent: they hold their lock for nanoseconds and are the
@@ -34,8 +41,8 @@ The registry has three layers:
 
 Sanctioned bridges (:data:`SANCTIONED_BRIDGES` --
 ``loop.run_in_executor``, ``asyncio.to_thread``,
-``asyncio.run_coroutine_threadsafe``, and the ``loopbridge`` facade
-layer they power) need no special-casing in the traversal: a callable
+``asyncio.run_coroutine_threadsafe``, and the ``LoopThread`` they
+power) need no special-casing in the traversal: a callable
 *passed as an argument* never creates a call edge, so handing blocking
 work to an executor is invisible to reachability -- which is precisely
 the fix this rule pushes you toward.  The bridge names are still
@@ -66,22 +73,15 @@ BLOCKING_PROJECT: dict[str, str] = {
     "repro.transport.channel.Channel.request": "sync socket round-trip",
     "repro.transport.channel.Channel.send_error": "sync socket send",
     "repro.transport.channel.connect": "sync TCP connect",
-    "repro.transport.endpoint.Endpoint.stop":
+    "repro.transport.endpoint.EndpointCore.stop":
         "listener close + connection thread joins",
+    # The pool's bookkeeping (checkin/discard/evict_idle/close) is
+    # shared with AsyncConnectionPool and only ever closes channels;
+    # what blocks is the sync dial.
     "repro.transport.pool.ConnectionPool.checkout": "sync pool checkout",
-    "repro.transport.pool.ConnectionPool.checkin": "sync pool checkin",
-    "repro.transport.pool.ConnectionPool.discard": "sync pool discard",
     "repro.transport.pool.ConnectionPool.lease": "sync pool lease",
-    "repro.transport.pool.ConnectionPool.evict_idle": "sync pool sweep",
-    "repro.transport.pool.ConnectionPool.close": "sync pool close",
     "repro.transport.loopbridge.LoopThread.run":
         "cross-thread future wait",
-    "repro.transport.loopbridge.FacadeChannel.send": "sync bridge send",
-    "repro.transport.loopbridge.FacadeChannel.recv": "sync bridge recv",
-    "repro.transport.loopbridge.FacadeChannel.request":
-        "sync bridge round-trip",
-    "repro.transport.loopbridge.FacadeChannel.send_error":
-        "sync bridge send",
     "repro.protocol.framing.send_frame": "sync frame write",
     "repro.protocol.framing.recv_frame": "sync frame read",
     "repro.transport.shm.ShmRing.write": "shm ring spin-wait",
@@ -133,7 +133,6 @@ SANCTIONED_BRIDGES: frozenset[str] = frozenset({
     "asyncio.to_thread",
     "asyncio.run_coroutine_threadsafe",
     "run_in_executor",
-    "repro.transport.loopbridge.FacadeChannel",
     "repro.transport.loopbridge.LoopThread",
 })
 
@@ -143,24 +142,23 @@ _FILE_IO_ATTRS = frozenset({
 
 
 class AsyncBlockingReachabilityChecker(ProjectChecker):
-    """Flag every path from an ``async def`` to a blocking primitive."""
+    """Flag every path from a loop root to a blocking primitive."""
 
     rule = "async-blocking-reachability"
     description = ("no blocking primitive (sync transport, registry "
                    "lookup, time.sleep, sync queue/file I/O) may be "
-                   "reachable from an async def")
+                   "reachable from an async def or an endpoint handler")
 
     def check_project(self, project: Project) -> Iterator[Finding]:
-        """BFS the call graph from every ``async def``; flag each
-        blocking primitive whose shortest path is reachable, naming
-        the path in the finding."""
+        """BFS the call graph from every loop root; flag each blocking
+        primitive whose shortest path is reachable, naming the path in
+        the finding."""
         graph = project.callgraph
-        roots = sorted(q for q, f in graph.functions.items()
-                       if f.is_async or _is_loop_stepped(f))
+        kinds = _loop_roots(graph)
         pred: dict[str, Optional[str]] = {}
         origin: dict[str, str] = {}
         queue: list[str] = []
-        for root in roots:
+        for root in sorted(kinds):
             if root not in pred:
                 pred[root] = None
                 origin[root] = root
@@ -182,8 +180,8 @@ class AsyncBlockingReachabilityChecker(ProjectChecker):
             info = graph.functions[qualname]
             chain = self._chain(graph, pred, qualname)
             root = graph.functions[origin[qualname]]
-            for finding in self._check_function(graph, info, chain, root):
-                yield finding
+            yield from self._check_function(graph, info, chain, root,
+                                            kinds[root.qualname])
 
     def _chain(self, graph: CallGraph, pred: dict[str, Optional[str]],
                qualname: str) -> str:
@@ -195,9 +193,8 @@ class AsyncBlockingReachabilityChecker(ProjectChecker):
         return " -> ".join(reversed(names))
 
     def _check_function(self, graph: CallGraph, info: FunctionInfo,
-                        chain: str, root: FunctionInfo
+                        chain: str, root: FunctionInfo, kind: str
                         ) -> Iterator[Finding]:
-        kind = "async def" if root.is_async else "loop-stepped generator"
         via = (f"reachable from {kind} {root.short}() "
                f"via {chain}") if chain != root.short else \
               f"called directly inside {kind} {root.short}()"
@@ -265,6 +262,25 @@ class AsyncBlockingReachabilityChecker(ProjectChecker):
                     module, node,
                     f"blocking Future.result() {via}; await the "
                     f"future instead")
+
+
+def _loop_roots(graph: CallGraph) -> dict[str, str]:
+    """Every function that runs on an event loop without being called
+    by one that does: qualname -> what kind of root it is."""
+    kinds: dict[str, str] = {}
+    for registration in graph.handler_registrations():
+        if not registration.blocking:
+            registrar = graph.functions[registration.caller].short
+            for handler in registration.handlers:
+                kinds.setdefault(
+                    handler, f"endpoint handler (register_handler map of "
+                             f"{registrar}())")
+    for qualname, info in graph.functions.items():
+        if info.is_async:
+            kinds[qualname] = "async def"
+        elif _is_loop_stepped(info):
+            kinds[qualname] = "loop-stepped generator"
+    return kinds
 
 
 def _is_loop_stepped(info: FunctionInfo) -> bool:

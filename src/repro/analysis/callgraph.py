@@ -34,7 +34,7 @@ What *is* resolved:
 Calls whose callable is passed *as an argument* never produce an edge,
 which is exactly how the sanctioned async/sync bridges
 (``run_in_executor``, ``asyncio.to_thread``,
-``run_coroutine_threadsafe``, the ``loopbridge`` facade) stay invisible
+``run_coroutine_threadsafe``, ``LoopThread.run``) stay invisible
 to reachability: handing a blocking callable to an executor is the fix,
 not the bug.
 """
@@ -53,6 +53,7 @@ __all__ = [
     "ClassInfo",
     "ExternalCall",
     "FunctionInfo",
+    "HandlerRegistration",
     "UnresolvedCall",
     "module_name",
 ]
@@ -137,6 +138,21 @@ class ExternalCall:
     name: str
     node: ast.Call
     module: SourceModule
+
+
+#: ``EndpointCore``'s registration methods -> whether the handler may block.
+_REGISTER_METHODS = {"register_handler": False,
+                     "register_blocking_handler": True}
+
+
+@dataclass(frozen=True)
+class HandlerRegistration:
+    """One ``register_handler``-family call: who runs for which frame."""
+
+    caller: str
+    node: ast.Call                #: ``args[0]`` is the message type
+    blocking: bool                #: via ``register_blocking_handler``
+    handlers: tuple[str, ...]     #: candidate handler qualnames
 
 
 @dataclass(frozen=True)
@@ -689,6 +705,25 @@ class CallGraph:
         if found is not None:
             return [found]
         return self._mixin_candidates(owner, expr.attr)
+
+    def handler_registrations(self) -> list["HandlerRegistration"]:
+        """Every ``x.register_handler(mt, ref)`` /
+        ``x.register_blocking_handler(mt, ref)`` call in the project,
+        with ``ref`` resolved to its candidate handler functions: the
+        endpoints' dispatch tables, which no call edge shows."""
+        found = []
+        for qualname in sorted(self.functions):
+            for call in _local_nodes(self.functions[qualname].node):
+                if (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr in _REGISTER_METHODS
+                        and len(call.args) >= 2):
+                    found.append(HandlerRegistration(
+                        caller=qualname, node=call,
+                        blocking=_REGISTER_METHODS[call.func.attr],
+                        handlers=tuple(self.resolve_method_ref(
+                            qualname, call.args[1]))))
+        return found
 
 
 # -- small AST helpers --------------------------------------------------------

@@ -77,11 +77,11 @@ GUARDED_BY: dict[str, tuple[LockSpec, ...]] = {
                         guarded=("events", "injected", "ops_seen")),),
     # repro.transport.breaker
     "CircuitBreaker": (_spec("_lock", guarded=("_keys", "trips")),),
-    # repro.transport.endpoint -- loop threads read the flags unlocked
-    # by design, so only writes are guarded.
-    "Endpoint": (_spec("_lock",
-                       writes=("_running", "_listener",
-                               "_accept_thread")),),
+    # repro.transport.endpoint -- serving code reads the lifecycle
+    # state unlocked by design, so only writes are guarded; each driver
+    # (AsyncEndpoint below) adds its own I/O state to the core's.
+    "EndpointCore": (_spec("_lock", writes=("_running", "_address")),),
+    "Endpoint": (_spec("_lock", writes=("_listener", "_accept_thread")),),
     # repro.server.executor
     "Executor": (_spec("_lock",
                        guarded=("_pending", "_free_pes", "_seq",
@@ -91,14 +91,9 @@ GUARDED_BY: dict[str, tuple[LockSpec, ...]] = {
                        writes=("_running",)),),
     # repro.server.dedup
     "DedupCache": (_spec("_lock", guarded=("_entries", "hits")),),
-    # repro.transport.aioendpoint -- same discipline as Endpoint: the
-    # lifecycle attributes are written under _lock, read unlocked.
-    "AsyncEndpoint": (_spec("_lock",
-                            writes=("_running", "_runner", "_server",
-                                    "_sockname", "_handler_pool")),),
-    # repro.server.services -- the RPC mixin shared by NinfServer
-    # (Endpoint spec inherited) and AsyncNinfServer (AsyncEndpoint spec
-    # inherited).
+    # repro.transport.aioendpoint
+    "AsyncEndpoint": (_spec("_lock", writes=("_runner", "_server")),),
+    # repro.server.services -- the RPC mixin composed with either driver.
     "NinfRpcServices": (
         _spec("_detached_lock", guarded=("_detached", "_ticket_counter",
                                          "_detached_jobs")),
@@ -113,10 +108,8 @@ GUARDED_BY: dict[str, tuple[LockSpec, ...]] = {
 
 #: Construction/destruction runs before the object is shared (no other
 #: thread can hold a reference yet), so guarded attributes may be
-#: initialised bare.  ``_init_services`` is the mixin constructor
-#: delegate of :class:`repro.server.services.NinfRpcServices`, called
-#: only from ``__init__``.
-_EXEMPT_METHODS = frozenset({"__init__", "__del__", "_init_services"})
+#: initialised bare.
+_EXEMPT_METHODS = frozenset({"__init__", "__del__"})
 
 
 class LockDisciplineChecker(Checker):

@@ -900,21 +900,14 @@ class WireSymmetryChecker(ProjectChecker):
     def _handler_map(self, graph: CallGraph) -> dict[str, list[str]]:
         """handler qualname -> MessageTypes registered for it."""
         table: dict[str, list[str]] = {}
-        for qualname in sorted(graph.functions):
-            info = graph.functions[qualname]
-            for call in _calls_in_order(info.node):
-                if not (isinstance(call.func, ast.Attribute)
-                        and call.func.attr == "register_handler"
-                        and len(call.args) >= 2):
-                    continue
-                mt = _mt_name(call.args[0])
-                if mt is None:
-                    continue
-                for handler in graph.resolve_method_ref(qualname,
-                                                        call.args[1]):
-                    table.setdefault(handler, [])
-                    if mt not in table[handler]:
-                        table[handler].append(mt)
+        for registration in graph.handler_registrations():
+            mt = _mt_name(registration.node.args[0])
+            if mt is None:
+                continue
+            for handler in registration.handlers:
+                table.setdefault(handler, [])
+                if mt not in table[handler]:
+                    table[handler].append(mt)
         return table
 
     def _check_ops(self, emissions: list[_Emission]) -> Iterator[Finding]:

@@ -217,8 +217,7 @@ async def _ping_sweep(channels: list, report: PhaseReport) -> None:
 def bench_async_phase(connections: int, log=print) -> PhaseReport:
     """Idle-plus-ping ramp against :class:`AsyncNinfServer`."""
     report = PhaseReport("async", connections)
-    with AsyncNinfServer(_bench_registry(), num_pes=1,
-                         handler_threads=4) as server:
+    with AsyncNinfServer(_bench_registry(), num_pes=1) as server:
         host, port = server.address
         report.rss_before_bytes = current_rss_bytes()
 

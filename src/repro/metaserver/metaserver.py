@@ -22,6 +22,7 @@ from repro.protocol.messages import (
 from repro.transport import (
     Channel,
     CircuitBreaker,
+    Connection,
     ConnectionPool,
     Endpoint,
     RetryPolicy,
@@ -277,28 +278,28 @@ class Metaserver(Endpoint):
 
     # -- request handlers ----------------------------------------------------------
 
-    def _handle_register(self, channel: Channel, payload: bytes) -> None:
+    def _handle_register(self, conn: Connection, payload: bytes) -> None:
         info = ServerInfo.decode(XdrDecoder(payload))
         self.directory.register(info)
-        channel.send(MessageType.MS_OK, b"")
+        conn.send(MessageType.MS_OK, b"")
 
-    def _handle_unregister(self, channel: Channel, payload: bytes) -> None:
+    def _handle_unregister(self, conn: Connection, payload: bytes) -> None:
         dec = XdrDecoder(payload)
         host = dec.unpack_string()
         port = dec.unpack_uint()
         self.directory.unregister(host, port)
-        channel.send(MessageType.MS_OK, b"")
+        conn.send(MessageType.MS_OK, b"")
 
-    def _handle_lookup(self, channel: Channel, payload: bytes) -> None:
+    def _handle_lookup(self, conn: Connection, payload: bytes) -> None:
         function = XdrDecoder(payload).unpack_string()
         providers = self.directory.providers(function)
         enc = XdrEncoder()
         enc.pack_uint(len(providers))
         for entry in providers:
             entry.info.encode(enc)
-        channel.send(MessageType.MS_LOOKUP_REPLY, enc.getvalue())
+        conn.send(MessageType.MS_LOOKUP_REPLY, enc.getvalue())
 
-    def _handle_pick(self, channel: Channel, payload: bytes) -> None:
+    def _handle_pick(self, conn: Connection, payload: bytes) -> None:
         dec = XdrDecoder(payload)
         function = dec.unpack_string()
         comm_bytes = dec.unpack_double()
@@ -319,53 +320,45 @@ class Metaserver(Endpoint):
                      if (entry.info.host, entry.info.port) not in excluded]
         chosen = self.scheduler.choose(providers, estimate)
         if chosen is None:
-            channel.send_error("no-provider",
-                               f"no server provides {function!r}")
+            conn.send_error("no-provider",
+                            f"no server provides {function!r}")
             return
         enc = XdrEncoder()
         chosen.info.encode(enc)
-        channel.send(MessageType.MS_PICK_REPLY, enc.getvalue())
+        conn.send(MessageType.MS_PICK_REPLY, enc.getvalue())
 
-    def _handle_report(self, channel: Channel, payload: bytes) -> None:
+    def _handle_report(self, conn: Connection, payload: bytes) -> None:
         dec = XdrDecoder(payload)
         host = dec.unpack_string()
         port = dec.unpack_uint()
         site = dec.unpack_string()
         bandwidth = dec.unpack_double()
         self.directory.report_bandwidth(host, port, site, bandwidth)
-        channel.send(MessageType.MS_OK, b"")
+        conn.send(MessageType.MS_OK, b"")
 
-    def _handle_list(self, channel: Channel, payload: bytes) -> None:
+    def _handle_list(self, conn: Connection, payload: bytes) -> None:
         entries = self.directory.entries()
         enc = XdrEncoder()
         enc.pack_uint(len(entries))
         for entry in entries:
             entry.info.encode(enc)
-        channel.send(MessageType.MS_LIST_REPLY, enc.getvalue())
+        conn.send(MessageType.MS_LIST_REPLY, enc.getvalue())
 
-    def _handle_heartbeat(self, channel: Channel, payload: bytes) -> None:
+    def _handle_heartbeat(self, conn: Connection, payload: bytes) -> None:
         """Ingest a pushed MS_HEARTBEAT load report (DESIGN.md §3.7)."""
-        try:
-            report = LoadReport.decode(XdrDecoder(payload))
-        except XdrError as exc:
-            channel.send_error("bad-request", str(exc))
-            return
+        report = LoadReport.decode(XdrDecoder(payload))
         if not report.verify(self.secret):
             self._heartbeats.inc(outcome="bad-signature")
-            channel.send_error("bad-signature",
-                               "heartbeat signature rejected")
+            conn.send_error("bad-signature",
+                            "heartbeat signature rejected")
             return
         applied = self.directory.apply_report(report)
         self._heartbeats.inc(outcome="ok" if applied else "stale")
-        channel.send(MessageType.MS_OK, b"")
+        conn.send(MessageType.MS_OK, b"")
 
-    def _handle_sync(self, channel: Channel, payload: bytes) -> None:
+    def _handle_sync(self, conn: Connection, payload: bytes) -> None:
         """Serve one gossip exchange: merge theirs, reply with ours."""
-        try:
-            message = SyncMessage.decode(XdrDecoder(payload))
-        except XdrError as exc:
-            channel.send_error("bad-request", str(exc))
-            return
+        message = SyncMessage.decode(XdrDecoder(payload))
         applied = self.directory.merge(list(message.deltas))
         if applied:
             self._gossip_applied.inc(applied)
@@ -373,7 +366,7 @@ class Metaserver(Endpoint):
                             deltas=tuple(self.directory.deltas()))
         enc = XdrEncoder()
         reply.encode(enc)
-        channel.send(MessageType.MS_SYNC_REPLY, enc.getvalue())
+        conn.send(MessageType.MS_SYNC_REPLY, enc.getvalue())
 
 
 class MetaClient:

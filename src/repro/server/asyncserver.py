@@ -1,24 +1,17 @@
 """The Ninf computational server on the asyncio endpoint.
 
 Same RPC brain as :class:`~repro.server.NinfServer`
-(:class:`~repro.server.services.NinfRpcServices` -- the handlers are
-untouched, byte-for-byte the same wire behaviour), different serving
-body: :class:`~repro.transport.aioendpoint.AsyncEndpoint` multiplexes
-every connection onto one event loop, so idle connections cost a
+(:class:`~repro.server.services.NinfRpcServices` -- the same handlers,
+byte-for-byte the same wire behaviour), different serving body:
+:class:`~repro.transport.aioendpoint.AsyncEndpoint` multiplexes every
+connection onto one event loop, so idle connections cost a
 heap-allocated task instead of a thread, and C10K+ concurrent clients
-fit in one process.
-
-The sync handlers run in the endpoint's bounded thread pool against a
-:class:`~repro.transport.loopbridge.FacadeChannel`; blocking admission
-(dedup waits, executor backpressure) occupies a pool worker, and
-executor completion callbacks deliver replies from their own threads
-through ``run_coroutine_threadsafe`` -- the loop itself never blocks.
+fit in one process.  The handlers run on that loop and never block it;
+executor completion callbacks reply from their own PE threads.
 """
 
 from __future__ import annotations
 
-from repro.server.registry import Registry
-from repro.server.scheduling import SchedulingPolicy
 from repro.server.services import NinfRpcServices
 from repro.transport import AsyncEndpoint
 
@@ -27,39 +20,6 @@ __all__ = ["AsyncNinfServer"]
 
 class AsyncNinfServer(NinfRpcServices, AsyncEndpoint):
     """A Ninf computational server process (asyncio, C10K-capable).
-
-    Construction parameters match :class:`~repro.server.NinfServer`
-    (``registry``/``host``/``port``/``num_pes``/``mode``/``policy``/
-    ``fault_plan``/``metrics``/``max_queued``/``dedup_ttl``/
-    ``dedup_max_entries``/``backlog``) plus the
-    :class:`~repro.transport.aioendpoint.AsyncEndpoint` knob
-    ``handler_threads`` bounding the sync-handler pool.  The lifecycle
-    surface stays synchronous (``start()``/``stop()``/``with``): the
-    server owns a private loop thread, so callers port over unchanged.
-    """
-
-    def __init__(self, registry: Registry, host: str = "127.0.0.1",
-                 port: int = 0, num_pes: int = 1, mode: str = "task",
-                 policy: SchedulingPolicy | str = "fcfs",
-                 name: str = "ninf-aserver", fault_plan=None, metrics=None,
-                 max_queued: int | None = None,
-                 dedup_ttl: float = 300.0, dedup_max_entries: int = 1024,
-                 backlog: int = 512, handler_threads: int = 32):
-        AsyncEndpoint.__init__(self, host=host, port=port, name=name,
-                               fault_plan=fault_plan, metrics=metrics,
-                               backlog=backlog,
-                               handler_threads=handler_threads)
-        self._init_services(registry, num_pes=num_pes, mode=mode,
-                            policy=policy, max_queued=max_queued,
-                            dedup_ttl=dedup_ttl,
-                            dedup_max_entries=dedup_max_entries)
-
-    def start(self) -> "AsyncNinfServer":
-        """Bind, listen, and start serving + the executor."""
-        AsyncEndpoint.start(self)
-        return self
-
-    def stop(self) -> None:
-        """Shut down: close the listener, drain the executor, stop the
-        loop."""
-        AsyncEndpoint.stop(self)
+    Parameters: :class:`~repro.server.services.NinfRpcServices`; the
+    lifecycle surface stays synchronous (``start()``/``stop()``/
+    ``with``), the server owns a private loop thread."""

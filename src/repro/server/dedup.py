@@ -9,8 +9,10 @@ is parked in :meth:`DedupCache.complete`.  A retried attempt then either
 
 - finds the entry ``"done"`` and replays the cached frame (no second
   execution),
-- finds it ``"pending"`` (first attempt still executing) and blocks on
-  the entry's event rather than double-executing, or
+- finds it ``"pending"`` (first attempt still executing) and parks a
+  continuation on the entry rather than double-executing -- it runs
+  with the owner's reply, or with ``None`` to take over when the owner
+  was shed -- or
 - finds nothing (``"new"``) — the first attempt was shed before
   entering the queue via :meth:`abort` — and executes normally.
 
@@ -18,7 +20,7 @@ Entries are TTL'd (a retry arriving after ``ttl`` seconds re-executes —
 acceptable, since the client has long since timed out) and the cache is
 bounded both in entries and in retained reply *bytes* (a RESULT frame
 can be megabytes), evicting the oldest *completed* entries first;
-pending entries are never evicted, because a waiter may be blocked on
+pending entries are never evicted, because a waiter may be parked on
 them.  Completed entries live in completion order, so every bound is
 enforced by popping from the front: O(1) per operation.
 """
@@ -33,17 +35,21 @@ from typing import Callable, Optional
 __all__ = ["DedupCache", "DedupEntry"]
 
 Reply = tuple[int, bytes]  # (MessageType, encoded payload)
+Waiter = Callable[[Optional[Reply]], None]
 
 
 class DedupEntry:
     """One logical call's slot: pending until ``reply`` is parked."""
 
-    __slots__ = ("done", "reply", "stamp")
+    __slots__ = ("done", "reply", "stamp", "waiters")
 
     def __init__(self, stamp: float) -> None:
         self.done = threading.Event()
         self.reply: Optional[Reply] = None
         self.stamp = stamp  # creation time; completion time once done
+        # Continuations of duplicate attempts; appended under the
+        # cache's lock while the entry is pending, run once it settles.
+        self.waiters: list[Waiter] = []
 
 
 class DedupCache:
@@ -128,14 +134,18 @@ class DedupCache:
 
     # -- protocol -----------------------------------------------------------
 
-    def begin(self, key: str) -> tuple[str, DedupEntry]:
+    def begin(self, key: str,
+              waiter: Optional[Waiter] = None) -> tuple[str, DedupEntry]:
         """Register attempt arrival; returns ``(state, entry)``.
 
         ``state`` is ``"new"`` (this attempt should execute — the entry
         is now pending and the caller *must* eventually
         :meth:`complete` or :meth:`abort` it), ``"pending"`` (another
-        attempt is executing; wait on ``entry.done``), or ``"done"``
-        (``entry.reply`` is ready to replay).
+        attempt is executing: ``waiter``, if given, is parked on the
+        entry and will be called exactly once, from the settling
+        thread, with the owner's reply or -- owner aborted, the key is
+        free again -- ``None``), or ``"done"`` (``entry.reply`` is
+        ready to replay).
         """
         now = self.clock()
         with self._lock:
@@ -145,6 +155,8 @@ class DedupCache:
             if entry is None:
                 entry = self._pending.get(key)
                 state = "pending"
+                if entry is not None and waiter is not None:
+                    entry.waiters.append(waiter)
             if entry is None:
                 entry = self._pending[key] = DedupEntry(now)
                 self._note_size_locked()
@@ -153,7 +165,7 @@ class DedupCache:
         return state, entry
 
     def complete(self, key: str, reply: Reply) -> None:
-        """Park the encoded reply and release any blocked attempts."""
+        """Park the encoded reply and release any parked attempts."""
         now = self.clock()
         with self._lock:
             entry = (self._pending.pop(key, None)
@@ -166,20 +178,30 @@ class DedupCache:
             self._done_bytes += len(reply[1])
             self._purge_locked(now)
             self._note_size_locked()
-        entry.done.set()
+        self._settle(entry)
 
     def abort(self, key: str) -> None:
         """Forget a pending entry (the call was shed before executing).
 
-        Blocked attempts are released with ``entry.reply`` still
-        ``None`` — they re-:meth:`begin` and become the new executor.
+        Parked attempts are released with ``entry.reply`` still
+        ``None`` — they re-:meth:`begin` and one becomes the new
+        executor.
         """
         with self._lock:
             entry = (self._pending.pop(key, None)
                      or self._forget_done_locked(key))
             self._note_size_locked()
         if entry is not None:
-            entry.done.set()
+            self._settle(entry)
+
+    @staticmethod
+    def _settle(entry: DedupEntry) -> None:
+        """Release everything parked on ``entry``, which has just left
+        the pending table: nothing can be appended to it any more."""
+        entry.done.set()
+        waiters, entry.waiters = entry.waiters, []
+        for waiter in waiters:
+            waiter(entry.reply)
 
     def wait(self, entry: DedupEntry,
              timeout: Optional[float] = None) -> Optional[Reply]:

@@ -149,22 +149,25 @@ class Executor:
     def submit(self, executable: NinfExecutable, values: list[Any],
                on_complete: Optional[Callable[[Job], None]] = None,
                callback: Optional[Callable[[float, str], None]] = None,
-               deadline: Optional[float] = None) -> Job:
+               deadline: Optional[float] = None,
+               pes: Optional[int] = None) -> Job:
         """Accept a call; returns the queued Job (wait on ``job.done``).
 
+        ``pes`` is the PE count to claim (default: the executable's
+        ``pes_required``; a data-parallel server passes all of them).
         ``deadline`` is an absolute time on :attr:`clock`.  Admission
         control runs here: a full queue (``max_queued``) or a deadline
         the estimated queue wait already overshoots raises
         :class:`ServerBusy` carrying a retry-after hint, *before* the
         job consumes queue space.
         """
+        pes = min(pes or executable.pes_required, self.num_pes)
         with self._lock:
             if self._shutdown:
                 raise ServerShutdown("executor is shut down")
             if (self.max_queued is not None
                     and len(self._pending) >= self.max_queued
-                    and self._free_pes < min(executable.pes_required,
-                                             self.num_pes)):
+                    and self._free_pes < pes):
                 self.shed += 1
                 if self._shed_counter is not None:
                     self._shed_counter.inc(reason="queue-full")
@@ -177,7 +180,6 @@ class Executor:
                     if self._shed_counter is not None:
                         self._shed_counter.inc(reason="deadline-unmeetable")
                     raise ServerBusy("deadline-unmeetable", retry_after=wait)
-            pes = min(executable.pes_required, self.num_pes)
             env = {}
             try:
                 bound_env = {

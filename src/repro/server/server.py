@@ -1,19 +1,14 @@
-"""The Ninf computational server: RPC handlers over the shared transport.
+"""The Ninf computational server, thread per connection.
 
-All socket plumbing (listener, accept thread, per-connection dispatch
-loop, error replies) lives in :class:`repro.transport.Endpoint`; the
-Ninf RPC semantics -- the two-stage interface request, CALL execution
-through the PE-pool executor, load reporting, and the §5.1 two-phase
-detached calls -- live in
+All socket plumbing lives in :class:`repro.transport.Endpoint`; the
+Ninf RPC semantics -- and the constructor -- live in
 :class:`repro.server.services.NinfRpcServices`, shared verbatim with
 the asyncio server (:class:`repro.server.AsyncNinfServer`).  This
-module is only the thread-per-connection composition of the two.
+module is only the composition of the two.
 """
 
 from __future__ import annotations
 
-from repro.server.registry import Registry
-from repro.server.scheduling import SchedulingPolicy
 from repro.server.services import NinfRpcServices
 from repro.transport import Endpoint
 
@@ -21,65 +16,6 @@ __all__ = ["NinfServer"]
 
 
 class NinfServer(NinfRpcServices, Endpoint):
-    """A Ninf computational server process (threaded TCP).
-
-    Parameters
-    ----------
-    registry:
-        The catalog of Ninf executables.
-    host, port:
-        Bind address; ``port=0`` picks an ephemeral port (see
-        :attr:`address` after :meth:`start`).
-    num_pes:
-        PE slots for the executor (the J90 of the paper has 4).
-    mode:
-        ``"task"`` -- each call takes one PE (the paper's 1-PE version);
-        ``"data"`` -- each call takes all PEs and calls serialize (the
-        4-PE version).  The per-executable ``pes_required`` is overridden
-        accordingly.
-    policy:
-        Scheduling policy name or instance (fcfs/sjf/fpfs/fpmpfs).
-    fault_plan:
-        A :class:`~repro.transport.FaultPlan` wrapping every accepted
-        connection -- makes server-side faults (delayed/corrupted/
-        dropped replies) injectable for the chaos tests.
-    metrics:
-        The process :class:`~repro.obs.MetricsRegistry` (default: a
-        fresh one).  The executor publishes its queue/dispatch/execute
-        metrics here and remote clients can fetch a snapshot via the
-        ``STATS`` op (OBSERVABILITY.md).
-    max_queued:
-        Executor queue bound (``None`` = unbounded, the historical
-        behaviour).  Over-bound or deadline-unmeetable calls are shed
-        with a ``BUSY`` reply instead of queued (DESIGN.md §3.5).
-    dedup_ttl, dedup_max_entries:
-        Exactly-once result cache tuning (:class:`DedupCache`): how
-        long and how many completed logical calls stay replayable for
-        retried attempts.
-    backlog:
-        Explicit listen backlog; see :class:`~repro.transport.Endpoint`.
-    """
-
-    def __init__(self, registry: Registry, host: str = "127.0.0.1",
-                 port: int = 0, num_pes: int = 1, mode: str = "task",
-                 policy: SchedulingPolicy | str = "fcfs",
-                 name: str = "ninf-server", fault_plan=None, metrics=None,
-                 max_queued: int | None = None,
-                 dedup_ttl: float = 300.0, dedup_max_entries: int = 1024,
-                 backlog: int = 512):
-        Endpoint.__init__(self, host=host, port=port, name=name,
-                          fault_plan=fault_plan, metrics=metrics,
-                          backlog=backlog)
-        self._init_services(registry, num_pes=num_pes, mode=mode,
-                            policy=policy, max_queued=max_queued,
-                            dedup_ttl=dedup_ttl,
-                            dedup_max_entries=dedup_max_entries)
-
-    def start(self) -> "NinfServer":
-        """Bind, listen, and start the accept loop + executor."""
-        Endpoint.start(self)
-        return self
-
-    def stop(self) -> None:
-        """Shut down: close the listener, drain the executor."""
-        Endpoint.stop(self)
+    """A Ninf computational server process (threaded TCP; the one that
+    honours the shared-memory upgrade).  Parameters:
+    :class:`~repro.server.services.NinfRpcServices`."""

@@ -4,26 +4,22 @@
 computational server* -- the two-stage interface request, CALL
 execution through the PE-pool executor, exactly-once dedup admission,
 load reporting, and the §5.1 two-phase detached calls -- written once
-against the synchronous channel surface and mixed into both serving
-bases:
+against the endpoint handler contract (DESIGN.md §3.6: plain functions
+that never block, replying through a best-effort ``conn.send``) and
+composed with either driver:
 
 - ``NinfServer(NinfRpcServices, Endpoint)`` -- thread per connection;
 - ``AsyncNinfServer(NinfRpcServices, AsyncEndpoint)`` -- event loop;
-  handlers run in the endpoint's thread pool against a
-  :class:`~repro.transport.loopbridge.FacadeChannel`, so blocking
-  admission (dedup waits) and cross-thread completion replies work
-  unchanged.
-
-The mixin assumes its host class provides the
-:class:`~repro.transport.endpoint.Endpoint` surface: ``name``,
-``metrics``, ``register_handler``, and the ``on_start``/``on_stop``
-lifecycle hooks.
+  the same handlers run on the loop, and PE completion callbacks reply
+  from their own threads.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.idl import IdlError
 from repro.protocol.errors import RemoteError, ServerBusy, ServerShutdown
@@ -39,28 +35,73 @@ from repro.protocol.messages import (
 )
 from repro.server.dedup import DedupCache
 from repro.server.executor import Executor, Job
-from repro.server.registry import Registry
+from repro.server.registry import NinfExecutable, Registry
 from repro.server.scheduling import SchedulingPolicy, make_policy
-from repro.transport import Channel
+from repro.transport import Connection
 from repro.xdr import XdrDecoder, XdrEncoder, XdrError
 
 __all__ = ["NinfRpcServices"]
 
 
-class NinfRpcServices:
-    """RPC handlers + executor lifecycle shared by both server bases.
+@dataclass
+class _Call:
+    """One admitted CALL / CALL_DETACHED: what the shared prologue
+    worked out before the attempt that owns execution starts."""
 
-    Host classes call :meth:`_init_services` from ``__init__`` (after
-    the endpoint base is initialised, so ``self.metrics`` and
-    ``register_handler`` exist) and chain :meth:`on_start` /
-    :meth:`on_stop` into their endpoint lifecycle.
+    header: CallHeader
+    executable: NinfExecutable
+    values: list[Any]
+    args_bytes: int
+    pes: int                  #: PEs to claim (all of them in data mode)
+    deadline: float | None    #: on the executor's clock, pinned at receipt
+    key: str | None           #: dedup key; ``None`` = client opted out
+
+
+class NinfRpcServices:
+    """RPC handlers + executor lifecycle, mixed in *before* an endpoint
+    driver: the constructor takes the server's parameters, hands the
+    endpoint's on to the driver, and the :meth:`on_start` /
+    :meth:`on_stop` hooks bracket the executor.
+
+    Parameters
+    ----------
+    registry:
+        The catalog of Ninf executables.
+    host, port, name, fault_plan, metrics, backlog:
+        The endpoint's: see :class:`~repro.transport.EndpointCore`.
+        The executor publishes its queue/dispatch/execute metrics into
+        ``metrics`` too (OBSERVABILITY.md).
+    num_pes:
+        PE slots for the executor (the J90 of the paper has 4).
+    mode:
+        ``"task"`` -- each call takes one PE (the paper's 1-PE version);
+        ``"data"`` -- each call takes all PEs and calls serialize (the
+        4-PE version).  The per-executable ``pes_required`` is overridden
+        accordingly.
+    policy:
+        Scheduling policy name or instance (fcfs/sjf/fpfs/fpmpfs).
+    max_queued:
+        Executor queue bound (``None`` = unbounded, the historical
+        behaviour).  Over-bound or deadline-unmeetable calls are shed
+        with a ``BUSY`` reply instead of queued (DESIGN.md §3.5).
+    dedup_ttl, dedup_max_entries:
+        Exactly-once result cache tuning (:class:`DedupCache`): how
+        long and how many completed logical calls stay replayable for
+        retried attempts.
     """
 
-    def _init_services(self, registry: Registry, num_pes: int, mode: str,
-                       policy: SchedulingPolicy | str, max_queued: int | None,
-                       dedup_ttl: float, dedup_max_entries: int) -> None:
+    def __init__(self, registry: Registry, host: str = "127.0.0.1",
+                 port: int = 0, num_pes: int = 1, mode: str = "task",
+                 policy: SchedulingPolicy | str = "fcfs",
+                 name: str = "ninf-server", fault_plan=None, metrics=None,
+                 max_queued: int | None = None,
+                 dedup_ttl: float = 300.0, dedup_max_entries: int = 1024,
+                 backlog: int = 512):
         if mode not in ("task", "data"):
             raise ValueError(f"mode must be 'task' or 'data', got {mode!r}")
+        super().__init__(host=host, port=port, name=name,
+                         fault_plan=fault_plan, metrics=metrics,
+                         backlog=backlog)
         self.registry = registry
         self.num_pes = num_pes
         self.mode = mode
@@ -147,16 +188,16 @@ class NinfRpcServices:
 
     # -- RPC handlers --------------------------------------------------------
 
-    def _handle_hello(self, channel: Channel, payload: bytes) -> None:
+    def _handle_hello(self, conn: Connection, payload: bytes) -> None:
         enc = XdrEncoder()
         enc.pack_uint(PROTOCOL_VERSION)
         enc.pack_string(self.name)
-        channel.send(MessageType.HELLO_REPLY, enc.getvalue())
+        conn.send(MessageType.HELLO_REPLY, enc.getvalue())
 
-    def _handle_list(self, channel: Channel, payload: bytes) -> None:
+    def _handle_list(self, conn: Connection, payload: bytes) -> None:
         enc = XdrEncoder()
         enc.pack_array(self.registry.names(), enc.pack_string)
-        channel.send(MessageType.LIST_REPLY, enc.getvalue())
+        conn.send(MessageType.LIST_REPLY, enc.getvalue())
 
     def load_snapshot(self) -> LoadReply:
         """Current load state as a :class:`LoadReply`.
@@ -178,108 +219,111 @@ class NinfRpcServices:
             completed=completed,
         )
 
-    def _handle_load_query(self, channel: Channel, payload: bytes) -> None:
+    def _handle_load_query(self, conn: Connection, payload: bytes) -> None:
         enc = XdrEncoder()
         self.load_snapshot().encode(enc)
-        channel.send(MessageType.LOAD_REPLY, enc.getvalue())
+        conn.send(MessageType.LOAD_REPLY, enc.getvalue())
 
-    def _handle_interface_request(self, channel: Channel,
+    def _handle_interface_request(self, conn: Connection,
                                   payload: bytes) -> None:
-        try:
-            name = XdrDecoder(payload).unpack_string()
-        except XdrError as exc:
-            channel.send_error("bad-request", str(exc))
-            return
+        name = XdrDecoder(payload).unpack_string()
         executable = self.registry.get(name)
         if executable is None:
-            channel.send_error("no-such-function",
-                               f"{name!r} is not registered on this server")
+            conn.send_error("no-such-function",
+                            f"{name!r} is not registered on this server")
             return
-        channel.send(MessageType.INTERFACE_REPLY,
-                     executable.signature.to_wire())
+        conn.send(MessageType.INTERFACE_REPLY,
+                  executable.signature.to_wire())
 
-    def _send_busy(self, channel: Channel, busy: ServerBusy) -> None:
-        """Answer with a BUSY frame (shed/expired call; best-effort)."""
+    def _send_busy(self, conn: Connection, busy: ServerBusy) -> None:
+        """Answer with a BUSY frame (shed/expired call)."""
         enc = XdrEncoder()
         BusyReply(retry_after=busy.retry_after,
                   reason=busy.message).encode(enc)
-        try:
-            channel.send(MessageType.BUSY, enc.getvalue())
-        except OSError:
-            pass  # client went away; nothing to do
+        conn.send(MessageType.BUSY, enc.getvalue())
 
-    @staticmethod
-    def _send_reply(channel: Channel, reply: tuple[int, bytes]) -> None:
-        """Send a prepared (type, payload) reply frame, best-effort."""
-        reply_type, reply_payload = reply
-        try:
-            channel.send(reply_type, reply_payload)
-        except OSError:
-            pass  # client went away; nothing to do
-
-    def _dedup_admit(self, channel: Channel, header: CallHeader):
-        """Run a call's logical id through the dedup cache.
-
-        Returns ``(handled, key, entry)``: when ``handled`` the reply
-        (cached result, or BUSY while the first attempt still runs) has
-        been sent and the caller must not execute; otherwise ``key`` is
-        the dedup key to complete/abort (``None`` = client opted out)
-        and this attempt owns execution.
-        """
-        key = header.logical_id or None
-        if key is None:
-            return False, None, None
-        state, entry = self.dedup.begin(key)
-        while state == "pending":
-            # Another attempt of the same logical call is executing;
-            # block on it rather than double-executing, bounded by this
-            # attempt's own budget.
-            finished = entry.done.wait(
-                header.budget if header.budget > 0 else None)
-            if not finished:
-                self._send_busy(channel, ServerBusy(
-                    "duplicate-pending",
-                    retry_after=self.executor.estimated_wait()))
-                return True, key, entry
-            if entry.reply is not None:
-                self._send_reply(channel, entry.reply)
-                return True, key, entry
-            # The owning attempt was shed/aborted: race to take over.
-            state, entry = self.dedup.begin(key)
-        if state == "done":
-            self._send_reply(channel, entry.reply)
-            return True, key, entry
-        return False, key, entry
-
-    def _handle_call(self, channel: Channel, payload: bytes) -> None:
-        try:
-            dec = XdrDecoder(payload)
-            header = CallHeader.decode(dec)
-            args_payload = dec.unpack_opaque_view()
-            dec.done()
-        except XdrError as exc:
-            channel.send_error("bad-request", str(exc))
-            return
+    def _admit(self, conn: Connection, payload: bytes) -> _Call | None:
+        """The CALL / CALL_DETACHED prologue: decode the header, look
+        the function up, unmarshal, size the PE claim, pin the deadline.
+        ``None``: the call was refused and answered."""
+        dec = XdrDecoder(payload)
+        header = CallHeader.decode(dec)
+        args_payload = dec.unpack_opaque_view()
+        dec.done()
         executable = self.registry.get(header.function)
         if executable is None:
-            channel.send_error("no-such-function",
-                               f"{header.function!r} is not registered")
-            return
+            conn.send_error("no-such-function",
+                            f"{header.function!r} is not registered")
+            return None
         try:
             values = unmarshal_inputs(executable.signature, args_payload)
         except (XdrError, IdlError) as exc:
-            channel.send_error("bad-arguments", str(exc))
-            return
-        # Data-parallel mode: every call occupies the whole machine.
-        if self.mode == "data":
-            executable = _with_pes(executable, self.num_pes)
-        handled, key, _entry = self._dedup_admit(channel, header)
-        if handled:
-            return
-        # The budget is relative on the wire (clock-skew safe); pin it
-        # to this server's monotonic clock at receipt.
-        deadline = (self.executor.clock() + header.budget
-                    if header.budget > 0 else None)
+            conn.send_error("bad-arguments", str(exc))
+            return None
+        return _Call(
+            header=header, executable=executable, values=values,
+            args_bytes=len(args_payload),
+            # Data-parallel mode: every call occupies the whole machine.
+            pes=(self.num_pes if self.mode == "data"
+                 else executable.pes_required),
+            # The budget is relative on the wire (clock-skew safe); pin
+            # it to this server's monotonic clock at receipt.
+            deadline=(self.executor.clock() + header.budget
+                      if header.budget > 0 else None),
+            key=header.logical_id or None)
+
+    def _owns_execution(self, conn: Connection, call: _Call,
+                        start: Callable[[Connection, _Call], None]) -> bool:
+        """Run the call's logical id through the dedup cache.
+
+        ``True``: this attempt owns execution -- the caller starts it
+        and must complete or abort ``call.key``.  Otherwise the reply is
+        taken care of: a finished attempt's is replayed now, a running
+        one's when it lands; and should that owner be shed instead, one
+        of the attempts parked behind it takes over through ``start``
+        (with a dead budget, ``Executor.submit`` sheds it in turn).
+        """
+        if call.key is None:
+            return True
+
+        def settled(reply: tuple[int, bytes] | None) -> None:
+            if reply is not None:
+                conn.send(*reply)
+            elif self._owns_execution(conn, call, start):
+                start(conn, call)
+
+        state, entry = self.dedup.begin(call.key, waiter=settled)
+        if state == "done":
+            conn.send(*entry.reply)
+        return state == "new"
+
+    def _submit(self, conn: Connection, call: _Call,
+                on_complete: Callable[[Job], None],
+                callback: Callable[[float, str], None] | None = None
+                ) -> Job | None:
+        """Queue an admitted call; a shed one is answered (BUSY, or the
+        shutdown error), its dedup key released, and ``None`` returned."""
+        try:
+            return self.executor.submit(
+                call.executable, call.values, on_complete=on_complete,
+                callback=callback, deadline=call.deadline, pes=call.pes)
+        except (ServerBusy, ServerShutdown) as refusal:
+            if call.key is not None:
+                self.dedup.abort(call.key)
+            if isinstance(refusal, ServerBusy):
+                self._send_busy(conn, refusal)
+            else:
+                conn.send_error(refusal.code, refusal.message)
+            return None
+
+    def _handle_call(self, conn: Connection, payload: bytes) -> None:
+        call = self._admit(conn, payload)
+        if call is not None and self._owns_execution(conn, call,
+                                                     self._start_call):
+            self._start_call(conn, call)
+
+    def _start_call(self, conn: Connection, call: _Call) -> None:
+        header, executable, key = call.header, call.executable, call.key
 
         def finish(reply_type: int, reply_payload: bytes,
                    cache: bool = True) -> None:
@@ -288,22 +332,18 @@ class NinfRpcServices:
                     self.dedup.complete(key, (reply_type, reply_payload))
                 else:
                     self.dedup.abort(key)
-            self._send_reply(channel, (reply_type, reply_payload))
+            conn.send(reply_type, reply_payload)
 
         def on_complete(job: Job) -> None:
             if isinstance(job.error, ServerBusy):
                 # Expired in the queue: never ran, safe to retry.
                 if key is not None:
                     self.dedup.abort(key)
-                self._send_busy(channel, job.error)
+                self._send_busy(conn, job.error)
                 return
             if job.error is not None:
-                if isinstance(job.error, RemoteError):
-                    code, message = job.error.code, job.error.message
-                else:
-                    code, message = "execution-failed", str(job.error)
                 enc = XdrEncoder()
-                ErrorReply(code=code, message=message).encode(enc)
+                _error_reply(job.error).encode(enc)
                 # ServerShutdown never ran the job -- don't cache it,
                 # a retry elsewhere should execute for real.
                 finish(MessageType.ERROR, enc.getvalue(),
@@ -326,8 +366,7 @@ class NinfRpcServices:
                 return
             out_len = len(enc) - token - 4
             enc.end_opaque(token)
-            self._record_trace(executable, job,
-                               len(args_payload) + out_len)
+            self._record_trace(executable, job, call.args_bytes + out_len)
             finish(MessageType.RESULT, enc.getbuffer())
 
         def send_callback(progress: float, message: str) -> None:
@@ -335,28 +374,12 @@ class NinfRpcServices:
             enc.pack_uhyper(header.call_id)
             enc.pack_double(float(progress))
             enc.pack_string(str(message))
-            try:
-                channel.send(MessageType.CALLBACK, enc.getvalue())
-            except OSError:
-                pass  # client went away; progress is best-effort
+            conn.send(MessageType.CALLBACK, enc.getvalue())
 
-        try:
-            self.executor.submit(
-                executable, values, on_complete=on_complete,
-                callback=send_callback if executable.wants_callback else None,
-                deadline=deadline,
-            )
-        except ServerBusy as busy:
-            if key is not None:
-                self.dedup.abort(key)
-            self._send_busy(channel, busy)
-            return
-        except ServerShutdown as exc:
-            if key is not None:
-                self.dedup.abort(key)
-            channel.send_error(exc.code, exc.message)
-            return
-        self._sample_load()
+        if self._submit(
+                conn, call, on_complete,
+                send_callback if executable.wants_callback else None):
+            self._sample_load()
 
     def _record_trace(self, executable, job: Job, comm_bytes: int) -> None:
         """Append the §5.1 execution-trace observation for this call."""
@@ -375,35 +398,19 @@ class NinfRpcServices:
 
     # -- two-phase RPC (§5.1) -------------------------------------------------
 
-    def _handle_call_detached(self, channel: Channel, payload: bytes) -> None:
-        """Phase one: accept arguments, reply with a ticket, disconnect-safe."""
-        try:
-            dec = XdrDecoder(payload)
-            header = CallHeader.decode(dec)
-            args_payload = dec.unpack_opaque_view()
-            dec.done()
-        except XdrError as exc:
-            channel.send_error("bad-request", str(exc))
-            return
-        executable = self.registry.get(header.function)
-        if executable is None:
-            channel.send_error("no-such-function",
-                               f"{header.function!r} is not registered")
-            return
-        try:
-            values = unmarshal_inputs(executable.signature, args_payload)
-        except (XdrError, IdlError) as exc:
-            channel.send_error("bad-arguments", str(exc))
-            return
-        if self.mode == "data":
-            executable = _with_pes(executable, self.num_pes)
-        handled, key, _entry = self._dedup_admit(channel, header)
-        if handled:
-            # A retried CALL_DETACHED replays the original CALL_ACCEPTED
-            # (same ticket), so the client's fetch loop keeps working.
-            return
-        deadline = (self.executor.clock() + header.budget
-                    if header.budget > 0 else None)
+    def _handle_call_detached(self, conn: Connection, payload: bytes) -> None:
+        """Phase one: accept arguments, reply with a ticket, disconnect-safe.
+
+        A retried CALL_DETACHED replays the original CALL_ACCEPTED (same
+        ticket) out of the dedup cache, so the client's fetch loop keeps
+        working."""
+        call = self._admit(conn, payload)
+        if call is not None and self._owns_execution(conn, call,
+                                                     self._start_detached):
+            self._start_detached(conn, call)
+
+    def _start_detached(self, conn: Connection, call: _Call) -> None:
+        header, executable, key = call.header, call.executable, call.key
         with self._detached_lock:
             self._ticket_counter += 1
             ticket = self._ticket_counter
@@ -412,13 +419,8 @@ class NinfRpcServices:
         def on_complete(job: Job) -> None:
             enc = XdrEncoder()
             if job.error is not None:
-                code = (job.error.code if isinstance(job.error, RemoteError)
-                        else "execution-failed")
-                message = (job.error.message
-                           if isinstance(job.error, RemoteError)
-                           else str(job.error))
                 enc.pack_bool(False)
-                ErrorReply(code=code, message=message).encode(enc)
+                _error_reply(job.error).encode(enc)
             else:
                 enc.pack_bool(True)
                 job.timestamps().encode(enc)
@@ -454,23 +456,10 @@ class NinfRpcServices:
             if evictions:
                 self._evicted_metric.inc(evictions)
 
-        try:
-            job = self.executor.submit(executable, values,
-                                       on_complete=on_complete,
-                                       deadline=deadline)
-        except ServerBusy as busy:
+        job = self._submit(conn, call, on_complete)
+        if job is None:
             with self._detached_lock:
                 self._detached.pop(ticket, None)
-            if key is not None:
-                self.dedup.abort(key)
-            self._send_busy(channel, busy)
-            return
-        except ServerShutdown as exc:
-            with self._detached_lock:
-                self._detached.pop(ticket, None)
-            if key is not None:
-                self.dedup.abort(key)
-            channel.send_error(exc.code, exc.message)
             return
         with self._detached_lock:
             if not job.done.is_set():
@@ -483,39 +472,31 @@ class NinfRpcServices:
             # CALL_ACCEPTED) gets the same ticket, not a second job.
             self.dedup.complete(key, (MessageType.CALL_ACCEPTED,
                                       reply.getvalue()))
-        channel.send(MessageType.CALL_ACCEPTED, reply.getvalue())
+        conn.send(MessageType.CALL_ACCEPTED, reply.getvalue())
 
-    def _handle_cancel(self, channel: Channel, payload: bytes) -> None:
+    def _handle_cancel(self, conn: Connection, payload: bytes) -> None:
         """Drop a still-queued detached job; running jobs finish.
 
         Idempotent: unknown or already-dispatched tickets answer
         ``dropped=False`` rather than erroring, so a client can fire
         CANCEL best-effort on its own deadline expiry.
         """
-        try:
-            dec = XdrDecoder(payload)
-            ticket = dec.unpack_uhyper()
-            dec.done()
-        except XdrError as exc:
-            channel.send_error("bad-request", str(exc))
-            return
+        dec = XdrDecoder(payload)
+        ticket = dec.unpack_uhyper()
+        dec.done()
         with self._detached_lock:
             job = self._detached_jobs.get(ticket)
         dropped = self.executor.cancel(job) if job is not None else False
         enc = XdrEncoder()
         enc.pack_uhyper(ticket)
         enc.pack_bool(dropped)
-        channel.send(MessageType.CANCEL_REPLY, enc.getvalue())
+        conn.send(MessageType.CANCEL_REPLY, enc.getvalue())
 
-    def _handle_fetch(self, channel: Channel, payload: bytes) -> None:
+    def _handle_fetch(self, conn: Connection, payload: bytes) -> None:
         """Phase two: a (possibly new) connection collects the result."""
-        try:
-            dec = XdrDecoder(payload)
-            ticket = dec.unpack_uhyper()
-            dec.done()
-        except XdrError as exc:
-            channel.send_error("bad-request", str(exc))
-            return
+        dec = XdrDecoder(payload)
+        ticket = dec.unpack_uhyper()
+        dec.done()
         with self._detached_lock:
             if ticket not in self._detached:
                 known = False
@@ -529,26 +510,24 @@ class NinfRpcServices:
                     del self._detached[ticket]
         if not known:
             if evicted:
-                channel.send_error(
+                conn.send_error(
                     "result-evicted",
                     f"result for ticket {ticket} was evicted before it "
                     f"was fetched; re-issue the call")
             else:
-                channel.send_error("unknown-ticket",
-                                   f"no detached call with ticket {ticket}")
+                conn.send_error("unknown-ticket",
+                                f"no detached call with ticket {ticket}")
             return
         if result is None:
             enc = XdrEncoder()
             enc.pack_uhyper(ticket)
-            channel.send(MessageType.RESULT_PENDING, enc.getvalue())
+            conn.send(MessageType.RESULT_PENDING, enc.getvalue())
             return
         dec = XdrDecoder(result)
         ok = dec.unpack_bool()
         if not ok:
             err = ErrorReply.decode(dec)
-            enc = XdrEncoder()
-            err.encode(enc)
-            channel.send(MessageType.ERROR, enc.getvalue())
+            conn.send_error(err.code, err.message)
             return
         timestamps = JobTimestamps.decode(dec)
         out_payload = dec.unpack_opaque_view()
@@ -557,16 +536,14 @@ class NinfRpcServices:
         enc.pack_uhyper(ticket)
         timestamps.encode(enc)
         enc.pack_opaque(out_payload)
-        channel.send(MessageType.RESULT, enc.getbuffer())
+        conn.send(MessageType.RESULT, enc.getbuffer())
 
 
-def _with_pes(executable, num_pes: int):
-    """A view of the executable that demands all PEs (data-parallel)."""
-    from repro.server.registry import NinfExecutable
-
-    clone = NinfExecutable(executable.signature, executable.func,
-                           pes_required=num_pes)
-    return clone
+def _error_reply(error: BaseException) -> ErrorReply:
+    """A failed job's error as it goes on the wire."""
+    if isinstance(error, RemoteError):
+        return ErrorReply(code=error.code, message=error.message)
+    return ErrorReply(code="execution-failed", message=str(error))
 
 
 def _merge_outputs(executable, job: Job) -> list:

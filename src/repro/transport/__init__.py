@@ -2,16 +2,21 @@
 
 Everything that touches a raw ``socket.socket`` in the reproduction
 lives here; client, server, and metaserver are written against these
-three abstractions:
+abstractions:
 
 - :class:`Channel` -- a framed, thread-safe request/reply connection
   with per-operation deadlines (``repro.protocol.framing`` underneath).
 - :class:`ConnectionPool` -- keep-alive channel reuse keyed by
   ``(host, port)`` with max-idle eviction; ``pool=False`` restores the
   paper's per-call-connection behaviour as an ablation.
-- :class:`Endpoint` -- the TCP accept-loop + ``MessageType -> handler``
-  dispatch skeleton shared by :class:`~repro.server.NinfServer` and
-  :class:`~repro.metaserver.Metaserver`.
+- :class:`EndpointCore` -- the ``MessageType -> handler`` registry,
+  dispatch contract and lifecycle of every Ninf process, with two
+  drivers that keep only their I/O: :class:`Endpoint` (accept thread,
+  thread per connection: :class:`~repro.server.NinfServer`,
+  :class:`~repro.metaserver.Metaserver`) and :class:`AsyncEndpoint`
+  (one event loop: :class:`~repro.server.AsyncNinfServer`).  Handlers
+  are plain functions that never block and reply through a
+  :class:`Connection` (DESIGN.md §3.6).
 - :class:`FaultPlan` / :class:`FaultyChannel` -- seeded, deterministic
   fault injection at the three places a channel is born (``connect``,
   pool checkout, endpoint accept); see :mod:`repro.transport.faults`.
@@ -22,13 +27,11 @@ three abstractions:
 - :class:`CircuitBreaker` -- per-host consecutive-failure trip with a
   half-open probe, so failover skips dead hosts without paying a
   connect timeout each time; see :mod:`repro.transport.breaker`.
-- :class:`AsyncChannel` / :class:`AsyncConnectionPool` /
-  :class:`AsyncEndpoint` -- the asyncio twins of the three
-  abstractions above, one event loop instead of a thread per
-  connection (DESIGN.md §3.6).  :class:`LoopThread` and
-  :class:`FacadeChannel` (:mod:`repro.transport.loopbridge`) bridge
-  an :class:`AsyncEndpoint`'s connections to its plain-function
-  handlers.
+- :class:`AsyncChannel` / :class:`AsyncConnectionPool` -- the asyncio
+  channel, and the pool's ``await``-dialing subclass (DESIGN.md §3.6).
+  :class:`LoopThread` (:mod:`repro.transport.loopbridge`) is the
+  private loop thread behind an :class:`AsyncEndpoint`'s synchronous
+  ``start()``/``stop()``.
 - :class:`ShmRing` / :class:`ShmTransport` / :func:`shm_negotiate`
   (:mod:`repro.transport.shm`) -- the same-host shared-memory fast
   path.  A dialing channel that believes it shares a machine with the
@@ -58,14 +61,14 @@ from repro.transport.aioendpoint import AsyncEndpoint
 from repro.transport.aiopool import AsyncConnectionPool
 from repro.transport.breaker import CircuitBreaker
 from repro.transport.channel import Channel, connect
-from repro.transport.endpoint import Endpoint
+from repro.transport.endpoint import Connection, Endpoint, EndpointCore
 from repro.transport.faults import (
     FaultEvent,
     FaultPlan,
     FaultyChannel,
     PartitionMap,
 )
-from repro.transport.loopbridge import FacadeChannel, LoopThread
+from repro.transport.loopbridge import LoopThread
 from repro.transport.pool import ConnectionPool
 from repro.transport.retry import RetryPolicy, is_transient
 from repro.transport.shm import ShmRing, ShmTransport
@@ -78,9 +81,10 @@ __all__ = [
     "AsyncFaultyChannel",
     "Channel",
     "CircuitBreaker",
+    "Connection",
     "ConnectionPool",
     "Endpoint",
-    "FacadeChannel",
+    "EndpointCore",
     "FaultEvent",
     "FaultPlan",
     "FaultyChannel",

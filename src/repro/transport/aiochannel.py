@@ -26,11 +26,10 @@ from typing import Optional, Union
 from repro.protocol.aframing import FrameStream
 from repro.protocol.errors import ConnectionClosed, TimeoutError
 from repro.protocol.framing import BytesLike, encode_frame
-from repro.protocol.messages import ErrorReply, MessageType, checked_reply
+from repro.protocol.messages import checked_reply
 from repro.transport.channel import _DEFAULT, _Unset, _note_io
 from repro.transport.faults import CORRUPT, DELAY, DROP_PRE, REFUSE_DIAL, \
     TRUNCATE, FaultPlan, _corrupt
-from repro.xdr import XdrEncoder
 
 __all__ = ["AsyncChannel", "AsyncFaultyChannel", "aconnect",
            "aconnect_with_faults"]
@@ -44,8 +43,8 @@ class AsyncChannel:
     ``timeout`` to every operation unless a call passes its own (the
     same ``_DEFAULT`` sentinel protocol as the sync
     :class:`~repro.transport.channel.Channel`).  All methods must run
-    on the loop that created the stream; cross-thread use goes through
-    the sync facade (:mod:`repro.transport.loopbridge`).
+    on the loop that created the stream; other threads reach a served
+    connection through its endpoint ``Connection`` (DESIGN.md §3.6).
 
     Buffer ownership (DESIGN.md §3.1): :meth:`recv` returns a private,
     mutable ``bytearray``; a payload passed to :meth:`send` must not be
@@ -152,12 +151,6 @@ class AsyncChannel:
             reply_type, reply = await self.recv(timeout=timeout)
         checked_reply(reply_type, reply, expect)
         return reply_type, reply
-
-    async def send_error(self, code: str, message: str) -> None:
-        """Reply with a well-formed ``ErrorReply`` frame (server side)."""
-        enc = XdrEncoder()
-        ErrorReply(code=code, message=message).encode(enc)
-        await self.send(MessageType.ERROR, enc.getvalue())
 
 
 async def aconnect(host: str, port: int, timeout: Optional[float] = None,

@@ -1,55 +1,45 @@
-"""Event-loop TCP accept/dispatch base: the C10K-capable Endpoint.
+"""The event-loop driver of :class:`~repro.transport.endpoint.EndpointCore`:
+the C10K-capable endpoint.
 
-:class:`AsyncEndpoint` is the asyncio twin of
-:class:`~repro.transport.endpoint.Endpoint`: one ``asyncio.Server``
-(instead of an accept thread), one connection *task* (instead of a
-thread) per accepted socket, and the same ``MessageType -> handler``
-dispatch table with the same error contract (unknown type ->
-``bad-message`` and the connection survives; ``XdrError`` escaping a
-handler -> ``bad-request``; protocol/socket failure -> close).
-
-The lifecycle surface is deliberately synchronous -- ``start()`` /
-``stop()`` / ``with`` -- so subclasses and callers of the threaded
-endpoint port over unchanged: the endpoint owns a private
+:class:`AsyncEndpoint` serves the core's handler table from one
+``asyncio.Server`` (instead of an accept thread) and one connection
+*task* (instead of a thread) per accepted socket.  The lifecycle
+surface is the core's -- ``start()`` / ``stop()`` / ``with``, all
+synchronous -- so subclasses and callers of the threaded endpoint port
+over unchanged: the endpoint owns a private
 :class:`~repro.transport.loopbridge.LoopThread` and drives its loop
 from whatever thread the caller is on.
 
-Handlers may be either coroutines (awaited on the loop with the raw
-:class:`~repro.transport.aiochannel.AsyncChannel`) or plain callables
-(the entire existing :class:`~repro.server.NinfServer` handler set):
-sync handlers run in a bounded thread pool via ``run_in_executor`` and
-receive a :class:`~repro.transport.loopbridge.FacadeChannel`, so they
-may block (dedup waits, executor admission) and may send replies from
-*other* threads (executor completion callbacks) without ever stalling
-the loop.
+Handlers are the same plain functions the threaded driver runs, called
+*on the loop*, in the connection's task (DESIGN.md §3.6); only one
+registered with ``register_blocking_handler`` is handed to the loop's
+default executor.
 
-Observability: ``ninf_endpoint_connections_accepted_total`` (as on the
-threaded endpoint) plus the event-loop vitals
-``ninf_server_connections_open`` (gauge) and
-``ninf_server_loop_lag_seconds`` (histogram, sampled by a sleep-drift
-monitor task) -- see OBSERVABILITY.md.
+Observability: ``ninf_endpoint_connections_accepted_total`` (the
+core's) plus the event-loop vitals ``ninf_server_connections_open``
+(gauge) and ``ninf_server_loop_lag_seconds`` (histogram, sampled by a
+sleep-drift monitor task) -- see OBSERVABILITY.md.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import concurrent.futures
-import json
 import threading
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.obs import MetricsRegistry, names
+from repro.obs import MetricsRegistry
+from repro.obs import names
 from repro.protocol.aframing import FrameStream
 from repro.protocol.errors import ConnectionClosed, ProtocolError
-from repro.protocol.messages import MessageType
+from repro.protocol.framing import BytesLike
 from repro.transport.aiochannel import AsyncChannel, AsyncFaultyChannel
+from repro.transport.endpoint import Connection, EndpointCore
 from repro.transport.faults import FaultPlan
-from repro.transport.loopbridge import FacadeChannel, LoopThread
-from repro.xdr import XdrDecoder, XdrEncoder, XdrError
+from repro.transport.loopbridge import LoopThread
 
 __all__ = ["AsyncEndpoint"]
-
-Handler = Callable[..., object]
 
 #: Sub-millisecond to one-second lag buckets: loop lag is healthy in
 #: the tens of microseconds and pathological past ~100 ms.
@@ -57,52 +47,66 @@ _LAG_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
                 0.05, 0.1, 0.25, 0.5, 1.0)
 
 
-class AsyncEndpoint:
-    """An event-loop TCP request/reply endpoint with a handler registry.
+class _LoopConnection(Connection):
+    """A connection served by a task on the loop: ``send`` queues the
+    frame and returns -- from the loop thread directly, from any other
+    (a PE worker's completion callback) through ``call_soon_threadsafe``
+    -- and :attr:`writer` drains the queue in order."""
 
-    Parameters match :class:`~repro.transport.endpoint.Endpoint`
-    (``host``/``port``/``name``/``fault_plan``/``metrics``), plus:
+    def __init__(self, channel: AsyncChannel) -> None:
+        self.channel = channel
+        self.writer: Optional[asyncio.Task[None]] = None
+        self._loop = asyncio.get_running_loop()
+        self._loop_thread = threading.get_ident()
+        # Loop-affine, like the writer.
+        self._outbox: collections.deque[tuple[int, BytesLike]] = \
+            collections.deque()
 
-    backlog:
-        Explicit listen backlog.  Bursty C10K dials overflow the
-        kernel's default accept queue; refused dials surface client-side
-        in ``ninf_pool_dials_refused_total``.
-    handler_threads:
-        Size of the thread pool that runs *sync* handlers.  Blocking
-        handlers occupy a worker, never the loop.
+    def send(self, msg_type: int, payload: BytesLike = b"") -> None:
+        if threading.get_ident() == self._loop_thread:
+            self._post(msg_type, payload)
+            return
+        try:
+            self._loop.call_soon_threadsafe(self._post, msg_type, payload)
+        except RuntimeError:
+            pass  # the loop has stopped and the connection with it
+
+    def _post(self, msg_type: int, payload: BytesLike) -> None:
+        self._outbox.append((msg_type, payload))
+        if self.writer is None:
+            self.writer = self._loop.create_task(self._drain())
+
+    async def _drain(self) -> None:
+        try:
+            while self._outbox:
+                await self.channel.send(*self._outbox.popleft())
+        except (ProtocolError, OSError):
+            # The peer has gone: closing fails the reader, which ends
+            # the connection's task.
+            self._outbox.clear()
+            self.channel.close()
+        finally:
+            self.writer = None
+
+
+class AsyncEndpoint(EndpointCore):
+    """The event-loop driver: parameters, registry, dispatch contract
+    and lifecycle are :class:`~repro.transport.endpoint.EndpointCore`'s.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  name: str = "aio-endpoint",
                  fault_plan: Optional[FaultPlan] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 backlog: int = 512, handler_threads: int = 32) -> None:
-        self.name = name
-        self.fault_plan = fault_plan
-        self.backlog = backlog
-        self.handler_threads = handler_threads
-        self._bind_host = host
-        self._bind_port = port
+                 backlog: int = 512) -> None:
+        super().__init__(host=host, port=port, name=name,
+                         fault_plan=fault_plan, metrics=metrics,
+                         backlog=backlog)
         self._runner: Optional[LoopThread] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._sockname: Optional[tuple[str, int]] = None
-        self._handler_pool: Optional[
-            concurrent.futures.ThreadPoolExecutor] = None
-        self._running = False
-        # Guards the lifecycle state above; same discipline as the
-        # threaded Endpoint (start/stop race from any thread, loop-side
-        # code reads _running unlocked by design).
-        self._lock = threading.Lock()
-        self._handlers: dict[int, Handler] = {}
         # Loop-affine state: only the loop thread touches these.
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._lag_task: Optional[asyncio.Task] = None
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if fault_plan is not None and fault_plan.metrics is None:
-            fault_plan.metrics = self.metrics
-        self._accepted = self.metrics.counter(
-            names.ENDPOINT_CONNECTIONS_ACCEPTED,
-            "TCP connections accepted by this endpoint")
+        self._conn_tasks: dict[asyncio.Task[None], _LoopConnection] = {}
+        self._lag_task: Optional[asyncio.Task[None]] = None
         self._open_gauge = self.metrics.gauge(
             names.SERVER_CONNECTIONS_OPEN,
             "Connections currently being served")
@@ -110,56 +114,6 @@ class AsyncEndpoint:
             names.SERVER_LOOP_LAG,
             "Event-loop scheduling lag sampled by the drift monitor",
             buckets=_LAG_BUCKETS)
-        self.register_handler(MessageType.PING, self._handle_ping)
-        self.register_handler(MessageType.STATS, self._handle_stats)
-
-    # -- handler registry ---------------------------------------------------
-
-    def register_handler(self, msg_type: int, handler: Handler) -> None:
-        """Route frames of ``msg_type`` to ``handler(channel, payload)``.
-
-        A coroutine function is awaited on the loop with the
-        :class:`AsyncChannel`; a plain callable runs in the handler
-        thread pool with a :class:`FacadeChannel`.
-        """
-        self._handlers[int(msg_type)] = handler
-
-    async def _handle_ping(self, channel: AsyncChannel,
-                           payload: bytes) -> None:
-        await channel.send(MessageType.PONG, payload)
-
-    async def _handle_stats(self, channel: AsyncChannel,
-                            payload: bytes) -> None:
-        """The STATS op: reply with a snapshot of this endpoint's
-        registry, JSON (default) or Prometheus text (``"prom"``)."""
-        fmt = "json"
-        if payload:
-            fmt = XdrDecoder(payload).unpack_string()
-        # Rendering walks the whole registry under its lock -- a
-        # contended, O(series) operation that must not stall the accept
-        # loop, so it runs on the default executor.
-        loop = asyncio.get_running_loop()
-        if fmt == "prom":
-            text = await loop.run_in_executor(
-                None, self.metrics.render_prometheus)
-        elif fmt == "json":
-            snapshot = await loop.run_in_executor(
-                None, self.metrics.snapshot)
-            text = json.dumps(snapshot, sort_keys=True)
-        else:
-            await channel.send_error("bad-request",
-                                     f"unknown stats format {fmt!r}")
-            return
-        enc = XdrEncoder()
-        enc.pack_string(fmt)
-        enc.pack_string(text)
-        await channel.send(MessageType.STATS_REPLY, enc.getvalue())
-
-    @property
-    def connections_accepted(self) -> int:
-        """Connections accepted over this endpoint's lifetime
-        (registry-backed: ``ninf_endpoint_connections_accepted_total``)."""
-        return int(self._accepted.value())
 
     @property
     def connections_open(self) -> int:
@@ -167,92 +121,47 @@ class AsyncEndpoint:
         ``ninf_server_connections_open``)."""
         return int(self._open_gauge.value())
 
-    # -- lifecycle ----------------------------------------------------------
+    # -- the driver's I/O ---------------------------------------------------
 
-    def on_start(self) -> None:
-        """Hook: runs before the listener accepts its first connection."""
-
-    def on_stop(self) -> None:
-        """Hook: runs after the listener closes, while the loop (and the
-        accepted connections) are still alive -- in-flight completion
-        callbacks can still deliver replies."""
-
-    def start(self) -> "AsyncEndpoint":
-        """Bind, listen, and start serving on a private loop thread."""
-        with self._lock:
-            if self._running:
-                raise RuntimeError(f"{self.name} already started")
-            self._running = True
+    def _listen(self) -> tuple[str, int]:
         runner = LoopThread(name=f"{self.name}-loop")
         try:
             server, sockname = runner.run(self._open_listener())
         except BaseException:
-            # A failed bind (port in use, bad address) must not leak
-            # the loop thread or leave the endpoint claiming to run.
-            runner.stop()
-            with self._lock:
-                self._running = False
+            runner.stop()  # a failed bind must not leak the loop thread
             raise
-        pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.handler_threads,
-            thread_name_prefix=f"{self.name}-handler")
         with self._lock:
             self._runner = runner
             self._server = server
-            self._sockname = sockname
-            self._handler_pool = pool
-        # Same ordering contract as the threaded Endpoint: the listener
-        # exists, on_start() machinery (executor pool, monitors) comes
-        # up, and only then does the first accept happen.
-        self.on_start()
-        runner.run(self._begin_serving(server))
-        return self
+        return sockname
 
-    def stop(self) -> None:
-        """Shut down: close the listener, run :meth:`on_stop`, then tear
-        down connection tasks and the loop."""
+    def _accept_connections(self) -> None:
+        runner, server = self._runner, self._server
+        if runner is not None and server is not None:
+            runner.run(self._begin_serving(server))
+
+    def _close_listener(self) -> None:
         with self._lock:
-            self._running = False
-            runner = self._runner
-            self._runner = None
-            server = self._server
+            runner, server = self._runner, self._server
             self._server = None
-            self._sockname = None
-            pool = self._handler_pool
-            self._handler_pool = None
         if runner is not None and server is not None:
             try:
-                runner.run(self._close_listener(server), timeout=5.0)
+                runner.run(self._stop_listening(server), timeout=5.0)
             except (OSError, concurrent.futures.TimeoutError):
                 pass
-        # on_stop drains subclass machinery (the PE executor) while the
-        # loop still runs: queued jobs complete or abort and their
-        # replies travel the still-open connections.
-        self.on_stop()
+
+    def _close_connections(self) -> None:
+        with self._lock:
+            runner = self._runner
+            self._runner = None
         if runner is not None:
             try:
                 runner.run(self._cancel_connections(), timeout=5.0)
             except (OSError, concurrent.futures.TimeoutError):
                 pass
             runner.stop()
-        if pool is not None:
-            pool.shutdown(wait=False)
 
-    def __enter__(self) -> "AsyncEndpoint":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        with self._lock:
-            sockname = self._sockname
-        if sockname is None:
-            raise RuntimeError(f"{self.name} is not running")
-        return sockname
-
-    # -- loop-side lifecycle -------------------------------------------------
+    # -- loop side ----------------------------------------------------------
 
     async def _open_listener(self) -> tuple[asyncio.Server, tuple[str, int]]:
         server = await asyncio.get_running_loop().create_server(
@@ -266,7 +175,7 @@ class AsyncEndpoint:
             self._monitor_lag())
         await server.start_serving()
 
-    async def _close_listener(self, server: asyncio.AbstractServer) -> None:
+    async def _stop_listening(self, server: asyncio.AbstractServer) -> None:
         # close() alone: on 3.12+ wait_closed() also waits for every
         # accepted connection to finish, which would deadlock against
         # clients holding pooled connections open.
@@ -281,6 +190,12 @@ class AsyncEndpoint:
         if self._lag_task is not None:
             self._lag_task.cancel()
             self._lag_task = None
+        # Replies queued by on_stop (the executor's ServerShutdown
+        # errors) go out before their connections are cancelled.
+        writers = [conn.writer for conn in self._conn_tasks.values()
+                   if conn.writer is not None]
+        if writers:
+            await asyncio.wait(writers, timeout=2.0)
         tasks = [task for task in self._conn_tasks if not task.done()]
         for task in tasks:
             task.cancel()
@@ -301,8 +216,6 @@ class AsyncEndpoint:
             await asyncio.sleep(interval)
             self._loop_lag.observe(max(0.0, loop.time() - before - interval))
 
-    # -- accept / dispatch --------------------------------------------------
-
     def _accept(self, stream: FrameStream) -> None:
         """``connection_made`` of an accepted socket: one task serves it."""
         if not self._running:
@@ -314,17 +227,15 @@ class AsyncEndpoint:
         else:
             channel = AsyncChannel(stream)
         channel.metrics = self.metrics
+        conn = _LoopConnection(channel)
         task = asyncio.get_running_loop().create_task(
-            self._serve_connection(channel))
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
+            self._serve_connection(conn))
+        self._conn_tasks[task] = conn
+        task.add_done_callback(self._conn_tasks.pop)
 
-    async def _serve_connection(self, channel: AsyncChannel) -> None:
-        # Captured once: stop() nulls the attributes concurrently, but a
-        # connection that is already being served keeps its bridge.
-        runner = self._runner
-        pool = self._handler_pool
-        facade: Optional[FacadeChannel] = None
+    async def _serve_connection(self, conn: _LoopConnection) -> None:
+        channel = conn.channel
+        loop = asyncio.get_running_loop()
         self._open_gauge.inc()
         try:
             while True:
@@ -332,25 +243,15 @@ class AsyncEndpoint:
                     msg_type, payload = await channel.recv()
                 except ConnectionClosed:
                     return
-                handler = self._handlers.get(msg_type)
-                if handler is None:
-                    await channel.send_error(
-                        "bad-message", f"unexpected message type {msg_type}"
-                    )
-                    continue
-                try:
-                    if asyncio.iscoroutinefunction(handler):
-                        await handler(channel, payload)
-                    else:
-                        if facade is None:
-                            facade = FacadeChannel(channel, runner)
-                        await asyncio.get_running_loop().run_in_executor(
-                            pool, handler, facade, payload)
-                except XdrError as exc:
-                    await channel.send_error("bad-request", str(exc))
-        # RuntimeError: the handler pool/loop shut down mid-dispatch --
-        # the stop() race, same terminal outcome as a socket error.
-        except (ProtocolError, OSError, RuntimeError):
+                if msg_type in self._blocking:
+                    await loop.run_in_executor(
+                        None, self.dispatch, conn, msg_type, payload)
+                else:
+                    self.dispatch(conn, msg_type, payload)
+                # A peer that does not read its replies is not read from.
+                while conn.writer is not None:
+                    await conn.writer
+        except (ProtocolError, OSError):
             pass
         finally:
             self._open_gauge.dec()

@@ -1,34 +1,36 @@
 """Keep-alive :class:`AsyncChannel` reuse keyed by ``(host, port)``.
 
-The asyncio twin of :class:`~repro.transport.pool.ConnectionPool`:
-same LIFO reuse, health-checked checkout, lazy idle eviction, and
-``ninf_pool_*`` metrics, but single-loop -- all methods run on the
-owning event loop, so plain attribute mutation is already atomic
-(coroutines only interleave at ``await``, and no method awaits between
-reading and writing pool state; ninf-lint's ``await-under-lock`` rule
-is the project-wide guard against reintroducing ``threading`` locks
-here).
+:class:`AsyncConnectionPool` is :class:`~repro.transport.pool
+.ConnectionPool` with an awaited dial: idle buckets, LIFO reuse,
+health-checked checkout, lazy eviction and the ``ninf_pool_*`` metrics
+are the base class's (``healthy()``/``close()`` are synchronous on both
+channel types).  All methods run on the owning event loop, where the
+base class's lock is never contended and never held across an
+``await``.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from contextlib import asynccontextmanager
-from typing import AsyncIterator, Callable, Optional
+from typing import Any, AsyncIterator, Callable, Optional
 
-from repro.obs import MetricsRegistry, names
-from repro.transport.faults import FaultPlan
+from repro.obs import MetricsRegistry
 from repro.transport.aiochannel import AsyncChannel, aconnect, \
     aconnect_with_faults
+from repro.transport.faults import FaultPlan
+from repro.transport.pool import ConnectionPool
 
 __all__ = ["AsyncConnectionPool"]
 
 
-class AsyncConnectionPool:
+class AsyncConnectionPool(ConnectionPool):
     """Loop-affine keep-alive pool of :class:`AsyncChannel` objects.
 
     Parameter semantics match
-    :class:`~repro.transport.pool.ConnectionPool` exactly; ``connector``
+    :class:`~repro.transport.pool.ConnectionPool` exactly (there is no
+    ``shm``: the loop never blocks on ring polls); ``connector``
     is an *async* channel factory with the signature of
     :func:`~repro.transport.aiochannel.aconnect`, and ``fault_plan``
     routes every dial through
@@ -40,120 +42,37 @@ class AsyncConnectionPool:
                  max_idle_per_key: int = 8,
                  max_idle_seconds: float = 60.0,
                  connect_timeout: Optional[float] = None,
-                 connector: Optional[Callable[..., "AsyncChannel"]] = None,
+                 connector: Optional[Callable[..., Any]] = None,
                  clock: Callable[[], float] = time.monotonic,
                  fault_plan: Optional[FaultPlan] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        if max_idle_per_key < 1:
-            raise ValueError(f"max_idle_per_key must be >= 1, "
-                             f"got {max_idle_per_key}")
-        if connector is not None and fault_plan is not None:
-            raise ValueError("pass either connector or fault_plan, not both")
-        self.timeout = timeout
-        self.pooling = pool
-        self.max_idle_per_key = max_idle_per_key
-        self.max_idle_seconds = max_idle_seconds
-        self.connect_timeout = connect_timeout
-        self.fault_plan = fault_plan
-        self._connect = connector
-        self._clock = clock
-        # (host, port) -> [(channel, checkin_stamp), ...]; LIFO reuse.
-        self._idle: dict[tuple[str, int], list[tuple[AsyncChannel, float]]] = {}
-        self._closed = False
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if fault_plan is not None and fault_plan.metrics is None:
-            fault_plan.metrics = self.metrics
-        self._created = self.metrics.counter(
-            names.POOL_CONNECTIONS_CREATED, "Channels dialed by the pool")
-        self._reused = self.metrics.counter(
-            names.POOL_CONNECTIONS_REUSED,
-            "Checkouts satisfied from an idle channel")
-        self._idle_gauge = self.metrics.gauge(
-            names.POOL_IDLE_CONNECTIONS, "Idle channels currently held")
-        self._dials_refused = self.metrics.counter(
-            names.POOL_DIALS_REFUSED,
-            "Dials that failed with connection-refused")
-
-    @property
-    def created(self) -> int:
-        """Channels dialed over this pool's lifetime (registry-backed)."""
-        return int(self._created.value())
-
-    @property
-    def reused(self) -> int:
-        """Checkouts served from an idle channel (registry-backed)."""
-        return int(self._reused.value())
-
-    @property
-    def dials_refused(self) -> int:
-        """Dials refused by the peer (registry-backed)."""
-        return int(self._dials_refused.value())
-
-    def _sync_idle_gauge(self) -> None:
-        self._idle_gauge.set(
-            sum(len(bucket) for bucket in self._idle.values()))
+        super().__init__(timeout=timeout, pool=pool,
+                         max_idle_per_key=max_idle_per_key,
+                         max_idle_seconds=max_idle_seconds,
+                         connect_timeout=connect_timeout,
+                         connector=connector, clock=clock,
+                         fault_plan=fault_plan, metrics=metrics)
+        if connector is None:
+            self._connect = aconnect if fault_plan is None else \
+                functools.partial(aconnect_with_faults, fault_plan)
 
     async def _dial(self, host: str, port: int) -> AsyncChannel:
         try:
-            if self._connect is not None:
-                return await self._connect(
-                    host, port, timeout=self.timeout,
-                    connect_timeout=self.connect_timeout)
-            if self.fault_plan is not None:
-                return await aconnect_with_faults(
-                    self.fault_plan, host, port, timeout=self.timeout,
-                    connect_timeout=self.connect_timeout)
-            return await aconnect(host, port, timeout=self.timeout,
-                                  connect_timeout=self.connect_timeout)
+            return await self._connect(
+                host, port, timeout=self.timeout,
+                connect_timeout=self.connect_timeout)
         except ConnectionRefusedError:
             self._dials_refused.inc()
             raise
 
-    # -- checkout / checkin -------------------------------------------------
-
-    async def checkout(self, host: str, port: int) -> AsyncChannel:
+    async def checkout(  # type: ignore[override]
+            self, host: str, port: int) -> AsyncChannel:
         """An open channel to ``host:port`` -- reused when possible."""
-        key = (host, port)
-        if self.pooling:
-            self._evict(self._clock())
-            bucket = self._idle.get(key)
-            while bucket:
-                channel, _stamp = bucket.pop()
-                if channel.healthy():
-                    self._reused.inc()
-                    self._sync_idle_gauge()
-                    return channel
-                channel.close()
-            self._sync_idle_gauge()
-        channel = await self._dial(host, port)
-        channel.metrics = self.metrics
-        self._created.inc()
-        return channel
+        channel = self._take_idle(host, port)
+        return channel if channel is not None \
+            else self._adopt(await self._dial(host, port))
 
-    def checkin(self, channel: AsyncChannel) -> None:
-        """Return a healthy channel for reuse (closes it when pooling is
-        off, the pool is closed, the bucket is full, or the channel has
-        no dialed remote to key on)."""
-        if (not self.pooling or channel.closed or channel.remote is None):
-            channel.close()
-            return
-        now = self._clock()
-        if self._closed:
-            channel.close()
-            return
-        self._evict(now)
-        bucket = self._idle.setdefault(channel.remote, [])
-        if len(bucket) >= self.max_idle_per_key:
-            channel.close()
-            return
-        bucket.append((channel, now))
-        self._sync_idle_gauge()
-
-    def discard(self, channel: AsyncChannel) -> None:
-        """Close a channel that hit an error; never goes back in the pool."""
-        channel.close()
-
-    @asynccontextmanager
+    @asynccontextmanager  # type: ignore[override]
     async def lease(self, host: str, port: int) -> AsyncIterator[AsyncChannel]:
         """``async with pool.lease(h, p) as ch:`` -- checkin on success,
         discard on any exception (a failed exchange leaves the stream
@@ -165,47 +84,6 @@ class AsyncConnectionPool:
             self.discard(channel)
             raise
         self.checkin(channel)
-
-    # -- eviction / shutdown ------------------------------------------------
-
-    def _evict(self, now: float) -> None:
-        if self.max_idle_seconds is None:
-            return
-        horizon = now - self.max_idle_seconds
-        for key, bucket in list(self._idle.items()):
-            keep = []
-            for channel, stamp in bucket:
-                if stamp < horizon or channel.closed:
-                    channel.close()
-                else:
-                    keep.append((channel, stamp))
-            if keep:
-                self._idle[key] = keep
-            else:
-                del self._idle[key]
-
-    def evict_idle(self) -> None:
-        """Synchronously drop idle channels past ``max_idle_seconds``."""
-        self._evict(self._clock())
-        self._sync_idle_gauge()
-
-    def idle_count(self, host: Optional[str] = None,
-                   port: Optional[int] = None) -> int:
-        """Idle channels held for one key, or for the whole pool."""
-        if host is not None and port is not None:
-            return len(self._idle.get((host, port), ()))
-        return sum(len(bucket) for bucket in self._idle.values())
-
-    def close(self) -> None:
-        """Close every idle channel; the pool stays usable as a factory
-        (subsequent checkins are closed rather than retained)."""
-        self._closed = True
-        buckets = list(self._idle.values())
-        self._idle.clear()
-        self._sync_idle_gauge()
-        for bucket in buckets:
-            for channel, _stamp in bucket:
-                channel.close()
 
     async def __aenter__(self) -> "AsyncConnectionPool":
         return self

@@ -1,12 +1,19 @@
-"""Shared TCP accept-loop + message-dispatch base for Ninf processes.
+"""The request/reply endpoint: one core, and its thread-per-connection driver.
 
-Both the computational server (:class:`repro.server.NinfServer`) and
-the metaserver (:class:`repro.metaserver.Metaserver`) are one listening
-socket, one accept thread, one handler thread per connection, and one
-``MessageType -> handler`` dispatch table.  :class:`Endpoint` is that
-skeleton, written once: subclasses register handlers and override the
-:meth:`on_start`/:meth:`on_stop` hooks for their extra machinery
-(executor pool, monitor thread).
+Both the computational servers (:class:`repro.server.NinfServer`,
+:class:`repro.server.AsyncNinfServer`) and the metaserver
+(:class:`repro.metaserver.Metaserver`) are one listening socket and one
+``MessageType -> handler`` dispatch table.  :class:`EndpointCore` is
+everything about that which does not touch a socket -- constructor
+state, the registry, :meth:`~EndpointCore.dispatch` and its error
+contract, the PING and STATS handlers, the lifecycle order -- written
+once.  Its two drivers keep only their I/O: :class:`Endpoint` here
+(accept thread, thread per connection) and
+:class:`~repro.transport.aioendpoint.AsyncEndpoint` (event loop, task
+per connection).
+
+The handler contract is the same on both (DESIGN.md §3.6): plain
+functions that never block and answer through a :class:`Connection`.
 """
 
 from __future__ import annotations
@@ -15,24 +22,60 @@ import json
 import socket
 import threading
 import time
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING, TypeVar
 
 from repro.obs import MetricsRegistry, names
 from repro.protocol.errors import ConnectionClosed, ProtocolError
-from repro.protocol.messages import MessageType
+from repro.protocol.framing import BytesLike
+from repro.protocol.messages import ErrorReply, MessageType
 from repro.transport.channel import Channel
 from repro.xdr import XdrDecoder, XdrEncoder, XdrError
 
 if TYPE_CHECKING:  # annotation only -- faults wiring happens per-socket
     from repro.transport.faults import FaultPlan
 
-__all__ = ["Endpoint"]
-
-Handler = Callable[[Channel, bytes], None]
+__all__ = ["Connection", "Endpoint", "EndpointCore"]
 
 
-class Endpoint:
-    """A threaded TCP request/reply endpoint with a handler registry.
+class Connection:
+    """What a handler sees of one accepted connection: best-effort
+    replies, callable from any thread (executor completion callbacks
+    included).  A reply that fails to send closes the connection and
+    raises nowhere."""
+
+    def send(self, msg_type: int, payload: BytesLike = b"") -> None:
+        """Write one reply frame."""
+        raise NotImplementedError
+
+    def send_error(self, code: str, message: str) -> None:
+        """Reply with a well-formed ``ErrorReply`` frame."""
+        enc = XdrEncoder()
+        ErrorReply(code=code, message=message).encode(enc)
+        self.send(MessageType.ERROR, enc.getvalue())
+
+
+class _ThreadConnection(Connection):
+    """A connection served by its own thread: ``send`` writes in place."""
+
+    def __init__(self, channel: Channel) -> None:
+        self.channel = channel
+
+    def send(self, msg_type: int, payload: BytesLike = b"") -> None:
+        try:
+            self.channel.send(msg_type, payload)
+        except (ProtocolError, OSError):
+            # The connection's own thread reads EOF and closes it.
+            self.channel.shutdown()
+
+
+#: ``handler(conn, payload)``; ``conn`` is the serving driver's
+#: :class:`Connection` (or any object with ``send``/``send_error``).
+Handler = Callable[..., None]
+_E = TypeVar("_E", bound="EndpointCore")
+
+
+class EndpointCore:
+    """Handler registry, dispatch and lifecycle shared by both drivers.
 
     Parameters
     ----------
@@ -55,80 +98,87 @@ class Endpoint:
         fresh one).  Every accepted channel records its framed I/O
         here, and the pre-registered ``STATS`` op exposes a snapshot of
         it remotely (see OBSERVABILITY.md).
-    shm:
-        Whether to honour ``SHM_HELLO`` upgrade requests from same-host
-        clients (PROTOCOL.md §"Shared-memory handshake").  ``None``
-        (default) defers to the ``NINF_SHM`` environment opt-out;
-        ``True``/``False`` force it.  Refused handshakes get a
-        well-formed ``ErrorReply`` (the client keeps TCP) and count in
-        ``ninf_shm_fallbacks_total``; upgrades count in
-        ``ninf_shm_upgrades_total``.
 
-    Every accepted connection is wrapped in a :class:`Channel` (which
-    sets ``TCP_NODELAY``) and served by a daemon thread: frames are
-    read in a loop and routed through the dispatch table.  An unknown
-    ``MessageType`` gets a well-formed ``ErrorReply`` and the
-    connection stays open; a malformed payload (``XdrError`` escaping a
-    handler) gets ``bad-request``.  ``PING -> PONG``,
-    ``STATS -> STATS_REPLY``, and ``SHM_HELLO -> SHM_HELLO_REPLY`` are
-    pre-registered.
+    An unknown ``MessageType`` gets a well-formed ``ErrorReply``
+    (``bad-message``) and the connection stays open; a malformed payload
+    (``XdrError`` escaping a handler) gets ``bad-request``.
+    ``PING -> PONG`` and ``STATS -> STATS_REPLY`` are pre-registered.
+
+    A driver supplies the four I/O steps at the end of this class;
+    :meth:`start`/:meth:`stop` run them around the :meth:`on_start`/
+    :meth:`on_stop` hooks in the one order subclasses rely on.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  name: str = "endpoint",
                  fault_plan: Optional["FaultPlan"] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 backlog: int = 512, shm: Optional[bool] = None) -> None:
+                 backlog: int = 512) -> None:
         self.name = name
         self.fault_plan = fault_plan
         self.backlog = backlog
-        self.shm = shm
         self._bind_host = host
         self._bind_port = port
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
         self._running = False
-        # Guards the lifecycle state above: start()/stop() may be called
-        # from any thread, and the old check-then-act on _running let two
-        # concurrent start() calls both pass the "already started" check.
-        # Loop threads still read _running unlocked by design (a stale
-        # True costs one extra accept() wakeup, nothing more).
+        self._address: Optional[tuple[str, int]] = None
+        # Guards the lifecycle state: start()/stop() may be called from
+        # any thread, and an unlocked check-then-act on _running lets
+        # two concurrent start() calls both bind.  Serving code still
+        # reads _running unlocked by design (a stale True costs one
+        # extra accept, nothing more).
         self._lock = threading.Lock()
-        # Live connection threads, for stop().  GUARDED_BY(_lock).
-        self._connections: dict[threading.Thread, Channel] = {}
         self._handlers: dict[int, Handler] = {}
-        # Server-side observability: the connection-reuse acceptance
-        # metric of the LAN benchmarks (pooled clients keep this at 1);
-        # registry-backed, see the connections_accepted property.
+        # Message types whose handler may block (see
+        # register_blocking_handler); only the loop driver consults it.
+        self._blocking: set[int] = set()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if fault_plan is not None and fault_plan.metrics is None:
             fault_plan.metrics = self.metrics
+        # The connection-reuse acceptance metric of the LAN benchmarks
+        # (pooled clients keep this at 1).
         self._accepted = self.metrics.counter(
             names.ENDPOINT_CONNECTIONS_ACCEPTED,
             "TCP connections accepted by this endpoint")
-        self._shm_upgrades = self.metrics.counter(
-            names.SHM_UPGRADES,
-            "Connections upgraded to the shared-memory transport")
-        self._shm_fallbacks = self.metrics.counter(
-            names.SHM_FALLBACKS,
-            "SHM_HELLO requests refused (client stays on TCP)",
-            labelnames=("reason",))
         self.register_handler(MessageType.PING, self._handle_ping)
-        self.register_handler(MessageType.STATS, self._handle_stats)
-        self.register_handler(MessageType.SHM_HELLO, self._handle_shm_hello)
+        self.register_blocking_handler(MessageType.STATS, self._handle_stats)
 
     # -- handler registry ---------------------------------------------------
 
     def register_handler(self, msg_type: int, handler: Handler) -> None:
-        """Route frames of ``msg_type`` to ``handler(channel, payload)``."""
+        """Route frames of ``msg_type`` to ``handler(conn, payload)``,
+        run in the connection's own context: it must not block."""
         self._handlers[int(msg_type)] = handler
+        self._blocking.discard(int(msg_type))
 
-    def _handle_ping(self, channel: Channel, payload: bytes) -> None:
-        channel.send(MessageType.PONG, payload)
+    def register_blocking_handler(self, msg_type: int,
+                                  handler: Handler) -> None:
+        """:meth:`register_handler` for a handler that may block: the
+        loop driver runs it on the default executor instead of the loop
+        (a connection thread runs it in place either way)."""
+        self.register_handler(msg_type, handler)
+        self._blocking.add(int(msg_type))
 
-    def _handle_stats(self, channel: Channel, payload: bytes) -> None:
+    def dispatch(self, conn: Connection, msg_type: int,
+                 payload: bytes) -> None:
+        """Route one received frame to its handler."""
+        handler = self._handlers.get(msg_type)
+        if handler is None:
+            conn.send_error("bad-message",
+                            f"unexpected message type {msg_type}")
+            return
+        try:
+            handler(conn, payload)
+        except XdrError as exc:
+            conn.send_error("bad-request", str(exc))
+
+    def _handle_ping(self, conn: Connection, payload: bytes) -> None:
+        conn.send(MessageType.PONG, payload)
+
+    def _handle_stats(self, conn: Connection, payload: bytes) -> None:
         """The STATS op: reply with a snapshot of this endpoint's
-        registry, JSON (default) or Prometheus text (``"prom"``)."""
+        registry, JSON (default) or Prometheus text (``"prom"``).
+        Rendering walks the whole registry under its lock -- contended
+        and O(series) -- hence registered as blocking."""
         fmt = "json"
         if payload:
             fmt = XdrDecoder(payload).unpack_string()
@@ -137,63 +187,12 @@ class Endpoint:
         elif fmt == "json":
             text = json.dumps(self.metrics.snapshot(), sort_keys=True)
         else:
-            channel.send_error("bad-request",
-                               f"unknown stats format {fmt!r}")
+            conn.send_error("bad-request", f"unknown stats format {fmt!r}")
             return
         enc = XdrEncoder()
         enc.pack_string(fmt)
         enc.pack_string(text)
-        channel.send(MessageType.STATS_REPLY, enc.getvalue())
-
-    def _handle_shm_hello(self, channel: Channel, payload: bytes) -> None:
-        """The server half of the shm handshake: create a ring pair,
-        advertise it over TCP, then reroute this connection's frames
-        onto the rings.  Refusals are ordinary ``ErrorReply`` frames --
-        the client falls back to TCP without redialing."""
-        from repro.transport import shm as shm_mod
-
-        if not shm_mod.shm_enabled(self.shm):
-            self._shm_fallbacks.inc(reason="disabled")
-            channel.send_error("shm-disabled",
-                               "shared-memory transport is disabled here")
-            return
-        if channel.via_shm:
-            self._shm_fallbacks.inc(reason="already-upgraded")
-            channel.send_error("bad-request",
-                               "connection already upgraded to shm")
-            return
-        hint = shm_mod.DEFAULT_CAPACITY
-        if payload:
-            hint = XdrDecoder(payload).unpack_uint()
-        # Clamp the client's hint: tiny rings would deadlock-prone-poll,
-        # huge ones would exhaust /dev/shm (often small in containers).
-        capacity = max(1 << 12, min(hint or shm_mod.DEFAULT_CAPACITY,
-                                    1 << 24))
-        try:
-            c2s = shm_mod.ShmRing.create(capacity)
-        except OSError as exc:
-            self._shm_fallbacks.inc(reason="alloc-failed")
-            channel.send_error("shm-unavailable",
-                               f"cannot allocate shm ring: {exc}")
-            return
-        try:
-            s2c = shm_mod.ShmRing.create(capacity)
-        except OSError as exc:
-            c2s.close()
-            self._shm_fallbacks.inc(reason="alloc-failed")
-            channel.send_error("shm-unavailable",
-                               f"cannot allocate shm ring: {exc}")
-            return
-        enc = XdrEncoder()
-        enc.pack_string(c2s.name)
-        enc.pack_string(s2c.name)
-        enc.pack_uint(capacity)
-        # Reply over TCP first, then attach: the next frame the client
-        # sends after reading the reply already arrives via the ring.
-        channel.send(MessageType.SHM_HELLO_REPLY, enc.getvalue())
-        channel.attach_io(
-            shm_mod.ShmTransport(send_ring=s2c, recv_ring=c2s))
-        self._shm_upgrades.inc()
+        conn.send(MessageType.STATS_REPLY, enc.getvalue())
 
     @property
     def connections_accepted(self) -> int:
@@ -207,10 +206,12 @@ class Endpoint:
         """Hook: runs before the listener accepts its first connection."""
 
     def on_stop(self) -> None:
-        """Hook: runs after the listener closes, before thread joins."""
+        """Hook: runs after the listener closes, while the accepted
+        connections are still open -- completion callbacks fired from
+        here still deliver their replies."""
 
-    def start(self) -> "Endpoint":
-        """Bind, listen, and start the accept loop."""
+    def start(self: _E) -> _E:
+        """Bind and listen, run :meth:`on_start`, then start accepting."""
         # Atomic check-and-set: two racing start() calls must not both
         # pass the "already started" gate and bind two listeners.
         with self._lock:
@@ -221,40 +222,182 @@ class Endpoint:
             # monitor), and a thread scheduled immediately would
             # otherwise see False and exit before the first poll.
             self._running = True
+        try:
+            address = self._listen()
+        except BaseException:
+            # A failed bind/listen (port in use, bad address) must not
+            # leave the endpoint claiming to run.
+            with self._lock:
+                self._running = False
+            raise
+        with self._lock:
+            self._address = address
+        self.on_start()
+        self._accept_connections()
+        return self
+
+    def stop(self) -> None:
+        """Close the listener, run :meth:`on_stop`, then end the
+        accepted connections."""
+        with self._lock:
+            self._running = False
+            self._address = None
+        self._close_listener()
+        self.on_stop()
+        self._close_connections()
+
+    def __enter__(self: _E) -> _E:
+        return self.start()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.stop()
+
+    @property
+    def address(self) -> tuple[str, int]:
+        address = self._address
+        if address is None:
+            raise RuntimeError(f"{self.name} is not running")
+        return address
+
+    # -- the driver's I/O ---------------------------------------------------
+
+    def _listen(self) -> tuple[str, int]:
+        """Bind and listen without accepting; returns the bound address
+        (and leaks nothing when it raises)."""
+        raise NotImplementedError
+
+    def _accept_connections(self) -> None:
+        raise NotImplementedError
+
+    def _close_listener(self) -> None:
+        raise NotImplementedError
+
+    def _close_connections(self) -> None:
+        raise NotImplementedError
+
+
+class Endpoint(EndpointCore):
+    """The threaded driver: an accept thread and one daemon thread per
+    connection, each reading frames in a loop and dispatching them.
+
+    Parameters are :class:`EndpointCore`'s, plus:
+
+    shm:
+        Whether to honour ``SHM_HELLO`` upgrade requests from same-host
+        clients (PROTOCOL.md §"Shared-memory handshake").  ``None``
+        (default) defers to the ``NINF_SHM`` environment opt-out;
+        ``True``/``False`` force it.  Refused handshakes get a
+        well-formed ``ErrorReply`` (the client keeps TCP) and count in
+        ``ninf_shm_fallbacks_total``; upgrades count in
+        ``ninf_shm_upgrades_total``.
+
+    Every accepted connection is wrapped in a :class:`Channel` (which
+    sets ``TCP_NODELAY``); ``SHM_HELLO -> SHM_HELLO_REPLY`` is
+    pre-registered next to the core's PING and STATS.
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0,
+                 name: str = "endpoint",
+                 fault_plan: Optional["FaultPlan"] = None,
+                 metrics: Optional[MetricsRegistry] = None,
+                 backlog: int = 512, shm: Optional[bool] = None) -> None:
+        super().__init__(host=host, port=port, name=name,
+                         fault_plan=fault_plan, metrics=metrics,
+                         backlog=backlog)
+        self.shm = shm
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
+        # Live connection threads, for stop().  GUARDED_BY(_lock).
+        self._connections: dict[threading.Thread, Channel] = {}
+        self._shm_upgrades = self.metrics.counter(
+            names.SHM_UPGRADES,
+            "Connections upgraded to the shared-memory transport")
+        self._shm_fallbacks = self.metrics.counter(
+            names.SHM_FALLBACKS,
+            "SHM_HELLO requests refused (client stays on TCP)",
+            labelnames=("reason",))
+        self.register_handler(MessageType.SHM_HELLO, self._handle_shm_hello)
+
+    def _handle_shm_hello(self, conn: _ThreadConnection,
+                          payload: bytes) -> None:
+        """The server half of the shm handshake: create a ring pair,
+        advertise it over TCP, then reroute this connection's frames
+        onto the rings.  Refusals are ordinary ``ErrorReply`` frames --
+        the client falls back to TCP without redialing."""
+        from repro.transport import shm as shm_mod
+
+        channel = conn.channel
+        if not shm_mod.shm_enabled(self.shm):
+            self._shm_fallbacks.inc(reason="disabled")
+            conn.send_error("shm-disabled",
+                            "shared-memory transport is disabled here")
+            return
+        if channel.via_shm:
+            self._shm_fallbacks.inc(reason="already-upgraded")
+            conn.send_error("bad-request",
+                            "connection already upgraded to shm")
+            return
+        hint = shm_mod.DEFAULT_CAPACITY
+        if payload:
+            hint = XdrDecoder(payload).unpack_uint()
+        # Clamp the client's hint: tiny rings would deadlock-prone-poll,
+        # huge ones would exhaust /dev/shm (often small in containers).
+        capacity = max(1 << 12, min(hint or shm_mod.DEFAULT_CAPACITY,
+                                    1 << 24))
+        rings: list[shm_mod.ShmRing] = []
+        try:
+            for _ in ("client->server", "server->client"):
+                rings.append(shm_mod.ShmRing.create(capacity))
+        except OSError as exc:
+            for ring in rings:
+                ring.close()
+            self._shm_fallbacks.inc(reason="alloc-failed")
+            conn.send_error("shm-unavailable",
+                            f"cannot allocate shm ring: {exc}")
+            return
+        c2s, s2c = rings
+        enc = XdrEncoder()
+        enc.pack_string(c2s.name)
+        enc.pack_string(s2c.name)
+        enc.pack_uint(capacity)
+        # Reply over TCP first, then attach: the next frame the client
+        # sends after reading the reply already arrives via the ring.
+        # On the channel itself: a failed advertisement must raise and
+        # end the connection before anything is attached.
+        channel.send(MessageType.SHM_HELLO_REPLY, enc.getvalue())
+        channel.attach_io(
+            shm_mod.ShmTransport(send_ring=s2c, recv_ring=c2s))
+        self._shm_upgrades.inc()
+
+    # -- the driver's I/O ---------------------------------------------------
+
+    def _listen(self) -> tuple[str, int]:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind((self._bind_host, self._bind_port))
             listener.listen(self.backlog)
         except BaseException:
-            # A failed bind/listen (port in use, bad address) must not
-            # leak the fd or leave the endpoint claiming to run.
             listener.close()
-            with self._lock:
-                self._running = False
             raise
         with self._lock:
             self._listener = listener
-        self.on_start()
-        thread = threading.Thread(
-            target=self._accept_loop, args=(listener,),
-            name=f"{self.name}-accept", daemon=True,
-        )
-        with self._lock:
-            self._accept_thread = thread
-        thread.start()
-        return self
+        return listener.getsockname()[:2]
 
-    def stop(self) -> None:
-        """Shut down: close the listener, run :meth:`on_stop`, then end
-        and join the connection threads (bounded wait), so a connection's
-        socket and shm rings are released by its own thread first."""
+    def _accept_connections(self) -> None:
         with self._lock:
-            self._running = False
+            listener = self._listener
+            if listener is None:
+                return  # stop() won the race
+            thread = self._accept_thread = threading.Thread(
+                target=self._accept_loop, args=(listener,),
+                name=f"{self.name}-accept", daemon=True)
+        thread.start()
+
+    def _close_listener(self) -> None:
+        with self._lock:
             listener = self._listener
             self._listener = None
-            thread = self._accept_thread
-            self._accept_thread = None
         if listener is not None:
             # shutdown() (not just close()) is required to wake a thread
             # blocked in accept(); close() alone leaves it accepting on
@@ -268,7 +411,14 @@ class Endpoint:
                 listener.close()
             except OSError:
                 pass
-        self.on_stop()
+
+    def _close_connections(self) -> None:
+        """End and join the connection threads (bounded wait), so a
+        connection's socket and shm rings are released by its own
+        thread first."""
+        with self._lock:
+            thread = self._accept_thread
+            self._accept_thread = None
         if thread is not None:
             thread.join(timeout=5.0)
         # After the accept thread: no new connection can register now.
@@ -281,34 +431,19 @@ class Endpoint:
             if conn_thread is not threading.current_thread():
                 conn_thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
-    def __enter__(self) -> "Endpoint":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._listener is None:
-            raise RuntimeError(f"{self.name} is not running")
-        return self._listener.getsockname()[:2]
-
-    # -- accept / dispatch --------------------------------------------------
-
     def _accept_loop(self, listener: socket.socket) -> None:
         # The listener arrives as an argument: stop() nulls
-        # self._listener concurrently, and reading the attribute here
-        # forced an AttributeError catch to paper over that race.
+        # self._listener concurrently.
         while self._running:
             try:
-                conn, _peer = listener.accept()
+                sock, _peer = listener.accept()
             except OSError:
                 return  # listener closed
             if not self._running:
-                conn.close()
+                sock.close()
                 return
             self._accepted.inc()
-            channel = Channel(conn)
+            channel = Channel(sock)
             if self.fault_plan is not None:
                 channel = self.fault_plan.wrap(channel)
             channel.metrics = self.metrics
@@ -321,22 +456,14 @@ class Endpoint:
             conn_thread.start()
 
     def _serve_connection(self, channel: Channel) -> None:
+        conn = _ThreadConnection(channel)
         try:
             while True:
                 try:
                     msg_type, payload = channel.recv()
                 except ConnectionClosed:
                     return
-                handler = self._handlers.get(msg_type)
-                if handler is None:
-                    channel.send_error(
-                        "bad-message", f"unexpected message type {msg_type}"
-                    )
-                    continue
-                try:
-                    handler(channel, payload)
-                except XdrError as exc:
-                    channel.send_error("bad-request", str(exc))
+                self.dispatch(conn, msg_type, payload)
         except (ProtocolError, OSError):
             pass
         finally:

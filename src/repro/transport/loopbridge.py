@@ -1,23 +1,14 @@
-"""Sync-facade plumbing: drive an event loop from blocking code.
+"""Drive an event loop from blocking code.
 
-:class:`~repro.transport.aioendpoint.AsyncEndpoint` runs plain-function
-handlers in executor threads while their connection lives on its event
-loop.  Two pieces make that work:
-
-- :class:`LoopThread` -- one daemon thread running one event loop
-  forever; blocking callers submit coroutines to it and wait.  The
-  loop-ownership rule (DESIGN.md §3.6): the loop thread never blocks,
-  and no coroutine is ever awaited from two loops.
-- :class:`FacadeChannel` -- the synchronous
-  :class:`~repro.transport.channel.Channel` surface over an
-  :class:`~repro.transport.aiochannel.AsyncChannel` living on a
-  :class:`LoopThread`; a dead or closing loop surfaces as
-  :class:`OSError`, which every caller already treats as a burned
-  connection.
+:class:`LoopThread` is one daemon thread running one event loop
+forever; blocking callers submit coroutines to it and wait.  The
+loop-ownership rule (DESIGN.md §3.6): the loop thread never blocks, and
+no coroutine is ever awaited from two loops.
 
 Each :class:`~repro.transport.aioendpoint.AsyncEndpoint` owns a private
-:class:`LoopThread`, so servers remain isolated and stoppable; clients
-never come through here (DESIGN.md §3.6).
+:class:`LoopThread` for its synchronous ``start()``/``stop()``, so
+servers remain isolated and stoppable; nothing on a request's path
+waits on one, and clients never come through here.
 """
 
 from __future__ import annotations
@@ -25,15 +16,9 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
-from typing import Any, Coroutine, Optional, TYPE_CHECKING, Union
+from typing import Any, Coroutine, Optional
 
-from repro.transport.channel import _DEFAULT, _Unset
-
-if TYPE_CHECKING:  # annotations only -- aiochannel is imported lazily
-    from repro.protocol.framing import BytesLike
-    from repro.transport.aiochannel import AsyncChannel
-
-__all__ = ["FacadeChannel", "LoopThread"]
+__all__ = ["LoopThread"]
 
 
 class LoopThread:
@@ -90,68 +75,3 @@ class LoopThread:
             except RuntimeError:
                 pass
             self._thread.join(timeout=5.0)
-
-
-class FacadeChannel:
-    """The sync :class:`Channel` surface over an ``AsyncChannel``.
-
-    Every operation submits the matching coroutine to the owning
-    :class:`LoopThread` and blocks on it; per-operation deadlines are
-    enforced by the coroutine itself (whole-frame semantics), so
-    expiry raises the same :class:`repro.protocol.errors.TimeoutError`
-    the sync channel raises.  ``close`` flips the facade's flag
-    immediately and schedules the transport teardown on the loop.
-    """
-
-    def __init__(self, channel: AsyncChannel, runner: LoopThread) -> None:
-        self._channel = channel
-        self._runner = runner
-        self._facade_closed = False
-
-    # -- lifecycle ----------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self._facade_closed or self._channel.closed
-
-    def close(self) -> None:
-        """Close (idempotent, non-blocking, callable from any thread)."""
-        if self._facade_closed:
-            return
-        self._facade_closed = True
-        try:
-            self._runner.loop.call_soon_threadsafe(self._channel.close)
-        except RuntimeError:
-            # Loop already gone: the transport dies with it; just make
-            # sure the channel agrees it is unusable.
-            self._channel._closed = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self.closed else "open"
-        return f"<FacadeChannel {self._channel.remote or ''} {state}>"
-
-    # -- framed I/O ---------------------------------------------------------
-
-    def send(self, msg_type: int, payload: BytesLike = b"",
-             timeout: Union[None, float, _Unset] = _DEFAULT) -> None:
-        """Write one frame (blocking facade of ``AsyncChannel.send``)."""
-        self._runner.run(
-            self._channel.send(msg_type, payload, timeout=timeout))
-
-    def recv(self, timeout: Union[None, float, _Unset] = _DEFAULT
-             ) -> tuple[int, bytearray]:
-        """Read one frame as ``(msg_type, payload)``."""
-        return self._runner.run(self._channel.recv(timeout=timeout))
-
-    def request(self, msg_type: int, payload: BytesLike = b"",
-                expect: Optional[int] = None,
-                timeout: Union[None, float, _Unset] = _DEFAULT
-                ) -> tuple[int, bytearray]:
-        """One send + one recv with the sync channel's reply decoding."""
-        return self._runner.run(
-            self._channel.request(msg_type, payload, expect=expect,
-                                  timeout=timeout))
-
-    def send_error(self, code: str, message: str) -> None:
-        """Reply with a well-formed ``ErrorReply`` frame (server side)."""
-        self._runner.run(self._channel.send_error(code, message))

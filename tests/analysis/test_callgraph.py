@@ -147,14 +147,25 @@ def src_graph():
 
 
 def test_ninf_rpc_services_mixin_resolves_both_hosts(src_graph):
-    """``NinfRpcServices._init_services`` registers handlers on
-    whatever endpoint it is mixed into: both the sync and async
-    ``register_handler`` must appear as edges."""
+    """``NinfRpcServices.__init__`` registers handlers on whatever
+    endpoint driver it is mixed into: ``register_handler`` lives once,
+    on the core both drivers extend, and must appear as an edge -- and
+    the handler-map resolves the references it was given."""
     targets = _edges(src_graph,
-                     "repro.server.services.NinfRpcServices._init_services")
-    assert "repro.transport.endpoint.Endpoint.register_handler" in targets
-    assert ("repro.transport.aioendpoint.AsyncEndpoint.register_handler"
+                     "repro.server.services.NinfRpcServices.__init__")
+    assert ("repro.transport.endpoint.EndpointCore.register_handler"
             in targets)
+    for driver in ("repro.transport.endpoint.Endpoint",
+                   "repro.transport.aioendpoint.AsyncEndpoint"):
+        assert "repro.transport.endpoint.EndpointCore" \
+            in src_graph.mro(driver)
+    registered = {handler: registration.blocking
+                  for registration in src_graph.handler_registrations()
+                  for handler in registration.handlers}
+    assert registered[
+        "repro.server.services.NinfRpcServices._handle_call"] is False
+    assert registered[
+        "repro.transport.endpoint.EndpointCore._handle_stats"] is True
 
 
 def test_src_graph_carries_no_silent_failures(src_graph):
@@ -245,6 +256,43 @@ def test_sleep_planted_in_the_client_core_fails_lint(
     assert "time.sleep" in out
     assert "reachable from loop-stepped generator" in out
     assert "-> _note_fault" in out
+
+
+def test_sleep_planted_in_an_endpoint_handler_fails_lint(
+        tmp_path, monkeypatch, capsys):
+    """Handlers run on the event loop of the asyncio driver, so every
+    function in an endpoint's ``register_handler`` map is a root like
+    an ``async def`` -- except one registered as blocking."""
+    root = _copy_sources(tmp_path, monkeypatch, "server/services.py",
+                         "transport/endpoint.py")
+    rule = ["--rules", "async-blocking-reachability"]
+    assert main([str(root), *rule]) == 0
+
+    def plant(relative, needle):
+        path = root / relative
+        source = path.read_text(encoding="utf-8")
+        assert needle in source
+        path.write_text(source.replace(
+            needle, needle + "\n        time.sleep(0.001)"),
+            encoding="utf-8")
+        return path, source
+
+    # STATS is registered with register_blocking_handler: still clean.
+    _path, _source = plant(
+        "transport/endpoint.py",
+        "    def _handle_stats(self, conn: Connection, payload: bytes)"
+        " -> None:")
+    assert main([str(root), *rule]) == 0
+
+    plant("server/services.py",
+          "    def _handle_load_query(self, conn: Connection, payload: bytes)"
+          " -> None:")
+    assert main([str(root), *rule]) == 1
+    out = capsys.readouterr().out
+    assert "time.sleep" in out
+    assert ("endpoint handler (register_handler map of "
+            "NinfRpcServices.__init__()) "
+            "NinfRpcServices._handle_load_query()") in out
 
 
 def test_reply_bound_through_yield_from_is_checked_against_its_encoder(

@@ -2,19 +2,30 @@
 budgets, CANCEL, and logical-id dedup (DESIGN.md §3.5), exercised
 against both the threaded and the asyncio server (§3.6)."""
 
+import logging
 import threading
+import time
+from contextlib import ExitStack
 
 import pytest
 
 from repro.client import NinfClient
+from repro.client.core import _CallPayload
 from repro.idl import Signature
 from repro.protocol import RemoteError, ServerBusy
 from repro.protocol import TimeoutError as ProtocolTimeoutError
 from repro.protocol.marshal import marshal_inputs
-from repro.protocol.messages import CallHeader, MessageType
-from repro.server import Registry
+from repro.protocol.messages import (
+    BusyReply,
+    CallHeader,
+    ErrorReply,
+    MessageType,
+)
+from repro.server import AsyncNinfServer, Registry
 from repro.transport import RetryPolicy, connect, is_transient
+from repro.xdr import XdrDecoder
 from tests.rpc.conftest import NativeClientDriver
+from tests.rpc.test_async_close import wait_until
 
 SLEEP_IDL = 'Define sleeper(mode_in double seconds) "waits on an event";'
 BUMP_IDL = 'Define bump(mode_in int n) "records the call";'
@@ -212,3 +223,135 @@ def test_distinct_logical_ids_execute_independently(env, server_cls):
             channel.close()
         assert env.bumps == [41, 41]
         assert server.dedup.hits == 0
+
+
+# ------------------------------------------- duplicates never hold a thread
+
+DUPLICATES = 40
+
+
+def _dial_duplicates(host, port, stack):
+    """``DUPLICATES`` connections the server is already serving."""
+    channels = [stack.enter_context(connect(host, port, timeout=10.0))
+                for _ in range(DUPLICATES)]
+    for channel in channels:
+        channel.request(MessageType.PING, expect=MessageType.PONG)
+    return channels
+
+
+def test_duplicate_attempts_do_not_starve_the_server(env, server_cls):
+    """While one call runs, 40 more attempts of the same logical call
+    park on its dedup entry: none holds a thread, other connections are
+    answered at once, and all 41 get the one execution's RESULT."""
+    payload = bytes(_CallPayload(
+        "sleeper", Signature.from_idl(SLEEP_IDL), 7,
+        (1.0,)).stamp(None, time.monotonic))
+    with server_cls(env.registry, num_pes=1) as server, ExitStack() as stack:
+        host, port = server.address
+        owner = stack.enter_context(connect(host, port, timeout=10.0))
+        duplicates = _dial_duplicates(host, port, stack)
+        owner.send(MessageType.CALL, payload)
+        assert env.started.wait(2.0)
+        threads = threading.active_count()
+        for channel in duplicates:
+            channel.send(MessageType.CALL, payload)
+        wait_until(lambda: server.dedup.hits == DUPLICATES)
+        assert threading.active_count() == threads
+        with connect(host, port, timeout=5.0) as probe:
+            start = time.perf_counter()
+            probe.request(MessageType.LOAD_QUERY,
+                          expect=MessageType.LOAD_REPLY)
+            probe.request(MessageType.HELLO, expect=MessageType.HELLO_REPLY)
+            assert time.perf_counter() - start < 0.1
+        env.release.set()
+        replies = [channel.recv() for channel in [owner, *duplicates]]
+        assert server.dedup.hits == DUPLICATES
+        assert server.executor.completed == 1
+    assert replies == [replies[0]] * (DUPLICATES + 1)
+    reply_type, reply = replies[0]
+    assert reply_type == MessageType.RESULT
+    assert XdrDecoder(reply).unpack_uhyper() == 7
+
+
+def test_a_duplicate_takes_over_when_the_owner_is_shed(env, server_cls):
+    """The owning attempt expires in the queue (BUSY): exactly one of
+    the attempts parked behind it executes, and the rest get its
+    RESULT."""
+    call = _CallPayload("bump", Signature.from_idl(BUMP_IDL), 9, (41,))
+    with server_cls(env.registry, num_pes=1) as server, ExitStack() as stack:
+        host, port = server.address
+        client = stack.enter_context(NinfClient(host, port))
+        parked = occupy(env, client)  # the only PE: the owner must queue
+        owner = stack.enter_context(connect(host, port, timeout=10.0))
+        duplicates = _dial_duplicates(host, port, stack)
+        owner.send(MessageType.CALL, bytes(
+            call.stamp(time.monotonic() + 0.5, time.monotonic)))
+        assert wait_until(lambda: server.executor.queued == 1)
+        unbounded = bytes(call.stamp(None, time.monotonic))
+        for channel in duplicates:
+            channel.send(MessageType.CALL, unbounded)
+        reply_type, reply = owner.recv()
+        assert reply_type == MessageType.BUSY
+        assert BusyReply.decode(XdrDecoder(reply)).reason == "deadline-expired"
+        env.release.set()
+        replies = [channel.recv() for channel in duplicates]
+        client.fetch_detached(parked, timeout=5.0)
+        assert server.executor.expired == 1
+    assert replies[0][0] == MessageType.RESULT
+    assert replies == [replies[0]] * DUPLICATES
+    assert env.bumps == [41]
+
+
+# ------------------------------------------------- replies are best-effort
+
+
+def test_reply_to_a_peer_that_has_gone_raises_nowhere(env, server_cls,
+                                                      monkeypatch, caplog):
+    """The client hangs up mid-call: the PE's reply finds the connection
+    closed, the call still counts, and no thread or task dies of it."""
+    died = []
+    monkeypatch.setattr(threading, "excepthook", died.append)
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    with server_cls(env.registry, num_pes=1) as server:
+        host, port = server.address
+        with NinfClient(host, port) as client:
+            channel = connect(host, port, timeout=5.0)
+            channel.send(MessageType.CALL, bytes(_CallPayload(
+                "sleeper", Signature.from_idl(SLEEP_IDL), 3,
+                (1.0,)).stamp(None, time.monotonic)))
+            assert env.started.wait(2.0)
+            channel.close()
+            env.release.set()
+            assert wait_until(lambda: server.executor.completed == 1)
+            assert client.ping()  # and the server serves on
+            if server_cls is AsyncNinfServer:
+                assert wait_until(lambda: server.connections_open == 1)
+    assert died == []
+    assert caplog.records == []
+
+
+def test_stop_delivers_shutdown_errors_before_closing(env, server_cls):
+    """Jobs still queued at ``stop()`` are answered (``server-shutdown``,
+    sent from the stopping thread) on connections that are still open."""
+    signature = Signature.from_idl(BUMP_IDL)
+    server = server_cls(env.registry, num_pes=1).start()
+    try:
+        host, port = server.address
+        with NinfClient(host, port) as client, ExitStack() as stack:
+            occupy(env, client)
+            queued = [stack.enter_context(connect(host, port, timeout=10.0))
+                      for _ in range(3)]
+            for call_id, channel in enumerate(queued):
+                channel.send(MessageType.CALL, bytes(_CallPayload(
+                    "bump", signature, call_id,
+                    (41,)).stamp(None, time.monotonic)))
+            assert wait_until(lambda: server.executor.queued == 3)
+            server.stop()
+            for channel in queued:
+                reply_type, reply = channel.recv()
+                assert reply_type == MessageType.ERROR
+                assert ErrorReply.decode(XdrDecoder(reply)).code \
+                    == "server-shutdown"
+    finally:
+        server.stop()
+    assert env.bumps == []

@@ -1,4 +1,5 @@
-"""The asyncio transport core: framing, channel, pool, endpoint, facade.
+"""The asyncio transport core: framing, channel, pool, endpoint, and the
+handler contract it shares with the threaded endpoint.
 
 No pytest-asyncio in the toolchain: each test drives its coroutines
 with ``asyncio.run`` (client side) against an :class:`AsyncEndpoint`,
@@ -8,19 +9,22 @@ which owns its private loop thread and is started from sync code.
 import asyncio
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.protocol import ConnectionClosed, ProtocolError, TimeoutError
+from repro.protocol.errors import RemoteError
 from repro.protocol.aframing import FrameStream
 from repro.protocol.framing import encode_frame
 from repro.protocol.messages import MessageType
+from repro.xdr import XdrError
 from repro.transport import (
     AsyncConnectionPool,
     AsyncEndpoint,
-    FacadeChannel,
-    LoopThread,
+    Endpoint,
     aconnect,
+    connect,
 )
 
 
@@ -190,16 +194,16 @@ def test_endpoint_listener_sets_reuseaddr_and_counts_connections():
         assert endpoint.connections_accepted == 1
 
 
-def test_endpoint_runs_sync_handlers_in_the_thread_pool():
-    """A plain-function handler is bridged off-loop with a facade
-    channel; the loop thread itself never runs it."""
+def test_endpoint_runs_plain_handlers_on_the_loop():
+    """A plain-function handler is called inline, on the loop thread,
+    with a connection whose ``send`` does not wait for the peer."""
     seen = {}
 
-    def handler(channel, payload):
+    def handler(conn, payload):
         seen["thread"] = threading.current_thread().name
-        channel.send(MessageType.HELLO_REPLY, payload.upper())
+        conn.send(MessageType.HELLO_REPLY, payload.upper())
 
-    with AsyncEndpoint() as endpoint:
+    with AsyncEndpoint(name="inline") as endpoint:
         endpoint.register_handler(MessageType.HELLO, handler)
         host, port = endpoint.address
 
@@ -211,7 +215,45 @@ def test_endpoint_runs_sync_handlers_in_the_thread_pool():
             return reply
 
         assert asyncio.run(main()) == (MessageType.HELLO_REPLY, b"NINF")
-    assert "loop" not in seen["thread"]
+    assert seen["thread"] == "inline-loop"
+
+
+@pytest.mark.parametrize("endpoint_cls", [Endpoint, AsyncEndpoint],
+                         ids=["threaded", "async"])
+def test_handler_contract_is_the_same_on_both_drivers(endpoint_cls):
+    """One plain function, registered the same way on either driver,
+    replies; an XdrError escaping it is a ``bad-request`` and the
+    connection survives.  Only the loop driver moves a handler
+    registered as blocking off the connection's own context."""
+    threads = {}
+
+    def echo(conn, payload):
+        threads["plain"] = threading.current_thread()
+        if not payload:
+            raise XdrError("empty")
+        conn.send(MessageType.HELLO_REPLY, bytes(payload))
+
+    def slow(conn, payload):
+        threads["blocking"] = threading.current_thread()
+        time.sleep(0.05)
+        conn.send(MessageType.LIST_REPLY, b"")
+
+    with endpoint_cls(name="contract") as endpoint:
+        endpoint.register_handler(MessageType.HELLO, echo)
+        endpoint.register_blocking_handler(MessageType.LIST_REQUEST, slow)
+        with connect(*endpoint.address, timeout=5.0) as channel:
+            assert channel.request(MessageType.HELLO, b"x") \
+                == (MessageType.HELLO_REPLY, b"x")
+            with pytest.raises(RemoteError) as info:
+                channel.request(MessageType.HELLO, b"")
+            assert info.value.code == "bad-request"
+            assert channel.request(MessageType.LIST_REQUEST) \
+                == (MessageType.LIST_REPLY, b"")
+    if endpoint_cls is AsyncEndpoint:
+        assert threads["plain"].name == "contract-loop"
+        assert threads["blocking"] is not threads["plain"]
+    else:
+        assert threads["blocking"] is threads["plain"]  # its own thread
 
 
 # -- pool ---------------------------------------------------------------------
@@ -245,21 +287,28 @@ def test_async_pool_counts_refused_dials():
     assert asyncio.run(main()) == 1
 
 
-# -- sync facade --------------------------------------------------------------
+# -- replies from foreign threads ----------------------------------------------
 
 
-def test_facade_channel_drives_the_loop_from_blocking_code():
+def test_foreign_thread_send_reaches_the_peer_in_order():
+    """``conn.send`` from a thread that is not the loop's (a PE worker's
+    completion callback) reaches the peer, frames in the order sent, and
+    never makes the sender wait for the peer."""
+    workers = []
+
+    def handler(conn, payload):
+        def work():
+            for i in range(5):
+                conn.send(MessageType.CALLBACK, bytes([i]))
+            conn.send(MessageType.RESULT, b"done")
+        workers.append(threading.Thread(target=work))
+        workers[-1].start()
+
     with AsyncEndpoint() as endpoint:
-        host, port = endpoint.address
-        runner = LoopThread(name="ninf-test-loop")
-        channel = FacadeChannel(runner.run(aconnect(host, port, timeout=5.0)),
-                                runner)
-        try:
-            assert channel.request(MessageType.PING, b"sync",
-                                   expect=MessageType.PONG) \
-                == (MessageType.PONG, b"sync")
-            assert not channel.closed
-        finally:
-            channel.close()
-            runner.stop()
-        assert channel.closed
+        endpoint.register_handler(MessageType.CALL, handler)
+        with connect(*endpoint.address, timeout=5.0) as channel:
+            channel.send(MessageType.CALL, b"")
+            frames = [channel.recv() for _ in range(6)]
+        workers[0].join(5.0)
+    assert frames == [(MessageType.CALLBACK, bytes([i])) for i in range(5)] \
+        + [(MessageType.RESULT, b"done")]
