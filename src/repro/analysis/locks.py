@@ -102,6 +102,7 @@ GUARDED_BY: dict[str, tuple[LockSpec, ...]] = {
     # repro.client.core -- NinfClient and AsyncNinfClient inherit it
     "ClientState": (_spec("_records_lock", guarded=("records",)),),
     # repro.metaserver.metaserver
+    "MetaClient": (_spec("_lock", guarded=("_observations",)),),
     "BrokeredClient": (_spec("_lock", guarded=("_clients", "records",
                                                "failovers")),),
 }

@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 from repro.client.api import CallRecord, NinfClient
+from repro.idl.signature import Signature
 from repro.metaserver.directory import Directory
 from repro.metaserver.pickcache import PickCache
 from repro.metaserver.schedulers import CallEstimate, LoadScheduler, Scheduler
 from repro.protocol.errors import ProtocolError, RemoteError
 from repro.protocol.messages import (
+    MAX_PICK_ITEMS,
     LoadReply,
     LoadReport,
     MessageType,
+    PickRequest,
     ServerInfo,
     SyncMessage,
 )
@@ -300,24 +304,19 @@ class Metaserver(Endpoint):
         conn.send(MessageType.MS_LOOKUP_REPLY, enc.getvalue())
 
     def _handle_pick(self, conn: Connection, payload: bytes) -> None:
-        dec = XdrDecoder(payload)
-        function = dec.unpack_string()
-        comm_bytes = dec.unpack_double()
-        has_flops = dec.unpack_bool()
-        flops = dec.unpack_double() if has_flops else None
-        site = dec.unpack_string()
-        # Failover (DESIGN.md §3.5): the client may append hosts that
-        # just refused/shed/died so the re-pick lands elsewhere.  The
-        # list is optional on the wire for pre-v3 pickers.
-        excluded: set[tuple[str, int]] = set()
-        if dec.remaining:
-            count = dec.unpack_uint()
-            for _ in range(count):
-                excluded.add((dec.unpack_string(), dec.unpack_uint()))
-        estimate = CallEstimate(function, comm_bytes=comm_bytes,
-                                flops=flops, site=site)
+        request = PickRequest.decode(XdrDecoder(payload))
+        # Folded in first, so this placement sees the caller's earlier
+        # calls exactly as if each had sent its own MS_REPORT.
+        for observation in request.observations:
+            self.directory.report_bandwidth(*observation)
+        function = request.function
+        estimate = CallEstimate(function, comm_bytes=request.comm_bytes,
+                                flops=request.flops, site=request.site)
+        # Failover (DESIGN.md §3.5): hosts that just refused, shed or
+        # died are excluded, so the re-pick lands elsewhere.
+        excluded = set(request.exclude)
         providers = [entry for entry in self.directory.providers(function)
-                     if (entry.info.host, entry.info.port) not in excluded]
+                     if entry.key not in excluded]
         chosen = self.scheduler.choose(providers, estimate)
         if chosen is None:
             conn.send_error("no-provider",
@@ -372,10 +371,15 @@ class Metaserver(Endpoint):
 class MetaClient:
     """Client-side binding to the metaserver protocol.
 
-    Exchanges ride a :class:`~repro.transport.ConnectionPool`, so a
-    brokered call's lookup/pick/report triple reuses one TCP connection
-    instead of paying three handshakes; ``pool=False`` restores the
-    connection-per-request behaviour.
+    Exchanges ride a :class:`~repro.transport.ConnectionPool`, so
+    successive picks reuse one TCP connection instead of paying a
+    handshake each; ``pool=False`` restores the connection-per-request
+    behaviour.
+
+    Bandwidth observations need no exchange of their own: the next wire
+    :meth:`pick` carries what :meth:`observe` queued (at most
+    ``MAX_PICK_ITEMS``, oldest dropped first); :meth:`flush` sends what
+    is still queued as standalone MS_REPORTs.
 
     Partition tolerance (DESIGN.md §3.7) is layered on top:
 
@@ -411,8 +415,10 @@ class MetaClient:
         self.cache = cache
         self._pool = ConnectionPool(timeout=timeout, pool=pool,
                                     fault_plan=fault_plan)
-        self._lock = threading.Lock()
         self._preferred = 0
+        self._lock = threading.Lock()
+        self._observations: deque[tuple[str, int, str, float]] = deque(
+            maxlen=MAX_PICK_ITEMS)
         self.degraded = False
         self._cache_metric = None
         self._degraded_gauge = None
@@ -438,16 +444,6 @@ class MetaClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _replica_order(self) -> list[tuple[str, int]]:
-        with self._lock:
-            start = self._preferred
-        count = len(self.endpoints)
-        return [self.endpoints[(start + i) % count] for i in range(count)]
-
-    def _note_good_replica(self, endpoint: tuple[str, int]) -> None:
-        with self._lock:
-            self._preferred = self.endpoints.index(endpoint)
-
     def _roundtrip(self, msg_type: int, payload: bytes,
                    expect: int) -> bytes:
         """One request against the replica set.
@@ -461,24 +457,27 @@ class MetaClient:
         exactly that.
         """
         last_exc: Optional[Exception] = None
-        for endpoint in self._replica_order():
-            host, port = endpoint
+        count = len(self.endpoints)
+        start = self._preferred
+        for offset in range(count):
+            slot = (start + offset) % count
+            endpoint = self.endpoints[slot]
             if not self.breaker.allow(endpoint):
                 continue
             try:
-                with self._pool.lease(host, port) as channel:
+                with self._pool.lease(*endpoint) as channel:
                     _reply_type, reply = channel.request(
                         msg_type, payload, expect=expect)
             except RemoteError:
                 self.breaker.record_success(endpoint)
-                self._note_good_replica(endpoint)
+                self._preferred = slot
                 raise
             except (OSError, ProtocolError, XdrError) as exc:
                 self.breaker.record_failure(endpoint)
                 last_exc = exc
                 continue
             self.breaker.record_success(endpoint)
-            self._note_good_replica(endpoint)
+            self._preferred = slot
             return reply
         if last_exc is not None:
             raise last_exc
@@ -531,22 +530,31 @@ class MetaClient:
         if self._degraded_gauge is not None:
             self._degraded_gauge.set(1.0 if value else 0.0)
 
+    def _take_observations(self) -> tuple[tuple[str, int, str, float], ...]:
+        with self._lock:
+            taken = tuple(self._observations)
+            self._observations.clear()
+        return taken
+
     def _pick_wire(self, function: str, comm_bytes: float,
                    flops: Optional[float], site: str,
                    exclude: Sequence[tuple[str, int]]) -> ServerInfo:
+        observations = self._take_observations()
         enc = XdrEncoder()
-        enc.pack_string(function)
-        enc.pack_double(comm_bytes)
-        enc.pack_bool(flops is not None)
-        if flops is not None:
-            enc.pack_double(flops)
-        enc.pack_string(site)
-        enc.pack_uint(len(exclude))
-        for host, port in exclude:
-            enc.pack_string(host)
-            enc.pack_uint(port)
-        reply = self._roundtrip(MessageType.MS_PICK, enc.getvalue(),
-                                MessageType.MS_PICK_REPLY)
+        PickRequest(function, comm_bytes, flops, site,
+                    tuple(exclude[:MAX_PICK_ITEMS]),
+                    observations).encode(enc)
+        try:
+            reply = self._roundtrip(MessageType.MS_PICK, enc.getvalue(),
+                                    MessageType.MS_PICK_REPLY)
+        except (OSError, ProtocolError, XdrError):
+            # No replica answered (an ERROR reply is an answer): the
+            # observations go back, ahead of any queued meanwhile.
+            with self._lock:
+                self._observations = deque(
+                    (*observations, *self._observations),
+                    maxlen=MAX_PICK_ITEMS)
+            raise
         return ServerInfo.decode(XdrDecoder(reply))
 
     def pick(self, function: str, comm_bytes: float = 0.0,
@@ -597,9 +605,20 @@ class MetaClient:
         if self.cache is not None:
             self.cache.invalidate((function, site))
 
+    def observe(self, host: str, port: int, site: str,
+                bandwidth: float) -> None:
+        """Queue an achieved-bandwidth observation for the next pick."""
+        with self._lock:
+            self._observations.append((host, port, site, bandwidth))
+
+    def flush(self) -> None:
+        """Send every queued observation now, one MS_REPORT each."""
+        for observation in self._take_observations():
+            self.report(*observation)
+
     def report(self, host: str, port: int, site: str,
                bandwidth: float) -> None:
-        """MS_REPORT: feed an achieved-bandwidth observation back."""
+        """MS_REPORT: feed an achieved-bandwidth observation back now."""
         enc = XdrEncoder()
         enc.pack_string(host)
         enc.pack_uint(port)
@@ -621,9 +640,10 @@ class BrokeredClient:
     """A Ninf client that routes every call through the metaserver.
 
     Per call: estimate cost from the cached signature, ask the
-    metaserver to pick a server, call it directly, then report the
-    achieved bandwidth (closing the monitoring loop the
-    bandwidth-aware scheduler feeds on).
+    metaserver to pick a server, call it directly.  The achieved
+    bandwidth rides the *next* call's pick (closing the monitoring
+    loop the bandwidth-aware scheduler feeds on), so a call costs one
+    metaserver exchange once its function's signature is held.
 
     With ``max_failover > 0``, a transiently failing server (dead
     socket, shed, shut down) triggers a re-pick that excludes the
@@ -647,8 +667,11 @@ class BrokeredClient:
         self.retry_calls = retry_calls
         self.call_budget = call_budget
         self._clients: dict[tuple[str, int], NinfClient] = {}
+        self._signatures: dict[str, Signature] = {}
         self._lock = threading.Lock()
-        self.records: list[tuple[ServerInfo, CallRecord]] = []
+        # The most recent calls only: each NinfClient keeps its own log.
+        self.records: deque[tuple[ServerInfo, CallRecord]] = deque(
+            maxlen=1024)
         self.failovers = 0
         self._failover_metric = None
         if metrics is not None:
@@ -671,18 +694,29 @@ class BrokeredClient:
                 self._clients[key] = client
             return client
 
-    def _estimate(self, providers: list[ServerInfo], function: str,
+    def _estimate(self, function: str,
                   args: tuple) -> tuple[float, Optional[float]]:
-        """Cost estimate from the signature of any reachable provider."""
-        for info in providers:
-            try:
-                signature = self._client_for(info).get_signature(function)
-                bound = signature.bind(list(args))
-                return (float(bound.input_bytes + bound.output_bytes),
-                        bound.predicted_flops)
-            except Exception:
-                continue
-        return 0.0, None
+        """Cost estimate from the function's signature, which the first
+        call fetches from any reachable provider (MS_LOOKUP names them).
+        A wrong argument list raises ``IdlError`` here, before any pick."""
+        signature = self._signatures.get(function)
+        if signature is None:
+            providers = self.meta.lookup(function)
+            if not providers:
+                raise RemoteError("no-provider",
+                                  f"no server provides {function!r}")
+            for info in providers:
+                try:
+                    signature = self._client_for(info).get_signature(function)
+                except (OSError, ProtocolError, RemoteError):
+                    continue
+                self._signatures[function] = signature
+                break
+            else:
+                return 0.0, None
+        bound = signature.bind(list(args))
+        return (float(bound.input_bytes + bound.output_bytes),
+                bound.predicted_flops)
 
     def _note_failover(self) -> None:
         with self._lock:
@@ -691,11 +725,8 @@ class BrokeredClient:
             self._failover_metric.inc()
 
     def call(self, function: str, *args) -> list:
-        """Metaserver-brokered Ninf_call: lookup, pick, call, report."""
-        providers = self.meta.lookup(function)
-        if not providers:
-            raise RemoteError("no-provider", f"no server provides {function!r}")
-        comm_bytes, flops = self._estimate(providers, function, args)
+        """Metaserver-brokered Ninf_call: pick, then call."""
+        comm_bytes, flops = self._estimate(function, args)
         failed: set[tuple[str, int]] = set()
         last_exc: Optional[BaseException] = None
         for _attempt in range(1 + max(0, self.max_failover)):
@@ -732,17 +763,18 @@ class BrokeredClient:
             with self._lock:
                 self.records.append((chosen, record))
             if record.elapsed > 0 and record.comm_bytes > 0:
-                try:
-                    self.meta.report(chosen.host, chosen.port, self.site,
-                                     record.throughput)
-                except (OSError, ProtocolError, RemoteError):
-                    pass  # monitoring is best-effort
+                self.meta.observe(chosen.host, chosen.port, self.site,
+                                  record.throughput)
             return outputs
         assert last_exc is not None
         raise last_exc
 
     def close(self) -> None:
-        """Close the per-server client pool."""
+        """Flush queued observations; close the per-server clients."""
+        try:
+            self.meta.flush()
+        except (OSError, ProtocolError, RemoteError):
+            pass  # monitoring is best-effort
         with self._lock:
             for client in self._clients.values():
                 client.close()

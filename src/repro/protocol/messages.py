@@ -11,7 +11,7 @@ from typing import Optional
 
 from repro.protocol.errors import ProtocolError, RemoteError, ServerBusy
 from repro.protocol.framing import BytesLike
-from repro.xdr import XdrDecoder, XdrEncoder
+from repro.xdr import XdrDecoder, XdrEncoder, XdrError
 
 __all__ = [
     "BusyReply",
@@ -21,7 +21,9 @@ __all__ = [
     "JobTimestamps",
     "LoadReply",
     "LoadReport",
+    "MAX_PICK_ITEMS",
     "MessageType",
+    "PickRequest",
     "ServerInfo",
     "SyncMessage",
     "checked_reply",
@@ -297,6 +299,72 @@ class ServerInfo:
             num_pes=dec.unpack_uint(),
             functions=tuple(dec.unpack_array(dec.unpack_string)),
         )
+
+
+#: Most excluded servers, and most piggybacked observations, one MS_PICK
+#: may carry: the metaserver refuses a larger count before decoding an
+#: element, and ``MetaClient`` queues no more unsent observations.
+MAX_PICK_ITEMS = 64
+
+
+def _pick_items(dec: XdrDecoder, unpack_item) -> tuple:
+    count = dec.unpack_uint() if dec.remaining else 0   # absent: old picker
+    if count > MAX_PICK_ITEMS:
+        raise XdrError(f"MS_PICK list of {count} items, at most "
+                       f"{MAX_PICK_ITEMS} allowed")
+    return tuple(dec.unpack_farray(count, unpack_item))
+
+
+@dataclass(frozen=True)
+class PickRequest:
+    """MS_PICK payload: a call estimate, the ``(host, port)`` servers
+    the placement must avoid (failover re-pick, DESIGN.md §3.5), and
+    the bandwidths ``(host, port, site, bytes_per_second)`` the caller's
+    earlier calls achieved -- each what one MS_REPORT carries -- which
+    the metaserver folds in *before* it places this call.  Both lists
+    trail the fixed fields and an older picker sends neither, or one.
+    """
+
+    function: str
+    comm_bytes: float = 0.0
+    flops: Optional[float] = None
+    site: str = "default"
+    exclude: tuple[tuple[str, int], ...] = ()
+    observations: tuple[tuple[str, int, str, float], ...] = ()
+
+    def encode(self, enc: XdrEncoder) -> None:
+        """Append the wire form to an encoder."""
+        enc.pack_string(self.function)
+        enc.pack_double(self.comm_bytes)
+        enc.pack_bool(self.flops is not None)
+        if self.flops is not None:
+            enc.pack_double(self.flops)
+        enc.pack_string(self.site)
+        enc.pack_uint(len(self.exclude))
+        for host, port in self.exclude:
+            enc.pack_string(host)
+            enc.pack_uint(port)
+        enc.pack_uint(len(self.observations))
+        for host, port, site, bandwidth in self.observations:
+            enc.pack_string(host)
+            enc.pack_uint(port)
+            enc.pack_string(site)
+            enc.pack_double(bandwidth)
+
+    @classmethod
+    def decode(cls, dec: XdrDecoder) -> "PickRequest":
+        """Read the wire form from a decoder."""
+        function = dec.unpack_string()
+        comm_bytes = dec.unpack_double()
+        has_flops = dec.unpack_bool()
+        flops = dec.unpack_double() if has_flops else None
+        site = dec.unpack_string()
+        exclude = _pick_items(
+            dec, lambda: (dec.unpack_string(), dec.unpack_uint()))
+        observations = _pick_items(
+            dec, lambda: (dec.unpack_string(), dec.unpack_uint(),
+                          dec.unpack_string(), dec.unpack_double()))
+        return cls(function, comm_bytes, flops, site, exclude, observations)
 
 
 @dataclass(frozen=True)

@@ -86,9 +86,11 @@ def test_metaserver_restart_converges_from_peer():
             ms_b = Metaserver(poll_interval=3600.0,
                               gossip_interval=3600.0, clock=clock,
                               peers=[addr_a])
+            # Checked before start(): a peered replica's gossip thread
+            # runs its first round as soon as it exists.
+            assert len(ms_b.directory) == 0
             with ms_b:
                 ms_a.peers = [ms_b.address]
-                assert len(ms_b.directory) == 0
                 assert ms_b.gossip_now() == 1
                 entry = ms_b.directory.get(*worker.address)
                 assert entry is not None
