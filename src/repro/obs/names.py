@@ -60,6 +60,7 @@ SERVER_CALLS = "ninf_server_calls_total"        # labels: function, status
 SERVER_JOBS_EXPIRED = "ninf_server_jobs_expired_total"
 SERVER_JOBS_CANCELLED = "ninf_server_jobs_cancelled_total"
 SERVER_JOBS_SHED = "ninf_server_jobs_shed_total"      # label: reason
+SERVER_COMPLETION_ERRORS = "ninf_server_completion_errors_total"
 SERVER_DEDUP_HITS = "ninf_server_dedup_hits_total"
 SERVER_DEDUP_ENTRIES = "ninf_server_dedup_entries"
 SERVER_CONNECTIONS_OPEN = "ninf_server_connections_open"
@@ -111,6 +112,7 @@ METRIC_NAMES = (
     SERVER_JOBS_EXPIRED,
     SERVER_JOBS_CANCELLED,
     SERVER_JOBS_SHED,
+    SERVER_COMPLETION_ERRORS,
     SERVER_DEDUP_HITS,
     SERVER_DEDUP_ENTRIES,
     SERVER_CONNECTIONS_OPEN,

@@ -3,8 +3,8 @@
 Models the two execution styles the paper benchmarks:
 
 - *task-parallel* ("1-PE"): each call claims one PE; up to ``num_pes``
-  calls run concurrently (Python threads; the numeric kernels release
-  the GIL inside NumPy).
+  calls run concurrently (the numeric kernels release the GIL inside
+  NumPy).
 - *data-parallel* ("4-PE"): each call claims all PEs, so calls
   serialize -- "the data-parallel version employs an optimally
   vectorized and parallelized version with simultaneous execution on 4
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -34,8 +35,8 @@ class Job:
     """One accepted call moving through the queue.
 
     ``deadline`` is an absolute time on the executor's clock past which
-    the job is worthless to the client; the dispatcher expires such
-    jobs instead of dequeuing them (DESIGN.md §3.5).
+    the job is worthless to the client; such jobs are expired instead
+    of dequeued (DESIGN.md §3.5).
     """
 
     seq: int
@@ -63,7 +64,17 @@ class Job:
 
 
 class Executor:
-    """Policy-driven job executor over a pool of ``num_pes`` PE slots.
+    """Policy-driven job executor over ``num_pes`` long-lived PE threads.
+
+    Each PE (``ninf-pe-<i>``) loops *select -> run -> complete*: under
+    ``_lock`` it sweeps expired jobs, takes the job the policy picks and
+    claims its ``pes_required`` PEs (data mode: all, so the other PE
+    threads find nothing that fits), then runs it, returns the claim and
+    calls ``on_complete``, all on one thread.  ``submit`` wakes one idle
+    PE; a PE that takes or finishes a job wakes another only while work
+    is pending.  ``ninf-expiry`` sleeps until the earliest queued
+    deadline, so ``deadline-expired`` is answered on time while every PE
+    is busy; only a deadline-bearing ``submit`` wakes it.
 
     When given a :class:`~repro.obs.MetricsRegistry` (``metrics``), the
     executor publishes the server-side half of the OBSERVABILITY.md
@@ -78,10 +89,12 @@ class Executor:
     exceed the bound, or whose deadline the estimated queue wait
     already overshoots, is *shed* with :class:`ServerBusy` instead of
     queued, counted in ``ninf_server_jobs_shed_total{reason}``.  Queued
-    jobs whose deadline passes before a PE frees up are *expired* by
-    the dispatcher (``ninf_server_jobs_expired_total``), and queued
-    jobs a client explicitly :meth:`cancel`\\ s are counted in
-    ``ninf_server_jobs_cancelled_total``.
+    jobs whose deadline passes before a PE frees up are *expired*
+    (``ninf_server_jobs_expired_total``), and queued jobs a client
+    explicitly :meth:`cancel`\\ s are counted in
+    ``ninf_server_jobs_cancelled_total``.  An ``on_complete`` that
+    raises costs neither a PE nor the job's ``done``: it is counted in
+    ``ninf_server_completion_errors_total`` and the thread carries on.
     """
 
     def __init__(self, num_pes: int = 1,
@@ -100,7 +113,7 @@ class Executor:
         self._queue_gauge = self._dispatch_hist = None
         self._execute_hist = self._calls_counter = None
         self._expired_counter = self._cancelled_counter = None
-        self._shed_counter = None
+        self._shed_counter = self._completion_errors_counter = None
         if metrics is not None:
             from repro.obs import names
 
@@ -126,8 +139,12 @@ class Executor:
                 names.SERVER_JOBS_SHED,
                 "Calls refused at admission instead of queued",
                 labelnames=("reason",))
+            self._completion_errors_counter = metrics.counter(
+                names.SERVER_COMPLETION_ERRORS,
+                "on_complete callbacks that raised (the job is still done)")
         self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
+        self._work = threading.Condition(self._lock)    # idle PEs wait here
+        self._expiry = threading.Condition(self._lock)  # ninf-expiry does
         self._pending: list[Job] = []
         self._free_pes = num_pes
         self._running = 0
@@ -139,10 +156,15 @@ class Executor:
         self.expired = 0
         self.cancelled = 0
         self.shed = 0
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="ninf-dispatcher", daemon=True
-        )
-        self._dispatcher.start()
+        self._threads = [
+            threading.Thread(target=self._pe_loop, name=f"ninf-pe-{index}",
+                             daemon=True)
+            for index in range(num_pes)
+        ]
+        self._threads.append(threading.Thread(
+            target=self._expiry_loop, name="ninf-expiry", daemon=True))
+        for thread in self._threads:
+            thread.start()
 
     # -- submission --------------------------------------------------------
 
@@ -162,6 +184,25 @@ class Executor:
         job consumes queue space.
         """
         pes = min(pes or executable.pes_required, self.num_pes)
+        try:
+            predicted = executable.signature.predicted_flops({
+                spec.name: float(value)
+                for spec, value in zip(executable.signature.args, values)
+                if spec.is_input and not spec.is_array
+                and isinstance(value, (int, float))
+            })
+        except Exception:
+            predicted = None
+        job = Job(
+            seq=0,  # arrival order and time are decided under the lock
+            executable=executable,
+            values=values,
+            pes_required=pes,
+            predicted_cost=predicted,
+            on_complete=on_complete or (lambda _job: None),
+            callback=callback,
+            deadline=deadline,
+        )
         with self._lock:
             if self._shutdown:
                 raise ServerShutdown("executor is shut down")
@@ -180,34 +221,13 @@ class Executor:
                     if self._shed_counter is not None:
                         self._shed_counter.inc(reason="deadline-unmeetable")
                     raise ServerBusy("deadline-unmeetable", retry_after=wait)
-            env = {}
-            try:
-                bound_env = {
-                    spec.name: float(value)
-                    for spec, value in zip(executable.signature.args, values)
-                    if spec.is_input and not spec.is_array
-                    and isinstance(value, (int, float))
-                }
-                env = bound_env
-                predicted = executable.signature.predicted_flops(env)
-            except Exception:
-                predicted = None
-            job = Job(
-                seq=self._seq,
-                executable=executable,
-                values=values,
-                pes_required=pes,
-                predicted_cost=predicted,
-                on_complete=on_complete or (lambda _job: None),
-                callback=callback,
-                deadline=deadline,
-                enqueue_time=self.clock(),
-            )
+                self._expiry.notify()  # it may be the earliest now
+            job.seq, job.enqueue_time = self._seq, self.clock()
             self._seq += 1
             self._pending.append(job)
             if self._queue_gauge is not None:
                 self._queue_gauge.set(len(self._pending))
-            self._wakeup.notify_all()
+            self._work.notify()
         return job
 
     # -- introspection ------------------------------------------------------
@@ -247,36 +267,44 @@ class Executor:
         with self._lock:
             return self._estimated_wait_locked()
 
-    # -- dispatch -------------------------------------------------------------
+    # -- the PE and expiry threads --------------------------------------------
 
-    def _next_expiry_locked(self, now: float) -> Optional[float]:
-        """Seconds until the earliest pending deadline (None = none)."""
-        deadlines = [job.deadline for job in self._pending
-                     if job.deadline is not None]
-        if not deadlines:
-            return None
-        return max(0.0, min(deadlines) - now)
+    def _take_expired_locked(self) -> list[Job]:
+        """Unqueue the jobs whose deadline has passed, marked
+        ``deadline-expired``: the client gave up, so they are answered
+        BUSY (off the lock, by :meth:`_finish`) instead of computed."""
+        now = self.clock()
+        expired = [job for job in self._pending
+                   if job.deadline is not None and job.deadline <= now]
+        if expired:
+            for dead in expired:
+                self._pending.remove(dead)
+            self.expired += len(expired)
+            retry_after = self._estimated_wait_locked()
+            for dead in expired:
+                dead.error = ServerBusy("deadline-expired",
+                                        retry_after=retry_after)
+            if self._queue_gauge is not None:
+                self._queue_gauge.set(len(self._pending))
+                self._expired_counter.inc(len(expired))
+        return expired
 
-    def _dispatch_loop(self) -> None:
+    def _finish(self, job: Job) -> None:
+        """Settle ``job``: a raising ``on_complete`` is counted, not raised."""
+        try:
+            job.on_complete(job)
+        except Exception:
+            traceback.print_exc()
+            if self._completion_errors_counter is not None:
+                self._completion_errors_counter.inc()
+        finally:
+            job.done.set()
+
+    def _pe_loop(self) -> None:
         while True:
             job: Optional[Job] = None
-            expired: list[Job] = []
-            retry_after = 0.0
             with self._lock:
-                while not self._shutdown:
-                    now = self.clock()
-                    expired = [j for j in self._pending
-                               if j.deadline is not None and j.deadline <= now]
-                    if expired:
-                        # Refuse to dequeue worthless work: the client
-                        # gave up, answer BUSY instead of computing.
-                        for dead in expired:
-                            self._pending.remove(dead)
-                        self.expired += len(expired)
-                        retry_after = self._estimated_wait_locked()
-                        if self._queue_gauge is not None:
-                            self._queue_gauge.set(len(self._pending))
-                        break
+                while not (expired := self._take_expired_locked()):
                     index = self.policy.select(self._pending, self._free_pes)
                     if index is not None:
                         job = self._pending.pop(index)
@@ -285,29 +313,32 @@ class Executor:
                         self._free_pes -= job.pes_required
                         self._running += 1
                         break
-                    # Sleep until work arrives, a PE frees, or the
-                    # earliest queued deadline needs expiring.
-                    self._wakeup.wait(timeout=self._next_expiry_locked(now))
-                if self._shutdown:
-                    return
-            if expired:
-                if self._expired_counter is not None:
-                    self._expired_counter.inc(len(expired))
-                for dead in expired:
-                    dead.error = ServerBusy("deadline-expired",
-                                            retry_after=retry_after)
-                    try:
-                        dead.on_complete(dead)
-                    finally:
-                        dead.done.set()
-                continue
-            worker = threading.Thread(
-                target=self._run_job, args=(job,),
-                name=f"ninf-worker-{job.seq}", daemon=True,
-            )
-            worker.start()
+                    if self._shutdown:
+                        return
+                    self._work.wait()  # for a submit, or a PE with work over
+                if self._pending:
+                    self._work.notify()  # more may fit now: pass it on
+            for dead in expired:
+                self._finish(dead)
+            if job is not None:
+                self._run(job)
 
-    def _run_job(self, job: Job) -> None:
+    def _expiry_loop(self) -> None:
+        while True:
+            with self._lock:
+                while not (expired := self._take_expired_locked()):
+                    if self._shutdown:
+                        return
+                    earliest = min(
+                        (job.deadline for job in self._pending
+                         if job.deadline is not None), default=float("inf"))
+                    self._expiry.wait(min(earliest - self.clock(),
+                                          threading.TIMEOUT_MAX))
+                self._work.notify()  # the head of the line may have gone
+            for dead in expired:
+                self._finish(dead)
+
+    def _run(self, job: Job) -> None:
         job.dequeue_time = self.clock()
         try:
             job.outputs = job.executable.invoke(job.values,
@@ -320,8 +351,7 @@ class Executor:
         service = job.complete_time - job.dequeue_time
         if self._dispatch_hist is not None:
             self._dispatch_hist.observe(job.dequeue_time - job.enqueue_time)
-            self._execute_hist.observe(job.complete_time - job.dequeue_time,
-                                       function=job.executable.name)
+            self._execute_hist.observe(service, function=job.executable.name)
             self._calls_counter.inc(
                 function=job.executable.name,
                 status="ok" if job.error is None else "error")
@@ -338,11 +368,9 @@ class Executor:
                 self._service_ewma = service
             else:
                 self._service_ewma += 0.3 * (service - self._service_ewma)
-            self._wakeup.notify_all()
-        try:
-            job.on_complete(job)
-        finally:
-            job.done.set()
+            if self._pending:
+                self._work.notify()  # for the PE idle while we reply
+        self._finish(job)
 
     # -- cancellation and shutdown ------------------------------------------
 
@@ -361,14 +389,11 @@ class Executor:
             self.cancelled += 1
             if self._queue_gauge is not None:
                 self._queue_gauge.set(len(self._pending))
-            self._wakeup.notify_all()
+            self._work.notify()  # the head of the line may have gone
         if self._cancelled_counter is not None:
             self._cancelled_counter.inc()
         job.error = RemoteError("cancelled", "call cancelled by client")
-        try:
-            job.on_complete(job)
-        finally:
-            job.done.set()
+        self._finish(job)
         return True
 
     def shutdown(self) -> None:
@@ -377,17 +402,17 @@ class Executor:
         Every dropped job is *completed* — ``on_complete`` fires and
         ``job.done`` is set with a :class:`ServerShutdown` error — so
         both local waiters and remote clients blocked on a reply learn
-        their fate instead of hanging forever.
+        their fate instead of hanging forever.  The threads are joined
+        (5 s in all): an idle PE exits at once, a busy one after its job.
         """
         with self._lock:
             self._shutdown = True
-            dropped = self._pending
-            self._pending = []
-            self._wakeup.notify_all()
+            dropped, self._pending = self._pending, []
+            self._work.notify_all()
+            self._expiry.notify()
         for job in dropped:
             job.error = ServerShutdown()
-            try:
-                job.on_complete(job)
-            finally:
-                job.done.set()
-        self._dispatcher.join(timeout=5.0)
+            self._finish(job)
+        give_up = time.monotonic() + 5.0
+        for thread in self._threads:
+            thread.join(timeout=max(0.0, give_up - time.monotonic()))

@@ -359,7 +359,7 @@ class NinfRpcServices:
             try:
                 marshal_outputs(executable.signature,
                                 _merge_outputs(executable, job), into=enc)
-            except (XdrError, IdlError) as exc:
+            except Exception as exc:  # whatever the executable returned
                 enc = XdrEncoder()
                 ErrorReply(code="bad-result", message=str(exc)).encode(enc)
                 finish(MessageType.ERROR, enc.getvalue())
@@ -428,7 +428,7 @@ class NinfRpcServices:
                 try:
                     marshal_outputs(executable.signature,
                                     _merge_outputs(executable, job), into=enc)
-                except (XdrError, IdlError) as exc:
+                except Exception as exc:  # whatever the executable returned
                     enc = XdrEncoder()
                     enc.pack_bool(False)
                     ErrorReply(code="bad-result", message=str(exc)).encode(enc)

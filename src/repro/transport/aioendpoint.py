@@ -50,7 +50,7 @@ _LAG_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
 class _LoopConnection(Connection):
     """A connection served by a task on the loop: ``send`` queues the
     frame and returns -- from the loop thread directly, from any other
-    (a PE worker's completion callback) through ``call_soon_threadsafe``
+    (a PE thread's completion callback) through ``call_soon_threadsafe``
     -- and :attr:`writer` drains the queue in order."""
 
     def __init__(self, channel: AsyncChannel) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import socket
+import struct
 import threading
 import time
 from typing import Callable, Optional, TYPE_CHECKING, TypeVar
@@ -35,6 +36,11 @@ if TYPE_CHECKING:  # annotation only -- faults wiring happens per-socket
     from repro.transport.faults import FaultPlan
 
 __all__ = ["Connection", "Endpoint", "EndpointCore"]
+
+#: How long a reply of the threaded driver may make no progress (a peer
+#: that stopped reading) before its connection is given up: the writing
+#: thread -- an executor PE, for a RESULT -- has other calls to serve.
+REPLY_STALL_SECONDS = 30.0
 
 
 class Connection:
@@ -59,10 +65,17 @@ class _ThreadConnection(Connection):
 
     def __init__(self, channel: Channel) -> None:
         self.channel = channel
+        # Reads idle between requests; a write may not stall for good.
+        # The kernel fails a stalled socket send with EAGAIN; a ring has
+        # no kernel, so send() gives a frame written there a deadline.
+        channel.sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDTIMEO, struct.pack(
+                "ll", *divmod(int(REPLY_STALL_SECONDS * 1e6), 10**6)))
 
     def send(self, msg_type: int, payload: BytesLike = b"") -> None:
         try:
-            self.channel.send(msg_type, payload)
+            self.channel.send(msg_type, payload, timeout=(
+                REPLY_STALL_SECONDS if self.channel.via_shm else None))
         except (ProtocolError, OSError):
             # The connection's own thread reads EOF and closes it.
             self.channel.shutdown()
@@ -456,8 +469,8 @@ class Endpoint(EndpointCore):
             conn_thread.start()
 
     def _serve_connection(self, channel: Channel) -> None:
-        conn = _ThreadConnection(channel)
         try:
+            conn = _ThreadConnection(channel)
             while True:
                 try:
                     msg_type, payload = channel.recv()
