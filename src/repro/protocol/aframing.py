@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import asyncio
 import socket
-import struct
 import zlib
 from typing import Callable, Optional, TypeVar, Union, cast
 
 from repro.protocol.errors import ConnectionClosed, ProtocolError, TimeoutError
 from repro.protocol.framing import BytesLike, HEADER, checksum_mismatch, \
-    decode_header, encode_header
+    decode_header, encode_header, header_crc
 
 __all__ = ["FrameStream"]
 
@@ -131,7 +130,7 @@ class FrameStream(asyncio.BufferedProtocol):
                 self._fail(error)
                 return
             self._msg_type, self._crc_want = msg_type, crc
-            self._crc = zlib.crc32(struct.pack(">II", msg_type, length))
+            self._crc = header_crc(msg_type, length)
             self._payload = payload = bytearray(length)
             self._got = end = 0
         else:

@@ -1,14 +1,26 @@
-"""Socket framing: ``MAGIC | type | length | crc | payload``.
+"""Framing: ``MAGIC | type | length | crc | payload``.
 
-The header is 16 bytes: 4-byte magic ``b"NINF"``, 4-byte big-endian
-message type, 4-byte big-endian payload length, and a CRC-32 of the
-type, length, and payload bytes.  Payload length is bounded by
-:data:`MAX_FRAME_SIZE` (1 GiB) so a corrupt header cannot trigger an
-absurd allocation, and the checksum means any single corrupted byte on
-the wire (CRC-32 detects all error bursts shorter than 32 bits) is
-surfaced as :class:`~repro.protocol.errors.ProtocolError` instead of
-being decoded as garbage -- the property the chaos and fuzz suites
-assert.
+The header is 16 bytes on every medium: 4-byte magic ``b"NINF"``,
+4-byte big-endian message type, 4-byte big-endian payload length, and
+a CRC-32 word.  Payload length is bounded by :data:`MAX_FRAME_SIZE`
+(1 GiB) so a corrupt header cannot trigger an absurd allocation.
+
+What the ``crc`` word covers is the medium's (PROTOCOL.md, *Frame
+format*).  Every receiver starts from :func:`header_crc`, the CRC-32 of
+the type and length words:
+
+- On a **socket** the payload bytes are folded in after it, so any
+  single corrupted byte on the wire (CRC-32 detects all error bursts
+  shorter than 32 bits) is surfaced as
+  :class:`~repro.protocol.errors.ProtocolError` instead of being
+  decoded as garbage -- the property the chaos and fuzz suites assert.
+- On a **shared-memory ring** (:mod:`repro.transport.shm`) the word is
+  :func:`header_crc` itself, verified before the payload buffer is
+  allocated, and no pass is made over payload bytes on either side.  A
+  ring can lose frame boundaries (a torn counter, a writer dying
+  mid-frame) -- magic, the header CRC and mid-frame EOF catch that --
+  but it cannot flip a bit in transit: the bytes never leave memory the
+  two process heaps are equally exposed to.
 
 Both :func:`send_frame` and :func:`recv_frame` accept an optional
 ``timeout`` (seconds) covering the *whole* frame, not each ``recv``:
@@ -33,41 +45,56 @@ from repro.protocol.errors import ConnectionClosed, ProtocolError, TimeoutError
 BytesLike = Union[bytes, bytearray, memoryview]
 
 __all__ = ["MAGIC", "MAX_FRAME_SIZE", "checksum_mismatch", "decode_header",
-           "encode_frame", "encode_header", "recv_frame", "recv_frame_from",
-           "send_frame"]
+           "encode_frame", "encode_header", "encode_ring_header",
+           "header_crc", "recv_frame", "recv_frame_from", "send_frame"]
 
 MAGIC = b"NINF"
 HEADER = struct.Struct(">4sIII")
 MAX_FRAME_SIZE = 1 << 30
 
 
-def _checksum(msg_type: int, payload: BytesLike) -> int:
-    # Incremental CRC: seed with the header fields, then feed the payload
-    # buffer directly -- no header+payload concatenation, and ``payload``
-    # may be any bytes-like object (memoryview included).
-    return zlib.crc32(payload,
-                      zlib.crc32(struct.pack(">II", msg_type, len(payload))))
+def header_crc(msg_type: int, length: int) -> int:
+    """CRC-32 of the big-endian ``type`` and ``length`` words: the whole
+    of a ring frame's check, and the seed a socket frame's payload is
+    folded into.  The one header check every receiver shares."""
+    return zlib.crc32(struct.pack(">II", msg_type, length))
+
+
+def _pack_header(msg_type: int, length: int, crc: int) -> bytes:
+    if length > MAX_FRAME_SIZE:
+        raise ProtocolError(f"frame payload too large: {length} bytes")
+    return HEADER.pack(MAGIC, msg_type, length, crc)
 
 
 def encode_header(msg_type: int, payload: BytesLike) -> bytes:
-    """The 16-byte header for ``payload`` (not yet on the wire).
+    """The 16-byte socket header for ``payload`` (not yet on the wire).
 
     The zero-copy seam: callers that can scatter-gather (``sendmsg``,
     ``StreamWriter.write`` twice) send header and payload separately and
     never materialise the concatenated frame.
     """
-    if len(payload) > MAX_FRAME_SIZE:
-        raise ProtocolError(f"frame payload too large: {len(payload)} bytes")
-    return HEADER.pack(MAGIC, msg_type, len(payload),
-                       _checksum(msg_type, payload))
+    # Incremental CRC: seed with the header fields, then feed the payload
+    # buffer directly -- no header+payload concatenation, and ``payload``
+    # may be any bytes-like object (memoryview included).
+    length = len(payload)
+    return _pack_header(msg_type, length,
+                        zlib.crc32(payload, header_crc(msg_type, length)))
+
+
+def encode_ring_header(msg_type: int, length: int) -> bytes:
+    """The 16-byte header of a shared-memory ring frame: same layout,
+    its ``crc`` word covering the type and length words only -- the
+    payload is never read to build it."""
+    return _pack_header(msg_type, length, header_crc(msg_type, length))
 
 
 def encode_frame(msg_type: int, payload: BytesLike = b"") -> bytes:
-    """The exact bytes :func:`send_frame` puts on the wire.
+    """The exact bytes :func:`send_frame` puts on a socket.
 
     Exposed so fault injection (:mod:`repro.transport.faults`) and the
     framing property tests can truncate or corrupt real frames without
-    re-implementing the header layout.  This *does* concatenate -- the
+    re-implementing the header layout (a ring's are
+    ``ShmTransport.encode_frame``).  This *does* concatenate -- the
     hot paths use :func:`encode_header` plus scatter-gather instead.
     """
     return encode_header(msg_type, payload) + payload
@@ -199,13 +226,24 @@ def decode_header(header: BytesLike) -> tuple[int, int, int]:
     return msg_type, length, crc
 
 
-def recv_frame_from(read_exact: Callable[[int, str], bytearray]
-                    ) -> tuple[int, bytearray]:
-    """One CRC-verified frame from ``read_exact(count, what)`` -- the
-    blocking receive shared by the socket and the shm ring."""
+def recv_frame_from(read_exact: Callable[[int, str], bytearray],
+                    payload_checked: bool) -> tuple[int, bytearray]:
+    """One verified frame from ``read_exact(count, what)`` -- the
+    blocking receive shared by the socket and the shm ring.
+
+    ``payload_checked`` is the medium's: a socket folds the payload into
+    the header CRC and compares once it has all arrived; a ring compares
+    the header CRC alone, before the payload buffer is allocated, and
+    never reads the payload bytes it hands back.
+    """
     msg_type, length, crc = decode_header(read_exact(HEADER.size, "header"))
+    seed = header_crc(msg_type, length)
+    if not payload_checked:
+        if crc != seed:
+            raise checksum_mismatch(msg_type, length)
+        return msg_type, read_exact(length, "payload")
     payload = read_exact(length, "payload")
-    if crc != _checksum(msg_type, payload):
+    if crc != zlib.crc32(payload, seed):
         raise checksum_mismatch(msg_type, length)
     return msg_type, payload
 
@@ -224,4 +262,5 @@ def recv_frame(sock: socket.socket,
     seconds elapse before the full frame arrives.
     """
     with _DeadlineSocket(sock, timeout) as guarded:
-        return recv_frame_from(functools.partial(_recv_exact, guarded))
+        return recv_frame_from(functools.partial(_recv_exact, guarded),
+                               payload_checked=True)

@@ -37,8 +37,9 @@ abstractions:
   path.  A dialing channel that believes it shares a machine with the
   server offers ``SHM_HELLO`` over TCP; on agreement both sides attach
   a ring pair in place (``Channel.attach_io``) and frames -- same
-  ``MAGIC|type|len|crc`` format -- flow through shared memory while
-  the socket stays open purely as the liveness/close signal.
+  ``MAGIC|type|len|crc`` header, its ``crc`` word covering the header
+  only -- flow through shared memory while the socket stays open
+  purely as the liveness/close signal.
   Negotiation policy is a tri-state ``shm`` flag on ``connect``,
   ``ConnectionPool`` and ``Endpoint``: ``False`` = never, ``True`` =
   always offer, ``None`` = auto (same-host peers, unless

@@ -223,7 +223,7 @@ class AsyncFaultyChannel(AsyncChannel):
                 f"{cut}/{len(frame)} bytes"
             )
         if event.kind == CORRUPT:
-            await self._write_raw(_corrupt(frame, event.ratio))
+            await self._write_raw(_corrupt(frame, event.ratio, False))
             return None
         # DROP_POST: deliver, then kill the connection.
         await self._write_raw(frame)

@@ -16,7 +16,8 @@ import socket
 import threading
 from typing import Optional, TYPE_CHECKING, Union
 
-from repro.protocol.framing import BytesLike, HEADER, recv_frame, send_frame
+from repro.protocol.framing import BytesLike, HEADER, encode_frame, \
+    recv_frame, send_frame
 
 if TYPE_CHECKING:  # annotation only -- shm imports channel at runtime
     from repro.obs import MetricsRegistry
@@ -110,8 +111,8 @@ class Channel:
 
     def attach_io(self, io: "ShmTransport") -> None:
         """Reroute this channel's frames onto ``io`` (an object with
-        ``send_frame``/``recv_frame``/``sendall``/``healthy``/
-        ``shutdown``/``close``,
+        ``send_frame``/``recv_frame``/``encode_frame``/``sendall``/
+        ``healthy``/``shutdown``/``close``,
         e.g. :class:`repro.transport.shm.ShmTransport`).  Existing locks
         and deadline semantics keep applying; the socket remains owned
         and becomes pure liveness signal."""
@@ -206,14 +207,24 @@ class Channel:
                            timeout=self._resolve(timeout))
         _note_io(self.metrics, "sent", len(payload))
 
+    def _encode_frame(self, msg_type: int, payload: BytesLike) -> bytes:
+        """The bytes :meth:`send` would put on the medium frames flow
+        over, framed by that medium's codec (a ring's ``crc`` word does
+        not cover the payload) -- what fault injection cuts and flips."""
+        io = self._io
+        if io is not None:
+            return io.encode_frame(msg_type, payload)
+        return encode_frame(msg_type, payload)
+
     def _raw_sendall(self, data: BytesLike,
                      timeout: Optional[float] = None) -> None:
         """Pre-framed bytes onto whatever medium frames flow over.
 
         The fault-injection seam: :class:`~repro.transport.faults
-        .FaultyChannel` writes its truncated/corrupted frames here, so
-        every send-applicable fault kind hits shm channels exactly like
-        TCP ones.  Callers hold no locks; this takes the send lock.
+        .FaultyChannel` writes its truncated/corrupted frames here
+        (built by :meth:`_encode_frame`), so every send-applicable fault
+        kind hits shm channels like TCP ones.  Callers hold no locks;
+        this takes the send lock.
         """
         with self._send_lock:
             if self._io is not None:
@@ -278,7 +289,8 @@ def connect(host: str, port: int, timeout: Optional[float] = None,
     environment opt-out is unset *and* ``host`` looks local (the mode
     Ninf dialers -- :class:`~repro.client.NinfClient`, pools -- pass
     down); ``True`` always offers the handshake.  A refusal falls back
-    to TCP silently; a handshake that dies half-way discards the
+    to TCP silently; a handshake that dies half-way (no answer in time,
+    connection lost, a reply in another ring format) discards the
     connection and redials plain TCP, so the caller always gets a
     working channel.
     """

@@ -335,8 +335,9 @@ class Endpoint(EndpointCore):
                           payload: bytes) -> None:
         """The server half of the shm handshake: create a ring pair,
         advertise it over TCP, then reroute this connection's frames
-        onto the rings.  Refusals are ordinary ``ErrorReply`` frames --
-        the client falls back to TCP without redialing."""
+        onto the rings.  Refusals -- a malformed hello and one naming
+        another ring format included -- are ordinary ``ErrorReply``
+        frames: the client falls back to TCP without redialing."""
         from repro.transport import shm as shm_mod
 
         channel = conn.channel
@@ -350,9 +351,24 @@ class Endpoint(EndpointCore):
             conn.send_error("bad-request",
                             "connection already upgraded to shm")
             return
-        hint = shm_mod.DEFAULT_CAPACITY
-        if payload:
-            hint = XdrDecoder(payload).unpack_uint()
+        dec = XdrDecoder(payload)
+        try:
+            hint = dec.unpack_uint()
+            ring_format = dec.unpack_uint()
+            dec.done()
+        except XdrError as exc:
+            # Refused here, not by dispatch(): a hello from before the
+            # format word must count as a fallback like any other.
+            self._shm_fallbacks.inc(reason="bad-request")
+            conn.send_error("bad-request", f"malformed SHM_HELLO: {exc}")
+            return
+        if ring_format != shm_mod.RING_FORMAT:
+            self._shm_fallbacks.inc(reason="ring-format")
+            conn.send_error(
+                "shm-ring-format",
+                f"ring format {ring_format} is not spoken here "
+                f"(this side: {shm_mod.RING_FORMAT})")
+            return
         # Clamp the client's hint: tiny rings would deadlock-prone-poll,
         # huge ones would exhaust /dev/shm (often small in containers).
         capacity = max(1 << 12, min(hint or shm_mod.DEFAULT_CAPACITY,
@@ -373,6 +389,7 @@ class Endpoint(EndpointCore):
         enc.pack_string(c2s.name)
         enc.pack_string(s2c.name)
         enc.pack_uint(capacity)
+        enc.pack_uint(shm_mod.RING_FORMAT)
         # Reply over TCP first, then attach: the next frame the client
         # sends after reading the reply already arrives via the ring.
         # On the channel itself: a failed advertisement must raise and

@@ -12,8 +12,9 @@ provide that:
   sequence produces a byte-identical schedule (``plan.schedule()``).
 - :class:`FaultyChannel` -- a :class:`~repro.transport.channel.Channel`
   whose I/O consults a plan: it can delay a frame, truncate it
-  mid-write, corrupt a byte (caught by the framing CRC on the other
-  side), drop the connection before or after a send, or refuse a dial.
+  mid-write, corrupt a byte where the medium's frame check looks (so
+  the other side rejects the frame), drop the connection before or
+  after a send, or refuse a dial.
 
 Plans are injectable at the three places a channel is born, so no call
 site changes to come under test:
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.protocol.errors import ConnectionClosed
-from repro.protocol.framing import HEADER, encode_frame
+from repro.protocol.framing import HEADER
 from repro.transport.channel import _DEFAULT, Channel, _Unset, connect
 
 __all__ = [
@@ -350,10 +351,11 @@ class FaultyChannel(Channel):
     - ``truncate`` (send): a prefix of the frame is written, the socket
       is closed, and :class:`ConnectionClosed` is raised; the peer sees
       the stream end mid-frame.
-    - ``corrupt`` (send): one byte of the frame is flipped and the full
-      frame is written "successfully" -- the *peer's* framing CRC
-      rejects it and drops the connection, so the failure surfaces on
-      this side as :class:`ConnectionClosed` at the next recv.
+    - ``corrupt`` (send): one byte of the frame is flipped, in the
+      region the medium checks (:func:`_corrupt`), and the full frame
+      is written "successfully" -- the *peer's* frame check rejects it
+      and drops the connection, so the failure surfaces on this side
+      as :class:`ConnectionClosed` at the next recv.
     - ``drop_pre``: the socket is closed and the operation raises
       (``ConnectionResetError`` for send, :class:`ConnectionClosed` for
       recv).
@@ -386,10 +388,10 @@ class FaultyChannel(Channel):
             raise ConnectionResetError(
                 f"[fault #{event.seq}] connection dropped before send"
             )
-        # Pre-framed fault writes go through _raw_sendall (which takes
-        # the send lock itself) so they hit an attached shm medium the
-        # same way they hit a socket.
-        frame = encode_frame(msg_type, payload)
+        # Pre-framed fault writes are framed by the medium's own codec
+        # and go through _raw_sendall (which takes the send lock itself),
+        # so they hit an attached shm medium the way they hit a socket.
+        frame = self._encode_frame(msg_type, payload)
         if event.kind == TRUNCATE:
             cut = max(1, min(len(frame) - 1, int(event.ratio * len(frame))))
             self._raw_sendall(frame[:cut])
@@ -399,7 +401,7 @@ class FaultyChannel(Channel):
                 f"{cut}/{len(frame)} bytes"
             )
         if event.kind == CORRUPT:
-            self._raw_sendall(_corrupt(frame, event.ratio))
+            self._raw_sendall(_corrupt(frame, event.ratio, self.via_shm))
             return None
         # DROP_POST: deliver, then kill the connection.
         self._raw_sendall(frame)
@@ -425,15 +427,21 @@ class FaultyChannel(Channel):
         return super().recv(timeout=timeout)
 
 
-def _corrupt(frame: bytes, ratio: float) -> bytes:
-    """Flip one byte of ``frame``, never in the magic or length fields.
+def _corrupt(frame: bytes, ratio: float, on_ring: bool) -> bytes:
+    """Flip one byte of ``frame`` where its medium's check looks, never
+    in the magic or length fields.
 
-    Payload bytes are preferred; a payload-less frame gets its CRC field
-    flipped instead.  Either way the receiver's checksum verification
-    fails deterministically (magic and length are left intact so the
-    receiver reads exactly this frame and cannot mis-frame the stream).
+    On a socket payload bytes are preferred; a payload-less frame gets
+    its CRC field flipped instead.  A ring frame's ``crc`` word does not
+    cover the payload, so there the byte is one of the eight in the
+    ``type`` and ``crc`` words.  Either way the receiver's checksum
+    verification fails deterministically (magic and length are left
+    intact so the receiver reads exactly this frame and cannot mis-frame
+    the stream).
     """
-    if len(frame) > HEADER.size:
+    if on_ring:
+        index = (4, 5, 6, 7, 12, 13, 14, 15)[int(ratio * 8)]
+    elif len(frame) > HEADER.size:
         index = HEADER.size + int(ratio * (len(frame) - HEADER.size))
     else:
         index = 12 + int(ratio * 4)  # within the 4-byte CRC field

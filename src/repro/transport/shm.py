@@ -3,19 +3,29 @@
 The paper's LAN results put the floor of call latency at the network
 stack; on the *same host* (client and server sharing a machine, the
 common case for the breakdown experiment and local development) even
-loopback TCP pays per-byte kernel copies.  This module carries the
-exact same frame format -- ``MAGIC | type | len | crc``, produced by
-:func:`repro.protocol.framing.encode_header` -- over a pair of
-single-producer/single-consumer ring buffers in
+loopback TCP pays per-byte kernel copies.  This module carries frames
+with the same 16-byte header layout -- ``MAGIC | type | len | crc`` --
+over a pair of single-producer/single-consumer ring buffers in
 :mod:`multiprocessing.shared_memory`, so payload bytes move
 process-to-process through one shared mapping.
 
+A ring frame checks its header, not its payload: the ``crc`` word is
+:func:`repro.protocol.framing.header_crc` (type and length words),
+verified before the payload buffer is allocated, and neither side makes
+a pass over the payload.  That is the ring's fault model, not an
+economy: a ring can lose frame boundaries (a torn counter, a writer
+dying mid-frame -- caught by magic, the header CRC and mid-frame EOF)
+but cannot flip a bit in transit, since the bytes never leave memory
+both process heaps are equally exposed to.  There is one ring format,
+:data:`RING_FORMAT`, and no switch.
+
 Negotiation (PROTOCOL.md §"Shared-memory handshake") happens over the
 already-established TCP channel: the client sends ``SHM_HELLO`` with a
-capacity hint, a willing server creates both rings and answers
-``SHM_HELLO_REPLY`` with the segment names, and both sides then attach
-the rings *in place* on the existing
-:class:`~repro.transport.channel.Channel` (see ``Channel.attach_io``).
+capacity hint and the ring format it speaks, a willing server creates
+both rings and answers ``SHM_HELLO_REPLY`` with the segment names and
+the format again, and both sides then attach the rings *in place* on
+the existing :class:`~repro.transport.channel.Channel` (see
+``Channel.attach_io``).
 The TCP socket stays open -- it is the liveness signal
 (``Channel.healthy`` still selects on it) and the close signal; frames
 simply stop flowing over it.  Any other reply (an ``ERROR`` from an
@@ -28,12 +38,15 @@ Opt-outs: set ``NINF_SHM=0`` in the environment (either side), pass
 ``Endpoint(shm=False)``.  Negotiation is only *attempted* when the
 dialed host looks local (loopback or this machine's hostname).
 
-Fault injection: :class:`~repro.transport.faults.FaultyChannel` writes
+Fault injection: :class:`~repro.transport.faults.FaultyChannel` frames
+with the attached medium's codec (``Channel._encode_frame``) and writes
 its truncated/corrupted frames through ``Channel._raw_sendall``, which
 routes into the ring once attached -- so every send-applicable
 ``FaultPlan`` kind (truncate, corrupt, drop) exercises the shm path
-with the same observable semantics as TCP (CRC rejection, mid-frame
-EOF), and the chaos suite covers both media.
+with the same observable outcome as TCP (a rejected frame, mid-frame
+EOF).  CORRUPT lands its flipped byte where the ring looks -- the
+``type`` or ``crc`` word; a flipped ring *payload* byte is outside the
+ring's fault model and would not be noticed.
 """
 
 from __future__ import annotations
@@ -53,13 +66,14 @@ from repro.protocol.errors import (
     RemoteError,
     TimeoutError,
 )
-from repro.protocol.framing import BytesLike, encode_header, \
+from repro.protocol.framing import BytesLike, encode_ring_header, \
     recv_frame_from
 from repro.protocol.messages import MessageType
 from repro.xdr import XdrDecoder, XdrEncoder, XdrError
 
 __all__ = [
     "DEFAULT_CAPACITY",
+    "RING_FORMAT",
     "ShmRing",
     "ShmTransport",
     "is_local_host",
@@ -73,6 +87,12 @@ __all__ = [
 #: client may hold many shm channels at once, and ``/dev/shm`` is often
 #: small in containers), not message size.
 DEFAULT_CAPACITY = 1 << 18
+
+#: The ring frame format both peers must name in the handshake.  1 was
+#: the socket frame verbatim (``crc`` over type, length and payload) and
+#: had no word in ``SHM_HELLO``; 2 is the header-only check.  A peer
+#: speaking another format is refused before any ring carries a frame.
+RING_FORMAT = 2
 
 # Ring control block layout (one cache line, at the segment head):
 #   u64 write_pos | u64 read_pos | u64 closed
@@ -348,10 +368,12 @@ class ShmTransport:
     """Frame I/O over a ring pair; the object ``Channel.attach_io`` takes.
 
     ``send_ring`` carries this side's outgoing frames, ``recv_ring`` the
-    peer's.  The wire format inside the rings is byte-identical to TCP
-    framing: 16-byte ``MAGIC|type|len|crc`` header then payload, CRC
-    checked on receipt -- so a corrupted byte (chaos suite) surfaces as
-    the same :class:`ProtocolError` TCP framing raises.
+    peer's.  A frame in a ring is the 16-byte ``MAGIC|type|len|crc``
+    header of TCP framing, then the payload; the ``crc`` word covers the
+    type and length words only.  A desynchronised ring (bad magic, a
+    header that fails its CRC, EOF mid-frame) surfaces as the same
+    :class:`ProtocolError` TCP framing raises, before any buffer sized by
+    the header is allocated; payload bytes are copied, never checked.
     """
 
     def __init__(self, send_ring: ShmRing, recv_ring: ShmRing) -> None:
@@ -366,10 +388,16 @@ class ShmTransport:
                    timeout: Optional[float] = None) -> None:
         """Write one frame into the send ring (header, then payload)."""
         deadline = self._deadline(timeout)
-        header = encode_header(msg_type, payload)
+        header = encode_ring_header(msg_type, len(payload))
         self.send_ring.write(header, deadline)
         if len(payload):
             self.send_ring.write(payload, deadline)
+
+    @staticmethod
+    def encode_frame(msg_type: int, payload: BytesLike = b"") -> bytes:
+        """The exact bytes :meth:`send_frame` puts into the ring, for
+        fault injection to truncate or corrupt."""
+        return encode_ring_header(msg_type, len(payload)) + payload
 
     def sendall(self, data: BytesLike,
                 timeout: Optional[float] = None) -> None:
@@ -378,11 +406,13 @@ class ShmTransport:
 
     def recv_frame(self, timeout: Optional[float] = None
                    ) -> tuple[int, bytearray]:
-        """Read one CRC-verified frame from the receive ring; the
-        payload is the private ``bytearray`` it was copied out into."""
+        """Read one frame from the receive ring, its header verified
+        before the payload buffer exists; the payload is the private
+        ``bytearray`` it was copied out into."""
         deadline = self._deadline(timeout)
         return recv_frame_from(
-            lambda count, _what: self.recv_ring.read_exact(count, deadline))
+            lambda count, _what: self.recv_ring.read_exact(count, deadline),
+            payload_checked=False)
 
     def healthy(self) -> bool:
         """Whether both rings are still open (peer has not closed)."""
@@ -415,26 +445,32 @@ def negotiate(channel: "Channel", capacity: int = DEFAULT_CAPACITY,
               timeout: Optional[float] = NEGOTIATE_TIMEOUT) -> bool:
     """Client side of the shm handshake, on an established channel.
 
-    Sends ``SHM_HELLO`` (capacity hint), and on ``SHM_HELLO_REPLY``
-    attaches the advertised ring pair in place via
+    Sends ``SHM_HELLO`` (capacity hint, :data:`RING_FORMAT`), and on
+    ``SHM_HELLO_REPLY`` attaches the advertised ring pair in place via
     ``channel.attach_io``.  Returns ``True`` on upgrade, ``False`` on a
     clean refusal (an ``ERROR`` reply from an shm-disabled or older
-    server, or any unexpected-but-well-formed reply) -- the channel
-    keeps working over TCP either way.
+    server or one that speaks another ring format, or any
+    unexpected-but-well-formed reply) -- the channel keeps working over
+    TCP either way.
 
     Raises on a *poisoned* handshake (timeout mid-exchange, connection
-    loss, or a reply naming segments this process cannot attach): the
-    server may already be listening on the rings, so the caller must
-    discard the channel and redial rather than keep using it.
+    loss, a reply naming segments this process cannot attach, or one
+    that does not name this ring format -- a server from before the
+    format word upgrades regardless): the server may already be
+    listening on the rings, so the caller must discard the channel and
+    redial rather than keep using it.
     """
     enc = XdrEncoder()
     enc.pack_uint(capacity)
+    enc.pack_uint(RING_FORMAT)
     try:
         _reply_type, reply = channel.request(
             MessageType.SHM_HELLO, enc.getvalue(),
             expect=MessageType.SHM_HELLO_REPLY, timeout=timeout)
     except RemoteError:
         return False  # server said no (shm disabled, or pre-shm dispatch)
+    except (TimeoutError, ConnectionClosed):
+        raise  # no answer is not a refusal: a late reply may still come
     except ProtocolError:
         return False  # well-formed non-reply; the stream is still framed
     dec = XdrDecoder(reply)
@@ -442,9 +478,13 @@ def negotiate(channel: "Channel", capacity: int = DEFAULT_CAPACITY,
         c2s_name = dec.unpack_string()
         s2c_name = dec.unpack_string()
         ring_capacity = dec.unpack_uint()
+        ring_format = dec.unpack_uint()
         dec.done()
     except XdrError as exc:
         raise ProtocolError(f"malformed SHM_HELLO_REPLY: {exc}") from exc
+    if ring_format != RING_FORMAT:
+        raise ProtocolError(f"server upgraded to ring format {ring_format}, "
+                            f"this side speaks {RING_FORMAT}")
     c2s = ShmRing.attach(c2s_name, ring_capacity)
     try:
         s2c = ShmRing.attach(s2c_name, ring_capacity)

@@ -8,11 +8,13 @@ second one.
 """
 
 import asyncio
+import contextlib
 import re
 import socket
 import threading
 import time
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -135,25 +137,82 @@ def test_sync_recv_frame_receives_into_one_buffer(traced):
     assert isinstance(got, bytearray)
 
 
-def test_shm_recv_frame_receives_into_one_buffer(traced):
-    payload = bytes(NBYTES)
+@contextlib.contextmanager
+def _ring_transports():
+    """``(writer, reader)``: one 256 KiB ring from the first to the
+    second, attached on the writer's side as a client attaches."""
     ring = ShmRing.create(1 << 18)
     idle = ShmRing.create(1 << 12)
     writer = ShmTransport(send_ring=ShmRing.attach(ring.name, ring.capacity),
                           recv_ring=ShmRing.attach(idle.name, idle.capacity))
     reader = ShmTransport(send_ring=idle, recv_ring=ring)
     try:
+        yield writer, reader
+    finally:
+        writer.close()
+        reader.close()
+
+
+def test_shm_recv_frame_receives_into_one_buffer(traced):
+    payload = bytes(NBYTES)
+    with _ring_transports() as (writer, reader):
         sender = _send_from_thread(
             lambda: writer.send_frame(MessageType.CALL, payload, timeout=30.0))
         peak, (msg_type, got) = _peak_over(
             lambda: reader.recv_frame(timeout=30.0))
         sender.join(30.0)
-    finally:
-        writer.close()
-        reader.close()
     assert peak <= 1.1 * NBYTES
     assert msg_type == MessageType.CALL and len(got) == NBYTES
     assert isinstance(got, bytearray)
+
+
+# -- checksum: a ring frame checks its header, not its payload ----------------
+
+
+@pytest.fixture
+def crc_fed(monkeypatch):
+    """The byte count of every buffer handed to ``zlib.crc32``."""
+    fed = []
+    crc32 = zlib.crc32
+
+    def counting(data, *seed):
+        fed.append(memoryview(data).nbytes)
+        return crc32(data, *seed)
+
+    monkeypatch.setattr(zlib, "crc32", counting)
+    return fed
+
+
+@pytest.mark.parametrize("nbytes", [0, 5, NBYTES])
+def test_a_ring_frame_feeds_the_crc_eight_bytes_a_side(crc_fed, nbytes):
+    """Sender and receiver each checksum the type and length words --
+    eight bytes -- whatever the payload: no pass over payload bytes on
+    either side of a ring."""
+    payload = bytes(nbytes)
+    with _ring_transports() as (writer, reader):
+        sender = _send_from_thread(
+            lambda: writer.send_frame(MessageType.CALL, payload, timeout=30.0))
+        msg_type, got = reader.recv_frame(timeout=30.0)
+        sender.join(30.0)
+    assert msg_type == MessageType.CALL and got == payload
+    assert sorted(crc_fed) == [8, 8]
+
+
+def test_a_socket_frame_still_feeds_the_crc_its_payload(crc_fed):
+    """The same 8 MB frame over a socket pair: header words plus the
+    whole payload, on each side -- TCP keeps its CRC."""
+    payload = bytes(NBYTES)
+    left, right = socket.socketpair()
+    try:
+        sender = _send_from_thread(
+            lambda: send_frame(left, MessageType.CALL, payload, timeout=30.0))
+        msg_type, got = recv_frame(right, timeout=30.0)
+        sender.join(30.0)
+    finally:
+        left.close()
+        right.close()
+    assert msg_type == MessageType.CALL and len(got) == NBYTES
+    assert sum(crc_fed) == 2 * (8 + NBYTES)
 
 
 @pytest.mark.parametrize("probe", [b"", b"probe"])
