@@ -11,11 +11,12 @@ observability conventions:
 - ``await-under-lock`` (:mod:`repro.analysis.awaitlock`)
 - ``catalog-pinned-names`` (:mod:`repro.analysis.catalog`)
 - ``async-blocking-reachability`` (:mod:`repro.analysis.asyncblocking`)
-- ``wire-symmetry`` (:mod:`repro.analysis.wiresym`)
+- ``struct-arity`` (:mod:`repro.analysis.structarity`)
 
-The last two (and the upgraded deadline rule) are whole-program passes
-over the shared call graph (:mod:`repro.analysis.callgraph`), built
-once per run on :class:`~repro.analysis.core.Project`.
+``async-blocking-reachability`` (and the upgraded deadline rule) are
+whole-program passes over the shared call graph
+(:mod:`repro.analysis.callgraph`), built once per run on
+:class:`~repro.analysis.core.Project`.
 
 Run it as ``ninf-lint src`` (or ``python -m repro.analysis src``).
 The rule catalog, suppression syntax, and extension guide live in
@@ -45,7 +46,7 @@ from repro.analysis.core import (
 from repro.analysis.deadlines import DeadlinePropagationChecker
 from repro.analysis.lifecycle import ResourceLifecycleChecker
 from repro.analysis.locks import GUARDED_BY, LockDisciplineChecker, LockSpec
-from repro.analysis.wiresym import WireSymmetryChecker
+from repro.analysis.structarity import StructArityChecker
 
 __all__ = [
     "ALL_CHECKER_CLASSES",
@@ -63,7 +64,7 @@ __all__ = [
     "ProjectChecker",
     "ResourceLifecycleChecker",
     "SourceModule",
-    "WireSymmetryChecker",
+    "StructArityChecker",
     "all_checkers",
     "iter_python_files",
     "load_baseline",
@@ -79,14 +80,13 @@ ALL_CHECKER_CLASSES = (
     AwaitUnderLockChecker,
     CatalogNamesChecker,
     AsyncBlockingReachabilityChecker,
-    WireSymmetryChecker,
+    StructArityChecker,
 )
 
 
 def all_checkers(repo_root: Optional[Path] = None) -> tuple[Checker, ...]:
     """One instance of every checker, wired to ``repo_root`` for the
     rules that cross-check the docs."""
-    protocol_md = repo_root / "PROTOCOL.md" if repo_root else None
     return (
         LockDisciplineChecker(),
         ResourceLifecycleChecker(),
@@ -94,5 +94,5 @@ def all_checkers(repo_root: Optional[Path] = None) -> tuple[Checker, ...]:
         AwaitUnderLockChecker(),
         CatalogNamesChecker(repo_root=repo_root),
         AsyncBlockingReachabilityChecker(),
-        WireSymmetryChecker(protocol_md=protocol_md),
+        StructArityChecker(),
     )

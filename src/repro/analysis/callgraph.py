@@ -3,8 +3,8 @@
 The graph is built once per lint run (cached on
 :class:`~repro.analysis.core.Project`) from every loaded
 :class:`~repro.analysis.core.SourceModule` and shared by
-``async-blocking-reachability``, ``wire-symmetry``, and the
-call-graph-aware half of ``deadline-propagation``.
+``async-blocking-reachability`` and the call-graph-aware half of
+``deadline-propagation``.
 
 Resolution is deliberately *conservative*: an edge exists only when the
 callee can be named with confidence, and every call that cannot be --
@@ -150,7 +150,6 @@ class HandlerRegistration:
     """One ``register_handler``-family call: who runs for which frame."""
 
     caller: str
-    node: ast.Call                #: ``args[0]`` is the message type
     blocking: bool                #: via ``register_blocking_handler``
     handlers: tuple[str, ...]     #: candidate handler qualnames
 
@@ -468,22 +467,6 @@ class CallGraph:
 
     # -- expression typing inside one function --------------------------------
 
-    def type_env(self, qualname: str) -> dict[str, str]:
-        """Local name -> class qualname inferred for one function."""
-        return self._type_env.get(qualname, {})
-
-    def infer_expr_type(self, func_qualname: str,
-                        expr: ast.expr) -> Optional[str]:
-        """The project class an expression evaluates to inside a
-        function, or None.  Used by checkers that splice summaries
-        (``wire-symmetry``'s ``obj.encode(enc)``)."""
-        info = self.functions.get(func_qualname)
-        if info is None:
-            return None
-        scope = self._scopes[info.module_prefix]
-        env = self.type_env(func_qualname)
-        return self._expr_type(expr, scope, env)
-
     def _expr_type(self, expr: ast.expr, scope: _ModuleScope,
                    env: dict[str, str]) -> Optional[str]:
         if isinstance(expr, ast.Name):
@@ -697,7 +680,7 @@ class CallGraph:
         if info is None or not isinstance(expr, ast.Attribute):
             return []
         scope = self._scopes[info.module_prefix]
-        env = self.type_env(func_qualname)
+        env = self._type_env.get(func_qualname, {})
         owner = self._expr_type(expr.value, scope, env)
         if owner is None:
             return []
@@ -719,7 +702,7 @@ class CallGraph:
                         and call.func.attr in _REGISTER_METHODS
                         and len(call.args) >= 2):
                     found.append(HandlerRegistration(
-                        caller=qualname, node=call,
+                        caller=qualname,
                         blocking=_REGISTER_METHODS[call.func.attr],
                         handlers=tuple(self.resolve_method_ref(
                             qualname, call.args[1]))))

@@ -26,34 +26,17 @@ test: when it scans the catalog modules themselves and the repo's
 OBSERVABILITY.md is available, every ``METRIC_NAMES`` entry must appear
 in that doc and every ``SPAN_NAMES`` entry must appear backtick-quoted,
 with findings anchored at the constant's assignment line.
-
-The wire protocol gets the same treatment: scanning
-``repro/protocol/messages.py`` with PROTOCOL.md available pins every
-``MessageType`` member to a row of the doc's op-code table (same name,
-same number) and ``PROTOCOL_VERSION`` to the doc's version statement,
-anchored at the member's assignment line.  (The exact two-way
-comparison -- no stale doc rows either -- lives in
-``tests/test_docs_consistency.py``; the lint half exists so editing the
-enum without the doc fails ``ninf-lint`` too, where the finding points
-at the line that changed.)
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.analysis.core import Checker, Finding, SourceModule
 
 __all__ = ["CatalogNamesChecker"]
-
-#: A PROTOCOL.md op-code table row: ``| 5 | `CALL` | ...``.
-_OPCODE_ROW = re.compile(r"^\|\s*(\d+)\s*\|\s*`([A-Z_]+)`\s*\|", re.M)
-
-#: PROTOCOL.md's canonical version statement.
-_VERSION_STATEMENT = re.compile(r"current protocol version is \*\*(\d+)\*\*")
 
 #: ``registry.<attr>(name, ...)`` calls that register a metric.
 METRIC_SITE_ATTRS = frozenset({"counter", "gauge", "histogram"})
@@ -102,7 +85,6 @@ class CatalogNamesChecker(Checker):
             if isinstance(node, ast.Call):
                 yield from self._check_call(module, node)
         yield from self._check_docs(module)
-        yield from self._check_protocol_doc(module)
 
     # -- instrumentation sites -----------------------------------------------
 
@@ -179,79 +161,12 @@ class CatalogNamesChecker(Checker):
                     f"from OBSERVABILITY.md; document it there")
 
     def _observability_text(self) -> Optional[str]:
-        return self._doc_text("OBSERVABILITY.md")
-
-    def _doc_text(self, name: str) -> Optional[str]:
         if self.repo_root is None:
             return None
-        doc = self.repo_root / name
+        doc = self.repo_root / "OBSERVABILITY.md"
         if not doc.is_file():
             return None
         return doc.read_text(encoding="utf-8")
-
-    # -- MessageType / PROTOCOL_VERSION <-> PROTOCOL.md ----------------------
-
-    def _check_protocol_doc(self, module: SourceModule) -> Iterator[Finding]:
-        """The wire-spec half, run only over ``protocol/messages.py``.
-
-        Every ``MessageType`` member must appear in PROTOCOL.md's
-        op-code table with the same number, and the doc's version
-        statement must agree with ``PROTOCOL_VERSION``.
-        """
-        if not module.path.as_posix().endswith("repro/protocol/messages.py"):
-            return
-        doc_text = self._doc_text("PROTOCOL.md")
-        if doc_text is None:
-            return
-        documented = {name: int(code) for code, name in
-                      _OPCODE_ROW.findall(doc_text)}
-        for node in ast.walk(module.tree):
-            if (isinstance(node, ast.ClassDef)
-                    and node.name == "MessageType"):
-                yield from self._check_opcodes(module, node, documented)
-            elif (isinstance(node, ast.Assign)
-                    and any(isinstance(t, ast.Name)
-                            and t.id == "PROTOCOL_VERSION"
-                            for t in node.targets)
-                    and isinstance(node.value, ast.Constant)):
-                match = _VERSION_STATEMENT.search(doc_text)
-                if match is None:
-                    yield self.finding(
-                        module, node,
-                        "PROTOCOL.md has no 'current protocol version "
-                        "is **N**' statement; the canonical spec must "
-                        "state the version")
-                elif int(match.group(1)) != node.value.value:
-                    yield self.finding(
-                        module, node,
-                        f"PROTOCOL_VERSION = {node.value.value} but "
-                        f"PROTOCOL.md says version {match.group(1)}; "
-                        f"update the doc's version statement and "
-                        f"history")
-
-    def _check_opcodes(self, module: SourceModule, enum_def: ast.ClassDef,
-                       documented: dict[str, int]) -> Iterator[Finding]:
-        for stmt in enum_def.body:
-            if not (isinstance(stmt, ast.Assign)
-                    and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                    and isinstance(stmt.value, ast.Constant)
-                    and isinstance(stmt.value.value, int)):
-                continue
-            name = stmt.targets[0].id
-            code = stmt.value.value
-            if name not in documented:
-                yield self.finding(
-                    module, stmt,
-                    f"op {name} ({code}) is missing from PROTOCOL.md's "
-                    f"op-code table; the wire spec must list every "
-                    f"MessageType")
-            elif documented[name] != code:
-                yield self.finding(
-                    module, stmt,
-                    f"op {name} is {code} in code but "
-                    f"{documented[name]} in PROTOCOL.md; op codes are "
-                    f"wire-stable, so one side is lying")
 
 
 def _name_argument(call: ast.Call) -> Optional[ast.expr]:

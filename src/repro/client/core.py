@@ -44,14 +44,16 @@ from repro.obs.trace import (
 from repro.protocol.errors import ProtocolError, RemoteError, TimeoutError
 from repro.protocol.marshal import marshal_inputs, unmarshal_outputs
 from repro.protocol.messages import (
+    CALL_HEADER,
     CallHeader,
     JobTimestamps,
-    LoadReply,
     MessageType,
     checked_reply,
+    pack,
+    unpack,
 )
 from repro.transport.retry import RetryPolicy, is_transient
-from repro.xdr import XdrDecoder, XdrEncoder
+from repro.xdr import XdrEncoder
 
 __all__ = ["CallRecord", "Checkout", "ClientState", "DetachedCall",
            "Exchange", "Recv", "Send", "Sleep"]
@@ -105,23 +107,26 @@ class Sleep(NamedTuple):
 
 class _CallPayload:
     """One logical call's CALL / CALL_DETACHED payload, marshalled once:
-    the arguments are packed straight into the header's encoder
-    (``begin_opaque``/``end_opaque``), never built apart and copied in,
+    the arguments are packed straight into the payload's opaque tail
+    (reserved once, filled in place), never built apart and copied in,
     and attempts differ only in ``attempt``/``budget``, which
     :meth:`stamp` rewrites in place.  Argument errors raise here, before
     any dial.  Stamp only between sends (DESIGN.md §3.1)."""
 
+    args_bytes: int     #: size of the marshalled argument block
+    _header_end: int    #: offset of the args length word: the header's end
+
     def __init__(self, function: str, signature: Signature, call_id: int,
                  args: Sequence[Any]) -> None:
-        enc = XdrEncoder()
-        CallHeader(function=function, call_id=call_id,
-                   logical_id=uuid.uuid4().hex).encode(enc)
-        token = enc.begin_opaque()  # its offset is where the header ends
-        marshal_inputs(signature, args, into=enc)
-        self.args_bytes = len(enc) - token - 4
-        enc.end_opaque(token)
-        self._enc = enc
-        self._header_end = token
+        def fill(enc: XdrEncoder) -> None:
+            self._header_end = len(enc) - 4    # word just reserved
+            marshal_inputs(signature, args, into=enc)
+            self.args_bytes = len(enc) - self._header_end - 4
+
+        self._payload = pack(
+            MessageType.CALL,
+            CallHeader(function=function, call_id=call_id,
+                       logical_id=uuid.uuid4().hex), fill)
         self._attempts = itertools.count(1)
 
     def stamp(self, deadline: Optional[float],
@@ -130,9 +135,10 @@ class _CallPayload:
         recomputed as what is left until ``deadline`` now."""
         remaining = (0.0 if deadline is None
                      else max(0.001, deadline - clock()))
-        CallHeader.restamp(self._enc, self._header_end,
-                           next(self._attempts), remaining)
-        return self._enc.getbuffer()
+        tail = CALL_HEADER.tail     # attempt + budget, as they sit on the wire
+        tail.pack_into(self._payload, self._header_end - tail.size,
+                       next(self._attempts), remaining)
+        return self._payload
 
 
 @dataclass(frozen=True)
@@ -266,8 +272,8 @@ def list_functions(state: ClientState) -> Operation:
     _type, reply = yield from _idempotent(
         state, Exchange(MessageType.LIST_REQUEST,
                         expect=MessageType.LIST_REPLY))
-    dec = XdrDecoder(reply)
-    return dec.unpack_array(dec.unpack_string)
+    (functions,) = unpack(MessageType.LIST_REPLY, reply)
+    return list(functions)
 
 
 def query_load(state: ClientState) -> Operation:
@@ -275,7 +281,8 @@ def query_load(state: ClientState) -> Operation:
     _type, reply = yield from _idempotent(
         state, Exchange(MessageType.LOAD_QUERY,
                         expect=MessageType.LOAD_REPLY))
-    return LoadReply.decode(XdrDecoder(reply))
+    (load,) = unpack(MessageType.LOAD_REPLY, reply)
+    return load
 
 
 def get_signature(state: ClientState, function: str) -> Operation:
@@ -283,12 +290,11 @@ def get_signature(state: ClientState, function: str) -> Operation:
     cached = state._signatures.get(function)
     if cached is not None:
         return cached
-    enc = XdrEncoder()
-    enc.pack_string(function)
     _type, reply = yield from _idempotent(
-        state, Exchange(MessageType.INTERFACE_REQUEST, enc.getvalue(),
+        state, Exchange(MessageType.INTERFACE_REQUEST,
+                        pack(MessageType.INTERFACE_REQUEST, function),
                         expect=MessageType.INTERFACE_REPLY))
-    signature = Signature.from_wire(reply)
+    (signature,) = unpack(MessageType.INTERFACE_REPLY, reply)
     state._signatures[function] = signature
     return signature
 
@@ -301,15 +307,10 @@ def fetch_stats(state: ClientState, fmt: str = "json") -> Operation:
     returns the Prometheus text exposition as a string.  The exchange
     is idempotent and rides the retry policy.
     """
-    enc = XdrEncoder()
-    enc.pack_string(fmt)
     _type, reply = yield from _idempotent(
-        state, Exchange(MessageType.STATS, enc.getvalue(),
+        state, Exchange(MessageType.STATS, pack(MessageType.STATS, fmt),
                         expect=MessageType.STATS_REPLY))
-    dec = XdrDecoder(reply)
-    reply_fmt = dec.unpack_string()
-    text = dec.unpack_string()
-    dec.done()
+    reply_fmt, text = unpack(MessageType.STATS_REPLY, reply)
     return json.loads(text) if reply_fmt == "json" else text
 
 
@@ -321,14 +322,10 @@ def _decode_result(reply_type: int, reply: Any, expected_id: int,
     RESULT for ``expected_id`` is a :class:`ProtocolError`; returns the
     server's timestamps and a view of the marshalled outputs."""
     reply = checked_reply(reply_type, reply, expect=MessageType.RESULT)
-    dec = XdrDecoder(reply)
-    reply_id = dec.unpack_uhyper()
+    reply_id, timestamps, out_payload = unpack(MessageType.RESULT, reply)
     if reply_id != expected_id:
         raise ProtocolError(
             f"result for {what} {reply_id}, expected {expected_id}")
-    timestamps = JobTimestamps.decode(dec)
-    out_payload = dec.unpack_opaque_view()
-    dec.done()
     return timestamps, out_payload
 
 
@@ -393,11 +390,8 @@ def call_with_record(
                 reply_type, reply = yield Recv(channel)
                 if reply_type != MessageType.CALLBACK:
                     break
-                dec = XdrDecoder(reply)
-                cb_call_id = dec.unpack_uhyper()
-                progress = dec.unpack_double()
-                message = dec.unpack_string()
-                dec.done()
+                cb_call_id, progress, message = unpack(
+                    MessageType.CALLBACK, reply)
                 if on_callback is not None and cb_call_id == call_id:
                     on_callback(progress, message)
             # The recv window covers server queueing + compute as seen
@@ -476,10 +470,7 @@ def call_detached(state: ClientState, function: str, *args: Any,
 
     _type, reply = yield from _retrying(state, submit, deadline,
                                         enabled=state.retry_calls)
-    dec = XdrDecoder(reply)
-    reply_id = dec.unpack_uhyper()
-    ticket = dec.unpack_uhyper()
-    dec.done()
+    reply_id, ticket = unpack(MessageType.CALL_ACCEPTED, reply)
     if reply_id != call_id:
         raise ProtocolError(f"accept for call {reply_id}, "
                             f"expected {call_id}")
@@ -496,9 +487,8 @@ def fetch_detached(state: ClientState, call: DetachedCall,
     pending after ``timeout`` seconds is cancelled (best effort) and
     raises :class:`repro.protocol.errors.TimeoutError`."""
     deadline = None if timeout is None else state.clock() + timeout
-    enc = XdrEncoder()
-    enc.pack_uhyper(call.ticket)
-    poll = Exchange(MessageType.FETCH_RESULT, enc.getvalue())
+    poll = Exchange(MessageType.FETCH_RESULT,
+                    pack(MessageType.FETCH_RESULT, call.ticket))
     while True:
         # Fetching by ticket is idempotent: the server keeps the result
         # until it is collected, so retry is safe here.
@@ -534,17 +524,13 @@ def cancel_detached(state: ClientState, call: DetachedCall) -> Operation:
     already ran, the ticket is unknown, or the server is unreachable.
     Running jobs are never interrupted.
     """
-    enc = XdrEncoder()
-    enc.pack_uhyper(call.ticket)
     try:
-        _type, reply = yield Exchange(MessageType.CANCEL, enc.getvalue(),
-                                      expect=MessageType.CANCEL_REPLY)
+        _type, reply = yield Exchange(
+            MessageType.CANCEL, pack(MessageType.CANCEL, call.ticket),
+            expect=MessageType.CANCEL_REPLY)
     except (OSError, ProtocolError, RemoteError):
         return False
-    dec = XdrDecoder(reply)
-    ticket = dec.unpack_uhyper()
-    dropped = dec.unpack_bool()
-    dec.done()
+    ticket, dropped = unpack(MessageType.CANCEL_REPLY, reply)
     return dropped and ticket == call.ticket
 
 

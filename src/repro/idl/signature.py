@@ -25,9 +25,9 @@ import numpy as np
 from repro.idl.errors import IdlError
 from repro.idl.expr import Expr, parse_expr
 from repro.idl.parser import Definition, Param
-from repro.xdr import XdrDecoder, XdrEncoder
+from repro.xdr.record import Array, Struct, string
 
-__all__ = ["ArgSpec", "BoundCall", "Signature"]
+__all__ = ["ARG_SPEC", "ArgSpec", "BoundCall", "SIGNATURE", "Signature"]
 
 DTYPE_SIZES = {
     "int": 4, "long": 8, "float": 4, "double": 8,
@@ -89,6 +89,10 @@ class ArgSpec:
         if not self.is_array:
             return element
         return element * int(np.prod(self.shape(env), dtype=np.int64))
+
+
+ARG_SPEC = Struct(string("mode"), string("dtype"), string("name"),
+                  Array(string, 32)("dims"), make=ArgSpec)
 
 
 @dataclass
@@ -253,55 +257,6 @@ class Signature:
                 total += arg.nbytes(env)
         return float(total)
 
-    # -- wire form -----------------------------------------------------------------------
-
-    def to_wire(self) -> bytes:
-        """XDR-encode the signature (stage one of the two-stage RPC)."""
-        enc = XdrEncoder()
-        enc.pack_string(self.name)
-        enc.pack_string(self.description)
-        enc.pack_string(self.calc_order)
-        enc.pack_string(self.comm_order)
-        enc.pack_uint(len(self.args))
-        for arg in self.args:
-            enc.pack_string(arg.mode)
-            enc.pack_string(arg.dtype)
-            enc.pack_string(arg.name)
-            enc.pack_uint(len(arg.dims))
-            for dim in arg.dims:
-                enc.pack_string(dim)
-        return enc.getvalue()
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "Signature":
-        dec = XdrDecoder(data)
-        sig = cls.read_from(dec)
-        dec.done()
-        return sig
-
-    @classmethod
-    def read_from(cls, dec: XdrDecoder) -> "Signature":
-        """Decode a signature from an in-progress decoder."""
-        name = dec.unpack_string()
-        description = dec.unpack_string()
-        calc_order = dec.unpack_string()
-        comm_order = dec.unpack_string()
-        nargs = dec.unpack_uint()
-        if nargs > 4096:
-            raise IdlError(f"implausible signature arity {nargs}")
-        args = []
-        for _ in range(nargs):
-            mode = dec.unpack_string()
-            dtype = dec.unpack_string()
-            arg_name = dec.unpack_string()
-            ndims = dec.unpack_uint()
-            if ndims > 32:
-                raise IdlError(f"implausible array rank {ndims}")
-            dims = tuple(dec.unpack_string() for _ in range(ndims))
-            args.append(ArgSpec(mode=mode, dtype=dtype, name=arg_name, dims=dims))
-        return cls(name=name, args=tuple(args), description=description,
-                   calc_order=calc_order, comm_order=comm_order)
-
     # -- misc ---------------------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -320,3 +275,10 @@ class Signature:
             for a in self.args
         )
         return f"<Signature {self.name}({params})>"
+
+
+#: The wire form of a signature: stage one of the two-stage RPC, the
+#: payload of INTERFACE_REPLY.  At most 4096 arguments of rank <= 32.
+SIGNATURE = Struct(string("name"), string("description"),
+                   string("calc_order"), string("comm_order"),
+                   Array(ARG_SPEC, 4096)("args"), make=Signature)

@@ -6,7 +6,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.client.api import CallRecord, NinfClient
 from repro.idl.signature import Signature
@@ -16,12 +16,12 @@ from repro.metaserver.schedulers import CallEstimate, LoadScheduler, Scheduler
 from repro.protocol.errors import ProtocolError, RemoteError
 from repro.protocol.messages import (
     MAX_PICK_ITEMS,
-    LoadReply,
-    LoadReport,
     MessageType,
     PickRequest,
     ServerInfo,
     SyncMessage,
+    pack,
+    unpack,
 )
 from repro.transport import (
     Channel,
@@ -33,7 +33,7 @@ from repro.transport import (
     connect,
     is_transient,
 )
-from repro.xdr import XdrDecoder, XdrEncoder, XdrError
+from repro.xdr import XdrError
 
 __all__ = ["BrokeredClient", "MetaClient", "Metaserver"]
 
@@ -218,8 +218,7 @@ class Metaserver(Endpoint):
                 msg_type, payload = probe()
             if msg_type == MessageType.LOAD_REPLY:
                 self.directory.update_load(
-                    host, port, LoadReply.decode(XdrDecoder(payload))
-                )
+                    host, port, *unpack(MessageType.LOAD_REPLY, payload))
             self._probes.inc(outcome="ok")
         except (OSError, ProtocolError, RemoteError, XdrError):
             self.directory.mark_dead(host, port)
@@ -251,9 +250,7 @@ class Metaserver(Endpoint):
         """
         message = SyncMessage(origin=self._replica_name(),
                               deltas=tuple(self.directory.deltas()))
-        enc = XdrEncoder()
-        message.encode(enc)
-        payload = enc.getvalue()
+        payload = pack(MessageType.MS_SYNC, message)
         reached = 0
         dial = self._dialer()
         for host, port in self.peers:
@@ -263,7 +260,7 @@ class Metaserver(Endpoint):
                     _msg_type, reply = channel.request(
                         MessageType.MS_SYNC, payload,
                         expect=MessageType.MS_SYNC_REPLY)
-                theirs = SyncMessage.decode(XdrDecoder(reply))
+                (theirs,) = unpack(MessageType.MS_SYNC_REPLY, reply)
                 applied = self.directory.merge(list(theirs.deltas))
                 if applied:
                     self._gossip_applied.inc(applied)
@@ -283,28 +280,22 @@ class Metaserver(Endpoint):
     # -- request handlers ----------------------------------------------------------
 
     def _handle_register(self, conn: Connection, payload: bytes) -> None:
-        info = ServerInfo.decode(XdrDecoder(payload))
-        self.directory.register(info)
+        self.directory.register(*unpack(MessageType.MS_REGISTER, payload))
         conn.send(MessageType.MS_OK, b"")
 
     def _handle_unregister(self, conn: Connection, payload: bytes) -> None:
-        dec = XdrDecoder(payload)
-        host = dec.unpack_string()
-        port = dec.unpack_uint()
-        self.directory.unregister(host, port)
+        self.directory.unregister(
+            *unpack(MessageType.MS_UNREGISTER, payload))
         conn.send(MessageType.MS_OK, b"")
 
     def _handle_lookup(self, conn: Connection, payload: bytes) -> None:
-        function = XdrDecoder(payload).unpack_string()
-        providers = self.directory.providers(function)
-        enc = XdrEncoder()
-        enc.pack_uint(len(providers))
-        for entry in providers:
-            entry.info.encode(enc)
-        conn.send(MessageType.MS_LOOKUP_REPLY, enc.getvalue())
+        (function,) = unpack(MessageType.MS_LOOKUP, payload)
+        conn.reply(
+            MessageType.MS_LOOKUP_REPLY,
+            [entry.info for entry in self.directory.providers(function)])
 
     def _handle_pick(self, conn: Connection, payload: bytes) -> None:
-        request = PickRequest.decode(XdrDecoder(payload))
+        (request,) = unpack(MessageType.MS_PICK, payload)
         # Folded in first, so this placement sees the caller's earlier
         # calls exactly as if each had sent its own MS_REPORT.
         for observation in request.observations:
@@ -322,30 +313,20 @@ class Metaserver(Endpoint):
             conn.send_error("no-provider",
                             f"no server provides {function!r}")
             return
-        enc = XdrEncoder()
-        chosen.info.encode(enc)
-        conn.send(MessageType.MS_PICK_REPLY, enc.getvalue())
+        conn.reply(MessageType.MS_PICK_REPLY, chosen.info)
 
     def _handle_report(self, conn: Connection, payload: bytes) -> None:
-        dec = XdrDecoder(payload)
-        host = dec.unpack_string()
-        port = dec.unpack_uint()
-        site = dec.unpack_string()
-        bandwidth = dec.unpack_double()
-        self.directory.report_bandwidth(host, port, site, bandwidth)
+        self.directory.report_bandwidth(
+            *unpack(MessageType.MS_REPORT, payload))
         conn.send(MessageType.MS_OK, b"")
 
     def _handle_list(self, conn: Connection, payload: bytes) -> None:
-        entries = self.directory.entries()
-        enc = XdrEncoder()
-        enc.pack_uint(len(entries))
-        for entry in entries:
-            entry.info.encode(enc)
-        conn.send(MessageType.MS_LIST_REPLY, enc.getvalue())
+        conn.reply(MessageType.MS_LIST_REPLY,
+                   [entry.info for entry in self.directory.entries()])
 
     def _handle_heartbeat(self, conn: Connection, payload: bytes) -> None:
         """Ingest a pushed MS_HEARTBEAT load report (DESIGN.md §3.7)."""
-        report = LoadReport.decode(XdrDecoder(payload))
+        (report,) = unpack(MessageType.MS_HEARTBEAT, payload)
         if not report.verify(self.secret):
             self._heartbeats.inc(outcome="bad-signature")
             conn.send_error("bad-signature",
@@ -357,15 +338,13 @@ class Metaserver(Endpoint):
 
     def _handle_sync(self, conn: Connection, payload: bytes) -> None:
         """Serve one gossip exchange: merge theirs, reply with ours."""
-        message = SyncMessage.decode(XdrDecoder(payload))
+        (message,) = unpack(MessageType.MS_SYNC, payload)
         applied = self.directory.merge(list(message.deltas))
         if applied:
             self._gossip_applied.inc(applied)
         reply = SyncMessage(origin=self._replica_name(),
                             deltas=tuple(self.directory.deltas()))
-        enc = XdrEncoder()
-        reply.encode(enc)
-        conn.send(MessageType.MS_SYNC_REPLY, enc.getvalue())
+        conn.reply(MessageType.MS_SYNC_REPLY, reply)
 
 
 class MetaClient:
@@ -444,9 +423,9 @@ class MetaClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _roundtrip(self, msg_type: int, payload: bytes,
-                   expect: int) -> bytes:
-        """One request against the replica set.
+    def _roundtrip(self, msg_type: int, expect: int, *values: Any) -> bytes:
+        """One request (``values``: its declared fields) against the
+        replica set; returns the ``expect`` reply's payload.
 
         Walks replicas from the last one that answered; a replica that
         fails transiently trips its breaker and the walk moves on.  A
@@ -456,6 +435,7 @@ class MetaClient:
         last transport error -- the pick cache's degraded path catches
         exactly that.
         """
+        payload = pack(msg_type, *values)
         last_exc: Optional[Exception] = None
         count = len(self.endpoints)
         start = self._preferred
@@ -486,10 +466,7 @@ class MetaClient:
 
     def register(self, info: ServerInfo) -> None:
         """MS_REGISTER: add a computational server to the directory."""
-        enc = XdrEncoder()
-        info.encode(enc)
-        self._roundtrip(MessageType.MS_REGISTER, enc.getvalue(),
-                        MessageType.MS_OK)
+        self._roundtrip(MessageType.MS_REGISTER, MessageType.MS_OK, info)
 
     def register_server(self, server, name: Optional[str] = None) -> None:
         """Register a local :class:`~repro.server.NinfServer` instance."""
@@ -505,21 +482,15 @@ class MetaClient:
 
     def unregister(self, host: str, port: int) -> None:
         """MS_UNREGISTER: remove a server from the directory."""
-        enc = XdrEncoder()
-        enc.pack_string(host)
-        enc.pack_uint(port)
-        self._roundtrip(MessageType.MS_UNREGISTER, enc.getvalue(),
-                        MessageType.MS_OK)
+        self._roundtrip(MessageType.MS_UNREGISTER, MessageType.MS_OK,
+                        host, port)
 
     def lookup(self, function: str) -> list[ServerInfo]:
         """MS_LOOKUP: alive servers providing ``function``."""
-        enc = XdrEncoder()
-        enc.pack_string(function)
-        reply = self._roundtrip(MessageType.MS_LOOKUP, enc.getvalue(),
-                                MessageType.MS_LOOKUP_REPLY)
-        dec = XdrDecoder(reply)
-        count = dec.unpack_uint()
-        return [ServerInfo.decode(dec) for _ in range(count)]
+        reply = self._roundtrip(MessageType.MS_LOOKUP,
+                                MessageType.MS_LOOKUP_REPLY, function)
+        (servers,) = unpack(MessageType.MS_LOOKUP_REPLY, reply)
+        return list(servers)
 
     def _count_pick(self, result: str) -> None:
         if self._cache_metric is not None:
@@ -540,13 +511,11 @@ class MetaClient:
                    flops: Optional[float], site: str,
                    exclude: Sequence[tuple[str, int]]) -> ServerInfo:
         observations = self._take_observations()
-        enc = XdrEncoder()
-        PickRequest(function, comm_bytes, flops, site,
-                    tuple(exclude[:MAX_PICK_ITEMS]),
-                    observations).encode(enc)
+        request = PickRequest(function, comm_bytes, flops, site,
+                              tuple(exclude[:MAX_PICK_ITEMS]), observations)
         try:
-            reply = self._roundtrip(MessageType.MS_PICK, enc.getvalue(),
-                                    MessageType.MS_PICK_REPLY)
+            reply = self._roundtrip(MessageType.MS_PICK,
+                                    MessageType.MS_PICK_REPLY, request)
         except (OSError, ProtocolError, XdrError):
             # No replica answered (an ERROR reply is an answer): the
             # observations go back, ahead of any queued meanwhile.
@@ -555,7 +524,8 @@ class MetaClient:
                     (*observations, *self._observations),
                     maxlen=MAX_PICK_ITEMS)
             raise
-        return ServerInfo.decode(XdrDecoder(reply))
+        (chosen,) = unpack(MessageType.MS_PICK_REPLY, reply)
+        return chosen
 
     def pick(self, function: str, comm_bytes: float = 0.0,
              flops: Optional[float] = None, site: str = "default",
@@ -619,21 +589,15 @@ class MetaClient:
     def report(self, host: str, port: int, site: str,
                bandwidth: float) -> None:
         """MS_REPORT: feed an achieved-bandwidth observation back now."""
-        enc = XdrEncoder()
-        enc.pack_string(host)
-        enc.pack_uint(port)
-        enc.pack_string(site)
-        enc.pack_double(bandwidth)
-        self._roundtrip(MessageType.MS_REPORT, enc.getvalue(),
-                        MessageType.MS_OK)
+        self._roundtrip(MessageType.MS_REPORT, MessageType.MS_OK,
+                        host, port, site, bandwidth)
 
     def list_servers(self) -> list[ServerInfo]:
         """MS_LIST: every registered server (alive or not)."""
-        reply = self._roundtrip(MessageType.MS_LIST, b"",
+        reply = self._roundtrip(MessageType.MS_LIST,
                                 MessageType.MS_LIST_REPLY)
-        dec = XdrDecoder(reply)
-        count = dec.unpack_uint()
-        return [ServerInfo.decode(dec) for _ in range(count)]
+        (servers,) = unpack(MessageType.MS_LIST_REPLY, reply)
+        return list(servers)
 
 
 class BrokeredClient:

@@ -16,14 +16,16 @@ payload, in particular the ``memoryview`` that
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.idl import ArgSpec, IdlError, Signature
 from repro.protocol.framing import BytesLike
 from repro.idl.signature import NUMPY_DTYPES
-from repro.xdr import XdrDecoder, XdrEncoder, XdrError
+from repro.xdr import XdrDecoder, XdrEncoder
+from repro.xdr.record import (Struct, Type, double, float_, hyper, int_,
+                              opaque, string)
 
 __all__ = [
     "marshal_inputs",
@@ -33,56 +35,36 @@ __all__ = [
 ]
 
 
-def _pack_scalar(enc: XdrEncoder, dtype: str, value: Any) -> None:
-    if dtype == "int":
-        enc.pack_int(int(value))
-    elif dtype == "long":
-        enc.pack_hyper(int(value))
-    elif dtype == "float":
-        enc.pack_float(float(value))
-    elif dtype == "double":
-        enc.pack_double(float(value))
-    elif dtype == "string":
-        enc.pack_string(str(value))
-    elif dtype == "char":
-        raw = value if isinstance(value, bytes) else bytes(value)
-        enc.pack_opaque(raw)
-    elif dtype == "scomplex":
-        c = complex(value)
-        enc.pack_float(c.real)
-        enc.pack_float(c.imag)
-    elif dtype == "dcomplex":
-        c = complex(value)
-        enc.pack_double(c.real)
-        enc.pack_double(c.imag)
-    else:  # pragma: no cover - signature validation rejects earlier
-        raise XdrError(f"cannot marshal scalar dtype {dtype!r}")
+def _complex(part: Type) -> Struct:
+    return Struct(part("real"), part("imag"), make=complex)
+
+
+#: IDL scalar dtype -> (coercion applied before packing, wire type):
+#: the one table both directions read, so they cannot disagree.
+_SCALARS: dict[str, tuple[Callable[[Any], Any], Type]] = {
+    "int": (int, int_),
+    "long": (int, hyper),
+    "float": (float, float_),
+    "double": (float, double),
+    "string": (str, string),
+    "char": (bytes, opaque),
+    "scomplex": (complex, _complex(float_)),
+    "dcomplex": (complex, _complex(double)),
+}
 
 
 def _unpack_scalar(dec: XdrDecoder, dtype: str) -> Any:
-    if dtype == "int":
-        return dec.unpack_int()
-    if dtype == "long":
-        return dec.unpack_hyper()
-    if dtype == "float":
-        return dec.unpack_float()
-    if dtype == "double":
-        return dec.unpack_double()
-    if dtype == "string":
-        return dec.unpack_string()
-    if dtype == "char":
-        return dec.unpack_opaque()
-    if dtype == "scomplex":
-        return complex(dec.unpack_float(), dec.unpack_float())
-    if dtype == "dcomplex":
-        return complex(dec.unpack_double(), dec.unpack_double())
-    raise XdrError(f"cannot unmarshal scalar dtype {dtype!r}")  # pragma: no cover
+    return _SCALARS[dtype][1].unpack(dec)
 
 
-def _wire_room(block: Sequence[tuple[ArgSpec, Any]]) -> int:
-    """Bytes to announce (``XdrEncoder.ensure_room``) before packing
-    ``(spec, value)`` pairs, so the block lands in a buffer allocated
-    once at final size; generous, since unwritten room is free."""
+def _pack_block(block: Sequence[tuple[ArgSpec, Any]],
+                into: Optional[XdrEncoder]) -> Optional[bytes]:
+    """Pack ``(spec, value)`` pairs straight into ``into`` (and return
+    ``None``), or into a fresh encoder whose bytes come back.  The room
+    is announced first (``XdrEncoder.ensure_room``) so the block lands
+    in a buffer allocated once at final size; generously, since
+    unwritten room is free."""
+    enc = into if into is not None else XdrEncoder()
     room = 0
     for spec, value in block:
         if spec.is_array:
@@ -91,7 +73,14 @@ def _wire_room(block: Sequence[tuple[ArgSpec, Any]]) -> int:
             room += 4 * len(value) + 8
         else:
             room += 16
-    return room
+    enc.ensure_room(room)
+    for spec, value in block:
+        if spec.is_array:
+            enc.pack_ndarray(value)
+        else:
+            coerce, wire = _SCALARS[spec.dtype]
+            wire.pack(enc, coerce(value))
+    return None if into is not None else enc.getvalue()
 
 
 def marshal_inputs(signature: Signature, args: Sequence[Any],
@@ -104,16 +93,9 @@ def marshal_inputs(signature: Signature, args: Sequence[Any],
     before the first byte is packed.
     """
     bound = signature.bind(args)
-    enc = into if into is not None else XdrEncoder()
-    block = [(spec, bound.inputs[spec.name] if spec.is_array else value)
-             for spec, value in zip(signature.args, args) if spec.is_input]
-    enc.ensure_room(_wire_room(block))
-    for spec, value in block:
-        if spec.is_array:
-            enc.pack_ndarray(value)
-        else:
-            _pack_scalar(enc, spec.dtype, value)
-    return None if into is not None else enc.getvalue()
+    return _pack_block(
+        [(spec, bound.inputs[spec.name] if spec.is_array else value)
+         for spec, value in zip(signature.args, args) if spec.is_input], into)
 
 
 def unmarshal_inputs(signature: Signature,
@@ -169,7 +151,6 @@ def marshal_outputs(signature: Signature, values: Sequence[Any],
     With ``into`` the block is packed straight into that encoder (the
     enclosing RESULT payload) and ``None`` is returned.
     """
-    enc = into if into is not None else XdrEncoder()
     block = []
     for spec, value in zip(signature.args, values):
         if not spec.is_output:
@@ -182,13 +163,7 @@ def marshal_outputs(signature: Signature, values: Sequence[Any],
                 f"{spec.name!r}"
             )
         block.append((spec, value))
-    enc.ensure_room(_wire_room(block))
-    for spec, value in block:
-        if spec.is_array:
-            enc.pack_ndarray(value)
-        else:
-            _pack_scalar(enc, spec.dtype, value)
-    return None if into is not None else enc.getvalue()
+    return _pack_block(block, into)
 
 
 def unmarshal_outputs(signature: Signature,

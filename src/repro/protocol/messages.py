@@ -1,17 +1,27 @@
-"""Typed protocol messages and their XDR encodings."""
+"""Typed protocol messages, each wire layout declared once.
+
+Every record has one :class:`~repro.xdr.record.Struct` beside its
+dataclass and every :class:`MessageType` one entry in :data:`WIRE`;
+:func:`pack` and :func:`unpack` are the only codec the rest of the tree
+uses for a control-message payload, and PROTOCOL.md's op table and the
+property tests are rendered from the same declarations
+(:func:`describe`).
+"""
 
 from __future__ import annotations
 
 import enum
 import hashlib
 import hmac
-import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
+from repro.idl.signature import SIGNATURE
 from repro.protocol.errors import ProtocolError, RemoteError, ServerBusy
 from repro.protocol.framing import BytesLike
-from repro.xdr import XdrDecoder, XdrEncoder, XdrError
+from repro.xdr import XdrDecoder, XdrEncoder
+from repro.xdr.record import (Array, Option, Struct, body, bool_, double,
+                              double_above, opaque, string, uhyper, uint)
 
 __all__ = [
     "BusyReply",
@@ -21,17 +31,18 @@ __all__ = [
     "JobTimestamps",
     "LoadReply",
     "LoadReport",
+    "MAX_DIRECTORY_ITEMS",
     "MAX_PICK_ITEMS",
     "MessageType",
     "PickRequest",
     "ServerInfo",
     "SyncMessage",
+    "WIRE",
     "checked_reply",
+    "describe",
+    "pack",
+    "unpack",
 ]
-
-
-#: ``CallHeader.attempt`` + ``CallHeader.budget`` as they sit on the wire.
-_ATTEMPT_TAIL = struct.Struct(">Id")
 
 
 class MessageType(enum.IntEnum):
@@ -59,10 +70,8 @@ class MessageType(enum.IntEnum):
     # optional "client callback functions").
     CALLBACK = 18
     # Observability (OBSERVABILITY.md): fetch a remote metrics snapshot
-    # from any Endpoint (server or metaserver).  The STATS payload is an
-    # optional XDR string naming the exposition format ("json" default,
-    # or "prom"); STATS_REPLY is format-string + rendered-snapshot
-    # string.  Pre-registered on every Endpoint, like PING.
+    # from any Endpoint (server or metaserver), in the named exposition
+    # format.  Pre-registered on every Endpoint, like PING.
     STATS = 19
     # Metaserver messages.
     MS_REGISTER = 20
@@ -129,35 +138,13 @@ class CallHeader:
     attempt: int = 1
     budget: float = 0.0
 
-    def encode(self, enc: XdrEncoder) -> None:
-        """Append the wire form to an encoder."""
-        enc.pack_string(self.function)
-        enc.pack_uhyper(self.call_id)
-        enc.pack_string(self.logical_id)
-        enc.pack_uint(self.attempt)
-        enc.pack_double(self.budget)
 
-    @classmethod
-    def decode(cls, dec: XdrDecoder) -> "CallHeader":
-        """Read the wire form from a decoder."""
-        return cls(
-            function=dec.unpack_string(),
-            call_id=dec.unpack_uhyper(),
-            logical_id=dec.unpack_string(),
-            attempt=dec.unpack_uint(),
-            budget=dec.unpack_double(),
-        )
-
-    @staticmethod
-    def restamp(enc: XdrEncoder, end: int, attempt: int,
-                budget: float) -> None:
-        """Rewrite ``attempt`` and ``budget`` of a header already encoded
-        into ``enc`` and ending at offset ``end``: the fixed-size tail of
-        the wire form and the only bytes that differ between attempts of
-        one logical call, so a retry re-sends the payload it already
-        marshalled instead of encoding the arguments again."""
-        _ATTEMPT_TAIL.pack_into(enc.getbuffer(), end - _ATTEMPT_TAIL.size,
-                                attempt, budget)
+#: Its trailing fixed run (``CALL_HEADER.tail``: ``attempt`` + ``budget``)
+#: is all that differs between attempts of one logical call, so a retry
+#: rewrites those bytes in the payload it already marshalled.
+CALL_HEADER = Struct(string("function"), uhyper("call_id"),
+                     string("logical_id"), uint("attempt"), double("budget"),
+                     make=CallHeader)
 
 
 @dataclass(frozen=True)
@@ -182,17 +169,9 @@ class JobTimestamps:
     def service(self) -> float:
         return self.complete - self.dequeue
 
-    def encode(self, enc: XdrEncoder) -> None:
-        """Append the wire form to an encoder."""
-        enc.pack_double(self.enqueue)
-        enc.pack_double(self.dequeue)
-        enc.pack_double(self.complete)
 
-    @classmethod
-    def decode(cls, dec: XdrDecoder) -> "JobTimestamps":
-        """Read the wire form from a decoder."""
-        return cls(enqueue=dec.unpack_double(), dequeue=dec.unpack_double(),
-                   complete=dec.unpack_double())
+JOB_TIMESTAMPS = Struct(double("enqueue"), double("dequeue"),
+                        double("complete"), make=JobTimestamps)
 
 
 @dataclass(frozen=True)
@@ -202,15 +181,8 @@ class ErrorReply:
     code: str
     message: str
 
-    def encode(self, enc: XdrEncoder) -> None:
-        """Append the wire form to an encoder."""
-        enc.pack_string(self.code)
-        enc.pack_string(self.message)
 
-    @classmethod
-    def decode(cls, dec: XdrDecoder) -> "ErrorReply":
-        """Read the wire form from a decoder."""
-        return cls(code=dec.unpack_string(), message=dec.unpack_string())
+ERROR_REPLY = Struct(string("code"), string("message"), make=ErrorReply)
 
 
 @dataclass(frozen=True)
@@ -226,15 +198,8 @@ class BusyReply:
     retry_after: float
     reason: str
 
-    def encode(self, enc: XdrEncoder) -> None:
-        """Append the wire form to an encoder."""
-        enc.pack_double(self.retry_after)
-        enc.pack_string(self.reason)
 
-    @classmethod
-    def decode(cls, dec: XdrDecoder) -> "BusyReply":
-        """Read the wire form from a decoder."""
-        return cls(retry_after=dec.unpack_double(), reason=dec.unpack_string())
+BUSY_REPLY = Struct(double("retry_after"), string("reason"), make=BusyReply)
 
 
 @dataclass(frozen=True)
@@ -251,24 +216,14 @@ class LoadReply:
     load_average: float
     completed: int
 
-    def encode(self, enc: XdrEncoder) -> None:
-        """Append the wire form to an encoder."""
-        enc.pack_uint(self.num_pes)
-        enc.pack_uint(self.running)
-        enc.pack_uint(self.queued)
-        enc.pack_double(self.load_average)
-        enc.pack_uhyper(self.completed)
 
-    @classmethod
-    def decode(cls, dec: XdrDecoder) -> "LoadReply":
-        """Read the wire form from a decoder."""
-        return cls(
-            num_pes=dec.unpack_uint(),
-            running=dec.unpack_uint(),
-            queued=dec.unpack_uint(),
-            load_average=dec.unpack_double(),
-            completed=dec.unpack_uhyper(),
-        )
+LOAD_REPLY = Struct(uint("num_pes"), uint("running"), uint("queued"),
+                    double("load_average"), uhyper("completed"),
+                    make=LoadReply)
+
+#: Most functions one server, servers one directory reply, and deltas
+#: one gossip message may list.
+MAX_DIRECTORY_ITEMS = 4096
 
 
 @dataclass(frozen=True)
@@ -281,38 +236,28 @@ class ServerInfo:
     num_pes: int
     functions: tuple[str, ...]
 
-    def encode(self, enc: XdrEncoder) -> None:
-        """Append the wire form to an encoder."""
-        enc.pack_string(self.name)
-        enc.pack_string(self.host)
-        enc.pack_uint(self.port)
-        enc.pack_uint(self.num_pes)
-        enc.pack_array(self.functions, enc.pack_string)
 
-    @classmethod
-    def decode(cls, dec: XdrDecoder) -> "ServerInfo":
-        """Read the wire form from a decoder."""
-        return cls(
-            name=dec.unpack_string(),
-            host=dec.unpack_string(),
-            port=dec.unpack_uint(),
-            num_pes=dec.unpack_uint(),
-            functions=tuple(dec.unpack_array(dec.unpack_string)),
-        )
-
+SERVER_INFO = Struct(string("name"), string("host"), uint("port"),
+                     uint("num_pes"),
+                     Array(string, MAX_DIRECTORY_ITEMS)("functions"),
+                     make=ServerInfo)
 
 #: Most excluded servers, and most piggybacked observations, one MS_PICK
-#: may carry: the metaserver refuses a larger count before decoding an
-#: element, and ``MetaClient`` queues no more unsent observations.
+#: may carry: the declaration below refuses a larger count before
+#: decoding an element, and ``MetaClient`` queues no more unsent
+#: observations.  (Either count above it is answered ``bad-request``.)
 MAX_PICK_ITEMS = 64
 
+#: A server as a directory key: what MS_UNREGISTER names and what an
+#: MS_PICK excludes.
+SERVER_KEY = Struct(string("host"), uint("port"))
 
-def _pick_items(dec: XdrDecoder, unpack_item) -> tuple:
-    count = dec.unpack_uint() if dec.remaining else 0   # absent: old picker
-    if count > MAX_PICK_ITEMS:
-        raise XdrError(f"MS_PICK list of {count} items, at most "
-                       f"{MAX_PICK_ITEMS} allowed")
-    return tuple(dec.unpack_farray(count, unpack_item))
+#: One achieved-bandwidth observation: what one MS_REPORT carries, and
+#: each item an MS_PICK piggybacks.  A bandwidth that is not a finite
+#: positive number would poison the site's EWMA (NaN) or divide by zero
+#: in the bandwidth-aware scheduler, so it never decodes.
+OBSERVATION = Struct(string("host"), uint("port"), string("site"),
+                     double_above(0.0)("bandwidth"))
 
 
 @dataclass(frozen=True)
@@ -332,39 +277,12 @@ class PickRequest:
     exclude: tuple[tuple[str, int], ...] = ()
     observations: tuple[tuple[str, int, str, float], ...] = ()
 
-    def encode(self, enc: XdrEncoder) -> None:
-        """Append the wire form to an encoder."""
-        enc.pack_string(self.function)
-        enc.pack_double(self.comm_bytes)
-        enc.pack_bool(self.flops is not None)
-        if self.flops is not None:
-            enc.pack_double(self.flops)
-        enc.pack_string(self.site)
-        enc.pack_uint(len(self.exclude))
-        for host, port in self.exclude:
-            enc.pack_string(host)
-            enc.pack_uint(port)
-        enc.pack_uint(len(self.observations))
-        for host, port, site, bandwidth in self.observations:
-            enc.pack_string(host)
-            enc.pack_uint(port)
-            enc.pack_string(site)
-            enc.pack_double(bandwidth)
 
-    @classmethod
-    def decode(cls, dec: XdrDecoder) -> "PickRequest":
-        """Read the wire form from a decoder."""
-        function = dec.unpack_string()
-        comm_bytes = dec.unpack_double()
-        has_flops = dec.unpack_bool()
-        flops = dec.unpack_double() if has_flops else None
-        site = dec.unpack_string()
-        exclude = _pick_items(
-            dec, lambda: (dec.unpack_string(), dec.unpack_uint()))
-        observations = _pick_items(
-            dec, lambda: (dec.unpack_string(), dec.unpack_uint(),
-                          dec.unpack_string(), dec.unpack_double()))
-        return cls(function, comm_bytes, flops, site, exclude, observations)
+PICK_REQUEST = Struct(
+    string("function"), double("comm_bytes"), Option(double)("flops"),
+    string("site"), Array(SERVER_KEY, MAX_PICK_ITEMS)("exclude", ()),
+    Array(OBSERVATION, MAX_PICK_ITEMS)("observations", ()),
+    make=PickRequest)
 
 
 @dataclass(frozen=True)
@@ -393,30 +311,8 @@ class LoadReport:
         """The signed portion of the wire form (everything but the
         signature), used on both sides of HMAC verification."""
         enc = XdrEncoder()
-        self.info.encode(enc)
-        self.load.encode(enc)
-        enc.pack_uhyper(self.seq)
-        enc.pack_double(self.lease)
+        _LOAD_REPORT_BODY.pack(enc, self)
         return enc.getvalue()
-
-    def encode(self, enc: XdrEncoder) -> None:
-        """Append the wire form to an encoder."""
-        self.info.encode(enc)
-        self.load.encode(enc)
-        enc.pack_uhyper(self.seq)
-        enc.pack_double(self.lease)
-        enc.pack_opaque(self.signature)
-
-    @classmethod
-    def decode(cls, dec: XdrDecoder) -> "LoadReport":
-        """Read the wire form from a decoder."""
-        return cls(
-            info=ServerInfo.decode(dec),
-            load=LoadReply.decode(dec),
-            seq=dec.unpack_uhyper(),
-            lease=dec.unpack_double(),
-            signature=dec.unpack_opaque(),
-        )
 
     def signed(self, secret: bytes) -> "LoadReport":
         """A copy of this report carrying a fresh HMAC-SHA256 signature."""
@@ -438,6 +334,11 @@ class LoadReport:
         return hmac.compare_digest(expected, self.signature)
 
 
+LOAD_REPORT = Struct(SERVER_INFO("info"), LOAD_REPLY("load"), uhyper("seq"),
+                     double("lease"), opaque("signature"), make=LoadReport)
+_LOAD_REPORT_BODY = Struct(*LOAD_REPORT.fields[:-1], make=LoadReport)
+
+
 @dataclass(frozen=True)
 class DirectoryDelta:
     """One server's directory state as gossiped between replicas.
@@ -455,26 +356,10 @@ class DirectoryDelta:
     alive: bool
     load: Optional[LoadReply] = None
 
-    def encode(self, enc: XdrEncoder) -> None:
-        """Append the wire form to an encoder."""
-        self.info.encode(enc)
-        enc.pack_uhyper(self.seq)
-        enc.pack_double(self.lease_remaining)
-        enc.pack_bool(self.alive)
-        enc.pack_bool(self.load is not None)
-        if self.load is not None:
-            self.load.encode(enc)
 
-    @classmethod
-    def decode(cls, dec: XdrDecoder) -> "DirectoryDelta":
-        """Read the wire form from a decoder."""
-        info = ServerInfo.decode(dec)
-        seq = dec.unpack_uhyper()
-        lease_remaining = dec.unpack_double()
-        alive = dec.unpack_bool()
-        load = LoadReply.decode(dec) if dec.unpack_bool() else None
-        return cls(info=info, seq=seq, lease_remaining=lease_remaining,
-                   alive=alive, load=load)
+DIRECTORY_DELTA = Struct(SERVER_INFO("info"), uhyper("seq"),
+                         double("lease_remaining"), bool_("alive"),
+                         Option(LOAD_REPLY)("load"), make=DirectoryDelta)
 
 
 @dataclass(frozen=True)
@@ -490,21 +375,102 @@ class SyncMessage:
     origin: str
     deltas: tuple[DirectoryDelta, ...]
 
-    def encode(self, enc: XdrEncoder) -> None:
-        """Append the wire form to an encoder."""
-        enc.pack_string(self.origin)
-        enc.pack_uint(len(self.deltas))
-        for delta in self.deltas:
-            delta.encode(enc)
 
-    @classmethod
-    def decode(cls, dec: XdrDecoder) -> "SyncMessage":
-        """Read the wire form from a decoder."""
-        origin = dec.unpack_string()
-        count = dec.unpack_uint()
-        return cls(origin=origin,
-                   deltas=tuple(DirectoryDelta.decode(dec)
-                                for _ in range(count)))
+SYNC_MESSAGE = Struct(string("origin"),
+                      Array(DIRECTORY_DELTA, MAX_DIRECTORY_ITEMS)("deltas"),
+                      make=SyncMessage)
+
+
+# -- the op table -------------------------------------------------------------
+
+_EMPTY = Struct(strict=True)
+_CALL = Struct(CALL_HEADER("header"), body("args"), strict=True)
+_TICKET = Struct(uhyper("ticket"), strict=True)
+_SERVERS = Struct(Array(SERVER_INFO, MAX_DIRECTORY_ITEMS)("servers"))
+_SYNC = Struct(SYNC_MESSAGE("message"))
+
+#: The payload of every op: what :func:`pack` takes (one value per
+#: field) and :func:`unpack` returns (a tuple of them).  ``strict`` is
+#: the op's trailing-byte policy: bytes after the last field are refused
+#: there and ignored elsewhere (so a newer peer may append a field).
+WIRE: dict[int, Struct] = {
+    MessageType.HELLO: _EMPTY,
+    MessageType.HELLO_REPLY: Struct(uint("protocol_version"),
+                                    string("server_name"), strict=True),
+    MessageType.INTERFACE_REQUEST: Struct(string("function")),
+    MessageType.INTERFACE_REPLY: Struct(SIGNATURE("signature"), strict=True),
+    MessageType.CALL: _CALL,
+    MessageType.RESULT: Struct(uhyper("call_id"), JOB_TIMESTAMPS("timestamps"),
+                               body("results"), strict=True),
+    MessageType.ERROR: Struct(ERROR_REPLY("error")),
+    MessageType.PING: Struct(),
+    MessageType.PONG: Struct(),
+    MessageType.LIST_REQUEST: _EMPTY,
+    MessageType.LIST_REPLY: Struct(
+        Array(string, MAX_DIRECTORY_ITEMS)("functions")),
+    MessageType.LOAD_QUERY: _EMPTY,
+    MessageType.LOAD_REPLY: Struct(LOAD_REPLY("load")),
+    MessageType.CALL_DETACHED: _CALL,
+    MessageType.CALL_ACCEPTED: Struct(uhyper("call_id"), uhyper("ticket"),
+                                      strict=True),
+    MessageType.FETCH_RESULT: _TICKET,
+    MessageType.RESULT_PENDING: _TICKET,
+    MessageType.CALLBACK: Struct(uhyper("call_id"), double("progress"),
+                                 string("message"), strict=True),
+    MessageType.STATS: Struct(string("format", "json")),
+    MessageType.MS_REGISTER: Struct(SERVER_INFO("info")),
+    MessageType.MS_UNREGISTER: SERVER_KEY,
+    MessageType.MS_LOOKUP: Struct(string("function")),
+    MessageType.MS_LOOKUP_REPLY: _SERVERS,
+    MessageType.MS_PICK: Struct(PICK_REQUEST("request")),
+    MessageType.MS_PICK_REPLY: Struct(SERVER_INFO("chosen")),
+    MessageType.MS_REPORT: OBSERVATION,
+    MessageType.MS_LIST: _EMPTY,
+    MessageType.MS_LIST_REPLY: _SERVERS,
+    MessageType.MS_OK: _EMPTY,
+    MessageType.STATS_REPLY: Struct(string("format"), string("text"),
+                                    strict=True),
+    MessageType.BUSY: Struct(BUSY_REPLY("busy")),
+    MessageType.CANCEL: _TICKET,
+    MessageType.CANCEL_REPLY: Struct(uhyper("ticket"), bool_("dropped"),
+                                     strict=True),
+    MessageType.SHM_HELLO: Struct(uint("capacity_hint"), uint("ring_format"),
+                                  strict=True),
+    MessageType.SHM_HELLO_REPLY: Struct(
+        string("c2s_segment"), string("s2c_segment"), uint("capacity"),
+        uint("ring_format"), strict=True),
+    MessageType.MS_HEARTBEAT: Struct(LOAD_REPORT("report")),
+    MessageType.MS_SYNC: _SYNC,
+    MessageType.MS_SYNC_REPLY: _SYNC,
+}
+
+
+def pack(op: int, *values: Any) -> memoryview:
+    """The payload of one ``op`` frame from one value per declared
+    field, as a view of a private buffer (nothing else holds it)."""
+    enc = XdrEncoder()
+    WIRE[op].pack(enc, values)
+    return enc.getbuffer()
+
+
+def unpack(op: int, payload: BytesLike) -> tuple[Any, ...]:
+    """The declared fields of one ``op`` payload; malformed, truncated
+    or out-of-range data raises :exc:`~repro.xdr.XdrError`."""
+    declaration = WIRE[op]
+    dec = XdrDecoder(payload)
+    values: tuple[Any, ...] = declaration.unpack(dec)
+    if declaration.strict:
+        dec.done()
+    return values
+
+
+def describe(op: int) -> str:
+    """One line for PROTOCOL.md's payload column: the declared fields,
+    then ``...`` where trailing bytes are ignored."""
+    layout = WIRE[op].layout()
+    if not WIRE[op].strict:
+        layout = f"{layout}, ..." if layout else "..."
+    return layout or "empty"
 
 
 def checked_reply(reply_type: int, reply: BytesLike,
@@ -515,10 +481,10 @@ def checked_reply(reply_type: int, reply: BytesLike,
     other type than ``expect`` (when given) as :class:`ProtocolError`;
     otherwise the payload is handed back."""
     if reply_type == MessageType.ERROR:
-        err = ErrorReply.decode(XdrDecoder(reply))
+        (err,) = unpack(reply_type, reply)
         raise RemoteError(err.code, err.message)
     if reply_type == MessageType.BUSY:
-        busy = BusyReply.decode(XdrDecoder(reply))
+        (busy,) = unpack(reply_type, reply)
         raise ServerBusy(busy.reason, retry_after=busy.retry_after)
     if expect is not None and reply_type != expect:
         raise ProtocolError(f"expected message {expect}, got {reply_type}")

@@ -29,9 +29,10 @@ from repro.protocol.messages import (
     LoadReport,
     MessageType,
     ServerInfo,
+    pack,
 )
 from repro.transport import Channel, connect
-from repro.xdr import XdrEncoder, XdrError
+from repro.xdr import XdrError
 
 __all__ = ["HeartbeatReporter"]
 
@@ -148,9 +149,7 @@ class HeartbeatReporter:
         the same record and last-writer-wins cannot regress.
         """
         report = self.build_report()
-        enc = XdrEncoder()
-        report.encode(enc)
-        payload = enc.getvalue()
+        payload = pack(MessageType.MS_HEARTBEAT, report)
         accepted = 0
         for host, port in self.metaservers:
             try:

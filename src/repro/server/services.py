@@ -28,17 +28,18 @@ from repro.protocol.messages import (
     BusyReply,
     CallHeader,
     ErrorReply,
-    JobTimestamps,
     LoadReply,
     MessageType,
     PROTOCOL_VERSION,
+    pack,
+    unpack,
 )
 from repro.server.dedup import DedupCache
 from repro.server.executor import Executor, Job
 from repro.server.registry import NinfExecutable, Registry
 from repro.server.scheduling import SchedulingPolicy, make_policy
 from repro.transport import Connection
-from repro.xdr import XdrDecoder, XdrEncoder, XdrError
+from repro.xdr import XdrEncoder, XdrError
 
 __all__ = ["NinfRpcServices"]
 
@@ -123,7 +124,7 @@ class NinfRpcServices:
         # results awaiting fetch (bounded; oldest evicted).
         self._ticket_counter = 0
         self._detached_lock = threading.Lock()
-        self._detached: dict[int, bytes | None] = {}
+        self._detached: dict[int, ErrorReply | memoryview | None] = {}
         # Still-queued detached jobs by ticket, so CANCEL can drop them.
         self._detached_jobs: dict[int, Job] = {}
         self.max_detached_results = 256
@@ -189,15 +190,10 @@ class NinfRpcServices:
     # -- RPC handlers --------------------------------------------------------
 
     def _handle_hello(self, conn: Connection, payload: bytes) -> None:
-        enc = XdrEncoder()
-        enc.pack_uint(PROTOCOL_VERSION)
-        enc.pack_string(self.name)
-        conn.send(MessageType.HELLO_REPLY, enc.getvalue())
+        conn.reply(MessageType.HELLO_REPLY, PROTOCOL_VERSION, self.name)
 
     def _handle_list(self, conn: Connection, payload: bytes) -> None:
-        enc = XdrEncoder()
-        enc.pack_array(self.registry.names(), enc.pack_string)
-        conn.send(MessageType.LIST_REPLY, enc.getvalue())
+        conn.reply(MessageType.LIST_REPLY, self.registry.names())
 
     def load_snapshot(self) -> LoadReply:
         """Current load state as a :class:`LoadReply`.
@@ -220,36 +216,28 @@ class NinfRpcServices:
         )
 
     def _handle_load_query(self, conn: Connection, payload: bytes) -> None:
-        enc = XdrEncoder()
-        self.load_snapshot().encode(enc)
-        conn.send(MessageType.LOAD_REPLY, enc.getvalue())
+        conn.reply(MessageType.LOAD_REPLY, self.load_snapshot())
 
     def _handle_interface_request(self, conn: Connection,
                                   payload: bytes) -> None:
-        name = XdrDecoder(payload).unpack_string()
+        (name,) = unpack(MessageType.INTERFACE_REQUEST, payload)
         executable = self.registry.get(name)
         if executable is None:
             conn.send_error("no-such-function",
                             f"{name!r} is not registered on this server")
             return
-        conn.send(MessageType.INTERFACE_REPLY,
-                  executable.signature.to_wire())
+        conn.reply(MessageType.INTERFACE_REPLY, executable.signature)
 
     def _send_busy(self, conn: Connection, busy: ServerBusy) -> None:
         """Answer with a BUSY frame (shed/expired call)."""
-        enc = XdrEncoder()
-        BusyReply(retry_after=busy.retry_after,
-                  reason=busy.message).encode(enc)
-        conn.send(MessageType.BUSY, enc.getvalue())
+        conn.reply(MessageType.BUSY, BusyReply(retry_after=busy.retry_after,
+                                               reason=busy.message))
 
     def _admit(self, conn: Connection, payload: bytes) -> _Call | None:
         """The CALL / CALL_DETACHED prologue: decode the header, look
         the function up, unmarshal, size the PE claim, pin the deadline.
         ``None``: the call was refused and answered."""
-        dec = XdrDecoder(payload)
-        header = CallHeader.decode(dec)
-        args_payload = dec.unpack_opaque_view()
-        dec.done()
+        header, args_payload = unpack(MessageType.CALL, payload)
         executable = self.registry.get(header.function)
         if executable is None:
             conn.send_error("no-such-function",
@@ -325,7 +313,7 @@ class NinfRpcServices:
     def _start_call(self, conn: Connection, call: _Call) -> None:
         header, executable, key = call.header, call.executable, call.key
 
-        def finish(reply_type: int, reply_payload: bytes,
+        def finish(reply_type: int, reply_payload: memoryview,
                    cache: bool = True) -> None:
             if key is not None:
                 if cache:
@@ -342,39 +330,26 @@ class NinfRpcServices:
                 self._send_busy(conn, job.error)
                 return
             if job.error is not None:
-                enc = XdrEncoder()
-                _error_reply(job.error).encode(enc)
                 # ServerShutdown never ran the job -- don't cache it,
                 # a retry elsewhere should execute for real.
-                finish(MessageType.ERROR, enc.getvalue(),
+                finish(MessageType.ERROR,
+                       pack(MessageType.ERROR, _error_reply(job.error)),
                        cache=not isinstance(job.error, ServerShutdown))
                 return
-            # Marshal outputs straight into the RESULT payload encoder
-            # (begin/end_opaque), so large result arrays are written
-            # once -- no separate out_payload bytes to re-copy.
-            enc = XdrEncoder()
-            enc.pack_uhyper(header.call_id)
-            job.timestamps().encode(enc)
-            token = enc.begin_opaque()
             try:
-                marshal_outputs(executable.signature,
-                                _merge_outputs(executable, job), into=enc)
+                reply, out_len = _result_payload(header.call_id, executable,
+                                                 job)
             except Exception as exc:  # whatever the executable returned
-                enc = XdrEncoder()
-                ErrorReply(code="bad-result", message=str(exc)).encode(enc)
-                finish(MessageType.ERROR, enc.getvalue())
+                finish(MessageType.ERROR, pack(
+                    MessageType.ERROR,
+                    ErrorReply(code="bad-result", message=str(exc))))
                 return
-            out_len = len(enc) - token - 4
-            enc.end_opaque(token)
             self._record_trace(executable, job, call.args_bytes + out_len)
-            finish(MessageType.RESULT, enc.getbuffer())
+            finish(MessageType.RESULT, reply)
 
         def send_callback(progress: float, message: str) -> None:
-            enc = XdrEncoder()
-            enc.pack_uhyper(header.call_id)
-            enc.pack_double(float(progress))
-            enc.pack_string(str(message))
-            conn.send(MessageType.CALLBACK, enc.getvalue())
+            conn.reply(MessageType.CALLBACK, header.call_id,
+                       float(progress), str(message))
 
         if self._submit(
                 conn, call, on_complete,
@@ -417,26 +392,19 @@ class NinfRpcServices:
             self._detached[ticket] = None  # pending
 
         def on_complete(job: Job) -> None:
-            enc = XdrEncoder()
+            # What FETCH_RESULT will answer: the error, or the RESULT
+            # payload itself, built once with the ticket as its id.
+            outcome: ErrorReply | memoryview
             if job.error is not None:
-                enc.pack_bool(False)
-                _error_reply(job.error).encode(enc)
+                outcome = _error_reply(job.error)
             else:
-                enc.pack_bool(True)
-                job.timestamps().encode(enc)
-                token = enc.begin_opaque()
                 try:
-                    marshal_outputs(executable.signature,
-                                    _merge_outputs(executable, job), into=enc)
+                    outcome, _ = _result_payload(ticket, executable, job)
                 except Exception as exc:  # whatever the executable returned
-                    enc = XdrEncoder()
-                    enc.pack_bool(False)
-                    ErrorReply(code="bad-result", message=str(exc)).encode(enc)
-                else:
-                    enc.end_opaque(token)
+                    outcome = ErrorReply(code="bad-result", message=str(exc))
             evictions = 0
             with self._detached_lock:
-                self._detached[ticket] = enc.getbuffer()
+                self._detached[ticket] = outcome
                 self._detached_jobs.pop(ticket, None)
                 # Bound the store: evict the oldest *finished* results,
                 # leaving a tombstone so the owner's late FETCH gets a
@@ -464,15 +432,12 @@ class NinfRpcServices:
         with self._detached_lock:
             if not job.done.is_set():
                 self._detached_jobs[ticket] = job
-        reply = XdrEncoder()
-        reply.pack_uhyper(header.call_id)
-        reply.pack_uhyper(ticket)
+        reply = pack(MessageType.CALL_ACCEPTED, header.call_id, ticket)
         if key is not None:
             # Cache the acceptance itself: a retried attempt (lost
             # CALL_ACCEPTED) gets the same ticket, not a second job.
-            self.dedup.complete(key, (MessageType.CALL_ACCEPTED,
-                                      reply.getvalue()))
-        conn.send(MessageType.CALL_ACCEPTED, reply.getvalue())
+            self.dedup.complete(key, (MessageType.CALL_ACCEPTED, reply))
+        conn.send(MessageType.CALL_ACCEPTED, reply)
 
     def _handle_cancel(self, conn: Connection, payload: bytes) -> None:
         """Drop a still-queued detached job; running jobs finish.
@@ -481,22 +446,15 @@ class NinfRpcServices:
         ``dropped=False`` rather than erroring, so a client can fire
         CANCEL best-effort on its own deadline expiry.
         """
-        dec = XdrDecoder(payload)
-        ticket = dec.unpack_uhyper()
-        dec.done()
+        (ticket,) = unpack(MessageType.CANCEL, payload)
         with self._detached_lock:
             job = self._detached_jobs.get(ticket)
         dropped = self.executor.cancel(job) if job is not None else False
-        enc = XdrEncoder()
-        enc.pack_uhyper(ticket)
-        enc.pack_bool(dropped)
-        conn.send(MessageType.CANCEL_REPLY, enc.getvalue())
+        conn.reply(MessageType.CANCEL_REPLY, ticket, dropped)
 
     def _handle_fetch(self, conn: Connection, payload: bytes) -> None:
         """Phase two: a (possibly new) connection collects the result."""
-        dec = XdrDecoder(payload)
-        ticket = dec.unpack_uhyper()
-        dec.done()
+        (ticket,) = unpack(MessageType.FETCH_RESULT, payload)
         with self._detached_lock:
             if ticket not in self._detached:
                 known = False
@@ -519,24 +477,11 @@ class NinfRpcServices:
                                 f"no detached call with ticket {ticket}")
             return
         if result is None:
-            enc = XdrEncoder()
-            enc.pack_uhyper(ticket)
-            conn.send(MessageType.RESULT_PENDING, enc.getvalue())
-            return
-        dec = XdrDecoder(result)
-        ok = dec.unpack_bool()
-        if not ok:
-            err = ErrorReply.decode(dec)
-            conn.send_error(err.code, err.message)
-            return
-        timestamps = JobTimestamps.decode(dec)
-        out_payload = dec.unpack_opaque_view()
-        dec.done()
-        enc = XdrEncoder()
-        enc.pack_uhyper(ticket)
-        timestamps.encode(enc)
-        enc.pack_opaque(out_payload)
-        conn.send(MessageType.RESULT, enc.getbuffer())
+            conn.reply(MessageType.RESULT_PENDING, ticket)
+        elif isinstance(result, ErrorReply):
+            conn.send_error(result.code, result.message)
+        else:
+            conn.send(MessageType.RESULT, result)
 
 
 def _error_reply(error: BaseException) -> ErrorReply:
@@ -544,6 +489,25 @@ def _error_reply(error: BaseException) -> ErrorReply:
     if isinstance(error, RemoteError):
         return ErrorReply(code=error.code, message=error.message)
     return ErrorReply(code="execution-failed", message=str(error))
+
+
+def _result_payload(reply_id: int, executable: NinfExecutable,
+                    job: Job) -> tuple[memoryview, int]:
+    """A finished job's RESULT payload and the size of its output block.
+    The outputs are marshalled straight into the payload (its opaque
+    tail is reserved once and filled in place), so a large result array
+    is written once -- no separate block to re-copy."""
+    out_len = 0
+
+    def fill(enc: XdrEncoder) -> None:
+        nonlocal out_len
+        start = len(enc)
+        marshal_outputs(executable.signature,
+                        _merge_outputs(executable, job), into=enc)
+        out_len = len(enc) - start
+
+    reply = pack(MessageType.RESULT, reply_id, job.timestamps(), fill)
+    return reply, out_len
 
 
 def _merge_outputs(executable, job: Job) -> list:

@@ -22,8 +22,8 @@ from repro.protocol.framing import BytesLike, HEADER, encode_frame, \
 if TYPE_CHECKING:  # annotation only -- shm imports channel at runtime
     from repro.obs import MetricsRegistry
     from repro.transport.shm import ShmTransport
-from repro.protocol.messages import ErrorReply, MessageType, checked_reply
-from repro.xdr import XdrEncoder
+from repro.protocol.messages import (ErrorReply, MessageType,
+                                     checked_reply, pack)
 
 __all__ = ["Channel", "connect"]
 
@@ -267,9 +267,8 @@ class Channel:
 
     def send_error(self, code: str, message: str) -> None:
         """Reply with a well-formed ``ErrorReply`` frame (server side)."""
-        enc = XdrEncoder()
-        ErrorReply(code=code, message=message).encode(enc)
-        self.send(MessageType.ERROR, enc.getvalue())
+        self.send(MessageType.ERROR, pack(
+            MessageType.ERROR, ErrorReply(code=code, message=message)))
 
 
 def connect(host: str, port: int, timeout: Optional[float] = None,

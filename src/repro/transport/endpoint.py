@@ -23,14 +23,15 @@ import socket
 import struct
 import threading
 import time
-from typing import Callable, Optional, TYPE_CHECKING, TypeVar
+from typing import Any, Callable, Optional, TYPE_CHECKING, TypeVar
 
 from repro.obs import MetricsRegistry, names
 from repro.protocol.errors import ConnectionClosed, ProtocolError
 from repro.protocol.framing import BytesLike
-from repro.protocol.messages import ErrorReply, MessageType
+from repro.protocol.messages import (ErrorReply, MessageType, pack,
+                                     unpack)
 from repro.transport.channel import Channel
-from repro.xdr import XdrDecoder, XdrEncoder, XdrError
+from repro.xdr import XdrError
 
 if TYPE_CHECKING:  # annotation only -- faults wiring happens per-socket
     from repro.transport.faults import FaultPlan
@@ -53,11 +54,13 @@ class Connection:
         """Write one reply frame."""
         raise NotImplementedError
 
+    def reply(self, op: int, *values: Any) -> None:
+        """Write one ``op`` frame carrying its declared fields."""
+        self.send(op, pack(op, *values))
+
     def send_error(self, code: str, message: str) -> None:
         """Reply with a well-formed ``ErrorReply`` frame."""
-        enc = XdrEncoder()
-        ErrorReply(code=code, message=message).encode(enc)
-        self.send(MessageType.ERROR, enc.getvalue())
+        self.reply(MessageType.ERROR, ErrorReply(code=code, message=message))
 
 
 class _ThreadConnection(Connection):
@@ -192,9 +195,7 @@ class EndpointCore:
         registry, JSON (default) or Prometheus text (``"prom"``).
         Rendering walks the whole registry under its lock -- contended
         and O(series) -- hence registered as blocking."""
-        fmt = "json"
-        if payload:
-            fmt = XdrDecoder(payload).unpack_string()
+        (fmt,) = unpack(MessageType.STATS, payload)
         if fmt == "prom":
             text = self.metrics.render_prometheus()
         elif fmt == "json":
@@ -202,10 +203,7 @@ class EndpointCore:
         else:
             conn.send_error("bad-request", f"unknown stats format {fmt!r}")
             return
-        enc = XdrEncoder()
-        enc.pack_string(fmt)
-        enc.pack_string(text)
-        conn.send(MessageType.STATS_REPLY, enc.getvalue())
+        conn.reply(MessageType.STATS_REPLY, fmt, text)
 
     @property
     def connections_accepted(self) -> int:
@@ -351,11 +349,8 @@ class Endpoint(EndpointCore):
             conn.send_error("bad-request",
                             "connection already upgraded to shm")
             return
-        dec = XdrDecoder(payload)
         try:
-            hint = dec.unpack_uint()
-            ring_format = dec.unpack_uint()
-            dec.done()
+            hint, ring_format = unpack(MessageType.SHM_HELLO, payload)
         except XdrError as exc:
             # Refused here, not by dispatch(): a hello from before the
             # format word must count as a fallback like any other.
@@ -385,16 +380,13 @@ class Endpoint(EndpointCore):
                             f"cannot allocate shm ring: {exc}")
             return
         c2s, s2c = rings
-        enc = XdrEncoder()
-        enc.pack_string(c2s.name)
-        enc.pack_string(s2c.name)
-        enc.pack_uint(capacity)
-        enc.pack_uint(shm_mod.RING_FORMAT)
         # Reply over TCP first, then attach: the next frame the client
         # sends after reading the reply already arrives via the ring.
         # On the channel itself: a failed advertisement must raise and
         # end the connection before anything is attached.
-        channel.send(MessageType.SHM_HELLO_REPLY, enc.getvalue())
+        channel.send(MessageType.SHM_HELLO_REPLY,
+                     pack(MessageType.SHM_HELLO_REPLY, c2s.name, s2c.name,
+                          capacity, shm_mod.RING_FORMAT))
         channel.attach_io(
             shm_mod.ShmTransport(send_ring=s2c, recv_ring=c2s))
         self._shm_upgrades.inc()

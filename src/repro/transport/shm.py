@@ -68,8 +68,8 @@ from repro.protocol.errors import (
 )
 from repro.protocol.framing import BytesLike, encode_ring_header, \
     recv_frame_from
-from repro.protocol.messages import MessageType
-from repro.xdr import XdrDecoder, XdrEncoder, XdrError
+from repro.protocol.messages import MessageType, pack, unpack
+from repro.xdr import XdrError
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -460,12 +460,10 @@ def negotiate(channel: "Channel", capacity: int = DEFAULT_CAPACITY,
     listening on the rings, so the caller must discard the channel and
     redial rather than keep using it.
     """
-    enc = XdrEncoder()
-    enc.pack_uint(capacity)
-    enc.pack_uint(RING_FORMAT)
     try:
         _reply_type, reply = channel.request(
-            MessageType.SHM_HELLO, enc.getvalue(),
+            MessageType.SHM_HELLO,
+            pack(MessageType.SHM_HELLO, capacity, RING_FORMAT),
             expect=MessageType.SHM_HELLO_REPLY, timeout=timeout)
     except RemoteError:
         return False  # server said no (shm disabled, or pre-shm dispatch)
@@ -473,13 +471,9 @@ def negotiate(channel: "Channel", capacity: int = DEFAULT_CAPACITY,
         raise  # no answer is not a refusal: a late reply may still come
     except ProtocolError:
         return False  # well-formed non-reply; the stream is still framed
-    dec = XdrDecoder(reply)
     try:
-        c2s_name = dec.unpack_string()
-        s2c_name = dec.unpack_string()
-        ring_capacity = dec.unpack_uint()
-        ring_format = dec.unpack_uint()
-        dec.done()
+        c2s_name, s2c_name, ring_capacity, ring_format = unpack(
+            MessageType.SHM_HELLO_REPLY, reply)
     except XdrError as exc:
         raise ProtocolError(f"malformed SHM_HELLO_REPLY: {exc}") from exc
     if ring_format != RING_FORMAT:

@@ -15,6 +15,9 @@ throughput) only holds if marshalling is near memcpy speed.
   ``getbuffer()``; the decoder walks a ``memoryview`` and never copies
   until a value is materialised.
 - :mod:`repro.xdr.bulk`: the vectorized engine behind the array paths.
+- :mod:`repro.xdr.record`: records declared once as a field list (RFC
+  4506 struct / counted list / optional), from which the encoder and
+  the decoder of every control message are derived.
 - :exc:`XdrError`: malformed or truncated data.
 
 Fast-path engine selection (see PROTOCOL.md §"XDR encoding rules"):

@@ -85,6 +85,11 @@ class XdrDecoder:
             if padding != b"\x00" * pad:
                 raise XdrError(f"nonzero XDR padding {padding!r}")
 
+    def unpack_fixed(self, layout: struct.Struct) -> tuple:
+        """A run of fixed-width fields through one precompiled big-endian
+        ``struct.Struct`` (inverse of :meth:`XdrEncoder.pack_fixed`)."""
+        return layout.unpack(self._take(layout.size))
+
     # -- integral types ------------------------------------------------------------
 
     def unpack_int(self) -> int:

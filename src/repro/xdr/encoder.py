@@ -114,6 +114,16 @@ class XdrEncoder:
         packer.pack_into(self._buf, offset, value)
         self._len = offset + packer.size
 
+    def pack_fixed(self, layout: struct.Struct, *values) -> None:
+        """A run of fixed-width fields through one precompiled big-endian
+        ``struct.Struct`` (how :mod:`repro.xdr.record` moves them); a
+        value its format refuses is an :exc:`XdrError`."""
+        offset = self.reserve(layout.size)
+        try:
+            layout.pack_into(self._buf, offset, *values)
+        except struct.error as exc:
+            raise XdrError(f"cannot pack {values!r}: {exc}") from exc
+
     def getvalue(self) -> bytes:
         """The encoded byte string so far (a copy; see getbuffer)."""
         return bytes(self.getbuffer())

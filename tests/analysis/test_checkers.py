@@ -17,7 +17,7 @@ from repro.analysis import (
     DeadlinePropagationChecker,
     LockDisciplineChecker,
     ResourceLifecycleChecker,
-    WireSymmetryChecker,
+    StructArityChecker,
 )
 from repro.analysis.core import run_checks
 
@@ -175,37 +175,22 @@ def test_async_blocking_exports_the_sanctioned_bridge_allowlist():
                    for name in BLOCKING_PROJECT)
 
 
-# -- wire-symmetry ------------------------------------------------------------
+# -- struct-arity -------------------------------------------------------------
 
-def test_wire_symmetry_flags_class_and_op_asymmetry():
-    findings = _run(WireSymmetryChecker(protocol_md=None), "wiresym_bad")
-    assert all(f.rule == "wire-symmetry" for f in findings)
-    messages = [f.message for f in findings]
-    assert any("class BadReply: encode() packs [uint, string] but "
-               "decode() reads [uint]" in m for m in messages)
-    assert any("op CALL: encoder packs [string, uint] but decoder "
-               "reads [string]" in m for m in messages)
-    assert len(findings) == 2
-
-
-def test_wire_symmetry_accepts_mirrored_layouts_and_opaque_regions():
-    assert _run(WireSymmetryChecker(protocol_md=None), "wiresym_good") == []
+def test_struct_arity_flags_short_pack_and_wide_unpack():
+    findings = _run(StructArityChecker(), "structarity_bad")
+    assert all(f.rule == "struct-arity" for f in findings)
+    assert sorted(f.message for f in findings) == [
+        "HEADER.pack() called with 3 values but the format has 4 fields",
+        "HEADER.unpack() result destructured into 5 names but the format "
+        "has 4 fields",
+        "WORDS.unpack_from() result destructured into 2 names but the "
+        "format has 3 fields",
+    ]
 
 
-def test_wire_symmetry_checks_protocol_md_payload_rows(tmp_path):
-    """W4: a parseable PROTOCOL.md row contradicting the encoder is a
-    finding; the fixture's CALL op packs [string, uint]."""
-    table = tmp_path / "PROTOCOL.md"
-    table.write_text(
-        "| Code | Name | Direction | Payload |\n"
-        "|---|---|---|---|\n"
-        "| 7 | `CALL` | c->s | string function name, uint version, "
-        "double seed |\n",
-        encoding="utf-8")
-    findings = _run(WireSymmetryChecker(protocol_md=table), "wiresym_good")
-    assert len(findings) >= 1
-    assert all("PROTOCOL.md declares payload [string, uint, double]"
-               in f.message for f in findings)
+def test_struct_arity_accepts_matching_widths_and_splats():
+    assert _run(StructArityChecker(), "structarity_good") == []
 
 
 # -- catalog-pinned-names -----------------------------------------------------

@@ -49,7 +49,7 @@ def test_list_rules_prints_catalog(capsys):
     out = capsys.readouterr().out
     for rule in ("lock-discipline", "resource-lifecycle",
                  "deadline-propagation", "catalog-pinned-names",
-                 "async-blocking-reachability", "wire-symmetry"):
+                 "async-blocking-reachability", "struct-arity"):
         assert rule in out
 
 
@@ -91,8 +91,9 @@ def test_sarif_output_is_valid_2_1_0(capsys):
     driver = run["tool"]["driver"]
     assert driver["name"] == "ninf-lint"
     rule_ids = {rule["id"] for rule in driver["rules"]}
-    assert {"deadline-propagation", "wire-symmetry",
+    assert {"deadline-propagation", "struct-arity",
             "async-blocking-reachability"} <= rule_ids
+    assert "wire-symmetry" not in rule_ids
     assert len(run["results"]) == 2
     for result in run["results"]:
         assert result["ruleId"] == "deadline-propagation"

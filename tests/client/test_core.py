@@ -14,10 +14,9 @@ from repro.client.core import Checkout, ClientState, Exchange, Recv, Send, \
 from repro.idl import Signature
 from repro.protocol.errors import ConnectionClosed, ProtocolError
 from repro.protocol.marshal import marshal_outputs
-from repro.protocol.messages import BusyReply, CallHeader, JobTimestamps, \
-    MessageType
+from repro.protocol.messages import BusyReply, JobTimestamps, MessageType, \
+    pack, unpack
 from repro.transport import RetryPolicy
-from repro.xdr import XdrDecoder, XdrEncoder
 
 DOUBLE_IDL = 'Define double_it(mode_in int n, mode_out int m) "m = 2n";'
 SIGNATURE = Signature.from_idl(DOUBLE_IDL)
@@ -71,7 +70,7 @@ class Wire:
         assert isinstance(request, (Recv, Exchange))
         frame = self.frames.pop(0)
         if callable(frame):
-            frame = frame(CallHeader.decode(XdrDecoder(self.sent[-1])))
+            frame = frame(unpack(MessageType.CALL, self.sent[-1])[0])
         if isinstance(frame, BaseException):
             raise frame
         return frame
@@ -92,27 +91,23 @@ class Wire:
 
 def result_for(call_id_of=lambda header: header.call_id, value=14):
     def frame(header):
-        enc = XdrEncoder()
-        enc.pack_uhyper(call_id_of(header))
-        JobTimestamps(1.0, 2.0, 3.0).encode(enc)
-        enc.pack_opaque(marshal_outputs(SIGNATURE, [7, value]))
-        return MessageType.RESULT, enc.getvalue()
+        return MessageType.RESULT, pack(
+            MessageType.RESULT, call_id_of(header),
+            JobTimestamps(1.0, 2.0, 3.0),
+            marshal_outputs(SIGNATURE, [7, value]))
     return frame
 
 
 def busy(retry_after):
-    enc = XdrEncoder()
-    BusyReply(retry_after=retry_after, reason="queue-full").encode(enc)
-    return MessageType.BUSY, enc.getvalue()
+    return MessageType.BUSY, pack(
+        MessageType.BUSY,
+        BusyReply(retry_after=retry_after, reason="queue-full"))
 
 
 def callback_for(call_id_of, progress, message):
     def frame(header):
-        enc = XdrEncoder()
-        enc.pack_uhyper(call_id_of(header))
-        enc.pack_double(progress)
-        enc.pack_string(message)
-        return MessageType.CALLBACK, enc.getvalue()
+        return MessageType.CALLBACK, pack(
+            MessageType.CALLBACK, call_id_of(header), progress, message)
     return frame
 
 
@@ -133,7 +128,7 @@ def test_busy_then_result_sleeps_once_and_restamps_twelve_bytes(budget, slept):
     differing = [i for i, (a, b) in enumerate(zip(first, second)) if a != b]
     assert len(first) == len(second)
     assert differing and differing[-1] - differing[0] < 12
-    headers = [CallHeader.decode(XdrDecoder(p)) for p in wire.sent]
+    headers = [unpack(MessageType.CALL, p)[0] for p in wire.sent]
     assert [h.attempt for h in headers] == [1, 2]
     assert headers[0].logical_id == headers[1].logical_id
     assert headers[0].budget == headers[1].budget == budget  # frozen clock
@@ -188,9 +183,8 @@ def test_fetch_polls_with_plain_sleeps_until_the_result():
                 result_for(lambda _header: 99)(None))
     assert wire.run(core.fetch_detached(state, call,
                                         poll_interval=0.5)) == [14]
-    enc = XdrEncoder()
-    enc.pack_uhyper(99)
-    poll = Exchange(MessageType.FETCH_RESULT, enc.getvalue())
+    poll = Exchange(MessageType.FETCH_RESULT,
+                    pack(MessageType.FETCH_RESULT, 99))
     assert wire.requests == [poll, Sleep(0.5), poll]
     assert call.record is state.records[0]
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.idl import IdlError, Signature, parse_definitions
+from repro.idl.signature import SIGNATURE
+from repro.xdr import XdrDecoder, XdrEncoder
 
 DMMUL_IDL = """
 Define dmmul(mode_in int n, mode_in double A[n][n],
@@ -21,6 +23,16 @@ Define linpack(mode_in int n, mode_inout double A[n][n],
 CalcOrder "2*n*n*n/3 + 2*n*n"
 Calls "C" linpack_solve(n, A, b);
 """
+
+
+def wire_roundtrip(signature):
+    """Through the declared wire form (the INTERFACE_REPLY payload)."""
+    enc = XdrEncoder()
+    SIGNATURE.pack(enc, signature)
+    dec = XdrDecoder(enc.getvalue())
+    again = SIGNATURE.unpack(dec)
+    dec.done()
+    return again
 
 
 # -------------------------------------------------------------------- parser
@@ -147,7 +159,7 @@ def test_signature_from_idl_requires_single_define():
 
 def test_signature_wire_roundtrip():
     sig = Signature.from_idl(DMMUL_IDL)
-    again = Signature.from_wire(sig.to_wire())
+    again = wire_roundtrip(sig)
     assert again == sig
     assert again.predicted_flops({"n": 10}) == 2000
 
@@ -244,7 +256,7 @@ def test_signature_repr_is_informative():
 
 def test_signature_equality_and_hash():
     a = Signature.from_idl(DMMUL_IDL)
-    b = Signature.from_wire(a.to_wire())
+    b = wire_roundtrip(a)
     assert a == b
     assert hash(a) == hash(b)
     c = Signature.from_idl(LINPACK_IDL)

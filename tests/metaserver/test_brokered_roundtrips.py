@@ -31,10 +31,12 @@ from repro.protocol.messages import (
     MessageType,
     PickRequest,
     ServerInfo,
+    pack,
+    unpack,
 )
 from repro.transport import connect
 from repro.transport.faults import DROP_PRE, FaultPlan
-from repro.xdr import XdrDecoder, XdrEncoder
+from repro.xdr import XdrEncoder
 from tests.chaos.test_failover import dmmul_args, fleet  # noqa: F401
 
 SITE = "lab"
@@ -63,14 +65,14 @@ def directory_only():
 def picks_seen(monkeypatch):
     """Every PickRequest a metaserver in this process decodes."""
     seen = []
-    decode = PickRequest.decode
 
-    def spy(dec):
-        request = decode(dec)
-        seen.append(request)
-        return request
+    def spy(op, payload):
+        values = unpack(op, payload)
+        if op == MessageType.MS_PICK:
+            seen.extend(values)
+        return values
 
-    monkeypatch.setattr(PickRequest, "decode", staticmethod(spy))
+    monkeypatch.setattr("repro.metaserver.metaserver.unpack", spy)
     return seen
 
 
@@ -228,7 +230,8 @@ def test_older_pick_payloads_and_standalone_report_still_served(
             _type, reply = channel.request(
                 MessageType.MS_PICK, payload,
                 expect=MessageType.MS_PICK_REPLY)
-            assert ServerInfo.decode(XdrDecoder(reply)).name in allowed
+            assert unpack(MessageType.MS_PICK_REPLY,
+                          reply)[0].name in allowed
     meta_client.report(FAR.host, FAR.port, SITE, 3e6)
     assert bandwidths(meta)["far"] == {SITE: 3e6}
 
@@ -253,6 +256,31 @@ def test_oversized_pick_lists_are_refused_undecoded(directory_only, trailer):
         assert excinfo.value.code == "bad-request"
         assert f"at most {MAX_PICK_ITEMS}" in str(excinfo.value)
         channel.request(MessageType.PING, expect=MessageType.PONG)
+
+
+def test_bad_bandwidth_is_refused_before_it_reaches_the_directory(
+        directory_only):
+    """A bandwidth that is not finite and > 0 never decodes, so it is
+    answered ``bad-request`` and never noted: one ``0.0`` used to make
+    every later MS_PICK for the site die dividing by it
+    (``BandwidthAwareScheduler.predict``), one ``nan`` to set the
+    site's EWMA to ``nan`` for good."""
+    meta, meta_client = directory_only
+    for bandwidth in (0.0, float("nan"), float("inf"), -1.0):
+        with pytest.raises(RemoteError) as excinfo:
+            meta_client.report(FAR.host, FAR.port, SITE, bandwidth)
+        assert excinfo.value.code == "bad-request"
+        # Riding an MS_PICK it refuses that pick whole, and is dropped.
+        meta_client.observe(NEAR.host, NEAR.port, SITE, bandwidth)
+        with pytest.raises(RemoteError) as excinfo:
+            meta_client.pick("echo", comm_bytes=8e6, site=SITE)
+        assert excinfo.value.code == "bad-request"
+    assert bandwidths(meta) == {"near": {}, "far": {}}
+    assert meta_client.pick("echo", comm_bytes=8e6,
+                            site=SITE).name in {"near", "far"}
+    meta_client.report(FAR.host, FAR.port, SITE, 3e6)
+    assert bandwidths(meta)["far"] == {SITE: 3e6}
+    assert meta_client.pick("echo", comm_bytes=8e6, site=SITE).name == "far"
 
 
 # -- (d) failover and failure -------------------------------------------------
@@ -326,6 +354,8 @@ def test_no_provider_surfaces_from_pick_once_signature_is_cached(fleet):
 text = st.text(max_size=12)
 ports = st.integers(min_value=0, max_value=65535)
 rates = st.floats(allow_nan=False)
+bandwidths_seen = st.floats(min_value=0.0, exclude_min=True,
+                            allow_infinity=False)
 pick_requests = st.builds(
     PickRequest,
     function=text,
@@ -333,24 +363,20 @@ pick_requests = st.builds(
     flops=st.none() | rates,
     site=text,
     exclude=st.lists(st.tuples(text, ports), max_size=4).map(tuple),
-    observations=st.lists(st.tuples(text, ports, text, rates),
+    observations=st.lists(st.tuples(text, ports, text, bandwidths_seen),
                           max_size=4).map(tuple))
 
 
 @settings(max_examples=200, deadline=None)
 @given(pick_requests)
 def test_pick_request_round_trips(pick):
-    enc = XdrEncoder()
-    pick.encode(enc)
-    wire = enc.getvalue()
-    dec = XdrDecoder(wire)
-    assert PickRequest.decode(dec) == pick
-    dec.done()
+    wire = pack(MessageType.MS_PICK, pick)
+    assert unpack(MessageType.MS_PICK, wire) == (pick,)
     # An older picker stops after the exclude list, or before it.
     if not pick.observations:
-        assert PickRequest.decode(XdrDecoder(wire[:-4])) == pick
+        assert unpack(MessageType.MS_PICK, wire[:-4]) == (pick,)
         if not pick.exclude:
-            assert PickRequest.decode(XdrDecoder(wire[:-8])) == pick
+            assert unpack(MessageType.MS_PICK, wire[:-8]) == (pick,)
 
 
 # -- (f) one MetaClient, many threads -----------------------------------------

@@ -18,6 +18,11 @@ from repro.protocol import (
     unmarshal_outputs,
 )
 from repro.protocol.messages import (
+    CALL_HEADER,
+    ERROR_REPLY,
+    JOB_TIMESTAMPS,
+    LOAD_REPLY,
+    SERVER_INFO,
     CallHeader,
     ErrorReply,
     JobTimestamps,
@@ -46,11 +51,16 @@ SCALARS = Signature.from_idl(
 # --------------------------------------------------------------- messages
 
 
+RECORDS = {record.make: record for record in (
+    CALL_HEADER, ERROR_REPLY, JOB_TIMESTAMPS, LOAD_REPLY, SERVER_INFO)}
+
+
 def roundtrip_message(msg):
+    """Through the record's one declaration, both directions."""
     enc = XdrEncoder()
-    msg.encode(enc)
+    RECORDS[type(msg)].pack(enc, msg)
     dec = XdrDecoder(enc.getvalue())
-    out = type(msg).decode(dec)
+    out = RECORDS[type(msg)].unpack(dec)
     dec.done()
     return out
 

@@ -15,10 +15,9 @@ from repro.client import NinfClient
 from repro.client.core import _CallPayload
 from repro.idl import Signature
 from repro.protocol import RemoteError
-from repro.protocol.messages import ErrorReply, MessageType
+from repro.protocol.messages import MessageType, unpack
 from repro.server import Registry
 from repro.transport import connect
-from repro.xdr import XdrDecoder
 from tests.rpc.conftest import NativeClientDriver
 
 SCALAR_IDL = 'Define bad_scalar(mode_in int x, mode_out int y) "y is a str";'
@@ -86,4 +85,4 @@ def test_bad_result_completes_the_dedup_key(server_cls):
     assert replies[0] == replies[1]
     reply_type, reply = replies[0]
     assert reply_type == MessageType.ERROR
-    assert ErrorReply.decode(XdrDecoder(reply)).code == "bad-result"
+    assert unpack(MessageType.ERROR, reply)[0].code == "bad-result"

@@ -16,14 +16,13 @@ from repro.protocol import RemoteError, ServerBusy
 from repro.protocol import TimeoutError as ProtocolTimeoutError
 from repro.protocol.marshal import marshal_inputs
 from repro.protocol.messages import (
-    BusyReply,
     CallHeader,
-    ErrorReply,
     MessageType,
+    pack,
+    unpack,
 )
 from repro.server import AsyncNinfServer, Registry
 from repro.transport import RetryPolicy, connect, is_transient
-from repro.xdr import XdrDecoder
 from tests.rpc.conftest import NativeClientDriver
 from tests.rpc.test_async_close import wait_until
 
@@ -181,13 +180,10 @@ def test_cancel_running_job_is_refused(env, server_cls):
 
 
 def _send_call(channel, signature, logical_id, attempt):
-    from repro.xdr import XdrEncoder
-
-    enc = XdrEncoder()
-    CallHeader(function="bump", call_id=7, logical_id=logical_id,
-               attempt=attempt, budget=0.0).encode(enc)
-    enc.pack_opaque(marshal_inputs(signature, [41]))
-    channel.send(MessageType.CALL, enc.getvalue())
+    header = CallHeader(function="bump", call_id=7, logical_id=logical_id,
+                        attempt=attempt, budget=0.0)
+    channel.send(MessageType.CALL, pack(MessageType.CALL, header,
+                                        marshal_inputs(signature, [41])))
     return channel.recv()
 
 
@@ -270,7 +266,7 @@ def test_duplicate_attempts_do_not_starve_the_server(env, server_cls):
     assert replies == [replies[0]] * (DUPLICATES + 1)
     reply_type, reply = replies[0]
     assert reply_type == MessageType.RESULT
-    assert XdrDecoder(reply).unpack_uhyper() == 7
+    assert unpack(MessageType.RESULT, reply)[0] == 7
 
 
 def test_a_duplicate_takes_over_when_the_owner_is_shed(env, server_cls):
@@ -292,7 +288,8 @@ def test_a_duplicate_takes_over_when_the_owner_is_shed(env, server_cls):
             channel.send(MessageType.CALL, unbounded)
         reply_type, reply = owner.recv()
         assert reply_type == MessageType.BUSY
-        assert BusyReply.decode(XdrDecoder(reply)).reason == "deadline-expired"
+        (busy,) = unpack(MessageType.BUSY, reply)
+        assert busy.reason == "deadline-expired"
         env.release.set()
         replies = [channel.recv() for channel in duplicates]
         client.fetch_detached(parked, timeout=5.0)
@@ -350,8 +347,8 @@ def test_stop_delivers_shutdown_errors_before_closing(env, server_cls):
             for channel in queued:
                 reply_type, reply = channel.recv()
                 assert reply_type == MessageType.ERROR
-                assert ErrorReply.decode(XdrDecoder(reply)).code \
-                    == "server-shutdown"
+                (error,) = unpack(MessageType.ERROR, reply)
+                assert error.code == "server-shutdown"
     finally:
         server.stop()
     assert env.bumps == []

@@ -17,7 +17,6 @@ from repro.client import NinfClient
 from repro.protocol.framing import MAGIC, send_frame
 from repro.protocol.messages import MessageType
 from repro.server import NinfServer
-from repro.xdr import XdrEncoder
 from tests.rpc.conftest import build_registry
 
 
@@ -102,13 +101,12 @@ def test_call_with_corrupt_payload_gets_error(hardened_server):
 def test_call_with_mismatched_args_payload(hardened_server):
     """Well-formed CALL header but argument bytes of the wrong shape."""
     from repro.protocol.framing import recv_frame
-    from repro.protocol.messages import CallHeader
+    from repro.protocol.messages import CallHeader, pack
 
-    enc = XdrEncoder()
-    CallHeader(function="dmmul", call_id=1).encode(enc)
-    enc.pack_opaque(b"\x00" * 16)  # not valid dmmul inputs
+    payload = pack(MessageType.CALL, CallHeader(function="dmmul", call_id=1),
+                   b"\x00" * 16)  # not valid dmmul inputs
     sock = raw_connect(hardened_server)
-    send_frame(sock, MessageType.CALL, enc.getvalue())
+    send_frame(sock, MessageType.CALL, payload)
     msg_type, _payload = recv_frame(sock)
     assert msg_type == MessageType.ERROR
     sock.close()

@@ -9,13 +9,16 @@ Fails when code grows a user-visible surface the docs don't mention:
 - PROTOCOL.md's op-code table and protocol-version statement must match
   ``repro.protocol.messages`` *exactly* (both directions: an op missing
   from the doc and a doc row naming a nonexistent or renumbered op both
-  fail).  PROTOCOL.md presents itself as the canonical wire spec, which
-  is only true while this test passes.
+  fail), and the payload column of every one of its rows -- and the
+  record table under it -- must start with the one-line rendering of
+  the op's (record's) declaration, the same declaration both codecs are
+  derived from.  PROTOCOL.md presents itself as the canonical wire
+  spec, which is only true while this test passes.
 
 The metric/span-name half of this check moved into ``ninf-lint``'s
 ``catalog-pinned-names`` rule (see ANALYSIS.md), which also pins the
-names used at instrumentation sites (and anchors per-op findings in
-``protocol/messages.py``); this file covers the prose surface.
+names used at instrumentation sites; this file covers the prose
+surface, and is the one place the op-code table is checked.
 
 The check is grep-based on purpose: it keeps the docs honest without
 requiring any doc-generation machinery.
@@ -28,12 +31,20 @@ import pytest
 
 import repro.obs
 from repro.cli import EXPERIMENT_TARGETS
-from repro.protocol.messages import PROTOCOL_VERSION, MessageType
+from repro.protocol.messages import (PROTOCOL_VERSION, WIRE, MessageType,
+                                     describe)
+from repro.xdr.record import Array, Option, Struct
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: A PROTOCOL.md op-code table row: ``| 5 | `CALL` | ...``.
 OPCODE_ROW = re.compile(r"^\|\s*(\d+)\s*\|\s*`([A-Z_]+)`\s*\|", re.M)
+
+#: The payload cell of an op row, and a row of the record table.
+PAYLOAD_ROW = re.compile(
+    r"^\|\s*\d+\s*\|\s*`([A-Z_]+)`\s*\|[^|]*\|\s*`([^`]*)`(; [^|]+)? \|$",
+    re.M)
+RECORD_ROW = re.compile(r"^\| `([A-Z][A-Za-z]+)` \| `([^`]*)` \|$", re.M)
 
 #: The canonical version statement in PROTOCOL.md.
 VERSION_STATEMENT = re.compile(
@@ -112,6 +123,39 @@ def test_protocol_opcode_table_matches_messages(protocol):
         f"PROTOCOL.md op numbers disagree with MessageType "
         f"(doc, code): {renumbered} -- op codes are wire-stable, so "
         f"one of the two is lying")
+
+
+def test_protocol_payload_column_is_the_rendered_declaration(protocol):
+    """All 38 rows: the payload cell is ``describe(op)`` in backticks,
+    then nothing or ``; prose``."""
+    documented = {name: layout
+                  for name, layout, _prose in PAYLOAD_ROW.findall(protocol)}
+    wrong = {op.name: (documented.get(op.name), describe(op))
+             for op in MessageType if documented.get(op.name) != describe(op)}
+    assert not wrong, (
+        f"PROTOCOL.md payload cells that are not the rendering of the "
+        f"op's declaration in repro.protocol.messages.WIRE "
+        f"(doc, declaration): {wrong}")
+
+
+def _named_records(wire_type, found):
+    if isinstance(wire_type, Struct):
+        if wire_type.make is not None:
+            found[wire_type.word] = wire_type.layout()
+        for field in wire_type.fields:
+            _named_records(field.type, found)
+    elif isinstance(wire_type, (Array, Option)):
+        _named_records(wire_type.item, found)
+    return found
+
+
+def test_protocol_record_table_is_the_rendered_declarations(protocol):
+    """Every named record reachable from an op has its row, no other
+    row exists, and each row is the record's rendered field list."""
+    declared = {}
+    for declaration in WIRE.values():
+        _named_records(declaration, declared)
+    assert dict(RECORD_ROW.findall(protocol)) == declared
 
 
 def test_protocol_version_matches_messages(protocol):

@@ -8,10 +8,9 @@ import pytest
 
 from repro.client import NinfClient
 from repro.protocol.errors import RemoteError, TimeoutError
-from repro.protocol.messages import ErrorReply, MessageType
+from repro.protocol.messages import MessageType, unpack
 from repro.server import NinfServer, Registry
 from repro.transport import Channel, Endpoint, connect
-from repro.xdr import XdrDecoder
 
 DMMUL_IDL = """
 Define dmmul(mode_in int n, mode_in double A[n][n],
@@ -47,7 +46,7 @@ def test_unknown_message_type_gets_error_reply_and_keeps_connection(server):
         channel.send(999, b"")
         msg_type, payload = channel.recv()
         assert msg_type == MessageType.ERROR
-        err = ErrorReply.decode(XdrDecoder(payload))
+        (err,) = unpack(MessageType.ERROR, payload)
         assert err.code == "bad-message"
         # The connection survives: a PING on the same channel still works.
         channel.send(MessageType.PING, b"still-alive")
