@@ -61,6 +61,7 @@ SERVER_JOBS_EXPIRED = "ninf_server_jobs_expired_total"
 SERVER_JOBS_CANCELLED = "ninf_server_jobs_cancelled_total"
 SERVER_JOBS_SHED = "ninf_server_jobs_shed_total"      # label: reason
 SERVER_COMPLETION_ERRORS = "ninf_server_completion_errors_total"
+SERVER_PE_WORKER_DEATHS = "ninf_server_pe_worker_deaths_total"
 SERVER_DEDUP_HITS = "ninf_server_dedup_hits_total"
 SERVER_DEDUP_ENTRIES = "ninf_server_dedup_entries"
 SERVER_CONNECTIONS_OPEN = "ninf_server_connections_open"
@@ -113,6 +114,7 @@ METRIC_NAMES = (
     SERVER_JOBS_CANCELLED,
     SERVER_JOBS_SHED,
     SERVER_COMPLETION_ERRORS,
+    SERVER_PE_WORKER_DEATHS,
     SERVER_DEDUP_HITS,
     SERVER_DEDUP_ENTRIES,
     SERVER_CONNECTIONS_OPEN,

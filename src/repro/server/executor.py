@@ -3,8 +3,12 @@
 Models the two execution styles the paper benchmarks:
 
 - *task-parallel* ("1-PE"): each call claims one PE; up to ``num_pes``
-  calls run concurrently (the numeric kernels release the GIL inside
-  NumPy).
+  calls run concurrently.  Not on this process's threads: an LU that
+  is a Python loop over NumPy calls holds the GIL between them, so two
+  ``linpack`` n=600 on two PE threads took twice as long each as one
+  alone (CHANGES.md, PR 25).  A server therefore runs an executable
+  with a ``CalcOrder`` in a PE worker process
+  (:mod:`repro.server.peworkers`); the PE thread waits for it there.
 - *data-parallel* ("4-PE"): each call claims all PEs, so calls
   serialize -- "the data-parallel version employs an optimally
   vectorized and parallelized version with simultaneous execution on 4

@@ -23,6 +23,10 @@ class ExecutionError(RuntimeError):
         self.name = name
         self.cause = cause
 
+    def __reduce__(self):
+        # Pickled by a PE worker process (repro.server.peworkers).
+        return ExecutionError, (self.name, self.cause)
+
 
 class NinfExecutable:
     """A registered routine: signature + implementation.

@@ -36,6 +36,7 @@ from repro.protocol.messages import (
 )
 from repro.server.dedup import DedupCache
 from repro.server.executor import Executor, Job
+from repro.server.peworkers import WorkerExecutable, WorkerLost, WorkerPool
 from repro.server.registry import NinfExecutable, Registry
 from repro.server.scheduling import SchedulingPolicy, make_policy
 from repro.transport import Connection
@@ -139,6 +140,12 @@ class NinfRpcServices:
         self._evicted_metric = self.metrics.counter(
             names.SERVER_DETACHED_EVICTED,
             "Finished detached results evicted before their FETCH arrived")
+        self._worker_deaths = self.metrics.counter(
+            names.SERVER_PE_WORKER_DEATHS,
+            "PE worker processes found dead, mid-call or idle")
+        # CalcOrder executables run in PE worker processes (on_start).
+        self._workers: WorkerPool | None = None
+        self._in_workers: dict[str, NinfExecutable] = {}
         # Execution trace (§5.1): per-call observations feeding
         # repro.metaserver.predictor for learned cost models.
         from repro.metaserver.predictor import ExecutionTrace
@@ -158,7 +165,21 @@ class NinfRpcServices:
     # -- lifecycle ----------------------------------------------------------
 
     def on_start(self) -> None:
-        """Spin up the PE-pool executor before accepting connections."""
+        """Fork the PE worker helper, if any executable declares a
+        ``CalcOrder``, then spin up the PE-pool executor, before
+        accepting connections -- the fork comes before the server
+        starts a thread of its own (``repro.server.peworkers``)."""
+        registered = {name: self.registry.get(name)
+                      for name in self.registry.names()}
+        offload = {name: executable for name, executable in registered.items()
+                   if executable.signature.calc_order}
+        if offload:
+            self._workers = WorkerPool(offload, self._worker_deaths)
+            # A worker's BLAS pool gets the PEs its call claims.
+            self._in_workers = {
+                name: WorkerExecutable(executable, self._workers,
+                                       self._pes_claimed(executable))
+                for name, executable in offload.items()}
         self.executor = Executor(num_pes=self.num_pes, policy=self.policy,
                                  metrics=self.metrics,
                                  max_queued=self.max_queued)
@@ -167,9 +188,13 @@ class NinfRpcServices:
             self._load_stamp = self._start_time
 
     def on_stop(self) -> None:
-        """Drain the executor once the listener is down."""
+        """Drain the executor once the listener is down, then end the
+        PE worker processes."""
         if self.executor is not None:
             self.executor.shutdown()
+        if self._workers is not None:
+            self._workers.close()
+            self._workers, self._in_workers = None, {}
 
     # -- load accounting (Unix-style 1-minute EWMA) --------------------------
 
@@ -233,12 +258,20 @@ class NinfRpcServices:
         conn.reply(MessageType.BUSY, BusyReply(retry_after=busy.retry_after,
                                                reason=busy.message))
 
+    def _pes_claimed(self, executable: NinfExecutable) -> int:
+        """PEs a call of ``executable`` claims; data-parallel mode: every
+        call occupies the whole machine."""
+        if self.mode == "data":
+            return self.num_pes
+        return min(executable.pes_required, self.num_pes)
+
     def _admit(self, conn: Connection, payload: bytes) -> _Call | None:
         """The CALL / CALL_DETACHED prologue: decode the header, look
         the function up, unmarshal, size the PE claim, pin the deadline.
         ``None``: the call was refused and answered."""
         header, args_payload = unpack(MessageType.CALL, payload)
-        executable = self.registry.get(header.function)
+        executable = (self._in_workers.get(header.function)
+                      or self.registry.get(header.function))
         if executable is None:
             conn.send_error("no-such-function",
                             f"{header.function!r} is not registered")
@@ -250,10 +283,7 @@ class NinfRpcServices:
             return None
         return _Call(
             header=header, executable=executable, values=values,
-            args_bytes=len(args_payload),
-            # Data-parallel mode: every call occupies the whole machine.
-            pes=(self.num_pes if self.mode == "data"
-                 else executable.pes_required),
+            args_bytes=len(args_payload), pes=self._pes_claimed(executable),
             # The budget is relative on the wire (clock-skew safe); pin
             # it to this server's monotonic clock at receipt.
             deadline=(self.executor.clock() + header.budget
@@ -330,11 +360,13 @@ class NinfRpcServices:
                 self._send_busy(conn, job.error)
                 return
             if job.error is not None:
-                # ServerShutdown never ran the job -- don't cache it,
-                # a retry elsewhere should execute for real.
+                # ServerShutdown never ran the job, WorkerLost may not
+                # have finished it -- don't cache either, a retry
+                # should execute for real.
                 finish(MessageType.ERROR,
                        pack(MessageType.ERROR, _error_reply(job.error)),
-                       cache=not isinstance(job.error, ServerShutdown))
+                       cache=not isinstance(job.error,
+                                            (ServerShutdown, WorkerLost)))
                 return
             try:
                 reply, out_len = _result_payload(header.call_id, executable,
