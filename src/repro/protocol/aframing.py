@@ -7,10 +7,19 @@ speaks to an async server and vice versa.  :class:`FrameStream` is the
 whole receive path: ``get_buffer`` hands the event loop first the
 16-byte header buffer, then a view of the frame's own
 ``bytearray(length)``, so the kernel's ``recv_into`` puts payload bytes
-straight into the buffer ``read_frame`` returns.  CRC-32 is folded in
-chunk by chunk as the bytes land, magic and length are checked before
-the payload buffer is allocated, and at most one complete frame waits
-ahead of the reader (the transport is paused until it is taken).
+straight into the buffer ``read_frame`` returns.  Magic and length are
+checked before the payload buffer is allocated, and at most one
+complete frame waits ahead of the reader (the transport is paused until
+it is taken).
+
+The ``crc`` word follows the sync layer's rules (PROTOCOL.md, *Frame
+format*): ``connection_made`` applies the sender rule
+(``framing.crc_covers_payload``) to the peer's address once, so a
+loopback connection writes header-only frames and any other folds the
+payload in.  Either form is read: the header alone tells them apart
+(``framing.payload_seed``), so a header-only frame is never folded,
+and a payload-covering one has its CRC-32 folded in chunk by chunk as
+the bytes land.
 
 Deadlines match the sync layer: ``timeout`` covers the *whole* frame (a
 trickling peer cannot stretch it) and expiry raises the repro
@@ -26,7 +35,7 @@ from typing import Callable, Optional, TypeVar, Union, cast
 
 from repro.protocol.errors import ConnectionClosed, ProtocolError, TimeoutError
 from repro.protocol.framing import BytesLike, HEADER, checksum_mismatch, \
-    decode_header, encode_header, header_crc
+    crc_covers_payload, decode_header, encode_header, payload_seed
 
 __all__ = ["FrameStream"]
 
@@ -58,7 +67,13 @@ class FrameStream(asyncio.BufferedProtocol):
         self._header = bytearray(HEADER.size)
         self._payload: Optional[bytearray] = None
         self._got = 0
-        self._msg_type = self._crc = self._crc_want = 0
+        self._msg_type = self._crc_want = 0
+        # The running CRC of the frame being received; None for a
+        # header-only frame, whose payload is not folded.
+        self._crc: Optional[int] = None
+        #: Whether this stream's frames fold their payload into the crc
+        #: word: the sender rule, applied in connection_made.
+        self.covers_payload = True
         # Delivery: a complete frame (or the checksum error it turned out
         # to be) goes to the waiting reader, else parks in _ready with
         # reading paused.  _failure is terminal: EOF, loss, desync.
@@ -73,8 +88,12 @@ class FrameStream(asyncio.BufferedProtocol):
     # -- transport callbacks -------------------------------------------------
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        """Adopt the transport, set ``TCP_NODELAY``, tell ``on_connect``."""
+        """Adopt the transport, set ``TCP_NODELAY``, decide what the
+        ``crc`` word covers from the peer's address, tell
+        ``on_connect``."""
         self.transport = cast(asyncio.Transport, transport)
+        self.covers_payload = crc_covers_payload(
+            transport.get_extra_info("peername"))
         sock = transport.get_extra_info("socket")
         if sock is not None:
             try:
@@ -114,8 +133,8 @@ class FrameStream(asyncio.BufferedProtocol):
 
     def buffer_updated(self, nbytes: int) -> None:
         """``nbytes`` landed where :meth:`get_buffer` pointed: parse a
-        completed header, fold a payload chunk into the running CRC,
-        deliver a completed frame."""
+        completed header, fold a payload chunk into the running CRC
+        (unless the frame is header-only), deliver a completed frame."""
         start = self._got
         self._got = end = start + nbytes
         payload = self._payload
@@ -130,16 +149,16 @@ class FrameStream(asyncio.BufferedProtocol):
                 self._fail(error)
                 return
             self._msg_type, self._crc_want = msg_type, crc
-            self._crc = header_crc(msg_type, length)
+            self._crc = payload_seed(msg_type, length, crc)
             self._payload = payload = bytearray(length)
             self._got = end = 0
-        else:
+        elif self._crc is not None:
             self._crc = zlib.crc32(memoryview(payload)[start:end], self._crc)
         if end < len(payload):
             return
         self._payload, self._got = None, 0
         item: Union[Frame, ProtocolError] = (self._msg_type, payload)
-        if self._crc != self._crc_want:
+        if self._crc is not None and self._crc != self._crc_want:
             item = checksum_mismatch(self._msg_type, len(payload))
         reader = self._reader
         if reader is None or reader.done():
@@ -209,7 +228,8 @@ class FrameStream(asyncio.BufferedProtocol):
         backpressure to clear included; expiry raises
         :class:`~repro.protocol.errors.TimeoutError`.
         """
-        header = encode_header(msg_type, payload)
+        header = encode_header(msg_type, payload,
+                               covers_payload=self.covers_payload)
         if timeout is not None and timeout <= 0:
             raise TimeoutError("frame send deadline expired")
         self.transport.write(header)

@@ -9,18 +9,28 @@ What the ``crc`` word covers is the medium's (PROTOCOL.md, *Frame
 format*).  Every receiver starts from :func:`header_crc`, the CRC-32 of
 the type and length words:
 
-- On a **socket** the payload bytes are folded in after it, so any
+- On a **linked socket** (a peer at any address but loopback, or an
+  ``AF_UNIX`` one) the payload bytes are folded in after it, so any
   single corrupted byte on the wire (CRC-32 detects all error bursts
   shorter than 32 bits) is surfaced as
   :class:`~repro.protocol.errors.ProtocolError` instead of being
   decoded as garbage -- the property the chaos and fuzz suites assert.
-- On a **shared-memory ring** (:mod:`repro.transport.shm`) the word is
-  :func:`header_crc` itself, verified before the payload buffer is
-  allocated, and no pass is made over payload bytes on either side.  A
-  ring can lose frame boundaries (a torn counter, a writer dying
-  mid-frame) -- magic, the header CRC and mid-frame EOF catch that --
-  but it cannot flip a bit in transit: the bytes never leave memory the
-  two process heaps are equally exposed to.
+- On a **loopback socket** and on a **shared-memory ring**
+  (:mod:`repro.transport.shm`) the word is :func:`header_crc` itself,
+  and the sender makes no pass over payload bytes.  Loopback bytes are
+  copied by the kernel from one socket buffer to another, and ring
+  bytes never leave memory both process heaps are equally exposed to:
+  neither medium can flip a bit in transit.  Both can lose frame
+  boundaries (a torn ring counter, a writer dying mid-frame) -- magic,
+  the header CRC and mid-frame EOF catch that.
+
+The sender's choice is made once per connection, from the peer's
+address (:func:`crc_covers_payload`).  A socket receiver takes either
+form and tells them apart from the header alone
+(:func:`payload_seed`): a ``crc`` word equal to the header CRC means no
+pass over the payload; any other is compared with the payload folded
+in.  A ring receiver takes the header-only form alone, checked before
+the payload buffer is allocated.
 
 Both :func:`send_frame` and :func:`recv_frame` accept an optional
 ``timeout`` (seconds) covering the *whole* frame, not each ``recv``:
@@ -33,6 +43,7 @@ timeout setting is restored afterwards.
 from __future__ import annotations
 
 import functools
+import ipaddress
 import socket
 import struct
 import time
@@ -44,9 +55,10 @@ from repro.protocol.errors import ConnectionClosed, ProtocolError, TimeoutError
 #: Anything the framing layer will put on the wire without copying.
 BytesLike = Union[bytes, bytearray, memoryview]
 
-__all__ = ["MAGIC", "MAX_FRAME_SIZE", "checksum_mismatch", "decode_header",
-           "encode_frame", "encode_header", "encode_ring_header",
-           "header_crc", "recv_frame", "recv_frame_from", "send_frame"]
+__all__ = ["MAGIC", "MAX_FRAME_SIZE", "checksum_mismatch",
+           "crc_covers_payload", "decode_header", "encode_frame",
+           "encode_header", "header_crc", "payload_seed", "recv_frame",
+           "recv_frame_from", "send_frame"]
 
 MAGIC = b"NINF"
 HEADER = struct.Struct(">4sIII")
@@ -55,40 +67,65 @@ MAX_FRAME_SIZE = 1 << 30
 
 def header_crc(msg_type: int, length: int) -> int:
     """CRC-32 of the big-endian ``type`` and ``length`` words: the whole
-    of a ring frame's check, and the seed a socket frame's payload is
-    folded into.  The one header check every receiver shares."""
+    of a header-only frame's check, and the seed a payload-covering
+    frame's payload is folded into.  The one header check every
+    receiver shares."""
     return zlib.crc32(struct.pack(">II", msg_type, length))
 
 
-def _pack_header(msg_type: int, length: int, crc: int) -> bytes:
-    if length > MAX_FRAME_SIZE:
-        raise ProtocolError(f"frame payload too large: {length} bytes")
-    return HEADER.pack(MAGIC, msg_type, length, crc)
+def crc_covers_payload(peer: object) -> bool:
+    """The sender rule: whether frames to ``peer`` fold their payload
+    into the ``crc`` word.
+
+    ``peer`` is the connection's ``getpeername()`` (None when that
+    failed).  A loopback peer -- ``127.0.0.0/8``, ``::1``, or an
+    IPv4-mapped ``::ffff:127.x`` as a dual-stack listener sees an IPv4
+    client -- gets header-only frames; ``AF_UNIX``, any other address or
+    no address keeps the payload CRC.  Decided once per connection.
+    """
+    host = peer[0] if isinstance(peer, tuple) and peer else None
+    try:
+        address = ipaddress.ip_address(host)
+    except ValueError:
+        return True
+    # Unwrapped by hand: Python 3.11 calls ::ffff:127.0.0.1 not loopback.
+    return not (getattr(address, "ipv4_mapped", None) or address).is_loopback
 
 
-def encode_header(msg_type: int, payload: BytesLike) -> bytes:
-    """The 16-byte socket header for ``payload`` (not yet on the wire).
+def payload_seed(msg_type: int, length: int, crc: int) -> Optional[int]:
+    """The receiver's per-frame test: None when ``crc`` is the header
+    CRC -- a header-only frame, whose payload is not read -- else that
+    header CRC, the seed the payload is folded into before comparing
+    with ``crc``.  A payload-covering ``crc`` equals the header CRC with
+    probability 2**-32, CRC-32's own miss rate."""
+    seed = header_crc(msg_type, length)
+    return None if crc == seed else seed
+
+
+def encode_header(msg_type: int, payload: BytesLike, *,
+                  covers_payload: bool = True) -> bytes:
+    """The 16-byte header for ``payload`` (not yet on the wire), its
+    ``crc`` word folding in the payload or (``covers_payload`` False)
+    covering the type and length words only, without reading a payload
+    byte.
 
     The zero-copy seam: callers that can scatter-gather (``sendmsg``,
     ``StreamWriter.write`` twice) send header and payload separately and
     never materialise the concatenated frame.
     """
-    # Incremental CRC: seed with the header fields, then feed the payload
-    # buffer directly -- no header+payload concatenation, and ``payload``
-    # may be any bytes-like object (memoryview included).
     length = len(payload)
-    return _pack_header(msg_type, length,
-                        zlib.crc32(payload, header_crc(msg_type, length)))
+    if length > MAX_FRAME_SIZE:
+        raise ProtocolError(f"frame payload too large: {length} bytes")
+    crc = header_crc(msg_type, length)
+    if covers_payload:
+        # Incremental CRC over the payload buffer itself -- no
+        # header+payload concatenation, any bytes-like (memoryview too).
+        crc = zlib.crc32(payload, crc)
+    return HEADER.pack(MAGIC, msg_type, length, crc)
 
 
-def encode_ring_header(msg_type: int, length: int) -> bytes:
-    """The 16-byte header of a shared-memory ring frame: same layout,
-    its ``crc`` word covering the type and length words only -- the
-    payload is never read to build it."""
-    return _pack_header(msg_type, length, header_crc(msg_type, length))
-
-
-def encode_frame(msg_type: int, payload: BytesLike = b"") -> bytes:
+def encode_frame(msg_type: int, payload: BytesLike = b"", *,
+                 covers_payload: bool = True) -> bytes:
     """The exact bytes :func:`send_frame` puts on a socket.
 
     Exposed so fault injection (:mod:`repro.transport.faults`) and the
@@ -97,7 +134,8 @@ def encode_frame(msg_type: int, payload: BytesLike = b"") -> bytes:
     ``ShmTransport.encode_frame``).  This *does* concatenate -- the
     hot paths use :func:`encode_header` plus scatter-gather instead.
     """
-    return encode_header(msg_type, payload) + payload
+    return encode_header(msg_type, payload,
+                         covers_payload=covers_payload) + payload
 
 
 class _DeadlineSocket:
@@ -173,22 +211,24 @@ class _DeadlineSocket:
 
 
 def send_frame(sock: socket.socket, msg_type: int, payload: BytesLike = b"",
-               timeout: Optional[float] = None) -> None:
+               timeout: Optional[float] = None, *,
+               covers_payload: bool = True) -> None:
     """Write one frame; raises ProtocolError on oversize payloads.
 
     ``payload`` may be any bytes-like object; header and payload go out
     as one scatter-gather write (``sendmsg``), so the frame is never
     concatenated in user space.  ``timeout`` bounds the whole write;
     expiry raises :class:`~repro.protocol.errors.TimeoutError`.
+    ``covers_payload`` is the connection's :func:`crc_covers_payload`.
     """
-    header = encode_header(msg_type, payload)
+    header = encode_header(msg_type, payload, covers_payload=covers_payload)
     with _DeadlineSocket(sock, timeout) as guarded:
         if not len(payload):
             guarded.sendall(header, "send")
         elif hasattr(sock, "sendmsg"):
             guarded.send_vectored(header, payload, "send")
         else:  # pragma: no cover - all supported platforms have sendmsg
-            guarded.sendall(encode_frame(msg_type, payload), "send")
+            guarded.sendall(header + bytes(payload), "send")
 
 
 def _recv_exact(guarded: _DeadlineSocket, count: int,
@@ -231,19 +271,18 @@ def recv_frame_from(read_exact: Callable[[int, str], bytearray],
     """One verified frame from ``read_exact(count, what)`` -- the
     blocking receive shared by the socket and the shm ring.
 
-    ``payload_checked`` is the medium's: a socket folds the payload into
-    the header CRC and compares once it has all arrived; a ring compares
-    the header CRC alone, before the payload buffer is allocated, and
-    never reads the payload bytes it hands back.
+    ``payload_checked`` is the medium's: a socket takes either form
+    (:func:`payload_seed`), folding the payload in once it has all
+    arrived unless the frame is header-only; a ring takes the header-only
+    form alone, compared before the payload buffer is allocated.  A
+    header-only frame's payload bytes are never read.
     """
     msg_type, length, crc = decode_header(read_exact(HEADER.size, "header"))
-    seed = header_crc(msg_type, length)
-    if not payload_checked:
-        if crc != seed:
-            raise checksum_mismatch(msg_type, length)
-        return msg_type, read_exact(length, "payload")
+    seed = payload_seed(msg_type, length, crc)
+    if seed is not None and not payload_checked:
+        raise checksum_mismatch(msg_type, length)
     payload = read_exact(length, "payload")
-    if crc != zlib.crc32(payload, seed):
+    if seed is not None and crc != zlib.crc32(payload, seed):
         raise checksum_mismatch(msg_type, length)
     return msg_type, payload
 
@@ -257,7 +296,8 @@ def recv_frame(sock: socket.socket,
 
     Raises :class:`ConnectionClosed` on clean EOF before a header,
     :class:`ProtocolError` on bad magic, implausible length, or a
-    checksum mismatch (a corrupted type, length, or payload byte), and
+    checksum mismatch (a corrupted type, length or ``crc`` word, or a
+    payload byte of a payload-covering frame), and
     :class:`~repro.protocol.errors.TimeoutError` when ``timeout``
     seconds elapse before the full frame arrives.
     """

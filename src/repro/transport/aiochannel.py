@@ -213,7 +213,10 @@ class AsyncFaultyChannel(AsyncChannel):
             raise ConnectionResetError(
                 f"[fault #{event.seq}] connection dropped before send"
             )
-        frame = encode_frame(msg_type, payload)
+        # Framed as the stream frames (header-only on loopback), so
+        # CORRUPT flips a byte where the peer's check looks.
+        frame = encode_frame(msg_type, payload,
+                             covers_payload=self.stream.covers_payload)
         if event.kind == TRUNCATE:
             cut = max(1, min(len(frame) - 1, int(event.ratio * len(frame))))
             await self._write_raw(frame[:cut])
@@ -223,7 +226,7 @@ class AsyncFaultyChannel(AsyncChannel):
                 f"{cut}/{len(frame)} bytes"
             )
         if event.kind == CORRUPT:
-            await self._write_raw(_corrupt(frame, event.ratio, False))
+            await self._write_raw(_corrupt(frame, event.ratio))
             return None
         # DROP_POST: deliver, then kill the connection.
         await self._write_raw(frame)

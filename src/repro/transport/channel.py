@@ -16,8 +16,8 @@ import socket
 import threading
 from typing import Optional, TYPE_CHECKING, Union
 
-from repro.protocol.framing import BytesLike, HEADER, encode_frame, \
-    recv_frame, send_frame
+from repro.protocol.framing import BytesLike, HEADER, crc_covers_payload, \
+    encode_frame, recv_frame, send_frame
 
 if TYPE_CHECKING:  # annotation only -- shm imports channel at runtime
     from repro.obs import MetricsRegistry
@@ -79,6 +79,11 @@ class Channel:
         :class:`~repro.transport.pool.ConnectionPool` can route
         ``checkin`` back to the right bucket.
 
+    :attr:`covers_payload` is the sender rule of
+    :func:`~repro.protocol.framing.crc_covers_payload`, applied once to
+    the socket's peer: a loopback peer gets header-only frames, any
+    other the payload CRC (PROTOCOL.md, *Frame format*).
+
     The :attr:`metrics` attribute (a
     :class:`~repro.obs.MetricsRegistry`, default ``None`` = no
     recording) is set by whoever owns the channel -- the pool on
@@ -93,6 +98,11 @@ class Channel:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass  # not a TCP socket (socketpair in tests) -- fine
+        try:
+            peer = sock.getpeername()
+        except OSError:
+            peer = None  # not connected: keep the payload CRC
+        self.covers_payload = crc_covers_payload(peer)
         self.sock = sock
         self.timeout = timeout
         self.remote = remote
@@ -204,17 +214,20 @@ class Channel:
                                     timeout=self._resolve(timeout))
             else:
                 send_frame(self.sock, msg_type, payload,
-                           timeout=self._resolve(timeout))
+                           timeout=self._resolve(timeout),
+                           covers_payload=self.covers_payload)
         _note_io(self.metrics, "sent", len(payload))
 
     def _encode_frame(self, msg_type: int, payload: BytesLike) -> bytes:
         """The bytes :meth:`send` would put on the medium frames flow
-        over, framed by that medium's codec (a ring's ``crc`` word does
-        not cover the payload) -- what fault injection cuts and flips."""
+        over, framed by that medium's codec (a ring's or a loopback
+        socket's ``crc`` word does not cover the payload) -- what fault
+        injection cuts and flips."""
         io = self._io
         if io is not None:
             return io.encode_frame(msg_type, payload)
-        return encode_frame(msg_type, payload)
+        return encode_frame(msg_type, payload,
+                            covers_payload=self.covers_payload)
 
     def _raw_sendall(self, data: BytesLike,
                      timeout: Optional[float] = None) -> None:

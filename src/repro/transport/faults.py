@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.protocol.errors import ConnectionClosed
-from repro.protocol.framing import HEADER
+from repro.protocol.framing import HEADER, payload_seed
 from repro.transport.channel import _DEFAULT, Channel, _Unset, connect
 
 __all__ = [
@@ -401,7 +401,7 @@ class FaultyChannel(Channel):
                 f"{cut}/{len(frame)} bytes"
             )
         if event.kind == CORRUPT:
-            self._raw_sendall(_corrupt(frame, event.ratio, self.via_shm))
+            self._raw_sendall(_corrupt(frame, event.ratio))
             return None
         # DROP_POST: deliver, then kill the connection.
         self._raw_sendall(frame)
@@ -427,24 +427,24 @@ class FaultyChannel(Channel):
         return super().recv(timeout=timeout)
 
 
-def _corrupt(frame: bytes, ratio: float, on_ring: bool) -> bytes:
-    """Flip one byte of ``frame`` where its medium's check looks, never
-    in the magic or length fields.
+def _corrupt(frame: bytes, ratio: float) -> bytes:
+    """Flip one byte of ``frame`` where its receiver's check looks,
+    never in the magic or length fields.
 
-    On a socket payload bytes are preferred; a payload-less frame gets
-    its CRC field flipped instead.  A ring frame's ``crc`` word does not
-    cover the payload, so there the byte is one of the eight in the
-    ``type`` and ``crc`` words.  Either way the receiver's checksum
-    verification fails deterministically (magic and length are left
-    intact so the receiver reads exactly this frame and cannot mis-frame
-    the stream).
+    Whether the ``crc`` word covers the payload is read off the frame
+    the way every receiver reads it (``framing.payload_seed``).  If it
+    does, a payload byte is flipped.  If not -- a ring's or a loopback
+    socket's frame, or any payload-less one -- the byte is one of the
+    eight in the ``type`` and ``crc`` words.  Either way the receiver's
+    checksum verification fails deterministically (magic and length are
+    left intact so the receiver reads exactly this frame and cannot
+    mis-frame the stream).
     """
-    if on_ring:
+    _magic, msg_type, length, crc = HEADER.unpack_from(frame)
+    if payload_seed(msg_type, length, crc) is None:
         index = (4, 5, 6, 7, 12, 13, 14, 15)[int(ratio * 8)]
-    elif len(frame) > HEADER.size:
-        index = HEADER.size + int(ratio * (len(frame) - HEADER.size))
     else:
-        index = 12 + int(ratio * 4)  # within the 4-byte CRC field
+        index = HEADER.size + int(ratio * (len(frame) - HEADER.size))
     corrupted = bytearray(frame)
     corrupted[index] ^= 0xFF
     return bytes(corrupted)

@@ -66,7 +66,7 @@ from repro.protocol.errors import (
     RemoteError,
     TimeoutError,
 )
-from repro.protocol.framing import BytesLike, encode_ring_header, \
+from repro.protocol.framing import BytesLike, encode_frame, encode_header, \
     recv_frame_from
 from repro.protocol.messages import MessageType, pack, unpack
 from repro.xdr import XdrError
@@ -388,7 +388,7 @@ class ShmTransport:
                    timeout: Optional[float] = None) -> None:
         """Write one frame into the send ring (header, then payload)."""
         deadline = self._deadline(timeout)
-        header = encode_ring_header(msg_type, len(payload))
+        header = encode_header(msg_type, payload, covers_payload=False)
         self.send_ring.write(header, deadline)
         if len(payload):
             self.send_ring.write(payload, deadline)
@@ -397,7 +397,7 @@ class ShmTransport:
     def encode_frame(msg_type: int, payload: BytesLike = b"") -> bytes:
         """The exact bytes :meth:`send_frame` puts into the ring, for
         fault injection to truncate or corrupt."""
-        return encode_ring_header(msg_type, len(payload)) + payload
+        return encode_frame(msg_type, payload, covers_payload=False)
 
     def sendall(self, data: BytesLike,
                 timeout: Optional[float] = None) -> None:

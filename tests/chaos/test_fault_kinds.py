@@ -5,6 +5,9 @@ asserts (a) the bare client surfaces exactly the right exception, and
 (b) a :class:`~repro.transport.RetryPolicy` heals the same fault.
 """
 
+import asyncio
+import socket
+
 import pytest
 
 from repro.client import NinfClient
@@ -14,8 +17,10 @@ from repro.protocol.errors import (
     RemoteError,
     TimeoutError,
 )
+from repro.protocol.framing import encode_frame, recv_frame
+from repro.protocol.messages import MessageType
 from repro.server import NinfServer
-from repro.transport import FaultPlan
+from repro.transport import FaultPlan, aconnect_with_faults
 from repro.transport.faults import (
     CORRUPT,
     DELAY,
@@ -68,6 +73,54 @@ def test_corrupted_send_is_rejected_by_peer_crc(server):
             client.list_functions()
         assert "ep" in client.list_functions()
     assert plan.injected == {CORRUPT: 1}
+
+
+PROBE = b"probe" * 100
+
+
+def _faulty_send_on_loopback(plan, kind):
+    """What a faulty channel of ``kind`` ("sync" or "async") dialled to
+    127.0.0.1 puts on the wire for one PING."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5.0)
+        host, port = listener.getsockname()
+        if kind == "sync":
+            with plan.connector(host, port, timeout=5.0) as channel:
+                channel.send(MessageType.PING, PROBE)
+        else:
+            async def send():
+                channel = await aconnect_with_faults(plan, host, port,
+                                                     timeout=5.0)
+                try:
+                    await channel.send(MessageType.PING, PROBE)
+                finally:
+                    channel.close()
+            asyncio.run(send())
+        peer, _ = listener.accept()
+        with peer:
+            peer.settimeout(5.0)
+            wire = b""
+            while chunk := peer.recv(4096):
+                wire += chunk
+    return wire
+
+
+@pytest.mark.parametrize("kind", ["sync", "async"])
+@pytest.mark.parametrize("seed", range(6))
+def test_corrupt_on_loopback_flips_a_type_or_crc_byte(kind, seed):
+    """A loopback frame's crc word covers the header only, so CORRUPT
+    flips a byte of the type or crc word -- never the payload, which the
+    peer does not check -- and the peer rejects it."""
+    wire = _faulty_send_on_loopback(one_fault_plan(CORRUPT, seed), kind)
+    clean = encode_frame(MessageType.PING, PROBE, covers_payload=False)
+    assert len(wire) == len(clean)
+    (index,) = [i for i in range(len(wire)) if wire[i] != clean[i]]
+    assert index in (4, 5, 6, 7, 12, 13, 14, 15)
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        writer.sendall(wire)
+        with pytest.raises(ProtocolError, match="checksum mismatch"):
+            recv_frame(reader, timeout=5.0)
 
 
 def test_drop_before_send_raises_reset(server):

@@ -36,6 +36,8 @@ def listener():
     thread = threading.Thread(target=loop, daemon=True)
     thread.start()
     yield sock.getsockname(), accepted
+    # shutdown() wakes the thread blocked in accept(); close() does not.
+    sock.shutdown(socket.SHUT_RDWR)
     sock.close()
     thread.join(timeout=5.0)
     for conn in accepted:

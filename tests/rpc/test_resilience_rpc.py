@@ -343,7 +343,14 @@ def test_stop_delivers_shutdown_errors_before_closing(env, server_cls):
                     "bump", signature, call_id,
                     (41,)).stamp(None, time.monotonic)))
             assert wait_until(lambda: server.executor.queued == 3)
+            # Release the parked sleeper once stop() has taken the queued
+            # jobs (it answers them before joining the PEs), so the join
+            # does not wait out the sleeper's own timeout.
+            releaser = threading.Thread(target=lambda: wait_until(
+                lambda: server.executor.queued == 0) and env.release.set())
+            releaser.start()
             server.stop()
+            releaser.join(5.0)
             for channel in queued:
                 reply_type, reply = channel.recv()
                 assert reply_type == MessageType.ERROR

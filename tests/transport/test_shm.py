@@ -649,7 +649,7 @@ def test_corrupt_lands_where_the_medium_checks(ratio):
     the payload, which the ring does not check; on a socket it stays in
     the payload."""
     frame = ShmTransport.encode_frame(MessageType.PING, b"payload")
-    flipped = _corrupt(frame, ratio, True)
+    flipped = _corrupt(frame, ratio)
     (index,) = [i for i in range(len(frame)) if frame[i] != flipped[i]]
     assert index in (4, 5, 6, 7, 12, 13, 14, 15)
     a, b = transport_pair()
@@ -660,7 +660,7 @@ def test_corrupt_lands_where_the_medium_checks(ratio):
     finally:
         a.close()
     frame = framing.encode_frame(MessageType.PING, b"payload")
-    flipped = _corrupt(frame, ratio, False)
+    flipped = _corrupt(frame, ratio)
     (index,) = [i for i in range(len(frame)) if frame[i] != flipped[i]]
     assert index >= framing.HEADER.size
 

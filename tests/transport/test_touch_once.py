@@ -23,11 +23,13 @@ import pytest
 import repro
 from repro.client.core import _CallPayload
 from repro.idl import Signature
-from repro.protocol.framing import recv_frame, send_frame
+from repro.protocol.errors import ProtocolError
+from repro.protocol.framing import HEADER, crc_covers_payload, encode_frame, \
+    recv_frame, send_frame
 from repro.protocol.messages import MessageType
 from repro.server import NinfServer, Registry
-from repro.transport import AsyncEndpoint, Channel, ShmRing, ShmTransport, \
-    aconnect
+from repro.transport import AsyncEndpoint, Channel, Endpoint, ShmRing, \
+    ShmTransport, aconnect, connect
 from repro.xdr import XdrDecoder
 
 ECHO_IDL = ('Define bench_echo(mode_in int n, mode_in double A[n], '
@@ -213,6 +215,133 @@ def test_a_socket_frame_still_feeds_the_crc_its_payload(crc_fed):
         right.close()
     assert msg_type == MessageType.CALL and len(got) == NBYTES
     assert sum(crc_fed) == 2 * (8 + NBYTES)
+
+
+# -- checksum: a loopback socket frame checks its header, like a ring ---------
+
+
+def _sync_to_loop():
+    """A blocking :class:`Channel` pings an :class:`AsyncEndpoint`,
+    whose :class:`FrameStream` echoes the frame back."""
+    payload = bytes(NBYTES)
+    with AsyncEndpoint() as endpoint, \
+            connect(*endpoint.address, timeout=30.0) as channel:
+        assert channel.covers_payload is False
+        return payload, channel.request(MessageType.PING, payload,
+                                        expect=MessageType.PONG)
+
+
+def _loop_to_sync():
+    """An :class:`AsyncChannel`'s :class:`FrameStream` pings a threaded
+    :class:`Endpoint`, whose :class:`Channel` echoes the frame back."""
+    payload = bytes(NBYTES)
+
+    async def ping(address):
+        channel = await aconnect(*address, timeout=30.0)
+        try:
+            assert channel.stream.covers_payload is False
+            return await channel.request(MessageType.PING, payload,
+                                         expect=MessageType.PONG)
+        finally:
+            channel.close()
+
+    with Endpoint() as endpoint:
+        return payload, asyncio.run(ping(endpoint.address))
+
+
+@pytest.mark.parametrize("exchange", [_sync_to_loop, _loop_to_sync])
+def test_a_loopback_frame_feeds_the_crc_eight_bytes_a_side(crc_fed,
+                                                           exchange):
+    """8 MB over 127.0.0.1 and back, sync sender to loop receiver and
+    the other way round: each of the four ends checksums the type and
+    length words only."""
+    payload, (msg_type, echoed) = exchange()
+    assert msg_type == MessageType.PONG and echoed == payload
+    assert crc_fed == [8, 8, 8, 8]
+
+
+def _covering_frame_with_a_flipped_payload_byte() -> bytes:
+    frame = bytearray(encode_frame(MessageType.PING, b"payload" * 100))
+    frame[HEADER.size + 350] ^= 0x01
+    return bytes(frame)
+
+
+def test_a_flipped_payload_byte_is_rejected_by_the_sync_receiver_on_loopback():
+    with socket.create_server(("127.0.0.1", 0)) as listener, \
+            socket.create_connection(listener.getsockname()) as client:
+        server, _peer = listener.accept()
+        with server:
+            client.sendall(_covering_frame_with_a_flipped_payload_byte())
+            with pytest.raises(ProtocolError, match="checksum mismatch"):
+                recv_frame(server, timeout=5.0)
+
+
+def test_a_flipped_payload_byte_is_rejected_by_the_loop_receiver_on_loopback():
+    async def receive(port):
+        channel = await aconnect("127.0.0.1", port, timeout=5.0)
+        try:
+            return await channel.recv()
+        finally:
+            channel.close()
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5.0)
+
+        def write():
+            peer, _ = listener.accept()
+            with peer:
+                peer.sendall(_covering_frame_with_a_flipped_payload_byte())
+                peer.recv(1)  # until the receiver hangs up
+        writer = _send_from_thread(write)
+        with pytest.raises(ProtocolError, match="checksum mismatch"):
+            asyncio.run(receive(listener.getsockname()[1]))
+        writer.join(5.0)
+
+
+@pytest.mark.parametrize("peer, covers", [
+    (("127.0.0.1", 5656), False),
+    (("127.8.9.10", 1), False),
+    (("::1", 1, 0, 0), False),
+    (("::ffff:127.0.0.1", 1, 0, 0), False),
+    (("10.0.0.1", 5656), True),
+    (("::ffff:10.0.0.1", 1, 0, 0), True),
+    ("", True),          # AF_UNIX
+    (None, True),        # getpeername() failed
+])
+def test_the_sender_rule_over_peer_addresses(peer, covers):
+    assert crc_covers_payload(peer) is covers
+
+
+def test_a_dual_stack_listener_agrees_with_its_ipv4_client(crc_fed):
+    """A listener on ``::`` sees a 127.0.0.1 client as
+    ``::ffff:127.0.0.1``: both ends still send header-only frames, and
+    8 MB each way feeds the CRC eight bytes a side."""
+    try:
+        listener = socket.socket(socket.AF_INET6, socket.SOCK_STREAM)
+    except OSError:
+        pytest.skip("no IPv6 sockets on this host")
+    with listener:
+        try:
+            listener.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY, 0)
+            listener.bind(("::", 0))
+        except OSError:
+            pytest.skip("no dual-stack IPv6 listener on this host")
+        listener.listen(1)
+        dialled = socket.create_connection(
+            ("127.0.0.1", listener.getsockname()[1]), timeout=5.0)
+        accepted, peer = listener.accept()
+    assert peer[0] == "::ffff:127.0.0.1"
+    payload = bytes(NBYTES)
+    with Channel(dialled, timeout=30.0) as client, \
+            Channel(accepted, timeout=30.0) as server:
+        assert not client.covers_payload and not server.covers_payload
+        for sender, receiver in ((client, server), (server, client)):
+            thread = _send_from_thread(
+                lambda: sender.send(MessageType.CALL, payload))
+            msg_type, got = receiver.recv()
+            thread.join(30.0)
+            assert msg_type == MessageType.CALL and got == payload
+    assert crc_fed == [8, 8, 8, 8]
 
 
 @pytest.mark.parametrize("probe", [b"", b"probe"])
