@@ -5,12 +5,12 @@ Byte-for-byte the same protocol (``MAGIC | type | length | crc |
 payload``, header from the shared ``encode_header``), so a sync client
 speaks to an async server and vice versa.  :class:`FrameStream` is the
 whole receive path: ``get_buffer`` hands the event loop first the
-16-byte header buffer, then a view of the frame's own
-``bytearray(length)``, so the kernel's ``recv_into`` puts payload bytes
-straight into the buffer ``read_frame`` returns.  Magic and length are
-checked before the payload buffer is allocated, and at most one
-complete frame waits ahead of the reader (the transport is paused until
-it is taken).
+16-byte header buffer, then a view of the frame's own ``bytearray``
+(``bulk.room``: not zero-filled, delivered once full), so the kernel's
+``recv_into`` puts payload bytes straight into the buffer ``read_frame``
+returns.  Magic and length are checked before the payload buffer is
+allocated, and at most one complete frame waits ahead of the reader
+(the transport is paused until it is taken).
 
 The ``crc`` word follows the sync layer's rules (PROTOCOL.md, *Frame
 format*): ``connection_made`` applies the sender rule
@@ -36,6 +36,7 @@ from typing import Callable, Optional, TypeVar, Union, cast
 from repro.protocol.errors import ConnectionClosed, ProtocolError, TimeoutError
 from repro.protocol.framing import BytesLike, HEADER, checksum_mismatch, \
     crc_covers_payload, decode_header, encode_header, payload_seed
+from repro.xdr import bulk
 
 __all__ = ["FrameStream"]
 
@@ -64,7 +65,7 @@ class FrameStream(asyncio.BufferedProtocol):
         self._loop = asyncio.get_running_loop()
         # Receive: bytes land in _header until it is full, then in
         # _payload; _got counts into whichever is being filled.
-        self._header = bytearray(HEADER.size)
+        self._header = bulk.room(HEADER.size)
         self._payload: Optional[bytearray] = None
         self._got = 0
         self._msg_type = self._crc_want = 0
@@ -150,7 +151,7 @@ class FrameStream(asyncio.BufferedProtocol):
                 return
             self._msg_type, self._crc_want = msg_type, crc
             self._crc = payload_seed(msg_type, length, crc)
-            self._payload = payload = bytearray(length)
+            self._payload = payload = bulk.room(length)
             self._got = end = 0
         elif self._crc is not None:
             self._crc = zlib.crc32(memoryview(payload)[start:end], self._crc)

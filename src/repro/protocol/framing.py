@@ -51,6 +51,7 @@ import zlib
 from typing import Callable, Optional, Union
 
 from repro.protocol.errors import ConnectionClosed, ProtocolError, TimeoutError
+from repro.xdr import bulk
 
 #: Anything the framing layer will put on the wire without copying.
 BytesLike = Union[bytes, bytearray, memoryview]
@@ -234,8 +235,9 @@ def send_frame(sock: socket.socket, msg_type: int, payload: BytesLike = b"",
 def _recv_exact(guarded: _DeadlineSocket, count: int,
                 what: str) -> bytearray:
     """``count`` bytes received straight into their final buffer: one
-    fresh ``bytearray`` the caller owns, no chunk list, no join."""
-    out = bytearray(count)
+    fresh ``bytearray`` the caller owns (``bulk.room``, not zero-filled,
+    returned once every byte has landed), no chunk list, no join."""
+    out = bulk.room(count)
     view = memoryview(out)
     got = 0
     while got < count:

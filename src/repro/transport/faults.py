@@ -445,6 +445,4 @@ def _corrupt(frame: bytes, ratio: float) -> bytes:
         index = (4, 5, 6, 7, 12, 13, 14, 15)[int(ratio * 8)]
     else:
         index = HEADER.size + int(ratio * (len(frame) - HEADER.size))
-    corrupted = bytearray(frame)
-    corrupted[index] ^= 0xFF
-    return bytes(corrupted)
+    return frame[:index] + bytes((frame[index] ^ 0xFF,)) + frame[index + 1:]

@@ -69,7 +69,7 @@ from repro.protocol.errors import (
 from repro.protocol.framing import BytesLike, encode_frame, encode_header, \
     recv_frame_from
 from repro.protocol.messages import MessageType, pack, unpack
-from repro.xdr import XdrError
+from repro.xdr import XdrError, bulk
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -305,7 +305,7 @@ class ShmRing:
         """Read exactly ``count`` bytes, blocking while the ring is
         empty.  A closed ring is drained first; EOF mid-read raises
         :class:`ConnectionClosed` (the TCP ``_recv_exact`` contract)."""
-        out = bytearray(count)
+        out = bulk.room(count)
         got = 0
         spins = 0
         while got < count:

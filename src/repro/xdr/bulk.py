@@ -48,6 +48,7 @@ ablation use.
 from __future__ import annotations
 
 import array
+import ctypes
 import os
 import struct
 import sys
@@ -63,8 +64,10 @@ except ImportError:  # pragma: no cover - exercised via FORCE_STDLIB
 __all__ = [
     "FORCE_STDLIB",
     "HAVE_NUMPY",
+    "UNZEROED_MIN",
     "pack_doubles_into",
     "pack_ints_into",
+    "room",
     "swap_needed",
     "unpack_doubles",
     "unpack_ints",
@@ -94,6 +97,25 @@ def swap_needed(byteorder: str = sys.byteorder) -> bool:
     order.  ``byteorder`` is injectable so tests can walk the
     big-endian branch on little-endian hosts."""
     return byteorder != "big"
+
+
+#: From this size up, :func:`room` leaves a buffer's bytes unset.
+UNZEROED_MIN = 1 << 20
+
+try:  # the C constructor bytearray(n) itself uses, minus its memset
+    _unset_bytearray = ctypes.PYFUNCTYPE(
+        ctypes.py_object, ctypes.c_char_p, ctypes.c_ssize_t)(
+            ("PyByteArray_FromStringAndSize", ctypes.pythonapi))
+except (AttributeError, OSError):  # pragma: no cover - no CPython C API
+    _unset_bytearray = None
+
+
+def room(nbytes: int) -> bytearray:
+    """A fresh ``bytearray`` of ``nbytes`` for a caller that fills it before
+    reading: unset from :data:`UNZEROED_MIN` up (no memset), else zeros."""
+    if nbytes < UNZEROED_MIN or _unset_bytearray is None:
+        return bytearray(nbytes)
+    return _unset_bytearray(None, nbytes)
 
 
 # -- encode ----------------------------------------------------------------

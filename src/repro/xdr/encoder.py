@@ -6,17 +6,19 @@ packing uses :mod:`struct`; bulk numeric arrays go through
 pass (NumPy when available, :mod:`array`-module fallback otherwise)
 directly into this encoder's frame buffer.
 
-The encoder owns one ``bytearray`` of zeroed room and a cursor: every
+The encoder owns one ``bytearray`` of room and a cursor: every
 ``pack_*`` call writes at the cursor, :meth:`XdrEncoder.getbuffer`
 exposes the written prefix as a zero-copy ``memoryview`` for the
 framing layer, and :meth:`XdrEncoder.reserve`/:meth:`XdrEncoder.patch_uint`
 support length-prefixed regions whose size is only known after encoding
 (:meth:`begin_opaque`/:meth:`end_opaque`) -- the primitive that lets a
 CALL or RESULT payload be marshalled into one buffer with no
-intermediate concatenation (PROTOCOL.md §"Zero-copy fast paths").
-Room comes from ``bytearray(n)`` (calloc: untouched until written), so
-a caller that announces its size (:meth:`XdrEncoder.ensure_room`) gets
-a payload touched exactly once, by the pack that writes it.
+intermediate concatenation (DESIGN.md §3.1, *Buffer ownership*).
+Room comes from :func:`repro.xdr.bulk.room`, whose bytes are unspecified
+from ``bulk.UNZEROED_MIN`` up, so the encoder writes every byte below
+the cursor itself: padding and reserved words as zeros, bulk arrays by
+the one pass that converts them.  A caller that announces its size
+(:meth:`XdrEncoder.ensure_room`) gets a payload touched exactly once.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ _PACK_DOUBLE = struct.Struct(">d")
 #: Room a fresh encoder starts with: a control message or a CALL header.
 _INITIAL_ROOM = 128
 
+#: ``_ZEROS[n].pack_into(buf, at)`` writes n <= 4 zeros, cheaper than a slice.
+_ZEROS = tuple(struct.Struct(f">{n}x") for n in range(5))
+
 # dtype -> (XDR type code used by the Ninf protocol, big-endian numpy dtype)
 if np is not None:
     NUMPY_WIRE_DTYPES = {
@@ -78,32 +83,48 @@ class XdrEncoder:
     """
 
     def __init__(self) -> None:
-        # ``_buf`` is capacity (zeros past ``_len``); ``_len`` is the cursor.
-        self._buf = bytearray(_INITIAL_ROOM)
+        # ``_buf`` is capacity (unset past ``_len``); ``_len`` is the cursor.
+        self._buf = bulk.room(_INITIAL_ROOM)
         self._len = 0
 
     # -- plumbing ------------------------------------------------------------
 
     def ensure_room(self, nbytes: int) -> None:
         """Make room for ``nbytes`` more in (at most) one allocation: a
-        fresh zeroed ``bytearray`` plus a copy of the written prefix --
-        never a zero-filled temporary, never the unwritten tail.
+        fresh :func:`~repro.xdr.bulk.room` plus a copy of the written
+        prefix -- no zero fill, no copy of the unwritten tail.
         Unannounced growth at least doubles; a caller that knows what it
         is about to pack (``marshal_inputs``/``marshal_outputs``) says so
         here first, so a bulk payload is allocated once at final size."""
         need = self._len + nbytes
         if need > len(self._buf):
-            grown = bytearray(max(need, 2 * len(self._buf)))
+            grown = bulk.room(max(need, 2 * len(self._buf)))
             grown[:self._len] = memoryview(self._buf)[:self._len]
             self._buf = grown
 
     def reserve(self, nbytes: int) -> int:
-        """Skip ``nbytes`` of zeros; return their offset for patching."""
+        """Write ``nbytes`` of zeros; return their offset for patching."""
         offset = self._len
         if offset + nbytes > len(self._buf):
             self.ensure_room(nbytes)
+        if nbytes > 4:
+            self._buf[offset:offset + nbytes] = bytes(nbytes)
+        else:
+            _ZEROS[nbytes].pack_into(self._buf, offset)
         self._len = offset + nbytes
         return offset
+
+    def _padded(self, nbytes: int) -> int:
+        """Room for ``nbytes`` at the cursor plus XDR padding, which is
+        zeroed here; return the end.  The caller writes the ``nbytes``,
+        then moves the cursor to the end."""
+        offset = self._len
+        pad = -nbytes % 4
+        end = offset + nbytes + pad
+        if end > len(self._buf):
+            self.ensure_room(end - offset)
+        _ZEROS[pad].pack_into(self._buf, end - pad)
+        return end
 
     def _pack(self, packer: struct.Struct, value) -> None:
         """One scalar, packed in place at the cursor (the hot path of
@@ -118,11 +139,14 @@ class XdrEncoder:
         """A run of fixed-width fields through one precompiled big-endian
         ``struct.Struct`` (how :mod:`repro.xdr.record` moves them); a
         value its format refuses is an :exc:`XdrError`."""
-        offset = self.reserve(layout.size)
+        offset = self._len
+        if offset + layout.size > len(self._buf):
+            self.ensure_room(layout.size)
         try:
             layout.pack_into(self._buf, offset, *values)
         except struct.error as exc:
             raise XdrError(f"cannot pack {values!r}: {exc}") from exc
+        self._len = offset + layout.size
 
     def getvalue(self) -> bytes:
         """The encoded byte string so far (a copy; see getbuffer)."""
@@ -144,7 +168,7 @@ class XdrEncoder:
 
     def reset(self) -> None:
         """Discard everything encoded so far."""
-        self._buf = bytearray(_INITIAL_ROOM)
+        self._buf = bulk.room(_INITIAL_ROOM)
         self._len = 0
 
     def patch_uint(self, offset: int, value: int) -> None:
@@ -170,7 +194,7 @@ class XdrEncoder:
         if body_len < 0:
             raise XdrError("end_opaque before begin_opaque")
         self.patch_uint(token, body_len)
-        self.reserve((4 - body_len % 4) % 4)
+        self.reserve(-body_len % 4)
 
     # -- integral types ---------------------------------------------------------
 
@@ -227,17 +251,19 @@ class XdrEncoder:
         """
         if len(data) != n:
             raise XdrError(f"fixed opaque length mismatch: want {n}, got {len(data)}")
-        offset = self.reserve(n + (4 - n % 4) % 4)  # padding stays zero
+        offset, end = self._len, self._padded(n)
         self._buf[offset:offset + n] = data
+        self._len = end
 
     def pack_opaque(self, data) -> None:
         """Variable-length opaque: length word, bytes, zero padding."""
         n = len(data)
         if n > _UINT_MAX:
             raise XdrError(f"unsigned int out of range: {n}")
-        offset = self.reserve(4 + n + (4 - n % 4) % 4)  # padding stays zero
+        offset, end = self._len, self._padded(4 + n)
         _PACK_UINT.pack_into(self._buf, offset, n)
         self._buf[offset + 4:offset + 4 + n] = data
+        self._len = end
 
     def pack_string(self, text: str) -> None:
         """String: UTF-8 bytes as variable opaque."""
@@ -286,11 +312,11 @@ class XdrEncoder:
         nbytes = arr.size * arr.itemsize
         self.ensure_room(4 + nbytes + 3)
         self.pack_uint(nbytes)
-        offset = self.reserve(nbytes)
         dest = np.frombuffer(self._buf, dtype=wire, count=arr.size,
-                             offset=offset)
+                             offset=self._len)
         dest[:] = arr.reshape(-1)  # one pass: byteswap + copy, no temp
-        self.reserve((4 - nbytes % 4) % 4)
+        self._len += nbytes
+        self.reserve(-nbytes % 4)
 
     def pack_double_array(self, values: Sequence[float]) -> None:
         """Variable array of doubles via the bulk vectorized path."""
@@ -302,7 +328,7 @@ class XdrEncoder:
             arr = values if hasattr(values, "__len__") else list(values)
         self.ensure_room(4 + 8 * len(arr))
         self.pack_uint(len(arr))
-        bulk.pack_doubles_into(self._buf, self.reserve(8 * len(arr)), arr)
+        self._len += bulk.pack_doubles_into(self._buf, self._len, arr)
 
     def pack_int_array(self, values: Sequence[int]) -> None:
         """Variable array of 32-bit ints via the bulk vectorized path."""
@@ -314,4 +340,4 @@ class XdrEncoder:
             arr = values if hasattr(values, "__len__") else list(values)
         self.ensure_room(4 + 4 * len(arr))
         self.pack_uint(len(arr))
-        bulk.pack_ints_into(self._buf, self.reserve(4 * len(arr)), arr)
+        self._len += bulk.pack_ints_into(self._buf, self._len, arr)

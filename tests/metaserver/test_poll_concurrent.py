@@ -43,6 +43,10 @@ class StalledServer:
     def close(self):
         self._running = False
         try:
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes the accept()
+        except OSError:
+            pass
+        try:
             self._sock.close()
         except OSError:
             pass
