@@ -12,8 +12,8 @@ Layers (see DESIGN.md for the full inventory):
   task- vs data-parallel execution), the Ninf_call client API with
   async calls and dependency-driven transactions, and the monitoring/
   scheduling metaserver.
-- :mod:`repro.libs` -- the registered numerics: Linpack (dgefa/dgesl +
-  blocked LU), NAS EP (bit-faithful NPB generator), DOS.
+- :mod:`repro.libs` -- the registered numerics: Linpack (LAPACK, and
+  dgefa/dgesl + blocked LU), NAS EP (bit-faithful NPB generator), DOS.
 - :mod:`repro.sim`, :mod:`repro.model`, :mod:`repro.simninf` -- the
   simulator: discrete-event substrate, calibrated 1997 machine/network
   catalogs, and the Ninf model that regenerates every table and figure

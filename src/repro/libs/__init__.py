@@ -2,10 +2,10 @@
 
 These are the actual payloads the paper benchmarks:
 
-- :mod:`repro.libs.linpack` -- the Linpack benchmark kernels: ``dgefa``
-  (LU factorization with partial pivoting), ``dgesl`` (triangular
-  solves), a blocked right-looking LU (the "glub4"-style optimized
-  routine), ``dmmul`` (the paper's running dmmul example), matrix
+- :mod:`repro.libs.linpack` -- the Linpack benchmark kernels: the
+  registered ``linpack_solve`` (LAPACK, through
+  :mod:`repro.libs.openblas`), ``dgefa`` / ``dgesl`` and a blocked LU
+  from scratch, ``dmmul`` (the paper's running dmmul example), matrix
   generation and residual checks.
 - :mod:`repro.libs.ep` -- the NAS Parallel Benchmarks EP kernel with the
   authentic NPB linear-congruential generator (vectorized), Gaussian

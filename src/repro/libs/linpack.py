@@ -1,10 +1,13 @@
-"""Linpack kernels: LU factorization and triangular solves, from scratch.
+"""Linpack kernels: LU factorization and triangular solves.
 
 The paper registers ``sgetrf/sgetrs`` (libSci, Cray J90) and
 ``glub4/gslv4`` (blocked, for RISC workstations) as the remote Linpack
 routine, executing "the LU-decomposition (dgefa) and backward
 substitution (dgesl) remotely".  This module provides:
 
+- :func:`linpack_solve` -- factor + solve, the routine the Ninf server
+  registers: LAPACK ``dgetrf`` + ``dgetrs``, a vendor library like the
+  paper's, with the from-scratch kernels below as reference and fallback.
 - :func:`dgefa` / :func:`dgesl` -- the classic LINPACK pair: right-looking
   unblocked LU with partial pivoting, and the corresponding solver.
   Inner loops are vectorized (rank-1 updates), the outer elimination
@@ -12,8 +15,6 @@ substitution (dgesl) remotely".  This module provides:
 - :func:`dgetrf_blocked` -- a blocked right-looking LU (the "blocking
   optimizations" of glub4): panel factorization + triangular solve +
   matrix-matrix update, which is the cache-friendly variant.
-- :func:`linpack_solve` -- factor + solve in one call; the routine the
-  Ninf server registers.
 - :func:`dmmul` -- double-precision matrix multiply, the paper's running
   API example.
 - :func:`linpack_matgen`, :func:`linpack_residual`,
@@ -29,6 +30,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.libs.openblas import openblas
+
 __all__ = [
     "SingularMatrixError",
     "dgefa",
@@ -40,6 +43,9 @@ __all__ = [
     "linpack_residual",
     "linpack_solve",
 ]
+
+
+_ROW_MAJOR = 101  # LAPACK_ROW_MAJOR: a C-order matrix, used as is
 
 
 class SingularMatrixError(ArithmeticError):
@@ -167,22 +173,37 @@ def _solve_from_lapack_pivots(a: np.ndarray, ipvt: np.ndarray,
     return b
 
 
-def linpack_solve(a: np.ndarray, b: np.ndarray,
-                  blocked: bool = True, block: int = 64) -> np.ndarray:
+def linpack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Factor ``a`` and solve for ``b`` in place (the registered routine).
 
-    Returns the solution vector (aliasing ``b`` when possible).  This is
-    the "sgetrf and sgetrs" pair the paper registers on the J90 server.
+    Returns ``b``, overwritten with the solution; ``a`` (a copy, if not
+    contiguous) holds the LU factors.  The paper's ``sgetrf/sgetrs``:
+    LAPACK's when bound, else :func:`dgetrf_blocked`, singular at the
+    same column.  A bad or read-only argument is a ``ValueError``, and
+    so is a NaN in ``a`` for LAPACK, which checks for one first.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    a = _require_square(np.ascontiguousarray(a))
     b = np.asarray(b, dtype=np.float64)
-    if blocked:
-        ipvt = dgetrf_blocked(a, block=block)
-        x = _solve_from_lapack_pivots(a, ipvt, b)
-        b[...] = x
-        return b
-    ipvt = dgefa(a)
-    return dgesl(a, ipvt, b)
+    n = a.shape[0]
+    if b.shape != (n,) or not (a.flags.writeable and b.flags.writeable):
+        raise ValueError(f"need a writeable a and a writeable b of shape "
+                         f"({n},), got b of shape {b.shape}")
+    lapack = openblas()
+    if lapack is None or lapack.dgetrf is None or not a.flags.aligned:
+        x = _solve_from_lapack_pivots(a, dgetrf_blocked(a), b)
+    else:
+        x, ipiv = np.array(b), np.empty(n, lapack.index)
+        info = lapack.dgetrf(_ROW_MAJOR, n, n, a.ctypes.data, n,
+                             ipiv.ctypes.data)
+        if info == 0:
+            info = lapack.dgetrs(_ROW_MAJOR, b"N", n, 1, a.ctypes.data, n,
+                                 ipiv.ctypes.data, x.ctypes.data, 1)
+        if info > 0:
+            raise SingularMatrixError(info - 1)
+        if info < 0:
+            raise ValueError(f"LAPACK rejected argument {-info}")
+    b[...] = x
+    return b
 
 
 def dmmul(n: int, a: np.ndarray, b: np.ndarray,

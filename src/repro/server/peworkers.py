@@ -2,9 +2,10 @@
 
 The Ninf server fork/execs each registered executable (paper §2.1), so
 a call that claims one PE gets one processor.  Two PE *threads* of one
-interpreter do not: two Python-level LUs serialize on the GIL.  So a
-server whose registry holds an executable with a ``CalcOrder`` clause
-runs that executable's ``invoke`` in a long-lived worker process, at
+interpreter do not: Python-level kernels (``ep``, ``dos``, ``mandel``)
+serialize on the GIL, and OpenBLAS has one thread count per process.
+So a server whose registry holds an executable with a ``CalcOrder``
+clause runs that executable's ``invoke`` in a long-lived worker process, at
 most one call per worker and one worker per running call.  Executables
 without a ``CalcOrder`` (a null call, an echo) stay on the PE thread
 and never pay the process hop; the choice is read from the IDL.
@@ -38,8 +39,6 @@ and never pay the process hop; the choice is read from the IDL.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import gc
 import mmap
 import os
@@ -53,6 +52,7 @@ from typing import Any, Callable, NamedTuple, NoReturn, Optional, Sequence
 
 import numpy as np
 
+from repro.libs.openblas import blas_threads, openblas, set_blas_threads
 from repro.server.registry import ExecutionError, NinfExecutable
 
 __all__ = ["WorkerExecutable", "WorkerLost", "WorkerPool", "blas_threads",
@@ -75,49 +75,6 @@ class _Repr(Exception):
 
     def __repr__(self) -> str:
         return str(self.args[0])
-
-
-# -- BLAS ---------------------------------------------------------------------
-
-@functools.cache
-def _openblas() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
-    """``(get, set)`` of the thread count of the OpenBLAS NumPy loaded
-    into this process (``None`` for another BLAS)."""
-    paths = set()
-    with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
-        for line in maps:
-            fields = line.split(maxsplit=5)  # address perms offset dev inode path
-            if len(fields) == 6 and "openblas" in fields[5]:
-                paths.add(fields[5].strip())
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                try:
-                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                    set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-                except AttributeError:
-                    continue
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-def blas_threads() -> Optional[int]:
-    """This process's BLAS thread count (``None``: not OpenBLAS)."""
-    calls = _openblas()
-    return None if calls is None else calls[0]()
-
-
-def set_blas_threads(count: int) -> None:
-    """Cap this process's BLAS pool at ``count`` threads."""
-    calls = _openblas()
-    if calls is not None:
-        calls[1](count)
 
 
 # -- the wire between the processes -------------------------------------------
@@ -251,7 +208,7 @@ def _helper(sock: socket.socket,
     """Fork a worker per request until the server hangs up, collecting
     the ones that died meanwhile; then end the rest (the server has
     drained its executor, so they are idle, or stuck) and wait for them."""
-    _openblas()  # looked up once, here: every worker inherits the answer
+    openblas()  # bound once, here: every worker inherits the binding
     children: set[int] = set()
     try:
         while True:

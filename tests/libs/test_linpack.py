@@ -1,10 +1,13 @@
-"""Tests for the from-scratch Linpack kernels."""
+"""Tests for the Linpack kernels: the from-scratch ones, and the LAPACK
+``dgetrf``/``dgetrs`` path ``linpack_solve`` takes when NumPy's OpenBLAS
+has them."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.libs import linpack
 from repro.libs.linpack import (
     SingularMatrixError,
     dgefa,
@@ -17,6 +20,21 @@ from repro.libs.linpack import (
     linpack_residual,
     linpack_solve,
 )
+from repro.libs.openblas import openblas
+
+LAPACK = openblas() is not None and openblas().dgetrf is not None
+
+
+@pytest.fixture(params=[True, False])
+def lapack(request, monkeypatch):
+    """``linpack_solve`` on LAPACK (``True``) or forced onto the NumPy
+    fallback by hiding the binding (``False``)."""
+    if request.param:
+        if not LAPACK:
+            pytest.skip("NumPy's BLAS has no LAPACKE dgetrf/dgetrs here")
+    else:
+        monkeypatch.setattr(linpack, "openblas", lambda: None)
+    return request.param
 
 
 def random_system(n, seed=0):
@@ -122,26 +140,123 @@ def test_blocked_lu_singular_raises():
 # ------------------------------------------------------------ linpack_solve
 
 
-@pytest.mark.parametrize("blocked", [True, False])
-def test_linpack_solve_end_to_end(blocked):
+def test_linpack_solve_end_to_end(lapack):
     a, b, x_true = random_system(30, seed=5)
-    x = linpack_solve(a.copy(), b.copy(), blocked=blocked)
+    x = linpack_solve(a.copy(), b.copy())
     np.testing.assert_allclose(x, x_true, rtol=1e-8, atol=1e-8)
 
 
-def test_linpack_solve_residual_is_small():
+def test_dgefa_dgesl_end_to_end():
+    a, b, x_true = random_system(30, seed=5)
+    lu = a.copy()
+    x = dgesl(lu, dgefa(lu), b.copy())
+    np.testing.assert_allclose(x, x_true, rtol=1e-8, atol=1e-8)
+
+
+def test_linpack_solve_residual_is_small(lapack):
     n = 100
     a, b = linpack_matgen(n)
     x = linpack_solve(a.copy(), b.copy())
     assert linpack_residual(a, x, b) < 50  # O(1-10) means correct
 
 
-@settings(max_examples=20, deadline=None)
+# The engine is chosen once per test, not per example: sharing the
+# fixture across examples is the intent.
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(min_value=1, max_value=40), st.integers(0, 1000))
-def test_linpack_solve_property_random_systems(n, seed):
+def test_linpack_solve_property_random_systems(lapack, n, seed):
     a, b, x_true = random_system(n, seed=seed)
     x = linpack_solve(a.copy(), b.copy())
     np.testing.assert_allclose(x, x_true, rtol=1e-6, atol=1e-6)
+
+
+def test_linpack_solve_writes_factors_and_solution_in_place(lapack):
+    a, b, x_true = random_system(12, seed=2)
+    lu, rhs = a.copy(), b.copy()
+    assert linpack_solve(lu, rhs) is rhs
+    np.testing.assert_allclose(rhs, x_true, rtol=1e-9, atol=1e-9)
+    reference = a.copy()
+    dgetrf_blocked(reference)
+    np.testing.assert_allclose(lu, reference, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.skipif(not LAPACK, reason="no LAPACKE dgetrf in NumPy's BLAS")
+@pytest.mark.parametrize("n", [1, 2, 5, 37, 64, 65, 600])
+def test_lapack_dgetrf_matches_dgetrf_blocked(n):
+    """Same pivots (LAPACK's are 1-based) and the same factors."""
+    a, _ = linpack_matgen(n, seed=n)
+    reference = a.copy()
+    pivots = dgetrf_blocked(reference)
+    binding, lu = openblas(), a.copy()
+    ipiv = np.empty(n, binding.index)
+    assert binding.dgetrf(linpack._ROW_MAJOR, n, n, lu.ctypes.data, n,
+                          ipiv.ctypes.data) == 0
+    np.testing.assert_array_equal(ipiv - 1, pivots)
+    np.testing.assert_allclose(lu, reference, rtol=0, atol=1e-10)
+
+
+# -------------------------------------------- linpack_solve input guards
+
+
+def test_linpack_solve_refuses_read_only_a(lapack):
+    a, b, _ = random_system(6, seed=4)
+    raw = a.tobytes()
+    frozen = np.frombuffer(bytes(raw), dtype=np.float64).reshape(6, 6)
+    with pytest.raises(ValueError):
+        linpack_solve(frozen, b.copy())
+    assert frozen.tobytes() == raw
+
+
+def test_linpack_solve_refuses_read_only_b(lapack):
+    a, b, _ = random_system(6, seed=4)
+    b.flags.writeable = False
+    lu = a.copy()
+    with pytest.raises(ValueError):
+        linpack_solve(lu, b)
+    np.testing.assert_array_equal(lu, a)
+
+
+def test_linpack_solve_fortran_a_and_strided_b_match_c_order(lapack):
+    a, b, _ = random_system(9, seed=6)
+    expected = linpack_solve(a.copy(), b.copy())
+    strided = np.zeros(18)
+    strided[::2] = b
+    x = linpack_solve(np.asfortranarray(a), strided[::2])
+    np.testing.assert_array_equal(x, expected)
+    np.testing.assert_array_equal(strided[::2], expected)
+    np.testing.assert_array_equal(strided[1::2], 0.0)
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.eye(3, dtype=np.float32), np.ones(3)),
+    (np.zeros((2, 3)), np.ones(2)),
+    (np.eye(3), np.ones(4)),
+    (np.eye(3), np.ones((3, 1))),
+], ids=["float32", "non-square", "b-too-long", "b-2d"])
+def test_linpack_solve_rejects_bad_shapes_and_types(lapack, a, b):
+    with pytest.raises(ValueError):
+        linpack_solve(a, b)
+
+
+@pytest.mark.skipif(not LAPACK, reason="no LAPACKE dgetrf in NumPy's BLAS")
+def test_linpack_solve_lapack_refuses_nan():
+    a = np.eye(3)
+    a[1, 2] = np.nan
+    b = np.ones(3)
+    with pytest.raises(ValueError):
+        linpack_solve(a, b)
+    np.testing.assert_array_equal(b, 1.0)
+
+
+@pytest.mark.parametrize("a, column", [
+    (np.zeros((3, 3)), 0),
+    (np.array([[1.0, 2.0], [2.0, 4.0]]), 1),  # rank 1
+])
+def test_linpack_solve_singular_column(lapack, a, column):
+    with pytest.raises(SingularMatrixError) as caught:
+        linpack_solve(a.copy(), np.ones(a.shape[0]))
+    assert caught.value.column == column
 
 
 # ------------------------------------------------------------------ matgen
@@ -170,7 +285,7 @@ def test_matgen_rhs_is_row_sums():
     np.testing.assert_allclose(b, a.sum(axis=1))
 
 
-def test_matgen_solution_is_ones():
+def test_matgen_solution_is_ones(lapack):
     a, b = linpack_matgen(60)
     x = linpack_solve(a.copy(), b.copy())
     np.testing.assert_allclose(x, np.ones(60), rtol=1e-6)

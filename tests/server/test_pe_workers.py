@@ -8,17 +8,20 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.client import NinfClient
 from repro.client.core import _CallPayload
 from repro.idl import Signature
+from repro.libs.linpack import linpack_matgen, linpack_residual, linpack_solve
 from repro.obs import names
 from repro.protocol import RemoteError
 from repro.protocol.messages import MessageType, unpack
 from repro.server import AsyncNinfServer, NinfServer, Registry
 from repro.server.peworkers import blas_threads
 from repro.transport import connect
+from tests.rpc.conftest import LINPACK_IDL, _linpack
 from tests.rpc.test_async_close import wait_until
 
 PID_IDL = ('Define whoami(mode_in double nap, mode_out long pid) '
@@ -54,6 +57,7 @@ def build_registry(ran_on=None):
         return int(x) + 1
 
     registry.register(NOOP_IDL, noop)
+    registry.register(LINPACK_IDL, _linpack)
     return registry
 
 
@@ -169,6 +173,25 @@ def test_a_worker_caps_blas_to_the_pes_its_call_claimed(mode, expected):
     with NinfServer(build_registry(), num_pes=2, mode=mode) as server:
         with NinfClient(*server.address) as client:
             assert client.call("blas", 1, None) == [expected]
+
+
+@pytest.mark.parametrize("server_cls", SERVERS)
+@pytest.mark.parametrize("mode, threads", [("task", 1), ("data", 2)])
+def test_linpack_round_trips_through_a_worker(server_cls, mode, threads):
+    """The registered LU runs in the worker under the call's BLAS cap and
+    returns what a local solve returns."""
+    a, b = linpack_matgen(200)
+    local_a = a.copy()
+    linpack_solve(local_a, b.copy())
+    with server_cls(build_registry(), num_pes=2, mode=mode) as server:
+        with NinfClient(*server.address) as client:
+            lu, x = client.call("linpack", 200, a.copy(), b.copy())
+            # The same (idle, last checked-in) worker answers this one.
+            (cap,) = client.call("blas", 1, None)
+        assert deaths(server) == 0
+    assert linpack_residual(a, x, b) < 16
+    np.testing.assert_allclose(lu, local_a, rtol=0, atol=1e-10)
+    assert cap == (None if blas_threads() is None else threads)
 
 
 def test_an_executables_exception_reads_as_it_does_on_a_pe_thread():
