@@ -85,6 +85,7 @@ BLOCKING_PROJECT: dict[str, str] = {
     "repro.protocol.framing.send_frame": "sync frame write",
     "repro.protocol.framing.recv_frame": "sync frame read",
     "repro.transport.shm.ShmRing.write": "shm ring spin-wait",
+    "repro.transport.shm.ShmRing.read_into": "shm ring spin-wait",
     "repro.transport.shm.ShmRing.read_exact": "shm ring spin-wait",
     "repro.transport.shm.ShmRing._wait": "shm ring spin-wait",
     "repro.transport.shm.ShmTransport.send_frame": "shm frame write",

@@ -287,7 +287,7 @@ def _cmd_marshal(args) -> int:
         print(dump_report(report, None), end="")
     summary = report["summary"]
     if not to_stdout:
-        print(f"marshal ({report['engine']}): {summary['speedup']}x on "
+        print(f"marshal: {summary['speedup']}x on "
               f"{summary['headline_case']}")
     failures = []
     if not summary["wire_match"]:

@@ -17,7 +17,7 @@ wall-clock; the per-case ``speedup`` is scalar time over bulk time for
 the full encode+decode round trip, and the report's headline
 ``summary.speedup`` is the largest-double-array case -- the shape the
 breakdown experiment's matrix arguments take.  Wire equality between
-the two engines is asserted on every case (``wire_match``), so a
+the two codecs is asserted on every case (``wire_match``), so a
 "fast but wrong" codec fails the bench before it flatters it.
 """
 
@@ -118,9 +118,8 @@ def run_marshal_benchmark(sizes: Sequence[int] = DEFAULT_SIZES,
     with ``--min-speedup`` -- is the largest double-array case's
     encode+decode speedup.
     """
-    engine = "numpy" if bulk.using_numpy() else "stdlib"
-    log(f"marshal bench: engine={engine}, "
-        f"sizes={','.join(str(s) for s in sizes)}, best of {repeats}")
+    log(f"marshal bench: sizes={','.join(str(s) for s in sizes)}, "
+        f"best of {repeats}")
     cases = []
     for dtype in ("double", "int"):
         for count in sizes:
@@ -136,7 +135,6 @@ def run_marshal_benchmark(sizes: Sequence[int] = DEFAULT_SIZES,
     report: dict[str, Any] = {
         "schema_version": MARSHAL_SCHEMA_VERSION,
         "benchmark": "marshal",
-        "engine": engine,
         "machine": machine_identity(),
         "git_sha": git_sha(),
         "config": {"sizes": list(sizes), "repeats": repeats, "seed": seed},

@@ -17,9 +17,9 @@ Version history
   saturation summary, and the harness-vs-server cross-check.
 - **2**: the ``ninf-bench marshal`` report -- ``schema_version: 2``,
   ``benchmark: marshal``, the bulk-vs-scalar XDR codec microbenchmark:
-  per-case timings (dtype x element count), the engine used
-  (``numpy``/``stdlib``), and the headline speedup the CI perf job
-  gates on.
+  per-case timings (dtype x element count) and the headline speedup
+  the CI perf job gates on.  Reports from before the bulk codec had
+  one engine also carry an ``engine`` key, which is ignored.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ _V1_STAGE_REQUIRED = ("index", "clients", "duration_s", "calls_ok",
                       "goodput_per_s", "latency_ms", "fairness_jain")
 
 #: Keys every version-2 marshal report must carry.
-_V2_REQUIRED = ("benchmark", "engine", "machine", "config", "cases",
-                "summary")
+_V2_REQUIRED = ("benchmark", "machine", "config", "cases", "summary")
 
 #: Keys every case row of a version-2 report must carry.
 _V2_CASE_REQUIRED = ("dtype", "count", "scalar_s", "bulk_s", "speedup",
@@ -113,10 +112,6 @@ def validate_report(report: Any) -> int:
             raise BenchSchemaError(
                 f"version-2 schema is the marshal benchmark, "
                 f"got {report['benchmark']!r}")
-        if report["engine"] not in ("numpy", "stdlib"):
-            raise BenchSchemaError(
-                f"engine must be 'numpy' or 'stdlib', "
-                f"got {report['engine']!r}")
         cases = report["cases"]
         if not isinstance(cases, list) or not cases:
             raise BenchSchemaError("cases must be a non-empty list")

@@ -3,23 +3,21 @@
 
 Byte-for-byte the same protocol (``MAGIC | type | length | crc |
 payload``, header from the shared ``encode_header``), so a sync client
-speaks to an async server and vice versa.  :class:`FrameStream` is the
-whole receive path: ``get_buffer`` hands the event loop first the
-16-byte header buffer, then a view of the frame's own ``bytearray``
-(``bulk.room``: not zero-filled, delivered once full), so the kernel's
+speaks to an async server and vice versa.  :class:`FrameStream` drives
+the sync layer's :class:`~repro.protocol.framing.FrameReader`:
+``get_buffer`` hands the event loop the reader's buffer -- the 16-byte
+header, then the frame's own ``bytearray`` -- so the kernel's
 ``recv_into`` puts payload bytes straight into the buffer ``read_frame``
-returns.  Magic and length are checked before the payload buffer is
-allocated, and at most one complete frame waits ahead of the reader
-(the transport is paused until it is taken).
+returns, and ``buffer_updated`` tells the reader how many landed.  The
+stream adds what an event loop needs: delivery to the waiting reader,
+at most one complete frame parked ahead of it (the transport is paused
+until it is taken), and deadlines.
 
 The ``crc`` word follows the sync layer's rules (PROTOCOL.md, *Frame
 format*): ``connection_made`` applies the sender rule
 (``framing.crc_covers_payload``) to the peer's address once, so a
 loopback connection writes header-only frames and any other folds the
-payload in.  Either form is read: the header alone tells them apart
-(``framing.payload_seed``), so a header-only frame is never folded,
-and a payload-covering one has its CRC-32 folded in chunk by chunk as
-the bytes land.
+payload in.  Either form is read, as the reader reads it.
 
 Deadlines match the sync layer: ``timeout`` covers the *whole* frame (a
 trickling peer cannot stretch it) and expiry raises the repro
@@ -30,13 +28,11 @@ from __future__ import annotations
 
 import asyncio
 import socket
-import zlib
 from typing import Callable, Optional, TypeVar, Union, cast
 
 from repro.protocol.errors import ConnectionClosed, ProtocolError, TimeoutError
-from repro.protocol.framing import BytesLike, HEADER, checksum_mismatch, \
-    crc_covers_payload, decode_header, encode_header, payload_seed
-from repro.xdr import bulk
+from repro.protocol.framing import BytesLike, FrameReader, \
+    crc_covers_payload, encode_header
 
 __all__ = ["FrameStream"]
 
@@ -63,15 +59,7 @@ class FrameStream(asyncio.BufferedProtocol):
             Callable[["FrameStream"], None]] = None) -> None:
         self._on_connect = on_connect
         self._loop = asyncio.get_running_loop()
-        # Receive: bytes land in _header until it is full, then in
-        # _payload; _got counts into whichever is being filled.
-        self._header = bulk.room(HEADER.size)
-        self._payload: Optional[bytearray] = None
-        self._got = 0
-        self._msg_type = self._crc_want = 0
-        # The running CRC of the frame being received; None for a
-        # header-only frame, whose payload is not folded.
-        self._crc: Optional[int] = None
+        self._frames = FrameReader()
         #: Whether this stream's frames fold their payload into the crc
         #: word: the sender rule, applied in connection_made.
         self.covers_payload = True
@@ -127,40 +115,25 @@ class FrameStream(asyncio.BufferedProtocol):
             self._drainer.set_result(None)
 
     def get_buffer(self, sizehint: int) -> memoryview:
-        """Where the next bytes go: the unfilled rest of the header, or
-        of the current frame's own payload buffer."""
-        target = self._header if self._payload is None else self._payload
-        return memoryview(target)[self._got:]
+        """Where the next bytes go: the reader's buffer."""
+        return self._frames.buffer()
 
     def buffer_updated(self, nbytes: int) -> None:
-        """``nbytes`` landed where :meth:`get_buffer` pointed: parse a
-        completed header, fold a payload chunk into the running CRC
-        (unless the frame is header-only), deliver a completed frame."""
-        start = self._got
-        self._got = end = start + nbytes
-        payload = self._payload
-        if payload is None:
-            if end < HEADER.size:
-                return
-            try:  # magic and length, before any peer-sized allocation
-                msg_type, length, crc = decode_header(self._header)
-            except ProtocolError as error:
+        """``nbytes`` landed where :meth:`get_buffer` pointed: hand a
+        completed frame, or the checksum error it turned out to be, to
+        the reader; a desync ends the stream."""
+        item: Union[None, Frame, ProtocolError]
+        try:
+            item = self._frames.advance(nbytes)
+        except ProtocolError as error:
+            if not self._frames.at_boundary:
                 # Frame boundaries are lost: nothing after it is read.
                 self.transport.pause_reading()
                 self._fail(error)
                 return
-            self._msg_type, self._crc_want = msg_type, crc
-            self._crc = payload_seed(msg_type, length, crc)
-            self._payload = payload = bulk.room(length)
-            self._got = end = 0
-        elif self._crc is not None:
-            self._crc = zlib.crc32(memoryview(payload)[start:end], self._crc)
-        if end < len(payload):
+            item = error
+        if item is None:
             return
-        self._payload, self._got = None, 0
-        item: Union[Frame, ProtocolError] = (self._msg_type, payload)
-        if self._crc is not None and self._crc != self._crc_want:
-            item = checksum_mismatch(self._msg_type, len(payload))
         reader = self._reader
         if reader is None or reader.done():
             self._ready = item
@@ -173,10 +146,9 @@ class FrameStream(asyncio.BufferedProtocol):
     def _fail(self, error: Optional[BaseException]) -> None:
         """Terminal: ``error``, or (None) EOF with what was outstanding."""
         if self._failure is None:
-            outstanding = (HEADER.size if self._payload is None
-                           else len(self._payload)) - self._got
             self._failure = error or ConnectionClosed(
-                f"connection closed with {outstanding} bytes outstanding")
+                f"connection closed with {self._frames.outstanding} bytes "
+                f"outstanding")
         if self._reader is not None and not self._reader.done():
             self._reader.set_exception(self._failure)
 
@@ -188,7 +160,7 @@ class FrameStream(asyncio.BufferedProtocol):
         request/reply exchanges anything else means the peer closed or
         broke protocol)."""
         return (self._failure is None and self._ready is None
-                and self._payload is None and self._got == 0)
+                and self._frames.at_boundary)
 
     async def read_frame(self, timeout: Optional[float] = None) -> Frame:
         """Read one frame; returns ``(msg_type, payload)``.
@@ -202,7 +174,8 @@ class FrameStream(asyncio.BufferedProtocol):
         One reader at a time.
         """
         if timeout is not None and timeout <= 0:
-            raise TimeoutError(f"frame {self._receiving()} deadline expired")
+            raise TimeoutError(
+                f"frame {self._frames.receiving} deadline expired")
         item = self._ready
         if item is not None:
             self._ready = None
@@ -253,9 +226,6 @@ class FrameStream(asyncio.BufferedProtocol):
 
     # -- deadlines -----------------------------------------------------------
 
-    def _receiving(self) -> str:
-        return "header" if self._payload is None else "payload"
-
     async def _bounded(self, waiter: "asyncio.Future[_T]",
                        timeout: Optional[float], what: Optional[str]) -> _T:
         """Await ``waiter`` with one timer; ``what`` None = whichever part
@@ -266,7 +236,7 @@ class FrameStream(asyncio.BufferedProtocol):
         def expire() -> None:
             if not waiter.done():
                 waiter.set_exception(TimeoutError(
-                    f"frame {what or self._receiving()} timed out"))
+                    f"frame {what or self._frames.receiving} timed out"))
         timer = self._loop.call_later(timeout, expire)
         try:
             return await waiter

@@ -32,6 +32,12 @@ pass over the payload; any other is compared with the payload folded
 in.  A ring receiver takes the header-only form alone, checked before
 the payload buffer is allocated.
 
+Every receiver is one :class:`FrameReader`, a sans-IO state machine
+that says where the next bytes go and is told how many landed; the
+blocking socket (:func:`recv_frame`), the event loop
+(:class:`~repro.protocol.aframing.FrameStream`) and the shared-memory
+ring (``ShmTransport.recv_frame``) only move bytes into its buffers.
+
 Both :func:`send_frame` and :func:`recv_frame` accept an optional
 ``timeout`` (seconds) covering the *whole* frame, not each ``recv``:
 a peer that trickles one byte per second cannot stretch a 5-second
@@ -42,13 +48,12 @@ timeout setting is restored afterwards.
 
 from __future__ import annotations
 
-import functools
 import ipaddress
 import socket
 import struct
 import time
 import zlib
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from repro.protocol.errors import ConnectionClosed, ProtocolError, TimeoutError
 from repro.xdr import bulk
@@ -56,10 +61,9 @@ from repro.xdr import bulk
 #: Anything the framing layer will put on the wire without copying.
 BytesLike = Union[bytes, bytearray, memoryview]
 
-__all__ = ["MAGIC", "MAX_FRAME_SIZE", "checksum_mismatch",
-           "crc_covers_payload", "decode_header", "encode_frame",
-           "encode_header", "header_crc", "payload_seed", "recv_frame",
-           "recv_frame_from", "send_frame"]
+__all__ = ["FrameReader", "MAGIC", "MAX_FRAME_SIZE", "checksum_mismatch",
+           "crc_covers_payload", "encode_frame", "encode_header",
+           "header_crc", "payload_seed", "recv_frame", "send_frame"]
 
 MAGIC = b"NINF"
 HEADER = struct.Struct(">4sIII")
@@ -152,16 +156,14 @@ class _DeadlineSocket:
         self.sock = sock
         self.deadline = None if timeout is None else time.monotonic() + timeout
         self._saved: Optional[float] = None
-        self._touched = False
 
     def __enter__(self) -> "_DeadlineSocket":
         if self.deadline is not None:
             self._saved = self.sock.gettimeout()
-            self._touched = True
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        if self._touched:
+        if self.deadline is not None:
             try:
                 self.sock.settimeout(self._saved)
             except OSError:
@@ -232,61 +234,90 @@ def send_frame(sock: socket.socket, msg_type: int, payload: BytesLike = b"",
             guarded.sendall(header + bytes(payload), "send")
 
 
-def _recv_exact(guarded: _DeadlineSocket, count: int,
-                what: str) -> bytearray:
-    """``count`` bytes received straight into their final buffer: one
-    fresh ``bytearray`` the caller owns (``bulk.room``, not zero-filled,
-    returned once every byte has landed), no chunk list, no join."""
-    out = bulk.room(count)
-    view = memoryview(out)
-    got = 0
-    while got < count:
-        nbytes = guarded.recv_into(view[got:], what)
-        if not nbytes:
-            raise ConnectionClosed(
-                f"connection closed with {count - got} bytes outstanding"
-            )
-        got += nbytes
-    return out
-
-
 def checksum_mismatch(msg_type: int, length: int) -> ProtocolError:
     """The error every receiver raises for a frame that fails its CRC."""
     return ProtocolError(f"frame checksum mismatch for message {msg_type} "
                          f"({length}-byte payload)")
 
 
-def decode_header(header: BytesLike) -> tuple[int, int, int]:
-    """``(msg_type, length, crc)`` of a 16-byte header; bad magic or an
-    implausible length raises :class:`ProtocolError` -- before a caller
-    allocates anything sized by the peer."""
-    magic, msg_type, length, crc = HEADER.unpack(header)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad frame magic {magic!r}")
-    if length > MAX_FRAME_SIZE:
-        raise ProtocolError(f"implausible frame length {length}")
-    return msg_type, length, crc
+class FrameReader:
+    """The receive side of the frame format, without I/O.
 
-
-def recv_frame_from(read_exact: Callable[[int, str], bytearray],
-                    payload_checked: bool) -> tuple[int, bytearray]:
-    """One verified frame from ``read_exact(count, what)`` -- the
-    blocking receive shared by the socket and the shm ring.
-
-    ``payload_checked`` is the medium's: a socket takes either form
-    (:func:`payload_seed`), folding the payload in once it has all
-    arrived unless the frame is header-only; a ring takes the header-only
-    form alone, compared before the payload buffer is allocated.  A
-    header-only frame's payload bytes are never read.
+    :meth:`buffer` is where the next bytes go -- the rest of the 16-byte
+    header, then the rest of the frame's own payload buffer
+    (``bulk.room``, handed to the caller once full); :meth:`advance` is
+    told how many landed and returns ``(msg_type, payload)`` once a
+    frame is complete.  Magic and length are checked before anything
+    sized by the peer is allocated.  ``payload_checked`` is the
+    medium's: a socket (True) takes either ``crc`` form
+    (:func:`payload_seed`), folding a payload-covering frame's payload
+    in chunk by chunk as it lands; a ring (False) takes the header-only
+    form alone, refusing any other before the payload buffer exists.
+    A checksum mismatch raises after the reader has reset, so the next
+    frame is readable; a desync -- bad magic, an implausible length, a
+    refused ring header -- raises mid-frame (:attr:`at_boundary`
+    False), and nothing after it can be parsed.
     """
-    msg_type, length, crc = decode_header(read_exact(HEADER.size, "header"))
-    seed = payload_seed(msg_type, length, crc)
-    if seed is not None and not payload_checked:
-        raise checksum_mismatch(msg_type, length)
-    payload = read_exact(length, "payload")
-    if seed is not None and crc != zlib.crc32(payload, seed):
-        raise checksum_mismatch(msg_type, length)
-    return msg_type, payload
+
+    __slots__ = ("payload_checked", "_header", "_target", "_got",
+                 "_msg_type", "_crc_want", "_crc")
+
+    def __init__(self, payload_checked: bool = True) -> None:
+        self.payload_checked = payload_checked
+        # Bytes land in _header, then in the frame's own payload buffer:
+        # _target is the one being filled, _got counts into it.
+        self._target = self._header = bulk.room(HEADER.size)
+        self._got = self._msg_type = self._crc_want = 0
+        # The running CRC of the payload; None for a header-only frame.
+        self._crc: Optional[int] = None
+
+    @property
+    def receiving(self) -> str:
+        """``"header"`` or ``"payload"``, for the timeout messages."""
+        return "header" if self._target is self._header else "payload"
+
+    @property
+    def outstanding(self) -> int:
+        """Bytes owed to the part being received, for the EOF message."""
+        return len(self._target) - self._got
+
+    @property
+    def at_boundary(self) -> bool:
+        """Whether no byte of a next frame has landed."""
+        return self._target is self._header and self._got == 0
+
+    def buffer(self) -> memoryview:
+        """Where the next bytes go (empty only after a desync)."""
+        return memoryview(self._target)[self._got:]
+
+    def advance(self, nbytes: int) -> Optional[tuple[int, bytearray]]:
+        """``nbytes`` landed where :meth:`buffer` pointed: the completed
+        frame, or None while one is still owed."""
+        start = self._got
+        self._got = end = start + nbytes
+        payload = self._target
+        if payload is self._header:
+            if end < HEADER.size:
+                return None
+            magic, msg_type, length, crc = HEADER.unpack(payload)
+            if magic != MAGIC:
+                raise ProtocolError(f"bad frame magic {magic!r}")
+            if length > MAX_FRAME_SIZE:
+                raise ProtocolError(f"implausible frame length {length}")
+            seed = payload_seed(msg_type, length, crc)
+            if seed is not None and not self.payload_checked:
+                raise checksum_mismatch(msg_type, length)
+            self._msg_type, self._crc_want, self._crc = msg_type, crc, seed
+            self._target = payload = bulk.room(length)
+            self._got = end = 0
+        elif self._crc is not None:
+            self._crc = zlib.crc32(memoryview(payload)[start:end], self._crc)
+        if end < len(payload):
+            return None
+        self._target, self._got = self._header, 0
+        if self._crc is not None and self._crc != self._crc_want:
+            raise checksum_mismatch(self._msg_type, len(payload))
+        return self._msg_type, payload
 
 
 def recv_frame(sock: socket.socket,
@@ -303,6 +334,14 @@ def recv_frame(sock: socket.socket,
     :class:`~repro.protocol.errors.TimeoutError` when ``timeout``
     seconds elapse before the full frame arrives.
     """
+    reader = FrameReader()
     with _DeadlineSocket(sock, timeout) as guarded:
-        return recv_frame_from(functools.partial(_recv_exact, guarded),
-                               payload_checked=True)
+        while True:
+            nbytes = guarded.recv_into(reader.buffer(), reader.receiving)
+            if not nbytes:
+                raise ConnectionClosed(
+                    f"connection closed with {reader.outstanding} bytes "
+                    f"outstanding")
+            frame = reader.advance(nbytes)
+            if frame is not None:
+                return frame

@@ -19,7 +19,11 @@ abstractions:
   :class:`Connection` (DESIGN.md §3.6).
 - :class:`FaultPlan` / :class:`FaultyChannel` -- seeded, deterministic
   fault injection at the three places a channel is born (``connect``,
-  pool checkout, endpoint accept); see :mod:`repro.transport.faults`.
+  pool checkout, endpoint accept).  The plan computes one
+  :class:`~repro.transport.faults.FaultStep` per dial, send and recv,
+  which the blocking :class:`FaultyChannel` and the asyncio
+  :class:`AsyncFaultyChannel` only apply; see
+  :mod:`repro.transport.faults`.
 - :class:`RetryPolicy` -- bounded exponential backoff with seeded
   jitter and transient-error classification, used by the client's
   idempotent operations (and, with server-side dedup, CALL itself) and
@@ -38,8 +42,9 @@ abstractions:
   server offers ``SHM_HELLO`` over TCP; on agreement both sides attach
   a ring pair in place (``Channel.attach_io``) and frames -- same
   ``MAGIC|type|len|crc`` header, its ``crc`` word covering the header
-  only -- flow through shared memory while the socket stays open
-  purely as the liveness/close signal.
+  only, received by the same ``framing.FrameReader`` -- flow through
+  shared memory while the socket stays open purely as the
+  liveness/close signal.
   Negotiation policy is a tri-state ``shm`` flag on ``connect``,
   ``ConnectionPool`` and ``Endpoint``: ``False`` = never, ``True`` =
   always offer, ``None`` = auto (same-host peers, unless

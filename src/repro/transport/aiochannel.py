@@ -10,12 +10,13 @@ critical sections are :class:`asyncio.Lock` instances -- never
 ``threading`` locks, which would deadlock the loop (ninf-lint's
 ``await-under-lock`` rule enforces this project-wide).
 
-:class:`AsyncFaultyChannel` reproduces
-:class:`~repro.transport.faults.FaultyChannel` exactly: same
-:class:`~repro.transport.faults.FaultPlan` draw sequence (one
-``random()`` per clean op, three more per faulting op), same observable
-outcomes per kind, so a chaos seed produces the same schedule whichever
-transport runs under it.
+:class:`AsyncFaultyChannel` applies the
+:class:`~repro.transport.faults.FaultStep` that
+:meth:`FaultPlan.step <repro.transport.faults.FaultPlan.step>` computes
+-- the partition check, the draw, the outcome -- exactly as
+:class:`~repro.transport.faults.FaultyChannel` does, sleeping and
+writing with ``await``; a chaos seed and a partition map fault either
+driver alike.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ import asyncio
 from typing import Optional, Union
 
 from repro.protocol.aframing import FrameStream
-from repro.protocol.errors import ConnectionClosed, TimeoutError
+from repro.protocol.errors import TimeoutError
 from repro.protocol.framing import BytesLike, encode_frame
 from repro.protocol.messages import checked_reply
 from repro.transport.channel import _DEFAULT, _Unset, _note_io
-from repro.transport.faults import CORRUPT, DELAY, DROP_PRE, REFUSE_DIAL, \
-    TRUNCATE, FaultPlan, _corrupt
+from repro.transport.faults import FaultPlan
 
 __all__ = ["AsyncChannel", "AsyncFaultyChannel", "aconnect",
            "aconnect_with_faults"]
@@ -181,16 +181,13 @@ async def _dial(host: str, port: int, timeout: Optional[float],
 
 
 class AsyncFaultyChannel(AsyncChannel):
-    """An :class:`AsyncChannel` whose I/O consults a fault plan.
+    """An :class:`AsyncChannel` whose I/O applies a fault plan's steps.
 
-    Observable semantics are identical to the sync
-    :class:`~repro.transport.faults.FaultyChannel`, kind for kind:
-    delay sleeps then proceeds, truncate writes a prefix and raises
-    :class:`ConnectionClosed`, corrupt flips one byte and "succeeds",
-    drop_pre raises before the operation (``ConnectionResetError`` on
-    send, :class:`ConnectionClosed` on recv), drop_post delivers then
-    drops.  The plan's draw sequence is shared, so chaos seeds replay
-    the same schedule on either transport.
+    Observable semantics are those of the sync
+    :class:`~repro.transport.faults.FaultyChannel`, kind for kind and
+    partition for partition: both apply the steps of
+    :meth:`FaultPlan.step <repro.transport.faults.FaultPlan.step>`, so
+    chaos seeds replay the same schedule on either transport.
     """
 
     def __init__(self, stream: FrameStream, plan: FaultPlan,
@@ -202,36 +199,17 @@ class AsyncFaultyChannel(AsyncChannel):
     async def send(self, msg_type: int, payload: BytesLike = b"",
                    timeout: Union[None, float, _Unset] = _DEFAULT) -> None:
         """Send one frame, subject to the plan's send-applicable faults."""
-        event = self.plan.draw("send")
-        if event is None:
-            return await super().send(msg_type, payload, timeout=timeout)
-        if event.kind == DELAY:
-            await asyncio.sleep(event.delay)
-            return await super().send(msg_type, payload, timeout=timeout)
-        if event.kind == DROP_PRE:
-            self.close()
-            raise ConnectionResetError(
-                f"[fault #{event.seq}] connection dropped before send"
-            )
         # Framed as the stream frames (header-only on loopback), so
         # CORRUPT flips a byte where the peer's check looks.
-        frame = encode_frame(msg_type, payload,
-                             covers_payload=self.stream.covers_payload)
-        if event.kind == TRUNCATE:
-            cut = max(1, min(len(frame) - 1, int(event.ratio * len(frame))))
-            await self._write_raw(frame[:cut])
-            self.close()
-            raise ConnectionClosed(
-                f"[fault #{event.seq}] frame truncated after "
-                f"{cut}/{len(frame)} bytes"
-            )
-        if event.kind == CORRUPT:
-            await self._write_raw(_corrupt(frame, event.ratio))
-            return None
-        # DROP_POST: deliver, then kill the connection.
-        await self._write_raw(frame)
-        self.close()
-        return None
+        step = self.plan.step("send", self.remote, lambda: encode_frame(
+            msg_type, payload, covers_payload=self.stream.covers_payload))
+        if step.delay:
+            await asyncio.sleep(step.delay)
+        if step.clean:
+            await super().send(msg_type, payload, timeout=timeout)
+        elif step.data is not None:
+            await self._write_raw(step.data)
+        step.settle(self.close)
 
     async def _write_raw(self, data: bytes) -> None:
         async with self._send_lock:
@@ -244,14 +222,10 @@ class AsyncFaultyChannel(AsyncChannel):
     async def recv(self, timeout: Union[None, float, _Unset] = _DEFAULT
                    ) -> tuple[int, bytearray]:
         """Receive one frame, subject to delay/drop faults."""
-        event = self.plan.draw("recv")
-        if event is not None:
-            if event.kind == DROP_PRE:
-                self.close()
-                raise ConnectionClosed(
-                    f"[fault #{event.seq}] connection dropped before recv"
-                )
-            await asyncio.sleep(event.delay)
+        step = self.plan.step("recv", self.remote)
+        if step.delay:
+            await asyncio.sleep(step.delay)
+        step.settle(self.close)
         return await super().recv(timeout=timeout)
 
 
@@ -260,13 +234,10 @@ async def aconnect_with_faults(plan: FaultPlan, host: str, port: int,
                                connect_timeout: Optional[float] = None
                                ) -> AsyncFaultyChannel:
     """The async :meth:`FaultPlan.connector`: dial faults + faulty channel."""
-    event = plan.draw("dial")
-    if event is not None:
-        if event.kind == REFUSE_DIAL:
-            raise ConnectionRefusedError(
-                f"[fault #{event.seq}] dial to {host}:{port} refused"
-            )
-        await asyncio.sleep(event.delay)
+    step = plan.step("dial", (host, port))
+    if step.delay:
+        await asyncio.sleep(step.delay)
+    step.settle()
     return AsyncFaultyChannel(
         await _dial(host, port, timeout, connect_timeout), plan,
         timeout=timeout, remote=(host, port))

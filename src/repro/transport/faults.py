@@ -2,7 +2,7 @@
 
 The reproduction's robustness claims (client retry, pool hygiene,
 metaserver liveness) need *induced* failures, not just observed ones,
-and they need the same failure sequence on every run.  Two pieces
+and they need the same failure sequence on every run.  Three pieces
 provide that:
 
 - :class:`FaultPlan` -- a seeded schedule of fault events.  Every
@@ -10,11 +10,15 @@ provide that:
   whether it should fail; decisions come from one injected
   ``random.Random``, so the same seed driven through the same operation
   sequence produces a byte-identical schedule (``plan.schedule()``).
+- :class:`FaultStep` -- what one operation does, from
+  :meth:`FaultPlan.step`: delay a frame, truncate it mid-write, corrupt
+  a byte where the medium's frame check looks (so the other side
+  rejects the frame), drop the connection before or after a send, or
+  refuse a dial.
 - :class:`FaultyChannel` -- a :class:`~repro.transport.channel.Channel`
-  whose I/O consults a plan: it can delay a frame, truncate it
-  mid-write, corrupt a byte where the medium's frame check looks (so
-  the other side rejects the frame), drop the connection before or
-  after a send, or refuse a dial.
+  that applies the steps, as its asyncio twin
+  :class:`~repro.transport.aiochannel.AsyncFaultyChannel` does with
+  ``await``: the drivers only sleep and write.
 
 Plans are injectable at the three places a channel is born, so no call
 site changes to come under test:
@@ -44,10 +48,10 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.protocol.errors import ConnectionClosed
-from repro.protocol.framing import HEADER, payload_seed
+from repro.protocol.framing import HEADER, BytesLike, payload_seed
 from repro.transport.channel import _DEFAULT, Channel, _Unset, connect
 
 __all__ = [
@@ -58,6 +62,7 @@ __all__ = [
     "FAULT_KINDS",
     "FaultEvent",
     "FaultPlan",
+    "FaultStep",
     "FaultyChannel",
     "PartitionMap",
     "REFUSE_DIAL",
@@ -179,6 +184,39 @@ class FaultEvent:
                 f"delay={self.delay:.6f} ratio={self.ratio:.6f}")
 
 
+@dataclass(frozen=True)
+class FaultStep:
+    """What one dial, send or recv does under a plan, in this order:
+    sleep ``delay`` seconds; then perform the operation (``clean``), or
+    write ``data`` instead -- pre-framed bytes, for a send -- or do
+    nothing; then close the connection if ``drop``; then raise
+    ``error`` if set.  A clean step never drops or raises."""
+
+    delay: float = 0.0
+    clean: bool = True
+    data: Optional[bytes] = None
+    drop: bool = False
+    error: Optional[BaseException] = None
+
+    def settle(self, close: Optional[Callable[[], None]] = None) -> None:
+        """The step's tail: ``close()`` the connection, then raise, as
+        asked (a dial has no connection to close)."""
+        if self.drop and close is not None:
+            close()
+        if self.error is not None:
+            raise self.error
+
+
+def _failed(op: str, message: str) -> FaultStep:
+    """An operation that fails before it starts: a dial is refused; a
+    send (reset) or a recv (closed) drops its connection first."""
+    if op == "dial":
+        return FaultStep(clean=False, error=ConnectionRefusedError(message))
+    return FaultStep(clean=False, drop=True, error=(
+        ConnectionResetError(message) if op == "send"
+        else ConnectionClosed(message)))
+
+
 class FaultPlan:
     """A seeded, deterministic schedule of transport faults.
 
@@ -288,6 +326,44 @@ class FaultPlan:
             ).inc()
         return True
 
+    def step(self, op: str, remote: Union[tuple[str, int], None],
+             frame: Optional[Callable[[], bytes]] = None) -> FaultStep:
+        """The :class:`FaultStep` for the next ``op`` on a connection to
+        ``remote``: the one fault rule both channel drivers apply.
+
+        A partitioned edge fails the operation before any draw; else
+        one :meth:`draw` decides.  ``frame`` (sends only) builds the
+        bytes a clean send would write, framed by the medium's own
+        codec; it is called only for the kinds that write something
+        else -- a prefix (truncate), a flipped byte (corrupt), or the
+        frame itself ahead of the drop (drop_post).
+        """
+        where = (f"{remote[0]}:{remote[1]}" if op == "dial" and remote
+                 else remote)
+        if self.partition_drop(remote):
+            return _failed(op, f"[partition] {self.src} -> {where} is blocked")
+        event = self.draw(op)
+        if event is None:
+            return FaultStep()
+        if event.kind == DELAY:
+            return FaultStep(delay=event.delay)
+        tag = f"[fault #{event.seq}]"
+        if event.kind == REFUSE_DIAL:
+            return _failed(op, f"{tag} dial to {where} refused")
+        if event.kind == DROP_PRE:
+            return _failed(op, f"{tag} connection dropped before {op}")
+        assert frame is not None, f"{event.kind} applies to sends only"
+        data = frame()
+        if event.kind == TRUNCATE:
+            cut = max(1, min(len(data) - 1, int(event.ratio * len(data))))
+            return FaultStep(clean=False, data=data[:cut], drop=True,
+                             error=ConnectionClosed(
+                                 f"{tag} frame truncated after "
+                                 f"{cut}/{len(data)} bytes"))
+        if event.kind == CORRUPT:
+            return FaultStep(clean=False, data=_corrupt(data, event.ratio))
+        return FaultStep(clean=False, data=data, drop=True)  # DROP_POST
+
     @property
     def faults_injected(self) -> int:
         with self._lock:
@@ -323,17 +399,10 @@ class FaultPlan:
         wrapping and consumes no fault draws, so chaos schedules stay
         aligned whether or not the channel upgrades.
         """
-        if self.partition_drop((host, port)):
-            raise ConnectionRefusedError(
-                f"[partition] {self.src} -> {host}:{port} is blocked"
-            )
-        event = self.draw("dial")
-        if event is not None:
-            if event.kind == REFUSE_DIAL:
-                raise ConnectionRefusedError(
-                    f"[fault #{event.seq}] dial to {host}:{port} refused"
-                )
-            time.sleep(event.delay)
+        step = self.step("dial", (host, port))
+        if step.delay:
+            time.sleep(step.delay)
+        step.settle()
         return self.wrap(connect(host, port, timeout=timeout,
                                  connect_timeout=connect_timeout, shm=shm))
 
@@ -343,9 +412,9 @@ class FaultPlan:
 
 
 class FaultyChannel(Channel):
-    """A :class:`Channel` whose send/recv paths consult a fault plan.
+    """A :class:`Channel` whose send/recv paths apply a plan's steps.
 
-    Fault semantics (what the *calling* side observes):
+    What the *calling* side observes, kind by kind (:meth:`FaultPlan.step`):
 
     - ``delay``: the operation sleeps, then proceeds normally.
     - ``truncate`` (send): a prefix of the frame is written, the socket
@@ -361,6 +430,8 @@ class FaultyChannel(Channel):
       recv).
     - ``drop_post`` (send): the frame is delivered, then the socket is
       closed; the failure surfaces at the next operation.
+
+    A partitioned edge fails every send and recv like ``drop_pre``.
     """
 
     def __init__(self, sock: socket.socket, plan: FaultPlan,
@@ -369,61 +440,29 @@ class FaultyChannel(Channel):
         super().__init__(sock, timeout=timeout, remote=remote)
         self.plan = plan
 
-    def send(self, msg_type: int, payload: bytes = b"",
+    def send(self, msg_type: int, payload: BytesLike = b"",
              timeout: Union[None, float, _Unset] = _DEFAULT) -> None:
         """Send one frame, subject to the plan's send-applicable faults."""
-        if self.plan.partition_drop(self.remote):
-            self.close()
-            raise ConnectionResetError(
-                f"[partition] {self.plan.src} -> {self.remote} is blocked"
-            )
-        event = self.plan.draw("send")
-        if event is None:
-            return super().send(msg_type, payload, timeout=timeout)
-        if event.kind == DELAY:
-            time.sleep(event.delay)
-            return super().send(msg_type, payload, timeout=timeout)
-        if event.kind == DROP_PRE:
-            self.close()
-            raise ConnectionResetError(
-                f"[fault #{event.seq}] connection dropped before send"
-            )
         # Pre-framed fault writes are framed by the medium's own codec
         # and go through _raw_sendall (which takes the send lock itself),
         # so they hit an attached shm medium the way they hit a socket.
-        frame = self._encode_frame(msg_type, payload)
-        if event.kind == TRUNCATE:
-            cut = max(1, min(len(frame) - 1, int(event.ratio * len(frame))))
-            self._raw_sendall(frame[:cut])
-            self.close()
-            raise ConnectionClosed(
-                f"[fault #{event.seq}] frame truncated after "
-                f"{cut}/{len(frame)} bytes"
-            )
-        if event.kind == CORRUPT:
-            self._raw_sendall(_corrupt(frame, event.ratio))
-            return None
-        # DROP_POST: deliver, then kill the connection.
-        self._raw_sendall(frame)
-        self.close()
-        return None
+        step = self.plan.step("send", self.remote,
+                              lambda: self._encode_frame(msg_type, payload))
+        if step.delay:
+            time.sleep(step.delay)
+        if step.clean:
+            super().send(msg_type, payload, timeout=timeout)
+        elif step.data is not None:
+            self._raw_sendall(step.data)
+        step.settle(self.close)
 
     def recv(self, timeout: Union[None, float, _Unset] = _DEFAULT
              ) -> tuple[int, bytearray]:
         """Receive one frame, subject to delay/drop faults."""
-        if self.plan.partition_drop(self.remote):
-            self.close()
-            raise ConnectionClosed(
-                f"[partition] {self.plan.src} -> {self.remote} is blocked"
-            )
-        event = self.plan.draw("recv")
-        if event is not None:
-            if event.kind == DROP_PRE:
-                self.close()
-                raise ConnectionClosed(
-                    f"[fault #{event.seq}] connection dropped before recv"
-                )
-            time.sleep(event.delay)
+        step = self.plan.step("recv", self.remote)
+        if step.delay:
+            time.sleep(step.delay)
+        step.settle(self.close)
         return super().recv(timeout=timeout)
 
 

@@ -66,8 +66,8 @@ from repro.protocol.errors import (
     RemoteError,
     TimeoutError,
 )
-from repro.protocol.framing import BytesLike, encode_frame, encode_header, \
-    recv_frame_from
+from repro.protocol.framing import BytesLike, FrameReader, encode_frame, \
+    encode_header
 from repro.protocol.messages import MessageType, pack, unpack
 from repro.xdr import XdrError, bulk
 
@@ -300,12 +300,12 @@ class ShmRing:
             except ValueError:
                 raise ConnectionClosed("shm ring detached") from None
 
-    def read_exact(self, count: int,
-                   deadline: Optional[float] = None) -> bytearray:
-        """Read exactly ``count`` bytes, blocking while the ring is
-        empty.  A closed ring is drained first; EOF mid-read raises
-        :class:`ConnectionClosed` (the TCP ``_recv_exact`` contract)."""
-        out = bulk.room(count)
+    def read_into(self, view: memoryview,
+                  deadline: Optional[float] = None) -> None:
+        """Fill ``view`` from the ring, blocking while it is empty.  A
+        closed ring is drained first; EOF before ``view`` is full raises
+        :class:`ConnectionClosed` naming the bytes still outstanding."""
+        count = len(view)
         got = 0
         spins = 0
         while got < count:
@@ -323,12 +323,18 @@ class ShmRing:
             chunk = min(available, count - got, self.capacity - offset)
             try:
                 buf = self._view()
-                out[got:got + chunk] = buf[_CTRL_SIZE + offset:
-                                           _CTRL_SIZE + offset + chunk]
+                view[got:got + chunk] = buf[_CTRL_SIZE + offset:
+                                            _CTRL_SIZE + offset + chunk]
                 got += chunk
                 self._ctrl[_READ_WORD] = read_pos + chunk
             except ValueError:
                 raise ConnectionClosed("shm ring detached") from None
+
+    def read_exact(self, count: int,
+                   deadline: Optional[float] = None) -> bytearray:
+        """Exactly ``count`` bytes, in a fresh buffer (:meth:`read_into`)."""
+        out = bulk.room(count)
+        self.read_into(memoryview(out), deadline)
         return out
 
     # -- lifecycle ----------------------------------------------------------
@@ -410,9 +416,13 @@ class ShmTransport:
         before the payload buffer exists; the payload is the private
         ``bytearray`` it was copied out into."""
         deadline = self._deadline(timeout)
-        return recv_frame_from(
-            lambda count, _what: self.recv_ring.read_exact(count, deadline),
-            payload_checked=False)
+        reader = FrameReader(payload_checked=False)
+        while True:
+            view = reader.buffer()
+            self.recv_ring.read_into(view, deadline)
+            frame = reader.advance(len(view))
+            if frame is not None:
+                return frame
 
     def healthy(self) -> bool:
         """Whether both rings are still open (peer has not closed)."""

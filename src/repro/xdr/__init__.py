@@ -20,23 +20,11 @@ throughput) only holds if marshalling is near memcpy speed.
   the decoder of every control message are derived.
 - :exc:`XdrError`: malformed or truncated data.
 
-Fast-path engine selection (see PROTOCOL.md §"XDR encoding rules"):
-
-1. **NumPy** when ``import numpy`` succeeds and ``NINF_XDR_STDLIB`` is
-   unset -- bulk arrays are byteswapped-and-copied in one fused pass
-   directly into / out of the frame buffer, and rank-N ``ndarray``
-   packing (``pack_ndarray``/``unpack_ndarray``) is available.
-2. **Pure stdlib** otherwise (NumPy missing, or ``NINF_XDR_STDLIB=1``
-   in the environment, or ``repro.xdr.bulk.FORCE_STDLIB`` flipped at
-   runtime) -- 1-D double/int bulk arrays still run vectorized through
-   :mod:`array` ``byteswap()``; decoded bulk arrays come back as
-   :class:`array.array` instead of ``ndarray``; rank-N ndarray packing
-   raises :exc:`XdrError`.
-
-Both engines emit byte-identical wire data -- negotiation is purely
-local, never visible to the peer, and the property tests
-(``tests/xdr/test_bulk.py``) hold the two engines and the scalar-loop
-oracle to byte equality.
+Bulk arrays have one engine, NumPy (a hard dependency): each array is
+byteswapped-and-copied in one fused pass directly into / out of the
+frame buffer, and decodes to an ``ndarray``.  The property tests
+(``tests/xdr/test_bulk.py``) hold it to byte equality with the
+scalar-loop oracle (PROTOCOL.md §"XDR encoding rules").
 """
 
 from repro.xdr.encoder import XdrEncoder

@@ -11,93 +11,48 @@ into room the caller reserved in its frame buffer (a ``bytearray``
 and an offset), with no per-element Python bytecode, no intermediate
 list-of-chunks copies and no growth of the buffer here.
 
-Two implementations, one wire format:
+There is one engine, NumPy: the destination region of the frame buffer
+is viewed through ``np.frombuffer`` as a big-endian (``>f8`` / ``>i4``)
+array and assigned in one ``dest[:] = src`` statement -- NumPy fuses
+the byteswap and the copy, so throughput is memory-bandwidth bound.
+Decoding is the mirror: ``np.frombuffer`` over the payload
+``memoryview`` plus one ``astype`` to native order.  The wire dtypes
+name their byte order, so the host's own never enters: a big-endian
+host copies without swapping, by the same statement.
 
-- **NumPy** (preferred, engaged when ``numpy`` imports): the
-  destination region of the frame buffer is viewed through
-  ``np.frombuffer`` as a big-endian array and assigned in one
-  ``dest[:] = src`` statement -- NumPy fuses the byteswap and the copy,
-  so throughput is memory-bandwidth bound.  Decoding is the mirror:
-  ``np.frombuffer`` over the payload ``memoryview`` plus one ``astype``
-  to native order.
-- **Pure stdlib** (fallback, engaged when NumPy is unavailable or
-  :data:`FORCE_STDLIB` is set): :class:`array.array` +
-  ``array.byteswap()``, which is a single C loop.  Only the dtypes
-  :mod:`array` can express are supported (``d``/``f``/``i``/``q`` and
-  unsigned variants); complex dtypes always require NumPy.  Decoded
-  arrays come back as :class:`array.array` instances -- same element
-  values, same indexing protocol, different container type (callers
-  that need an ``ndarray`` must run under NumPy; the RPC stack does).
-
-Both paths produce and consume byte-identical wire data, a property
-``tests/xdr/test_bulk.py`` asserts with Hypothesis round trips
-(including NaN/inf payloads, which must survive bit-exactly).
-
-Endianness: XDR is big-endian.  Whether a byteswap is needed is decided
-by :func:`swap_needed` against :data:`sys.byteorder`; the tests
-simulate a big-endian host by calling the swap helpers with an explicit
-``byteorder`` argument, so the (rare) big-endian code path is covered
-on little-endian CI machines.
-
-Opt-outs: set the environment variable ``NINF_XDR_STDLIB=1`` before
-import (or flip :data:`FORCE_STDLIB` at runtime) to force the stdlib
-path -- the knob the property tests and the ``ninf-bench marshal``
-ablation use.
+The scalar-loop oracles at the bottom (``scalar_*``) are the pre-bulk
+encodings; ``tests/xdr/test_bulk.py`` holds the engine to byte
+equality with them under Hypothesis (including NaN/inf payloads, which
+must survive bit-exactly), and ``ninf-bench marshal`` times one
+against the other.
 """
 
 from __future__ import annotations
 
-import array
 import ctypes
-import os
 import struct
-import sys
 from typing import Sequence, Union
+
+import numpy as _np
+from numpy.typing import DTypeLike
 
 from repro.xdr.errors import XdrError
 
-try:  # NumPy is optional at the XDR layer (stdlib fallback below).
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via FORCE_STDLIB
-    _np = None
-
 __all__ = [
-    "FORCE_STDLIB",
-    "HAVE_NUMPY",
     "UNZEROED_MIN",
+    "pack_array_into",
     "pack_doubles_into",
     "pack_ints_into",
     "room",
-    "swap_needed",
+    "unpack_array",
     "unpack_doubles",
     "unpack_ints",
-    "using_numpy",
 ]
-
-HAVE_NUMPY = _np is not None
-
-#: Runtime override: ``True`` forces the pure-stdlib path even when
-#: NumPy is importable.  Seeded from ``NINF_XDR_STDLIB`` at import; the
-#: property tests flip it to compare both engines on one host.
-FORCE_STDLIB = os.environ.get("NINF_XDR_STDLIB", "") not in ("", "0")
 
 _INT_MIN = -(2**31)
 _INT_MAX = 2**31 - 1
 
 BufferLike = Union[bytes, bytearray, memoryview]
-
-
-def using_numpy() -> bool:
-    """Whether the bulk paths currently run on the NumPy engine."""
-    return HAVE_NUMPY and not FORCE_STDLIB
-
-
-def swap_needed(byteorder: str = sys.byteorder) -> bool:
-    """Whether native element order differs from XDR's big-endian wire
-    order.  ``byteorder`` is injectable so tests can walk the
-    big-endian branch on little-endian hosts."""
-    return byteorder != "big"
-
 
 #: From this size up, :func:`room` leaves a buffer's bytes unset.
 UNZEROED_MIN = 1 << 20
@@ -118,40 +73,47 @@ def room(nbytes: int) -> bytearray:
     return _unset_bytearray(None, nbytes)
 
 
+# -- the conversion, both ways ----------------------------------------------
+
+
+def pack_array_into(buf: bytearray, offset: int, src: "_np.ndarray",
+                    wire: str) -> int:
+    """Write ``src`` at ``buf[offset:]`` as elements of the big-endian
+    ``wire`` dtype (``">f8"``, ``">i4"``, ...) in one fused
+    byteswap-and-copy; return nbytes.  The room must exist already."""
+    dest = _np.frombuffer(buf, dtype=wire, count=src.size, offset=offset)
+    dest[:] = src.reshape(-1)
+    return dest.nbytes
+
+
+def unpack_array(payload: BufferLike, wire: str,
+                 native: DTypeLike) -> "_np.ndarray":
+    """The ``wire``-dtype elements of ``payload`` as a fresh 1-D array of
+    the ``native`` dtype, converted in one pass."""
+    return _np.frombuffer(payload, dtype=wire).astype(native, copy=True)
+
+
 # -- encode ----------------------------------------------------------------
 
 
-def pack_doubles_into(buf: bytearray, offset: int, values: Sequence[float],
-                      byteorder: str = sys.byteorder) -> int:
+def pack_doubles_into(buf: bytearray, offset: int,
+                      values: Sequence[float]) -> int:
     """Write ``values`` as big-endian IEEE-754 doubles at ``buf[offset:]``;
     return nbytes.
 
     ``buf`` must already hold ``8 * len(values)`` bytes of room at
     ``offset`` (the encoder reserves it): one vectorized pass writes
     straight into it -- no per-element loop, no intermediate bytes
-    object on the NumPy path, and no growth of ``buf`` here.
+    object, and no growth of ``buf`` here.
     """
-    if using_numpy():
-        src = _np.ascontiguousarray(values, dtype=_np.float64)
-        if src.ndim != 1:
-            raise XdrError("bulk double pack expects a 1-D sequence")
-        dest = _np.frombuffer(buf, dtype=">f8", count=src.size,
-                              offset=offset)
-        dest[:] = src  # fused byteswap-and-copy
-        return src.size * 8
-    arr = values if (isinstance(values, array.array)
-                     and values.typecode == "d") else array.array(
-                         "d", [float(v) for v in values])
-    if swap_needed(byteorder):
-        arr = array.array("d", arr)  # don't mutate the caller's array
-        arr.byteswap()
-    nbytes = len(arr) * 8
-    buf[offset:offset + nbytes] = memoryview(arr).cast("B")
-    return nbytes
+    src = _np.ascontiguousarray(values, dtype=_np.float64)
+    if src.ndim != 1:
+        raise XdrError("bulk double pack expects a 1-D sequence")
+    return pack_array_into(buf, offset, src, ">f8")
 
 
-def pack_ints_into(buf: bytearray, offset: int, values: Sequence[int],
-                   byteorder: str = sys.byteorder) -> int:
+def pack_ints_into(buf: bytearray, offset: int,
+                   values: Sequence[int]) -> int:
     """Write ``values`` as big-endian signed 32-bit ints at
     ``buf[offset:]`` (room for ``4 * len(values)`` bytes must exist);
     return nbytes.
@@ -159,79 +121,38 @@ def pack_ints_into(buf: bytearray, offset: int, values: Sequence[int],
     Raises :class:`~repro.xdr.errors.XdrError` when any element is out
     of 32-bit range (checked in bulk, not per element).
     """
-    if using_numpy():
-        src = _np.ascontiguousarray(values)
-        if src.ndim != 1:
-            raise XdrError("bulk int pack expects a 1-D sequence")
-        if not _np.issubdtype(src.dtype, _np.integer):
-            src = src.astype(_np.int64)
-        if src.size and (int(src.min()) < _INT_MIN
-                         or int(src.max()) > _INT_MAX):
-            raise XdrError("int array element out of 32-bit range")
-        dest = _np.frombuffer(buf, dtype=">i4", count=src.size,
-                              offset=offset)
-        dest[:] = src
-        return src.size * 4
-    try:
-        arr = array.array("i" if array.array("i").itemsize == 4 else "l",
-                          [int(v) for v in values])
-    except OverflowError as exc:
-        raise XdrError("int array element out of 32-bit range") from exc
-    if arr.itemsize != 4:  # pragma: no cover - no 4-byte int type
-        raise XdrError("no 4-byte signed int array type on this platform")
-    if swap_needed(byteorder):
-        arr.byteswap()
-    nbytes = len(arr) * 4
-    buf[offset:offset + nbytes] = memoryview(arr).cast("B")
-    return nbytes
+    src = _np.ascontiguousarray(values)
+    if src.ndim != 1:
+        raise XdrError("bulk int pack expects a 1-D sequence")
+    if not _np.issubdtype(src.dtype, _np.integer):
+        src = src.astype(_np.int64)
+    if src.size and (int(src.min()) < _INT_MIN or int(src.max()) > _INT_MAX):
+        raise XdrError("int array element out of 32-bit range")
+    return pack_array_into(buf, offset, src, ">i4")
 
 
 # -- decode ----------------------------------------------------------------
 
 
-def unpack_doubles(payload: BufferLike, count: int,
-                   byteorder: str = sys.byteorder):
-    """``count`` big-endian doubles from ``payload`` (no copy until the
-    final native-order container is built).
-
-    Returns ``np.ndarray[float64]`` on the NumPy engine, else
-    ``array.array('d')``.
-    """
+def unpack_doubles(payload: BufferLike, count: int) -> "_np.ndarray":
+    """``count`` big-endian doubles from ``payload`` as a native-order
+    ``float64`` array (no copy until that array is built)."""
     view = memoryview(payload)
     if len(view) != count * 8:
         raise XdrError(
             f"bulk double payload is {len(view)} bytes, "
             f"expected {count * 8}")
-    if using_numpy():
-        return _np.frombuffer(view, dtype=">f8").astype(
-            _np.float64, copy=True)
-    arr = array.array("d")
-    arr.frombytes(view)
-    if swap_needed(byteorder):
-        arr.byteswap()
-    return arr
+    return unpack_array(view, ">f8", _np.float64)
 
 
-def unpack_ints(payload: BufferLike, count: int,
-                byteorder: str = sys.byteorder):
-    """``count`` big-endian signed 32-bit ints from ``payload``.
-
-    Returns ``np.ndarray[int32]`` on the NumPy engine, else a 4-byte
-    signed :class:`array.array`.
-    """
+def unpack_ints(payload: BufferLike, count: int) -> "_np.ndarray":
+    """``count`` big-endian signed 32-bit ints from ``payload`` as a
+    native-order ``int32`` array."""
     view = memoryview(payload)
     if len(view) != count * 4:
         raise XdrError(
             f"bulk int payload is {len(view)} bytes, expected {count * 4}")
-    if using_numpy():
-        return _np.frombuffer(view, dtype=">i4").astype(
-            _np.int32, copy=True)
-    typecode = "i" if array.array("i").itemsize == 4 else "l"
-    arr = array.array(typecode)
-    arr.frombytes(view)
-    if swap_needed(byteorder):
-        arr.byteswap()
-    return arr
+    return unpack_array(view, ">i4", _np.int32)
 
 
 # -- scalar-loop reference implementations ---------------------------------

@@ -15,14 +15,11 @@ from __future__ import annotations
 import struct
 from typing import Callable
 
+import numpy as np
+
 from repro.xdr import bulk
 from repro.xdr.encoder import NUMPY_WIRE_DTYPES
 from repro.xdr.errors import XdrError
-
-try:  # optional at the XDR layer; required only for rank-N ndarrays
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via bulk.FORCE_STDLIB
-    np = None
 
 __all__ = ["XdrDecoder"]
 
@@ -182,11 +179,7 @@ class XdrDecoder:
     # -- bulk fast paths ------------------------------------------------------------------
 
     def unpack_ndarray(self):
-        """Inverse of :meth:`XdrEncoder.pack_ndarray`.  NumPy only --
-        the stdlib fallback covers just the 1-D bulk paths."""
-        if np is None:  # pragma: no cover - stdlib-only environments
-            raise XdrError("ndarray unpacking requires numpy "
-                           "(stdlib fallback covers 1-D bulk arrays only)")
+        """Inverse of :meth:`XdrEncoder.pack_ndarray`."""
         ndim = self.unpack_uint()
         if ndim > 32:
             raise XdrError(f"implausible ndarray rank {ndim}")
@@ -204,15 +197,11 @@ class XdrDecoder:
             )
         payload = self._take(nbytes)
         self._skip_pad(nbytes)
-        arr = np.frombuffer(payload, dtype=wire).reshape(shape)
-        return arr.astype(native, copy=True)
+        return bulk.unpack_array(payload, wire, native).reshape(shape)
 
     def unpack_double_array(self):
-        """Variable array of doubles via the bulk vectorized path.
-
-        ``np.ndarray[float64]`` on the NumPy engine, ``array.array('d')``
-        on the stdlib fallback (same values, same indexing protocol).
-        """
+        """Variable array of doubles via the bulk vectorized path, as
+        ``np.ndarray[float64]``."""
         n = self.unpack_uint()
         payload = self._take(8 * n)
         return bulk.unpack_doubles(payload, n)

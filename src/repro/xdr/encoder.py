@@ -26,13 +26,10 @@ from __future__ import annotations
 import struct
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from repro.xdr import bulk
 from repro.xdr.errors import XdrError
-
-try:  # optional at the XDR layer; required for ndarray/complex packing
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via bulk.FORCE_STDLIB
-    np = None
 
 __all__ = ["XdrEncoder"]
 
@@ -57,19 +54,16 @@ _INITIAL_ROOM = 128
 _ZEROS = tuple(struct.Struct(f">{n}x") for n in range(5))
 
 # dtype -> (XDR type code used by the Ninf protocol, big-endian numpy dtype)
-if np is not None:
-    NUMPY_WIRE_DTYPES = {
-        np.dtype(np.int32): ">i4",
-        np.dtype(np.uint32): ">u4",
-        np.dtype(np.int64): ">i8",
-        np.dtype(np.uint64): ">u8",
-        np.dtype(np.float32): ">f4",
-        np.dtype(np.float64): ">f8",
-        np.dtype(np.complex64): ">c8",
-        np.dtype(np.complex128): ">c16",
-    }
-else:  # pragma: no cover - stdlib-only environments
-    NUMPY_WIRE_DTYPES = {}
+NUMPY_WIRE_DTYPES = {
+    np.dtype(np.int32): ">i4",
+    np.dtype(np.uint32): ">u4",
+    np.dtype(np.int64): ">i8",
+    np.dtype(np.uint64): ">u8",
+    np.dtype(np.float32): ">f4",
+    np.dtype(np.float64): ">f8",
+    np.dtype(np.complex64): ">c8",
+    np.dtype(np.complex128): ">c16",
+}
 
 
 class XdrEncoder:
@@ -294,13 +288,8 @@ class XdrEncoder:
         receiver can allocate before reading, and the payload is one
         contiguous big-endian block written straight into the frame
         buffer (a single fused byteswap-and-copy), so marshalling
-        throughput is memory-bandwidth bound.  Requires NumPy; the
-        stdlib fallback covers only the 1-D bulk paths
-        (:meth:`pack_double_array` / :meth:`pack_int_array`).
+        throughput is memory-bandwidth bound.
         """
-        if np is None:  # pragma: no cover - stdlib-only environments
-            raise XdrError("ndarray packing requires numpy "
-                           "(stdlib fallback covers 1-D bulk arrays only)")
         arr = np.ascontiguousarray(array)
         wire = NUMPY_WIRE_DTYPES.get(arr.dtype)
         if wire is None:
@@ -312,32 +301,23 @@ class XdrEncoder:
         nbytes = arr.size * arr.itemsize
         self.ensure_room(4 + nbytes + 3)
         self.pack_uint(nbytes)
-        dest = np.frombuffer(self._buf, dtype=wire, count=arr.size,
-                             offset=self._len)
-        dest[:] = arr.reshape(-1)  # one pass: byteswap + copy, no temp
-        self._len += nbytes
+        self._len += bulk.pack_array_into(self._buf, self._len, arr, wire)
         self.reserve(-nbytes % 4)
 
     def pack_double_array(self, values: Sequence[float]) -> None:
         """Variable array of doubles via the bulk vectorized path."""
-        if np is not None and not bulk.FORCE_STDLIB:
-            arr = np.asarray(values, dtype=np.float64)
-            if arr.ndim != 1:
-                raise XdrError("pack_double_array expects a 1-D sequence")
-        else:
-            arr = values if hasattr(values, "__len__") else list(values)
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.ndim != 1:
+            raise XdrError("pack_double_array expects a 1-D sequence")
         self.ensure_room(4 + 8 * len(arr))
         self.pack_uint(len(arr))
         self._len += bulk.pack_doubles_into(self._buf, self._len, arr)
 
     def pack_int_array(self, values: Sequence[int]) -> None:
         """Variable array of 32-bit ints via the bulk vectorized path."""
-        if np is not None and not bulk.FORCE_STDLIB:
-            arr = np.asarray(values)
-            if arr.ndim != 1:
-                raise XdrError("pack_int_array expects a 1-D sequence")
-        else:
-            arr = values if hasattr(values, "__len__") else list(values)
+        arr = np.asarray(values)
+        if arr.ndim != 1:
+            raise XdrError("pack_int_array expects a 1-D sequence")
         self.ensure_room(4 + 4 * len(arr))
         self.pack_uint(len(arr))
         self._len += bulk.pack_ints_into(self._buf, self._len, arr)

@@ -6,6 +6,7 @@ idiomatic code must stay silent).  These fixtures are also what makes
 CI fail if a checker regresses into missing its bug class.
 """
 
+import importlib
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,32 @@ def test_async_blocking_exports_the_sanctioned_bridge_allowlist():
     # are in the blocking set, never Counter.inc/Histogram.observe.
     assert not any(name.endswith((".inc", ".observe", ".set"))
                    for name in BLOCKING_PROJECT)
+
+
+def test_every_blocking_primitive_names_a_live_attribute():
+    """A renamed primitive would silently blind the rule: each key must
+    import and resolve, attribute by attribute, to something callable."""
+    from repro.analysis.asyncblocking import BLOCKING_PROJECT
+
+    dead = []
+    for qualname in BLOCKING_PROJECT:
+        parts = qualname.split(".")
+        for split in range(len(parts) - 1, 0, -1):
+            try:
+                target = importlib.import_module(".".join(parts[:split]))
+            except ImportError:
+                continue
+            try:
+                for name in parts[split:]:
+                    target = getattr(target, name)
+            except AttributeError:
+                target = None
+            break
+        else:
+            target = None
+        if not callable(target):
+            dead.append(qualname)
+    assert dead == []
 
 
 # -- struct-arity -------------------------------------------------------------

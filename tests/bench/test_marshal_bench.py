@@ -22,7 +22,7 @@ def test_marshal_report_schema(tmp_path):
     assert json.loads(out.read_text(encoding="utf-8")) == report
     validate_report(report)
     assert report["benchmark"] == "marshal"
-    assert report["engine"] in ("numpy", "stdlib")
+    assert "engine" not in report  # one bulk engine: nothing to name
     assert len(report["cases"]) == 2 * len(SIZES)  # double + int per size
     for row in report["cases"]:
         assert row["wire_match"], (

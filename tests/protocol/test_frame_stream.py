@@ -194,7 +194,7 @@ def test_bad_header_is_rejected_before_any_payload_allocation(header,
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # the header claimed half a gigabyte and up
-        assert stream._payload is None
+        assert stream._frames.receiving == "header"  # no payload buffer
         with pytest.raises(ProtocolError, match=message):  # desync: terminal
             await stream.read_frame(timeout=5.0)
 
@@ -278,13 +278,16 @@ async def _feed(wire: bytes, cuts: list) -> list:
 @settings(max_examples=60, deadline=None)
 @given(
     frames=st.lists(st.tuples(st.integers(0, 2**32 - 1),
-                              st.binary(max_size=600)), max_size=5),
+                              st.binary(max_size=600), st.booleans()),
+                    max_size=5),
     cuts=st.lists(st.integers(0, 4000), max_size=40),
 )
 def test_any_chunking_yields_what_the_sync_reader_yields(frames, cuts):
-    wire = b"".join(encode_frame(t, p) for t, p in frames)
+    """Frames of both ``crc`` forms (payload-covering or header-only)."""
+    wire = b"".join(encode_frame(t, p, covers_payload=c)
+                    for t, p, c in frames)
     got = asyncio.run(_feed(wire, cuts))
-    assert got == _sync_reference(wire) == frames
+    assert got == _sync_reference(wire) == [(t, p) for t, p, _c in frames]
 
 
 # -- sync <-> async, both directions ------------------------------------------
