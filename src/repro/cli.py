@@ -31,17 +31,24 @@ def standard_registry():
     from repro.libs.dos import dos_kernel
     from repro.libs.ep import ep_kernel
     from repro.libs.linpack import dmmul, linpack_solve
+    from repro.libs.openblas import blas_kernel
     from repro.server import Registry
 
     registry = Registry()
+
+    @blas_kernel
+    def dmmul_exec(n, a, b, c):
+        return dmmul(int(n), a, b, c)
+
     registry.register(
         "Define dmmul(mode_in int n, mode_in double A[n][n], "
         "mode_in double B[n][n], mode_out double C[n][n]) "
         '"double precision matrix multiply" CalcOrder "2*n*n*n" '
         'Calls "C" mmul(n, A, B, C);',
-        lambda n, a, b, c: dmmul(int(n), a, b, c),
+        dmmul_exec,
     )
 
+    @blas_kernel
     def linpack_exec(n, a, b):
         linpack_solve(a, b)
 

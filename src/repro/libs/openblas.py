@@ -1,26 +1,36 @@
 """The OpenBLAS NumPy loaded, bound once with ``ctypes``: the thread
-count PE workers cap, and LAPACKE ``dgetrf`` / ``dgetrs``.  A ``64_``
-symbol suffix means 64-bit LAPACK integers (a C ``int`` otherwise); a
-mismatch corrupts memory, so only :attr:`OpenBLAS.index` decides it.
+count a server caps per call, and LAPACKE ``dgetrf`` / ``dgetrs``.  A
+``64_`` symbol suffix means 64-bit LAPACK integers (a C ``int``
+otherwise); a mismatch corrupts memory, so only :attr:`OpenBLAS.index`
+decides it.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional, TypeVar
 
 import numpy as np
 
-__all__ = ["OpenBLAS", "blas_threads", "openblas", "set_blas_threads"]
+__all__ = ["OpenBLAS", "blas_kernel", "blas_threads", "openblas",
+           "set_blas_threads"]
+
+_AFFIXES = (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", ""))
+
+_F = TypeVar("_F", bound=Callable[..., Any])
 
 
 class OpenBLAS(NamedTuple):
-    """The entry points (LAPACKE ``None`` if missing); ``index`` is the
-    dtype of a LAPACK integer, such as a pivot."""
+    """The entry points (LAPACKE and the local setter ``None`` if
+    missing); ``index`` is the dtype of a LAPACK integer, such as a
+    pivot.  ``set_num_threads_local(count)`` returns the count it
+    replaced.  It caps the calling thread on an OpenMP build; on the
+    pthreads build NumPy's wheels carry, it sets the process's count."""
 
     get_num_threads: Callable[[], int]
     set_num_threads: Callable[[int], None]
+    set_num_threads_local: Optional[Callable[[int], int]]
     dgetrf: Optional[Callable[..., int]]
     dgetrs: Optional[Callable[..., int]]
     index: Any
@@ -40,8 +50,7 @@ def openblas() -> Optional[OpenBLAS]:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"),
-                               ("", "")):
+        for prefix, suffix in _AFFIXES:
             def bind(name: str, restype: Any, *argtypes: Any) -> Any:
                 func = getattr(lib, f"{prefix}{name}{suffix}", None)
                 if func is not None:
@@ -60,13 +69,35 @@ def openblas() -> Optional[OpenBLAS]:
                          i, i, p, i, p, p, i)
             if getrf is None or getrs is None:
                 getrf = getrs = None
-            return OpenBLAS(get, set_, getrf, getrs,
+            return OpenBLAS(get, set_, _local_setter(lib), getrf, getrs,
                             np.int64 if suffix else np.int32)
     return None
 
 
+def _local_setter(lib: ctypes.CDLL) -> Optional[Callable[[int], int]]:
+    """``openblas_set_num_threads_local`` under any affix, searched on
+    its own: a wheel may export it under other affixes than the rest
+    (NumPy 2.4's: unprefixed, beside ``scipy_..._64_``)."""
+    for prefix, suffix in _AFFIXES:
+        func = getattr(lib, f"{prefix}openblas_set_num_threads_local{suffix}",
+                       None)
+        if func is not None:
+            func.argtypes, func.restype = (ctypes.c_int,), ctypes.c_int
+            return func
+    return None
+
+
+def blas_kernel(func: _F) -> _F:
+    """Mark ``func`` as spending its time in BLAS / LAPACK with the GIL
+    released: a server runs it on its PE thread, under a BLAS cap of
+    the PEs its call claimed (DESIGN.md §3.6), not in a PE worker."""
+    func.blas_kernel = True
+    return func
+
+
 def blas_threads() -> Optional[int]:
-    """This process's BLAS thread count (``None``: not OpenBLAS)."""
+    """The BLAS thread count a call from this thread gets (``None``:
+    not OpenBLAS)."""
     calls = openblas()
     return None if calls is None else calls.get_num_threads()
 

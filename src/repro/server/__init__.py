@@ -17,9 +17,10 @@ process as Ninf executables" (paper §2.1).
 - :mod:`repro.server.executor` -- the PE pool: task-parallel (one PE
   per call) or data-parallel (all PEs per call, serialized) execution,
   with bounded-queue admission control and deadline expiry sweeps.
-- :mod:`repro.server.peworkers` -- the PE worker processes an
-  executable with a ``CalcOrder`` runs in (one per running call, BLAS
-  capped to the call's PEs), forked by one helper per server.
+- :mod:`repro.server.peworkers` -- the PE worker processes a Python
+  kernel with a ``CalcOrder`` runs in (one per running call, BLAS
+  capped to the call's PEs), forked by one helper per server; a BLAS
+  kernel runs capped on its PE thread instead.
 - :mod:`repro.server.dedup` -- the exactly-once dedup/result cache
   that makes CALL retries safe (DESIGN.md §3.5).
 - :mod:`repro.server.services` -- the RPC semantics (two-stage RPC,

@@ -3,12 +3,14 @@
 Models the two execution styles the paper benchmarks:
 
 - *task-parallel* ("1-PE"): each call claims one PE; up to ``num_pes``
-  calls run concurrently.  Not on this process's threads: an LU that
-  is a Python loop over NumPy calls holds the GIL between them, so two
-  ``linpack`` n=600 on two PE threads took twice as long each as one
-  alone (CHANGES.md, PR 25).  A server therefore runs an executable
-  with a ``CalcOrder`` in a PE worker process
-  (:mod:`repro.server.peworkers`); the PE thread waits for it there.
+  calls run concurrently.  A PE thread runs a BLAS kernel (``linpack``
+  is LAPACK ``dgetrf`` / ``dgetrs``, ``dmmul`` a ``matmul``) itself:
+  the kernel releases the GIL, so two run truly in parallel, with
+  OpenBLAS capped at the PEs the call claimed.  A Python kernel with a
+  ``CalcOrder`` (``ep``, ``dos``, ``mandel``) would hold the GIL, so
+  its PE thread hands it to a PE worker process
+  (:mod:`repro.server.peworkers`) and waits for it there (DESIGN.md
+  §3.6).
 - *data-parallel* ("4-PE"): each call claims all PEs, so calls
   serialize -- "the data-parallel version employs an optimally
   vectorized and parallelized version with simultaneous execution on 4

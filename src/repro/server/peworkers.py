@@ -1,14 +1,18 @@
-"""PE worker processes: where an executable with a ``CalcOrder`` runs.
+"""PE worker processes: where an executable with a ``CalcOrder`` runs,
+unless it is a BLAS kernel.
 
 The Ninf server fork/execs each registered executable (paper §2.1), so
 a call that claims one PE gets one processor.  Two PE *threads* of one
-interpreter do not: Python-level kernels (``ep``, ``dos``, ``mandel``)
-serialize on the GIL, and OpenBLAS has one thread count per process.
-So a server whose registry holds an executable with a ``CalcOrder``
-clause runs that executable's ``invoke`` in a long-lived worker process, at
-most one call per worker and one worker per running call.  Executables
-without a ``CalcOrder`` (a null call, an echo) stay on the PE thread
-and never pay the process hop; the choice is read from the IDL.
+interpreter do not when the kernel is Python: ``ep``, ``dos`` and
+``mandel`` serialize on the GIL.  So a server whose registry holds an
+executable with a ``CalcOrder`` clause runs that executable's
+``invoke`` in a long-lived worker process, at most one call per worker
+and one worker per running call.  Two kinds stay on the PE thread
+(DESIGN.md §3.6): executables without a ``CalcOrder`` (a null call, an
+echo), which never pay the process hop, and BLAS kernels
+(:func:`~repro.libs.openblas.blas_kernel`: ``linpack``, ``dmmul``),
+which release the GIL and are capped there -- unless NumPy's BLAS
+cannot cap them, when they come here too.
 
 - *Who forks.*  :class:`WorkerPool` forks one small helper when the
   server starts, before the server starts a thread of its own (forking
@@ -52,11 +56,10 @@ from typing import Any, Callable, NamedTuple, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from repro.libs.openblas import blas_threads, openblas, set_blas_threads
+from repro.libs.openblas import openblas, set_blas_threads
 from repro.server.registry import ExecutionError, NinfExecutable
 
-__all__ = ["WorkerExecutable", "WorkerLost", "WorkerPool", "blas_threads",
-           "set_blas_threads"]
+__all__ = ["WorkerExecutable", "WorkerLost", "WorkerPool"]
 
 _LENGTH = struct.Struct("=I")
 _ALIGN = 64

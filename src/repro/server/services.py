@@ -19,9 +19,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Optional, Sequence
 
 from repro.idl import IdlError
+from repro.libs.openblas import openblas
 from repro.protocol.errors import RemoteError, ServerBusy, ServerShutdown
 from repro.protocol.marshal import marshal_outputs, unmarshal_inputs
 from repro.protocol.messages import (
@@ -143,9 +144,12 @@ class NinfRpcServices:
         self._worker_deaths = self.metrics.counter(
             names.SERVER_PE_WORKER_DEATHS,
             "PE worker processes found dead, mid-call or idle")
-        # CalcOrder executables run in PE worker processes (on_start).
+        # Where each executable runs, decided in on_start: a BLAS kernel
+        # capped on its PE thread, another CalcOrder one (or a kernel no
+        # setter can cap) in a PE worker process, both at the PEs the
+        # call claims; a name not in the map runs from the registry.
         self._workers: WorkerPool | None = None
-        self._in_workers: dict[str, NinfExecutable] = {}
+        self._placed: dict[str, NinfExecutable] = {}
         # Execution trace (§5.1): per-call observations feeding
         # repro.metaserver.predictor for learned cost models.
         from repro.metaserver.predictor import ExecutionTrace
@@ -165,21 +169,27 @@ class NinfRpcServices:
     # -- lifecycle ----------------------------------------------------------
 
     def on_start(self) -> None:
-        """Fork the PE worker helper, if any executable declares a
-        ``CalcOrder``, then spin up the PE-pool executor, before
-        accepting connections -- the fork comes before the server
-        starts a thread of its own (``repro.server.peworkers``)."""
-        registered = {name: self.registry.get(name)
-                      for name in self.registry.names()}
-        offload = {name: executable for name, executable in registered.items()
-                   if executable.signature.calc_order}
+        """Place every registered executable (DESIGN.md §3.6), forking
+        the PE worker helper if one goes to a worker, then spin up the
+        PE-pool executor, before accepting connections -- the fork
+        comes before the server starts a thread of its own
+        (``repro.server.peworkers``)."""
+        binding = openblas()
+        set_local = None if binding is None else binding.set_num_threads_local
+        offload: dict[str, NinfExecutable] = {}
+        for name in self.registry.names():
+            executable = self.registry.get(name)
+            kernel = getattr(executable.func, "blas_kernel", False)
+            if kernel and set_local is not None:
+                self._placed[name] = _CappedExecutable(
+                    executable, set_local, self._pes_claimed(executable))
+            elif kernel or executable.signature.calc_order:
+                offload[name] = executable
         if offload:
             self._workers = WorkerPool(offload, self._worker_deaths)
-            # A worker's BLAS pool gets the PEs its call claims.
-            self._in_workers = {
-                name: WorkerExecutable(executable, self._workers,
-                                       self._pes_claimed(executable))
-                for name, executable in offload.items()}
+            for name, executable in offload.items():
+                self._placed[name] = WorkerExecutable(
+                    executable, self._workers, self._pes_claimed(executable))
         self.executor = Executor(num_pes=self.num_pes, policy=self.policy,
                                  metrics=self.metrics,
                                  max_queued=self.max_queued)
@@ -194,7 +204,8 @@ class NinfRpcServices:
             self.executor.shutdown()
         if self._workers is not None:
             self._workers.close()
-            self._workers, self._in_workers = None, {}
+            self._workers = None
+        self._placed = {}
 
     # -- load accounting (Unix-style 1-minute EWMA) --------------------------
 
@@ -270,7 +281,7 @@ class NinfRpcServices:
         the function up, unmarshal, size the PE claim, pin the deadline.
         ``None``: the call was refused and answered."""
         header, args_payload = unpack(MessageType.CALL, payload)
-        executable = (self._in_workers.get(header.function)
+        executable = (self._placed.get(header.function)
                       or self.registry.get(header.function))
         if executable is None:
             conn.send_error("no-such-function",
@@ -514,6 +525,45 @@ class NinfRpcServices:
             conn.send_error(result.code, result.message)
         else:
             conn.send(MessageType.RESULT, result)
+
+
+class _CappedExecutable(NinfExecutable):
+    """``executable`` as the executor sees it when it is a BLAS kernel
+    (:func:`~repro.libs.openblas.blas_kernel`): :meth:`invoke` runs on
+    the PE thread with the BLAS count at ``threads``.  On the pthreads
+    OpenBLAS of NumPy's wheels the "local" setter sets the process's
+    count, so the count is held, not set per call: the first of
+    overlapping calls keeps the count it replaced, and the last one out
+    puts it back.  A server's kernels all claim the same PEs (the mode
+    decides), so overlapping calls agree on the cap."""
+
+    _lock = threading.Lock()
+    _running = 0   # GUARDED_BY(_lock)
+    _replaced = 0  # GUARDED_BY(_lock)
+
+    def __init__(self, executable: NinfExecutable,
+                 set_local: Callable[[int], int], threads: int) -> None:
+        super().__init__(executable.signature, executable.func,
+                         pes_required=executable.pes_required)
+        self._set_local, self._threads = set_local, threads
+
+    def invoke(self, values: Sequence[Any],
+               callback: Optional[Callable[[float, str], None]] = None
+               ) -> list[Any]:
+        """:meth:`NinfExecutable.invoke` under the cap."""
+        held = _CappedExecutable
+        with held._lock:
+            replaced = self._set_local(self._threads)
+            if held._running == 0:
+                held._replaced = replaced
+            held._running += 1
+        try:
+            return super().invoke(values, callback)
+        finally:
+            with held._lock:
+                held._running -= 1
+                if held._running == 0:
+                    self._set_local(held._replaced)
 
 
 def _error_reply(error: BaseException) -> ErrorReply:

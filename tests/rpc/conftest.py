@@ -22,6 +22,7 @@ from repro.client import AsyncNinfClient, NinfClient, NinfFuture
 from repro.libs.ep import ep_kernel
 from repro.libs.linpack import dmmul as dmmul_impl
 from repro.libs.linpack import linpack_solve
+from repro.libs.openblas import blas_kernel
 from repro.server import AsyncNinfServer, NinfServer, Registry
 from repro.transport import LoopThread
 
@@ -55,10 +56,12 @@ FAIL_IDL = 'Define always_fails(mode_in int n) "raises on purpose";'
 SLEEP_IDL = 'Define sleeper(mode_in double seconds) "sleeps";'
 
 
+@blas_kernel
 def _dmmul(n, a, b, c):
     dmmul_impl(int(n), a, b, c)
 
 
+@blas_kernel
 def _linpack(n, a, b):
     linpack_solve(a, b)
 

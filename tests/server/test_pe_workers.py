@@ -1,5 +1,6 @@
 """An executable that declares a ``CalcOrder`` runs in a PE worker
-process (``repro.server.peworkers``); the rest run on the PE thread."""
+process (``repro.server.peworkers``), unless it is a BLAS kernel, which
+runs capped on its PE thread; the rest run on the PE thread."""
 
 import glob
 import os
@@ -15,13 +16,13 @@ from repro.client import NinfClient
 from repro.client.core import _CallPayload
 from repro.idl import Signature
 from repro.libs.linpack import linpack_matgen, linpack_residual, linpack_solve
+from repro.libs.openblas import blas_kernel, blas_threads
 from repro.obs import names
 from repro.protocol import RemoteError
 from repro.protocol.messages import MessageType, unpack
-from repro.server import AsyncNinfServer, NinfServer, Registry
-from repro.server.peworkers import blas_threads
+from repro.server import AsyncNinfServer, NinfServer, Registry, services
 from repro.transport import connect
-from tests.rpc.conftest import LINPACK_IDL, _linpack
+from tests.rpc.conftest import DMMUL_IDL, LINPACK_IDL, _dmmul, _linpack
 from tests.rpc.test_async_close import wait_until
 
 PID_IDL = ('Define whoami(mode_in double nap, mode_out long pid) '
@@ -30,6 +31,13 @@ BLAS_IDL = ('Define blas(mode_in int n, mode_out int threads) '
             '"its BLAS pool" CalcOrder "n" Calls "C" blas(n, threads);')
 FAIL_IDL = 'Define {name}(mode_in int n) "fails" {order} Calls "C" f(n);'
 NOOP_IDL = 'Define noop(mode_in int x, mode_out int y) "y = x + 1";'
+WHERE_IDL = ('Define linpack_where(mode_in int n, mode_inout double A[n][n], '
+             'mode_inout double b[n], mode_out long pid, mode_out int threads)'
+             ' "linpack, and where it ran" CalcOrder "2*n*n*n/3" '
+             'Calls "C" linpack_where(n, A, b, pid, threads);')
+HERE_IDL = ('Define threads_here(mode_out int threads) "the BLAS count of '
+            'a PE thread";')
+RAISES_IDL = 'Define raises(mode_in int n) "a kernel that fails";'
 SERVERS = [NinfServer, AsyncNinfServer]
 
 
@@ -41,6 +49,25 @@ def whoami(nap, pid, ninf_callback):
 
 def fails(n):
     return 1 // int(n)
+
+
+def _can_cap():
+    """NumPy's BLAS can cap a PE thread, so BLAS kernels run on one."""
+    binding = services.openblas()
+    return binding is not None and binding.set_num_threads_local is not None
+
+
+def linpack_where(meet=None):
+    """A BLAS kernel that solves as ``linpack`` does, then reports the
+    pid it ran in and the BLAS count it ran under; with ``meet``, it
+    waits there until every call it is made for is inside."""
+    @blas_kernel
+    def kernel(n, a, b, pid, threads):
+        if meet is not None:
+            meet.wait()
+        _linpack(n, a, b)
+        return a, b, os.getpid(), blas_threads()
+    return kernel
 
 
 def build_registry(ran_on=None):
@@ -58,6 +85,7 @@ def build_registry(ran_on=None):
 
     registry.register(NOOP_IDL, noop)
     registry.register(LINPACK_IDL, _linpack)
+    registry.register(WHERE_IDL, linpack_where())
     return registry
 
 
@@ -177,21 +205,100 @@ def test_a_worker_caps_blas_to_the_pes_its_call_claimed(mode, expected):
 
 @pytest.mark.parametrize("server_cls", SERVERS)
 @pytest.mark.parametrize("mode, threads", [("task", 1), ("data", 2)])
-def test_linpack_round_trips_through_a_worker(server_cls, mode, threads):
-    """The registered LU runs in the worker under the call's BLAS cap and
-    returns what a local solve returns."""
+def test_linpack_round_trips_on_its_pe_thread(server_cls, mode, threads):
+    """A BLAS kernel runs in the server's own process under the call's
+    BLAS cap, read from inside the kernel, and returns what a local
+    solve returns."""
     a, b = linpack_matgen(200)
     local_a = a.copy()
     linpack_solve(local_a, b.copy())
     with server_cls(build_registry(), num_pes=2, mode=mode) as server:
         with NinfClient(*server.address) as client:
-            lu, x = client.call("linpack", 200, a.copy(), b.copy())
-            # The same (idle, last checked-in) worker answers this one.
-            (cap,) = client.call("blas", 1, None)
+            lu, x, pid, cap = client.call("linpack_where", 200, a.copy(),
+                                          b.copy(), None, None)
+            registered_lu, _ = client.call("linpack", 200, a.copy(),
+                                           b.copy())
         assert deaths(server) == 0
+    assert (pid == os.getpid()) is _can_cap()
     assert linpack_residual(a, x, b) < 16
     np.testing.assert_allclose(lu, local_a, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(registered_lu, lu)
     assert cap == (None if blas_threads() is None else threads)
+
+
+def test_two_overlapping_kernels_compute_at_once_in_the_server():
+    """Two task-mode calls on two PEs are inside the kernel together,
+    in the server's pid, each capped at one BLAS thread; the count the
+    first replaced is back once both are out, whichever leaves last
+    (four rounds, so both orders are likely to be seen)."""
+    if not _can_cap():
+        pytest.skip("NumPy's BLAS cannot cap a PE thread here")
+    default = blas_threads()
+    a, b = linpack_matgen(200)
+    local_a = a.copy()
+    linpack_solve(local_a, b.copy())
+    registry = Registry()
+    registry.register(WHERE_IDL.replace("linpack_where", "linpack"),
+                      linpack_where(threading.Barrier(2, timeout=30.0)))
+    with NinfServer(registry, num_pes=2) as server:
+        with NinfClient(*server.address) as client:
+            both = [client.call_async("linpack", 200, a.copy(), b.copy(),
+                                      None, None) for _ in range(8)]
+            results = [future.result(timeout=60.0) for future in both]
+    for lu, x, pid, cap in results:
+        assert (pid, cap) == (os.getpid(), 1)
+        assert linpack_residual(a, x, b) < 16
+        np.testing.assert_allclose(lu, local_a, rtol=0, atol=1e-10)
+    assert blas_threads() == default
+
+
+def test_the_next_call_on_a_pe_thread_reads_the_default_count():
+    """The cap ends with the kernel's call, also when the kernel raised:
+    an unmarked executable on the same (only) PE thread reads the
+    process default."""
+    if not _can_cap():
+        pytest.skip("NumPy's BLAS cannot cap a PE thread here")
+    default = blas_threads()
+    registry = build_registry()
+    registry.register(HERE_IDL, lambda threads: blas_threads())
+    registry.register(RAISES_IDL, blas_kernel(lambda n: fails(n)))
+    with NinfServer(registry, num_pes=1) as server:
+        with NinfClient(*server.address) as client:
+            (_, _, _, cap) = client.call("linpack_where", 50,
+                                         *linpack_matgen(50), None, None)
+            assert client.call("threads_here", None) == [default]
+            with pytest.raises(RemoteError):
+                client.call("raises", 0)
+            assert client.call("threads_here", None) == [default]
+    assert cap == 1
+
+
+def test_a_kernel_without_a_local_setter_runs_in_a_worker(monkeypatch):
+    binding = services.openblas()
+    if binding is not None:
+        monkeypatch.setattr(services, "openblas", lambda: binding._replace(
+            set_num_threads_local=None))
+    with NinfServer(build_registry(), num_pes=1) as server:
+        with NinfClient(*server.address) as client:
+            a, b = linpack_matgen(50)
+            _, x, pid, _ = client.call("linpack_where", 50, a.copy(),
+                                       b.copy(), None, None)
+    assert pid != os.getpid()
+    assert linpack_residual(a, x, b) < 16
+
+
+def test_a_registry_of_blas_kernels_forks_no_helper():
+    if not _can_cap():
+        pytest.skip("NumPy's BLAS cannot cap a PE thread here")
+    registry = Registry()
+    registry.register(LINPACK_IDL, _linpack)
+    registry.register(DMMUL_IDL, _dmmul)
+    before = _children()
+    with NinfServer(registry, num_pes=2) as server:
+        with NinfClient(*server.address) as client:
+            (c,) = client.call("dmmul", 4, np.eye(4), np.eye(4), None)
+            assert _children() == before
+    np.testing.assert_array_equal(c, np.eye(4))
 
 
 def test_an_executables_exception_reads_as_it_does_on_a_pe_thread():
