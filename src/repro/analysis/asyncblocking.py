@@ -87,6 +87,8 @@ BLOCKING_PROJECT: dict[str, str] = {
     "repro.transport.shm.ShmRing.write": "shm ring spin-wait",
     "repro.transport.shm.ShmRing.read_into": "shm ring spin-wait",
     "repro.transport.shm.ShmRing.read_exact": "shm ring spin-wait",
+    "repro.transport.shm.ShmRing.write_array": "shm ring spin-wait",
+    "repro.transport.shm.ShmRing.read_array": "shm ring spin-wait",
     "repro.transport.shm.ShmRing._wait": "shm ring spin-wait",
     "repro.transport.shm.ShmTransport.send_frame": "shm frame write",
     "repro.transport.shm.ShmTransport.recv_frame": "shm frame read",

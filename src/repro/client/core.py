@@ -54,6 +54,7 @@ from repro.protocol.messages import (
 )
 from repro.transport.retry import RetryPolicy, is_transient
 from repro.xdr import XdrEncoder
+from repro.xdr.bulk import Payload
 
 __all__ = ["CallRecord", "Checkout", "ClientState", "DetachedCall",
            "Exchange", "Recv", "Send", "Sleep"]
@@ -110,8 +111,12 @@ class _CallPayload:
     the arguments are packed straight into the payload's opaque tail
     (reserved once, filled in place), never built apart and copied in,
     and attempts differ only in ``attempt``/``budget``, which
-    :meth:`stamp` rewrites in place.  Argument errors raise here, before
-    any dial.  Stamp only between sends (DESIGN.md §3.1)."""
+    :meth:`stamp` rewrites in place.  Bulk arrays stay unwritten, held
+    by reference as the payload's regions: a ring attempt converts them
+    straight from the caller's arrays, a socket attempt flattens the
+    payload once and every later attempt reuses those bytes.  Argument
+    errors raise here, before any dial.  Stamp only between sends
+    (DESIGN.md §3.1)."""
 
     args_bytes: int     #: size of the marshalled argument block
     _header_end: int    #: offset of the args length word: the header's end
@@ -130,15 +135,17 @@ class _CallPayload:
         self._attempts = itertools.count(1)
 
     def stamp(self, deadline: Optional[float],
-              clock: Callable[[], float]) -> memoryview:
+              clock: Callable[[], float]) -> memoryview | Payload:
         """The next attempt's payload: attempt number advanced, budget
         recomputed as what is left until ``deadline`` now."""
         remaining = (0.0 if deadline is None
                      else max(0.001, deadline - clock()))
         tail = CALL_HEADER.tail     # attempt + budget, as they sit on the wire
-        tail.pack_into(self._payload, self._header_end - tail.size,
+        payload = self._payload
+        tail.pack_into(payload.head if isinstance(payload, Payload)
+                       else payload, self._header_end - tail.size,
                        next(self._attempts), remaining)
-        return self._payload
+        return payload
 
 
 @dataclass(frozen=True)

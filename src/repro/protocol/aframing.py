@@ -33,6 +33,7 @@ from typing import Callable, Optional, TypeVar, Union, cast
 from repro.protocol.errors import ConnectionClosed, ProtocolError, TimeoutError
 from repro.protocol.framing import BytesLike, FrameReader, \
     crc_covers_payload, encode_header
+from repro.xdr import bulk
 
 __all__ = ["FrameStream"]
 
@@ -196,12 +197,15 @@ class FrameStream(asyncio.BufferedProtocol):
                           timeout: Optional[float] = None) -> None:
         """Write one frame; raises ProtocolError on oversize payloads.
 
-        ``payload`` may be any bytes-like object; header and payload are
-        handed to the transport as two writes, never concatenated.
+        ``payload`` may be any bytes-like object, or a
+        :class:`~repro.xdr.bulk.Payload` (flattened once); header and
+        payload are handed to the transport as two writes, never
+        concatenated.
         ``timeout`` bounds the whole write, the wait for transport
         backpressure to clear included; expiry raises
         :class:`~repro.protocol.errors.TimeoutError`.
         """
+        payload = bulk.flat(payload)
         header = encode_header(msg_type, payload,
                                covers_payload=self.covers_payload)
         if timeout is not None and timeout <= 0:

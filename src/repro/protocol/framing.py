@@ -15,9 +15,10 @@ the type and length words:
   shorter than 32 bits) is surfaced as
   :class:`~repro.protocol.errors.ProtocolError` instead of being
   decoded as garbage -- the property the chaos and fuzz suites assert.
-- On a **loopback socket** and on a **shared-memory ring**
-  (:mod:`repro.transport.shm`) the word is :func:`header_crc` itself,
-  and the sender makes no pass over payload bytes.  Loopback bytes are
+- On a **loopback socket** the word is :func:`header_crc` itself, and
+  on a **shared-memory ring** (:mod:`repro.transport.shm`) that CRC
+  folded over the frame's region table; the sender makes no pass over
+  payload bytes.  Loopback bytes are
   copied by the kernel from one socket buffer to another, and ring
   bytes never leave memory both process heaps are equally exposed to:
   neither medium can flip a bit in transit.  Both can lose frame
@@ -29,14 +30,16 @@ address (:func:`crc_covers_payload`).  A socket receiver takes either
 form and tells them apart from the header alone
 (:func:`payload_seed`): a ``crc`` word equal to the header CRC means no
 pass over the payload; any other is compared with the payload folded
-in.  A ring receiver takes the header-only form alone, checked before
-the payload buffer is allocated.
+in.
 
-Every receiver is one :class:`FrameReader`, a sans-IO state machine
-that says where the next bytes go and is told how many landed; the
-blocking socket (:func:`recv_frame`), the event loop
-(:class:`~repro.protocol.aframing.FrameStream`) and the shared-memory
-ring (``ShmTransport.recv_frame``) only move bytes into its buffers.
+Every socket receiver is one :class:`FrameReader`, a sans-IO state
+machine that says where the next bytes go and is told how many landed;
+the blocking socket (:func:`recv_frame`) and the event loop
+(:class:`~repro.protocol.aframing.FrameStream`) only move bytes into its
+buffers.  The ring frame (header, region table, payload, bulk regions)
+is the shared-memory ring's alone, written and read in
+:mod:`repro.transport.shm`; every receiver checks a header's magic and
+length with :func:`parse_header`.
 
 Both :func:`send_frame` and :func:`recv_frame` accept an optional
 ``timeout`` (seconds) covering the *whole* frame, not each ``recv``:
@@ -63,7 +66,8 @@ BytesLike = Union[bytes, bytearray, memoryview]
 
 __all__ = ["FrameReader", "MAGIC", "MAX_FRAME_SIZE", "checksum_mismatch",
            "crc_covers_payload", "encode_frame", "encode_header",
-           "header_crc", "payload_seed", "recv_frame", "send_frame"]
+           "header_crc", "parse_header", "payload_seed", "recv_frame",
+           "send_frame"]
 
 MAGIC = b"NINF"
 HEADER = struct.Struct(">4sIII")
@@ -129,9 +133,11 @@ def encode_header(msg_type: int, payload: BytesLike, *,
     return HEADER.pack(MAGIC, msg_type, length, crc)
 
 
-def encode_frame(msg_type: int, payload: BytesLike = b"", *,
+def encode_frame(msg_type: int,
+                 payload: Union[BytesLike, bulk.Payload] = b"", *,
                  covers_payload: bool = True) -> bytes:
-    """The exact bytes :func:`send_frame` puts on a socket.
+    """The exact bytes :func:`send_frame` puts on a socket (a
+    :class:`~repro.xdr.bulk.Payload` flattened, as there).
 
     Exposed so fault injection (:mod:`repro.transport.faults`) and the
     framing property tests can truncate or corrupt real frames without
@@ -139,6 +145,7 @@ def encode_frame(msg_type: int, payload: BytesLike = b"", *,
     ``ShmTransport.encode_frame``).  This *does* concatenate -- the
     hot paths use :func:`encode_header` plus scatter-gather instead.
     """
+    payload = bulk.flat(payload)
     return encode_header(msg_type, payload,
                          covers_payload=covers_payload) + payload
 
@@ -213,17 +220,21 @@ class _DeadlineSocket:
         self.sendall(memoryview(payload)[sent - len(header):], what)
 
 
-def send_frame(sock: socket.socket, msg_type: int, payload: BytesLike = b"",
+def send_frame(sock: socket.socket, msg_type: int,
+               payload: Union[BytesLike, bulk.Payload] = b"",
                timeout: Optional[float] = None, *,
                covers_payload: bool = True) -> None:
     """Write one frame; raises ProtocolError on oversize payloads.
 
-    ``payload`` may be any bytes-like object; header and payload go out
-    as one scatter-gather write (``sendmsg``), so the frame is never
-    concatenated in user space.  ``timeout`` bounds the whole write;
-    expiry raises :class:`~repro.protocol.errors.TimeoutError`.
-    ``covers_payload`` is the connection's :func:`crc_covers_payload`.
+    ``payload`` may be any bytes-like object, or a
+    :class:`~repro.xdr.bulk.Payload`, which is flattened (once: it keeps
+    its wire bytes); header and payload go out as one scatter-gather
+    write (``sendmsg``), so the frame is never concatenated in user
+    space.  ``timeout`` bounds the whole write; expiry raises
+    :class:`~repro.protocol.errors.TimeoutError`.  ``covers_payload`` is
+    the connection's :func:`crc_covers_payload`.
     """
+    payload = bulk.flat(payload)
     header = encode_header(msg_type, payload, covers_payload=covers_payload)
     with _DeadlineSocket(sock, timeout) as guarded:
         if not len(payload):
@@ -240,30 +251,37 @@ def checksum_mismatch(msg_type: int, length: int) -> ProtocolError:
                          f"({length}-byte payload)")
 
 
+def parse_header(header: BytesLike) -> tuple[int, int, int]:
+    """``(msg_type, length, crc)`` of a 16-byte header whose magic and
+    length every receiver checks before anything is sized by it."""
+    magic, msg_type, length, crc = HEADER.unpack(header)
+    if magic != MAGIC:
+        raise ProtocolError(f"bad frame magic {magic!r}")
+    if length > MAX_FRAME_SIZE:
+        raise ProtocolError(f"implausible frame length {length}")
+    return msg_type, length, crc
+
+
 class FrameReader:
-    """The receive side of the frame format, without I/O.
+    """The receive side of the socket frame format, without I/O.
 
     :meth:`buffer` is where the next bytes go -- the rest of the 16-byte
     header, then the rest of the frame's own payload buffer
     (``bulk.room``, handed to the caller once full); :meth:`advance` is
     told how many landed and returns ``(msg_type, payload)`` once a
     frame is complete.  Magic and length are checked before anything
-    sized by the peer is allocated.  ``payload_checked`` is the
-    medium's: a socket (True) takes either ``crc`` form
-    (:func:`payload_seed`), folding a payload-covering frame's payload
-    in chunk by chunk as it lands; a ring (False) takes the header-only
-    form alone, refusing any other before the payload buffer exists.
-    A checksum mismatch raises after the reader has reset, so the next
-    frame is readable; a desync -- bad magic, an implausible length, a
-    refused ring header -- raises mid-frame (:attr:`at_boundary`
-    False), and nothing after it can be parsed.
+    sized by the peer is allocated.  Either ``crc`` form is taken
+    (:func:`payload_seed`), a payload-covering frame's payload folded in
+    chunk by chunk as it lands.  A checksum mismatch raises after the
+    reader has reset, so the next frame is readable; a desync -- bad
+    magic, an implausible length -- raises mid-frame
+    (:attr:`at_boundary` False), and nothing after it can be parsed.
     """
 
-    __slots__ = ("payload_checked", "_header", "_target", "_got",
-                 "_msg_type", "_crc_want", "_crc")
+    __slots__ = ("_header", "_target", "_got", "_msg_type", "_crc_want",
+                 "_crc")
 
-    def __init__(self, payload_checked: bool = True) -> None:
-        self.payload_checked = payload_checked
+    def __init__(self) -> None:
         # Bytes land in _header, then in the frame's own payload buffer:
         # _target is the one being filled, _got counts into it.
         self._target = self._header = bulk.room(HEADER.size)
@@ -299,15 +317,9 @@ class FrameReader:
         if payload is self._header:
             if end < HEADER.size:
                 return None
-            magic, msg_type, length, crc = HEADER.unpack(payload)
-            if magic != MAGIC:
-                raise ProtocolError(f"bad frame magic {magic!r}")
-            if length > MAX_FRAME_SIZE:
-                raise ProtocolError(f"implausible frame length {length}")
-            seed = payload_seed(msg_type, length, crc)
-            if seed is not None and not self.payload_checked:
-                raise checksum_mismatch(msg_type, length)
-            self._msg_type, self._crc_want, self._crc = msg_type, crc, seed
+            msg_type, length, crc = parse_header(payload)
+            self._msg_type, self._crc_want = msg_type, crc
+            self._crc = payload_seed(msg_type, length, crc)
             self._target = payload = bulk.room(length)
             self._got = end = 0
         elif self._crc is not None:

@@ -63,12 +63,12 @@ def _pack_block(block: Sequence[tuple[ArgSpec, Any]],
     ``None``), or into a fresh encoder whose bytes come back.  The room
     is announced first (``XdrEncoder.ensure_room``) so the block lands
     in a buffer allocated once at final size; generously, since
-    unwritten room is free."""
+    unwritten room is free.  A bulk region takes no room there."""
     enc = into if into is not None else XdrEncoder()
     room = 0
     for spec, value in block:
         if spec.is_array:
-            room += value.nbytes + 4 * value.ndim + 32
+            room += enc.ndarray_room(value)
         elif isinstance(value, (str, bytes)):
             room += 4 * len(value) + 8
         else:

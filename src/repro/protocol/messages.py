@@ -14,12 +14,13 @@ import enum
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from repro.idl.signature import SIGNATURE
 from repro.protocol.errors import ProtocolError, RemoteError, ServerBusy
 from repro.protocol.framing import BytesLike
 from repro.xdr import XdrDecoder, XdrEncoder
+from repro.xdr.bulk import Payload
 from repro.xdr.record import (Array, Option, Struct, body, bool_, double,
                               double_above, opaque, string, uhyper, uint)
 
@@ -445,12 +446,14 @@ WIRE: dict[int, Struct] = {
 }
 
 
-def pack(op: int, *values: Any) -> memoryview:
+def pack(op: int, *values: Any) -> Union[memoryview, Payload]:
     """The payload of one ``op`` frame from one value per declared
-    field, as a view of a private buffer (nothing else holds it)."""
+    field, as a view of a private buffer (nothing else holds it) -- or,
+    when it carries bulk regions, as a :class:`~repro.xdr.bulk.Payload`
+    holding their arrays by reference (``XdrEncoder.payload``)."""
     enc = XdrEncoder()
     WIRE[op].pack(enc, values)
-    return enc.getbuffer()
+    return enc.payload()
 
 
 def unpack(op: int, payload: BytesLike) -> tuple[Any, ...]:
@@ -459,8 +462,7 @@ def unpack(op: int, payload: BytesLike) -> tuple[Any, ...]:
     declaration = WIRE[op]
     dec = XdrDecoder(payload)
     values: tuple[Any, ...] = declaration.unpack(dec)
-    if declaration.strict:
-        dec.done()
+    dec.done(strict=declaration.strict)
     return values
 
 

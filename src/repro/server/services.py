@@ -41,7 +41,7 @@ from repro.server.peworkers import WorkerExecutable, WorkerLost, WorkerPool
 from repro.server.registry import NinfExecutable, Registry
 from repro.server.scheduling import SchedulingPolicy, make_policy
 from repro.transport import Connection
-from repro.xdr import XdrEncoder, XdrError
+from repro.xdr import XdrEncoder, XdrError, bulk
 
 __all__ = ["NinfRpcServices"]
 
@@ -574,11 +574,13 @@ def _error_reply(error: BaseException) -> ErrorReply:
 
 
 def _result_payload(reply_id: int, executable: NinfExecutable,
-                    job: Job) -> tuple[memoryview, int]:
+                    job: Job) -> tuple[memoryview | bulk.Payload, int]:
     """A finished job's RESULT payload and the size of its output block.
     The outputs are marshalled straight into the payload (its opaque
-    tail is reserved once and filled in place), so a large result array
-    is written once -- no separate block to re-copy."""
+    tail is reserved once and filled in place), and a bulk output is
+    converted once, into the payload's flat bytes: the dedup cache keeps
+    those bytes, not the executable's arrays, and a ring copies them
+    where the region table places them."""
     out_len = 0
 
     def fill(enc: XdrEncoder) -> None:
@@ -589,6 +591,7 @@ def _result_payload(reply_id: int, executable: NinfExecutable,
         out_len = len(enc) - start
 
     reply = pack(MessageType.RESULT, reply_id, job.timestamps(), fill)
+    bulk.flat(reply)
     return reply, out_len
 
 

@@ -41,9 +41,9 @@ abstractions:
   path.  A dialing channel that believes it shares a machine with the
   server offers ``SHM_HELLO`` over TCP; on agreement both sides attach
   a ring pair in place (``Channel.attach_io``) and frames -- same
-  ``MAGIC|type|len|crc`` header, its ``crc`` word covering the header
-  only, received by the same ``framing.FrameReader`` -- flow through
-  shared memory while the socket stays open purely as the
+  ``MAGIC|type|len|crc`` header, then a table of the payload's bulk
+  regions, the ``crc`` word covering header and table only -- flow
+  through shared memory while the socket stays open purely as the
   liveness/close signal.
   Negotiation policy is a tri-state ``shm`` flag on ``connect``,
   ``ConnectionPool`` and ``Endpoint``: ``False`` = never, ``True`` =

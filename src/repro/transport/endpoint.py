@@ -366,8 +366,10 @@ class Endpoint(EndpointCore):
             return
         # Clamp the client's hint: tiny rings would deadlock-prone-poll,
         # huge ones would exhaust /dev/shm (often small in containers).
+        # Round down to the ring frame's alignment.
         capacity = max(1 << 12, min(hint or shm_mod.DEFAULT_CAPACITY,
                                     1 << 24))
+        capacity -= capacity % shm_mod.RING_ALIGN
         rings: list[shm_mod.ShmRing] = []
         try:
             for _ in ("client->server", "server->client"):
@@ -383,10 +385,16 @@ class Endpoint(EndpointCore):
         # Reply over TCP first, then attach: the next frame the client
         # sends after reading the reply already arrives via the ring.
         # On the channel itself: a failed advertisement must raise and
-        # end the connection before anything is attached.
-        channel.send(MessageType.SHM_HELLO_REPLY,
-                     pack(MessageType.SHM_HELLO_REPLY, c2s.name, s2c.name,
-                          capacity, shm_mod.RING_FORMAT))
+        # end the connection before anything is attached -- and take
+        # both segments with it.
+        try:
+            channel.send(MessageType.SHM_HELLO_REPLY,
+                         pack(MessageType.SHM_HELLO_REPLY, c2s.name,
+                              s2c.name, capacity, shm_mod.RING_FORMAT))
+        except BaseException:
+            c2s.close()
+            s2c.close()
+            raise
         channel.attach_io(
             shm_mod.ShmTransport(send_ring=s2c, recv_ring=c2s))
         self._shm_upgrades.inc()

@@ -47,6 +47,7 @@ import random
 import socket
 import threading
 import time
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -470,17 +471,20 @@ def _corrupt(frame: bytes, ratio: float) -> bytes:
     """Flip one byte of ``frame`` where its receiver's check looks,
     never in the magic or length fields.
 
-    Whether the ``crc`` word covers the payload is read off the frame
-    the way every receiver reads it (``framing.payload_seed``).  If it
-    does, a payload byte is flipped.  If not -- a ring's or a loopback
-    socket's frame, or any payload-less one -- the byte is one of the
-    eight in the ``type`` and ``crc`` words.  Either way the receiver's
-    checksum verification fails deterministically (magic and length are
-    left intact so the receiver reads exactly this frame and cannot
-    mis-frame the stream).
+    Whether the ``crc`` word covers the payload is read off the frame:
+    it does when the payload folded into the header CRC
+    (``framing.payload_seed``) gives the ``crc`` word.  If it does, a
+    payload byte is flipped.  If not -- a ring's frame, whose word
+    covers its region table, a loopback socket's, or any payload-less
+    one -- the byte is one of the eight in the ``type`` and ``crc``
+    words.  Either way the receiver's checksum verification fails
+    deterministically (magic and length are left intact so the receiver
+    reads exactly this frame and cannot mis-frame the stream).
     """
     _magic, msg_type, length, crc = HEADER.unpack_from(frame)
-    if payload_seed(msg_type, length, crc) is None:
+    seed = payload_seed(msg_type, length, crc)
+    if seed is None or zlib.crc32(
+            frame[HEADER.size:HEADER.size + length], seed) != crc:
         index = (4, 5, 6, 7, 12, 13, 14, 15)[int(ratio * 8)]
     else:
         index = HEADER.size + int(ratio * (len(frame) - HEADER.size))

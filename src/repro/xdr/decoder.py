@@ -8,12 +8,20 @@ vectorized byteswap that builds the final native-order container (see
 the same property to nested payloads: a CALL body can be unmarshalled
 straight out of the enclosing frame without materialising an
 intermediate ``bytes``.
+
+A :class:`~repro.xdr.bulk.Payload` a ring reader built carries its bulk
+regions as native arrays already converted: :meth:`XdrDecoder.unpack_ndarray`
+takes a region's array when the array's data starts the region, and no
+byte of a region is ever read as XDR -- a read that runs into one, a
+region whose size or dtype disagrees with its array header, or a decode
+that ends with one unread raises :class:`XdrError`.  Positions are wire
+offsets throughout, regions included.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
@@ -43,8 +51,21 @@ class XdrDecoder:
     """
 
     def __init__(self, data):
+        regions: tuple[bulk.Region, ...] = ()
+        if isinstance(data, bulk.Payload):
+            if data.received and data.rest is not None:
+                regions, data = data.regions, data.rest
+            else:
+                data = data.flat()
         self._data = memoryview(data)
-        self._pos = 0
+        self._length = len(self._data)
+        if regions:
+            self._length += sum(region.nbytes for region in regions)
+        self._pos = 0           # wire offset
+        self._regions = regions
+        self._next = 0          # the next region not yet taken
+        self._skipped = 0       # region bytes before ``_pos``
+        self._stop = regions[0].offset if regions else self._length
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -54,26 +75,82 @@ class XdrDecoder:
 
     @property
     def remaining(self) -> int:
-        return len(self._data) - self._pos
+        return self._length - self._pos
 
-    def done(self) -> None:
-        """Assert the buffer is fully consumed (trailing bytes = protocol bug)."""
-        if self._pos != len(self._data):
+    def done(self, strict: bool = True) -> None:
+        """Assert the buffer is fully consumed (trailing bytes = protocol
+        bug); with ``strict`` False trailing bytes are ignored, but not
+        an unread bulk region."""
+        if strict and self._pos != self._length:
             raise XdrError(
-                f"unconsumed XDR data: {len(self._data) - self._pos} bytes left"
+                f"unconsumed XDR data: {self._length - self._pos} bytes left"
             )
+        if self._next < len(self._regions):
+            raise XdrError(f"bulk region at offset {self._stop} left unread")
+
+    def _advance_to(self, pos: int, skipped: int, taken: int) -> None:
+        """Move past ``taken`` more regions, ``skipped`` bytes of them,
+        to wire offset ``pos``."""
+        self._pos = pos
+        self._skipped += skipped
+        self._next += taken
+        self._stop = (self._regions[self._next].offset
+                      if self._next < len(self._regions) else self._length)
+
+    def _overrun(self, n: int) -> XdrError:
+        if self._next < len(self._regions):
+            return XdrError(f"{n} bytes at offset {self._pos} run into the "
+                            f"bulk region at offset {self._stop}")
+        return XdrError(
+            f"truncated XDR data: need {n} bytes at offset {self._pos}, "
+            f"have {self._length - self._pos}"
+        )
 
     def _take(self, n: int) -> memoryview:
         if n < 0 or n > MAX_REASONABLE_LENGTH:
             raise XdrError(f"implausible XDR length {n}")
-        if self._pos + n > len(self._data):
-            raise XdrError(
-                f"truncated XDR data: need {n} bytes at offset {self._pos}, "
-                f"have {len(self._data) - self._pos}"
-            )
-        view = self._data[self._pos : self._pos + n]
-        self._pos += n
+        pos = self._pos
+        if pos + n > self._stop:
+            raise self._overrun(n)
+        at = pos - self._skipped
+        view = self._data[at : at + n]
+        self._pos = pos + n
         return view
+
+    def _take_region(self, nbytes: int, wire: str):
+        """The array of the region starting here, if one does, after
+        checking it is the ``nbytes`` of ``wire`` its header announced."""
+        if self._pos != self._stop or self._next == len(self._regions):
+            return None
+        region = self._regions[self._next]
+        if (region.nbytes, region.wire) != (nbytes, wire):
+            raise XdrError(
+                f"bulk region at offset {region.offset} holds "
+                f"{region.nbytes} bytes of {region.wire}, its array header "
+                f"says {nbytes} of {wire}")
+        self._advance_to(self._pos + nbytes, nbytes, 1)
+        return region.array
+
+    def _window(self, n: int) -> bulk.Payload:
+        """The next ``n`` bytes as a payload of their own, taking the
+        regions inside them along; one that straddles the end is an
+        error."""
+        start, end = self._pos, self._pos + n
+        if n > MAX_REASONABLE_LENGTH or end > self._length:
+            raise self._overrun(n)
+        inside = []
+        for region in self._regions[self._next:]:
+            if region.offset >= end:
+                break
+            if region.offset + region.nbytes > end:
+                raise XdrError(f"bulk region at offset {region.offset} "
+                               f"runs past an opaque ending at {end}")
+            inside.append(region._replace(offset=region.offset - start))
+        skipped = sum(region.nbytes for region in inside)
+        at = start - self._skipped
+        rest = self._data[at : at + n - skipped]
+        self._advance_to(end, skipped, len(inside))
+        return bulk.Payload(rest, inside, n, received=True)
 
     def _skip_pad(self, n: int) -> None:
         pad = (4 - n % 4) % 4
@@ -139,7 +216,7 @@ class XdrDecoder:
         n = self.unpack_uint()
         return self.unpack_fopaque(n)
 
-    def unpack_opaque_view(self) -> memoryview:
+    def unpack_opaque_view(self) -> Union[memoryview, bulk.Payload]:
         """Variable-length opaque as a zero-copy window.
 
         Same wire position advance as :meth:`unpack_opaque`, but the
@@ -148,10 +225,14 @@ class XdrDecoder:
         buffer is alive; callers that keep the payload past the frame's
         lifetime must ``bytes()`` it themselves.  This is the seam the
         CALL/RESULT paths use to unmarshal nested argument blocks
-        in place.
+        in place.  An opaque holding bulk regions comes back as a
+        :class:`~repro.xdr.bulk.Payload` window that holds them.
         """
         n = self.unpack_uint()
-        view = self._take(n)
+        if self._pos + n <= self._stop:
+            view = self._take(n)
+        else:   # a region inside, or too few bytes: _window tells which
+            view = self._window(n)
         self._skip_pad(n)
         return view
 
@@ -195,9 +276,11 @@ class XdrDecoder:
                 f"ndarray payload size mismatch: header says {nbytes}, "
                 f"shape {shape} of {wire} needs {expected}"
             )
-        payload = self._take(nbytes)
+        array = self._take_region(nbytes, wire)
+        if array is None:
+            array = bulk.unpack_array(self._take(nbytes), wire, native)
         self._skip_pad(nbytes)
-        return bulk.unpack_array(payload, wire, native).reshape(shape)
+        return array.reshape(shape)
 
     def unpack_double_array(self):
         """Variable array of doubles via the bulk vectorized path, as

@@ -19,12 +19,20 @@ from ``bulk.UNZEROED_MIN`` up, so the encoder writes every byte below
 the cursor itself: padding and reserved words as zeros, bulk arrays by
 the one pass that converts them.  A caller that announces its size
 (:meth:`XdrEncoder.ensure_room`) gets a payload touched exactly once.
+
+An array of ``bulk.REGION_MIN`` bytes and up is not converted here: the
+encoder records it as a region of the payload (its wire offset, the
+array, the wire dtype) and neither writes nor allocates its bytes, so
+the buffer holds only the bytes around it and ``len(enc)`` counts both.
+:meth:`XdrEncoder.payload` hands the message on with its regions apart
+(a ring converts them straight into ring memory); :meth:`getbuffer`
+and :meth:`getvalue` give the wire bytes, converting each region then.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -53,17 +61,10 @@ _INITIAL_ROOM = 128
 #: ``_ZEROS[n].pack_into(buf, at)`` writes n <= 4 zeros, cheaper than a slice.
 _ZEROS = tuple(struct.Struct(f">{n}x") for n in range(5))
 
-# dtype -> (XDR type code used by the Ninf protocol, big-endian numpy dtype)
-NUMPY_WIRE_DTYPES = {
-    np.dtype(np.int32): ">i4",
-    np.dtype(np.uint32): ">u4",
-    np.dtype(np.int64): ">i8",
-    np.dtype(np.uint64): ">u8",
-    np.dtype(np.float32): ">f4",
-    np.dtype(np.float64): ">f8",
-    np.dtype(np.complex64): ">c8",
-    np.dtype(np.complex128): ">c16",
-}
+#: Native dtype -> the big-endian wire dtype it travels as, one per
+#: :data:`bulk.WIRE_DTYPES` entry, in that order.
+NUMPY_WIRE_DTYPES = {np.dtype(wire).newbyteorder("="): wire
+                     for wire in bulk.WIRE_DTYPES}
 
 
 class XdrEncoder:
@@ -78,8 +79,11 @@ class XdrEncoder:
 
     def __init__(self) -> None:
         # ``_buf`` is capacity (unset past ``_len``); ``_len`` is the cursor.
+        # Offsets into ``_buf`` skip the regions: ``_gap`` bytes of them.
         self._buf = bulk.room(_INITIAL_ROOM)
         self._len = 0
+        self._regions: list[bulk.Region] = []
+        self._gap = 0
 
     # -- plumbing ------------------------------------------------------------
 
@@ -147,23 +151,47 @@ class XdrEncoder:
         return bytes(self.getbuffer())
 
     def getbuffer(self) -> memoryview:
-        """Zero-copy view of the encoded bytes.
+        """Zero-copy view of the encoded bytes, once there are no
+        regions; with regions, a view of the wire bytes they are
+        converted into now.
 
         The view aliases the live buffer: bytes packed later are not
         part of it (and land in a different buffer if the encoder has
         to grow), so take it last -- the pattern the framing layer uses
         is encode-everything, then
-        ``channel.send(msg_type, enc.getbuffer())``.
+        ``channel.send(msg_type, enc.payload())``.
         """
-        return memoryview(self._buf)[:self._len]
+        return memoryview(bulk.flat(self.payload()))
+
+    def payload(self) -> Union[memoryview, bulk.Payload]:
+        """What was encoded, as a medium takes it: :meth:`getbuffer`'s
+        view when there are no regions, else a :class:`bulk.Payload`
+        over that buffer holding the region arrays by reference."""
+        view = memoryview(self._buf)[:self._len]
+        if not self._regions:
+            return view
+        return bulk.Payload(view, self._regions, len(self))
 
     def __len__(self) -> int:
-        return self._len
+        """Bytes encoded so far, on the wire: regions included."""
+        return self._len + self._gap
 
     def reset(self) -> None:
         """Discard everything encoded so far."""
         self._buf = bulk.room(_INITIAL_ROOM)
         self._len = 0
+        self._regions = []
+        self._gap = 0
+
+    def _wire_offset(self, offset: int) -> int:
+        """The wire offset of buffer ``offset``: it plus the regions
+        recorded before it."""
+        skipped = 0
+        for region in self._regions:
+            if region.offset - skipped > offset:
+                break
+            skipped += region.nbytes
+        return offset + skipped
 
     def patch_uint(self, offset: int, value: int) -> None:
         """Overwrite 4 bytes at ``offset`` with an unsigned int."""
@@ -184,7 +212,7 @@ class XdrEncoder:
     def end_opaque(self, token: int) -> None:
         """Close a :meth:`begin_opaque` region: patch the length word
         and add XDR padding for the body packed since."""
-        body_len = self._len - token - 4
+        body_len = len(self) - self._wire_offset(token) - 4
         if body_len < 0:
             raise XdrError("end_opaque before begin_opaque")
         self.patch_uint(token, body_len)
@@ -281,14 +309,24 @@ class XdrEncoder:
 
     # -- bulk fast paths ---------------------------------------------------------
 
+    @staticmethod
+    def ndarray_room(array: np.ndarray) -> int:
+        """Buffer bytes :meth:`pack_ndarray` takes for ``array``, at most:
+        its header, and its data unless that is a region."""
+        nbytes = array.nbytes
+        return 4 * array.ndim + 32 + (0 if nbytes >= bulk.REGION_MIN
+                                      else nbytes)
+
     def pack_ndarray(self, array) -> None:
         """A NumPy array as: rank, dims, dtype code, then raw big-endian data.
 
         This is the Ninf matrix wire format: shape-prefixed so the
         receiver can allocate before reading, and the payload is one
-        contiguous big-endian block written straight into the frame
-        buffer (a single fused byteswap-and-copy), so marshalling
-        throughput is memory-bandwidth bound.
+        contiguous big-endian block.  Below ``bulk.REGION_MIN`` bytes it
+        is written straight into the frame buffer (a single fused
+        byteswap-and-copy); from there up it is recorded as a region --
+        the contiguous array, by reference -- and converted only where
+        the payload goes (:meth:`payload`).
         """
         arr = np.ascontiguousarray(array)
         wire = NUMPY_WIRE_DTYPES.get(arr.dtype)
@@ -299,9 +337,15 @@ class XdrEncoder:
             self.pack_uint(dim)
         self.pack_string(wire)
         nbytes = arr.size * arr.itemsize
-        self.ensure_room(4 + nbytes + 3)
-        self.pack_uint(nbytes)
-        self._len += bulk.pack_array_into(self._buf, self._len, arr, wire)
+        if nbytes >= bulk.REGION_MIN:
+            self.pack_uint(nbytes)
+            self._regions.append(bulk.Region(len(self), nbytes, wire, arr))
+            self._gap += nbytes
+        else:
+            self.ensure_room(4 + nbytes + 3)
+            self.pack_uint(nbytes)
+            self._len += bulk.pack_array_into(self._buf, self._len, arr,
+                                              wire)
         self.reserve(-nbytes % 4)
 
     def pack_double_array(self, values: Sequence[float]) -> None:

@@ -7,7 +7,9 @@ asserts (a) the bare client surfaces exactly the right exception, and
 
 import asyncio
 import socket
+import threading
 
+import numpy as np
 import pytest
 
 from repro.client import NinfClient
@@ -29,6 +31,7 @@ from repro.transport.faults import (
     REFUSE_DIAL,
     TRUNCATE,
 )
+from repro.xdr import XdrEncoder, bulk
 from tests.chaos.conftest import fast_retry
 from tests.rpc.conftest import NativeClientDriver, build_registry
 
@@ -78,21 +81,28 @@ def test_corrupted_send_is_rejected_by_peer_crc(server):
 PROBE = b"probe" * 100
 
 
-def _faulty_send_on_loopback(plan, kind):
+def _faulty_send_on_loopback(plan, kind, msg_type=MessageType.PING,
+                             payload=PROBE):
     """What a faulty channel of ``kind`` ("sync" or "async") dialled to
-    127.0.0.1 puts on the wire for one PING."""
+    127.0.0.1 puts on the wire for one PING (or the given frame).  A
+    truncating fault also closes the sender's channel, as it raises."""
     with socket.create_server(("127.0.0.1", 0)) as listener:
         listener.settimeout(5.0)
         host, port = listener.getsockname()
         if kind == "sync":
             with plan.connector(host, port, timeout=5.0) as channel:
-                channel.send(MessageType.PING, PROBE)
+                try:
+                    channel.send(msg_type, payload)
+                except ConnectionClosed:
+                    pass
         else:
             async def send():
                 channel = await aconnect_with_faults(plan, host, port,
                                                      timeout=5.0)
                 try:
-                    await channel.send(MessageType.PING, PROBE)
+                    await channel.send(msg_type, payload)
+                except ConnectionClosed:
+                    pass
                 finally:
                     channel.close()
             asyncio.run(send())
@@ -121,6 +131,56 @@ def test_corrupt_on_loopback_flips_a_type_or_crc_byte(kind, seed):
         writer.sendall(wire)
         with pytest.raises(ProtocolError, match="checksum mismatch"):
             recv_frame(reader, timeout=5.0)
+
+
+def _call_with_a_region():
+    """A CALL-sized payload whose array the encoder holds as a bulk
+    region (:class:`repro.xdr.bulk.Payload`), as ``messages.pack`` hands
+    on any message with an array of ``REGION_MIN`` bytes or more."""
+    enc = XdrEncoder()
+    enc.pack_string("bench_echo")
+    enc.pack_ndarray(np.arange(bulk.REGION_MIN // 8, dtype=np.float64))
+    payload = enc.payload()
+    assert isinstance(payload, bulk.Payload) and payload.regions
+    return payload
+
+
+@pytest.mark.parametrize("kind", ["sync", "async"])
+@pytest.mark.parametrize("fault, error", [
+    (TRUNCATE, ConnectionClosed), (CORRUPT, ProtocolError)])
+def test_a_fault_on_a_call_with_a_bulk_region_reaches_the_peer(kind, fault,
+                                                               error):
+    """A faulty socket channel frames a payload with a bulk region as it
+    sends one -- flattened -- so the peer sees the injected fault."""
+    wire = _faulty_send_on_loopback(one_fault_plan(fault), kind,
+                                    MessageType.CALL, _call_with_a_region())
+    clean = encode_frame(MessageType.CALL, _call_with_a_region(),
+                         covers_payload=False)
+    assert 0 < len(wire) <= len(clean) and wire != clean
+    reader, writer = socket.socketpair()
+
+    def write():
+        writer.sendall(wire)
+        writer.shutdown(socket.SHUT_WR)
+
+    with reader, writer:
+        sender = threading.Thread(target=write)
+        sender.start()
+        with pytest.raises(error):
+            recv_frame(reader, timeout=5.0)
+        reader.close()
+        sender.join(timeout=5.0)
+        assert not sender.is_alive()
+
+
+@pytest.mark.parametrize("covers", [True, False])
+def test_a_payload_with_a_bulk_region_is_framed_as_its_wire_bytes(covers):
+    """On and off loopback (the ``crc`` word folding the payload in or
+    not), a payload with a bulk region is framed as its flat bytes."""
+    flat = bytes(_call_with_a_region().flat())
+    assert encode_frame(MessageType.CALL, _call_with_a_region(),
+                        covers_payload=covers) \
+        == encode_frame(MessageType.CALL, flat, covers_payload=covers)
 
 
 def test_drop_before_send_raises_reset(server):

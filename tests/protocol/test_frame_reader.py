@@ -1,12 +1,15 @@
-"""FrameReader: the one receive state machine, fed without a socket.
+"""FrameReader: the one socket receive state machine, fed without a
+socket, and the ring's reader beside it.
 
-The blocking socket, the event loop and the shm ring only move bytes
-into :meth:`FrameReader.buffer`; everything a receiver checks is here,
+The blocking socket and the event loop only move bytes into
+:meth:`FrameReader.buffer`; everything a socket receiver checks is here,
 so it is tested here byte by byte -- any chunking, both ``crc`` forms,
-a corrupted frame in the middle of a stream, and the two media.
+a corrupted frame in the middle of a stream.  The shm ring reads its own
+frames in order; the same properties are pinned for it through a ring.
 """
 
 import socket
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,31 +79,58 @@ def test_any_chunking_yields_the_frames_and_one_mismatch_at_its_index(
     assert feed(FrameReader(), b"".join(wires), cuts) == expected
 
 
+def _ring_pair():
+    """``(writer, reader)`` over one 4 KiB ring each way."""
+    ring, idle = ShmRing.create(1 << 12), ShmRing.create(1 << 12)
+    return (ShmTransport(send_ring=ring, recv_ring=idle),
+            ShmTransport(send_ring=idle, recv_ring=ring))
+
+
 @settings(max_examples=40, deadline=None)
 @given(frames=frames_strategy, cuts=st.lists(st.integers(0, 2400),
                                              max_size=20))
 def test_a_ring_reader_takes_header_only_frames(frames, cuts):
-    wire = b"".join(encode_frame(t, p, covers_payload=False)
-                    for t, p, _c in frames)
-    got = feed(FrameReader(payload_checked=False), wire, cuts)
+    """Ring frames -- header, an empty region table, payload, pad --
+    written into the ring in any chunking, read back in order."""
+    wire = b"".join(ShmTransport.encode_frame(t, p) for t, p, _c in frames)
+    edges = sorted({min(cut, len(wire)) for cut in cuts} | {len(wire)})
+    writer, reader = _ring_pair()
+
+    def write():
+        for start, edge in zip([0] + edges, edges):
+            writer.sendall(wire[start:edge], timeout=5.0)
+
+    thread = threading.Thread(target=write)
+    thread.start()
+    try:
+        got = [reader.recv_frame(timeout=5.0) for _ in frames]
+    finally:
+        thread.join(timeout=5.0)
+        reader.close()
+        writer.close()
+    assert not thread.is_alive()
     assert got == [(t, p) for t, p, _c in frames]
 
 
 def test_a_ring_reader_refuses_a_covering_header_before_any_room(
         monkeypatch):
-    """The refused header is a desync: it raises before ``bulk.room``
-    sizes anything by it, and leaves the reader mid-frame."""
-    reader = FrameReader(payload_checked=False)
+    """A socket's payload-covering ``crc`` word fails the ring's check
+    of header and table: raised before ``bulk.room`` sizes anything by
+    it."""
+    writer, reader = _ring_pair()
     rooms = []
     room = bulk.room
     monkeypatch.setattr(bulk, "room",
                         lambda n: rooms.append(n) or room(n))
     header = encode_frame(7, b"payload" * 1000)[:HEADER.size]
-    reader.buffer()[:] = header
-    with pytest.raises(ProtocolError, match=MISMATCH):
-        reader.advance(HEADER.size)
+    try:
+        writer.sendall(header + bytes(4))   # an empty region table
+        with pytest.raises(ProtocolError, match=MISMATCH):
+            reader.recv_frame(timeout=5.0)
+    finally:
+        reader.close()
+        writer.close()
     assert rooms == []
-    assert not reader.at_boundary
 
 
 @pytest.mark.parametrize("landed, outstanding, receiving", [
@@ -132,11 +162,15 @@ def _socket_eof(wire: bytes):
 
 
 def _ring_eof(wire: bytes):
+    """The ring's frame of the same payload, cut at the same header or
+    payload byte (past the header, its empty region table is in)."""
+    frame = ShmTransport.encode_frame(7, b"x" * 100)
+    cut = len(wire) + (4 if len(wire) >= HEADER.size else 0)
     ring = ShmRing.create(1 << 12)
     idle = ShmRing.create(1 << 12)
     reader = ShmTransport(send_ring=idle, recv_ring=ring)
     try:
-        ring.write(wire)
+        ring.write(frame[:cut])
         ring.mark_closed()
         reader.recv_frame(timeout=5.0)
     finally:

@@ -25,8 +25,9 @@ from repro.idl import Signature
 from repro.protocol import ConnectionClosed
 from repro.protocol.aframing import FrameStream
 from repro.protocol.framing import HEADER, encode_frame, recv_frame
-from repro.protocol.marshal import marshal_outputs, unmarshal_inputs
-from repro.protocol.messages import JobTimestamps, MessageType, pack
+from repro.protocol.marshal import marshal_outputs, unmarshal_inputs, \
+    unmarshal_outputs
+from repro.protocol.messages import JobTimestamps, MessageType, pack, unpack
 from repro.transport import ShmRing, ShmTransport
 from repro.xdr import XdrEncoder, XdrError, bulk
 from tests.protocol.test_wire_golden import GOLDEN, VALUES
@@ -90,6 +91,62 @@ def _bench_echo_call_and_result(monkeypatch) -> tuple[bytes, bytes]:
         marshal_outputs(signature, values, into=enc)
     result = pack(MessageType.RESULT, 7, JobTimestamps(1.0, 1.5, 4.0), fill)
     return payload, bytes(result)
+
+
+def _bench_echo_deferred(monkeypatch) -> tuple[bulk.Payload, bulk.Payload]:
+    """The CALL and RESULT of :func:`_bench_echo_call_and_result` as
+    they are handed to a channel: their arrays still regions."""
+    fixed = uuid.UUID(int=0x0123456789ABCDEF0123456789ABCDEF)
+    monkeypatch.setattr(core.uuid, "uuid4", lambda: fixed)
+    signature = Signature.from_idl(ECHO_IDL)
+    array = np.random.default_rng(27).random(DOUBLES)
+    call = _CallPayload("bench_echo", signature, 7, (DOUBLES, array, None))
+
+    def fill(enc):
+        marshal_outputs(signature, [DOUBLES, array, array], into=enc)
+    return (call.stamp(None, lambda: 0.0),
+            pack(MessageType.RESULT, 7, JobTimestamps(1.0, 1.5, 4.0), fill))
+
+
+def _decoded_echo(op: MessageType, payload) -> list:
+    signature = Signature.from_idl(ECHO_IDL)
+    if op == MessageType.CALL:
+        _header, args = unpack(op, payload)
+        return unmarshal_inputs(signature, args)
+    _id, _stamps, results = unpack(op, payload)
+    return unmarshal_outputs(signature, results)
+
+
+def test_the_ring_delivers_a_bench_echo_call_and_result_bit_equal(
+        poisoned, monkeypatch):
+    """Through a ring from poisoned room, arrays converted straight in
+    and out of ring memory: each payload decodes bit-equal to the socket
+    decode of the same payload, and flattens to the same bytes."""
+    wires = _bench_echo_call_and_result(monkeypatch)
+    ring, idle = ShmRing.create(1 << 18), ShmRing.create(1 << 12)
+    writer = ShmTransport(send_ring=ShmRing.attach(ring.name, ring.capacity),
+                          recv_ring=ShmRing.attach(idle.name, idle.capacity))
+    reader = ShmTransport(send_ring=idle, recv_ring=ring)
+    ops = (MessageType.CALL, MessageType.RESULT)
+    try:
+        for op, sent, wire in zip(ops, _bench_echo_deferred(monkeypatch),
+                                  wires):
+            assert sent.rest is not None        # not flattened
+            sender = threading.Thread(
+                target=writer.send_frame, args=(op, sent, 30.0))
+            sender.start()
+            got_op, got = reader.recv_frame(timeout=30.0)
+            sender.join(30.0)
+            assert got_op == op and got.received
+            for a, b in zip(_decoded_echo(op, got), _decoded_echo(op, wire)):
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                else:
+                    assert a == b
+            assert bytes(got) == wire
+    finally:
+        writer.close()
+        reader.close()
 
 
 def test_a_bench_echo_call_and_result_encode_the_same_from_poisoned_room(

@@ -204,7 +204,8 @@ def test_transport_rejects_corrupted_frame():
     a, b = transport_pair()
     try:
         frame = a.encode_frame(MessageType.PING, b"payload")
-        a.sendall(frame[:-7] + b"paYload")
+        at = frame.index(b"payload")        # after header and table
+        a.sendall(frame[:at] + b"paYload" + frame[at + 7:])
         assert b.recv_frame() == (MessageType.PING, b"paYload")
         flipped = bytearray(frame)
         flipped[7] ^= 0x01

@@ -30,7 +30,7 @@ from repro.protocol.messages import MessageType
 from repro.server import NinfServer, Registry
 from repro.transport import AsyncEndpoint, Channel, Endpoint, ShmRing, \
     ShmTransport, aconnect, connect
-from repro.xdr import XdrDecoder
+from repro.xdr import XdrDecoder, bulk
 
 ECHO_IDL = ('Define bench_echo(mode_in int n, mode_in double A[n], '
             'mode_out double B[n]) "benchmark: B = A" '
@@ -62,6 +62,10 @@ def _peak_over(step) -> tuple[int, object]:
 
 
 def test_client_call_encode_allocates_the_payload_once(traced):
+    """The argument stays the caller's array, a region of the payload:
+    encoding allocates nothing of its size, and a socket attempt
+    flattens it once -- one payload-sized buffer, which every later
+    attempt reuses."""
     signature = Signature.from_idl(ECHO_IDL)
     array = np.random.default_rng(17).random(DOUBLES)
 
@@ -70,12 +74,16 @@ def test_client_call_encode_allocates_the_payload_once(traced):
         return call, call.stamp(None, time.monotonic)
 
     peak, (call, payload) = _peak_over(encode)
-    assert peak <= 1.25 * NBYTES
+    assert peak < 1 << 20
     assert call.args_bytes >= NBYTES
+    assert isinstance(payload, bulk.Payload)
+    assert payload.regions[0].array is array
+    peak, flat = _peak_over(payload.flat)
+    assert NBYTES <= peak <= 1.1 * NBYTES
     # A retry restamps the same buffer: nothing new of the payload's size.
     peak, again = _peak_over(lambda: call.stamp(5.0, time.monotonic))
     assert peak < 4096
-    assert again.obj is payload.obj
+    assert again is payload and again.flat() is flat
 
 
 def test_server_result_encode_allocates_the_payload_once(traced):
@@ -108,7 +116,10 @@ def test_server_result_encode_allocates_the_payload_once(traced):
     msg_type, payload = marks["reply"]
     assert msg_type == MessageType.RESULT
     assert marks["peak"] - marks["base"] <= 1.25 * NBYTES
-    assert isinstance(payload, memoryview)  # the encoder's buffer, not a copy
+    # Flattened once, for the dedup cache: no array of the executable's
+    # is held, and the table still places the region for a ring.
+    assert isinstance(payload, bulk.Payload)
+    assert [region.array for region in payload.regions] == [None]
     dec = XdrDecoder(payload)
     assert dec.unpack_uhyper() == 9
 
@@ -140,10 +151,10 @@ def test_sync_recv_frame_receives_into_one_buffer(traced):
 
 
 @contextlib.contextmanager
-def _ring_transports():
+def _ring_transports(capacity=1 << 18):
     """``(writer, reader)``: one 256 KiB ring from the first to the
     second, attached on the writer's side as a client attaches."""
-    ring = ShmRing.create(1 << 18)
+    ring = ShmRing.create(capacity)
     idle = ShmRing.create(1 << 12)
     writer = ShmTransport(send_ring=ShmRing.attach(ring.name, ring.capacity),
                           recv_ring=ShmRing.attach(idle.name, idle.capacity))
@@ -168,6 +179,42 @@ def test_shm_recv_frame_receives_into_one_buffer(traced):
     assert isinstance(got, bytearray)
 
 
+def _echo_call(seed: int) -> tuple[np.ndarray, bulk.Payload]:
+    array = np.random.default_rng(seed).random(DOUBLES)
+    call = _CallPayload("bench_echo", Signature.from_idl(ECHO_IDL), 7,
+                        (DOUBLES, array, None))
+    return array, call.stamp(None, time.monotonic)
+
+
+def test_a_ring_call_send_allocates_no_frame_sized_buffer(traced):
+    """The 8 MB argument goes from the caller's array into ring memory:
+    the send allocates nothing near its size (a ring that holds the
+    whole frame, so nothing is read while the send is measured)."""
+    array, payload = _echo_call(19)
+    with _ring_transports(1 << 24) as (writer, reader):
+        peak, _ = _peak_over(lambda: writer.send_frame(
+            MessageType.CALL, payload, timeout=30.0))
+        _type, got = reader.recv_frame(timeout=30.0)
+    assert peak < 1 << 20
+    assert np.array_equal(got.regions[0].array, array)
+
+
+def test_a_ring_receive_allocates_one_native_array_per_region(traced):
+    array, payload = _echo_call(20)
+    with _ring_transports() as (writer, reader):
+        sender = _send_from_thread(lambda: writer.send_frame(
+            MessageType.CALL, payload, timeout=30.0))
+        peak, (msg_type, got) = _peak_over(
+            lambda: reader.recv_frame(timeout=30.0))
+        sender.join(30.0)
+    assert NBYTES <= peak <= 1.1 * NBYTES
+    assert msg_type == MessageType.CALL and len(got) == len(payload)
+    (region,) = got.regions
+    assert region.array.dtype == np.float64 and region.array.nbytes == NBYTES
+    assert len(got.rest) < 256      # the header and the scalars
+    assert np.array_equal(region.array, array)
+
+
 # -- checksum: a ring frame checks its header, not its payload ----------------
 
 
@@ -188,8 +235,9 @@ def crc_fed(monkeypatch):
 @pytest.mark.parametrize("nbytes", [0, 5, NBYTES])
 def test_a_ring_frame_feeds_the_crc_eight_bytes_a_side(crc_fed, nbytes):
     """Sender and receiver each checksum the type and length words --
-    eight bytes -- whatever the payload: no pass over payload bytes on
-    either side of a ring."""
+    eight bytes -- and the region table, here its count word alone,
+    whatever the payload: no pass over payload bytes on either side of
+    a ring."""
     payload = bytes(nbytes)
     with _ring_transports() as (writer, reader):
         sender = _send_from_thread(
@@ -197,7 +245,7 @@ def test_a_ring_frame_feeds_the_crc_eight_bytes_a_side(crc_fed, nbytes):
         msg_type, got = reader.recv_frame(timeout=30.0)
         sender.join(30.0)
     assert msg_type == MessageType.CALL and got == payload
-    assert sorted(crc_fed) == [8, 8]
+    assert sorted(crc_fed) == [4, 4, 8, 8]
 
 
 def test_a_socket_frame_still_feeds_the_crc_its_payload(crc_fed):
