@@ -4,10 +4,10 @@ A CALL whose reply is lost in flight leaves the client unable to tell
 "never ran" from "ran, reply lost" — so CALL historically could not be
 retried.  This cache closes that gap server-side: every logical call
 (identified by the client's UUID ``logical_id``) passes through
-:meth:`DedupCache.begin` before execution, and the encoded reply frame
-is parked in :meth:`DedupCache.complete`.  A retried attempt then either
+:meth:`DedupCache.begin` before execution, and its reply is parked in
+:meth:`DedupCache.complete`.  A retried attempt then either
 
-- finds the entry ``"done"`` and replays the cached frame (no second
+- finds the entry ``"done"`` and replays the parked reply (no second
   execution),
 - finds it ``"pending"`` (first attempt still executing) and parks a
   continuation on the entry rather than double-executing -- it runs
@@ -16,10 +16,18 @@ is parked in :meth:`DedupCache.complete`.  A retried attempt then either
 - finds nothing (``"new"``) — the first attempt was shed before
   entering the queue via :meth:`abort` — and executes normally.
 
+A parked reply is the payload as the server built it: bytes, or a
+:class:`~repro.xdr.bulk.Payload` still holding the call's own output
+arrays by reference, which each medium converts when it sends a replay
+(a ring straight into ring memory, a socket into flat bytes it keeps).
+The server also parks each answered FETCH_RESULT here, under a key no
+client sends (:meth:`replay` finds it), so a retried FETCH is answered
+again.
+
 Entries are TTL'd (a retry arriving after ``ttl`` seconds re-executes —
 acceptable, since the client has long since timed out) and the cache is
-bounded both in entries and in retained reply *bytes* (a RESULT frame
-can be megabytes), evicting the oldest *completed* entries first;
+bounded both in entries and in retained reply *bytes* (a RESULT can be
+megabytes), evicting the oldest *completed* entries first;
 pending entries are never evicted, because a waiter may be parked on
 them.  Completed entries live in completion order, so every bound is
 enforced by popping from the front: O(1) per operation.
@@ -30,11 +38,14 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Callable, Hashable, Optional, Union
 
-__all__ = ["DedupCache", "DedupEntry"]
+from repro.xdr import bulk
 
-Reply = tuple[int, bytes]  # (MessageType, encoded payload)
+__all__ = ["DedupCache", "DedupEntry", "Reply"]
+
+#: ``(MessageType, payload)``: a reply as it is sent and replayed.
+Reply = tuple[int, Union[bytes, bulk.Payload]]
 Waiter = Callable[[Optional[Reply]], None]
 
 
@@ -53,7 +64,7 @@ class DedupEntry:
 
 
 class DedupCache:
-    """Bounded, TTL'd map ``logical_id -> reply frame``.
+    """Bounded, TTL'd map ``logical_id -> reply``.
 
     Parameters
     ----------
@@ -87,9 +98,9 @@ class DedupCache:
         self.ttl = ttl
         self.clock = clock
         self._lock = threading.Lock()
-        self._pending: dict[str, DedupEntry] = {}
+        self._pending: dict[Hashable, DedupEntry] = {}
         # Completion order = stamp order: the front is the oldest.
-        self._done: OrderedDict[str, DedupEntry] = OrderedDict()
+        self._done: OrderedDict[Hashable, DedupEntry] = OrderedDict()
         self._done_bytes = 0
         self.hits = 0
         self._hits_metric = self._entries_metric = None
@@ -116,7 +127,7 @@ class DedupCache:
                 break
             self._forget_done_locked(key)
 
-    def _forget_done_locked(self, key: str) -> Optional[DedupEntry]:
+    def _forget_done_locked(self, key: Hashable) -> Optional[DedupEntry]:
         entry = self._done.pop(key, None)
         if entry is not None:
             self._done_bytes -= len(entry.reply[1])
@@ -134,7 +145,7 @@ class DedupCache:
 
     # -- protocol -----------------------------------------------------------
 
-    def begin(self, key: str,
+    def begin(self, key: Hashable,
               waiter: Optional[Waiter] = None) -> tuple[str, DedupEntry]:
         """Register attempt arrival; returns ``(state, entry)``.
 
@@ -164,7 +175,7 @@ class DedupCache:
         self._hit()
         return state, entry
 
-    def complete(self, key: str, reply: Reply) -> None:
+    def complete(self, key: Hashable, reply: Reply) -> None:
         """Park the encoded reply and release any parked attempts."""
         now = self.clock()
         with self._lock:
@@ -180,7 +191,7 @@ class DedupCache:
             self._note_size_locked()
         self._settle(entry)
 
-    def abort(self, key: str) -> None:
+    def abort(self, key: Hashable) -> None:
         """Forget a pending entry (the call was shed before executing).
 
         Parked attempts are released with ``entry.reply`` still
@@ -202,6 +213,18 @@ class DedupCache:
         waiters, entry.waiters = entry.waiters, []
         for waiter in waiters:
             waiter(entry.reply)
+
+    def replay(self, key: Hashable) -> Optional[Reply]:
+        """The completed reply parked under ``key`` (a hit), or ``None``;
+        unlike :meth:`begin`, a miss registers nothing."""
+        now = self.clock()
+        with self._lock:
+            self._purge_locked(now)
+            entry = self._done.get(key)
+        if entry is None:
+            return None
+        self._hit()
+        return entry.reply
 
     def wait(self, entry: DedupEntry,
              timeout: Optional[float] = None) -> Optional[Reply]:

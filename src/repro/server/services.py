@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
+import numpy as np
+
 from repro.idl import IdlError
 from repro.libs.openblas import openblas
 from repro.protocol.errors import RemoteError, ServerBusy, ServerShutdown
@@ -35,7 +37,7 @@ from repro.protocol.messages import (
     pack,
     unpack,
 )
-from repro.server.dedup import DedupCache
+from repro.server.dedup import DedupCache, Reply
 from repro.server.executor import Executor, Job
 from repro.server.peworkers import WorkerExecutable, WorkerLost, WorkerPool
 from repro.server.registry import NinfExecutable, Registry
@@ -126,14 +128,15 @@ class NinfRpcServices:
         # results awaiting fetch (bounded; oldest evicted).
         self._ticket_counter = 0
         self._detached_lock = threading.Lock()
-        self._detached: dict[int, ErrorReply | memoryview | None] = {}
+        self._detached: dict[int, Reply | None] = {}
         # Still-queued detached jobs by ticket, so CANCEL can drop them.
         self._detached_jobs: dict[int, Job] = {}
         self.max_detached_results = 256
-        # Tombstones for evicted results (insertion-ordered, bounded):
-        # a late FETCH distinguishes "your result was computed but aged
-        # out" (result-evicted: retrying the call is the only recovery)
-        # from a ticket this server never issued (unknown-ticket).
+        # Tombstones for evicted and fetched results (insertion-ordered,
+        # bounded): a late FETCH distinguishes "your result was computed
+        # but is gone" (result-evicted: retrying the call is the only
+        # recovery) from a ticket this server never issued
+        # (unknown-ticket).
         self._detached_evicted: dict[int, None] = {}
         self.max_evicted_tombstones = 1024
         from repro.obs import names
@@ -315,7 +318,7 @@ class NinfRpcServices:
         if call.key is None:
             return True
 
-        def settled(reply: tuple[int, bytes] | None) -> None:
+        def settled(reply: Reply | None) -> None:
             if reply is not None:
                 conn.send(*reply)
             elif self._owns_execution(conn, call, start):
@@ -354,8 +357,11 @@ class NinfRpcServices:
     def _start_call(self, conn: Connection, call: _Call) -> None:
         header, executable, key = call.header, call.executable, call.key
 
-        def finish(reply_type: int, reply_payload: memoryview,
+        def finish(reply_type: int, reply_payload: memoryview | bulk.Payload,
                    cache: bool = True) -> None:
+            # Park before sending: the eviction the park triggers frees
+            # an old reply before a socket send flattens this one, so a
+            # bulk server holds one reply buffer fewer at its peak.
             if key is not None:
                 if cache:
                     self.dedup.complete(key, (reply_type, reply_payload))
@@ -435,16 +441,17 @@ class NinfRpcServices:
             self._detached[ticket] = None  # pending
 
         def on_complete(job: Job) -> None:
-            # What FETCH_RESULT will answer: the error, or the RESULT
+            # What FETCH_RESULT will answer: the ERROR, or the RESULT
             # payload itself, built once with the ticket as its id.
-            outcome: ErrorReply | memoryview
-            if job.error is not None:
-                outcome = _error_reply(job.error)
-            else:
+            error = None if job.error is None else _error_reply(job.error)
+            if error is None:
                 try:
-                    outcome, _ = _result_payload(ticket, executable, job)
+                    result, _ = _result_payload(ticket, executable, job)
                 except Exception as exc:  # whatever the executable returned
-                    outcome = ErrorReply(code="bad-result", message=str(exc))
+                    error = ErrorReply(code="bad-result", message=str(exc))
+            outcome: Reply = ((MessageType.RESULT, result) if error is None
+                              else (MessageType.ERROR,
+                                    pack(MessageType.ERROR, error)))
             evictions = 0
             with self._detached_lock:
                 self._detached[ticket] = outcome
@@ -458,12 +465,8 @@ class NinfRpcServices:
                     evicted = finished.pop(0)
                     self._detached.pop(evicted, None)
                     self._detached_jobs.pop(evicted, None)
-                    self._detached_evicted[evicted] = None
+                    self._tombstone_locked(evicted)
                     evictions += 1
-                while len(self._detached_evicted) > \
-                        self.max_evicted_tombstones:
-                    oldest = next(iter(self._detached_evicted))
-                    del self._detached_evicted[oldest]
             if evictions:
                 self._evicted_metric.inc(evictions)
 
@@ -496,35 +499,42 @@ class NinfRpcServices:
         conn.reply(MessageType.CANCEL_REPLY, ticket, dropped)
 
     def _handle_fetch(self, conn: Connection, payload: bytes) -> None:
-        """Phase two: a (possibly new) connection collects the result."""
+        """Phase two: a (possibly new) connection collects the result.
+
+        The answer moves into the dedup cache, under a key no client can
+        send, so a FETCH retried after its reply was lost gets the same
+        reply; once the cache has let it go, the ticket's tombstone
+        answers ``result-evicted``."""
         (ticket,) = unpack(MessageType.FETCH_RESULT, payload)
+        key = ("fetch", ticket)
         with self._detached_lock:
-            if ticket not in self._detached:
-                known = False
-                evicted = ticket in self._detached_evicted
-                result = None
-            else:
-                known = True
-                evicted = False
-                result = self._detached[ticket]
-                if result is not None:
-                    del self._detached[ticket]
-        if not known:
-            if evicted:
-                conn.send_error(
-                    "result-evicted",
-                    f"result for ticket {ticket} was evicted before it "
-                    f"was fetched; re-issue the call")
-            else:
-                conn.send_error("unknown-ticket",
-                                f"no detached call with ticket {ticket}")
-            return
-        if result is None:
+            pending = ticket in self._detached
+            reply = self._detached.get(ticket)
+            if reply is not None:
+                del self._detached[ticket]
+                self.dedup.complete(key, reply)
+                self._tombstone_locked(ticket)
+            elif not pending:
+                reply = self.dedup.replay(key)
+            evicted = ticket in self._detached_evicted
+        if reply is not None:
+            conn.send(*reply)
+        elif pending:
             conn.reply(MessageType.RESULT_PENDING, ticket)
-        elif isinstance(result, ErrorReply):
-            conn.send_error(result.code, result.message)
+        elif evicted:
+            conn.send_error("result-evicted",
+                            f"result for ticket {ticket} is no longer "
+                            f"held; re-issue the call")
         else:
-            conn.send(MessageType.RESULT, result)
+            conn.send_error("unknown-ticket",
+                            f"no detached call with ticket {ticket}")
+
+    def _tombstone_locked(self, ticket: int) -> None:
+        """Remember that ``ticket``'s call ran, for a late FETCH; the
+        oldest tombstones go past ``max_evicted_tombstones``."""
+        self._detached_evicted[ticket] = None
+        while len(self._detached_evicted) > self.max_evicted_tombstones:
+            del self._detached_evicted[next(iter(self._detached_evicted))]
 
 
 class _CappedExecutable(NinfExecutable):
@@ -576,11 +586,17 @@ def _error_reply(error: BaseException) -> ErrorReply:
 def _result_payload(reply_id: int, executable: NinfExecutable,
                     job: Job) -> tuple[memoryview | bulk.Payload, int]:
     """A finished job's RESULT payload and the size of its output block.
+
     The outputs are marshalled straight into the payload (its opaque
-    tail is reserved once and filled in place), and a bulk output is
-    converted once, into the payload's flat bytes: the dedup cache keeps
-    those bytes, not the executable's arrays, and a ring copies them
-    where the region table places them."""
+    tail is reserved once and filled in place).  A bulk output that is
+    one of the call's own buffers -- a decoded argument or a ``mode_out``
+    array, the same memory, whatever array object stands for it -- stays
+    a region holding that array until a medium takes it: a ring converts
+    it straight into ring memory, a socket flattens it on the sending
+    thread.  Nothing else writes to those buffers once the job is done,
+    so the dedup cache may replay them.  Any other output (a module
+    global, a view the executable keeps, a fresh array) could change
+    before a replay, so the payload is flattened now."""
     out_len = 0
 
     def fill(enc: XdrEncoder) -> None:
@@ -591,8 +607,18 @@ def _result_payload(reply_id: int, executable: NinfExecutable,
         out_len = len(enc) - start
 
     reply = pack(MessageType.RESULT, reply_id, job.timestamps(), fill)
-    bulk.flat(reply)
+    if isinstance(reply, bulk.Payload):
+        owned = {_memory(value) for value in job.values
+                 if isinstance(value, np.ndarray)}
+        if any(_memory(region.array) not in owned
+               for region in reply.regions):
+            reply.flat()
     return reply, out_len
+
+
+def _memory(array: np.ndarray) -> tuple[int, int]:
+    """Where an array's bytes are: its data pointer and size."""
+    return array.ctypes.data, array.nbytes
 
 
 def _merge_outputs(executable, job: Job) -> list:

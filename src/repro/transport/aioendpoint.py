@@ -38,6 +38,7 @@ from repro.transport.aiochannel import AsyncChannel, AsyncFaultyChannel
 from repro.transport.endpoint import Connection, EndpointCore
 from repro.transport.faults import FaultPlan
 from repro.transport.loopbridge import LoopThread
+from repro.xdr import bulk
 
 __all__ = ["AsyncEndpoint"]
 
@@ -51,7 +52,9 @@ class _LoopConnection(Connection):
     """A connection served by a task on the loop: ``send`` queues the
     frame and returns -- from the loop thread directly, from any other
     (a PE thread's completion callback) through ``call_soon_threadsafe``
-    -- and :attr:`writer` drains the queue in order."""
+    -- and :attr:`writer` drains the queue in order.  A payload with
+    bulk regions sent from another thread is flattened there, before it
+    is queued, so the conversion stays off the loop."""
 
     def __init__(self, channel: AsyncChannel) -> None:
         self.channel = channel
@@ -66,6 +69,7 @@ class _LoopConnection(Connection):
         if threading.get_ident() == self._loop_thread:
             self._post(msg_type, payload)
             return
+        payload = bulk.flat(payload)
         try:
             self._loop.call_soon_threadsafe(self._post, msg_type, payload)
         except RuntimeError:

@@ -75,8 +75,8 @@ import struct
 import time
 import zlib
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Iterable, Iterator, Optional, Sequence, \
-    TYPE_CHECKING, Union
+from typing import Any, Iterable, Iterator, Optional, TYPE_CHECKING, \
+    Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -633,14 +633,11 @@ def _frame_pieces(msg_type: int, payload: Union[BytesLike, bulk.Payload]
     if length > MAX_FRAME_SIZE:
         raise ProtocolError(f"frame payload too large: {length} bytes")
     if isinstance(payload, bulk.Payload):
-        spans: Sequence[BytesLike] = payload.spans()
-        regions: Sequence[bulk.Region] = payload.regions
-        sources: Sequence[Union[NDArray[Any], memoryview]] = \
-            payload.sources()
+        spans, sources = payload.parts()    # one snapshot of the payload
     else:
-        spans, regions, sources = [payload], (), ()
-    table = _COUNT.pack(len(regions))
-    for region in regions:
+        spans, sources = [payload], []
+    table = _COUNT.pack(len(sources))
+    for region, _source in sources:
         table += _ENTRY.pack(region.offset, region.nbytes,
                              bulk.WIRE_DTYPES.index(region.wire))
     crc = zlib.crc32(table, header_crc(msg_type, length))
@@ -650,7 +647,7 @@ def _frame_pieces(msg_type: int, payload: Union[BytesLike, bulk.Payload]
         size += len(span)
         yield span
     yield _PAD[:-size % RING_ALIGN]
-    for region, source in zip(regions, sources):
+    for region, source in sources:
         yield (source, region.wire) if isinstance(source, np.ndarray) \
             else source
         yield _PAD[:-region.nbytes % RING_ALIGN]

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import ctypes
 import struct
+import threading
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as _np
@@ -127,20 +128,26 @@ class Payload:
     flat bytes are what every medium copies.  The region table stays, so
     a ring still places each region where its reader converts it.
 
+    Two threads may send one payload at once (a reply the dedup cache
+    replays while its owner sends it): the build runs under a lock, and
+    the payload's form -- its bytes and its regions -- is one attribute,
+    replaced whole, so a reader takes both from one snapshot and a ring
+    write that took the arrays keeps them alive to its end.
+
     ``received`` marks a payload a ring reader built: the decoder takes
     its regions' arrays as the decoded values.  Any other payload is
     decoded from its flat bytes.
     """
 
-    __slots__ = ("rest", "regions", "received", "_flat", "_length")
+    __slots__ = ("received", "_length", "_lock", "_form")
 
     def __init__(self, rest: BufferLike, regions: Sequence[Region],
                  length: int, received: bool = False) -> None:
-        self.rest: Optional[BufferLike] = rest
-        self.regions = tuple(regions)
         self.received = received
-        self._flat: Optional[bytearray] = None
         self._length = length
+        self._lock = threading.Lock()     # one build of the flat bytes
+        self._form: tuple[BufferLike, tuple[Region, ...], bool] = \
+            (rest, tuple(regions), False)
 
     def __len__(self) -> int:
         return self._length
@@ -149,50 +156,76 @@ class Payload:
         return bytes(self.flat())
 
     @property
+    def form(self) -> tuple[BufferLike, tuple[Region, ...], bool]:
+        """``(rest, regions, False)``, or ``(flat bytes, regions, True)``
+        once :meth:`flat` has run: one snapshot of both halves."""
+        return self._form
+
+    @property
+    def rest(self) -> Optional[BufferLike]:
+        """The bytes outside every region; None once flat."""
+        data, _regions, is_flat = self._form
+        return None if is_flat else data
+
+    @property
+    def regions(self) -> tuple[Region, ...]:
+        return self._form[1]
+
+    @property
     def head(self) -> BufferLike:
         """The buffer holding the bytes before the first region, at
         their wire offsets: where a header is patched in place."""
-        return self._flat if self._flat is not None else self.rest
+        return self._form[0]
 
-    def flat(self) -> bytearray:
+    def flat(self) -> BufferLike:
         """The wire bytes, built on the first call: every byte outside
         the regions copied, every region converted in one pass."""
-        if self._flat is None:
-            out = room(self._length)
-            rest = memoryview(self.rest)
-            at = taken = 0      # wire offset in ``out``, offset in ``rest``
-            for region in self.regions:
-                span = region.offset - at
-                out[at:region.offset] = rest[taken:taken + span]
-                taken += span
-                pack_array_into(out, region.offset, region.array,
-                                region.wire)
-                at = region.offset + region.nbytes
-            out[at:] = rest[taken:]
-            self._flat, self.rest = out, None
-            self.regions = tuple(region._replace(array=None)
-                                 for region in self.regions)
-        return self._flat
+        data, regions, is_flat = self._form
+        if is_flat:
+            return data
+        with self._lock:
+            data, regions, is_flat = self._form
+            if not is_flat:
+                data = _flatten(data, regions, self._length)
+                self._form = (data, tuple(region._replace(array=None)
+                                          for region in regions), True)
+        return data
 
-    def spans(self) -> list[memoryview]:
-        """The bytes outside every region, in wire order."""
-        if self._flat is None:
-            return [memoryview(self.rest)]
-        flat, spans, at = memoryview(self._flat), [], 0
-        for region in self.regions:
+    def parts(self) -> tuple[list[BufferLike],
+                             list[tuple[Region,
+                                        Union["_np.ndarray", memoryview]]]]:
+        """One snapshot of the payload as a ring writes it: the bytes
+        outside every region, in wire order, and each region with what
+        it is written from -- its array, or its big-endian bytes once
+        the payload is flat."""
+        data, regions, is_flat = self._form
+        if not is_flat:
+            return [data], [(region, region.array) for region in regions]
+        flat, spans, sources, at = memoryview(data), [], [], 0
+        for region in regions:
+            end = region.offset + region.nbytes
             spans.append(flat[at:region.offset])
-            at = region.offset + region.nbytes
+            sources.append((region, flat[region.offset:end]))
+            at = end
         spans.append(flat[at:])
-        return spans
+        return spans, sources
 
-    def sources(self) -> list[Union["_np.ndarray", memoryview]]:
-        """What each region is written from: its array, or its
-        big-endian bytes once the payload is flat."""
-        if self._flat is None:
-            return [region.array for region in self.regions]
-        flat = memoryview(self._flat)
-        return [flat[region.offset:region.offset + region.nbytes]
-                for region in self.regions]
+
+def _flatten(rest: BufferLike, regions: Sequence[Region],
+             length: int) -> bytearray:
+    """The ``length`` wire bytes of ``rest`` with each region's array
+    converted in at its offset."""
+    out = room(length)
+    view = memoryview(rest)
+    at = taken = 0      # wire offset in ``out``, offset in ``rest``
+    for region in regions:
+        span = region.offset - at
+        out[at:region.offset] = view[taken:taken + span]
+        taken += span
+        pack_array_into(out, region.offset, region.array, region.wire)
+        at = region.offset + region.nbytes
+    out[at:] = view[taken:]
+    return out
 
 
 def flat(payload: Union[BufferLike, Payload]) -> BufferLike:

@@ -53,8 +53,9 @@ class XdrDecoder:
     def __init__(self, data):
         regions: tuple[bulk.Region, ...] = ()
         if isinstance(data, bulk.Payload):
-            if data.received and data.rest is not None:
-                regions, data = data.regions, data.rest
+            rest, held, is_flat = data.form
+            if data.received and not is_flat:
+                regions, data = held, rest
             else:
                 data = data.flat()
         self._data = memoryview(data)

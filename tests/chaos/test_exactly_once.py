@@ -8,16 +8,24 @@ same ``logical_id``; the server's dedup cache replays the parked reply
 instead of executing again.
 """
 
+import numpy as np
 import pytest
 
 from repro.client import NinfClient
+from repro.obs import names
+from repro.protocol.messages import MessageType
 from repro.server import NinfServer, Registry
 from repro.transport import FaultPlan
+from repro.transport.endpoint import Connection
 from repro.transport.faults import DROP_POST
+from repro.xdr import bulk
 from tests.chaos.conftest import fast_retry
 
 BUMP_IDL = ('Define bump(mode_in int n, mode_out int doubled) '
             '"records the call and doubles n";')
+ECHO_IDL = ('Define bulk_echo(mode_in int n, mode_in double A[n], '
+            'mode_out double B[n]) "records A[0] and returns A";')
+DOUBLES = bulk.REGION_MIN // 8      # a bulk region: held in the dedup cache
 
 
 def make_env():
@@ -28,29 +36,43 @@ def make_env():
         executions.append(int(n))
         return 2 * int(n)
 
+    def bulk_echo(n, a, b):
+        executions.append(int(a[0]))
+        return a
+
     registry.register(BUMP_IDL, bump)
+    registry.register(ECHO_IDL, bulk_echo)
     return registry, executions
 
 
-def warm(client):
+def warm(client, function="bump"):
     """Cache the signature so faults only ever hit CALL frames."""
     with NinfClient(client.host, client.port) as clean:
-        client._signatures["bump"] = clean.get_signature("bump")
+        client._signatures[function] = clean.get_signature(function)
 
 
-def test_n_logical_calls_execute_exactly_n_times():
+@pytest.mark.parametrize("shm", [False, True], ids=["socket", "ring"])
+def test_n_logical_calls_execute_exactly_n_times(shm):
+    """Each reply is an argument array held by reference in the dedup
+    cache; every replay, over either medium, is the array it sent."""
     registry, executions = make_env()
+    rng = np.random.default_rng(1997)
     n = 20
     plan = FaultPlan(seed=1997, rate=0.3, kinds=(DROP_POST,))
     with NinfServer(registry, num_pes=2) as server:
         with NinfClient(*server.address, timeout=5.0,
                         retry=fast_retry(6), retry_calls=True,
-                        fault_plan=plan) as client:
-            warm(client)
+                        fault_plan=plan, shm=shm) as client:
+            warm(client, "bulk_echo")
             for i in range(n):
-                assert client.call("bump", i, None) == [2 * i]
+                array = rng.random(DOUBLES)
+                array[0] = i
+                (echoed,) = client.call("bulk_echo", DOUBLES, array, None)
+                assert echoed.tobytes() == array.tobytes()
         assert plan.faults_injected >= 1  # chaos actually happened
         assert server.dedup.hits >= 1  # ...and dedup absorbed it
+        upgrades = server.metrics.counter(names.SHM_UPGRADES).value()
+        assert (upgrades >= 1) is shm
     assert sorted(executions) == list(range(n))  # exactly once each
 
 
@@ -85,3 +107,32 @@ def test_lost_call_accepted_replays_the_same_ticket():
             assert client.fetch_detached(call, timeout=5.0) == [42]
         assert plan.faults_injected == 1
     assert executions == [21]
+
+
+def test_a_lost_fetch_reply_is_fetched_again():
+    """The first FETCH's RESULT never reaches the client (its connection
+    is shut down instead): the retried FETCH gets the same result."""
+    registry, executions = make_env()
+    with NinfServer(registry, num_pes=2) as server:
+        fetch = server._handlers[int(MessageType.FETCH_RESULT)]
+        lost = []
+
+        class LoseTheResult(Connection):
+            def __init__(self, conn):
+                self.conn = conn
+
+            def send(self, msg_type, payload=b""):
+                if msg_type == MessageType.RESULT and not lost:
+                    lost.append(msg_type)
+                    self.conn.channel.shutdown()
+                else:
+                    self.conn.send(msg_type, payload)
+
+        server.register_handler(
+            MessageType.FETCH_RESULT,
+            lambda conn, payload: fetch(LoseTheResult(conn), payload))
+        with NinfClient(*server.address, timeout=5.0,
+                        retry=fast_retry(3)) as client:
+            call = client.call_detached("bump", 21, None)
+            assert client.fetch_detached(call, timeout=5.0) == [42]
+    assert lost and executions == [21]

@@ -61,13 +61,31 @@ def test_detached_execution_error_surfaces_at_fetch(client):
     assert excinfo.value.code == "execution-failed"
 
 
-def test_detached_unknown_ticket(client):
-    handle = client.call_detached("sleeper", 0.0)
-    handle.fetch(timeout=30)
-    # Result was consumed; fetching again is an unknown ticket.
+def test_detached_unknown_ticket(client, rng):
+    """A fetched ticket stays known -- a FETCH whose reply was lost is
+    retried -- and a second fetch returns the same outputs; only a
+    ticket this server never issued is unknown."""
+    n = 6
+    a = rng.standard_normal((n, n))
+    handle = client.call_detached("dmmul", n, a, a, None)
+    (first,) = handle.fetch(timeout=30)
+    (again,) = handle.fetch(timeout=5)
+    assert again.tobytes() == first.tobytes()
+    handle.ticket += 10_000
     with pytest.raises(RemoteError) as excinfo:
         handle.fetch(timeout=5)
     assert excinfo.value.code == "unknown-ticket"
+
+
+def test_a_refetch_after_the_cache_let_go_is_result_evicted(server, client):
+    """A fetched result is replayable within the dedup cache's bounds;
+    past them the call did run, so a re-fetch reads result-evicted."""
+    handle = client.call_detached("sleeper", 0.0)
+    assert handle.fetch(timeout=30) == []
+    server.dedup.ttl = -1.0     # every parked reply has expired
+    with pytest.raises(RemoteError) as excinfo:
+        handle.fetch(timeout=5)
+    assert excinfo.value.code == "result-evicted"
 
 
 def test_detached_unknown_function(client):

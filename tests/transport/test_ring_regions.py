@@ -306,9 +306,10 @@ def test_reading_a_region_as_xdr_raises(read):
 
 def test_a_region_its_header_does_not_announce_raises():
     payload = _received(_one_region(np.arange(float(DOUBLES))).payload())
-    region = payload.regions[0]
-    payload.regions = (region._replace(wire=">i8",
-                                       array=region.array.view(np.int64)),)
+    (region,) = payload.regions
+    payload = bulk.Payload(payload.rest, [region._replace(
+        wire=">i8", array=region.array.view(np.int64))], len(payload),
+        received=True)
     dec = XdrDecoder(payload)
     dec.unpack_uint()
     with pytest.raises(XdrError, match=f"holds {8 * DOUBLES} bytes of >i8"):

@@ -86,17 +86,20 @@ def test_client_call_encode_allocates_the_payload_once(traced):
     assert again is payload and again.flat() is flat
 
 
-def test_server_result_encode_allocates_the_payload_once(traced):
-    """From the moment the executable returns to the moment the reply is
-    handed to the channel: marshal into the RESULT encoder, dedup park,
-    send -- one payload-sized buffer."""
+def _result_of(compute) -> tuple[bulk.Payload, int, np.ndarray]:
+    """One bench_echo call whose executable returns ``compute(A)``, run
+    through a server's CALL handler into a sink: the RESULT payload the
+    sink was handed, the bytes allocated at the peak between the
+    executable's return and that hand-over (marshal into the RESULT
+    encoder, dedup park), and the array returned."""
     marks = {}
     sent = threading.Event()
 
     def echo(n, a, b):
+        marks["out"] = out = compute(a)
         marks["base"], _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        return a
+        return out
 
     class Sink:
         def send(self, msg_type, payload, timeout=None):
@@ -115,13 +118,76 @@ def test_server_result_encode_allocates_the_payload_once(traced):
         assert sent.wait(30.0)
     msg_type, payload = marks["reply"]
     assert msg_type == MessageType.RESULT
-    assert marks["peak"] - marks["base"] <= 1.25 * NBYTES
-    # Flattened once, for the dedup cache: no array of the executable's
-    # is held, and the table still places the region for a ring.
     assert isinstance(payload, bulk.Payload)
+    assert XdrDecoder(payload.head).unpack_uhyper() == 9
+    return payload, marks["peak"] - marks["base"], marks["out"]
+
+
+def test_server_result_encode_allocates_the_payload_once(traced):
+    """An output that is one of the call's own buffers (here the decoded
+    argument) is parked by reference: from the executable's return to
+    the dedup park nothing of the payload's size is allocated, and the
+    region holds that memory."""
+    payload, peak, out = _result_of(lambda a: a)
+    assert peak < 1 << 20
+    (region,) = payload.regions
+    assert region.array.ctypes.data == out.ctypes.data
+    assert region.array.nbytes == NBYTES
+
+
+def test_a_ring_send_of_a_held_result_allocates_no_frame_sized_buffer(
+        traced):
+    payload, _peak, out = _result_of(lambda a: a)
+    with _ring_transports(1 << 24) as (writer, reader):
+        peak, _ = _peak_over(lambda: writer.send_frame(
+            MessageType.RESULT, payload, timeout=30.0))
+        _type, got = reader.recv_frame(timeout=30.0)
+    assert peak < 1 << 20
+    assert payload.rest is not None         # still held, never flattened
+    assert got.regions[0].array.tobytes() == out.tobytes()
+
+
+def test_a_socket_send_of_a_held_result_flattens_it_on_the_sending_thread(
+        traced, monkeypatch):
+    """One payload-sized buffer, built by the thread that sends, which
+    then stands in for the array."""
+    payload, _peak, out = _result_of(lambda a: a)
+    flattened_on = []
+    flat = bulk.Payload.flat
+
+    def recording(self):
+        flattened_on.append(threading.get_ident())
+        return flat(self)
+
+    monkeypatch.setattr(bulk.Payload, "flat", recording)
+    frame = memoryview(bytearray(HEADER.size + len(payload)))
+    left, right = socket.socketpair()
+    try:
+        def drain():
+            got = 0
+            while got < len(frame):
+                got += right.recv_into(frame[got:])
+        reader = _send_from_thread(drain)
+        peak, _ = _peak_over(lambda: send_frame(
+            left, MessageType.RESULT, payload, timeout=30.0))
+        reader.join(30.0)
+    finally:
+        left.close()
+        right.close()
+    assert NBYTES <= peak <= 1.1 * NBYTES
+    assert flattened_on and set(flattened_on) == {threading.get_ident()}
     assert [region.array for region in payload.regions] == [None]
-    dec = XdrDecoder(payload)
-    assert dec.unpack_uhyper() == 9
+    assert frame[HEADER.size:] == payload.flat()
+    assert frame.tobytes().endswith(out.astype(">f8").tobytes())
+
+
+def test_a_foreign_output_is_flattened_at_completion(traced):
+    """A fresh array (so, too, a module global or a view the executable
+    keeps) may change before a replay: it is converted into the payload
+    once, at completion, and no array of the executable's is held."""
+    payload, peak, _out = _result_of(lambda a: a * 2)
+    assert NBYTES <= peak <= 1.25 * NBYTES
+    assert [region.array for region in payload.regions] == [None]
 
 
 # -- receive: straight into the final buffer ----------------------------------
