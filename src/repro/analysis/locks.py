@@ -90,13 +90,16 @@ GUARDED_BY: dict[str, tuple[LockSpec, ...]] = {
                                 "shed"),
                        writes=("_running",)),),
     # repro.server.dedup
-    "DedupCache": (_spec("_lock", guarded=("_entries", "hits")),),
+    "DedupCache": (_spec("_lock", guarded=("_pending", "_done",
+                                          "_done_bytes", "hits")),),
     # repro.transport.aioendpoint
     "AsyncEndpoint": (_spec("_lock", writes=("_runner", "_server")),),
     # repro.server.services -- the RPC mixin composed with either driver.
     "NinfRpcServices": (
-        _spec("_detached_lock", guarded=("_detached", "_ticket_counter",
-                                         "_detached_jobs")),
+        # FETCH reads the ticket counter unlocked: an int read is atomic,
+        # and a ticket issued meanwhile is not the one being fetched.
+        _spec("_detached_lock", guarded=("_detached_jobs",),
+              writes=("_ticket_counter",)),
         _spec("_load_lock", guarded=("_load_value", "_load_stamp")),
     ),
     # repro.client.core -- NinfClient and AsyncNinfClient inherit it

@@ -94,12 +94,12 @@ class MessageType(enum.IntEnum):
     CANCEL = 32
     CANCEL_REPLY = 33
     # Shared-memory same-host transport (PROTOCOL.md §"Shared-memory
-    # handshake"): a client that believes it shares a host with the
-    # server sends SHM_HELLO over TCP; a server with shm enabled
-    # allocates a ring pair and answers SHM_HELLO_REPLY with the
-    # segment names, after which both sides carry frames over the rings
-    # (same MAGIC|type|len|crc format).  Any other reply -- ERROR from
-    # an older or shm-disabled server -- means "keep using TCP".
+    # handshake"): a client that shares a host with the server sends
+    # SHM_HELLO over TCP; the threaded server allocates a ring pair and
+    # answers SHM_HELLO_REPLY with the segment names, after which both
+    # sides carry frames over the rings (same MAGIC|type|len|crc
+    # header).  Any other reply -- ERROR from a server that cannot take
+    # the hello or does not negotiate -- means "keep using TCP".
     SHM_HELLO = 34
     SHM_HELLO_REPLY = 35
     # Partition-tolerant directory (DESIGN.md §3.7): servers *push*

@@ -20,8 +20,9 @@ A parked reply is the payload as the server built it: bytes, or a
 :class:`~repro.xdr.bulk.Payload` still holding the call's own output
 arrays by reference, which each medium converts when it sends a replay
 (a ring straight into ring memory, a socket into flat bytes it keeps).
-The server also parks each answered FETCH_RESULT here, under a key no
-client sends (:meth:`replay` finds it), so a retried FETCH is answered
+A server keeps its finished detached results in a second cache, keyed
+by ticket, with no TTL: a FETCH is one :meth:`replay`, which tells a
+finished result from a pending one, and a retried FETCH is answered
 again.
 
 Entries are TTL'd (a retry arriving after ``ttl`` seconds re-executes —
@@ -116,9 +117,11 @@ class DedupCache:
 
     # -- internal -----------------------------------------------------------
 
-    def _purge_locked(self, now: float) -> None:
-        """Drop expired + over-bound completed entries (oldest first)."""
+    def _purge_locked(self, now: float) -> int:
+        """Drop expired + over-bound completed entries (oldest first);
+        returns how many went."""
         done = self._done
+        dropped = 0
         while done:
             key, oldest = next(iter(done.items()))
             if not (now - oldest.stamp > self.ttl
@@ -126,6 +129,8 @@ class DedupCache:
                     or (self._done_bytes > self.max_bytes and len(done) > 1)):
                 break
             self._forget_done_locked(key)
+            dropped += 1
+        return dropped
 
     def _forget_done_locked(self, key: Hashable) -> Optional[DedupEntry]:
         entry = self._done.pop(key, None)
@@ -175,8 +180,9 @@ class DedupCache:
         self._hit()
         return state, entry
 
-    def complete(self, key: Hashable, reply: Reply) -> None:
-        """Park the encoded reply and release any parked attempts."""
+    def complete(self, key: Hashable, reply: Reply) -> int:
+        """Park the encoded reply and release any parked attempts;
+        returns how many older completed entries the park evicted."""
         now = self.clock()
         with self._lock:
             entry = (self._pending.pop(key, None)
@@ -187,9 +193,10 @@ class DedupCache:
             entry.stamp = now
             self._done[key] = entry  # at the back: the freshest
             self._done_bytes += len(reply[1])
-            self._purge_locked(now)
+            evicted = self._purge_locked(now)
             self._note_size_locked()
         self._settle(entry)
+        return evicted
 
     def abort(self, key: Hashable) -> None:
         """Forget a pending entry (the call was shed before executing).
@@ -214,17 +221,18 @@ class DedupCache:
         for waiter in waiters:
             waiter(entry.reply)
 
-    def replay(self, key: Hashable) -> Optional[Reply]:
-        """The completed reply parked under ``key`` (a hit), or ``None``;
-        unlike :meth:`begin`, a miss registers nothing."""
+    def replay(self, key: Hashable) -> tuple[str, Optional[Reply]]:
+        """Look ``key`` up without registering anything: ``("done",
+        reply)`` (a hit), ``("pending", None)`` or ``("missing", None)``."""
         now = self.clock()
         with self._lock:
             self._purge_locked(now)
             entry = self._done.get(key)
-        if entry is None:
-            return None
+            if entry is None:
+                return ("pending" if key in self._pending else "missing",
+                        None)
         self._hit()
-        return entry.reply
+        return "done", entry.reply
 
     def wait(self, entry: DedupEntry,
              timeout: Optional[float] = None) -> Optional[Reply]:

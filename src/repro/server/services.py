@@ -16,6 +16,7 @@ composed with either driver:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -124,26 +125,24 @@ class NinfRpcServices:
         self._load_lock = threading.Lock()
         self._load_value = 0.0
         self._load_stamp = 0.0
-        # Two-phase RPC (§5.1): server-assigned tickets -> finished
-        # results awaiting fetch (bounded; oldest evicted).
+        # Two-phase RPC (§5.1): server-assigned tickets -> detached
+        # results, pending until the job finishes, then held (fetched
+        # or not, so a retried FETCH is answered again) until the
+        # cache's entry or byte bound evicts them, oldest first.  A
+        # ticket this server issued and no longer holds is
+        # result-evicted (re-issuing the call is the only recovery);
+        # any other is unknown-ticket.
         self._ticket_counter = 0
         self._detached_lock = threading.Lock()
-        self._detached: dict[int, Reply | None] = {}
+        self.detached_results = DedupCache(max_entries=256, ttl=math.inf)
         # Still-queued detached jobs by ticket, so CANCEL can drop them.
         self._detached_jobs: dict[int, Job] = {}
-        self.max_detached_results = 256
-        # Tombstones for evicted and fetched results (insertion-ordered,
-        # bounded): a late FETCH distinguishes "your result was computed
-        # but is gone" (result-evicted: retrying the call is the only
-        # recovery) from a ticket this server never issued
-        # (unknown-ticket).
-        self._detached_evicted: dict[int, None] = {}
-        self.max_evicted_tombstones = 1024
         from repro.obs import names
 
         self._evicted_metric = self.metrics.counter(
             names.SERVER_DETACHED_EVICTED,
-            "Finished detached results evicted before their FETCH arrived")
+            "Finished detached results evicted from the bounded store, "
+            "fetched or not")
         self._worker_deaths = self.metrics.counter(
             names.SERVER_PE_WORKER_DEATHS,
             "PE worker processes found dead, mid-call or idle")
@@ -218,8 +217,6 @@ class NinfRpcServices:
         with self._load_lock:
             dt = now - self._load_stamp
             if dt > 0:
-                import math
-
                 decay = math.exp(-dt / self._load_decay)
                 self._load_value = (self._load_value * decay
                                     + level * (1 - decay))
@@ -438,7 +435,7 @@ class NinfRpcServices:
         with self._detached_lock:
             self._ticket_counter += 1
             ticket = self._ticket_counter
-            self._detached[ticket] = None  # pending
+        self.detached_results.begin(ticket)
 
         def on_complete(job: Job) -> None:
             # What FETCH_RESULT will answer: the ERROR, or the RESULT
@@ -452,28 +449,15 @@ class NinfRpcServices:
             outcome: Reply = ((MessageType.RESULT, result) if error is None
                               else (MessageType.ERROR,
                                     pack(MessageType.ERROR, error)))
-            evictions = 0
             with self._detached_lock:
-                self._detached[ticket] = outcome
                 self._detached_jobs.pop(ticket, None)
-                # Bound the store: evict the oldest *finished* results,
-                # leaving a tombstone so the owner's late FETCH gets a
-                # distinct result-evicted error, not unknown-ticket.
-                finished = [t for t, v in self._detached.items()
-                            if v is not None]
-                while len(finished) > self.max_detached_results:
-                    evicted = finished.pop(0)
-                    self._detached.pop(evicted, None)
-                    self._detached_jobs.pop(evicted, None)
-                    self._tombstone_locked(evicted)
-                    evictions += 1
+            evictions = self.detached_results.complete(ticket, outcome)
             if evictions:
                 self._evicted_metric.inc(evictions)
 
         job = self._submit(conn, call, on_complete)
         if job is None:
-            with self._detached_lock:
-                self._detached.pop(ticket, None)
+            self.detached_results.abort(ticket)
             return
         with self._detached_lock:
             if not job.done.is_set():
@@ -501,40 +485,22 @@ class NinfRpcServices:
     def _handle_fetch(self, conn: Connection, payload: bytes) -> None:
         """Phase two: a (possibly new) connection collects the result.
 
-        The answer moves into the dedup cache, under a key no client can
-        send, so a FETCH retried after its reply was lost gets the same
-        reply; once the cache has let it go, the ticket's tombstone
-        answers ``result-evicted``."""
+        A fetched result stays held, so a FETCH retried after its reply
+        was lost gets the same reply; once the store has let it go, the
+        call did run and the answer is ``result-evicted``."""
         (ticket,) = unpack(MessageType.FETCH_RESULT, payload)
-        key = ("fetch", ticket)
-        with self._detached_lock:
-            pending = ticket in self._detached
-            reply = self._detached.get(ticket)
-            if reply is not None:
-                del self._detached[ticket]
-                self.dedup.complete(key, reply)
-                self._tombstone_locked(ticket)
-            elif not pending:
-                reply = self.dedup.replay(key)
-            evicted = ticket in self._detached_evicted
+        state, reply = self.detached_results.replay(ticket)
         if reply is not None:
             conn.send(*reply)
-        elif pending:
+        elif state == "pending":
             conn.reply(MessageType.RESULT_PENDING, ticket)
-        elif evicted:
+        elif 0 < ticket <= self._ticket_counter:
             conn.send_error("result-evicted",
                             f"result for ticket {ticket} is no longer "
                             f"held; re-issue the call")
         else:
             conn.send_error("unknown-ticket",
                             f"no detached call with ticket {ticket}")
-
-    def _tombstone_locked(self, ticket: int) -> None:
-        """Remember that ``ticket``'s call ran, for a late FETCH; the
-        oldest tombstones go past ``max_evicted_tombstones``."""
-        self._detached_evicted[ticket] = None
-        while len(self._detached_evicted) > self.max_evicted_tombstones:
-            del self._detached_evicted[next(iter(self._detached_evicted))]
 
 
 class _CappedExecutable(NinfExecutable):

@@ -38,20 +38,19 @@ abstractions:
   ``start()``/``stop()``.
 - :class:`ShmRing` / :class:`ShmTransport` / :func:`shm_negotiate`
   (:mod:`repro.transport.shm`) -- the same-host shared-memory fast
-  path.  A dialing channel that believes it shares a machine with the
-  server offers ``SHM_HELLO`` over TCP; on agreement both sides attach
-  a ring pair in place (``Channel.attach_io``) and frames -- same
-  ``MAGIC|type|len|crc`` header, then a table of the payload's bulk
-  regions, the ``crc`` word covering header and table only -- flow
-  through shared memory while the socket stays open purely as the
-  liveness/close signal.
-  Negotiation policy is a tri-state ``shm`` flag on ``connect``,
-  ``ConnectionPool`` and ``Endpoint``: ``False`` = never, ``True`` =
-  always offer, ``None`` = auto (same-host peers, unless
-  ``NINF_SHM=0`` opts out); ``NinfClient(shm=True)`` offers it and the
-  default never does.  Refusals fall back to TCP silently; blocking
-  channels are the only negotiating client side (the asyncio loop
-  never blocks on ring polls).
+  path.  A dialing channel that shares a machine with the server and
+  is asked to (``shm=True`` on ``connect``, ``ConnectionPool`` or
+  ``NinfClient``; the default never does) offers ``SHM_HELLO`` over
+  TCP; on agreement both sides attach a ring pair in place
+  (``Channel.attach_io``) and frames -- same ``MAGIC|type|len|crc``
+  header, then a table of the payload's bulk regions, the ``crc`` word
+  covering header and table only -- flow through shared memory while
+  the socket stays open purely as the liveness/close signal.  The
+  threaded :class:`Endpoint` answers every hello
+  (:func:`repro.transport.shm.serve_hello`) and refuses only one it
+  cannot take; refusals fall back to TCP silently.  Blocking channels
+  are the only negotiating client side (the asyncio loop never blocks
+  on ring polls).
 
 Layering: ``xdr`` (encoding) -> ``protocol`` (framing + messages) ->
 ``transport`` (connections) -> ``client`` / ``server`` / ``metaserver``.

@@ -19,11 +19,12 @@ from typing import Optional, TYPE_CHECKING, Union
 from repro.protocol.framing import BytesLike, HEADER, crc_covers_payload, \
     encode_frame, recv_frame, send_frame
 
-if TYPE_CHECKING:  # annotation only -- shm imports channel at runtime
+if TYPE_CHECKING:  # annotation only
     from repro.obs import MetricsRegistry
     from repro.transport.shm import ShmTransport
 from repro.protocol.messages import (ErrorReply, MessageType,
                                      checked_reply, pack)
+from repro.transport import shm as shm_mod
 
 __all__ = ["Channel", "connect"]
 
@@ -286,7 +287,7 @@ class Channel:
 
 def connect(host: str, port: int, timeout: Optional[float] = None,
             connect_timeout: Optional[float] = None,
-            shm: Optional[bool] = False) -> Channel:
+            shm: bool = False) -> Channel:
     """Dial ``host:port`` and wrap the socket in a :class:`Channel`.
 
     ``connect_timeout`` bounds the TCP handshake only (defaulting to
@@ -294,17 +295,13 @@ def connect(host: str, port: int, timeout: Optional[float] = None,
     default.  This is the single client-side socket factory of the
     whole reproduction.
 
-    ``shm`` controls the shared-memory upgrade (PROTOCOL.md
-    §"Shared-memory handshake"): ``False`` (default) never negotiates
-    -- a bare dial makes no assumption that the peer speaks the Ninf
-    protocol at all; ``None`` auto-negotiates when the ``NINF_SHM``
-    environment opt-out is unset *and* ``host`` looks local (the mode
-    Ninf dialers -- :class:`~repro.client.NinfClient`, pools -- pass
-    down); ``True`` always offers the handshake.  A refusal falls back
-    to TCP silently; a handshake that dies half-way (no answer in time,
-    connection lost, a reply in another ring format) discards the
-    connection and redials plain TCP, so the caller always gets a
-    working channel.
+    ``shm=True`` offers the shared-memory upgrade (PROTOCOL.md
+    §"Shared-memory handshake"); the default never does -- a bare dial
+    makes no assumption that the peer speaks the Ninf protocol at all.
+    A refusal falls back to TCP silently; a handshake that dies
+    half-way (no answer in time, connection lost, a reply in another
+    ring format) discards the connection and redials plain TCP, so the
+    caller always gets a working channel.
     """
     sock = socket.create_connection(
         (host, port),
@@ -317,12 +314,7 @@ def connect(host: str, port: int, timeout: Optional[float] = None,
         # Nothing owns the socket until Channel construction succeeds.
         sock.close()
         raise
-    from repro.transport import shm as shm_mod  # local: optional fast path
-
-    want_shm = (shm is True
-                or (shm is None and shm_mod.shm_enabled()
-                    and shm_mod.is_local_host(host)))
-    if want_shm:
+    if shm:
         negotiate_timeout = shm_mod.NEGOTIATE_TIMEOUT
         if timeout is not None:
             negotiate_timeout = min(timeout, negotiate_timeout)
@@ -333,5 +325,5 @@ def connect(host: str, port: int, timeout: Optional[float] = None,
             # on the rings.  Burn the connection, redial plain TCP.
             channel.close()
             return connect(host, port, timeout=timeout,
-                           connect_timeout=connect_timeout, shm=False)
+                           connect_timeout=connect_timeout)
     return channel

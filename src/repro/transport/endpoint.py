@@ -30,6 +30,7 @@ from repro.protocol.errors import ConnectionClosed, ProtocolError
 from repro.protocol.framing import BytesLike
 from repro.protocol.messages import (ErrorReply, MessageType, pack,
                                      unpack)
+from repro.transport import shm
 from repro.transport.channel import Channel
 from repro.xdr import XdrError
 
@@ -291,31 +292,24 @@ class Endpoint(EndpointCore):
     """The threaded driver: an accept thread and one daemon thread per
     connection, each reading frames in a loop and dispatching them.
 
-    Parameters are :class:`EndpointCore`'s, plus:
-
-    shm:
-        Whether to honour ``SHM_HELLO`` upgrade requests from same-host
-        clients (PROTOCOL.md §"Shared-memory handshake").  ``None``
-        (default) defers to the ``NINF_SHM`` environment opt-out;
-        ``True``/``False`` force it.  Refused handshakes get a
-        well-formed ``ErrorReply`` (the client keeps TCP) and count in
-        ``ninf_shm_fallbacks_total``; upgrades count in
-        ``ninf_shm_upgrades_total``.
-
-    Every accepted connection is wrapped in a :class:`Channel` (which
-    sets ``TCP_NODELAY``); ``SHM_HELLO -> SHM_HELLO_REPLY`` is
-    pre-registered next to the core's PING and STATS.
+    Parameters are :class:`EndpointCore`'s.  Every accepted connection
+    is wrapped in a :class:`Channel` (which sets ``TCP_NODELAY``);
+    ``SHM_HELLO -> SHM_HELLO_REPLY`` (PROTOCOL.md §"Shared-memory
+    handshake", :func:`repro.transport.shm.serve_hello`) is
+    pre-registered next to the core's PING and STATS.  Upgrades count
+    in ``ninf_shm_upgrades_total``; refusals -- well-formed
+    ``ErrorReply`` frames, the client keeps TCP -- in
+    ``ninf_shm_fallbacks_total`` by reason.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  name: str = "endpoint",
                  fault_plan: Optional["FaultPlan"] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 backlog: int = 512, shm: Optional[bool] = None) -> None:
+                 backlog: int = 512) -> None:
         super().__init__(host=host, port=port, name=name,
                          fault_plan=fault_plan, metrics=metrics,
                          backlog=backlog)
-        self.shm = shm
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         # Live connection threads, for stop().  GUARDED_BY(_lock).
@@ -331,73 +325,11 @@ class Endpoint(EndpointCore):
 
     def _handle_shm_hello(self, conn: _ThreadConnection,
                           payload: bytes) -> None:
-        """The server half of the shm handshake: create a ring pair,
-        advertise it over TCP, then reroute this connection's frames
-        onto the rings.  Refusals -- a malformed hello and one naming
-        another ring format included -- are ordinary ``ErrorReply``
-        frames: the client falls back to TCP without redialing."""
-        from repro.transport import shm as shm_mod
-
-        channel = conn.channel
-        if not shm_mod.shm_enabled(self.shm):
-            self._shm_fallbacks.inc(reason="disabled")
-            conn.send_error("shm-disabled",
-                            "shared-memory transport is disabled here")
-            return
-        if channel.via_shm:
-            self._shm_fallbacks.inc(reason="already-upgraded")
-            conn.send_error("bad-request",
-                            "connection already upgraded to shm")
-            return
-        try:
-            hint, ring_format = unpack(MessageType.SHM_HELLO, payload)
-        except XdrError as exc:
-            # Refused here, not by dispatch(): a hello from before the
-            # format word must count as a fallback like any other.
-            self._shm_fallbacks.inc(reason="bad-request")
-            conn.send_error("bad-request", f"malformed SHM_HELLO: {exc}")
-            return
-        if ring_format != shm_mod.RING_FORMAT:
-            self._shm_fallbacks.inc(reason="ring-format")
-            conn.send_error(
-                "shm-ring-format",
-                f"ring format {ring_format} is not spoken here "
-                f"(this side: {shm_mod.RING_FORMAT})")
-            return
-        # Clamp the client's hint: tiny rings would deadlock-prone-poll,
-        # huge ones would exhaust /dev/shm (often small in containers).
-        # Round down to the ring frame's alignment.
-        capacity = max(1 << 12, min(hint or shm_mod.DEFAULT_CAPACITY,
-                                    1 << 24))
-        capacity -= capacity % shm_mod.RING_ALIGN
-        rings: list[shm_mod.ShmRing] = []
-        try:
-            for _ in ("client->server", "server->client"):
-                rings.append(shm_mod.ShmRing.create(capacity))
-        except OSError as exc:
-            for ring in rings:
-                ring.close()
-            self._shm_fallbacks.inc(reason="alloc-failed")
-            conn.send_error("shm-unavailable",
-                            f"cannot allocate shm ring: {exc}")
-            return
-        c2s, s2c = rings
-        # Reply over TCP first, then attach: the next frame the client
-        # sends after reading the reply already arrives via the ring.
-        # On the channel itself: a failed advertisement must raise and
-        # end the connection before anything is attached -- and take
-        # both segments with it.
-        try:
-            channel.send(MessageType.SHM_HELLO_REPLY,
-                         pack(MessageType.SHM_HELLO_REPLY, c2s.name,
-                              s2c.name, capacity, shm_mod.RING_FORMAT))
-        except BaseException:
-            c2s.close()
-            s2c.close()
-            raise
-        channel.attach_io(
-            shm_mod.ShmTransport(send_ring=s2c, recv_ring=c2s))
-        self._shm_upgrades.inc()
+        refused = shm.serve_hello(conn, payload)
+        if refused is None:
+            self._shm_upgrades.inc()
+        else:
+            self._shm_fallbacks.inc(reason=refused)
 
     # -- the driver's I/O ---------------------------------------------------
 

@@ -391,12 +391,12 @@ class FaultPlan:
     def connector(self, host: str, port: int,
                   timeout: Optional[float] = None,
                   connect_timeout: Optional[float] = None,
-                  shm: Optional[bool] = False) -> "FaultyChannel":
+                  shm: bool = False) -> "FaultyChannel":
         """Drop-in for :func:`repro.transport.connect` with dial faults.
 
         Signature-compatible with ``ConnectionPool``'s ``connector``
         parameter, which is how a plan reaches every pooled checkout.
-        The shm handshake (when ``shm`` asks for one) runs *before*
+        The shm handshake (when ``shm`` offers one) runs *before*
         wrapping and consumes no fault draws, so chaos schedules stay
         aligned whether or not the channel upgrades.
         """

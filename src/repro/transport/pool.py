@@ -58,12 +58,10 @@ class ConnectionPool:
         :class:`~repro.client.NinfClient`) pass their own to unify
         exposition.
     shm:
-        Shared-memory transport negotiation for dialed channels
-        (PROTOCOL.md §"Shared-memory handshake"): ``False`` (default)
-        never offers it, ``None`` auto-negotiates with same-host peers
-        unless ``NINF_SHM`` opts out, ``True`` always offers it.
-        Forwarded to :func:`repro.transport.channel.connect` (or a
-        fault plan's connector); ignored for custom ``connector``
+        Whether dialed channels offer the shared-memory upgrade
+        (PROTOCOL.md §"Shared-memory handshake"); the default never
+        does.  Forwarded to :func:`repro.transport.channel.connect` (or
+        a fault plan's connector); ignored for custom ``connector``
         callables, which keep their own dialing policy.
     """
 
@@ -75,7 +73,7 @@ class ConnectionPool:
                  clock: Callable[[], float] = time.monotonic,
                  fault_plan: Optional["FaultPlan"] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 shm: Optional[bool] = False) -> None:
+                 shm: bool = False) -> None:
         if max_idle_per_key < 1:
             raise ValueError(f"max_idle_per_key must be >= 1, "
                              f"got {max_idle_per_key}")
@@ -162,9 +160,7 @@ class ConnectionPool:
         return None
 
     def _dial(self, host: str, port: int) -> Any:
-        options = {}
-        if self._connect_shm and self.shm is not False:
-            options["shm"] = self.shm
+        options = {"shm": True} if self.shm and self._connect_shm else {}
         try:
             return self._connect(host, port, timeout=self.timeout,
                                  connect_timeout=self.connect_timeout,

@@ -28,8 +28,10 @@ region's big-endian bytes at a 16-byte frame offset, converted from the
 sender's array in ring-sized pieces (:meth:`ShmRing.write_array`).  The
 reader converts each region out of the ring into one fresh native array
 (:meth:`ShmRing.read_array`) and hands the payload on with those arrays
-in it; ``XdrDecoder.unpack_ndarray`` takes them as they are.  Neither
-side allocates a buffer the size of the frame.  Capacities are
+in it; ``XdrDecoder.unpack_ndarray`` takes them as they are.  Bytes and
+arrays go through one copy loop per direction (a byte is a one-byte
+element; only the per-piece copy differs).  Neither side allocates a
+buffer the size of the frame.  Capacities are
 multiples of 16 and every frame is padded to one, so each region starts
 16-aligned in ring memory and no element straddles the ring's end.  The
 ring frame is known to this module alone: :func:`_frame_pieces` lays it
@@ -38,23 +40,22 @@ out for :meth:`ShmTransport.send_frame` and
 reads it back in order.
 
 Negotiation (PROTOCOL.md §"Shared-memory handshake") happens over the
-already-established TCP channel: the client sends ``SHM_HELLO`` with a
-capacity hint and the ring format it speaks, a willing server creates
+already-established TCP channel, and both halves live here: the client
+(:func:`negotiate`, run by ``connect(shm=True)``) sends ``SHM_HELLO``
+with a capacity hint and the ring format it speaks, the server
+(:func:`serve_hello`, registered by the threaded ``Endpoint``) creates
 both rings and answers ``SHM_HELLO_REPLY`` with the segment names and
 the format again, and both sides then attach the rings *in place* on
 the existing :class:`~repro.transport.channel.Channel` (see
 ``Channel.attach_io``).
 The TCP socket stays open -- it is the liveness signal
 (``Channel.healthy`` still selects on it) and the close signal; frames
-simply stop flowing over it.  Any other reply (an ``ERROR`` from an
-older server, an shm-disabled server, or the asyncio server which does
-not negotiate) means "keep using TCP" -- the fallback is silent and the
-call path identical.
-
-Opt-outs: set ``NINF_SHM=0`` in the environment (either side), pass
-``shm=False`` to :func:`repro.transport.connect` /
-``Endpoint(shm=False)``.  Negotiation is only *attempted* when the
-dialed host looks local (loopback or this machine's hostname).
+simply stop flowing over it.  A client offers the ring only when asked
+(``shm=True``); a server answers every hello and refuses only for a
+reason it can observe.  Any refusal (an ``ERROR`` from a server that
+cannot take the hello, from an older one, or from the asyncio server,
+which does not negotiate) means "keep using TCP" -- the fallback is
+silent and the call path identical.
 
 Fault injection: :class:`~repro.transport.faults.FaultyChannel` frames
 with the attached medium's codec (``Channel._encode_frame``) and writes
@@ -70,7 +71,6 @@ ring's fault model and would not be noticed.
 from __future__ import annotations
 
 import os
-import socket
 import struct
 import time
 import zlib
@@ -81,8 +81,9 @@ from typing import Any, Iterable, Iterator, Optional, TYPE_CHECKING, \
 import numpy as np
 from numpy.typing import NDArray
 
-if TYPE_CHECKING:  # annotation only -- channel imports shm lazily
+if TYPE_CHECKING:  # annotation only -- channel and endpoint import shm
     from repro.transport.channel import Channel
+    from repro.transport.endpoint import _ThreadConnection
 
 from repro.protocol.errors import (
     ConnectionClosed,
@@ -103,9 +104,8 @@ __all__ = [
     "RING_FORMAT",
     "ShmRing",
     "ShmTransport",
-    "is_local_host",
     "negotiate",
-    "shm_enabled",
+    "serve_hello",
 ]
 
 #: Per-direction ring capacity (bytes).  Frames larger than the ring
@@ -176,30 +176,6 @@ _SPIN = 64
 _POLL_SECONDS = 0.0002
 _IDLE_AFTER = 320          # ~50 ms of short polls before backing off
 _IDLE_POLL_SECONDS = 0.002
-
-_LOCAL_HOSTS = {"localhost", "127.0.0.1", "::1", "0.0.0.0"}
-
-
-def shm_enabled(flag: Optional[bool] = None) -> bool:
-    """Resolve the shm opt-out: explicit ``flag`` wins, else the
-    ``NINF_SHM`` environment variable (unset/``1`` = enabled)."""
-    if flag is not None:
-        return flag
-    return os.environ.get("NINF_SHM", "1") not in ("0", "no", "off")
-
-
-def is_local_host(host: str) -> bool:
-    """Whether ``host`` plausibly names this machine (worth offering the
-    shm handshake).  Deliberately conservative: loopback names plus this
-    host's own hostname -- a wrong ``True`` only costs one refused
-    SHM_HELLO round trip."""
-    if host in _LOCAL_HOSTS:
-        return True
-    try:
-        return host == socket.gethostname()
-    except OSError:  # pragma: no cover - gethostname essentially never fails
-        return False
-
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing segment without adopting ownership.
@@ -316,141 +292,122 @@ class ShmRing:
             os.sched_yield()
         return spins + 1
 
-    def write(self, data: BytesLike,
-              deadline: Optional[float] = None) -> None:
-        """Append ``data``, blocking while the ring is full.
+    # One copy loop per direction, :meth:`write` and :meth:`read_into`.
+    # A byte is a one-byte element, copied as it is; with ``wire``, the
+    # elements of an array are converted to or from that big-endian
+    # dtype.  Each piece is a free (or filled) contiguous span of whole
+    # elements, so with a capacity that is a multiple of 16 an element
+    # wider than a byte never straddles the ring's end -- provided it
+    # starts 16-aligned (:meth:`_check_aligned`), as a ring frame's
+    # regions do.
+
+    def write(self, data: Union[BytesLike, NDArray[Any]],
+              deadline: Optional[float] = None,
+              wire: Optional[str] = None) -> None:
+        """Append ``data``, blocking while the ring is full: bytes, or
+        with ``wire`` an array converted straight into ring memory.
 
         Streams arbitrarily large buffers in ring-capacity pieces.
         Raises :class:`ConnectionClosed` if the ring is marked closed
         (any unread bytes on a closed ring are going nowhere).
         """
-        view = memoryview(data).cast("B")
-        sent = 0
-        spins = 0
-        while sent < len(view):
+        if wire is None:
+            src: Union[memoryview, NDArray[Any]] = memoryview(data).cast("B")
+            itemsize = 1
+        else:
+            src = np.asarray(data).reshape(-1)
+            itemsize = src.itemsize
+            self._check_aligned(self._write_pos)
+        total = len(src)
+        done = spins = 0
+        while done < total:
             if self.closed:
                 raise ConnectionClosed("shm ring closed by peer")
             write_pos = self._write_pos
+            offset = write_pos % self.capacity
             # <= 0, not == 0: insurance against an out-of-invariant
-            # counter observation ever producing a negative chunk (a
-            # negative chunk corrupts `sent` silently -- the empty-slice
+            # counter observation ever producing a negative piece (a
+            # negative piece corrupts `done` silently -- the empty-slice
             # assignment succeeds -- and derails the stream much later).
-            space = self.capacity - (write_pos - self._read_pos)
-            if space <= 0:
+            count = min(self.capacity - (write_pos - self._read_pos),
+                        self.capacity - offset) // itemsize
+            if count <= 0:
                 spins = self._wait(deadline, spins, "send")
                 continue
             spins = 0
-            offset = write_pos % self.capacity
-            chunk = min(space, len(view) - sent,
-                        self.capacity - offset)  # no wrap within one copy
+            count = min(count, total - done)
+            start = _CTRL_SIZE + offset
             try:
-                buf = self._view()
-                buf[_CTRL_SIZE + offset:
-                    _CTRL_SIZE + offset + chunk] = view[sent:sent + chunk]
-                sent += chunk
+                if wire is None:
+                    self._view()[start:start + count] = src[done:done + count]
+                else:
+                    np.frombuffer(self._view(), dtype=wire, count=count,
+                                  offset=start)[:] = src[done:done + count]
+                done += count
                 # Publish after the bytes land: the reader never sees a
                 # write_pos covering bytes that are not yet in the buffer.
-                self._ctrl[_WRITE_WORD] = write_pos + chunk
-            except ValueError:
-                raise ConnectionClosed("shm ring detached") from None
-
-    def read_into(self, view: memoryview,
-                  deadline: Optional[float] = None) -> None:
-        """Fill ``view`` from the ring, blocking while it is empty.  A
-        closed ring is drained first; EOF before ``view`` is full raises
-        :class:`ConnectionClosed` naming the bytes still outstanding."""
-        count = len(view)
-        got = 0
-        spins = 0
-        while got < count:
-            available = self.readable()
-            if available <= 0:  # <= 0: same insurance as write()
-                if self.closed:
-                    raise ConnectionClosed(
-                        f"connection closed with {count - got} bytes "
-                        f"outstanding")
-                spins = self._wait(deadline, spins, "recv")
-                continue
-            spins = 0
-            read_pos = self._read_pos
-            offset = read_pos % self.capacity
-            chunk = min(available, count - got, self.capacity - offset)
-            try:
-                buf = self._view()
-                view[got:got + chunk] = buf[_CTRL_SIZE + offset:
-                                            _CTRL_SIZE + offset + chunk]
-                got += chunk
-                self._ctrl[_READ_WORD] = read_pos + chunk
+                self._ctrl[_WRITE_WORD] = write_pos + count * itemsize
             except ValueError:
                 raise ConnectionClosed("shm ring detached") from None
 
     def write_array(self, array: NDArray[Any], wire: str,
                     deadline: Optional[float] = None) -> None:
-        """Append ``array`` as elements of the big-endian ``wire`` dtype,
-        converted straight into ring memory in one pass, a free
-        contiguous span of whole elements at a time.  The write position
-        must be 16-aligned (a ring frame's region offset), so with a
-        capacity that is a multiple of 16 no element straddles the end."""
-        src = array.reshape(-1)
-        itemsize = src.itemsize
-        if self._write_pos % RING_ALIGN:
-            raise ProtocolError("bulk region would start unaligned in the "
-                                "ring")
+        """Append ``array`` as elements of the big-endian ``wire`` dtype
+        (:meth:`write`)."""
+        self.write(array, deadline, wire)
+
+    def read_into(self, out: Union[memoryview, NDArray[Any]],
+                  deadline: Optional[float] = None,
+                  wire: Optional[str] = None,
+                  least: Optional[int] = None) -> int:
+        """Fill ``out`` from the ring, blocking while it is empty, and
+        return the elements read: bytes into a byte view, or with
+        ``wire`` big-endian elements converted into a native array.
+        With ``least``, return as soon as that many are in and no more
+        are readable in one piece.  A closed ring is drained first; EOF
+        before then raises :class:`ConnectionClosed` naming the bytes
+        still outstanding (of the ``least`` awaited)."""
+        itemsize = 1
+        if wire is not None:
+            itemsize = out.itemsize
+            self._check_aligned(self._read_pos)
+        total = len(out)
+        least = total if least is None else least
         done = spins = 0
-        while done < src.size:
-            if self.closed:
-                raise ConnectionClosed("shm ring closed by peer")
-            write_pos = self._write_pos
-            offset = write_pos % self.capacity
-            space = self.capacity - (write_pos - self._read_pos)
-            count = min(space, self.capacity - offset) // itemsize
-            if count <= 0:
-                spins = self._wait(deadline, spins, "send")
+        while done < least:
+            read_pos = self._read_pos
+            offset = read_pos % self.capacity
+            count = min(self._write_pos - read_pos,
+                        self.capacity - offset) // itemsize
+            if count <= 0:  # <= 0: same insurance as write()
+                if self.closed:
+                    raise ConnectionClosed(
+                        f"connection closed with {(least - done) * itemsize}"
+                        f" bytes outstanding")
+                spins = self._wait(deadline, spins, "recv")
                 continue
             spins = 0
-            count = min(count, src.size - done)
+            count = min(count, total - done)
+            start = _CTRL_SIZE + offset
             try:
-                np.frombuffer(self._view(), dtype=wire, count=count,
-                              offset=_CTRL_SIZE + offset)[:] = \
-                    src[done:done + count]
+                if wire is None:
+                    out[done:done + count] = self._view()[start:start + count]
+                else:
+                    out[done:done + count] = np.frombuffer(
+                        self._view(), dtype=wire, count=count, offset=start)
                 done += count
-                self._ctrl[_WRITE_WORD] = write_pos + count * itemsize
+                self._ctrl[_READ_WORD] = read_pos + count * itemsize
             except ValueError:
                 raise ConnectionClosed("shm ring detached") from None
+        return done
 
     def read_array(self, nbytes: int, wire: str,
                    deadline: Optional[float] = None) -> NDArray[Any]:
         """``nbytes`` of big-endian ``wire`` elements, converted out of
-        ring memory into one fresh native 1-D array in one pass (the
-        mirror of :meth:`write_array`, from a 16-aligned position)."""
+        ring memory into one fresh native 1-D array (:meth:`read_into`)."""
         dtype = np.dtype(wire)
         out = np.empty(nbytes // dtype.itemsize, dtype.newbyteorder("="))
-        if self._read_pos % RING_ALIGN:
-            raise ProtocolError("bulk region starts unaligned in the ring")
-        done = spins = 0
-        while done < out.size:
-            read_pos = self._read_pos
-            offset = read_pos % self.capacity
-            count = min(self.readable(),
-                        self.capacity - offset) // dtype.itemsize
-            if count <= 0:
-                if self.closed:
-                    raise ConnectionClosed(
-                        f"connection closed with "
-                        f"{(out.size - done) * dtype.itemsize} bytes "
-                        f"outstanding")
-                spins = self._wait(deadline, spins, "recv")
-                continue
-            spins = 0
-            count = min(count, out.size - done)
-            try:
-                out[done:done + count] = np.frombuffer(
-                    self._view(), dtype=dtype, count=count,
-                    offset=_CTRL_SIZE + offset)
-                done += count
-                self._ctrl[_READ_WORD] = read_pos + count * dtype.itemsize
-            except ValueError:
-                raise ConnectionClosed("shm ring detached") from None
+        self.read_into(out, deadline, wire)
         return out
 
     def read_exact(self, count: int,
@@ -459,6 +416,12 @@ class ShmRing:
         out = bulk.room(count)
         self.read_into(memoryview(out), deadline)
         return out
+
+    @staticmethod
+    def _check_aligned(position: int) -> None:
+        """The precondition of an element wider than a byte."""
+        if position % RING_ALIGN:
+            raise ProtocolError("bulk region starts unaligned in the ring")
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -559,7 +522,8 @@ class ShmTransport:
     def recv_frame(self, timeout: Optional[float] = None
                    ) -> tuple[int, Union[bytearray, bulk.Payload]]:
         """Read one frame from the receive ring, in the order it was
-        written: the header, checked as soon as it is in; the region
+        written: the header and the region count word in one ring read,
+        the header checked as soon as it is in; the rest of the region
         table, whose CRC is checked and which is validated before the
         payload buffer exists; the payload bytes outside the regions,
         copied into the private ``bytearray`` that is returned.  A frame
@@ -568,9 +532,12 @@ class ShmTransport:
         straight out of the ring."""
         deadline = self._deadline(timeout)
         ring, head = self.recv_ring, self._head
-        ring.read_into(head[:HEADER.size], deadline)
+        # Header and count word in one ring read; the header is checked
+        # as soon as it is in, even if the count word is not yet.
+        got = ring.read_into(head, deadline, least=HEADER.size)
         msg_type, length, crc = parse_header(head[:HEADER.size])
-        ring.read_into(head[HEADER.size:], deadline)
+        if got < len(head):
+            ring.read_into(head[got:], deadline)
         (count,) = _COUNT.unpack_from(head, HEADER.size)
         if count > MAX_REGIONS:
             raise ProtocolError(f"ring frame announces {count} bulk regions, "
@@ -704,8 +671,8 @@ def negotiate(channel: "Channel", capacity: int = DEFAULT_CAPACITY,
     Sends ``SHM_HELLO`` (capacity hint, :data:`RING_FORMAT`), and on
     ``SHM_HELLO_REPLY`` attaches the advertised ring pair in place via
     ``channel.attach_io``.  Returns ``True`` on upgrade, ``False`` on a
-    clean refusal (an ``ERROR`` reply from an shm-disabled or older
-    server or one that speaks another ring format, or any
+    clean refusal (an ``ERROR`` reply from a server that cannot take
+    the hello -- :func:`serve_hello` -- or does not negotiate, or any
     unexpected-but-well-formed reply) -- the channel keeps working over
     TCP either way.
 
@@ -722,7 +689,7 @@ def negotiate(channel: "Channel", capacity: int = DEFAULT_CAPACITY,
             pack(MessageType.SHM_HELLO, capacity, RING_FORMAT),
             expect=MessageType.SHM_HELLO_REPLY, timeout=timeout)
     except RemoteError:
-        return False  # server said no (shm disabled, or pre-shm dispatch)
+        return False  # the server said no
     except (TimeoutError, ConnectionClosed):
         raise  # no answer is not a refusal: a late reply may still come
     except ProtocolError:
@@ -746,3 +713,63 @@ def negotiate(channel: "Channel", capacity: int = DEFAULT_CAPACITY,
         raise
     channel.attach_io(transport)
     return True
+
+
+def serve_hello(conn: "_ThreadConnection", payload: BytesLike
+                ) -> Optional[str]:
+    """Server side of the shm handshake, for a ``SHM_HELLO`` on ``conn``.
+
+    Creates a ring pair of the hinted capacity (clamped to 4 KiB-16 MiB
+    and rounded down to :data:`RING_ALIGN`), advertises it over TCP in
+    ``SHM_HELLO_REPLY``, then reroutes the connection's frames onto the
+    rings.  Returns ``None`` on upgrade, or why it refused --
+    ``already-upgraded``, ``bad-request`` (a malformed hello, one from
+    before the format word included), ``ring-format`` or
+    ``alloc-failed`` -- after answering the refusal with an ordinary
+    ``ErrorReply``: the client falls back to TCP without redialing.
+    """
+    channel = conn.channel
+    if channel.via_shm:
+        conn.send_error("bad-request", "connection already upgraded to shm")
+        return "already-upgraded"
+    try:
+        hint, ring_format = unpack(MessageType.SHM_HELLO, payload)
+    except XdrError as exc:
+        # Refused here, not by dispatch(): a hello from before the
+        # format word must count as a fallback like any other.
+        conn.send_error("bad-request", f"malformed SHM_HELLO: {exc}")
+        return "bad-request"
+    if ring_format != RING_FORMAT:
+        conn.send_error("shm-ring-format",
+                        f"ring format {ring_format} is not spoken here "
+                        f"(this side: {RING_FORMAT})")
+        return "ring-format"
+    # Clamp the client's hint: tiny rings would deadlock-prone-poll,
+    # huge ones would exhaust /dev/shm (often small in containers).
+    capacity = max(1 << 12, min(hint or DEFAULT_CAPACITY, 1 << 24))
+    capacity -= capacity % RING_ALIGN
+    rings: list[ShmRing] = []
+    try:
+        for _ in ("client->server", "server->client"):
+            rings.append(ShmRing.create(capacity))
+    except OSError as exc:
+        for ring in rings:
+            ring.close()
+        conn.send_error("shm-unavailable", f"cannot allocate shm ring: {exc}")
+        return "alloc-failed"
+    c2s, s2c = rings
+    # Reply over TCP first, then attach: the next frame the client
+    # sends after reading the reply already arrives via the ring.  On
+    # the channel itself: a failed advertisement must raise and end the
+    # connection before anything is attached -- and take both segments
+    # with it.
+    try:
+        channel.send(MessageType.SHM_HELLO_REPLY,
+                     pack(MessageType.SHM_HELLO_REPLY, c2s.name, s2c.name,
+                          capacity, RING_FORMAT))
+    except BaseException:
+        c2s.close()
+        s2c.close()
+        raise
+    channel.attach_io(ShmTransport(send_ring=s2c, recv_ring=c2s))
+    return None

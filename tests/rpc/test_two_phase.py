@@ -82,7 +82,7 @@ def test_a_refetch_after_the_cache_let_go_is_result_evicted(server, client):
     past them the call did run, so a re-fetch reads result-evicted."""
     handle = client.call_detached("sleeper", 0.0)
     assert handle.fetch(timeout=30) == []
-    server.dedup.ttl = -1.0     # every parked reply has expired
+    server.detached_results.ttl = -1.0     # every held result has expired
     with pytest.raises(RemoteError) as excinfo:
         handle.fetch(timeout=5)
     assert excinfo.value.code == "result-evicted"
@@ -113,7 +113,7 @@ def test_many_detached_calls_interleaved(client, rng):
 
 def test_detached_store_bounded(server, client):
     """Old finished results are evicted once the store exceeds its cap."""
-    server.max_detached_results = 3
+    server.detached_results.max_entries = 3
     handles = [client.call_detached("sleeper", 0.0) for _ in range(8)]
     # Wait for all to finish by fetching the newest.
     handles[-1].fetch(timeout=30)
@@ -125,11 +125,34 @@ def test_detached_store_bounded(server, client):
     assert excinfo.value.code == "result-evicted"
 
 
+def test_unfetched_bulk_results_are_bounded_in_bytes(server, client, rng):
+    """Finished detached results are held to a byte bound, not only a
+    count: past it the oldest unfetched result answers result-evicted
+    (a bulk result pins its call's output array until fetched), and the
+    eviction is counted."""
+    from repro.obs import names
+    from repro.server import DedupCache
+
+    assert server.detached_results.max_bytes == DedupCache().max_bytes
+    server.detached_results.max_bytes = 2 << 20
+    n = 256                      # a 512 KiB output per call
+    a = rng.standard_normal((n, n))
+    handles = [client.call_detached("dmmul", n, a, a, None)
+               for _ in range(6)]
+    (newest,) = handles[-1].fetch(timeout=30)
+    np.testing.assert_allclose(newest, a @ a, rtol=1e-10)
+    with pytest.raises(RemoteError) as excinfo:
+        handles[0].fetch(timeout=5)
+    assert excinfo.value.code == "result-evicted"
+    assert server.metrics.counter(
+        names.SERVER_DETACHED_EVICTED).value() >= 1
+
+
 def test_detached_eviction_metric_and_tombstones(server, client):
     """Evictions are counted and tombstoned; fresh tickets unaffected."""
     from repro.obs import names
 
-    server.max_detached_results = 2
+    server.detached_results.max_entries = 2
     handles = [client.call_detached("sleeper", 0.0) for _ in range(6)]
     handles[-1].fetch(timeout=30)
     # Every evicted ticket answers result-evicted...

@@ -395,7 +395,7 @@ def test_the_server_answers_region_misuse_and_keeps_the_connection():
 
 
 def test_the_server_rounds_the_ring_capacity_down_to_sixteen():
-    with Endpoint(shm=True) as endpoint:
+    with Endpoint() as endpoint:
         with connect(*endpoint.address, timeout=5.0) as channel:
             assert shm_mod.negotiate(channel, capacity=5000)
             assert channel._io.send_ring.capacity == 4992
@@ -423,7 +423,7 @@ def test_a_failed_advertisement_leaves_no_segment(monkeypatch):
 
     monkeypatch.setattr(ShmRing, "create", staticmethod(recording))
     monkeypatch.setattr(Channel, "send", failing)
-    with Endpoint(shm=True) as endpoint:
+    with Endpoint() as endpoint:
         with connect(*endpoint.address, timeout=5.0, shm=True) as channel:
             assert not channel.via_shm      # redialled over TCP
             assert len(made) == 2

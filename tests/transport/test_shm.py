@@ -49,8 +49,7 @@ from repro.transport import Channel, Endpoint, FaultPlan, ShmRing, \
     ShmTransport, connect
 from repro.transport import shm as shm_mod
 from repro.transport.faults import CORRUPT, DROP_POST, TRUNCATE, _corrupt
-from repro.transport.shm import RING_FORMAT, is_local_host, negotiate, \
-    shm_enabled
+from repro.transport.shm import RING_FORMAT, negotiate
 from repro.xdr import XdrEncoder
 from tests.rpc.conftest import build_registry
 
@@ -306,7 +305,7 @@ def test_transport_healthy_tracks_peer_close():
 
 
 def test_connect_upgrades_to_shm_and_keeps_working():
-    with Endpoint(shm=True) as ep:
+    with Endpoint() as ep:
         channel = connect(*ep.address, shm=True)
         try:
             assert channel.via_shm
@@ -318,8 +317,14 @@ def test_connect_upgrades_to_shm_and_keeps_working():
         assert ep.metrics.counter(names.SHM_UPGRADES).value() == 1
 
 
-def test_connect_falls_back_when_server_refuses():
-    with Endpoint(shm=False) as ep:
+def test_connect_falls_back_when_server_refuses(monkeypatch):
+    """The server cannot allocate the rings: it answers an
+    ``ErrorReply``, counts the fallback, and the client keeps TCP."""
+    def no_room(capacity=shm_mod.DEFAULT_CAPACITY):
+        raise OSError("no space left on /dev/shm")
+
+    monkeypatch.setattr(ShmRing, "create", staticmethod(no_room))
+    with Endpoint() as ep:
         channel = connect(*ep.address, shm=True)
         try:
             assert not channel.via_shm  # refused -> silent TCP fallback
@@ -329,19 +334,7 @@ def test_connect_falls_back_when_server_refuses():
             channel.close()
         assert ep.metrics.counter(
             names.SHM_FALLBACKS,
-            labelnames=("reason",)).value(reason="disabled") == 1
-
-
-def test_env_opt_out_skips_negotiation(monkeypatch):
-    monkeypatch.setenv("NINF_SHM", "0")
-    assert not shm_enabled()
-    assert shm_enabled(True)  # the explicit flag beats the environment
-    with Endpoint(shm=True) as ep:
-        channel = connect(*ep.address, shm=None)  # auto: env says no
-        try:
-            assert not channel.via_shm
-        finally:
-            channel.close()
+            labelnames=("reason",)).value(reason="alloc-failed") == 1
 
 
 def _hello(*words: int, trailing: bytes = b"") -> bytes:
@@ -370,7 +363,7 @@ def test_server_refuses_a_hello_it_cannot_take_at_its_word(payload, code,
     naming a ring format this server does not speak is refused with an
     ``ErrorReply`` and counted as a fallback; nothing is upgraded and
     the caller is left with a working TCP channel."""
-    with Endpoint(shm=True) as ep:
+    with Endpoint() as ep:
         with connect(*ep.address, timeout=5.0) as channel:
             with pytest.raises(RemoteError) as caught:
                 channel.request(MessageType.SHM_HELLO, payload,
@@ -381,6 +374,25 @@ def test_server_refuses_a_hello_it_cannot_take_at_its_word(payload, code,
                                    expect=MessageType.PONG)[1] == b"still tcp"
         assert _fallbacks(ep, reason) == 1
         assert ep.metrics.counter(names.SHM_UPGRADES).value() == 0
+
+
+def test_a_second_hello_on_an_upgraded_connection_is_refused():
+    """The one refusal a well-formed hello can get: its connection is on
+    the ring already.  It is answered over the ring, counted under its
+    own reason, and the ring keeps carrying frames."""
+    with Endpoint() as ep:
+        with connect(*ep.address, timeout=5.0, shm=True) as channel:
+            assert channel.via_shm
+            with pytest.raises(RemoteError) as caught:
+                channel.request(MessageType.SHM_HELLO,
+                                _hello(CAP, RING_FORMAT),
+                                expect=MessageType.SHM_HELLO_REPLY)
+            assert caught.value.code == "bad-request"
+            assert channel.via_shm
+            assert channel.request(MessageType.PING, b"ring",
+                                   expect=MessageType.PONG)[1] == b"ring"
+        assert _fallbacks(ep, "already-upgraded") == 1
+        assert ep.metrics.counter(names.SHM_UPGRADES).value() == 1
 
 
 @contextlib.contextmanager
@@ -541,12 +553,6 @@ def test_a_reply_in_another_ring_format_makes_the_client_redial(
     finally:
         for ring in rings:
             ring.close()
-
-
-def test_is_local_host():
-    assert is_local_host("127.0.0.1")
-    assert is_local_host("localhost")
-    assert not is_local_host("ninf.example.org")
 
 
 def test_client_offers_shm_only_when_asked():
