@@ -72,7 +72,7 @@ def main() -> None:
         servers=[
             ServerSpec("server-a", machine="j90", mode="data"),
             ServerSpec("server-b", machine="j90", mode="task",
-                       policy="sjf", max_concurrent=4),
+                       policy="sjf"),
         ],
         sites=[],
         clients=[

@@ -82,13 +82,9 @@ GUARDED_BY: dict[str, tuple[LockSpec, ...]] = {
     # (AsyncEndpoint below) adds its own I/O state to the core's.
     "EndpointCore": (_spec("_lock", writes=("_running", "_address")),),
     "Endpoint": (_spec("_lock", writes=("_listener", "_accept_thread")),),
-    # repro.server.executor
-    "Executor": (_spec("_lock",
-                       guarded=("_pending", "_free_pes", "_seq",
-                                "_shutdown", "completed", "failed",
-                                "_service_ewma", "expired", "cancelled",
-                                "shed"),
-                       writes=("_running",)),),
+    # repro.server.executor -- every queue and PE decision is its
+    # AdmissionCore's, so the core is what the lock guards.
+    "Executor": (_spec("_lock", guarded=("_core",)),),
     # repro.server.dedup
     "DedupCache": (_spec("_lock", guarded=("_pending", "_done",
                                           "_done_bytes", "hits")),),

@@ -54,27 +54,26 @@ class PolicyOutcome:
     makespan: float
 
 
-def _run_policy_mix(policy: SchedulingPolicy, small: CallSpec,
-                    large: CallSpec, arrivals: Sequence[tuple[float, bool]],
-                    max_concurrent: int = 4) -> PolicyOutcome:
-    """Replay a fixed arrival trace through the simulated J90."""
+def _run_policy_mix(policy: SchedulingPolicy,
+                    arrivals: Sequence[tuple[float, CallSpec, bool]]
+                    ) -> PolicyOutcome:
+    """Replay ``(delay, call, is_small)`` arrivals on the sim J90."""
     sim = Simulator()
     network = Network(sim)
     server = SimNinfServer(sim, network, machine("j90"), mode="task",
-                           policy=policy, max_concurrent=max_concurrent)
+                           policy=policy)
     catalog = lan_catalog(machine("j90"))
     records: list[tuple[bool, SimCallRecord]] = []
 
-    def one(delay: float, is_small: bool, index: int):
+    def one(delay: float, spec: CallSpec, is_small: bool, index: int):
         yield sim.timeout(delay)
-        spec = small if is_small else large
         record = SimCallRecord(spec=spec, client_id=index, submit_time=sim.now)
         route = catalog.route_for(machine("alpha"), index)
         yield from server.execute_call(record, route)
         records.append((is_small, record))
 
-    for index, (delay, is_small) in enumerate(arrivals):
-        sim.process(one(delay, is_small, index))
+    for index, (delay, spec, is_small) in enumerate(arrivals):
+        sim.process(one(delay, spec, is_small, index))
     sim.run()
     small_records = [r for s, r in records if s]
     large_records = [r for s, r in records if not s]
@@ -100,16 +99,16 @@ def sjf_vs_fcfs(num_bursts: int = 6, seed: int = 7
     small = linpack_spec(j90, 300)
     large = linpack_spec(j90, 1400)
     rng = np.random.default_rng(seed)
-    arrivals: list[tuple[float, bool]] = []
+    arrivals: list[tuple[float, CallSpec, bool]] = []
     for burst in range(num_bursts):
         base = burst * 120.0
         for _ in range(8):
-            arrivals.append((base + rng.uniform(0.0, 0.5), False))
+            arrivals.append((base + rng.uniform(0.0, 0.5), large, False))
         for _ in range(6):
-            arrivals.append((base + 0.6 + rng.uniform(0.0, 0.5), True))
+            arrivals.append((base + 0.6 + rng.uniform(0.0, 0.5), small, True))
     return {
-        "fcfs": _run_policy_mix(FCFSPolicy(), small, large, arrivals),
-        "sjf": _run_policy_mix(SJFPolicy(), small, large, arrivals),
+        "fcfs": _run_policy_mix(FCFSPolicy(), arrivals),
+        "sjf": _run_policy_mix(SJFPolicy(), arrivals),
     }
 
 
@@ -137,38 +136,8 @@ def fpfs_vs_fcfs_packing(seed: int = 11) -> dict[str, PolicyOutcome]:
             arrivals.append((base + 0.6 + rng.uniform(0.0, 0.5),
                              short_narrow, True))
 
-    def run(policy: SchedulingPolicy) -> PolicyOutcome:
-        sim = Simulator()
-        network = Network(sim)
-        server = SimNinfServer(sim, network, j90, mode="task",
-                               policy=policy, max_concurrent=4)
-        catalog = lan_catalog(j90)
-        records: list[tuple[bool, SimCallRecord]] = []
-
-        def one(delay: float, spec: CallSpec, is_small: bool, index: int):
-            yield sim.timeout(delay)
-            record = SimCallRecord(spec=spec, client_id=index,
-                                   submit_time=sim.now)
-            route = catalog.route_for(machine("alpha"), index)
-            yield from server.execute_call(record, route)
-            records.append((is_small, record))
-
-        for index, (delay, spec, is_small) in enumerate(arrivals):
-            sim.process(one(delay, spec, is_small, index))
-        sim.run()
-        small_records = [r for s, r in records if s]
-        large_records = [r for s, r in records if not s]
-        return PolicyOutcome(
-            policy=policy.name,
-            mean_elapsed_small=float(np.mean([r.elapsed
-                                              for r in small_records])),
-            mean_elapsed_large=float(np.mean([r.elapsed
-                                              for r in large_records])),
-            mean_wait_small=float(np.mean([r.wait for r in small_records])),
-            makespan=max(r.complete_time for _, r in records),
-        )
-
-    return {"fcfs": run(FCFSPolicy()), "fpfs": run(FPFSPolicy())}
+    return {"fcfs": _run_policy_mix(FCFSPolicy(), arrivals),
+            "fpfs": _run_policy_mix(FPFSPolicy(), arrivals)}
 
 
 @dataclass(frozen=True)

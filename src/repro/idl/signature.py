@@ -74,7 +74,7 @@ class ArgSpec:
         shape = []
         for dim_source, expr in zip(self.dims, self.dim_exprs()):
             value = expr.evaluate(env)
-            rounded = int(round(value))
+            rounded = int(round(value)) if math.isfinite(value) else -1
             if abs(value - rounded) > 1e-9 or rounded < 0:
                 raise IdlError(
                     f"dimension {dim_source!r} of {self.name} evaluated to "
@@ -88,7 +88,7 @@ class ArgSpec:
         element = DTYPE_SIZES[self.dtype]
         if not self.is_array:
             return element
-        return element * int(np.prod(self.shape(env), dtype=np.int64))
+        return element * math.prod(self.shape(env))
 
 
 ARG_SPEC = Struct(string("mode"), string("dtype"), string("name"),

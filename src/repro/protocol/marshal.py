@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from repro.idl import ArgSpec, IdlError, Signature
-from repro.protocol.framing import BytesLike
+from repro.protocol.framing import MAX_FRAME_SIZE, BytesLike
 from repro.idl.signature import NUMPY_DTYPES
 from repro.xdr import XdrDecoder, XdrEncoder
 from repro.xdr.record import (Struct, Type, double, float_, hyper, int_,
@@ -104,7 +104,8 @@ def unmarshal_inputs(signature: Signature,
 
     ``mode_out`` arrays come back as freshly allocated zero buffers of
     the inferred shape (the fork/exec'd executable fills them in);
-    ``mode_out`` scalars come back as None placeholders.
+    ``mode_out`` scalars come back as None placeholders.  Outputs past
+    ``MAX_FRAME_SIZE`` (a RESULT no medium frames) raise IdlError first.
     """
     dec = XdrDecoder(payload)
     values: list[Any] = []
@@ -132,14 +133,16 @@ def unmarshal_inputs(signature: Signature,
                     f"argument {spec.name}: wire shape {value.shape} does "
                     f"not match declared shape {expected}"
                 )
-    # Allocate output buffers now that all scalars are known.
+    # Allocate output buffers, sized by the peer's scalars: bound first.
+    out_bytes = sum(spec.nbytes(env) for spec in signature.args
+                    if spec.is_output and spec.is_array)
+    if out_bytes > MAX_FRAME_SIZE:
+        raise IdlError(f"output arrays total {out_bytes} bytes, past the "
+                       f"{MAX_FRAME_SIZE}-byte frame limit")
     for i, spec in enumerate(signature.args):
-        if spec.mode == "mode_out":
-            if spec.is_array:
-                values[i] = np.zeros(spec.shape(env),
-                                     dtype=NUMPY_DTYPES[spec.dtype])
-            else:
-                values[i] = None
+        if spec.mode == "mode_out" and spec.is_array:
+            values[i] = np.zeros(spec.shape(env),
+                                 dtype=NUMPY_DTYPES[spec.dtype])
     dec.done()
     return values
 

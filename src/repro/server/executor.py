@@ -1,23 +1,19 @@
-"""The server's PE pool: queued jobs, policy-driven dispatch, timestamps.
+"""The server's PE pool: threads that run what the admission core admits.
 
-Models the two execution styles the paper benchmarks:
+Models the two execution styles the paper benchmarks: *task-parallel*
+("1-PE"), where each call claims one PE and up to ``num_pes`` run at
+once, and *data-parallel* ("4-PE"), where each call claims all PEs, so
+calls serialize -- "the data-parallel version employs an optimally
+vectorized and parallelized version with simultaneous execution on 4
+PEs for each Ninf_call, invoked in sequence".  A call runs on its PE
+thread, BLAS capped at the PEs it claimed, or -- a GIL-holding Python
+kernel -- in a PE worker process the thread waits on (DESIGN.md §3.6).
 
-- *task-parallel* ("1-PE"): each call claims one PE; up to ``num_pes``
-  calls run concurrently.  A PE thread runs a BLAS kernel (``linpack``
-  is LAPACK ``dgetrf`` / ``dgetrs``, ``dmmul`` a ``matmul``) itself:
-  the kernel releases the GIL, so two run truly in parallel, with
-  OpenBLAS capped at the PEs the call claimed.  A Python kernel with a
-  ``CalcOrder`` (``ep``, ``dos``, ``mandel``) would hold the GIL, so
-  its PE thread hands it to a PE worker process
-  (:mod:`repro.server.peworkers`) and waits for it there (DESIGN.md
-  §3.6).
-- *data-parallel* ("4-PE"): each call claims all PEs, so calls
-  serialize -- "the data-parallel version employs an optimally
-  vectorized and parallelized version with simultaneous execution on 4
-  PEs for each Ninf_call, invoked in sequence".
-
-Every job records the paper's timestamps: enqueue (accepted), dequeue
-(executable invoked), complete.
+Every queue and PE decision is the sans-IO
+:class:`~repro.server.admission.AdmissionCore`'s, which the simulated
+server drives too; this module keeps the threads, their conditions, the
+metrics and the call.  Every job records the paper's timestamps:
+enqueue (accepted), dequeue (executable invoked), complete.
 """
 
 from __future__ import annotations
@@ -30,30 +26,22 @@ from typing import Any, Callable, Optional
 
 from repro.protocol.errors import RemoteError, ServerBusy, ServerShutdown
 from repro.protocol.messages import JobTimestamps
+from repro.server.admission import AdmissionCore, Ticket
 from repro.server.registry import ExecutionError, NinfExecutable
-from repro.server.scheduling import FCFSPolicy, SchedulingPolicy
+from repro.server.scheduling import SchedulingPolicy
 
 __all__ = ["Executor", "Job"]
 
 
-@dataclass
-class Job:
-    """One accepted call moving through the queue.
+@dataclass(eq=False, kw_only=True)
+class Job(Ticket):
+    """One accepted call moving through the queue; past its
+    ``deadline`` it is expired instead of dequeued (DESIGN.md §3.5)."""
 
-    ``deadline`` is an absolute time on the executor's clock past which
-    the job is worthless to the client; such jobs are expired instead
-    of dequeued (DESIGN.md §3.5).
-    """
-
-    seq: int
     executable: NinfExecutable
     values: list[Any]
-    pes_required: int
-    predicted_cost: Optional[float]
     on_complete: Callable[["Job"], None]
     callback: Optional[Callable[[float, str], None]] = None
-    deadline: Optional[float] = None
-    enqueue_time: float = 0.0
     dequeue_time: float = 0.0
     complete_time: float = 0.0
     outputs: Optional[list[Any]] = None
@@ -69,16 +57,24 @@ class Job:
         )
 
 
+def _core_count(name: str) -> property:
+    """A read-only view of one of the core's counts, under the lock."""
+    def read(self: "Executor") -> int:
+        with self._lock:
+            return getattr(self._core, name)
+    return property(read)
+
+
 class Executor:
     """Policy-driven job executor over ``num_pes`` long-lived PE threads.
 
     Each PE (``ninf-pe-<i>``) loops *select -> run -> complete*: under
-    ``_lock`` it sweeps expired jobs, takes the job the policy picks and
-    claims its ``pes_required`` PEs (data mode: all, so the other PE
-    threads find nothing that fits), then runs it, returns the claim and
-    calls ``on_complete``, all on one thread.  ``submit`` wakes one idle
-    PE; a PE that takes or finishes a job wakes another only while work
-    is pending.  ``ninf-expiry`` sleeps until the earliest queued
+    ``_lock`` it sweeps expired jobs and takes the job the core admits,
+    with its ``pes_required`` PEs claimed (data mode: all, so the other
+    PE threads find nothing that fits), then runs it, returns the claim
+    and calls ``on_complete``, all on one thread.  ``submit`` wakes one
+    idle PE; a PE that takes or finishes a job wakes another only while
+    work is pending.  ``ninf-expiry`` sleeps until the earliest queued
     deadline, so ``deadline-expired`` is answered on time while every PE
     is busy; only a deadline-bearing ``submit`` wakes it.
 
@@ -90,32 +86,29 @@ class Executor:
     service time: complete - dequeue), and
     ``ninf_server_calls_total{function,status}``.
 
-    ``max_queued`` bounds the pending queue (``None`` — the default —
-    preserves the historical unbounded behaviour): a submit that would
-    exceed the bound, or whose deadline the estimated queue wait
-    already overshoots, is *shed* with :class:`ServerBusy` instead of
-    queued, counted in ``ninf_server_jobs_shed_total{reason}``.  Queued
-    jobs whose deadline passes before a PE frees up are *expired*
-    (``ninf_server_jobs_expired_total``), and queued jobs a client
-    explicitly :meth:`cancel`\\ s are counted in
-    ``ninf_server_jobs_cancelled_total``.  An ``on_complete`` that
-    raises costs neither a PE nor the job's ``done``: it is counted in
-    ``ninf_server_completion_errors_total`` and the thread carries on.
+    ``policy`` and ``max_queued`` (``None``: unbounded) are the core's;
+    ``ninf_server_jobs_shed_total{reason}``, ``..._expired_total`` and
+    ``..._cancelled_total`` count its sheds, expiries and cancels.  An
+    ``on_complete`` that raises costs neither a PE nor the job's
+    ``done``: it is counted in ``ninf_server_completion_errors_total``
+    and the thread carries on.
     """
+
+    completed = _core_count("completed")
+    failed = _core_count("failed")
+    expired = _core_count("expired")
+    cancelled = _core_count("cancelled")
+    shed = _core_count("shed")
+    running = _core_count("running")
 
     def __init__(self, num_pes: int = 1,
                  policy: Optional[SchedulingPolicy] = None,
                  clock: Callable[[], float] = time.monotonic,
                  metrics=None,
                  max_queued: Optional[int] = None):
-        if num_pes < 1:
-            raise ValueError(f"num_pes must be >= 1, got {num_pes}")
-        if max_queued is not None and max_queued < 0:
-            raise ValueError(f"max_queued must be >= 0, got {max_queued}")
+        self._core = AdmissionCore(num_pes, policy, clock, max_queued)
         self.num_pes = num_pes
-        self.policy = policy or FCFSPolicy()
         self.clock = clock
-        self.max_queued = max_queued
         self._queue_gauge = self._dispatch_hist = None
         self._execute_hist = self._calls_counter = None
         self._expired_counter = self._cancelled_counter = None
@@ -151,22 +144,9 @@ class Executor:
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)    # idle PEs wait here
         self._expiry = threading.Condition(self._lock)  # ninf-expiry does
-        self._pending: list[Job] = []
-        self._free_pes = num_pes
-        self._running = 0
-        self._seq = 0
-        self._shutdown = False
-        self._service_ewma = 0.0
-        self.completed = 0
-        self.failed = 0
-        self.expired = 0
-        self.cancelled = 0
-        self.shed = 0
         self._threads = [
             threading.Thread(target=self._pe_loop, name=f"ninf-pe-{index}",
-                             daemon=True)
-            for index in range(num_pes)
-        ]
+                             daemon=True) for index in range(num_pes)]
         self._threads.append(threading.Thread(
             target=self._expiry_loop, name="ninf-expiry", daemon=True))
         for thread in self._threads:
@@ -183,11 +163,9 @@ class Executor:
 
         ``pes`` is the PE count to claim (default: the executable's
         ``pes_required``; a data-parallel server passes all of them).
-        ``deadline`` is an absolute time on :attr:`clock`.  Admission
-        control runs here: a full queue (``max_queued``) or a deadline
-        the estimated queue wait already overshoots raises
-        :class:`ServerBusy` carrying a retry-after hint, *before* the
-        job consumes queue space.
+        ``deadline`` is an absolute time on :attr:`clock`.  A call the
+        core sheds raises :class:`ServerBusy` (with a retry-after hint)
+        before it takes queue space.
         """
         pes = min(pes or executable.pes_required, self.num_pes)
         try:
@@ -199,40 +177,20 @@ class Executor:
             })
         except Exception:
             predicted = None
-        job = Job(
-            seq=0,  # arrival order and time are decided under the lock
-            executable=executable,
-            values=values,
-            pes_required=pes,
-            predicted_cost=predicted,
-            on_complete=on_complete or (lambda _job: None),
-            callback=callback,
-            deadline=deadline,
-        )
+        job = Job(pes_required=pes, predicted_cost=predicted,
+                  deadline=deadline, executable=executable, values=values,
+                  on_complete=on_complete or (lambda _job: None),
+                  callback=callback)
         with self._lock:
-            if self._shutdown:
-                raise ServerShutdown("executor is shut down")
-            if (self.max_queued is not None
-                    and len(self._pending) >= self.max_queued
-                    and self._free_pes < pes):
-                self.shed += 1
+            try:
+                self._core.offer(job)
+            except ServerBusy as busy:
                 if self._shed_counter is not None:
-                    self._shed_counter.inc(reason="queue-full")
-                raise ServerBusy("queue-full",
-                                 retry_after=self._estimated_wait_locked())
+                    self._shed_counter.inc(reason=busy.message)
+                raise
             if deadline is not None:
-                wait = self._estimated_wait_locked()
-                if self.clock() + wait >= deadline:
-                    self.shed += 1
-                    if self._shed_counter is not None:
-                        self._shed_counter.inc(reason="deadline-unmeetable")
-                    raise ServerBusy("deadline-unmeetable", retry_after=wait)
                 self._expiry.notify()  # it may be the earliest now
-            job.seq, job.enqueue_time = self._seq, self.clock()
-            self._seq += 1
-            self._pending.append(job)
-            if self._queue_gauge is not None:
-                self._queue_gauge.set(len(self._pending))
+            self._queue_changed_locked()
             self._work.notify()
         return job
 
@@ -241,57 +199,36 @@ class Executor:
     @property
     def queued(self) -> int:
         with self._lock:
-            return len(self._pending)
-
-    @property
-    def running(self) -> int:
-        with self._lock:
-            return self._running
+            return len(self._core.pending)
 
     def load(self) -> float:
         """Instantaneous runnable count (running + queued)."""
         with self._lock:
-            return float(self._running + len(self._pending))
-
-    def _estimated_wait_locked(self) -> float:
-        """Rough queue wait for a newly arriving job, in seconds.
-
-        Occupancy (queued + running, in units of "full server passes")
-        times the EWMA service time.  Zero while the executor has never
-        run anything — admission then never sheds on deadline grounds,
-        which is the right cold-start bias.
-        """
-        if self._service_ewma <= 0.0:
-            return 0.0
-        occupancy = len(self._pending) + self._running
-        if occupancy == 0 and self._free_pes > 0:
-            return 0.0
-        return self._service_ewma * occupancy / self.num_pes
+            return float(self._core.running + len(self._core.pending))
 
     def estimated_wait(self) -> float:
-        """Thread-safe :meth:`_estimated_wait_locked` (the BUSY hint)."""
+        """The core's queue-wait estimate of a new arrival (BUSY hint)."""
         with self._lock:
-            return self._estimated_wait_locked()
+            return self._core.estimated_wait()
+
+    def _queue_changed_locked(self) -> None:
+        if self._queue_gauge is not None:
+            self._queue_gauge.set(len(self._core.pending))
 
     # -- the PE and expiry threads --------------------------------------------
 
-    def _take_expired_locked(self) -> list[Job]:
+    def _expire_locked(self) -> list[Job]:
         """Unqueue the jobs whose deadline has passed, marked
         ``deadline-expired``: the client gave up, so they are answered
         BUSY (off the lock, by :meth:`_finish`) instead of computed."""
-        now = self.clock()
-        expired = [job for job in self._pending
-                   if job.deadline is not None and job.deadline <= now]
+        expired = self._core.expire()
         if expired:
-            for dead in expired:
-                self._pending.remove(dead)
-            self.expired += len(expired)
-            retry_after = self._estimated_wait_locked()
+            retry_after = self._core.estimated_wait()
             for dead in expired:
                 dead.error = ServerBusy("deadline-expired",
                                         retry_after=retry_after)
-            if self._queue_gauge is not None:
-                self._queue_gauge.set(len(self._pending))
+            self._queue_changed_locked()
+            if self._expired_counter is not None:
                 self._expired_counter.inc(len(expired))
         return expired
 
@@ -310,19 +247,15 @@ class Executor:
         while True:
             job: Optional[Job] = None
             with self._lock:
-                while not (expired := self._take_expired_locked()):
-                    index = self.policy.select(self._pending, self._free_pes)
-                    if index is not None:
-                        job = self._pending.pop(index)
-                        if self._queue_gauge is not None:
-                            self._queue_gauge.set(len(self._pending))
-                        self._free_pes -= job.pes_required
-                        self._running += 1
+                while not (expired := self._expire_locked()):
+                    job = self._core.take()
+                    if job is not None:
+                        self._queue_changed_locked()
                         break
-                    if self._shutdown:
+                    if self._core.closed:
                         return
                     self._work.wait()  # for a submit, or a PE with work over
-                if self._pending:
+                if self._core.pending:
                     self._work.notify()  # more may fit now: pass it on
             for dead in expired:
                 self._finish(dead)
@@ -332,14 +265,12 @@ class Executor:
     def _expiry_loop(self) -> None:
         while True:
             with self._lock:
-                while not (expired := self._take_expired_locked()):
-                    if self._shutdown:
+                while not (expired := self._expire_locked()):
+                    if self._core.closed:
                         return
-                    earliest = min(
-                        (job.deadline for job in self._pending
-                         if job.deadline is not None), default=float("inf"))
-                    self._expiry.wait(min(earliest - self.clock(),
-                                          threading.TIMEOUT_MAX))
+                    self._expiry.wait(min(
+                        self._core.next_deadline() - self.clock(),
+                        threading.TIMEOUT_MAX))
                 self._work.notify()  # the head of the line may have gone
             for dead in expired:
                 self._finish(dead)
@@ -362,19 +293,8 @@ class Executor:
                 function=job.executable.name,
                 status="ok" if job.error is None else "error")
         with self._lock:
-            self._free_pes += job.pes_required
-            self._running -= 1
-            if job.error is None:
-                self.completed += 1
-            else:
-                self.failed += 1
-            # EWMA of service time feeds the admission estimate; alpha
-            # 0.3 tracks load shifts within a few calls.
-            if self._service_ewma <= 0.0:
-                self._service_ewma = service
-            else:
-                self._service_ewma += 0.3 * (service - self._service_ewma)
-            if self._pending:
+            self._core.release(job, service, ok=job.error is None)
+            if self._core.pending:
                 self._work.notify()  # for the PE idle while we reply
         self._finish(job)
 
@@ -388,13 +308,9 @@ class Executor:
         ``on_complete``/``done`` path, so waiters never hang.
         """
         with self._lock:
-            try:
-                self._pending.remove(job)
-            except ValueError:
+            if not self._core.cancel(job):
                 return False  # already dispatched (or never queued here)
-            self.cancelled += 1
-            if self._queue_gauge is not None:
-                self._queue_gauge.set(len(self._pending))
+            self._queue_changed_locked()
             self._work.notify()  # the head of the line may have gone
         if self._cancelled_counter is not None:
             self._cancelled_counter.inc()
@@ -412,8 +328,7 @@ class Executor:
         (5 s in all): an idle PE exits at once, a busy one after its job.
         """
         with self._lock:
-            self._shutdown = True
-            dropped, self._pending = self._pending, []
+            dropped = self._core.close()
             self._work.notify_all()
             self._expiry.notify()
         for job in dropped:

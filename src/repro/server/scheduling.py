@@ -14,7 +14,7 @@ picks the next job to dispatch (or None to keep waiting).
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence
+from typing import Any, Callable, Optional, Protocol, Sequence
 
 __all__ = [
     "FCFSPolicy",
@@ -32,6 +32,15 @@ class SchedulableJob(Protocol):
     seq: int                      # arrival sequence number
     pes_required: int             # PEs the executable needs
     predicted_cost: Optional[float]  # CalcOrder estimate, None if unknown
+
+
+def _best_fitting(pending: Sequence[SchedulableJob], free_pes: int,
+                  key: Callable[[SchedulableJob], Any]) -> Optional[int]:
+    """Index of the job that fits ``free_pes`` and sorts first by ``key``
+    (ties: the earlier index), or None if none fits."""
+    fitting = [i for i, job in enumerate(pending)
+               if job.pes_required <= free_pes]
+    return min(fitting, key=lambda i: key(pending[i]), default=None)
 
 
 class SchedulingPolicy:
@@ -81,19 +90,8 @@ class SJFPolicy(SchedulingPolicy):
     def select(self, pending: Sequence[SchedulableJob],
                free_pes: int) -> Optional[int]:
         """The fitting job with the smallest predicted cost."""
-        fitting = [i for i, job in enumerate(pending)
-                   if job.pes_required <= free_pes]
-        if not fitting:
-            return None
-        return min(
-            fitting,
-            key=lambda i: (
-                pending[i].predicted_cost is None,
-                pending[i].predicted_cost
-                if pending[i].predicted_cost is not None else 0.0,
-                pending[i].seq,
-            ),
-        )
+        return _best_fitting(pending, free_pes, lambda job: (
+            job.predicted_cost is None, job.predicted_cost or 0.0, job.seq))
 
 
 class FPFSPolicy(SchedulingPolicy):
@@ -108,11 +106,7 @@ class FPFSPolicy(SchedulingPolicy):
     def select(self, pending: Sequence[SchedulableJob],
                free_pes: int) -> Optional[int]:
         """The oldest job among those that fit the free PEs."""
-        fitting = [i for i, job in enumerate(pending)
-                   if job.pes_required <= free_pes]
-        if not fitting:
-            return None
-        return min(fitting, key=lambda i: pending[i].seq)
+        return _best_fitting(pending, free_pes, lambda job: job.seq)
 
 
 class FPMPFSPolicy(SchedulingPolicy):
@@ -127,12 +121,8 @@ class FPMPFSPolicy(SchedulingPolicy):
     def select(self, pending: Sequence[SchedulableJob],
                free_pes: int) -> Optional[int]:
         """The widest fitting job (ties broken FCFS)."""
-        fitting = [i for i, job in enumerate(pending)
-                   if job.pes_required <= free_pes]
-        if not fitting:
-            return None
-        return min(fitting,
-                   key=lambda i: (-pending[i].pes_required, pending[i].seq))
+        return _best_fitting(pending, free_pes,
+                             lambda job: (-job.pes_required, job.seq))
 
 
 _POLICIES = {

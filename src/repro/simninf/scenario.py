@@ -23,7 +23,8 @@ from typing import Optional
 
 from repro.model.machines import MachineSpec, machine
 from repro.model.network import ftp_throughput
-from repro.server.scheduling import SchedulingPolicy, make_policy
+from repro.model.perf import DEFAULT_T_COMM0
+from repro.server.scheduling import make_policy
 from repro.sim.engine import Simulator
 from repro.sim.network import Link, Network, Route
 from repro.simninf.calls import CallSpec, SimCallRecord, ep_spec, linpack_spec
@@ -44,7 +45,6 @@ class ServerSpec:
     mode: str = "task"               # task- or data-parallel
     nic_bandwidth: float = 12e6      # server attachment, bytes/s
     policy: Optional[str] = None     # admission policy (None = 1997 FCFS fork)
-    max_concurrent: Optional[int] = None
     t_setup: Optional[float] = None  # per-call setup cost (None = T_comm0)
 
 
@@ -147,18 +147,11 @@ class Scenario:
         nics: dict[str, Link] = {}
         stats = {}
         for name, spec in self.servers.items():
-            server_machine = machine(spec.machine)
-            policy: Optional[SchedulingPolicy] = (
-                make_policy(spec.policy) if spec.policy else None
-            )
-            server_kwargs = {}
-            if spec.t_setup is not None:
-                server_kwargs["t_setup"] = spec.t_setup
             sim_servers[name] = SimNinfServer(
-                sim, network, server_machine, mode=spec.mode,
-                policy=policy, max_concurrent=spec.max_concurrent,
-                **server_kwargs,
-            )
+                sim, network, machine(spec.machine), mode=spec.mode,
+                policy=make_policy(spec.policy) if spec.policy else None,
+                t_setup=(DEFAULT_T_COMM0 if spec.t_setup is None
+                         else spec.t_setup))
             nics[name] = Link(f"{name}-nic", spec.nic_bandwidth, 0.0005)
             stats[name] = sim_servers[name].machine.stats_window()
             LoadSampler(sim, sim_servers[name].machine, stats[name])

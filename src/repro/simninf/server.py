@@ -3,7 +3,9 @@
 Executes the full call path of the real server
 (:mod:`repro.server.server`) against simulated time: accept, fork,
 argument upload over contended network flows, PE-pool computation
-(task- or data-parallel), result download.
+(task- or data-parallel), result download.  Given a scheduling policy,
+it queues calls through the live executor's own
+:class:`~repro.server.admission.AdmissionCore`, on simulated time.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.obs.trace import (
     SPAN_SEND,
     SPAN_UNMARSHAL,
 )
+from repro.server.admission import AdmissionCore, Ticket
 from repro.server.scheduling import SchedulingPolicy
 from repro.sim.engine import AllOf, Signal, Simulator
 from repro.sim.machine import Machine
@@ -30,19 +33,6 @@ from repro.sim.network import Network, Route
 from repro.simninf.calls import CallSpec, SimCallRecord
 
 __all__ = ["SimNinfServer"]
-
-
-class _QueuedJob:
-    """Admission-queue entry; duck-types SchedulableJob for policies."""
-
-    __slots__ = ("seq", "pes_required", "predicted_cost", "grant")
-
-    def __init__(self, sim: Simulator, seq: int, pes_required: int,
-                 predicted_cost: Optional[float]):
-        self.seq = seq
-        self.pes_required = pes_required
-        self.predicted_cost = predicted_cost
-        self.grant = Signal(sim)
 
 
 class SimNinfServer:
@@ -60,6 +50,12 @@ class SimNinfServer:
     t_setup:
         Per-call connection + two-stage-RPC setup time (the model's
         ``T_comm0``), split evenly between upload and download phases.
+    policy:
+        A :class:`~repro.server.scheduling.SchedulingPolicy` (FCFS = the
+        1997 server; SJF = the §5.2 proposal on CalcOrder predictions;
+        FPFS/FPMPFS = §5.3).  Calls then queue for their PEs in the live
+        executor's :class:`~repro.server.admission.AdmissionCore` over
+        ``spec.num_pes``; ``None`` is the 1997 fork-on-arrival server.
     tracer:
         A :class:`~repro.obs.Tracer` (ideally built with the sim clock:
         ``Tracer(clock=lambda: sim.now, clock_name="sim")``).  Every
@@ -74,7 +70,6 @@ class SimNinfServer:
                  load_tau: float = 60.0,
                  switch_overhead: float = 0.0,
                  policy: Optional[SchedulingPolicy] = None,
-                 max_concurrent: Optional[int] = None,
                  max_queued: Optional[int] = None,
                  dedup: bool = True,
                  tracer: Optional[Tracer] = None):
@@ -89,18 +84,13 @@ class SimNinfServer:
                                switch_overhead=switch_overhead,
                                load_tau=load_tau)
         self.calls_completed = 0
-        # Optional admission control (§5.2): when set, at most
-        # ``max_concurrent`` executables run at once and the queue is
-        # ordered by ``policy`` (FCFS = the 1997 server; SJF = the
-        # paper's proposed improvement using CalcOrder predictions).
-        # The default (None) is the 1997 fork-on-arrival behaviour.
-        self.policy = policy
-        self.max_concurrent = max_concurrent
-        # Overload shedding (DESIGN.md §3.5): with ``max_queued`` set,
-        # a call arriving while ``capacity + max_queued`` calls are
-        # already in flight is refused at the door (outcome "shed",
-        # the live server's BUSY reply) instead of joining the
-        # processor-share pile-up.  None = today's accept-everything.
+        self._admission: Optional[AdmissionCore] = (
+            None if policy is None else
+            AdmissionCore(spec.num_pes, policy, clock=lambda: sim.now))
+        self._grants: dict[Ticket, Signal] = {}
+        # The door bound (DESIGN.md §3.5), the core's aside: an arrival
+        # with ``capacity + max_queued`` calls in flight is shed (the
+        # live BUSY) instead of joining the processor-share pile-up.
         self.max_queued = max_queued
         # Exactly-once analogue: with ``dedup`` on, a client whose
         # reply frame was lost may call :meth:`replay_result` instead
@@ -111,9 +101,6 @@ class SimNinfServer:
         self.replays = 0
         self._inflight = 0
         self.tracer = tracer
-        self._admission_queue: list[_QueuedJob] = []
-        self._admitted = 0
-        self._admission_seq = 0
 
     # -- resilience knobs ---------------------------------------------------
 
@@ -132,38 +119,17 @@ class SimNinfServer:
 
     # -- admission control --------------------------------------------------
 
-    def _admit(self, predicted_cost: Optional[float],
-               pes_required: int) -> Generator:
-        """Wait for PE slots under the configured policy.
+    def _release(self, ticket: Optional[Ticket], service: float,
+                 ok: bool = True) -> None:
+        """Hand a call's PEs back to the core (no-op without a policy)."""
+        if ticket is not None:
+            self._admission.release(ticket, service, ok)
+            self._dispatch()
 
-        ``max_concurrent`` counts PE-slots: a width-w job consumes w of
-        them, so FCFS exhibits the §5.3 head-of-line blocking on wide
-        jobs and FPFS can backfill narrow ones.
-        """
-        if self.max_concurrent is None or self.policy is None:
-            return
-        job = _QueuedJob(self.sim, self._admission_seq, pes_required,
-                         predicted_cost)
-        self._admission_seq += 1
-        self._admission_queue.append(job)
-        self._dispatch_admissions()
-        yield job.grant
-
-    def _release_admission(self, pes_required: int) -> None:
-        if self.max_concurrent is None or self.policy is None:
-            return
-        self._admitted -= pes_required
-        self._dispatch_admissions()
-
-    def _dispatch_admissions(self) -> None:
-        while self._admitted < self.max_concurrent and self._admission_queue:
-            free = self.max_concurrent - self._admitted
-            index = self.policy.select(self._admission_queue, free)
-            if index is None:
-                return
-            job = self._admission_queue.pop(index)
-            self._admitted += job.pes_required
-            job.grant.fire()
+    def _dispatch(self) -> None:
+        """Grant every queued call the core starts now (§5.2/§5.3)."""
+        while (ticket := self._admission.take()) is not None:
+            self._grants.pop(ticket).fire()
 
     def execute_call(self, record: SimCallRecord, route: Route,
                      t_setup: Optional[float] = None) -> Generator:
@@ -193,12 +159,19 @@ class SimNinfServer:
             record.complete_time = sim.now
             return record
         self._inflight += 1
-        # Optional admission control (SJF etc.) queues here (§5.2).
         if spec.pes is not None:
             pes_required = spec.pes
         else:
             pes_required = self.spec.num_pes if self.mode == "data" else 1
-        yield from self._admit(spec.work_units, pes_required)
+        ticket = None
+        if self._admission is not None:
+            # Queue for PEs in policy order (§5.2/§5.3).
+            ticket = Ticket(min(pes_required, self.spec.num_pes),
+                            spec.work_units)
+            grant = self._grants[ticket] = Signal(sim)
+            self._admission.offer(ticket)
+            self._dispatch()
+            yield grant
         # fork & exec of the Ninf executable stamps T_dequeue.
         yield sim.timeout(self.spec.fork_overhead)
         record.dequeue_time = sim.now
@@ -220,7 +193,7 @@ class SimNinfServer:
         if not self.alive:
             # Killed mid-call: the computed result never leaves the host.
             self._inflight -= 1
-            self._release_admission(pes_required)
+            self._release(ticket, compute_end - upload_end, ok=False)
             record.outcome = "dead"
             record.complete_time = sim.now
             return record
@@ -233,7 +206,7 @@ class SimNinfServer:
         record.outcome = "ok"
         self.calls_completed += 1
         self._inflight -= 1
-        self._release_admission(pes_required)
+        self._release(ticket, compute_end - upload_end)
         self._emit_trace(record, upload_end, compute_end)
         return record
 

@@ -113,6 +113,40 @@ def test_call_with_mismatched_args_payload(hardened_server):
     assert server_still_works(hardened_server)
 
 
+MANDEL_IDL = ("Define mandel(mode_in int w, mode_in int h, "
+              "mode_out int counts[h][w]) \"one tile\";")
+
+
+def test_unframeable_outputs_are_bad_arguments(server_cls):
+    """The peer's scalars size the ``mode_out`` arrays: outputs past
+    ``MAX_FRAME_SIZE`` (4 TiB here) are refused before allocation, and
+    the connection stays up.
+
+    Regression: NumPy's ``MemoryError`` escaped the handler, the
+    connection died and the client saw ``ConnectionClosed``."""
+    import time
+
+    from repro.client.core import _CallPayload
+    from repro.idl import Signature
+    from repro.protocol.messages import unpack
+    from repro.server import Registry
+    from repro.transport import connect
+
+    registry = Registry()
+    registry.register(MANDEL_IDL, lambda w, h, counts: None)
+    payload = bytes(_CallPayload(
+        "mandel", Signature.from_idl(MANDEL_IDL), 1,
+        (2 ** 20, 2 ** 20, None)).stamp(None, time.monotonic))
+    with server_cls(registry, num_pes=1) as server:
+        with connect(*server.address, timeout=5.0) as channel:
+            channel.send(MessageType.CALL, payload)
+            reply_type, reply = channel.recv()
+            assert reply_type == MessageType.ERROR
+            assert unpack(MessageType.ERROR, reply)[0].code == "bad-arguments"
+            channel.request(MessageType.PING, expect=MessageType.PONG)
+        assert server.executor.completed == 0
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.binary(min_size=0, max_size=64))

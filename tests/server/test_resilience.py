@@ -85,6 +85,32 @@ def test_deadline_unmeetable_shed_uses_service_estimate():
         executor.shutdown()
 
 
+def test_deadline_call_that_fits_a_free_pe_is_not_shed():
+    """A call that would start at once waits 0, whatever the estimate.
+
+    Regression: with the EWMA at 0.3 s and one of two PEs busy, the
+    estimate read 0.3 x 1 / 2 = 0.15 s, so a 0.1 s budget was shed
+    ``deadline-unmeetable`` while PE 1 sat idle."""
+    now = [0.0]
+
+    def advance(seconds):
+        now[0] += seconds
+
+    timed = NinfExecutable(Signature.from_idl(SLEEP_IDL), advance)
+    executor = Executor(num_pes=2, clock=lambda: now[0])
+    exe, started, release = make_blocker()
+    try:
+        assert executor.submit(timed, [0.3]).done.wait(2.0)  # EWMA 0.3 s
+        executor.submit(exe, [1.0])
+        assert started.wait(2.0)
+        job = executor.submit(make_noop(), [0.0], deadline=now[0] + 0.1)
+        assert job.done.wait(2.0) and job.error is None
+        assert executor.shed == 0
+    finally:
+        release.set()
+        executor.shutdown()
+
+
 # --------------------------------------------------------------- expiry
 
 

@@ -108,7 +108,7 @@ def test_custom_workload_spec():
 
 
 def test_admission_policy_in_scenario():
-    scenario = lan_scenario(count=6, policy="sjf", max_concurrent=4)
+    scenario = lan_scenario(count=6, policy="sjf")
     result = scenario.run()
     assert result.rows["etl-j90"].times > 0
 
