@@ -17,9 +17,9 @@ to all three.  This checker pins instrumentation sites to the catalog:
 "Resolve" covers the three forms the tree actually uses: a string
 literal, a ``names.X`` attribute, or a bare ``SPAN_X``-style constant
 imported from the catalog modules.  Dynamic name arguments (anything
-else -- e.g. ``execution_trace.record(CallObservation(...))``, which is
-not a span site at all) are skipped: the rule is about literals that
-*look* pinned but are not.
+else -- e.g. ``log.record(entry)`` on an object that is not a tracer,
+which is not a span site at all) are skipped: the rule is about
+literals that *look* pinned but are not.
 
 The checker also subsumes the catalog half of the old docs-consistency
 test: when it scans the catalog modules themselves and the repo's

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.model.machines import MachineSpec
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, Route
 from repro.simninf.calls import CallSpec, SimCallRecord
-from repro.simninf.client import WorkloadClient
+from repro.simninf.client import WorkloadClient, drain
 from repro.simninf.metrics import LoadSampler, TableRow, aggregate
 from repro.simninf.server import SimNinfServer
 
@@ -39,9 +39,6 @@ class MulticlientResult:
     shed_seen: int = 0
     late_calls: int = 0
     failovers: int = 0
-    # Partition accounting (DESIGN.md §3.7): attempts dropped inside a
-    # partition window, deterministically and RNG-free.
-    partition_drops: int = 0
 
     @property
     def calls_issued(self) -> int:
@@ -73,10 +70,7 @@ def run_multiclient_cell(
     retry_attempts: int = 1,
     fault_cost: Optional[float] = None,
     max_queued: Optional[int] = None,
-    dedup: bool = True,
-    post_fault_rate: float = 0.0,
     call_deadline: Optional[float] = None,
-    partition_windows: Sequence[tuple[float, float]] = (),
     tracer=None,
 ) -> MulticlientResult:
     """Run one multi-client benchmark cell and aggregate the table row.
@@ -92,17 +86,12 @@ def run_multiclient_cell(
     probability and clients retry up to ``retry_attempts`` times (see
     :class:`~repro.simninf.client.WorkloadClient`).  ``max_queued``
     bounds the server's admission queue (excess calls are shed with a
-    retry-after hint), ``post_fault_rate`` loses reply frames after
-    execution (``dedup`` decides whether the retry replays or
-    re-executes), and ``call_deadline`` counts completed calls that
+    retry-after hint) and ``call_deadline`` counts completed calls that
     blew the per-call budget -- the DESIGN.md §3.5 overload ablation.
-    ``partition_windows`` lists ``(start, end)`` sim-time intervals during
-    which every client's link is deterministically cut (no RNG draws, so
-    the seeded fault schedule outside the windows is unchanged -- the
-    DESIGN.md §3.7 partition mirror).  ``tracer`` hands
-    the server a :class:`~repro.obs.Tracer` so every simulated call
-    emits the OBSERVABILITY.md span schema (build it with the sim
-    clock; :func:`repro.experiments.breakdown.sim_breakdown` shows how).
+    ``tracer`` hands the server a :class:`~repro.obs.Tracer` so every
+    simulated call emits the OBSERVABILITY.md span schema (build it
+    with the sim clock; :func:`repro.experiments.breakdown.sim_breakdown`
+    shows how).
     """
     if c < 1:
         raise ValueError(f"need at least one client, got {c}")
@@ -111,8 +100,7 @@ def run_multiclient_cell(
     server_kwargs = {} if t_setup is None else {"t_setup": t_setup}
     server = SimNinfServer(sim, network, server_spec, mode=mode,
                            switch_overhead=switch_overhead, tracer=tracer,
-                           max_queued=max_queued, dedup=dedup,
-                           **server_kwargs)
+                           max_queued=max_queued, **server_kwargs)
     stats = server.machine.stats_window()
     LoadSampler(sim, server.machine, stats, interval=2.0)
     clients = []
@@ -126,16 +114,9 @@ def run_multiclient_cell(
                            fault_rate=fault_rate,
                            retry_attempts=retry_attempts,
                            fault_cost=fault_cost,
-                           post_fault_rate=post_fault_rate,
-                           call_deadline=call_deadline,
-                           partition_windows=partition_windows)
+                           call_deadline=call_deadline)
         )
-    # Run the issuing window, then drain in-flight calls (the load
-    # sampler ticks forever, so step until every client process ends).
-    sim.run(until=horizon)
-    while any(cl.process.alive for cl in clients):
-        if not sim.step():  # pragma: no cover - sampler keeps heap alive
-            break
+    drain(sim, clients, horizon)
     records: list[SimCallRecord] = []
     for client in clients:
         records.extend(client.records)
@@ -153,7 +134,6 @@ def run_multiclient_cell(
         shed_seen=sum(cl.shed_seen for cl in clients),
         late_calls=sum(cl.late_calls for cl in clients),
         failovers=sum(cl.failovers for cl in clients),
-        partition_drops=sum(cl.partition_drops for cl in clients),
     )
 
 

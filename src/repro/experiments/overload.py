@@ -40,7 +40,7 @@ from repro.model.network import lan_catalog
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.simninf.calls import SimCallRecord, linpack_spec
-from repro.simninf.client import WorkloadClient
+from repro.simninf.client import WorkloadClient, drain
 from repro.simninf.server import SimNinfServer
 
 __all__ = [
@@ -240,10 +240,7 @@ def failover_ablation(
                         srv.kill()
 
                 sim.process(reaper(), name="reaper")
-            sim.run(until=horizon)
-            while any(cl.process.alive for cl in clients):
-                if not sim.step():  # pragma: no cover - drain guard
-                    break
+            drain(sim, clients, horizon)
             records: list[SimCallRecord] = []
             for cl in clients:
                 records.extend(cl.records)

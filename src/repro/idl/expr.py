@@ -50,7 +50,26 @@ class Expr:
     """Base expression node."""
 
     def evaluate(self, env: Mapping[str, Number]) -> Number:
-        """Value of the expression under ``env`` (name -> number)."""
+        """Value of the expression under ``env`` (name -> number).
+
+        Every failure is an :class:`IdlError`: an unbound name, a zero
+        divisor, a result past the float range (``2^x`` at x = 1e4), a
+        math domain error (``sqrt(-1)``) or a complex power
+        (``(-4)^0.5``) -- so a peer's scalars cannot raise anything a
+        caller does not expect from a bad IDL argument.
+        """
+        try:
+            value = self._value(env)
+        except IdlError:
+            raise
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise IdlError(f"IDL expression {self} failed: {exc}") from None
+        if isinstance(value, complex):
+            raise IdlError(f"IDL expression {self} is not real: {value}")
+        return value
+
+    def _value(self, env: Mapping[str, Number]) -> Number:
+        """The node's value; children are evaluated with ``_value``."""
         raise NotImplementedError
 
     def free_variables(self) -> frozenset[str]:
@@ -65,7 +84,7 @@ class Expr:
 class Const(Expr):
     value: Number
 
-    def evaluate(self, env: Mapping[str, Number]) -> Number:
+    def _value(self, env: Mapping[str, Number]) -> Number:
         """A literal evaluates to itself."""
         return self.value
 
@@ -81,7 +100,7 @@ class Const(Expr):
 class Var(Expr):
     name: str
 
-    def evaluate(self, env: Mapping[str, Number]) -> Number:
+    def _value(self, env: Mapping[str, Number]) -> Number:
         """Look the variable up in ``env``; IdlError if unbound."""
         try:
             return env[self.name]
@@ -100,9 +119,9 @@ class Var(Expr):
 class Neg(Expr):
     operand: Expr
 
-    def evaluate(self, env: Mapping[str, Number]) -> Number:
+    def _value(self, env: Mapping[str, Number]) -> Number:
         """Arithmetic negation of the operand's value."""
-        return -self.operand.evaluate(env)
+        return -self.operand._value(env)
 
     def free_variables(self) -> frozenset[str]:
         """Variables of the negated operand."""
@@ -118,10 +137,10 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    def evaluate(self, env: Mapping[str, Number]) -> Number:
+    def _value(self, env: Mapping[str, Number]) -> Number:
         """Apply the operator to the evaluated operands."""
-        a = self.left.evaluate(env)
-        b = self.right.evaluate(env)
+        a = self.left._value(env)
+        b = self.right._value(env)
         if self.op == "+":
             return a + b
         if self.op == "-":
@@ -153,12 +172,12 @@ class Call(Expr):
     func: str
     args: tuple[Expr, ...]
 
-    def evaluate(self, env: Mapping[str, Number]) -> Number:
+    def _value(self, env: Mapping[str, Number]) -> Number:
         """Apply the named builtin to the evaluated arguments."""
         fn = _FUNCTIONS.get(self.func)
         if fn is None:
             raise IdlError(f"unknown function {self.func!r} in IDL expression")
-        return fn(*(a.evaluate(env) for a in self.args))
+        return fn(*(a._value(env) for a in self.args))
 
     def free_variables(self) -> frozenset[str]:
         """Union of all argument expressions' variables."""

@@ -57,7 +57,6 @@ class _Call:
     header: CallHeader
     executable: NinfExecutable
     values: list[Any]
-    args_bytes: int
     pes: int                  #: PEs to claim (all of them in data mode)
     deadline: float | None    #: on the executor's clock, pinned at receipt
     key: str | None           #: dedup key; ``None`` = client opted out
@@ -152,11 +151,6 @@ class NinfRpcServices:
         # call claims; a name not in the map runs from the registry.
         self._workers: WorkerPool | None = None
         self._placed: dict[str, NinfExecutable] = {}
-        # Execution trace (§5.1): per-call observations feeding
-        # repro.metaserver.predictor for learned cost models.
-        from repro.metaserver.predictor import ExecutionTrace
-
-        self.execution_trace = ExecutionTrace()
         self.register_handler(MessageType.HELLO, self._handle_hello)
         self.register_handler(MessageType.LIST_REQUEST, self._handle_list)
         self.register_handler(MessageType.LOAD_QUERY, self._handle_load_query)
@@ -294,7 +288,7 @@ class NinfRpcServices:
             return None
         return _Call(
             header=header, executable=executable, values=values,
-            args_bytes=len(args_payload), pes=self._pes_claimed(executable),
+            pes=self._pes_claimed(executable),
             # The budget is relative on the wire (clock-skew safe); pin
             # it to this server's monotonic clock at receipt.
             deadline=(self.executor.clock() + header.budget
@@ -383,14 +377,12 @@ class NinfRpcServices:
                                             (ServerShutdown, WorkerLost)))
                 return
             try:
-                reply, out_len = _result_payload(header.call_id, executable,
-                                                 job)
+                reply = _result_payload(header.call_id, executable, job)
             except Exception as exc:  # whatever the executable returned
                 finish(MessageType.ERROR, pack(
                     MessageType.ERROR,
                     ErrorReply(code="bad-result", message=str(exc))))
                 return
-            self._record_trace(executable, job, call.args_bytes + out_len)
             finish(MessageType.RESULT, reply)
 
         def send_callback(progress: float, message: str) -> None:
@@ -401,21 +393,6 @@ class NinfRpcServices:
                 conn, call, on_complete,
                 send_callback if executable.wants_callback else None):
             self._sample_load()
-
-    def _record_trace(self, executable, job: Job, comm_bytes: int) -> None:
-        """Append the §5.1 execution-trace observation for this call."""
-        if job.predicted_cost is None:
-            return
-        from repro.metaserver.predictor import CallObservation
-
-        timestamps = job.timestamps()
-        self.execution_trace.record(CallObservation(
-            function=executable.name,
-            work=float(job.predicted_cost),
-            comm_bytes=float(comm_bytes),
-            service_seconds=timestamps.service,
-            comm_seconds=0.0,  # transfer time is a client-side observable
-        ))
 
     # -- two-phase RPC (§5.1) -------------------------------------------------
 
@@ -443,7 +420,7 @@ class NinfRpcServices:
             error = None if job.error is None else _error_reply(job.error)
             if error is None:
                 try:
-                    result, _ = _result_payload(ticket, executable, job)
+                    result = _result_payload(ticket, executable, job)
                 except Exception as exc:  # whatever the executable returned
                     error = ErrorReply(code="bad-result", message=str(exc))
             outcome: Reply = ((MessageType.RESULT, result) if error is None
@@ -550,8 +527,8 @@ def _error_reply(error: BaseException) -> ErrorReply:
 
 
 def _result_payload(reply_id: int, executable: NinfExecutable,
-                    job: Job) -> tuple[memoryview | bulk.Payload, int]:
-    """A finished job's RESULT payload and the size of its output block.
+                    job: Job) -> memoryview | bulk.Payload:
+    """A finished job's RESULT payload.
 
     The outputs are marshalled straight into the payload (its opaque
     tail is reserved once and filled in place).  A bulk output that is
@@ -563,14 +540,10 @@ def _result_payload(reply_id: int, executable: NinfExecutable,
     so the dedup cache may replay them.  Any other output (a module
     global, a view the executable keeps, a fresh array) could change
     before a replay, so the payload is flattened now."""
-    out_len = 0
 
     def fill(enc: XdrEncoder) -> None:
-        nonlocal out_len
-        start = len(enc)
         marshal_outputs(executable.signature,
                         _merge_outputs(executable, job), into=enc)
-        out_len = len(enc) - start
 
     reply = pack(MessageType.RESULT, reply_id, job.timestamps(), fill)
     if isinstance(reply, bulk.Payload):
@@ -579,7 +552,7 @@ def _result_payload(reply_id: int, executable: NinfExecutable,
         if any(_memory(region.array) not in owned
                for region in reply.regions):
             reply.flat()
-    return reply, out_len
+    return reply
 
 
 def _memory(array: np.ndarray) -> tuple[int, int]:

@@ -7,8 +7,8 @@ parameters".  This package is that simulator's substrate:
 
 - :mod:`repro.sim.engine` -- event heap, generator-based processes,
   timeouts, signals, and deterministic execution.
-- :mod:`repro.sim.resources` -- FCFS resources, priority resources,
-  processor-sharing servers, and stores.
+- :mod:`repro.sim.resources` -- a FCFS resource and processor-sharing
+  servers.
 - :mod:`repro.sim.network` -- a flow-level network model with max-min fair
   bandwidth sharing across multi-link routes (the mechanism behind the
   paper's WAN saturation results).
@@ -21,33 +21,23 @@ seconds.
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
-    Interrupt,
     Process,
     Signal,
     SimTimeError,
     Simulator,
     Timeout,
 )
-from repro.sim.resources import (
-    PriorityResource,
-    ProcessorSharingServer,
-    Resource,
-    Store,
-)
+from repro.sim.resources import ProcessorSharingServer, Resource
 from repro.sim.network import Flow, Link, Network, Route
 from repro.sim.machine import Machine, MachineStats, Task
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Flow",
-    "Interrupt",
     "Link",
     "Machine",
     "MachineStats",
     "Network",
-    "PriorityResource",
     "Process",
     "ProcessorSharingServer",
     "Resource",
@@ -55,7 +45,6 @@ __all__ = [
     "Signal",
     "SimTimeError",
     "Simulator",
-    "Store",
     "Task",
     "Timeout",
 ]

@@ -10,8 +10,11 @@ written as plain Python generator functions that ``yield`` *awaitables*:
 ``Process``
     resume when the child process terminates (its return value is the
     value of the ``yield`` expression).
-``AnyOf([...])`` / ``AllOf([...])``
-    resume when any/all of the listed awaitables have fired.
+``AllOf([...])``
+    resume when all of the listed awaitables have fired.
+
+A wait is never abandoned: every awaitable resumes its one subscriber
+exactly once.
 
 Determinism: events scheduled for the same simulated time fire in
 scheduling order (a monotonically increasing sequence number breaks
@@ -39,12 +42,9 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Awaitable",
     "EventHandle",
-    "Interrupt",
     "Process",
-    "ProcessKilled",
     "Signal",
     "SimTimeError",
     "Simulator",
@@ -54,21 +54,6 @@ __all__ = [
 
 class SimTimeError(ValueError):
     """Raised when an event is scheduled in the past or with NaN delay."""
-
-
-class Interrupt(Exception):
-    """Thrown *into* a process by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the object passed by the interrupter.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
-class ProcessKilled(Exception):
-    """Thrown into a process by :meth:`Process.kill`; must not be caught."""
 
 
 class EventHandle:
@@ -173,12 +158,6 @@ class Simulator:
         finally:
             self._running = False
 
-    def peek(self) -> float:
-        """Time of the next live event, or ``inf`` if the heap is empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else math.inf
-
     @property
     def event_count(self) -> int:
         """Number of events executed so far (for tests and budgeting)."""
@@ -194,30 +173,22 @@ class Simulator:
         """Convenience constructor for :class:`Timeout`."""
         return Timeout(self, delay, value)
 
-    def signal(self) -> "Signal":
-        """Convenience constructor for :class:`Signal`."""
-        return Signal(self)
-
 
 class Awaitable:
     """Base for things a process may ``yield``.
 
     Subclasses implement ``_subscribe(callback)`` where ``callback`` takes
-    ``(value, exception)`` and is invoked exactly once, and optionally
-    ``_unsubscribe(callback)`` to support cancellation (AnyOf, interrupts).
+    ``(value, exception)`` and is invoked exactly once.
     """
 
     def _subscribe(self, callback: Callable[[Any, Optional[BaseException]], None]) -> None:
         raise NotImplementedError
 
-    def _unsubscribe(self, callback: Callable) -> None:  # pragma: no cover
-        pass
-
 
 class Timeout(Awaitable):
     """Fires ``delay`` seconds after construction, resuming with ``value``."""
 
-    __slots__ = ("sim", "delay", "value", "_handle", "_callback")
+    __slots__ = ("sim", "delay", "value")
 
     def __init__(self, sim: Simulator, delay: float, value: Any = None):
         if delay < 0:
@@ -225,23 +196,9 @@ class Timeout(Awaitable):
         self.sim = sim
         self.delay = delay
         self.value = value
-        self._handle: Optional[EventHandle] = None
-        self._callback: Optional[Callable] = None
 
     def _subscribe(self, callback: Callable) -> None:
-        self._callback = callback
-        self._handle = self.sim.schedule(self.delay, self._fire)
-
-    def _unsubscribe(self, callback: Callable) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-        self._callback = None
-
-    def _fire(self) -> None:
-        cb, self._callback = self._callback, None
-        if cb is not None:
-            cb(self.value, None)
+        self.sim.schedule(self.delay, callback, self.value, None)
 
 
 class Signal(Awaitable):
@@ -261,16 +218,6 @@ class Signal(Awaitable):
         self._fired = False
         self._value: Any = None
         self._exc: Optional[BaseException] = None
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    @property
-    def value(self) -> Any:
-        if not self._fired:
-            raise RuntimeError("signal has not fired yet")
-        return self._value
 
     def fire(self, value: Any = None) -> None:
         """Resume all waiters with ``value`` (via zero-delay events)."""
@@ -296,12 +243,6 @@ class Signal(Awaitable):
         else:
             self._waiters.append(callback)
 
-    def _unsubscribe(self, callback: Callable) -> None:
-        try:
-            self._waiters.remove(callback)
-        except ValueError:
-            pass
-
 
 class Process(Awaitable):
     """A running generator coroutine.
@@ -317,50 +258,15 @@ class Process(Awaitable):
         self.name = name or getattr(generator, "__name__", "process")
         self._gen = generator
         self._done = Signal(sim)
-        self._current: Optional[Awaitable] = None
         self._alive = True
         # Start on a zero-delay event so spawning inside a callback is safe.
         sim.schedule(0.0, self._resume, None, None)
-
-    # -- public API -------------------------------------------------------
 
     @property
     def alive(self) -> bool:
         return self._alive
 
-    @property
-    def done(self) -> Signal:
-        """Signal fired with the process return value on termination."""
-        return self._done
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield."""
-        if not self._alive:
-            return
-        self._detach()
-        self.sim.schedule(0.0, self._resume, None, Interrupt(cause))
-
-    def kill(self) -> None:
-        """Terminate the process without running waiters' error paths."""
-        if not self._alive:
-            return
-        self._detach()
-        self._alive = False
-        self._gen.close()
-        if not self._done.fired:
-            self._done.fire(None)
-
-    # -- engine plumbing ---------------------------------------------------
-
-    def _detach(self) -> None:
-        if self._current is not None:
-            self._current._unsubscribe(self._resume)
-            self._current = None
-
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        if not self._alive:
-            return
-        self._current = None
         try:
             if exc is not None:
                 target = self._gen.throw(exc)
@@ -382,66 +288,14 @@ class Process(Awaitable):
                 f"process {self.name!r} yielded {target!r}; "
                 "processes must yield Awaitable instances"
             )
-        self._current = target
         target._subscribe(self._resume)
 
     def _subscribe(self, callback: Callable) -> None:
         self._done._subscribe(callback)
 
-    def _unsubscribe(self, callback: Callable) -> None:
-        self._done._unsubscribe(callback)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self._alive else "done"
         return f"<Process {self.name} {state}>"
-
-
-class AnyOf(Awaitable):
-    """Fires when the first of several awaitables fires.
-
-    Resumes with ``(index, value)`` of the winner; remaining awaitables
-    are unsubscribed (timeouts are cancelled).  An exception from any
-    member propagates.
-    """
-
-    def __init__(self, awaitables: Iterable[Awaitable]):
-        self.members = list(awaitables)
-        if not self.members:
-            raise ValueError("AnyOf requires at least one awaitable")
-        self._callback: Optional[Callable] = None
-        self._fired = False
-        self._member_callbacks: list[Callable] = []
-
-    def _subscribe(self, callback: Callable) -> None:
-        self._callback = callback
-        for i, member in enumerate(self.members):
-            cb = self._make_member_callback(i)
-            self._member_callbacks.append(cb)
-            member._subscribe(cb)
-
-    def _unsubscribe(self, callback: Callable) -> None:
-        self._callback = None
-        self._release()
-
-    def _release(self) -> None:
-        for member, cb in zip(self.members, self._member_callbacks):
-            member._unsubscribe(cb)
-        self._member_callbacks = []
-
-    def _make_member_callback(self, index: int) -> Callable:
-        def member_fired(value: Any, exc: Optional[BaseException]) -> None:
-            if self._fired or self._callback is None:
-                return
-            self._fired = True
-            cb = self._callback
-            self._callback = None
-            self._release()
-            if exc is not None:
-                cb(None, exc)
-            else:
-                cb((index, value), None)
-
-        return member_fired
 
 
 class AllOf(Awaitable):

@@ -182,12 +182,9 @@ class Machine:
         task.submit_time = self.sim.now
         task.start_time = self.sim.now
         self.load_average.adjust(threads)
-        try:
-            job = self.cpu.submit(effective_work, max_rate=max_pes)
-            task.job = job
-            yield job
-        finally:
-            self.load_average.adjust(-threads)
+        task.job = self.cpu.submit(effective_work, max_rate=max_pes)
+        yield task.job
+        self.load_average.adjust(-threads)
         task.finish_time = self.sim.now
         self.tasks_completed += 1
         return task
@@ -201,18 +198,12 @@ class Machine:
         enqueue_time = self.sim.now
         self.load_average.adjust(1)
         req = self.serial_gate.request()
-        try:
-            yield req
-        except BaseException:
-            self.load_average.adjust(-1)
-            raise
+        yield req
         self.load_average.adjust(-1)
         queue_wait = self.sim.now - enqueue_time
-        try:
-            task = yield from self.run(work, max_pes=float(self.num_pes),
-                                       threads=threads)
-        finally:
-            self.serial_gate.release(req)
+        task = yield from self.run(work, max_pes=float(self.num_pes),
+                                   threads=threads)
+        self.serial_gate.release(req)
         return queue_wait, task
 
     # -- statistics ------------------------------------------------------------
@@ -224,10 +215,6 @@ class Machine:
     def stats_window(self) -> MachineStats:
         """Open a measurement window (call at the start of a benchmark)."""
         return MachineStats(self)
-
-    @property
-    def active_tasks(self) -> int:
-        return self.cpu.active_jobs
 
     def __repr__(self) -> str:
         return f"<Machine {self.name} pes={self.num_pes}>"

@@ -263,10 +263,3 @@ class Network:
         self.completed_flows += 1
         flow.done.fire(flow)
 
-
-def duplex(name: str, capacity: float, latency: float = 0.0) -> tuple[Link, Link]:
-    """Convenience: create an up/down pair of identical simplex links."""
-    return (
-        Link(f"{name}.up", capacity, latency),
-        Link(f"{name}.down", capacity, latency),
-    )

@@ -1,81 +1,51 @@
 """Resources for the simulation engine.
 
-Three kinds of contention primitives cover everything the Ninf model
-needs:
+Two contention primitives cover everything the Ninf model needs:
 
 :class:`Resource`
-    Classic counted resource with a FCFS wait queue -- models the Ninf
-    server's fork/exec job slots and single-PE exclusive execution.
-:class:`PriorityResource`
-    Same, but the queue is ordered by a priority key -- models SJF and
-    the fit-processors-first scheduling policies of the paper's §5.
+    A counted gate with a FCFS wait queue -- models the data-parallel
+    server's serialized all-PE execution (``Machine.run_serialized``).
 :class:`ProcessorSharingServer`
     A server of fixed aggregate capacity shared equally among the jobs
     currently in service (optionally capped per job) -- models a PE
     time-slicing among multiple Ninf executables, and SMP thread
     scheduling.
-:class:`Store`
-    An unbounded FIFO of items with blocking ``get`` -- models job
-    queues between the accept loop and executor processes.
 
 All wait queues are deterministic: ties broken by arrival sequence.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Any, Callable, Optional
 
-from repro.sim.engine import Awaitable, EventHandle, Signal, SimTimeError, Simulator
+from repro.sim.engine import Awaitable, EventHandle, Simulator
 
 __all__ = [
-    "PriorityResource",
     "ProcessorSharingServer",
     "PSJob",
     "Request",
     "Resource",
-    "Store",
 ]
 
 
 class Request(Awaitable):
     """A pending claim on a :class:`Resource`; fires when granted."""
 
-    __slots__ = ("resource", "priority", "seq", "_callback", "granted", "cancelled")
+    __slots__ = ("resource", "_callback", "granted")
 
-    def __init__(self, resource: "Resource", priority: float, seq: int):
+    def __init__(self, resource: "Resource"):
         self.resource = resource
-        self.priority = priority
-        self.seq = seq
         self._callback: Optional[Callable] = None
         self.granted = False
-        self.cancelled = False
 
     def _subscribe(self, callback: Callable) -> None:
         self._callback = callback
         self.resource._maybe_grant()
 
-    def _unsubscribe(self, callback: Callable) -> None:
-        # A process abandoning the wait (AnyOf loser / interrupt).
-        self.cancelled = True
-        self._callback = None
-        if self.granted:
-            # Granted but the waiter went away: hand the slot back.
-            self.resource.release(self)
-
-    def _grant(self, sim: Simulator) -> None:
-        self.granted = True
-        cb = self._callback
-        if cb is not None:
-            sim.schedule(0.0, cb, self, None)
-
-    def __lt__(self, other: "Request") -> bool:
-        return (self.priority, self.seq) < (other.priority, other.seq)
-
 
 class Resource:
-    """Counted resource with a FCFS queue and utilization accounting."""
+    """Counted resource with a FCFS queue."""
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -85,49 +55,10 @@ class Resource:
         self.name = name
         self.in_use = 0
         self._queue: list[Request] = []
-        self._seq = 0
-        # Time integrals for statistics.
-        self._busy_integral = 0.0  # ∫ in_use dt
-        self._queue_integral = 0.0  # ∫ len(queue) dt
-        self._last_change = sim.now
-        self._t0 = sim.now
 
-    # -- statistics --------------------------------------------------------
-
-    def _account(self) -> None:
-        dt = self.sim.now - self._last_change
-        if dt > 0:
-            self._busy_integral += self.in_use * dt
-            self._queue_integral += len(self._queue) * dt
-            self._last_change = self.sim.now
-
-    def utilization(self) -> float:
-        """Time-averaged fraction of capacity in use since creation."""
-        self._account()
-        elapsed = self.sim.now - self._t0
-        if elapsed <= 0:
-            return 0.0
-        return self._busy_integral / (elapsed * self.capacity)
-
-    def mean_queue_length(self) -> float:
-        """Time-averaged number of waiting requests since creation."""
-        self._account()
-        elapsed = self.sim.now - self._t0
-        if elapsed <= 0:
-            return 0.0
-        return self._queue_integral / elapsed
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    # -- acquire/release ----------------------------------------------------
-
-    def request(self, priority: float = 0.0) -> Request:
+    def request(self) -> Request:
         """Create a claim; yield it from a process to wait for a slot."""
-        self._account()
-        req = Request(self, priority, self._seq)
-        self._seq += 1
+        req = Request(self)
         self._queue.append(req)
         return req
 
@@ -135,56 +66,19 @@ class Resource:
         """Return a granted slot to the pool."""
         if not request.granted:
             raise RuntimeError("releasing a request that was never granted")
-        self._account()
         request.granted = False
         self.in_use -= 1
         self._maybe_grant()
 
-    def _pop_next(self) -> Optional[Request]:
-        while self._queue:
+    def _maybe_grant(self) -> None:
+        # Grant in arrival order, and only to claims already yielded: a
+        # not-yet-subscribed earlier arrival keeps its place.
+        while (self.in_use < self.capacity and self._queue
+               and self._queue[0]._callback is not None):
             req = self._queue.pop(0)
-            if not req.cancelled:
-                return req
-        return None
-
-    def _maybe_grant(self) -> None:
-        self._account()
-        while self.in_use < self.capacity:
-            # Only grant requests whose waiters have subscribed.
-            candidate = None
-            for req in self._queue:
-                if req.cancelled:
-                    continue
-                if req._callback is None:
-                    # Not yet yielded; keep FCFS order -- stop scanning so a
-                    # not-yet-subscribed earlier arrival keeps its place.
-                    return
-                candidate = req
-                break
-            if candidate is None:
-                return
-            self._queue.remove(candidate)
             self.in_use += 1
-            candidate._grant(self.sim)
-
-
-class PriorityResource(Resource):
-    """Resource whose queue is ordered by ``priority`` (lower first).
-
-    Ties are FCFS.  Used for Shortest-Job-First (priority = predicted
-    service time) and fit-processors-first policies.
-    """
-
-    def _maybe_grant(self) -> None:
-        self._account()
-        while self.in_use < self.capacity:
-            ready = [r for r in self._queue if not r.cancelled and r._callback is not None]
-            if not ready:
-                return
-            candidate = min(ready)
-            self._queue.remove(candidate)
-            self.in_use += 1
-            candidate._grant(self.sim)
+            req.granted = True
+            self.sim.schedule(0.0, req._callback, req, None)
 
 
 class PSJob(Awaitable):
@@ -208,10 +102,6 @@ class PSJob(Awaitable):
     def _subscribe(self, callback: Callable) -> None:
         self._callback = callback
         self.server._activate(self)
-
-    def _unsubscribe(self, callback: Callable) -> None:
-        self._callback = None
-        self.server._abandon(self)
 
     @property
     def rate(self) -> float:
@@ -282,13 +172,6 @@ class ProcessorSharingServer:
             self._complete(job)
         self._recompute()
 
-    def _abandon(self, job: PSJob) -> None:
-        if job in self._rates or job in self._jobs:
-            self._advance()
-            if job in self._jobs:
-                self._jobs.remove(job)
-            self._recompute()
-
     def _advance(self) -> None:
         """Drain accumulated service from each active job up to now."""
         dt = self.sim.now - self._last_update
@@ -340,10 +223,7 @@ class ProcessorSharingServer:
     def _complete(self, job: PSJob) -> None:
         job.finish_time = self.sim.now
         self.completed_jobs += 1
-        cb = job._callback
-        job._callback = None
-        if cb is not None:
-            self.sim.schedule(0.0, cb, job, None)
+        self.sim.schedule(0.0, job._callback, job, None)
 
 
 def _waterfill(
@@ -375,61 +255,3 @@ def _waterfill(
                 rates[k] = 0.0
             break
     return rates
-
-
-class StoreGet(Awaitable):
-    """Pending ``get`` on a :class:`Store`; fires with the item."""
-
-    __slots__ = ("store", "_callback")
-
-    def __init__(self, store: "Store"):
-        self.store = store
-        self._callback: Optional[Callable] = None
-
-    def _subscribe(self, callback: Callable) -> None:
-        self._callback = callback
-        self.store._dispatch()
-
-    def _unsubscribe(self, callback: Callable) -> None:
-        self._callback = None
-        if self in self.store._getters:
-            self.store._getters.remove(self)
-
-
-class Store:
-    """Unbounded FIFO channel between processes."""
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._items: list[Any] = []
-        self._getters: list[StoreGet] = []
-
-    def put(self, item: Any) -> None:
-        """Append an item; wakes the oldest blocked getter, if any."""
-        self._items.append(item)
-        self._dispatch()
-
-    def get(self) -> StoreGet:
-        """Create a pending get; yield it from a process."""
-        getter = StoreGet(self)
-        self._getters.append(getter)
-        return getter
-
-    def _dispatch(self) -> None:
-        while self._items and self._getters:
-            getter = None
-            for g in self._getters:
-                if g._callback is not None:
-                    getter = g
-                    break
-            if getter is None:
-                return
-            self._getters.remove(getter)
-            item = self._items.pop(0)
-            cb = getter._callback
-            getter._callback = None
-            self.sim.schedule(0.0, cb, item, None)
-
-    def __len__(self) -> int:
-        return len(self._items)

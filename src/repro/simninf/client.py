@@ -5,11 +5,14 @@ of ``s`` seconds with probability ``p`` ... We set the other parameters
 to be ``s = 3``, ``p = 1/2``."  A client therefore loops: wait ``s``
 seconds; with probability ``p`` issue a blocking Ninf_call; repeat --
 one outstanding call per client, like the benchmark driver.
+
+:func:`drain` runs a cell's issuing window and then every call still in
+flight.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +21,7 @@ from repro.sim.network import Route
 from repro.simninf.calls import CallSpec, SimCallRecord
 from repro.simninf.server import SimNinfServer
 
-__all__ = ["WorkloadClient", "run_single_call"]
+__all__ = ["WorkloadClient", "drain"]
 
 
 class WorkloadClient:
@@ -41,37 +44,22 @@ class WorkloadClient:
 
     Resilience knobs (DESIGN.md §3.5):
 
-    - ``post_fault_rate`` drops the *reply* after execution (the
-      transport's ``drop_post``).  The retried call replays from the
-      server's dedup cache when it has one, or re-executes when not --
-      the simulated exactly-once-vs-at-least-once ablation.
     - ``backups`` lists ``(server, route)`` failover targets; a shed or
       dead primary moves the call to the next target (the live
       BrokeredClient re-pick).  Without backups a shed call waits out
       the server's ``retry_after`` hint and retries in place.
     - ``call_deadline`` marks completed calls that blew the per-call
       budget (counted in ``late_calls``).
-    - ``partition_windows`` lists ``(start, end)`` sim-time intervals
-      during which the client's link is cut: every attempt inside a
-      window fails deterministically (counted in ``partition_drops``).
-      Mirroring the transport's state-based
-      :class:`~repro.transport.faults.PartitionMap`, a partitioned
-      attempt consumes *no* fault-RNG draw, so the seeded fault
-      schedule outside the windows is byte-identical with the windows
-      present or absent (DESIGN.md §3.7).
     """
 
     def __init__(self, sim: Simulator, client_id: int, server: SimNinfServer,
                  route: Route, spec: CallSpec, s: float = 3.0, p: float = 0.5,
                  horizon: float = 300.0, seed: int = 0, site: str = "lan",
-                 max_calls: Optional[int] = None, pooled: bool = False,
-                 pooled_setup: float = 0.0, fault_rate: float = 0.0,
-                 retry_attempts: int = 1,
+                 pooled: bool = False, pooled_setup: float = 0.0,
+                 fault_rate: float = 0.0, retry_attempts: int = 1,
                  fault_cost: Optional[float] = None,
-                 post_fault_rate: float = 0.0,
                  backups: Sequence[tuple[SimNinfServer, Route]] = (),
-                 call_deadline: Optional[float] = None,
-                 partition_windows: Sequence[tuple[float, float]] = ()):
+                 call_deadline: Optional[float] = None):
         if not 0.0 < p <= 1.0:
             raise ValueError(f"issue probability must be in (0, 1], got {p}")
         if s < 0:
@@ -80,9 +68,6 @@ class WorkloadClient:
             raise ValueError(f"pooled_setup must be >= 0, got {pooled_setup}")
         if not 0.0 <= fault_rate < 1.0:
             raise ValueError(f"fault_rate must be in [0, 1), got {fault_rate}")
-        if not 0.0 <= post_fault_rate < 1.0:
-            raise ValueError(f"post_fault_rate must be in [0, 1), "
-                             f"got {post_fault_rate}")
         if retry_attempts < 1:
             raise ValueError(f"retry_attempts must be >= 1, "
                              f"got {retry_attempts}")
@@ -95,19 +80,12 @@ class WorkloadClient:
         self.p = p
         self.horizon = horizon
         self.site = site
-        self.max_calls = max_calls
         self.pooled = pooled
         self.pooled_setup = pooled_setup
         self.fault_rate = fault_rate
         self.retry_attempts = retry_attempts
-        self.post_fault_rate = post_fault_rate
         self.backups = list(backups)
         self.call_deadline = call_deadline
-        for start, end in partition_windows:
-            if end <= start:
-                raise ValueError(
-                    f"partition window ({start}, {end}) is empty")
-        self.partition_windows = tuple(partition_windows)
         # Default failed-attempt cost: a round trip to discover the
         # drop, never less than a tenth of a second of client-side
         # timeout machinery.
@@ -119,7 +97,6 @@ class WorkloadClient:
         # Availability accounting: issued = len(records) + failed_calls.
         self.call_attempts = 0
         self.faults_seen = 0
-        self.partition_drops = 0
         self.retries = 0
         self.failed_calls = 0
         self.shed_seen = 0
@@ -130,11 +107,6 @@ class WorkloadClient:
         self._connection_open = False
         self.process = sim.process(self._run(), name=f"client-{client_id}")
 
-    def _partitioned(self, now: float) -> bool:
-        """Whether a partition window covers sim-time ``now``."""
-        return any(start <= now < end
-                   for start, end in self.partition_windows)
-
     def _attempt_faults(self) -> Generator:
         """Pre-call fault/retry loop; yields the time faults burn.
 
@@ -144,15 +116,6 @@ class WorkloadClient:
         """
         for attempt in range(1, self.retry_attempts + 1):
             self.call_attempts += 1
-            # Partition check first, consuming no RNG draw -- state,
-            # not chance, exactly like PartitionMap on the live stack.
-            if self._partitioned(self.sim.now):
-                self.partition_drops += 1
-                self._connection_open = False
-                yield self.sim.timeout(self.fault_cost)
-                if attempt < self.retry_attempts:
-                    self.retries += 1
-                continue
             if (self.fault_rate == 0.0
                     or self.fault_rng.random() >= self.fault_rate):
                 return True
@@ -187,12 +150,9 @@ class WorkloadClient:
                     and record.elapsed > self.call_deadline):
                 self.late_calls += 1
             self.records.append(record)
-            if self.max_calls is not None and len(self.records) >= self.max_calls:
-                return
 
     def _issue(self, record: SimCallRecord) -> Generator:
-        """Issue one logical call, riding out sheds, deaths, and lost
-        replies.
+        """Issue one logical call, riding out sheds and deaths.
 
         Returns ``True`` when a reply reached the client (the record is
         complete), ``False`` when the attempt budget ran out.  The
@@ -220,7 +180,6 @@ class WorkloadClient:
             if record.outcome == "ok":
                 if primary:
                     self._connection_open = True
-                yield from self._maybe_lose_reply(record, server, route)
                 return True
             if record.outcome == "shed":
                 self.shed_seen += 1
@@ -240,37 +199,16 @@ class WorkloadClient:
         self.failed_calls += 1
         return False
 
-    def _maybe_lose_reply(self, record: SimCallRecord,
-                          server: SimNinfServer, route: Route) -> Generator:
-        """Post-execution reply loss (the transport's ``drop_post``).
 
-        The call executed; the reply frame died in flight.  The retry
-        replays from the server's dedup cache when it keeps one
-        (exactly-once), or re-executes the whole call when it does not
-        (at-least-once, paying queue + compute again).
-        """
-        if (self.post_fault_rate == 0.0
-                or self.fault_rng.random() >= self.post_fault_rate):
-            return
-        self.faults_seen += 1
-        self._connection_open = False
-        self.call_attempts += 1
-        self.retries += 1
-        yield self.sim.timeout(self.fault_cost)
-        if server.dedup:
-            yield from server.replay_result(record, route)
-        else:
-            yield from server.execute_call(record, route)
+def drain(sim: Simulator, clients: Sequence[WorkloadClient],
+          horizon: float) -> None:
+    """Run the issuing window, then every call still in flight.
 
-
-def run_single_call(sim: Simulator, server: SimNinfServer, route: Route,
-                    spec: CallSpec,
-                    on_done: Callable[[SimCallRecord], None]) -> None:
-    """Fire one call immediately (single-client Fig 3/4/5 measurements)."""
-
-    def body() -> Generator:
-        record = SimCallRecord(spec=spec, client_id=0, submit_time=sim.now)
-        yield from server.execute_call(record, route)
-        on_done(record)
-
-    sim.process(body(), name="single-call")
+    The clients stop issuing at ``horizon``; a load sampler may keep
+    the event heap alive forever, so step until every client process
+    has ended rather than until the heap is empty.
+    """
+    sim.run(until=horizon)
+    while any(client.process.alive for client in clients):
+        if not sim.step():  # pragma: no cover - clients hold events
+            break

@@ -28,7 +28,7 @@ from repro.server.scheduling import make_policy
 from repro.sim.engine import Simulator
 from repro.sim.network import Link, Network, Route
 from repro.simninf.calls import CallSpec, SimCallRecord, ep_spec, linpack_spec
-from repro.simninf.client import WorkloadClient
+from repro.simninf.client import WorkloadClient, drain
 from repro.simninf.metrics import LoadSampler, TableRow, aggregate
 from repro.simninf.server import SimNinfServer
 
@@ -193,11 +193,8 @@ class Scenario:
                 )
                 client_id += 1
 
-        sim.run(until=self.horizon)
-        flat = [c for group in all_clients.values() for c in group]
-        while any(c.process.alive for c in flat):
-            if not sim.step():  # pragma: no cover
-                break
+        drain(sim, [c for group in all_clients.values() for c in group],
+              self.horizon)
 
         rows: dict[str, TableRow] = {}
         records: dict[str, list[SimCallRecord]] = {}

@@ -71,7 +71,6 @@ class SimNinfServer:
                  switch_overhead: float = 0.0,
                  policy: Optional[SchedulingPolicy] = None,
                  max_queued: Optional[int] = None,
-                 dedup: bool = True,
                  tracer: Optional[Tracer] = None):
         if mode not in ("task", "data"):
             raise ValueError(f"mode must be 'task' or 'data', got {mode!r}")
@@ -92,13 +91,8 @@ class SimNinfServer:
         # with ``capacity + max_queued`` calls in flight is shed (the
         # live BUSY) instead of joining the processor-share pile-up.
         self.max_queued = max_queued
-        # Exactly-once analogue: with ``dedup`` on, a client whose
-        # reply frame was lost may call :meth:`replay_result` instead
-        # of re-executing (the live DedupCache replay path).
-        self.dedup = dedup
         self.alive = True
         self.shed = 0
-        self.replays = 0
         self._inflight = 0
         self.tracer = tracer
 
@@ -208,26 +202,6 @@ class SimNinfServer:
         self._inflight -= 1
         self._release(ticket, compute_end - upload_end)
         self._emit_trace(record, upload_end, compute_end)
-        return record
-
-    def replay_result(self, record: SimCallRecord, route: Route,
-                      t_setup: Optional[float] = None) -> Generator:
-        """Re-deliver a completed call's cached reply (dedup hit).
-
-        The live analogue: a retried CALL whose ``logical_id`` is
-        already "done" in the server's :class:`~repro.server.DedupCache`
-        pays connection + result download, never queue or compute.
-        """
-        sim = self.sim
-        setup = self.t_setup if t_setup is None else t_setup
-        yield sim.timeout(route.latency + setup / 2)
-        comm_start = sim.now
-        yield from self._transfer(route, record.spec.output_bytes)
-        yield sim.timeout(setup / 2)
-        record.comm_seconds += sim.now - comm_start
-        record.complete_time = sim.now
-        record.outcome = "ok"
-        self.replays += 1
         return record
 
     def _emit_trace(self, record: SimCallRecord, upload_end: float,

@@ -28,7 +28,7 @@ from repro.model.network import lan_catalog
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.simninf.calls import CallSpec
-from repro.simninf.client import WorkloadClient
+from repro.simninf.client import WorkloadClient, drain
 from repro.simninf.server import SimNinfServer
 
 __all__ = ["SimStageRow", "bench_call_spec", "run_stage_schedule"]
@@ -82,11 +82,7 @@ def _run_stage(clients: int, duration_s: float, think_s: float,
                        pooled=True)
         for i in range(clients)
     ]
-    sim.run(until=duration_s)
-    # Drain in-flight calls past the issuing horizon.
-    while any(cl.process.alive for cl in workload):
-        if not sim.step():  # pragma: no cover - defensive
-            break
+    drain(sim, workload, duration_s)
 
     row = SimStageRow()
     latencies = []

@@ -3,8 +3,7 @@
 All quantities are big-endian and padded to 4-byte boundaries.  Scalar
 packing uses :mod:`struct`; bulk numeric arrays go through
 :mod:`repro.xdr.bulk`, which byteswaps whole arrays in one vectorized
-pass (NumPy when available, :mod:`array`-module fallback otherwise)
-directly into this encoder's frame buffer.
+NumPy pass directly into this encoder's frame buffer.
 
 The encoder owns one ``bytearray`` of room and a cursor: every
 ``pack_*`` call writes at the cursor, :meth:`XdrEncoder.getbuffer`

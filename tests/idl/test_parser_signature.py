@@ -230,6 +230,15 @@ def test_negative_dimension_rejected_at_bind():
         sig.bind([5, np.zeros(1)])
 
 
+def test_overflowing_dimension_is_an_idl_error_at_bind():
+    """``2^x`` past the float range is a bad argument, not an
+    ``OverflowError`` (the server sizes ``mode_out`` the same way)."""
+    sig = Signature.from_idl(
+        "Define f(mode_in double x, mode_out double y[2^x]);")
+    with pytest.raises(IdlError, match="2 \\^ x"):
+        sig.bind([1e4, None])
+
+
 def test_predicted_comm_bytes_defaults_to_marshalled_size():
     sig = Signature.from_idl(LINPACK_IDL)
     env = {"n": 100.0}

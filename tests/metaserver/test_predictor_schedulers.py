@@ -1,15 +1,8 @@
-"""Unit tests for the trace predictor and metaserver schedulers."""
+"""Unit tests for the metaserver schedulers."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.metaserver.directory import Directory
-from repro.metaserver.predictor import (
-    CallObservation,
-    ExecutionTrace,
-    TracePredictor,
-)
 from repro.metaserver.schedulers import (
     BandwidthAwareScheduler,
     CallEstimate,
@@ -18,112 +11,6 @@ from repro.metaserver.schedulers import (
     make_scheduler,
 )
 from repro.protocol.messages import LoadReply, ServerInfo
-
-
-def observe(trace, work, service, comm_bytes=1e6, comm_seconds=1.0,
-            function="linpack", site="default"):
-    trace.record(CallObservation(function=function, work=work,
-                                 comm_bytes=comm_bytes,
-                                 service_seconds=service,
-                                 comm_seconds=comm_seconds, site=site))
-
-
-# ------------------------------------------------------------- predictor
-
-
-def test_fit_recovers_exact_linear_rate():
-    trace = ExecutionTrace()
-    rate, overhead = 2e8, 0.05
-    for work in (1e8, 2e8, 4e8, 8e8):
-        observe(trace, work, overhead + work / rate)
-    fit = TracePredictor(trace).fit_compute_rate("linpack")
-    assert fit.rate == pytest.approx(rate, rel=1e-6)
-    assert fit.overhead == pytest.approx(overhead, rel=1e-6)
-    assert fit.residual < 1e-9
-    assert fit.predict_service(3e8) == pytest.approx(overhead + 3e8 / rate)
-
-
-def test_fit_needs_min_samples():
-    trace = ExecutionTrace()
-    observe(trace, 1e8, 1.0)
-    observe(trace, 2e8, 2.0)
-    assert TracePredictor(trace, min_samples=3).fit_compute_rate("linpack") is None
-
-
-def test_fit_degenerate_work_values_mean_rate():
-    trace = ExecutionTrace()
-    for _ in range(5):
-        observe(trace, 1e8, 0.5)
-    fit = TracePredictor(trace).fit_compute_rate("linpack")
-    assert fit.rate == pytest.approx(2e8)
-    assert fit.overhead == 0.0
-
-
-def test_fit_ignores_unknown_function():
-    trace = ExecutionTrace()
-    assert TracePredictor(trace).fit_compute_rate("nothing") is None
-
-
-def test_trace_bounded():
-    trace = ExecutionTrace(max_samples=10)
-    for i in range(50):
-        observe(trace, 1e6 * (i + 1), 0.1 * (i + 1))
-    assert len(trace) == 10
-    works = [o.work for o in trace.observations("linpack")]
-    assert min(works) == 1e6 * 41  # oldest evicted
-
-
-def test_trace_max_samples_validation():
-    with pytest.raises(ValueError):
-        ExecutionTrace(max_samples=1)
-
-
-def test_observed_bandwidth_ewma_tracks_recent():
-    trace = ExecutionTrace()
-    for _ in range(10):
-        observe(trace, 1e8, 1.0, comm_bytes=1e6, comm_seconds=1.0)  # 1 MB/s
-    for _ in range(30):
-        observe(trace, 1e8, 1.0, comm_bytes=4e6, comm_seconds=1.0)  # 4 MB/s
-    bandwidth = TracePredictor(trace).observed_bandwidth("linpack")
-    assert bandwidth == pytest.approx(4e6, rel=0.01)
-
-
-def test_observed_bandwidth_per_site():
-    trace = ExecutionTrace()
-    observe(trace, 1e8, 1.0, comm_bytes=2e6, comm_seconds=1.0, site="lan")
-    observe(trace, 1e8, 1.0, comm_bytes=0.13e6, comm_seconds=1.0, site="wan")
-    predictor = TracePredictor(trace, min_samples=1)
-    assert predictor.observed_bandwidth("linpack", "lan") == pytest.approx(2e6)
-    assert predictor.observed_bandwidth("linpack", "wan") == pytest.approx(0.13e6)
-    assert predictor.observed_bandwidth("linpack", "mars") is None
-
-
-def test_predict_total_and_classify():
-    trace = ExecutionTrace()
-    # 100 Mflop/s compute; 1 MB/s transfer.
-    for work in (1e8, 2e8, 3e8):
-        observe(trace, work, work / 1e8, comm_bytes=1e6, comm_seconds=1.0)
-    predictor = TracePredictor(trace)
-    # 1e8 flops + 8 MB: comm 8 s > comp 1 s -> communication-intensive.
-    total = predictor.predict_total("linpack", 1e8, 8e6)
-    assert total == pytest.approx(9.0, rel=0.01)
-    assert predictor.classify("linpack", 1e8, 8e6) == "communication"
-    # 8e8 flops + 0.1 MB: computation-intensive.
-    assert predictor.classify("linpack", 8e8, 0.1e6) == "computation"
-    assert predictor.classify("unknown", 1e8, 1e6) is None
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.floats(1e6, 1e10), st.floats(0.0, 1.0),
-       st.lists(st.floats(1e6, 1e9), min_size=3, max_size=10, unique=True))
-def test_fit_property_recovers_any_line(rate, overhead, works):
-    trace = ExecutionTrace()
-    for work in works:
-        observe(trace, work, overhead + work / rate)
-    fit = TracePredictor(trace).fit_compute_rate("linpack")
-    for work in works:
-        assert fit.predict_service(work) == pytest.approx(
-            overhead + work / rate, rel=1e-4, abs=1e-6)
 
 
 # ------------------------------------------------------------ schedulers

@@ -1,10 +1,9 @@
-"""Tests for client callbacks and server execution traces."""
+"""Tests for client callbacks."""
 
 import numpy as np
 import pytest
 
 from repro.client import NinfClient
-from repro.metaserver.predictor import TracePredictor
 from repro.server import NinfServer, Registry
 
 PROGRESS_IDL = """
@@ -87,27 +86,3 @@ def test_invoke_injects_noop_callback_when_none():
     exe = NinfExecutable(Signature.from_idl(PROGRESS_IDL), long_task_impl)
     outputs = exe.invoke([3, None])
     assert outputs == [3.0]
-
-
-def test_execution_trace_learns_rates(callback_server):
-    """The server's §5.1 trace feeds the predictor with real timings."""
-    with NinfClient(*callback_server.address) as client:
-        for n in (100, 400, 900, 1600, 2500):
-            client.call("plain", n, None)
-    trace = callback_server.execution_trace
-    assert len(trace) == 5
-    observations = trace.observations("plain")
-    assert [int(o.work) for o in observations] == [100, 400, 900, 1600, 2500]
-    fit = TracePredictor(trace).fit_compute_rate("plain")
-    assert fit is not None
-    assert fit.samples == 5
-    # Service times are tiny but positive; prediction stays finite.
-    assert fit.predict_service(1e4) >= 0.0
-
-
-def test_trace_not_recorded_without_calc_order(callback_server):
-    registry = callback_server.registry
-    registry.register("Define untraced(mode_in int n);", lambda n: None)
-    with NinfClient(*callback_server.address) as client:
-        client.call("untraced", 1)
-    assert callback_server.execution_trace.observations("untraced") == []

@@ -147,6 +147,33 @@ def test_unframeable_outputs_are_bad_arguments(server_cls):
         assert server.executor.completed == 0
 
 
+def test_overflowing_dimension_is_bad_arguments(server_cls):
+    """The peer's scalars size ``y[2^x]``: an ``x`` whose power leaves
+    the float range is answered ``bad-arguments``, and the connection
+    keeps serving.
+
+    Regression: the ``OverflowError`` escaped the handler, the
+    connection died and the client saw ``ConnectionClosed``.  The
+    client's cached signature (``y[1]``) binds the same input block, so
+    the call reaches the server's own sizing."""
+    from repro.idl import Signature
+    from repro.protocol import RemoteError
+    from repro.server import Registry
+
+    registry = Registry()
+    registry.register("Define f(mode_in double x, mode_out double y[2^x]);",
+                      lambda x, y: None)
+    with server_cls(registry, num_pes=1) as server:
+        with NinfClient(*server.address, timeout=5.0) as client:
+            client._signatures["f"] = Signature.from_idl(
+                "Define f(mode_in double x, mode_out double y[1]);")
+            with pytest.raises(RemoteError) as info:
+                client.call("f", 1e4, None)
+            assert info.value.code == "bad-arguments"
+            client.ping()
+        assert server.executor.completed == 0
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.binary(min_size=0, max_size=64))

@@ -1,5 +1,7 @@
 """Integration tests for the two-phase RPC protocol (§5.1)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -111,12 +113,33 @@ def test_many_detached_calls_interleaved(client, rng):
         np.testing.assert_allclose(result, a @ a, rtol=1e-10)
 
 
+def settle(server, handles, timeout=30.0):
+    """Wait until the server has stored (or already evicted) every
+    handle's result.  The server runs several PEs, so a call can finish
+    after a newer one; fetching the newest says nothing of the rest."""
+    cache = server.detached_results
+    deadline = time.monotonic() + timeout
+    while any(cache.replay(h.ticket)[0] == "pending" for h in handles):
+        assert time.monotonic() < deadline, "detached calls still running"
+        time.sleep(0.005)
+
+
+def detached_oldest_first(server, count, submit):
+    """``count`` detached calls whose first one is stored before the
+    rest are submitted, so it is the oldest result in the store."""
+    handles = [submit()]
+    settle(server, handles)
+    handles += [submit() for _ in range(count - 1)]
+    return handles
+
+
 def test_detached_store_bounded(server, client):
     """Old finished results are evicted once the store exceeds its cap."""
     server.detached_results.max_entries = 3
-    handles = [client.call_detached("sleeper", 0.0) for _ in range(8)]
-    # Wait for all to finish by fetching the newest.
+    handles = detached_oldest_first(
+        server, 8, lambda: client.call_detached("sleeper", 0.0))
     handles[-1].fetch(timeout=30)
+    settle(server, handles)
     # The oldest tickets have been evicted; the error is *distinct*
     # from unknown-ticket so the owner knows the call ran but the
     # result aged out (re-issue, don't debug a phantom ticket).
@@ -137,10 +160,11 @@ def test_unfetched_bulk_results_are_bounded_in_bytes(server, client, rng):
     server.detached_results.max_bytes = 2 << 20
     n = 256                      # a 512 KiB output per call
     a = rng.standard_normal((n, n))
-    handles = [client.call_detached("dmmul", n, a, a, None)
-               for _ in range(6)]
+    handles = detached_oldest_first(
+        server, 6, lambda: client.call_detached("dmmul", n, a, a, None))
     (newest,) = handles[-1].fetch(timeout=30)
     np.testing.assert_allclose(newest, a @ a, rtol=1e-10)
+    settle(server, handles)
     with pytest.raises(RemoteError) as excinfo:
         handles[0].fetch(timeout=5)
     assert excinfo.value.code == "result-evicted"
@@ -155,6 +179,7 @@ def test_detached_eviction_metric_and_tombstones(server, client):
     server.detached_results.max_entries = 2
     handles = [client.call_detached("sleeper", 0.0) for _ in range(6)]
     handles[-1].fetch(timeout=30)
+    settle(server, handles)
     # Every evicted ticket answers result-evicted...
     evicted = 0
     for handle in handles[:-1]:

@@ -6,8 +6,6 @@ import pytest
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
-    Interrupt,
     Signal,
     SimTimeError,
     Simulator,
@@ -77,19 +75,6 @@ def test_run_until_boundary_inclusive():
     sim.schedule(3.0, log.append, "a")
     sim.run(until=3.0)
     assert log == ["a"]
-
-
-def test_peek_skips_cancelled():
-    sim = Simulator()
-    h = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    h.cancel()
-    assert sim.peek() == 2.0
-
-
-def test_peek_empty_is_inf():
-    sim = Simulator()
-    assert sim.peek() == math.inf
 
 
 def test_process_timeout_sequence():
@@ -250,84 +235,6 @@ def test_process_yield_non_awaitable_is_type_error():
     sim.process(bad())
     with pytest.raises(TypeError):
         sim.run()
-
-
-def test_interrupt_delivers_cause_and_cancels_wait():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield Timeout(sim, 100.0)
-            log.append("overslept")
-        except Interrupt as intr:
-            log.append(("interrupted", intr.cause, sim.now))
-        yield Timeout(sim, 1.0)
-        log.append(("resumed", sim.now))
-
-    proc = sim.process(sleeper())
-
-    def interrupter():
-        yield Timeout(sim, 5.0)
-        proc.interrupt("wake up")
-
-    sim.process(interrupter())
-    sim.run()
-    assert log == [("interrupted", "wake up", 5.0), ("resumed", 6.0)]
-
-
-def test_interrupt_dead_process_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield Timeout(sim, 1.0)
-
-    proc = sim.process(quick())
-    sim.run()
-    assert not proc.alive
-    proc.interrupt("late")  # must not raise
-    sim.run()
-
-
-def test_kill_stops_process_and_fires_done():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        yield Timeout(sim, 100.0)
-        log.append("never")
-
-    proc = sim.process(sleeper())
-
-    def killer():
-        yield Timeout(sim, 1.0)
-        proc.kill()
-
-    sim.process(killer())
-    sim.run()
-    assert log == []
-    assert not proc.alive
-    assert proc.done.fired
-
-
-def test_anyof_returns_winner_and_cancels_losers():
-    sim = Simulator()
-    got = []
-
-    def proc():
-        winner = yield AnyOf([Timeout(sim, 5.0, "slow"), Timeout(sim, 1.0, "fast")])
-        got.append((winner, sim.now))
-
-    sim.process(proc())
-    sim.run()
-    assert got == [((1, "fast"), 1.0)]
-    # Loser timeout cancelled: no event remains at t=5.
-    assert sim.peek() == math.inf
-
-
-def test_anyof_empty_raises():
-    with pytest.raises(ValueError):
-        AnyOf([])
 
 
 def test_allof_collects_all_values_in_order():

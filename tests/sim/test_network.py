@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.network import Flow, Link, Network, Route, duplex
+from repro.sim.network import Flow, Link, Network, Route
 
 
 def run_transfers(sim, net, specs):
@@ -190,12 +190,6 @@ def test_route_properties():
     assert route.latency == pytest.approx(0.3)
     assert route.bottleneck_capacity == 1e6
     assert route.name == "ab"
-
-
-def test_duplex_helper():
-    up, down = duplex("x", 5e6, 0.01)
-    assert up.name == "x.up" and down.name == "x.down"
-    assert up.capacity == down.capacity == 5e6
 
 
 def test_completed_flow_count_and_active():

@@ -1,17 +1,11 @@
-"""Unit tests for resources: Resource, PriorityResource, PS server, Store."""
+"""Unit tests for resources: the FCFS Resource and the PS server."""
 
 import math
 
 import pytest
 
-from repro.sim.engine import AnyOf, Simulator, Timeout
-from repro.sim.resources import (
-    PriorityResource,
-    ProcessorSharingServer,
-    Resource,
-    Store,
-    _waterfill,
-)
+from repro.sim.engine import Simulator, Timeout
+from repro.sim.resources import ProcessorSharingServer, Resource, _waterfill
 
 
 # ---------------------------------------------------------------- Resource
@@ -57,6 +51,33 @@ def test_resource_fcfs_order():
     assert order == ["u0", "u1", "u2", "u3"]
 
 
+def test_resource_unyielded_claim_keeps_its_place():
+    """A claim made but not yet yielded keeps its place: a later
+    arrival that yields first still waits behind it."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    order = []
+    early = res.request()
+
+    def late():
+        req = res.request()
+        yield req
+        order.append(("late", sim.now))
+        res.release(req)
+
+    def slow_starter():
+        yield Timeout(sim, 2.0)
+        yield early
+        order.append(("early", sim.now))
+        yield Timeout(sim, 1.0)
+        res.release(early)
+
+    sim.process(late())
+    sim.process(slow_starter())
+    sim.run()
+    assert order == [("early", 2.0), ("late", 3.0)]
+
+
 def test_resource_release_without_grant_raises():
     sim = Simulator()
     res = Resource(sim, capacity=1)
@@ -69,81 +90,6 @@ def test_resource_capacity_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
         Resource(sim, capacity=0)
-
-
-def test_resource_utilization_accounting():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def user():
-        req = res.request()
-        yield req
-        yield Timeout(sim, 5.0)
-        res.release(req)
-
-    sim.process(user())
-    sim.run(until=10.0)
-    assert res.utilization() == pytest.approx(0.5, abs=0.01)
-
-
-def test_resource_abandoned_request_is_skipped():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request()
-        yield req
-        yield Timeout(sim, 10.0)
-        res.release(req)
-
-    def impatient():
-        yield Timeout(sim, 1.0)
-        req = res.request()
-        # Give up after 2 seconds if not granted.
-        result = yield AnyOf([req, Timeout(sim, 2.0, "gave-up")])
-        order.append(("impatient", result[1] if result[0] == 1 else "got-it"))
-
-    def patient():
-        yield Timeout(sim, 2.0)
-        req = res.request()
-        yield req
-        order.append(("patient", sim.now))
-        res.release(req)
-
-    sim.process(holder())
-    sim.process(impatient())
-    sim.process(patient())
-    sim.run()
-    assert ("impatient", "gave-up") in order
-    assert ("patient", 10.0) in order
-
-
-def test_priority_resource_grants_lowest_priority_first():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request()
-        yield req
-        yield Timeout(sim, 5.0)
-        res.release(req)
-
-    def user(name, priority):
-        yield Timeout(sim, 1.0)
-        req = res.request(priority=priority)
-        yield req
-        order.append(name)
-        yield Timeout(sim, 1.0)
-        res.release(req)
-
-    sim.process(holder())
-    sim.process(user("low-pri-9", 9.0))
-    sim.process(user("hi-pri-1", 1.0))
-    sim.process(user("mid-pri-5", 5.0))
-    sim.run()
-    assert order == ["hi-pri-1", "mid-pri-5", "low-pri-9"]
 
 
 # ------------------------------------------------- ProcessorSharingServer
@@ -339,71 +285,3 @@ def test_waterfill_conserves_capacity():
     rates = _waterfill(6.0, entries)
     assert sum(rates.values()) <= 6.0 + 1e-9
     assert all(rates[k] <= cap + 1e-9 for k, _, cap in entries)
-
-
-# -------------------------------------------------------------------- Store
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter():
-        item = yield store.get()
-        got.append((item, sim.now))
-
-    store.put("x")
-    sim.process(getter())
-    sim.run()
-    assert got == [("x", 0.0)]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter():
-        item = yield store.get()
-        got.append((item, sim.now))
-
-    def putter():
-        yield Timeout(sim, 3.0)
-        store.put("late")
-
-    sim.process(getter())
-    sim.process(putter())
-    sim.run()
-    assert got == [("late", 3.0)]
-
-
-def test_store_fifo_ordering_items_and_getters():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter(name, delay):
-        yield Timeout(sim, delay)
-        item = yield store.get()
-        got.append((name, item))
-
-    sim.process(getter("g1", 0.0))
-    sim.process(getter("g2", 1.0))
-
-    def putter():
-        yield Timeout(sim, 2.0)
-        store.put("first")
-        store.put("second")
-
-    sim.process(putter())
-    sim.run()
-    assert got == [("g1", "first"), ("g2", "second")]
-
-
-def test_store_len():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2

@@ -1,5 +1,5 @@
-"""Simulated resilience path: shedding, dedup replay, failover,
-deadlines, and schedule determinism with the knobs off."""
+"""Simulated resilience path: shedding, failover, deadlines, and
+schedule determinism with the knobs off."""
 
 import numpy as np
 
@@ -71,58 +71,6 @@ def test_queue_slots_admit_up_to_bound():
     outcomes = [r.outcome for r in records]
     assert outcomes == ["ok", "ok", "ok", "shed"]
     assert server.shed == 1
-
-
-# ---------------------------------------------------------------- dedup
-
-
-def test_replay_skips_queue_and_compute():
-    sim = Simulator()
-    server, _net = make_server(sim)
-    (executed,) = overlapping_calls(server, sim, [0.0])
-    executed_elapsed = executed.elapsed
-
-    replayed = SimCallRecord(spec=spec(), client_id=9,
-                             submit_time=sim.now)
-
-    def replay():
-        yield from server.replay_result(replayed, Route([Link("r", 10e6)]))
-
-    start = sim.now
-    sim.process(replay())
-    sim.run()
-    assert server.replays == 1
-    assert replayed.outcome == "ok"
-    # No fork, no compute: strictly cheaper than the real execution.
-    assert sim.now - start < executed_elapsed
-
-
-def test_lost_reply_with_dedup_never_reexecutes():
-    sim = Simulator()
-    server, net = make_server(sim, dedup=True)
-    route = Route([Link("c", 10e6)])
-    client = WorkloadClient(sim, 0, server, route, spec(comp=0.2),
-                            s=1.0, p=1.0, horizon=30.0, seed=3,
-                            post_fault_rate=0.7)
-    sim.run()
-    assert client.faults_seen > 0  # replies actually got lost
-    assert server.replays == client.faults_seen
-    # Exactly-once: one execution per delivered record.
-    assert server.calls_completed == len(client.records)
-
-
-def test_lost_reply_without_dedup_reexecutes():
-    sim = Simulator()
-    server, net = make_server(sim, dedup=False)
-    route = Route([Link("c", 10e6)])
-    client = WorkloadClient(sim, 0, server, route, spec(comp=0.2),
-                            s=1.0, p=1.0, horizon=30.0, seed=3,
-                            post_fault_rate=0.7)
-    sim.run()
-    assert client.faults_seen > 0
-    assert server.replays == 0
-    # At-least-once: every lost reply burned a second execution.
-    assert server.calls_completed == len(client.records) + client.faults_seen
 
 
 # ------------------------------------------------------------- failover
@@ -202,13 +150,13 @@ def run_schedule(**client_kwargs):
 
 
 def test_knobs_off_reproduce_the_historical_schedule():
-    """post_fault_rate=0 / dedup / deadline must not consume RNG draws
-    or perturb timing: the schedule stays byte-identical."""
+    """fault_rate=0 / retries / deadline / a loose queue bound must not
+    consume RNG draws or perturb timing: the schedule stays
+    byte-identical."""
     baseline = run_schedule()
-    with_knobs = run_schedule(post_fault_rate=0.0, call_deadline=1e9,
+    with_knobs = run_schedule(fault_rate=0.0, call_deadline=1e9,
                               retry_attempts=3,
-                              server_kwargs={"dedup": False,
-                                             "max_queued": 10_000})
+                              server_kwargs={"max_queued": 10_000})
     assert baseline == with_knobs
     np.testing.assert_array_equal(np.asarray(baseline),
                                   np.asarray(with_knobs))
