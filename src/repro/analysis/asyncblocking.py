@@ -11,18 +11,16 @@ primitive.  Two more kinds of function run on a loop without being
 coroutines, and are roots too: the generators of
 :data:`LOOP_STEPPED_MODULES` (the sans-IO client core, which the
 asyncio driver steps on its loop), and every endpoint handler -- the
-``register_handler`` map is the one contract for both endpoint drivers
-(DESIGN.md §3.6: a handler never blocks), and the event-loop driver
-calls them inline.  A handler registered with
-``register_blocking_handler`` is exempt: that driver hands it to an
-executor.
+endpoint's reactor thread runs them inline for every connection, so a
+handler that blocks stalls them all (DESIGN.md §3.6: a handler never
+blocks).
 
 The registry has three layers:
 
 - **project primitives** (:data:`BLOCKING_PROJECT`): the sync
   transport surface (``Channel``, the dialing half of
-  ``ConnectionPool``, ``LoopThread.run``, sync framing, shm ring
-  waits) and the lock-taking
+  ``ConnectionPool``, sync framing, shm ring waits) and the
+  lock-taking
   ``MetricsRegistry`` lookup methods.  Instrument *micro-ops*
   (``Counter.inc``, ``Gauge.set``, ``Histogram.observe``) are
   deliberately absent: they hold their lock for nanoseconds and are the
@@ -40,9 +38,9 @@ The registry has three layers:
   non-awaited ``.result()`` on a receiver named like a future.
 
 Sanctioned bridges (:data:`SANCTIONED_BRIDGES` --
-``loop.run_in_executor``, ``asyncio.to_thread``,
-``asyncio.run_coroutine_threadsafe``, and the ``LoopThread`` they
-power) need no special-casing in the traversal: a callable
+``loop.run_in_executor``, ``asyncio.to_thread`` and
+``asyncio.run_coroutine_threadsafe``) need no special-casing in the
+traversal: a callable
 *passed as an argument* never creates a call edge, so handing blocking
 work to an executor is invisible to reachability -- which is precisely
 the fix this rule pushes you toward.  The bridge names are still
@@ -74,14 +72,12 @@ BLOCKING_PROJECT: dict[str, str] = {
     "repro.transport.channel.Channel.send_error": "sync socket send",
     "repro.transport.channel.connect": "sync TCP connect",
     "repro.transport.endpoint.EndpointCore.stop":
-        "listener close + connection thread joins",
+        "reactor and ring thread joins",
     # The pool's bookkeeping (checkin/discard/evict_idle/close) is
     # shared with AsyncConnectionPool and only ever closes channels;
     # what blocks is the sync dial.
     "repro.transport.pool.ConnectionPool.checkout": "sync pool checkout",
     "repro.transport.pool.ConnectionPool.lease": "sync pool lease",
-    "repro.transport.loopbridge.LoopThread.run":
-        "cross-thread future wait",
     "repro.protocol.framing.send_frame": "sync frame write",
     "repro.protocol.framing.recv_frame": "sync frame read",
     "repro.transport.shm.ShmRing.write": "shm ring spin-wait",
@@ -136,7 +132,6 @@ SANCTIONED_BRIDGES: frozenset[str] = frozenset({
     "asyncio.to_thread",
     "asyncio.run_coroutine_threadsafe",
     "run_in_executor",
-    "repro.transport.loopbridge.LoopThread",
 })
 
 _FILE_IO_ATTRS = frozenset({
@@ -272,12 +267,11 @@ def _loop_roots(graph: CallGraph) -> dict[str, str]:
     by one that does: qualname -> what kind of root it is."""
     kinds: dict[str, str] = {}
     for registration in graph.handler_registrations():
-        if not registration.blocking:
-            registrar = graph.functions[registration.caller].short
-            for handler in registration.handlers:
-                kinds.setdefault(
-                    handler, f"endpoint handler (register_handler map of "
-                             f"{registrar}())")
+        registrar = graph.functions[registration.caller].short
+        for handler in registration.handlers:
+            kinds.setdefault(
+                handler, f"endpoint handler (register_handler map of "
+                         f"{registrar}())")
     for qualname, info in graph.functions.items():
         if info.is_async:
             kinds[qualname] = "async def"

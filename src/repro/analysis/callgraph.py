@@ -34,7 +34,7 @@ What *is* resolved:
 Calls whose callable is passed *as an argument* never produce an edge,
 which is exactly how the sanctioned async/sync bridges
 (``run_in_executor``, ``asyncio.to_thread``,
-``run_coroutine_threadsafe``, ``LoopThread.run``) stay invisible
+``run_coroutine_threadsafe``) stay invisible
 to reachability: handing a blocking callable to an executor is the fix,
 not the bug.
 """
@@ -140,17 +140,13 @@ class ExternalCall:
     module: SourceModule
 
 
-#: ``EndpointCore``'s registration methods -> whether the handler may block.
-_REGISTER_METHODS = {"register_handler": False,
-                     "register_blocking_handler": True}
 
 
 @dataclass(frozen=True)
 class HandlerRegistration:
-    """One ``register_handler``-family call: who runs for which frame."""
+    """One ``register_handler`` call: who runs for which frame."""
 
     caller: str
-    blocking: bool                #: via ``register_blocking_handler``
     handlers: tuple[str, ...]     #: candidate handler qualnames
 
 
@@ -690,8 +686,7 @@ class CallGraph:
         return self._mixin_candidates(owner, expr.attr)
 
     def handler_registrations(self) -> list["HandlerRegistration"]:
-        """Every ``x.register_handler(mt, ref)`` /
-        ``x.register_blocking_handler(mt, ref)`` call in the project,
+        """Every ``x.register_handler(mt, ref)`` call in the project,
         with ``ref`` resolved to its candidate handler functions: the
         endpoints' dispatch tables, which no call edge shows."""
         found = []
@@ -699,11 +694,10 @@ class CallGraph:
             for call in _local_nodes(self.functions[qualname].node):
                 if (isinstance(call, ast.Call)
                         and isinstance(call.func, ast.Attribute)
-                        and call.func.attr in _REGISTER_METHODS
+                        and call.func.attr == "register_handler"
                         and len(call.args) >= 2):
                     found.append(HandlerRegistration(
                         caller=qualname,
-                        blocking=_REGISTER_METHODS[call.func.attr],
                         handlers=tuple(self.resolve_method_ref(
                             qualname, call.args[1]))))
         return found

@@ -78,19 +78,18 @@ GUARDED_BY: dict[str, tuple[LockSpec, ...]] = {
     # repro.transport.breaker
     "CircuitBreaker": (_spec("_lock", guarded=("_keys", "trips")),),
     # repro.transport.endpoint -- serving code reads the lifecycle
-    # state unlocked by design, so only writes are guarded; each driver
-    # (AsyncEndpoint below) adds its own I/O state to the core's.
+    # state unlocked by design, so only writes are guarded; the driver
+    # adds its own I/O state to the core's.
     "EndpointCore": (_spec("_lock", writes=("_running", "_address")),),
-    "Endpoint": (_spec("_lock", writes=("_listener", "_accept_thread")),),
+    "Endpoint": (_spec("_lock", guarded=("_rings",),
+                       writes=("_listener", "_reactor", "_wake")),),
     # repro.server.executor -- every queue and PE decision is its
     # AdmissionCore's, so the core is what the lock guards.
     "Executor": (_spec("_lock", guarded=("_core",)),),
     # repro.server.dedup
     "DedupCache": (_spec("_lock", guarded=("_pending", "_done",
                                           "_done_bytes", "hits")),),
-    # repro.transport.aioendpoint
-    "AsyncEndpoint": (_spec("_lock", writes=("_runner", "_server")),),
-    # repro.server.services -- the RPC mixin composed with either driver.
+    # repro.server.services -- the RPC mixin composed with the endpoint.
     "NinfRpcServices": (
         # FETCH reads the ticket counter unlocked: an int read is atomic,
         # and a ticket issued meanwhile is not the one being fetched.

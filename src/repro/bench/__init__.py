@@ -1,10 +1,9 @@
 """``repro.bench`` -- the ``ninf-bench`` performance benchmarks.
 
 - :mod:`repro.bench.connections` -- the C10K idle-plus-ping benchmark
-  proving the asyncio core's concurrency claim (DESIGN.md §3.6):
-  thousands of connections against :class:`~repro.server.AsyncNinfServer`
-  with per-connection memory, ping latency percentiles, event-loop lag,
-  and the thread-per-connection ceiling measured alongside.
+  of the server's reactor (DESIGN.md §3.6): thousands of connections
+  against one :class:`~repro.server.NinfServer`, with per-connection
+  memory, ping latency percentiles and the server's thread count.
 - :mod:`repro.bench.rpc` -- the DiPerF-style distributed load harness:
   multi-process closed-loop clients walking a staged ramp against a
   live server fleet (or, ``--sim``, the simulator), with saturation-knee

@@ -14,8 +14,8 @@ Three subcommands::
                    [--processes N] [--servers N] [--json -|PATH]
 
         the DiPerF-style multi-process load ramp of
-        :mod:`repro.bench.rpc` -- live worker processes against an
-        asyncio server fleet, or (``--sim``) the identical schedule on
+        :mod:`repro.bench.rpc` -- live worker processes against a
+        server fleet, or (``--sim``) the identical schedule on
         the simulator, byte-deterministically.
 
     ninf-bench marshal [--sizes N,N,...] [--repeats N]
@@ -51,12 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     conn = sub.add_parser(
         "connections",
-        help="C10K idle-plus-ping ramp against both servers")
+        help="C10K idle-plus-ping ramp against the server's reactor")
     conn.add_argument("--connections", type=int, default=5000,
-                      help="async-server connection target "
+                      help="asyncio-client connection target "
                            "(default: %(default)s)")
     conn.add_argument("--threaded", type=int, default=512,
-                      help="thread-per-connection ceiling probe "
+                      help="blocking-client connection target "
                            "(default: %(default)s)")
     conn.add_argument("--output", type=Path,
                       default=Path("BENCH_asyncio.json"),
@@ -65,11 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="write the JSON report to DEST; '-' means "
                            "stdout (suppresses progress output)")
     conn.add_argument("--min-sustained", type=int, default=None,
-                      help="fail (exit 1) if the async server sustains "
+                      help="fail (exit 1) if the server sustains "
                            "fewer connections than this")
     conn.add_argument("--max-p95-ms", type=float, default=None,
-                      help="fail (exit 1) if the async ping p95 exceeds "
-                           "this many milliseconds")
+                      help="fail (exit 1) if the asyncio clients' ping "
+                           "p95 exceeds this many milliseconds")
     conn.add_argument("--quiet", action="store_true",
                       help="suppress progress lines")
 
@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="client worker processes, live mode "
                           "(default: %(default)s)")
     rpc.add_argument("--servers", type=int, default=1,
-                     help="asyncio servers in the fleet, live mode "
+                     help="servers in the fleet, live mode "
                           "(default: %(default)s)")
     rpc.add_argument("--num-pes", type=int, default=4,
                      help="PEs per server (default: %(default)s)")

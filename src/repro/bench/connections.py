@@ -1,23 +1,23 @@
 """The C10K benchmark behind ``ninf-bench connections``.
 
-The asyncio rebuild (DESIGN.md §3.6) exists for exactly one measurable
-reason: a thread-per-connection server spends a stack and a scheduler
-slot per idle client, an event-driven server spends a heap object.
-This benchmark quantifies that against *both* servers in one process:
+The server's reactor (DESIGN.md §3.6) reads every TCP connection on one
+thread, so an idle client costs it a selector entry and a frame reader,
+not a thread.  This benchmark measures that claim with the two client
+drivers against one :class:`~repro.server.NinfServer` each:
 
-- **async phase** -- open N idle connections against one
-  :class:`~repro.server.AsyncNinfServer`, then ping every one of them
-  (bounded concurrency), reporting max sustained connections,
-  saturation ping throughput, p50/p95/p99 ping latency, per-connection
-  RSS growth, and the server's own event-loop lag histogram.
-- **threaded phase** -- the same idle-plus-ping ramp against the
-  thread-per-connection :class:`~repro.server.NinfServer`, capped much
-  lower (a thread per idle client), so the report shows the ceiling
-  the asyncio core removes.
+- **async phase** -- open N idle connections from asyncio clients,
+  then ping every one of them (bounded concurrency), reporting max
+  sustained connections, saturation ping throughput, p50/p95/p99 ping
+  latency, per-connection RSS growth, and the threads the server runs
+  while holding them.
+- **threaded phase** -- the same idle-plus-ping ramp from blocking
+  clients (one ``connect`` each, pinged in turn), usually smaller.
 
 Both endpoints live in this process, so ``rss_per_connection_bytes``
 charges each connection its client *and* server cost -- an honest
 upper bound, and the same accounting for both phases.
+``server_threads`` counts the threads started since the server was
+built (its reactor, PE threads and expiry sweep).
 
 The report is written as ``BENCH_asyncio.json`` (see
 :func:`write_report`); CI runs a 2,000-connection smoke and archives
@@ -30,13 +30,13 @@ from __future__ import annotations
 import asyncio
 import json
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from repro.obs import names
-from repro.server import AsyncNinfServer, NinfServer, Registry
+from repro.server import NinfServer, Registry
 from repro.transport import aconnect, connect
 
 __all__ = [
@@ -54,7 +54,7 @@ __all__ = [
 DIAL_CONCURRENCY = 256
 
 #: Concurrent in-flight pings during the saturation sweep.  Enough to
-#: keep both loops busy (throughput saturates around ~10 in flight);
+#: keep the client loop and the reactor busy (throughput saturates around ~10 in flight);
 #: small enough that a ping's RTT measures service time plus a short
 #: queue, not the whole sweep queued behind it.
 PING_CONCURRENCY = 128
@@ -160,7 +160,7 @@ class PhaseReport:
         return out
 
 
-# -- async phase --------------------------------------------------------------
+# -- async phase: asyncio clients -------------------------------------------
 
 
 async def _dial_many(host: str, port: int, count: int,
@@ -215,18 +215,24 @@ async def _ping_sweep(channels: list, report: PhaseReport) -> None:
 
 
 def bench_async_phase(connections: int, log=print) -> PhaseReport:
-    """Idle-plus-ping ramp against :class:`AsyncNinfServer`."""
+    """Idle-plus-ping ramp of asyncio clients against one server."""
     report = PhaseReport("async", connections)
-    with AsyncNinfServer(_bench_registry(), num_pes=1) as server:
+    before = set(threading.enumerate())
+    with NinfServer(_bench_registry(), num_pes=1) as server:
         host, port = server.address
         report.rss_before_bytes = current_rss_bytes()
 
         async def drive() -> None:
             channels = await _dial_many(host, port, connections, report)
             report.sustained_connections = len(channels)
-            report.rss_after_bytes = current_rss_bytes()
+            deadline = time.perf_counter() + 5.0
+            while (server.connections_open < len(channels)
+                   and time.perf_counter() < deadline):
+                await asyncio.sleep(0.01)
+            _record_held(report, before)
             log(f"[async] {len(channels)} connections open, "
-                f"{report.dial_failures} refused")
+                f"{report.dial_failures} refused, "
+                f"{report.extra['server_threads']} server threads")
             try:
                 await _ping_sweep(channels, report)
             finally:
@@ -234,32 +240,26 @@ def bench_async_phase(connections: int, log=print) -> PhaseReport:
                     channel.close()
 
         asyncio.run(drive())
-        lag = server.metrics.get(names.SERVER_LOOP_LAG)
-        if lag is not None and lag.count() > 0:
-            report.extra["loop_lag_ms"] = {
-                "samples": lag.count(),
-                "p50": round(lag.quantile(0.50) * 1000.0, 3),
-                "p95": round(lag.quantile(0.95) * 1000.0, 3),
-                "p99": round(lag.quantile(0.99) * 1000.0, 3),
-            }
     return report
 
 
-# -- threaded phase -----------------------------------------------------------
+def _record_held(report: PhaseReport,
+                 before: set[threading.Thread]) -> None:
+    """With the server holding every dialled connection: RSS, and the
+    threads started since ``before`` (the server's)."""
+    report.rss_after_bytes = current_rss_bytes()
+    report.extra["server_threads"] = len(set(threading.enumerate()) - before)
+
+
+# -- threaded phase: blocking clients ----------------------------------------
 
 
 def bench_threaded_phase(connections: int, log=print) -> PhaseReport:
-    """The same ramp against the thread-per-connection server.
-
-    Every idle client pins a server thread, so the cap passed here
-    should stay far below the async target -- the point of the phase
-    is the per-connection cost and where the ceiling sits.
-    """
-    import threading
-
+    """The same ramp from blocking clients, pinged one after another."""
     from repro.protocol.messages import MessageType
 
     report = PhaseReport("threaded", connections)
+    before = set(threading.enumerate())
     with NinfServer(_bench_registry(), num_pes=1) as server:
         host, port = server.address
         report.rss_before_bytes = current_rss_bytes()
@@ -273,15 +273,13 @@ def bench_threaded_phase(connections: int, log=print) -> PhaseReport:
                     report.dial_failures += 1
                     break
             report.sustained_connections = len(channels)
-            # Let the accept loop finish spawning handler threads.
             deadline = time.perf_counter() + 5.0
-            while (threading.active_count() < len(channels)
+            while (server.connections_open < len(channels)
                    and time.perf_counter() < deadline):
-                time.sleep(0.05)
-            report.rss_after_bytes = current_rss_bytes()
-            report.extra["server_threads"] = threading.active_count()
+                time.sleep(0.01)
+            _record_held(report, before)
             log(f"[threaded] {len(channels)} connections open, "
-                f"{report.extra['server_threads']} threads alive")
+                f"{report.extra['server_threads']} server threads")
             latencies = []
             t_start = time.perf_counter()
             for channel in channels:

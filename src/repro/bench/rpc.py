@@ -4,9 +4,9 @@ The paper's own methodology is multi-client curves, not point samples,
 and DiPerF (PAPERS.md) is the modern template: coordinated distributed
 clients, a controlled load ramp, a detected saturation point, and a
 per-client fairness figure.  This module is that harness for the live
-asyncio stack:
+stack:
 
-1. start an :class:`~repro.server.AsyncNinfServer` fleet (loopback,
+1. start a :class:`~repro.server.NinfServer` fleet (loopback,
    ``--servers`` wide) with the bench ``spin`` function registered;
 2. spawn ``--processes`` client *worker processes*
    (:mod:`repro.bench.worker`; multiprocessing so client-side GIL
@@ -265,7 +265,7 @@ def run_rpc_benchmark(schedule: Optional[StageSchedule] = None,
 
     from repro.bench.connections import raise_fd_limit
     from repro.client import NinfClient
-    from repro.server import AsyncNinfServer
+    from repro.server import NinfServer
 
     if schedule is None:
         schedule = build_ramp()
@@ -277,9 +277,8 @@ def run_rpc_benchmark(schedule: Optional[StageSchedule] = None,
     log(f"fd soft limit: {fd_limit}")
 
     context = multiprocessing.get_context("spawn")
-    fleet = [AsyncNinfServer(_bench_registry(), num_pes=num_pes,
-                             max_queued=max_queued,
-                             name=f"bench-server-{i}")
+    fleet = [NinfServer(_bench_registry(), num_pes=num_pes,
+                        max_queued=max_queued, name=f"bench-server-{i}")
              for i in range(servers)]
     rows: list[StageRow] = []
     scrapers: list[NinfClient] = []

@@ -5,8 +5,8 @@ real, independent processes: threads inside the coordinator share its
 GIL, so past a few thousand calls per second the *client* becomes the
 bottleneck and the measured "saturation" is an artifact.  Each worker
 here is a separate OS process (spawned, never forked -- the coordinator
-runs asyncio servers on background threads, and forking a threaded
-parent is undefined behaviour) running an asyncio loop with a slice of
+runs its servers on background threads, and forking a threaded parent
+is undefined behaviour) running an asyncio loop with a slice of
 the stage's closed-loop clients.
 
 Protocol (all over ``multiprocessing`` queues, everything picklable):

@@ -234,8 +234,8 @@ def live_loopback_breakdown(calls: int = 4, n: int = 64,
                 client.call("dmmul", n, a, b, c)
 
     if cross_process:
-        # spawn, never fork: the parent may be running asyncio servers
-        # on background threads (and a forked child would inherit them).
+        # spawn, never fork: the parent may be running servers on
+        # background threads (and a forked child would inherit them).
         context = multiprocessing.get_context("spawn")
         parent_conn, child_conn = context.Pipe()
         proc = context.Process(target=_breakdown_server_main,

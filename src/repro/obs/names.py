@@ -65,7 +65,6 @@ SERVER_PE_WORKER_DEATHS = "ninf_server_pe_worker_deaths_total"
 SERVER_DEDUP_HITS = "ninf_server_dedup_hits_total"
 SERVER_DEDUP_ENTRIES = "ninf_server_dedup_entries"
 SERVER_CONNECTIONS_OPEN = "ninf_server_connections_open"
-SERVER_LOOP_LAG = "ninf_server_loop_lag_seconds"
 SERVER_DETACHED_EVICTED = "ninf_server_detached_evicted_total"
 SERVER_HEARTBEATS_SENT = "ninf_server_heartbeats_sent_total"  # label: outcome
 
@@ -118,7 +117,6 @@ METRIC_NAMES = (
     SERVER_DEDUP_HITS,
     SERVER_DEDUP_ENTRIES,
     SERVER_CONNECTIONS_OPEN,
-    SERVER_LOOP_LAG,
     SERVER_DETACHED_EVICTED,
     SERVER_HEARTBEATS_SENT,
     METASERVER_PROBES,

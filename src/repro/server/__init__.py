@@ -25,11 +25,10 @@ process as Ninf executables" (paper §2.1).
   that makes CALL retries safe (DESIGN.md §3.5).
 - :mod:`repro.server.services` -- the RPC semantics (two-stage RPC,
   per-job timestamps, load reporting, detached calls) as a mixin
-  shared by both serving transports.
-- :mod:`repro.server.server` -- the threaded TCP server (one thread
-  per connection).
-- :mod:`repro.server.asyncserver` -- the asyncio server (one event
-  loop, C10K-capable), same wire behaviour.
+  over the endpoint.
+- :mod:`repro.server.server` -- the server itself: those services on
+  the reactor endpoint (one thread reads every TCP connection);
+  :mod:`repro.server.asyncserver` keeps its old asyncio name.
 """
 
 from repro.server.asyncserver import AsyncNinfServer

@@ -3,15 +3,12 @@
 :class:`NinfRpcServices` is everything that makes an endpoint a *Ninf
 computational server* -- the two-stage interface request, CALL
 execution through the PE-pool executor, exactly-once dedup admission,
-load reporting, and the §5.1 two-phase detached calls -- written once
+load reporting, and the §5.1 two-phase detached calls -- written
 against the endpoint handler contract (DESIGN.md §3.6: plain functions
 that never block, replying through a best-effort ``conn.send``) and
-composed with either driver:
-
-- ``NinfServer(NinfRpcServices, Endpoint)`` -- thread per connection;
-- ``AsyncNinfServer(NinfRpcServices, AsyncEndpoint)`` -- event loop;
-  the same handlers run on the loop, and PE completion callbacks reply
-  from their own threads.
+composed with the endpoint as ``NinfServer(NinfRpcServices, Endpoint)``.
+The handlers run on the endpoint's reactor thread; a PE completion
+callback replies from its own PE thread.
 """
 
 from __future__ import annotations

@@ -158,7 +158,6 @@ class Machine:
                                           name=f"{name}.cpu")
         self.load_average = LoadAverage(sim, tau=load_tau)
         self.serial_gate = Resource(sim, capacity=1, name=f"{name}.serial")
-        self.tasks_completed = 0
 
     # -- execution -----------------------------------------------------------
 
@@ -186,7 +185,6 @@ class Machine:
         yield task.job
         self.load_average.adjust(-threads)
         task.finish_time = self.sim.now
-        self.tasks_completed += 1
         return task
 
     def run_serialized(self, work: float, threads: Optional[int] = None) -> Generator:

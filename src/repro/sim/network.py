@@ -39,24 +39,6 @@ class Link:
         self.name = name
         self.capacity = capacity
         self.latency = latency
-        self.bytes_carried = 0.0
-        self._busy_integral = 0.0
-        self._current_rate = 0.0
-        self._last_update = 0.0
-
-    def _advance(self, now: float) -> None:
-        dt = now - self._last_update
-        if dt > 0:
-            self.bytes_carried += self._current_rate * dt
-            self._busy_integral += (self._current_rate / self.capacity) * dt
-            self._last_update = now
-
-    def utilization(self, now: float) -> float:
-        """Time-averaged fraction of capacity used since t=0."""
-        self._advance(now)
-        if now <= 0:
-            return 0.0
-        return self._busy_integral / now
 
     def __repr__(self) -> str:
         return f"<Link {self.name} {self.capacity/1e6:.3g} MB/s>"
@@ -75,20 +57,13 @@ class Route:
     def latency(self) -> float:
         return sum(l.latency for l in self.links)
 
-    @property
-    def bottleneck_capacity(self) -> float:
-        return min(l.capacity for l in self.links)
-
     def __repr__(self) -> str:
         return f"<Route {self.name}>"
 
 
 class Flow:
-    """A bulk transfer in progress.  ``done`` fires when the last byte lands.
-
-    The flow's achieved mean throughput is available afterwards via
-    :attr:`mean_throughput`.
-    """
+    """A bulk transfer in progress.  ``done`` fires when the last byte
+    lands, with the flow, whose ``finish_time`` is then set."""
 
     __slots__ = ("route", "size", "remaining", "weight", "rate", "done",
                  "start_time", "active_time", "finish_time")
@@ -105,16 +80,6 @@ class Flow:
         self.active_time: Optional[float] = None   # after latency
         self.finish_time: Optional[float] = None
 
-    @property
-    def mean_throughput(self) -> float:
-        """Bytes/second achieved end to end (including latency)."""
-        if self.finish_time is None:
-            raise RuntimeError("flow has not finished")
-        elapsed = self.finish_time - self.start_time
-        if elapsed <= 0:
-            return math.inf
-        return self.size / elapsed
-
 
 class Network:
     """Tracks active flows and keeps their rates max-min fair.
@@ -129,10 +94,8 @@ class Network:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._flows: list[Flow] = []
-        self._links_seen: set[Link] = set()
         self._next_event: Optional[EventHandle] = None
         self._last_update = sim.now
-        self.completed_flows = 0
 
     # -- public API ----------------------------------------------------------
 
@@ -156,10 +119,6 @@ class Network:
     def active_flows(self) -> int:
         return len(self._flows)
 
-    def flow_rates(self) -> dict[Flow, float]:
-        """Snapshot of current per-flow rates (bytes/second)."""
-        return {f: f.rate for f in self._flows}
-
     # -- internals --------------------------------------------------------------
 
     def _flow_arrives(self, flow: Flow) -> None:
@@ -174,15 +133,8 @@ class Network:
     def _advance(self) -> None:
         dt = self.sim.now - self._last_update
         if dt > 0:
-            link_rates: dict[Link, float] = {}
             for flow in self._flows:
                 flow.remaining = max(0.0, flow.remaining - flow.rate * dt)
-                for link in flow.route.links:
-                    link_rates[link] = link_rates.get(link, 0.0) + flow.rate
-            # Update link accounting with the rates that were in effect.
-            for link, rate in link_rates.items():
-                link._current_rate = rate
-                link._advance(self.sim.now)
         self._last_update = self.sim.now
 
     def _recompute(self) -> None:
@@ -218,15 +170,6 @@ class Network:
                     spare[link] -= flow.rate
                     counts[link] -= flow.weight
             counts[bottleneck] = 0.0
-        # Record instantaneous link rates for utilization accounting.
-        link_rates: dict[Link, float] = {}
-        for flow in self._flows:
-            for link in flow.route.links:
-                self._links_seen.add(link)
-                link_rates[link] = link_rates.get(link, 0.0) + flow.rate
-        for link in self._links_seen:
-            link._advance(self.sim.now)
-            link._current_rate = link_rates.get(link, 0.0)
         self._reschedule()
 
     def _reschedule(self) -> None:
@@ -260,6 +203,5 @@ class Network:
         flow.finish_time = self.sim.now
         flow.rate = 0.0
         flow.remaining = 0.0  # clear sub-epsilon float dust
-        self.completed_flows += 1
         flow.done.fire(flow)
 

@@ -103,11 +103,6 @@ class PSJob(Awaitable):
         self._callback = callback
         self.server._activate(self)
 
-    @property
-    def rate(self) -> float:
-        """Current service rate of this job (0 if not active)."""
-        return self.server._rates.get(self, 0.0)
-
 
 class ProcessorSharingServer:
     """Fixed-capacity server shared among active jobs.
@@ -132,9 +127,9 @@ class ProcessorSharingServer:
         self._seq = 0
         self._last_update = sim.now
         self._next_completion: Optional[EventHandle] = None
-        self._busy_integral = 0.0  # ∫ (allocated rate / capacity) dt
-        self._t0 = sim.now
-        self.completed_jobs = 0
+        # ∫ (allocated rate / capacity) dt: Machine's CPU-utilization
+        # windows read it.
+        self._busy_integral = 0.0
 
     # -- public API ---------------------------------------------------------
 
@@ -152,14 +147,6 @@ class ProcessorSharingServer:
     @property
     def active_jobs(self) -> int:
         return len(self._jobs)
-
-    def utilization(self) -> float:
-        """Time-averaged fraction of capacity delivered since creation."""
-        self._advance()
-        elapsed = self.sim.now - self._t0
-        if elapsed <= 0:
-            return 0.0
-        return self._busy_integral / elapsed
 
     # -- internals ------------------------------------------------------------
 
@@ -222,7 +209,6 @@ class ProcessorSharingServer:
 
     def _complete(self, job: PSJob) -> None:
         job.finish_time = self.sim.now
-        self.completed_jobs += 1
         self.sim.schedule(0.0, job._callback, job, None)
 
 

@@ -10,13 +10,12 @@ abstractions:
   ``(host, port)`` with max-idle eviction; ``pool=False`` restores the
   paper's per-call-connection behaviour as an ablation.
 - :class:`EndpointCore` -- the ``MessageType -> handler`` registry,
-  dispatch contract and lifecycle of every Ninf process, with two
-  drivers that keep only their I/O: :class:`Endpoint` (accept thread,
-  thread per connection: :class:`~repro.server.NinfServer`,
-  :class:`~repro.metaserver.Metaserver`) and :class:`AsyncEndpoint`
-  (one event loop: :class:`~repro.server.AsyncNinfServer`).  Handlers
-  are plain functions that never block and reply through a
-  :class:`Connection` (DESIGN.md §3.6).
+  dispatch contract and lifecycle of every Ninf process, and
+  :class:`Endpoint`, its one driver (:class:`~repro.server.NinfServer`,
+  :class:`~repro.metaserver.Metaserver`): a reactor thread accepts and
+  reads every TCP connection, a ring connection gets a thread of its
+  own.  Handlers are plain functions that never block and reply
+  through a :class:`Connection` (DESIGN.md §3.6).
 - :class:`FaultPlan` / :class:`FaultyChannel` -- seeded, deterministic
   fault injection at the three places a channel is born (``connect``,
   pool checkout, endpoint accept).  The plan computes one
@@ -32,10 +31,8 @@ abstractions:
   half-open probe, so failover skips dead hosts without paying a
   connect timeout each time; see :mod:`repro.transport.breaker`.
 - :class:`AsyncChannel` / :class:`AsyncConnectionPool` -- the asyncio
-  channel, and the pool's ``await``-dialing subclass (DESIGN.md §3.6).
-  :class:`LoopThread` (:mod:`repro.transport.loopbridge`) is the
-  private loop thread behind an :class:`AsyncEndpoint`'s synchronous
-  ``start()``/``stop()``.
+  channel, and the pool's ``await``-dialing subclass: the asyncio
+  client's transport (DESIGN.md §3.6).
 - :class:`ShmRing` / :class:`ShmTransport` / :func:`shm_negotiate`
   (:mod:`repro.transport.shm`) -- the same-host shared-memory fast
   path.  A dialing channel that shares a machine with the server and
@@ -46,7 +43,7 @@ abstractions:
   header, then a table of the payload's bulk regions, the ``crc`` word
   covering header and table only -- flow through shared memory while
   the socket stays open purely as the liveness/close signal.  The
-  threaded :class:`Endpoint` answers every hello
+  :class:`Endpoint` answers every hello
   (:func:`repro.transport.shm.serve_hello`) and refuses only one it
   cannot take; refusals fall back to TCP silently.  Blocking channels
   are the only negotiating client side (the asyncio loop never blocks
@@ -62,7 +59,6 @@ from repro.transport.aiochannel import (
     aconnect,
     aconnect_with_faults,
 )
-from repro.transport.aioendpoint import AsyncEndpoint
 from repro.transport.aiopool import AsyncConnectionPool
 from repro.transport.breaker import CircuitBreaker
 from repro.transport.channel import Channel, connect
@@ -73,7 +69,6 @@ from repro.transport.faults import (
     FaultyChannel,
     PartitionMap,
 )
-from repro.transport.loopbridge import LoopThread
 from repro.transport.pool import ConnectionPool
 from repro.transport.retry import RetryPolicy, is_transient
 from repro.transport.shm import ShmRing, ShmTransport
@@ -82,7 +77,6 @@ from repro.transport.shm import negotiate as shm_negotiate
 __all__ = [
     "AsyncChannel",
     "AsyncConnectionPool",
-    "AsyncEndpoint",
     "AsyncFaultyChannel",
     "Channel",
     "CircuitBreaker",
@@ -93,7 +87,6 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FaultyChannel",
-    "LoopThread",
     "PartitionMap",
     "RetryPolicy",
     "ShmRing",

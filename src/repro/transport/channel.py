@@ -260,6 +260,14 @@ class Channel:
         _note_io(self.metrics, "received", len(payload))
         return msg_type, payload
 
+    def received(self, msg_type: int, payload: bytearray
+                 ) -> tuple[int, bytearray]:
+        """Take one frame that the endpoint's reactor read off
+        :attr:`sock` (its own :class:`~repro.protocol.framing
+        .FrameReader`), accounted as :meth:`recv` accounts its own."""
+        _note_io(self.metrics, "received", len(payload))
+        return msg_type, payload
+
     def request(self, msg_type: int, payload: BytesLike = b"",
                 expect: Optional[int] = None,
                 timeout: Union[None, float, _Unset] = _DEFAULT

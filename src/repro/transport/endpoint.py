@@ -1,33 +1,36 @@
-"""The request/reply endpoint: one core, and its thread-per-connection driver.
+"""The request/reply endpoint: one core, and its reactor driver.
 
-Both the computational servers (:class:`repro.server.NinfServer`,
-:class:`repro.server.AsyncNinfServer`) and the metaserver
-(:class:`repro.metaserver.Metaserver`) are one listening socket and one
-``MessageType -> handler`` dispatch table.  :class:`EndpointCore` is
-everything about that which does not touch a socket -- constructor
-state, the registry, :meth:`~EndpointCore.dispatch` and its error
-contract, the PING and STATS handlers, the lifecycle order -- written
-once.  Its two drivers keep only their I/O: :class:`Endpoint` here
-(accept thread, thread per connection) and
-:class:`~repro.transport.aioendpoint.AsyncEndpoint` (event loop, task
-per connection).
+Both the computational server (:class:`repro.server.NinfServer`) and
+the metaserver (:class:`repro.metaserver.Metaserver`) are one listening
+socket and one ``MessageType -> handler`` dispatch table.
+:class:`EndpointCore` is everything about that which does not touch a
+socket -- constructor state, the registry,
+:meth:`~EndpointCore.dispatch` and its error contract, the PING and
+STATS handlers, the lifecycle order.  :class:`Endpoint` is its driver:
+one reactor thread accepts every connection and reads every TCP one,
+and a connection upgraded to the shared-memory ring gets a thread of
+its own.
 
-The handler contract is the same on both (DESIGN.md §3.6): plain
-functions that never block and answer through a :class:`Connection`.
+The handler contract (DESIGN.md §3.6): plain functions that never block
+-- the reactor runs them in place, for every connection at once -- and
+answer through a :class:`Connection`.
 """
 
 from __future__ import annotations
 
+import collections
 import json
+import selectors
 import socket
 import struct
+import sys
 import threading
 import time
 from typing import Any, Callable, Optional, TYPE_CHECKING, TypeVar
 
 from repro.obs import MetricsRegistry, names
 from repro.protocol.errors import ConnectionClosed, ProtocolError
-from repro.protocol.framing import BytesLike
+from repro.protocol.framing import BytesLike, FrameReader
 from repro.protocol.messages import (ErrorReply, MessageType, pack,
                                      unpack)
 from repro.transport import shm
@@ -39,9 +42,9 @@ if TYPE_CHECKING:  # annotation only -- faults wiring happens per-socket
 
 __all__ = ["Connection", "Endpoint", "EndpointCore"]
 
-#: How long a reply of the threaded driver may make no progress (a peer
-#: that stopped reading) before its connection is given up: the writing
-#: thread -- an executor PE, for a RESULT -- has other calls to serve.
+#: How long a reply may make no progress (a peer that stopped reading)
+#: before its connection is given up: the writing thread -- the reactor,
+#: or an executor PE for a RESULT -- has other calls to serve.
 REPLY_STALL_SECONDS = 30.0
 
 
@@ -64,14 +67,20 @@ class Connection:
         self.reply(MessageType.ERROR, ErrorReply(code=code, message=message))
 
 
-class _ThreadConnection(Connection):
-    """A connection served by its own thread: ``send`` writes in place."""
+class _SocketConnection(Connection):
+    """One accepted connection: ``send`` writes in place, on whichever
+    thread has the reply, under the channel's send lock; :attr:`reader`
+    holds the frame the reactor is part-way through reading."""
 
-    def __init__(self, channel: Channel) -> None:
+    def __init__(self, channel: Channel,
+                 closed: Callable[["_SocketConnection"], None]) -> None:
         self.channel = channel
-        # Reads idle between requests; a write may not stall for good.
-        # The kernel fails a stalled socket send with EAGAIN; a ring has
-        # no kernel, so send() gives a frame written there a deadline.
+        self.reader = FrameReader()
+        self._closed = closed
+        # Reads never wait (the reactor reads what has arrived); a write
+        # may not stall for good.  The kernel fails a stalled socket
+        # send with EAGAIN; a ring has no kernel, so send() gives a
+        # frame written there a deadline.
         channel.sock.setsockopt(
             socket.SOL_SOCKET, socket.SO_SNDTIMEO, struct.pack(
                 "ll", *divmod(int(REPLY_STALL_SECONDS * 1e6), 10**6)))
@@ -81,8 +90,11 @@ class _ThreadConnection(Connection):
             self.channel.send(msg_type, payload, timeout=(
                 REPLY_STALL_SECONDS if self.channel.via_shm else None))
         except (ProtocolError, OSError):
-            # The connection's own thread reads EOF and closes it.
+            # Whoever reads the connection sees EOF and closes it.
             self.channel.shutdown()
+        if self.channel.closed:
+            # A send fault closed the socket here: no EOF will tell.
+            self._closed(self)
 
 
 #: ``handler(conn, payload)``; ``conn`` is the serving driver's
@@ -92,7 +104,7 @@ _E = TypeVar("_E", bound="EndpointCore")
 
 
 class EndpointCore:
-    """Handler registry, dispatch and lifecycle shared by both drivers.
+    """Handler registry, dispatch and lifecycle of an endpoint.
 
     Parameters
     ----------
@@ -145,9 +157,6 @@ class EndpointCore:
         # extra accept, nothing more).
         self._lock = threading.Lock()
         self._handlers: dict[int, Handler] = {}
-        # Message types whose handler may block (see
-        # register_blocking_handler); only the loop driver consults it.
-        self._blocking: set[int] = set()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if fault_plan is not None and fault_plan.metrics is None:
             fault_plan.metrics = self.metrics
@@ -157,23 +166,14 @@ class EndpointCore:
             names.ENDPOINT_CONNECTIONS_ACCEPTED,
             "TCP connections accepted by this endpoint")
         self.register_handler(MessageType.PING, self._handle_ping)
-        self.register_blocking_handler(MessageType.STATS, self._handle_stats)
+        self.register_handler(MessageType.STATS, self._handle_stats)
 
     # -- handler registry ---------------------------------------------------
 
     def register_handler(self, msg_type: int, handler: Handler) -> None:
         """Route frames of ``msg_type`` to ``handler(conn, payload)``,
-        run in the connection's own context: it must not block."""
+        run by the thread that read the frame: it must not block."""
         self._handlers[int(msg_type)] = handler
-        self._blocking.discard(int(msg_type))
-
-    def register_blocking_handler(self, msg_type: int,
-                                  handler: Handler) -> None:
-        """:meth:`register_handler` for a handler that may block: the
-        loop driver runs it on the default executor instead of the loop
-        (a connection thread runs it in place either way)."""
-        self.register_handler(msg_type, handler)
-        self._blocking.add(int(msg_type))
 
     def dispatch(self, conn: Connection, msg_type: int,
                  payload: bytes) -> None:
@@ -194,16 +194,18 @@ class EndpointCore:
     def _handle_stats(self, conn: Connection, payload: bytes) -> None:
         """The STATS op: reply with a snapshot of this endpoint's
         registry, JSON (default) or Prometheus text (``"prom"``).
-        Rendering walks the whole registry under its lock -- contended
-        and O(series) -- hence registered as blocking."""
+        Rendering walks the whole registry under its lock, O(series),
+        so a thread of its own renders and replies."""
         (fmt,) = unpack(MessageType.STATS, payload)
-        if fmt == "prom":
-            text = self.metrics.render_prometheus()
-        elif fmt == "json":
-            text = json.dumps(self.metrics.snapshot(), sort_keys=True)
-        else:
+        if fmt not in ("prom", "json"):
             conn.send_error("bad-request", f"unknown stats format {fmt!r}")
             return
+        threading.Thread(target=self._send_stats, args=(conn, fmt),
+                         name=f"{self.name}-stats", daemon=True).start()
+
+    def _send_stats(self, conn: Connection, fmt: str) -> None:
+        text = (self.metrics.render_prometheus() if fmt == "prom" else
+                json.dumps(self.metrics.snapshot(), sort_keys=True))
         conn.reply(MessageType.STATS_REPLY, fmt, text)
 
     @property
@@ -289,16 +291,28 @@ class EndpointCore:
 
 
 class Endpoint(EndpointCore):
-    """The threaded driver: an accept thread and one daemon thread per
-    connection, each reading frames in a loop and dispatching them.
+    """The reactor driver: one daemon thread (``<name>-reactor``) owns a
+    :class:`selectors.DefaultSelector` over the listener and every TCP
+    connection.
+
+    On each wakeup it accepts what the backlog holds, and reads a ready
+    connection into its :class:`~repro.protocol.framing.FrameReader`
+    (``MSG_DONTWAIT``) until a frame completes or the socket runs dry.
+    A completed frame takes the plan's recv step (a connection wrapped
+    by ``fault_plan``) and is dispatched in place.  Sockets stay
+    blocking for writes: a reply goes out on the thread that has it,
+    under the channel's send lock, within :data:`REPLY_STALL_SECONDS`.
+    Idle connections cost a selector entry, not a thread; the live
+    count is ``ninf_server_connections_open``.
 
     Parameters are :class:`EndpointCore`'s.  Every accepted connection
     is wrapped in a :class:`Channel` (which sets ``TCP_NODELAY``);
     ``SHM_HELLO -> SHM_HELLO_REPLY`` (PROTOCOL.md §"Shared-memory
     handshake", :func:`repro.transport.shm.serve_hello`) is
-    pre-registered next to the core's PING and STATS.  Upgrades count
-    in ``ninf_shm_upgrades_total``; refusals -- well-formed
-    ``ErrorReply`` frames, the client keeps TCP -- in
+    pre-registered next to the core's PING and STATS.  An upgraded
+    connection leaves the selector for a thread of its own, which polls
+    its ring.  Upgrades count in ``ninf_shm_upgrades_total``; refusals
+    -- well-formed ``ErrorReply`` frames, the client keeps TCP -- in
     ``ninf_shm_fallbacks_total`` by reason.
     """
 
@@ -311,9 +325,19 @@ class Endpoint(EndpointCore):
                          fault_plan=fault_plan, metrics=metrics,
                          backlog=backlog)
         self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        # Live connection threads, for stop().  GUARDED_BY(_lock).
-        self._connections: dict[threading.Thread, Channel] = {}
+        self._reactor: Optional[threading.Thread] = None
+        # The write end of the reactor's wake-up pair: closing it ends
+        # the reactor.  GUARDED_BY(_lock), like _reactor.
+        self._wake: Optional[socket.socket] = None
+        # Ring connection threads, for stop().  GUARDED_BY(_lock).
+        self._rings: dict[threading.Thread, Channel] = {}
+        # Connections closed by a writing thread, for the reactor to
+        # drop (appended anywhere, taken by the reactor).
+        self._closed_by_writers: collections.deque[_SocketConnection] = \
+            collections.deque()
+        self._open = self.metrics.gauge(
+            names.SERVER_CONNECTIONS_OPEN,
+            "Connections currently being served")
         self._shm_upgrades = self.metrics.counter(
             names.SHM_UPGRADES,
             "Connections upgraded to the shared-memory transport")
@@ -323,7 +347,13 @@ class Endpoint(EndpointCore):
             labelnames=("reason",))
         self.register_handler(MessageType.SHM_HELLO, self._handle_shm_hello)
 
-    def _handle_shm_hello(self, conn: _ThreadConnection,
+    @property
+    def connections_open(self) -> int:
+        """Connections currently being served (registry-backed gauge
+        ``ninf_server_connections_open``)."""
+        return int(self._open.value())
+
+    def _handle_shm_hello(self, conn: _SocketConnection,
                           payload: bytes) -> None:
         refused = shm.serve_hello(conn, payload)
         if refused is None:
@@ -339,6 +369,7 @@ class Endpoint(EndpointCore):
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind((self._bind_host, self._bind_port))
             listener.listen(self.backlog)
+            listener.setblocking(False)
         except BaseException:
             listener.close()
             raise
@@ -351,9 +382,15 @@ class Endpoint(EndpointCore):
             listener = self._listener
             if listener is None:
                 return  # stop() won the race
-            thread = self._accept_thread = threading.Thread(
-                target=self._accept_loop, args=(listener,),
-                name=f"{self.name}-accept", daemon=True)
+            wake, self._wake = socket.socketpair()
+            # Registered here, before stop() can close the listener;
+            # the selector is the reactor's from its first select().
+            selector = selectors.DefaultSelector()
+            selector.register(listener, selectors.EVENT_READ)
+            selector.register(wake, selectors.EVENT_READ)
+            thread = self._reactor = threading.Thread(
+                target=self._react, args=(selector, listener, wake),
+                name=f"{self.name}-reactor", daemon=True)
         thread.start()
 
     def _close_listener(self) -> None:
@@ -361,46 +398,66 @@ class Endpoint(EndpointCore):
             listener = self._listener
             self._listener = None
         if listener is not None:
-            # shutdown() (not just close()) is required to wake a thread
-            # blocked in accept(); close() alone leaves it accepting on
-            # the dead fd (and, after fd reuse, stealing other sockets'
-            # connections).
-            try:
-                listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+            # The kernel drops a closed descriptor from the selector; a
+            # reactor already past its select() fails the accept.
             try:
                 listener.close()
             except OSError:
                 pass
 
     def _close_connections(self) -> None:
-        """End and join the connection threads (bounded wait), so a
-        connection's socket and shm rings are released by its own
-        thread first."""
+        """End the reactor, which closes every TCP connection, then the
+        ring threads (bounded waits), each closing its own channel."""
         with self._lock:
-            thread = self._accept_thread
-            self._accept_thread = None
-        if thread is not None:
+            thread, wake = self._reactor, self._wake
+            self._reactor = self._wake = None
+        if wake is not None:
+            wake.close()  # the reactor reads EOF on its end
+        if thread is not None and thread is not threading.current_thread():
             thread.join(timeout=5.0)
-        # After the accept thread: no new connection can register now.
+        # After the reactor: no connection can move to a ring now.
         with self._lock:
-            connections = dict(self._connections)
-        for channel in connections.values():
+            rings = dict(self._rings)
+        for channel in rings.values():
             channel.shutdown()
         deadline = time.monotonic() + 5.0
-        for conn_thread in connections:
-            if conn_thread is not threading.current_thread():
-                conn_thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        for ring_thread in rings:
+            if ring_thread is not threading.current_thread():
+                ring_thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
-    def _accept_loop(self, listener: socket.socket) -> None:
+    # -- the reactor --------------------------------------------------------
+
+    def _react(self, selector: selectors.BaseSelector,
+               listener: socket.socket, wake: socket.socket) -> None:
         # The listener arrives as an argument: stop() nulls
         # self._listener concurrently.
-        while self._running:
+        try:
+            while True:
+                for key, _mask in selector.select():
+                    if key.data is not None:
+                        self._read(selector, key.data)
+                    elif key.fileobj is listener:
+                        self._accept(selector, listener)
+                    elif not wake.recv(4096):
+                        return  # stop() closed the wake-up pair
+                    else:
+                        while self._closed_by_writers:
+                            self._drop(selector,
+                                       self._closed_by_writers.popleft())
+        finally:
+            for key in list(selector.get_map().values()):
+                if key.data is not None:
+                    self._drop(selector, key.data)
+            selector.close()
+            wake.close()
+
+    def _accept(self, selector: selectors.BaseSelector,
+                listener: socket.socket) -> None:
+        while True:
             try:
                 sock, _peer = listener.accept()
             except OSError:
-                return  # listener closed
+                return  # backlog drained, or listener closed by stop()
             if not self._running:
                 sock.close()
                 return
@@ -409,17 +466,78 @@ class Endpoint(EndpointCore):
             if self.fault_plan is not None:
                 channel = self.fault_plan.wrap(channel)
             channel.metrics = self.metrics
-            conn_thread = threading.Thread(
-                target=self._serve_connection, args=(channel,),
-                name=f"{self.name}-conn", daemon=True,
-            )
-            with self._lock:
-                self._connections[conn_thread] = channel
-            conn_thread.start()
+            conn = _SocketConnection(channel, self._closed_elsewhere)
+            try:
+                selector.register(sock, selectors.EVENT_READ, conn)
+            except KeyError:
+                # A writing thread closed this descriptor's last holder
+                # (a send fault drops its connection) and the kernel
+                # reused the number: the old entry is stale.
+                self._drop(selector, selector.get_key(sock).data)
+                selector.register(sock, selectors.EVENT_READ, conn)
+            self._open.inc()
 
-    def _serve_connection(self, channel: Channel) -> None:
+    def _read(self, selector: selectors.BaseSelector,
+              conn: _SocketConnection) -> None:
+        """Read what has arrived on ``conn``; dispatch a completed
+        frame in place."""
+        channel, reader = conn.channel, conn.reader
         try:
-            conn = _ThreadConnection(channel)
+            while True:
+                try:
+                    nbytes = channel.sock.recv_into(
+                        reader.buffer(), 0, socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    return
+                if not nbytes:
+                    raise ConnectionClosed(
+                        f"connection closed with {reader.outstanding} "
+                        f"bytes outstanding")
+                frame = reader.advance(nbytes)
+                if frame is not None:
+                    break
+            self.dispatch(conn, *channel.received(*frame))
+        except (ProtocolError, OSError):
+            self._drop(selector, conn)
+            return
+        except Exception as exc:
+            # A failing handler ends its connection, not the reactor.
+            self._drop(selector, conn)
+            sys.excepthook(type(exc), exc, exc.__traceback__)
+            return
+        if channel.via_shm:
+            # Ring waits are polled: the connection gets its own thread.
+            selector.unregister(channel.sock)
+            thread = threading.Thread(
+                target=self._serve_ring, args=(conn,),
+                name=f"{self.name}-ring", daemon=True)
+            with self._lock:
+                self._rings[thread] = channel
+            thread.start()
+
+    def _closed_elsewhere(self, conn: _SocketConnection) -> None:
+        """``conn``'s socket was closed by the thread that wrote to it:
+        have the reactor drop it."""
+        self._closed_by_writers.append(conn)
+        wake = self._wake
+        if wake is not None:
+            try:
+                wake.send(b"\0", socket.MSG_DONTWAIT)
+            except OSError:
+                pass  # already woken (buffer full), or stopping
+
+    def _drop(self, selector: selectors.BaseSelector,
+              conn: _SocketConnection) -> None:
+        try:
+            selector.unregister(conn.channel.sock)
+        except (KeyError, ValueError):
+            return  # dropped already
+        conn.channel.close()
+        self._open.dec()
+
+    def _serve_ring(self, conn: _SocketConnection) -> None:
+        channel = conn.channel
+        try:
             while True:
                 try:
                     msg_type, payload = channel.recv()
@@ -430,5 +548,6 @@ class Endpoint(EndpointCore):
             pass
         finally:
             channel.close()
+            self._open.dec()
             with self._lock:
-                self._connections.pop(threading.current_thread(), None)
+                self._rings.pop(threading.current_thread(), None)

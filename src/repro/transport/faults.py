@@ -460,11 +460,20 @@ class FaultyChannel(Channel):
     def recv(self, timeout: Union[None, float, _Unset] = _DEFAULT
              ) -> tuple[int, bytearray]:
         """Receive one frame, subject to delay/drop faults."""
+        self._recv_step()
+        return super().recv(timeout=timeout)
+
+    def received(self, msg_type: int, payload: bytearray
+                 ) -> tuple[int, bytearray]:
+        """Take a frame the reactor read, subject to the same step."""
+        self._recv_step()
+        return super().received(msg_type, payload)
+
+    def _recv_step(self) -> None:
         step = self.plan.step("recv", self.remote)
         if step.delay:
             time.sleep(step.delay)
         step.settle(self.close)
-        return super().recv(timeout=timeout)
 
 
 def _corrupt(frame: bytes, ratio: float) -> bytes:

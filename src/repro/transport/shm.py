@@ -53,9 +53,8 @@ The TCP socket stays open -- it is the liveness signal
 simply stop flowing over it.  A client offers the ring only when asked
 (``shm=True``); a server answers every hello and refuses only for a
 reason it can observe.  Any refusal (an ``ERROR`` from a server that
-cannot take the hello, from an older one, or from the asyncio server,
-which does not negotiate) means "keep using TCP" -- the fallback is
-silent and the call path identical.
+cannot take the hello, or from an older one) means "keep using TCP" --
+the fallback is silent and the call path identical.
 
 Fault injection: :class:`~repro.transport.faults.FaultyChannel` frames
 with the attached medium's codec (``Channel._encode_frame``) and writes
@@ -83,7 +82,7 @@ from numpy.typing import NDArray
 
 if TYPE_CHECKING:  # annotation only -- channel and endpoint import shm
     from repro.transport.channel import Channel
-    from repro.transport.endpoint import _ThreadConnection
+    from repro.transport.endpoint import _SocketConnection
 
 from repro.protocol.errors import (
     ConnectionClosed,
@@ -715,7 +714,7 @@ def negotiate(channel: "Channel", capacity: int = DEFAULT_CAPACITY,
     return True
 
 
-def serve_hello(conn: "_ThreadConnection", payload: BytesLike
+def serve_hello(conn: "_SocketConnection", payload: BytesLike
                 ) -> Optional[str]:
     """Server side of the shm handshake, for a ``SHM_HELLO`` on ``conn``.
 

@@ -147,25 +147,23 @@ def src_graph():
 
 
 def test_ninf_rpc_services_mixin_resolves_both_hosts(src_graph):
-    """``NinfRpcServices.__init__`` registers handlers on whatever
-    endpoint driver it is mixed into: ``register_handler`` lives once,
-    on the core both drivers extend, and must appear as an edge -- and
-    the handler-map resolves the references it was given."""
+    """``NinfRpcServices.__init__`` registers handlers on the endpoint
+    driver it is mixed into: ``register_handler`` lives once, on the
+    core the driver extends, and must appear as an edge -- and the
+    handler-map resolves the references it was given."""
     targets = _edges(src_graph,
                      "repro.server.services.NinfRpcServices.__init__")
     assert ("repro.transport.endpoint.EndpointCore.register_handler"
             in targets)
-    for driver in ("repro.transport.endpoint.Endpoint",
-                   "repro.transport.aioendpoint.AsyncEndpoint"):
-        assert "repro.transport.endpoint.EndpointCore" \
-            in src_graph.mro(driver)
-    registered = {handler: registration.blocking
+    assert "repro.transport.endpoint.EndpointCore" \
+        in src_graph.mro("repro.transport.endpoint.Endpoint")
+    registered = {handler
                   for registration in src_graph.handler_registrations()
                   for handler in registration.handlers}
-    assert registered[
-        "repro.server.services.NinfRpcServices._handle_call"] is False
-    assert registered[
-        "repro.transport.endpoint.EndpointCore._handle_stats"] is True
+    assert {"repro.server.services.NinfRpcServices._handle_call",
+            "repro.transport.endpoint.EndpointCore._handle_stats",
+            "repro.transport.endpoint.Endpoint._handle_shm_hello"} \
+        <= registered
 
 
 def test_src_graph_carries_no_silent_failures(src_graph):
@@ -241,9 +239,9 @@ def test_sleep_planted_in_the_client_core_fails_lint(
 
 def test_sleep_planted_in_an_endpoint_handler_fails_lint(
         tmp_path, monkeypatch, capsys):
-    """Handlers run on the event loop of the asyncio driver, so every
+    """Handlers run inline on the endpoint's reactor thread, so every
     function in an endpoint's ``register_handler`` map is a root like
-    an ``async def`` -- except one registered as blocking."""
+    an ``async def``, the core's STATS handler included."""
     root = _copy_sources(tmp_path, monkeypatch, "server/services.py",
                          "transport/endpoint.py")
     rule = ["--rules", "async-blocking-reachability"]
@@ -258,12 +256,13 @@ def test_sleep_planted_in_an_endpoint_handler_fails_lint(
             encoding="utf-8")
         return path, source
 
-    # STATS is registered with register_blocking_handler: still clean.
-    _path, _source = plant(
-        "transport/endpoint.py",
-        "    def _handle_stats(self, conn: Connection, payload: bytes)"
-        " -> None:")
-    assert main([str(root), *rule]) == 0
+    plant("transport/endpoint.py",
+          "    def _handle_stats(self, conn: Connection, payload: bytes)"
+          " -> None:")
+    assert main([str(root), *rule]) == 1
+    assert ("endpoint handler (register_handler map of "
+            "EndpointCore.__init__()) EndpointCore._handle_stats()"
+            ) in capsys.readouterr().out
 
     plant("server/services.py",
           "    def _handle_load_query(self, conn: Connection, payload: bytes)"

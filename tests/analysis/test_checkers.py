@@ -281,9 +281,8 @@ def test_catalog_docs_audit_covers_span_backtick_form():
 # -- registry sanity ----------------------------------------------------------
 
 @pytest.mark.parametrize("cls", ["ConnectionPool", "Endpoint",
-                                 "AsyncEndpoint", "Executor",
-                                 "NinfRpcServices", "MetricsRegistry",
-                                 "FaultPlan"])
+                                 "Executor", "NinfRpcServices",
+                                 "MetricsRegistry", "FaultPlan"])
 def test_guarded_by_registry_covers_the_concurrent_classes(cls):
     from repro.analysis import GUARDED_BY
     assert cls in GUARDED_BY

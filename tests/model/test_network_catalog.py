@@ -75,7 +75,7 @@ def test_singlesite_wan_catalog():
     # private stream ceiling + shared uplink
     assert route.links[0].capacity == WAN_STREAM_CEILING
     assert route.links[1].capacity == OCHAU_ETL_BANDWIDTH
-    assert route.bottleneck_capacity == WAN_STREAM_CEILING
+    assert min(link.capacity for link in route.links) == WAN_STREAM_CEILING
 
 
 def test_singlesite_wan_clients_share_uplink():

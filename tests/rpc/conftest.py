@@ -1,19 +1,21 @@
 """Shared fixtures: a live Ninf server with the standard library registered.
 
 The ``server`` and ``client`` fixtures are parametrized so every RPC
-test runs against the full transport matrix (DESIGN.md §3.6):
+test runs against the transport matrix (DESIGN.md §3.6):
 
-- ``server``: the thread-per-connection :class:`NinfServer` and the
-  asyncio :class:`AsyncNinfServer`, both composing the same
-  :class:`~repro.server.services.NinfRpcServices` handlers.
+- ``server``: :class:`NinfServer`, the one server driver.  The
+  ``threaded`` and ``async`` ids (the second once the asyncio server,
+  now an alias of the same class) both stay: they are part of the test
+  names the suite's pass-floor lists.
 - ``client``: the two drivers of ``repro.client.core`` -- the blocking
   :class:`NinfClient` and the native :class:`AsyncNinfClient`, the
   latter driven from blocking test code through a private
-  :class:`~repro.transport.loopbridge.LoopThread`
-  (:class:`NativeClientDriver` below).
+  :class:`LoopThread` (:class:`NativeClientDriver` below).
 """
 
 import asyncio
+import concurrent.futures
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from repro.libs.linpack import dmmul as dmmul_impl
 from repro.libs.linpack import linpack_solve
 from repro.libs.openblas import blas_kernel
 from repro.server import AsyncNinfServer, NinfServer, Registry
-from repro.transport import LoopThread
 
 DMMUL_IDL = """
 Define dmmul(mode_in int n, mode_in double A[n][n],
@@ -92,6 +93,37 @@ def build_registry() -> Registry:
 
 
 SERVER_CLASSES = {"threaded": NinfServer, "async": AsyncNinfServer}
+
+
+class LoopThread:
+    """A daemon thread running a private event loop until stopped, so
+    blocking test code can drive coroutines on it."""
+
+    def __init__(self, name="ninf-test-loop"):
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self.loop.run_forever,
+                                        name=name, daemon=True)
+        self._thread.start()
+
+    def run(self, coro, timeout=None):
+        """Run ``coro`` on the loop and wait for it; a stopped loop
+        raises :class:`OSError`."""
+        try:
+            future = asyncio.run_coroutine_threadsafe(coro, self.loop)
+        except RuntimeError:
+            coro.close()
+            raise OSError("event loop is not running") from None
+        try:
+            return future.result(timeout)
+        except concurrent.futures.CancelledError:
+            raise OSError("event loop shut down mid-operation") from None
+
+    def stop(self):
+        """Stop the loop, join the thread, close the loop (idempotent)."""
+        if self._thread.is_alive():
+            self.loop.call_soon_threadsafe(self.loop.stop)
+            self._thread.join(timeout=5.0)
+            self.loop.close()
 
 
 class NativeClientDriver:
@@ -203,7 +235,8 @@ class NativeClientDriver:
 
 @pytest.fixture(params=sorted(SERVER_CLASSES), ids=sorted(SERVER_CLASSES))
 def server_cls(request):
-    """Both server implementations, for tests that build servers inline."""
+    """The server class under both floor-listed ids, for tests that build
+    servers inline."""
     return SERVER_CLASSES[request.param]
 
 

@@ -24,7 +24,7 @@ from repro.protocol.framing import recv_frame, send_frame
 from repro.protocol.marshal import marshal_outputs, unmarshal_outputs
 from repro.protocol.messages import JobTimestamps, MessageType, pack, unpack
 from repro.server import NinfServer, Registry
-from repro.transport import AsyncEndpoint, ShmRing, ShmTransport, connect
+from repro.transport import Endpoint, ShmRing, ShmTransport, connect
 from repro.xdr import bulk
 
 ECHO_IDL = ('Define bench_echo(mode_in int n, mode_in double A[n], '
@@ -257,13 +257,14 @@ def test_two_socket_sends_of_one_reply_flatten_it_once(monkeypatch):
         assert _decoded(frame).tobytes() == plain.tobytes()
 
 
-# -- the event-loop driver flattens off the loop ------------------------------
+# -- the reactor's select loop never flattens another thread's reply ----------
 
 
 def test_a_loop_connection_flattens_a_reply_from_another_thread_there(
         monkeypatch):
-    """A reply handed to the loop driver's connection by a PE-like
-    thread is flattened on that thread, never on the loop's."""
+    """A reply a PE-like thread sends on a connection the reactor's
+    select loop serves is flattened on that thread, never on the
+    reactor's."""
     flattened_on = []
     flat = bulk.Payload.flat
 
@@ -283,7 +284,7 @@ def test_a_loop_connection_flattens_a_reply_from_another_thread_there(
             conn.send(MessageType.RESULT, payload)
         threading.Thread(target=reply).start()
 
-    endpoint = AsyncEndpoint()
+    endpoint = Endpoint()
     endpoint.register_handler(MessageType.CALL, handler)
     with endpoint, connect(*endpoint.address, timeout=30.0) as channel:
         frame = channel.request(MessageType.CALL, b"",

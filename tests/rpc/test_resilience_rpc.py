@@ -1,6 +1,6 @@
 """End-to-end resilience over the real wire: BUSY shedding, deadline
 budgets, CANCEL, and logical-id dedup (DESIGN.md §3.5), exercised
-against both the threaded and the asyncio server (§3.6)."""
+against the server under both of its names (§3.6)."""
 
 import logging
 import threading
@@ -21,7 +21,7 @@ from repro.protocol.messages import (
     pack,
     unpack,
 )
-from repro.server import AsyncNinfServer, Registry
+from repro.server import Registry
 from repro.transport import RetryPolicy, connect, is_transient
 from tests.rpc.conftest import NativeClientDriver
 from tests.rpc.test_async_close import wait_until
@@ -321,8 +321,7 @@ def test_reply_to_a_peer_that_has_gone_raises_nowhere(env, server_cls,
             env.release.set()
             assert wait_until(lambda: server.executor.completed == 1)
             assert client.ping()  # and the server serves on
-            if server_cls is AsyncNinfServer:
-                assert wait_until(lambda: server.connections_open == 1)
+            assert wait_until(lambda: server.connections_open == 1)
     assert died == []
     assert caplog.records == []
 

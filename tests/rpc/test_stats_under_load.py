@@ -3,8 +3,8 @@
 ``fetch_stats`` while 100 calls are in flight must return an
 internally consistent snapshot -- histogram cumulative buckets
 non-decreasing with ``count`` equal to the +Inf bucket, counters
-monotonic scrape over scrape -- on both the threaded and the asyncio
-server.  After the load drains, the scraped counters must account for
+monotonic scrape over scrape -- while the server's reactor renders
+each scrape in place.  After the load drains, the scraped counters must account for
 exactly the calls the clients made.
 """
 
@@ -15,8 +15,7 @@ import pytest
 
 from repro.client import AsyncNinfClient, NinfClient
 from repro.obs import names
-from repro.transport import LoopThread
-from tests.rpc.conftest import SERVER_CLASSES, build_registry
+from tests.rpc.conftest import SERVER_CLASSES, LoopThread, build_registry
 
 CONCURRENT_CALLS = 100
 

@@ -185,19 +185,6 @@ def test_switch_overhead_applied_when_oversubscribed():
     assert max(finish.values()) == pytest.approx(total_work)
 
 
-def test_tasks_completed_counter():
-    sim = Simulator()
-    m = Machine(sim, "m", num_pes=2)
-
-    def proc():
-        yield from m.run(work=1.0)
-
-    for _ in range(5):
-        sim.process(proc())
-    sim.run()
-    assert m.tasks_completed == 5
-
-
 def test_invalid_num_pes():
     sim = Simulator()
     with pytest.raises(ValueError):

@@ -220,31 +220,6 @@ def test_ps_invalid_args():
         ProcessorSharingServer(sim, capacity=0.0)
 
 
-def test_ps_utilization():
-    sim = Simulator()
-    ps = ProcessorSharingServer(sim, capacity=4.0)
-
-    def runner():
-        yield ps.submit(work=4.0, max_rate=1.0)  # 4s at 1/4 of capacity
-
-    sim.process(runner())
-    sim.run(until=8.0)
-    assert ps.utilization() == pytest.approx(0.125, abs=0.01)
-
-
-def test_ps_completed_jobs_counter():
-    sim = Simulator()
-    ps = ProcessorSharingServer(sim, capacity=1.0)
-
-    def runner():
-        yield ps.submit(work=1.0)
-
-    for _ in range(3):
-        sim.process(runner())
-    sim.run()
-    assert ps.completed_jobs == 3
-
-
 def test_ps_weighted_sharing():
     sim = Simulator()
     ps = ProcessorSharingServer(sim, capacity=3.0)

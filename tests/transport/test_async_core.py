@@ -1,15 +1,14 @@
-"""The asyncio transport core: framing, channel, pool, endpoint, and the
-handler contract it shares with the threaded endpoint.
+"""The asyncio transport core -- framing, channel, pool -- against the
+one server driver, and that driver's handler contract.
 
 No pytest-asyncio in the toolchain: each test drives its coroutines
-with ``asyncio.run`` (client side) against an :class:`AsyncEndpoint`,
-which owns its private loop thread and is started from sync code.
+with ``asyncio.run`` (client side) against an :class:`Endpoint`, whose
+reactor thread is started from sync code.
 """
 
 import asyncio
 import socket
 import threading
-import time
 
 import pytest
 
@@ -21,7 +20,6 @@ from repro.protocol.messages import MessageType
 from repro.xdr import XdrError
 from repro.transport import (
     AsyncConnectionPool,
-    AsyncEndpoint,
     Endpoint,
     aconnect,
     connect,
@@ -125,7 +123,7 @@ def test_async_framing_deadline_covers_the_whole_frame():
 
 
 def test_async_channel_pings_the_endpoint():
-    with AsyncEndpoint() as endpoint:
+    with Endpoint() as endpoint:
         host, port = endpoint.address
 
         async def main():
@@ -142,7 +140,7 @@ def test_async_channel_pings_the_endpoint():
 def test_async_channel_local_close_raises_oserror():
     """I/O after a *local* close is OSError -- the sync channel's
     EBADF observable -- never ConnectionClosed."""
-    with AsyncEndpoint() as endpoint:
+    with Endpoint() as endpoint:
         host, port = endpoint.address
 
         async def main():
@@ -156,7 +154,7 @@ def test_async_channel_local_close_raises_oserror():
 
 
 def test_async_channel_peer_close_reads_as_connection_closed():
-    endpoint = AsyncEndpoint().start()
+    endpoint = Endpoint().start()
     host, port = endpoint.address
 
     async def main():
@@ -175,9 +173,9 @@ def test_async_channel_peer_close_reads_as_connection_closed():
 
 
 def test_endpoint_listener_sets_reuseaddr_and_counts_connections():
-    with AsyncEndpoint(backlog=128) as endpoint:
+    with Endpoint(backlog=128) as endpoint:
         assert endpoint.backlog == 128
-        listener = endpoint._server.sockets[0]
+        listener = endpoint._listener
         assert listener.getsockopt(socket.SOL_SOCKET,
                                    socket.SO_REUSEADDR) == 1
         host, port = endpoint.address
@@ -195,15 +193,16 @@ def test_endpoint_listener_sets_reuseaddr_and_counts_connections():
 
 
 def test_endpoint_runs_plain_handlers_on_the_loop():
-    """A plain-function handler is called inline, on the loop thread,
-    with a connection whose ``send`` does not wait for the peer."""
+    """A plain-function handler is called inline, on the reactor thread
+    (the server's one select loop), with a connection whose ``send``
+    writes in place."""
     seen = {}
 
     def handler(conn, payload):
         seen["thread"] = threading.current_thread().name
         conn.send(MessageType.HELLO_REPLY, payload.upper())
 
-    with AsyncEndpoint(name="inline") as endpoint:
+    with Endpoint(name="inline") as endpoint:
         endpoint.register_handler(MessageType.HELLO, handler)
         host, port = endpoint.address
 
@@ -215,52 +214,35 @@ def test_endpoint_runs_plain_handlers_on_the_loop():
             return reply
 
         assert asyncio.run(main()) == (MessageType.HELLO_REPLY, b"NINF")
-    assert seen["thread"] == "inline-loop"
+    assert seen["thread"] == "inline-reactor"
 
 
-@pytest.mark.parametrize("endpoint_cls", [Endpoint, AsyncEndpoint],
-                         ids=["threaded", "async"])
-def test_handler_contract_is_the_same_on_both_drivers(endpoint_cls):
-    """One plain function, registered the same way on either driver,
-    replies; an XdrError escaping it is a ``bad-request`` and the
-    connection survives.  Only the loop driver moves a handler
-    registered as blocking off the connection's own context."""
-    threads = {}
+def test_a_bad_request_leaves_the_connection_open():
+    """An XdrError escaping a handler is a ``bad-request`` reply, and
+    the connection serves its next frame."""
 
     def echo(conn, payload):
-        threads["plain"] = threading.current_thread()
         if not payload:
             raise XdrError("empty")
         conn.send(MessageType.HELLO_REPLY, bytes(payload))
 
-    def slow(conn, payload):
-        threads["blocking"] = threading.current_thread()
-        time.sleep(0.05)
-        conn.send(MessageType.LIST_REPLY, b"")
-
-    with endpoint_cls(name="contract") as endpoint:
+    with Endpoint(name="contract") as endpoint:
         endpoint.register_handler(MessageType.HELLO, echo)
-        endpoint.register_blocking_handler(MessageType.LIST_REQUEST, slow)
         with connect(*endpoint.address, timeout=5.0) as channel:
             assert channel.request(MessageType.HELLO, b"x") \
                 == (MessageType.HELLO_REPLY, b"x")
             with pytest.raises(RemoteError) as info:
                 channel.request(MessageType.HELLO, b"")
             assert info.value.code == "bad-request"
-            assert channel.request(MessageType.LIST_REQUEST) \
-                == (MessageType.LIST_REPLY, b"")
-    if endpoint_cls is AsyncEndpoint:
-        assert threads["plain"].name == "contract-loop"
-        assert threads["blocking"] is not threads["plain"]
-    else:
-        assert threads["blocking"] is threads["plain"]  # its own thread
+            assert channel.request(MessageType.HELLO, b"y") \
+                == (MessageType.HELLO_REPLY, b"y")
 
 
 # -- pool ---------------------------------------------------------------------
 
 
 def test_async_pool_reuses_checked_in_channels():
-    with AsyncEndpoint() as endpoint:
+    with Endpoint() as endpoint:
         host, port = endpoint.address
 
         async def main():
@@ -291,9 +273,9 @@ def test_async_pool_counts_refused_dials():
 
 
 def test_foreign_thread_send_reaches_the_peer_in_order():
-    """``conn.send`` from a thread that is not the loop's (a PE worker's
-    completion callback) reaches the peer, frames in the order sent, and
-    never makes the sender wait for the peer."""
+    """``conn.send`` from a thread that is not the reactor (a PE
+    thread's completion callback) reaches the peer, frames in the order
+    sent."""
     workers = []
 
     def handler(conn, payload):
@@ -304,7 +286,7 @@ def test_foreign_thread_send_reaches_the_peer_in_order():
         workers.append(threading.Thread(target=work))
         workers[-1].start()
 
-    with AsyncEndpoint() as endpoint:
+    with Endpoint() as endpoint:
         endpoint.register_handler(MessageType.CALL, handler)
         with connect(*endpoint.address, timeout=5.0) as channel:
             channel.send(MessageType.CALL, b"")

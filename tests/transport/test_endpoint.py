@@ -77,12 +77,12 @@ def test_accepted_server_socket_has_nodelay():
             super().__init__(name="introspect")
             self.seen = []
 
-        def _serve_connection(self, channel):
+        def _read(self, selector, conn):
             self.seen.append(
-                channel.sock.getsockopt(socket.IPPROTO_TCP,
-                                        socket.TCP_NODELAY)
+                conn.channel.sock.getsockopt(socket.IPPROTO_TCP,
+                                             socket.TCP_NODELAY)
             )
-            super()._serve_connection(channel)
+            super()._read(selector, conn)
 
     with Introspect() as endpoint:
         host, port = endpoint.address

@@ -28,8 +28,9 @@ from repro.protocol.framing import HEADER, crc_covers_payload, encode_frame, \
     recv_frame, send_frame
 from repro.protocol.messages import MessageType
 from repro.server import NinfServer, Registry
-from repro.transport import AsyncEndpoint, Channel, Endpoint, ShmRing, \
-    ShmTransport, aconnect, connect
+from repro.protocol.aframing import FrameStream
+from repro.transport import Channel, Endpoint, ShmRing, ShmTransport, \
+    aconnect, connect
 from repro.xdr import XdrDecoder, bulk
 
 ECHO_IDL = ('Define bench_echo(mode_in int n, mode_in double A[n], '
@@ -335,19 +336,39 @@ def test_a_socket_frame_still_feeds_the_crc_its_payload(crc_fed):
 
 
 def _sync_to_loop():
-    """A blocking :class:`Channel` pings an :class:`AsyncEndpoint`,
-    whose :class:`FrameStream` echoes the frame back."""
+    """A blocking :class:`Channel` pings an asyncio :class:`FrameStream`
+    listener, which echoes the frame back."""
     payload = bytes(NBYTES)
-    with AsyncEndpoint() as endpoint, \
-            connect(*endpoint.address, timeout=30.0) as channel:
-        assert channel.covers_payload is False
-        return payload, channel.request(MessageType.PING, payload,
-                                        expect=MessageType.PONG)
+
+    async def echo(stream):
+        _type, got = await stream.read_frame(timeout=30.0)
+        await stream.write_frame(MessageType.PONG, got, timeout=30.0)
+
+    async def main():
+        tasks = []
+        server = await asyncio.get_running_loop().create_server(
+            lambda: FrameStream(on_connect=lambda stream: tasks.append(
+                asyncio.ensure_future(echo(stream)))), "127.0.0.1", 0)
+
+        def ping():
+            with connect(*server.sockets[0].getsockname()[:2],
+                         timeout=30.0) as channel:
+                assert channel.covers_payload is False
+                return channel.request(MessageType.PING, payload,
+                                       expect=MessageType.PONG)
+        try:
+            return await asyncio.to_thread(ping)
+        finally:
+            server.close()
+            await asyncio.gather(*tasks)
+
+    return payload, asyncio.run(main())
 
 
 def _loop_to_sync():
-    """An :class:`AsyncChannel`'s :class:`FrameStream` pings a threaded
-    :class:`Endpoint`, whose :class:`Channel` echoes the frame back."""
+    """An :class:`AsyncChannel`'s :class:`FrameStream` pings an
+    :class:`Endpoint`, whose reactor reads the frame and whose
+    :class:`Channel` echoes it back."""
     payload = bytes(NBYTES)
 
     async def ping(address):
@@ -460,7 +481,7 @@ def test_a_dual_stack_listener_agrees_with_its_ipv4_client(crc_fed):
 
 @pytest.mark.parametrize("probe", [b"", b"probe"])
 def test_recv_returns_a_private_bytearray_on_all_three_transports(probe):
-    with AsyncEndpoint() as endpoint:
+    with Endpoint() as endpoint:
         # asyncio: AsyncNinfClient's channel.
         async def ping():
             channel = await aconnect(*endpoint.address, timeout=5.0)
