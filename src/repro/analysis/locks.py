@@ -80,9 +80,14 @@ GUARDED_BY: dict[str, tuple[LockSpec, ...]] = {
     # repro.transport.endpoint -- serving code reads the lifecycle
     # state unlocked by design, so only writes are guarded; the driver
     # adds its own I/O state to the core's.
-    "EndpointCore": (_spec("_lock", writes=("_running", "_address")),),
+    "EndpointCore": (_spec("_lock", guarded=("_stats_worker",),
+                           writes=("_running", "_address")),),
     "Endpoint": (_spec("_lock", guarded=("_rings",),
                        writes=("_listener", "_reactor", "_wake")),),
+    # A reply socket's owner is read unlocked by the thread that may
+    # own it: only that thread's own write can have made it its ident.
+    "_ReplySocket": (_spec("_lock", guarded=("_backlog", "_flushed"),
+                           writes=("owner",)),),
     # repro.server.executor -- every queue and PE decision is its
     # AdmissionCore's, so the core is what the lock guards.
     "Executor": (_spec("_lock", guarded=("_core",)),),

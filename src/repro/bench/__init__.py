@@ -26,7 +26,6 @@ from repro.bench.analysis import (
 from repro.bench.connections import (
     PhaseReport,
     bench_async_phase,
-    bench_threaded_phase,
     run_connections_benchmark,
     write_report,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "StageSchedule",
     "Tolerances",
     "bench_async_phase",
-    "bench_threaded_phase",
     "build_ramp",
     "compare_reports",
     "detect_saturation",

@@ -2,7 +2,7 @@
 
 Three subcommands::
 
-    ninf-bench connections [--connections N] [--threaded N]
+    ninf-bench connections [--connections N]
                            [--min-sustained N] [--max-p95-ms MS]
                            [--json -|PATH]
 
@@ -54,9 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="C10K idle-plus-ping ramp against the server's reactor")
     conn.add_argument("--connections", type=int, default=5000,
                       help="asyncio-client connection target "
-                           "(default: %(default)s)")
-    conn.add_argument("--threaded", type=int, default=512,
-                      help="blocking-client connection target "
                            "(default: %(default)s)")
     conn.add_argument("--output", type=Path,
                       default=Path("BENCH_asyncio.json"),
@@ -180,7 +177,6 @@ def _cmd_connections(args) -> int:
         Path(args.json) if args.json else args.output)
     report = run_connections_benchmark(
         connections=args.connections,
-        threaded_connections=args.threaded,
         output=output, log=log)
     if to_stdout:
         import json as json_mod

@@ -2,20 +2,16 @@
 
 The server's reactor (DESIGN.md §3.6) reads every TCP connection on one
 thread, so an idle client costs it a selector entry and a frame reader,
-not a thread.  This benchmark measures that claim with the two client
-drivers against one :class:`~repro.server.NinfServer` each:
-
-- **async phase** -- open N idle connections from asyncio clients,
-  then ping every one of them (bounded concurrency), reporting max
-  sustained connections, saturation ping throughput, p50/p95/p99 ping
-  latency, per-connection RSS growth, and the threads the server runs
-  while holding them.
-- **threaded phase** -- the same idle-plus-ping ramp from blocking
-  clients (one ``connect`` each, pinged in turn), usually smaller.
+not a thread.  This benchmark measures that claim against one
+:class:`~repro.server.NinfServer` (the **async phase**): open N idle
+connections from asyncio clients, then ping every one of them (bounded
+concurrency), reporting max sustained connections, saturation ping
+throughput, p50/p95/p99 ping latency, per-connection RSS growth, and
+the threads the server runs while holding them.
 
 Both endpoints live in this process, so ``rss_per_connection_bytes``
 charges each connection its client *and* server cost -- an honest
-upper bound, and the same accounting for both phases.
+upper bound.
 ``server_threads`` counts the threads started since the server was
 built (its reactor, PE threads and expiry sweep).
 
@@ -37,12 +33,11 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.server import NinfServer, Registry
-from repro.transport import aconnect, connect
+from repro.transport import aconnect
 
 __all__ = [
     "PhaseReport",
     "bench_async_phase",
-    "bench_threaded_phase",
     "current_rss_bytes",
     "raise_fd_limit",
     "run_connections_benchmark",
@@ -251,63 +246,16 @@ def _record_held(report: PhaseReport,
     report.extra["server_threads"] = len(set(threading.enumerate()) - before)
 
 
-# -- threaded phase: blocking clients ----------------------------------------
-
-
-def bench_threaded_phase(connections: int, log=print) -> PhaseReport:
-    """The same ramp from blocking clients, pinged one after another."""
-    from repro.protocol.messages import MessageType
-
-    report = PhaseReport("threaded", connections)
-    before = set(threading.enumerate())
-    with NinfServer(_bench_registry(), num_pes=1) as server:
-        host, port = server.address
-        report.rss_before_bytes = current_rss_bytes()
-        channels = []
-        try:
-            for _ in range(connections):
-                try:
-                    channels.append(connect(host, port, timeout=30.0,
-                                            connect_timeout=5.0))
-                except OSError:
-                    report.dial_failures += 1
-                    break
-            report.sustained_connections = len(channels)
-            deadline = time.perf_counter() + 5.0
-            while (server.connections_open < len(channels)
-                   and time.perf_counter() < deadline):
-                time.sleep(0.01)
-            _record_held(report, before)
-            log(f"[threaded] {len(channels)} connections open, "
-                f"{report.extra['server_threads']} server threads")
-            latencies = []
-            t_start = time.perf_counter()
-            for channel in channels:
-                t0 = time.perf_counter()
-                channel.request(MessageType.PING, b"",
-                                expect=MessageType.PONG, timeout=30.0)
-                latencies.append(time.perf_counter() - t0)
-            report.ping_seconds = time.perf_counter() - t_start
-            report.ping_count = len(latencies)
-            report.ping_percentiles = _percentiles_ms(latencies)
-        finally:
-            for channel in channels:
-                channel.close()
-    return report
-
-
 # -- the full run -------------------------------------------------------------
 
 
 def run_connections_benchmark(connections: int = 5000,
-                              threaded_connections: int = 512,
                               output: Optional[Path] = None,
                               log=print) -> dict[str, Any]:
-    """Run both phases and return (and optionally write) the report."""
+    """Run the benchmark and return (and optionally write) the report."""
     fd_limit = raise_fd_limit(max(4096, 4 * connections))
     log(f"fd soft limit: {fd_limit}")
     async_report = bench_async_phase(connections, log=log)
-    threaded_report = bench_threaded_phase(threaded_connections, log=log)
     report = {
         "benchmark": "connections",
         "python": sys.version.split()[0],
@@ -317,7 +265,6 @@ def run_connections_benchmark(connections: int = 5000,
             "_bytes charges both endpoints of each connection",
         ],
         "async": async_report.to_dict(),
-        "threaded": threaded_report.to_dict(),
     }
     if output is not None:
         write_report(report, output)

@@ -26,7 +26,9 @@ import struct
 import sys
 import threading
 import time
-from typing import Any, Callable, Optional, TYPE_CHECKING, TypeVar
+from concurrent.futures import ThreadPoolExecutor
+from typing import (Any, Callable, Iterable, Optional, TYPE_CHECKING,
+                    TypeVar)
 
 from repro.obs import MetricsRegistry, names
 from repro.protocol.errors import ConnectionClosed, ProtocolError
@@ -43,8 +45,9 @@ if TYPE_CHECKING:  # annotation only -- faults wiring happens per-socket
 __all__ = ["Connection", "Endpoint", "EndpointCore"]
 
 #: How long a reply may make no progress (a peer that stopped reading)
-#: before its connection is given up: the writing thread -- the reactor,
-#: or an executor PE for a RESULT -- has other calls to serve.
+#: before its connection is given up: the thread writing it -- a PE
+#: thread for a RESULT, a writer thread for what the reactor could not
+#: write at once -- has other work to do.
 REPLY_STALL_SECONDS = 30.0
 
 
@@ -67,28 +70,122 @@ class Connection:
         self.reply(MessageType.ERROR, ErrorReply(code=code, message=message))
 
 
-class _SocketConnection(Connection):
-    """One accepted connection: ``send`` writes in place, on whichever
-    thread has the reply, under the channel's send lock; :attr:`reader`
-    holds the frame the reactor is part-way through reading."""
+class _ReplySocket(socket.socket):
+    """An accepted TCP socket whose frame writes never wait for the peer.
 
-    def __init__(self, channel: Channel,
+    A frame write (``sendall``/``sendmsg``, under the channel's send
+    lock) puts what the kernel takes at once on the wire and keeps the
+    rest as a backlog, owned by the thread that left it
+    (:attr:`owner`), for :meth:`drain` to write out blocking --
+    ``SO_SNDTIMEO`` (:data:`REPLY_STALL_SECONDS`) bounds a stall.  A
+    frame written while a backlog is owned queues behind it, so no
+    writer ever waits for another.  A PE thread drains its own backlog
+    before its ``send`` returns, so that backlog may be views of its
+    buffers; the reactor must not block, so its backlog is copied and
+    handed to a writer thread (:meth:`Endpoint._park`), which also
+    waits out another thread's (:meth:`wait_flushed`).
+    """
+
+    # Thousands are held at once: no per-socket ``__dict__``.
+    __slots__ = ("reactor", "owner", "_lock", "_backlog", "_flushed")
+
+    def __init__(self, sock: socket.socket) -> None:
+        super().__init__(fileno=sock.detach())
+        self.reactor = threading.get_ident()  # accepted on the reactor
+        self._lock = threading.Lock()
+        # GUARDED_BY(_lock): what the kernel has not taken yet, in order
+        # (a chunk or two), and the condition wait_flushed() makes.
+        self._backlog: list[BytesLike] = []
+        self._flushed: Optional[threading.Condition] = None
+        # The thread that owes the socket the backlog (None: no backlog).
+        self.owner: Optional[int] = None
+        self.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, struct.pack(
+            "ll", *divmod(int(REPLY_STALL_SECONDS * 1e6), 10**6)))
+
+    def sendall(self, data: BytesLike, flags: int = 0) -> None:
+        self.sendmsg((data,))
+
+    def sendmsg(self, buffers: Iterable[BytesLike], *_args: Any) -> int:
+        views = [memoryview(buf).cast("B") for buf in buffers]
+        total = sum(len(view) for view in views)
+        with self._lock:
+            if self.owner is not None:
+                # Queue behind the owner's backlog; copied, because the
+                # caller reuses its buffers once this returns.
+                self._backlog.extend(bytes(view) for view in views)
+                return total
+        # No backlog: it only starts here, under the channel's send lock.
+        try:
+            sent = super().sendmsg(views, (), socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            sent = 0
+        if sent < total:
+            me = threading.get_ident()
+            with self._lock:
+                self.owner = me
+                for view in views:
+                    if sent < len(view):
+                        self._backlog.append(bytes(view[sent:])
+                                             if me == self.reactor
+                                             else view[sent:])
+                    sent = max(0, sent - len(view))
+        return total
+
+    def drain(self) -> None:
+        """Write out the backlog this thread owns, blocking; raises
+        :class:`OSError` when the peer is gone or stalls."""
+        try:
+            while True:
+                with self._lock:
+                    if not self._backlog:
+                        self._flushed_locked()
+                        return
+                    chunk = self._backlog.pop(0)
+                super().sendall(chunk)
+        except OSError:
+            with self._lock:
+                self._backlog.clear()
+                self._flushed_locked()
+            raise
+
+    def _flushed_locked(self) -> None:
+        self.owner = None
+        if self._flushed is not None:
+            self._flushed.notify_all()
+
+    def wait_flushed(self) -> None:
+        """Wait until no thread but the reactor owes the socket a
+        backlog."""
+        with self._lock:
+            if self._flushed is None:
+                self._flushed = threading.Condition(self._lock)
+            while self.owner not in (None, self.reactor):
+                self._flushed.wait()
+
+
+class _SocketConnection(Connection):
+    """One accepted connection: ``send`` writes on whichever thread has
+    the reply, under the channel's send lock, and never waits for the
+    peer on the reactor (:class:`_ReplySocket`); :attr:`reader` holds
+    the frame the reactor is part-way through reading."""
+
+    def __init__(self, channel: Channel, sock: _ReplySocket,
                  closed: Callable[["_SocketConnection"], None]) -> None:
         self.channel = channel
+        self.sock = sock
         self.reader = FrameReader()
         self._closed = closed
-        # Reads never wait (the reactor reads what has arrived); a write
-        # may not stall for good.  The kernel fails a stalled socket
-        # send with EAGAIN; a ring has no kernel, so send() gives a
-        # frame written there a deadline.
-        channel.sock.setsockopt(
-            socket.SOL_SOCKET, socket.SO_SNDTIMEO, struct.pack(
-                "ll", *divmod(int(REPLY_STALL_SECONDS * 1e6), 10**6)))
 
     def send(self, msg_type: int, payload: BytesLike = b"") -> None:
+        sock = self.sock
         try:
+            # A ring has no kernel buffer to park a frame in: a frame
+            # written there gets a deadline instead.
             self.channel.send(msg_type, payload, timeout=(
                 REPLY_STALL_SECONDS if self.channel.via_shm else None))
+            me = threading.get_ident()
+            if sock.owner == me != sock.reactor:
+                sock.drain()
         except (ProtocolError, OSError):
             # Whoever reads the connection sees EOF and closes it.
             self.channel.shutdown()
@@ -157,6 +254,8 @@ class EndpointCore:
         # extra accept, nothing more).
         self._lock = threading.Lock()
         self._handlers: dict[int, Handler] = {}
+        # Started by the first STATS request.  GUARDED_BY(_lock).
+        self._stats_worker: Optional[ThreadPoolExecutor] = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if fault_plan is not None and fault_plan.metrics is None:
             fault_plan.metrics = self.metrics
@@ -195,13 +294,18 @@ class EndpointCore:
         """The STATS op: reply with a snapshot of this endpoint's
         registry, JSON (default) or Prometheus text (``"prom"``).
         Rendering walks the whole registry under its lock, O(series),
-        so a thread of its own renders and replies."""
+        so the endpoint's one stats thread renders and replies, in the
+        order the requests came."""
         (fmt,) = unpack(MessageType.STATS, payload)
         if fmt not in ("prom", "json"):
             conn.send_error("bad-request", f"unknown stats format {fmt!r}")
             return
-        threading.Thread(target=self._send_stats, args=(conn, fmt),
-                         name=f"{self.name}-stats", daemon=True).start()
+        with self._lock:
+            if self._stats_worker is None:
+                self._stats_worker = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix=f"{self.name}-stats")
+            worker = self._stats_worker
+        worker.submit(self._send_stats, conn, fmt)
 
     def _send_stats(self, conn: Connection, fmt: str) -> None:
         text = (self.metrics.render_prometheus() if fmt == "prom" else
@@ -252,13 +356,17 @@ class EndpointCore:
 
     def stop(self) -> None:
         """Close the listener, run :meth:`on_stop`, then end the
-        accepted connections."""
+        accepted connections and the stats thread."""
         with self._lock:
             self._running = False
             self._address = None
         self._close_listener()
         self.on_stop()
         self._close_connections()
+        with self._lock:
+            worker, self._stats_worker = self._stats_worker, None
+        if worker is not None:
+            worker.shutdown(cancel_futures=True)
 
     def __enter__(self: _E) -> _E:
         return self.start()
@@ -299,11 +407,15 @@ class Endpoint(EndpointCore):
     connection into its :class:`~repro.protocol.framing.FrameReader`
     (``MSG_DONTWAIT``) until a frame completes or the socket runs dry.
     A completed frame takes the plan's recv step (a connection wrapped
-    by ``fault_plan``) and is dispatched in place.  Sockets stay
-    blocking for writes: a reply goes out on the thread that has it,
-    under the channel's send lock, within :data:`REPLY_STALL_SECONDS`.
-    Idle connections cost a selector entry, not a thread; the live
-    count is ``ninf_server_connections_open``.
+    by ``fault_plan``) and is dispatched in place.  A reply goes out on
+    the thread that has it, under the channel's send lock -- a PE
+    thread writes its RESULT with no hop -- and no write waits for
+    another (:class:`_ReplySocket`).  A reply the reactor cannot write
+    at once parks its connection: it is not read while a
+    ``<name>-writer`` thread writes the rest out, within
+    :data:`REPLY_STALL_SECONDS` of no progress.  Idle connections cost
+    a selector entry, not a thread; the live count is
+    ``ninf_server_connections_open``.
 
     Parameters are :class:`EndpointCore`'s.  Every accepted connection
     is wrapped in a :class:`Channel` (which sets ``TCP_NODELAY``);
@@ -331,10 +443,14 @@ class Endpoint(EndpointCore):
         self._wake: Optional[socket.socket] = None
         # Ring connection threads, for stop().  GUARDED_BY(_lock).
         self._rings: dict[threading.Thread, Channel] = {}
-        # Connections closed by a writing thread, for the reactor to
-        # drop (appended anywhere, taken by the reactor).
-        self._closed_by_writers: collections.deque[_SocketConnection] = \
+        # Connections for the reactor to look at again (appended
+        # anywhere, taken by the reactor): closed by a writing thread,
+        # or parked ones whose backlog is written out.
+        self._returned: collections.deque[_SocketConnection] = \
             collections.deque()
+        # Connections not read while a writer thread writes out the
+        # backlog a reply of the reactor's left (the reactor's own).
+        self._parked: set[_SocketConnection] = set()
         self._open = self.metrics.gauge(
             names.SERVER_CONNECTIONS_OPEN,
             "Connections currently being served")
@@ -441,13 +557,15 @@ class Endpoint(EndpointCore):
                     elif not wake.recv(4096):
                         return  # stop() closed the wake-up pair
                     else:
-                        while self._closed_by_writers:
-                            self._drop(selector,
-                                       self._closed_by_writers.popleft())
+                        while self._returned:
+                            self._take_back(selector,
+                                            self._returned.popleft())
         finally:
-            for key in list(selector.get_map().values()):
-                if key.data is not None:
-                    self._drop(selector, key.data)
+            for conn in [key.data for key in selector.get_map().values()
+                         if key.data is not None] + list(self._parked):
+                # A shut-down socket also fails a writer blocked on it.
+                conn.channel.shutdown()
+                self._drop(selector, conn)
             selector.close()
             wake.close()
 
@@ -462,11 +580,12 @@ class Endpoint(EndpointCore):
                 sock.close()
                 return
             self._accepted.inc()
+            sock = _ReplySocket(sock)
             channel = Channel(sock)
             if self.fault_plan is not None:
                 channel = self.fault_plan.wrap(channel)
             channel.metrics = self.metrics
-            conn = _SocketConnection(channel, self._closed_elsewhere)
+            conn = _SocketConnection(channel, sock, self._give_back)
             try:
                 selector.register(sock, selectors.EVENT_READ, conn)
             except KeyError:
@@ -481,11 +600,11 @@ class Endpoint(EndpointCore):
               conn: _SocketConnection) -> None:
         """Read what has arrived on ``conn``; dispatch a completed
         frame in place."""
-        channel, reader = conn.channel, conn.reader
+        channel, reader, sock = conn.channel, conn.reader, conn.sock
         try:
             while True:
                 try:
-                    nbytes = channel.sock.recv_into(
+                    nbytes = sock.recv_into(
                         reader.buffer(), 0, socket.MSG_DONTWAIT)
                 except BlockingIOError:
                     return
@@ -506,19 +625,46 @@ class Endpoint(EndpointCore):
             sys.excepthook(type(exc), exc, exc.__traceback__)
             return
         if channel.via_shm:
-            # Ring waits are polled: the connection gets its own thread.
-            selector.unregister(channel.sock)
+            # Ring waits are polled: the connection gets its own thread
+            # (which first writes out any backlog the reactor left).
+            selector.unregister(sock)
             thread = threading.Thread(
                 target=self._serve_ring, args=(conn,),
                 name=f"{self.name}-ring", daemon=True)
             with self._lock:
                 self._rings[thread] = channel
             thread.start()
+        elif sock.owner is not None:
+            self._park(selector, conn)
 
-    def _closed_elsewhere(self, conn: _SocketConnection) -> None:
-        """``conn``'s socket was closed by the thread that wrote to it:
-        have the reactor drop it."""
-        self._closed_by_writers.append(conn)
+    def _park(self, selector: selectors.BaseSelector,
+              conn: _SocketConnection) -> None:
+        """``conn`` has a backlog: stop reading it (a peer that does not
+        read its replies has no more requests read) while a writer
+        thread writes out the reactor's backlog, or waits out a PE
+        thread's."""
+        selector.unregister(conn.sock)
+        self._parked.add(conn)
+        threading.Thread(target=self._write_out, args=(conn,),
+                         name=f"{self.name}-writer", daemon=True).start()
+
+    def _write_out(self, conn: _SocketConnection) -> None:
+        sock = conn.sock
+        try:
+            # Only the reactor's backlog is left for this thread: a PE
+            # thread drains its own.
+            sock.wait_flushed()
+            if sock.owner == sock.reactor:
+                sock.drain()
+        except OSError:
+            conn.channel.shutdown()  # the reactor reads EOF, and drops it
+        self._give_back(conn)
+
+    def _give_back(self, conn: _SocketConnection) -> None:
+        """From a writing thread: have the reactor look at ``conn``
+        again -- its socket closed by a send fault (no EOF will tell),
+        or its backlog written out."""
+        self._returned.append(conn)
         wake = self._wake
         if wake is not None:
             try:
@@ -526,18 +672,31 @@ class Endpoint(EndpointCore):
             except OSError:
                 pass  # already woken (buffer full), or stopping
 
+    def _take_back(self, selector: selectors.BaseSelector,
+                   conn: _SocketConnection) -> None:
+        if conn.channel.closed:
+            self._drop(selector, conn)
+        elif conn in self._parked:
+            self._parked.discard(conn)
+            selector.register(conn.sock, selectors.EVENT_READ, conn)
+
     def _drop(self, selector: selectors.BaseSelector,
               conn: _SocketConnection) -> None:
-        try:
-            selector.unregister(conn.channel.sock)
-        except (KeyError, ValueError):
-            return  # dropped already
+        if conn in self._parked:
+            self._parked.discard(conn)
+        else:
+            try:
+                selector.unregister(conn.sock)
+            except (KeyError, ValueError):
+                return  # dropped already
         conn.channel.close()
         self._open.dec()
 
     def _serve_ring(self, conn: _SocketConnection) -> None:
-        channel = conn.channel
+        channel, sock = conn.channel, conn.sock
         try:
+            if sock.owner == sock.reactor:
+                sock.drain()
             while True:
                 try:
                     msg_type, payload = channel.recv()

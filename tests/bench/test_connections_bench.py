@@ -2,7 +2,7 @@
 
 CI's connection-driver job runs the real 2,000-connection smoke; here the
 same code path runs at toy scale so the suite stays fast while still
-proving both phases work end-to-end and the report schema holds.
+proving the phase works end-to-end and the report schema holds.
 """
 
 import json
@@ -19,29 +19,26 @@ from repro.bench.connections import (
 def test_full_benchmark_report_schema(tmp_path):
     out = tmp_path / "BENCH_asyncio.json"
     report = run_connections_benchmark(
-        connections=64, threaded_connections=8, output=out,
+        connections=64, output=out,
         log=lambda *a, **k: None)
     written = json.loads(out.read_text(encoding="utf-8"))
     assert written == report
     assert report["benchmark"] == "connections"
-    for flavour in ("async", "threaded"):
-        phase = report[flavour]
-        assert phase["sustained_connections"] == \
-            phase["target_connections"]
-        assert phase["dial_failures"] == 0
-        assert phase["ping"]["count"] == phase["sustained_connections"]
-        assert phase["ping"]["throughput_per_s"] > 0
-        for key in ("p50_ms", "p95_ms", "p99_ms"):
-            assert phase["ping"][key] >= 0.0
-    assert report["async"]["rss_per_connection_bytes"] >= 0.0
+    phase = report["async"]
+    assert phase["sustained_connections"] == phase["target_connections"]
+    assert phase["dial_failures"] == 0
+    assert phase["ping"]["count"] == phase["sustained_connections"]
+    assert phase["ping"]["throughput_per_s"] > 0
+    for key in ("p50_ms", "p95_ms", "p99_ms"):
+        assert phase["ping"][key] >= 0.0
+    assert phase["rss_per_connection_bytes"] >= 0.0
     # The reactor, one PE and the expiry sweep: no thread per connection.
-    for flavour in ("async", "threaded"):
-        assert report[flavour]["server_threads"] <= 8
+    assert phase["server_threads"] <= 8
 
 
 def test_cli_connections_writes_report(tmp_path, capsys):
     out = tmp_path / "bench.json"
-    code = main(["connections", "--connections", "32", "--threaded", "4",
+    code = main(["connections", "--connections", "32",
                  "--output", str(out), "--quiet"])
     assert code == 0
     assert "32 connections" in capsys.readouterr().out
@@ -69,7 +66,7 @@ def test_fd_limit_helpers_report_sane_values():
 
 def test_cli_connections_fails_when_thresholds_missed(tmp_path, capsys):
     out = tmp_path / "bench.json"
-    code = main(["connections", "--connections", "16", "--threaded", "4",
+    code = main(["connections", "--connections", "16",
                  "--output", str(out), "--quiet",
                  "--min-sustained", "1000000"])
     assert code == 1
@@ -80,14 +77,14 @@ def test_cli_connections_fails_when_thresholds_missed(tmp_path, capsys):
 
 
 def test_cli_connections_passes_when_thresholds_met(tmp_path):
-    code = main(["connections", "--connections", "16", "--threaded", "4",
+    code = main(["connections", "--connections", "16",
                  "--output", str(tmp_path / "bench.json"), "--quiet",
                  "--min-sustained", "16", "--max-p95-ms", "10000"])
     assert code == 0
 
 
 def test_cli_connections_p95_threshold_trips(tmp_path, capsys):
-    code = main(["connections", "--connections", "16", "--threaded", "4",
+    code = main(["connections", "--connections", "16",
                  "--output", str(tmp_path / "bench.json"), "--quiet",
                  "--max-p95-ms", "0.000001"])
     assert code == 1
@@ -95,7 +92,7 @@ def test_cli_connections_p95_threshold_trips(tmp_path, capsys):
 
 
 def test_cli_connections_json_dash_streams_report_to_stdout(capsys):
-    code = main(["connections", "--connections", "16", "--threaded", "4",
+    code = main(["connections", "--connections", "16",
                  "--json", "-"])
     assert code == 0
     captured = capsys.readouterr()
@@ -106,7 +103,7 @@ def test_cli_connections_json_dash_streams_report_to_stdout(capsys):
 
 
 def test_cli_connections_json_dash_still_enforces_thresholds(capsys):
-    code = main(["connections", "--connections", "16", "--threaded", "4",
+    code = main(["connections", "--connections", "16",
                  "--json", "-", "--min-sustained", "1000000"])
     assert code == 1
     json.loads(capsys.readouterr().out)  # stdout stays valid JSON
@@ -114,7 +111,7 @@ def test_cli_connections_json_dash_still_enforces_thresholds(capsys):
 
 def test_cli_connections_json_path_writes_report(tmp_path):
     out = tmp_path / "via_json_flag.json"
-    code = main(["connections", "--connections", "16", "--threaded", "4",
+    code = main(["connections", "--connections", "16",
                  "--json", str(out), "--quiet"])
     assert code == 0
     assert json.loads(

@@ -17,7 +17,7 @@ from repro.client import NinfClient
 from repro.client.core import _CallPayload
 from repro.idl import Signature
 from repro.protocol.framing import HEADER, encode_frame
-from repro.protocol.messages import MessageType
+from repro.protocol.messages import MessageType, pack, unpack
 from repro.server import NinfServer, Registry
 from repro.transport import Channel, FaultPlan, connect
 from repro.transport.faults import DROP_POST
@@ -86,29 +86,66 @@ def test_a_half_sent_frame_delays_no_other_call(server):
                 assert _timed_noop(client) < 1.0
 
 
-def test_a_peer_not_reading_its_reply_stops_no_ping(server):
-    """A RESULT bigger than both socket buffers, to a peer that never
-    reads it, stalls only the PE thread writing it: the reactor goes on
-    answering PINGs on every other connection."""
-    n = 1 << 20  # 8 MB each way
+@pytest.mark.parametrize("reply", ["result", "pong", "fetch"])
+def test_a_peer_not_reading_its_reply_stops_no_ping(server, reply):
+    """A reply bigger than both socket buffers, to a peer that never
+    reads it -- a RESULT a PE thread writes, a PONG or a FETCH_RESULT
+    replay the reactor writes -- holds up no other connection: the
+    reactor goes on answering PINGs.  The reply is parked, not lost,
+    and a PING the peer pipelined behind it is answered after it."""
+    n = 1 << 20  # 8 MB of doubles
+    if reply == "fetch":
+        with NinfClient(*server.address, timeout=30.0) as client:
+            call = client.call_detached("bench_echo", n, np.ones(n), None)
+            assert len(call.fetch()[0]) == n
+        request = (MessageType.FETCH_RESULT,
+                   pack(MessageType.FETCH_RESULT, call.ticket))
+    elif reply == "pong":
+        request = (MessageType.PING, bytes(8 * n))
+    else:
+        request = (MessageType.CALL, _CallPayload(
+            "bench_echo", Signature.from_idl(ECHO_IDL), 1,
+            (n, np.ones(n), None)).stamp(None, time.monotonic))
     sock = socket.socket()
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
     sock.connect(server.address)
     with Channel(sock) as deaf, connect(*server.address,
                                         timeout=10.0) as other:
-        deaf.send(MessageType.CALL, _CallPayload(
-            "bench_echo", Signature.from_idl(ECHO_IDL), 1,
-            (n, np.ones(n), None)).stamp(None, time.monotonic))
+        deaf.send(*request)
         # The reply has started, and cannot finish: 64 kB of receive
         # window and at most 4 MB of send buffer hold half of it.
         assert select.select([sock], [], [], 10.0)[0]
+        deaf.send(MessageType.PING, b"behind")
         for _ in range(20):
             started = time.monotonic()
             _ping(other)
             assert time.monotonic() - started < 1.0
-        # The write was parked, not lost: read now, the RESULT is whole.
         msg_type, payload = deaf.recv(timeout=30.0)
-        assert msg_type == MessageType.RESULT and len(payload) > 8 * n
+        assert len(payload) >= 8 * n
+        assert msg_type == (MessageType.PONG if reply == "pong"
+                            else MessageType.RESULT)
+        assert deaf.recv(timeout=30.0) == (MessageType.PONG, b"behind")
+
+
+def test_a_burst_of_stats_requests_starts_one_thread(server):
+    """STATS renders off the reactor on the endpoint's one stats
+    thread: 200 pipelined requests start one thread, and are answered
+    in order."""
+    baseline = threading.active_count()
+    formats = ["json", "prom"] * 100
+    with connect(*server.address, timeout=30.0) as channel:
+        for fmt in formats:
+            channel.send(MessageType.STATS, pack(MessageType.STATS, fmt))
+        for fmt in formats:
+            msg_type, payload = channel.recv()
+            assert msg_type == MessageType.STATS_REPLY
+            assert unpack(MessageType.STATS_REPLY, payload)[0] == fmt
+            assert threading.active_count() <= baseline + 1
+    stats = [t for t in threading.enumerate()
+             if t.name.startswith("reactor-stats")]
+    assert len(stats) == 1
+    server.stop()
+    assert not stats[0].is_alive()
 
 
 def test_churning_clients_all_get_their_replies(server):
