@@ -67,11 +67,14 @@ def _spec(lock: str, guarded: Sequence[str] = (),
 GUARDED_BY: dict[str, tuple[LockSpec, ...]] = {
     # repro.obs.registry
     "_Instrument": (_spec("_lock", guarded=("_children",)),),
+    # A bound child holds its family's lock and dict themselves.
+    "_Child": (_spec("_lock", guarded=("_children",)),),
     "MetricsRegistry": (_spec("_lock", guarded=("_instruments",)),),
     # repro.obs.trace
     "Tracer": (_spec("_lock", guarded=("_spans",)),),
     # repro.transport.pool
-    "ConnectionPool": (_spec("_lock", guarded=("_idle", "_closed")),),
+    "ConnectionPool": (_spec("_lock", guarded=("_idle", "_closed",
+                                               "_oldest", "_idle_reported")),),
     # repro.transport.faults
     "FaultPlan": (_spec("_lock",
                         guarded=("events", "injected", "ops_seen")),),

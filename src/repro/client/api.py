@@ -108,7 +108,7 @@ class NinfClient(ClientState):
     retry_calls:
         Opt ``CALL``/``CALL_DETACHED`` into the retry policy too
         (DESIGN.md §3.5).  Safe against double execution because every
-        logical call carries a UUID ``logical_id`` and the server's
+        logical call carries a random ``logical_id`` and the server's
         dedup cache replays the first attempt's result instead of
         recomputing; requires a v3 server.  No effect without
         ``retry``.

@@ -23,8 +23,8 @@ import itertools
 import json
 import threading
 import time
-import uuid
 from dataclasses import dataclass
+from os import urandom
 from typing import Any, Callable, Generator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -131,7 +131,7 @@ class _CallPayload:
         self._payload = pack(
             MessageType.CALL,
             CallHeader(function=function, call_id=call_id,
-                       logical_id=uuid.uuid4().hex), fill)
+                       logical_id=urandom(16).hex()), fill)
         self._attempts = itertools.count(1)
 
     def stamp(self, deadline: Optional[float],
@@ -437,8 +437,10 @@ def call_with_record(
         trace.end(at=state.clock(), status="error")
         raise
     _write_back(signature, args, outputs)
-    state._call_seconds.observe(complete_time - submit_time,
-                                function=function)
+    timers = state._call_seconds_by_function  # bound once per function
+    timer = timers.get(function) or timers.setdefault(
+        function, state._call_seconds.labels(function=function))
+    timer.observe(complete_time - submit_time)
     trace.end(at=complete_time, status="ok")
     record = CallRecord(function=function, call_id=call_id,
                         submit_time=submit_time,
@@ -603,6 +605,7 @@ class ClientState:
         self._call_seconds = self.metrics.histogram(
             names.CLIENT_CALL_SECONDS,
             "End-to-end Ninf_call latency", labelnames=("function",))
+        self._call_seconds_by_function: dict[str, Any] = {}
 
     @property
     def attempts(self) -> int:

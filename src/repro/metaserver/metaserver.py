@@ -13,6 +13,7 @@ from repro.idl.signature import Signature
 from repro.metaserver.directory import Directory
 from repro.metaserver.pickcache import PickCache
 from repro.metaserver.schedulers import CallEstimate, LoadScheduler, Scheduler
+from repro.obs import MetricsRegistry, names
 from repro.protocol.errors import ProtocolError, RemoteError
 from repro.protocol.messages import (
     MAX_PICK_ITEMS,
@@ -97,8 +98,6 @@ class Metaserver(Endpoint):
         self._poll_pool_lock = threading.Lock()
         # Monitoring observability (OBSERVABILITY.md): probe outcomes
         # and the resulting alive-server count, exposed via STATS.
-        from repro.obs import names
-
         self._probes = self.metrics.counter(
             names.METASERVER_PROBES, "Liveness/load probes by outcome",
             labelnames=("outcome",))
@@ -399,19 +398,15 @@ class MetaClient:
         self._observations: deque[tuple[str, int, str, float]] = deque(
             maxlen=MAX_PICK_ITEMS)
         self.degraded = False
-        self._cache_metric = None
-        self._degraded_gauge = None
-        if metrics is not None:
-            from repro.obs import names
-
-            self._cache_metric = metrics.counter(
-                names.CLIENT_PICK_CACHE,
-                "MS_PICK placements served by cache state",
-                labelnames=("result",))
-            self._degraded_gauge = metrics.gauge(
-                names.CLIENT_DEGRADED,
-                "1 while picks are served from stale cache because "
-                "every metaserver replica is unreachable")
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._cache_metric = metrics.counter(
+            names.CLIENT_PICK_CACHE,
+            "MS_PICK placements served by cache state",
+            labelnames=("result",))
+        self._degraded_gauge = metrics.gauge(
+            names.CLIENT_DEGRADED,
+            "1 while picks are served from stale cache because "
+            "every metaserver replica is unreachable").labels()
 
     def close(self) -> None:
         """Close pooled metaserver connections (idempotent)."""
@@ -493,13 +488,11 @@ class MetaClient:
         return list(servers)
 
     def _count_pick(self, result: str) -> None:
-        if self._cache_metric is not None:
-            self._cache_metric.inc(result=result)
+        self._cache_metric.inc(result=result)
 
     def _set_degraded(self, value: bool) -> None:
         self.degraded = value
-        if self._degraded_gauge is not None:
-            self._degraded_gauge.set(1.0 if value else 0.0)
+        self._degraded_gauge.set(1.0 if value else 0.0)
 
     def _take_observations(self) -> tuple[tuple[str, int, str, float], ...]:
         with self._lock:
@@ -637,14 +630,10 @@ class BrokeredClient:
         self.records: deque[tuple[ServerInfo, CallRecord]] = deque(
             maxlen=1024)
         self.failovers = 0
-        self._failover_metric = None
-        if metrics is not None:
-            from repro.obs import names
-
-            self._failover_metric = metrics.counter(
-                names.CLIENT_FAILOVERS,
-                "Brokered calls replayed on another server after a "
-                "transient failure")
+        self._failover_metric = (metrics or MetricsRegistry()).counter(
+            names.CLIENT_FAILOVERS,
+            "Brokered calls replayed on another server after a "
+            "transient failure").labels()
 
     def _client_for(self, info: ServerInfo) -> NinfClient:
         key = (info.host, info.port)
@@ -685,8 +674,7 @@ class BrokeredClient:
     def _note_failover(self) -> None:
         with self._lock:
             self.failovers += 1
-        if self._failover_metric is not None:
-            self._failover_metric.inc()
+        self._failover_metric.inc()
 
     def call(self, function: str, *args) -> list:
         """Metaserver-brokered Ninf_call: pick, then call."""

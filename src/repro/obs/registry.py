@@ -16,8 +16,9 @@ OBSERVABILITY.md):
 
 Every instrument supports label dimensions declared at registration
 time; a labelled instrument is a family of children keyed by the label
-values.  All mutation is lock-protected, so server handler threads may
-increment concurrently.
+values, and ``labels(...)`` binds one child for a hot path to hold.  All
+mutation is lock-protected, so server handler threads may increment
+concurrently.
 
 Exposition is zero-dependency: :meth:`MetricsRegistry.render_prometheus`
 emits the Prometheus text format (families sorted by name, children by
@@ -34,9 +35,10 @@ exact and tests isolated.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import threading
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 __all__ = [
     "Counter",
@@ -102,6 +104,7 @@ class _Instrument:
     """Common machinery: a named, labelled family of child values."""
 
     kind = "untyped"
+    _Child: type["_Child"]  # the kind's bound child (see labels())
 
     def __init__(self, name: str, help: str = "",
                  labelnames: Sequence[str] = ()):
@@ -109,10 +112,25 @@ class _Instrument:
         self.help = help
         self.labelnames = tuple(labelnames)
         self._lock = threading.Lock()
-        self._children: dict[tuple, float] = {}
+        self._children: dict[tuple, Any] = {}
+        # An unlabelled family's one child, bound up front: inc() and
+        # observe() without labels skip label validation.
+        self._unlabelled = None if self.labelnames else self._Child(self, ())
 
     def _key(self, labels: dict) -> tuple:
         return _label_key(self.labelnames, labels)
+
+    def labels(self, **labels: object) -> Any:
+        """The child addressed by ``labels``, checked once here, for a
+        hot path to hold: it mutates this family's own storage under
+        this family's lock, so it renders exactly as ``inc(**labels)``
+        would, and only once it has been mutated."""
+        return self._Child(self, self._key(labels))
+
+    def _child(self, labels: dict) -> Any:
+        if not labels and self._unlabelled is not None:
+            return self._unlabelled
+        return self.labels(**labels)
 
     def value(self, **labels) -> float:
         """Current value of the child addressed by ``labels``."""
@@ -125,60 +143,96 @@ class _Instrument:
             return sorted(self._children)
 
 
-class Counter(_Instrument):
+class _Child:
+    """One child of a family, bound by :meth:`_Instrument.labels`: it
+    holds the family's own lock and ``_children`` dict, not copies."""
+
+    __slots__ = ("_lock", "_children", "_key")
+
+    def __init__(self, family: _Instrument, key: tuple) -> None:
+        self._lock = family._lock
+        self._children = family._children
+        self._key = key
+
+    def _add(self, amount: float = 1.0) -> None:
+        key = self._key
+        with self._lock:
+            self._children[key] = self._children.get(key, 0.0) + amount
+
+
+class _CounterChild(_Child):
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount`` (>= 0)."""
+        if amount < 0:
+            raise ValueError(f"counters only go up, got {amount}")
+        self._add(amount)
+
+
+class _GaugeChild(_Child):
+    __slots__ = ()
+    inc = _Child._add  # any sign
+
+    def set(self, value: float) -> None:
+        """Replace the value."""
+        with self._lock:
+            self._children[self._key] = float(value)
+
+
+class _Scalar(_Instrument):
+    """A family of plain numbers: exposition shared by counter and
+    gauge."""
+
+    def snapshot(self) -> dict:
+        """JSON-able form: {"type", "help", "labels", "values"}."""
+        with self._lock:
+            items = sorted(self._children.items())
+        return {"type": self.kind, "help": self.help,
+                "labelnames": list(self.labelnames),
+                "values": [{"labels": dict(zip(self.labelnames, key)),
+                            "value": value} for key, value in items]}
+
+    def render(self) -> list[str]:
+        """Prometheus text lines for this family."""
+        lines = [f"# HELP {self.name} {self.help}",
+                 f"# TYPE {self.name} {self.kind}"]
+        with self._lock:
+            items = sorted(self._children.items())
+        for key, value in items:
+            labels = _render_labels(self.labelnames, key)
+            lines.append(f"{self.name}{labels} {_format_value(value)}")
+        return lines
+
+
+class Counter(_Scalar):
     """A monotonically increasing total; decrements are rejected."""
 
     kind = "counter"
+    _Child = _CounterChild
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         """Add ``amount`` (>= 0) to the addressed child."""
-        if amount < 0:
-            raise ValueError(f"counters only go up, got {amount}")
-        key = self._key(labels)
-        with self._lock:
-            self._children[key] = self._children.get(key, 0.0) + amount
-
-    def snapshot(self) -> dict:
-        """JSON-able form: {"type", "help", "labels", "values"}."""
-        with self._lock:
-            values = dict(self._children)
-        return _scalar_snapshot(self, values)
-
-    def render(self) -> list[str]:
-        """Prometheus text lines for this family."""
-        return _scalar_render(self)
+        self._child(labels).inc(amount)
 
 
-class Gauge(_Instrument):
+class Gauge(_Scalar):
     """A value that can rise and fall (queue depth, idle connections)."""
 
     kind = "gauge"
+    _Child = _GaugeChild
 
     def set(self, value: float, **labels) -> None:
         """Replace the addressed child's value."""
-        key = self._key(labels)
-        with self._lock:
-            self._children[key] = float(value)
+        self._child(labels).set(value)
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         """Add ``amount`` (may be negative) to the addressed child."""
-        key = self._key(labels)
-        with self._lock:
-            self._children[key] = self._children.get(key, 0.0) + amount
+        self._child(labels).inc(amount)
 
     def dec(self, amount: float = 1.0, **labels) -> None:
         """Subtract ``amount`` from the addressed child."""
-        self.inc(-amount, **labels)
-
-    def snapshot(self) -> dict:
-        """JSON-able form: {"type", "help", "labels", "values"}."""
-        with self._lock:
-            values = dict(self._children)
-        return _scalar_snapshot(self, values)
-
-    def render(self) -> list[str]:
-        """Prometheus text lines for this family."""
-        return _scalar_render(self)
+        self._child(labels).inc(-amount)
 
 
 class _HistChild:
@@ -188,6 +242,27 @@ class _HistChild:
         self.counts = [0] * (nbuckets + 1)  # +1 for the +Inf bucket
         self.sum = 0.0
         self.count = 0
+
+
+class _HistogramChild(_Child):
+    __slots__ = ("_buckets",)
+
+    def __init__(self, family: "Histogram", key: tuple) -> None:
+        super().__init__(family, key)
+        self._buckets = family.buckets
+
+    def observe(self, value: float) -> None:
+        """Record one observation into the bucketed distribution."""
+        value = float(value)
+        index = bisect.bisect_left(self._buckets, value)
+        with self._lock:
+            child = self._children.get(self._key)
+            if child is None:
+                child = self._children[self._key] = _HistChild(
+                    len(self._buckets))
+            child.counts[index] += 1
+            child.sum += value
+            child.count += 1
 
 
 class Histogram(_Instrument):
@@ -203,11 +278,11 @@ class Histogram(_Instrument):
     """
 
     kind = "histogram"
+    _Child = _HistogramChild
 
     def __init__(self, name: str, help: str = "",
                  labelnames: Sequence[str] = (),
                  buckets: Sequence[float] = DEFAULT_BUCKETS):
-        super().__init__(name, help, labelnames)
         bounds = tuple(sorted(float(b) for b in buckets))
         if not bounds:
             raise ValueError("need at least one bucket bound")
@@ -215,55 +290,45 @@ class Histogram(_Instrument):
             raise ValueError("bucket bounds must be finite numbers")
         if len(set(bounds)) != len(bounds):
             raise ValueError(f"duplicate bucket bounds in {bounds}")
-        self.buckets = bounds
-        self._children: dict[tuple, _HistChild] = {}
-
-    def _child_locked(self, labels: dict) -> _HistChild:
-        key = self._key(labels)
-        child = self._children.get(key)
-        if child is None:
-            child = self._children[key] = _HistChild(len(self.buckets))
-        return child
+        self.buckets = bounds  # before the unlabelled child binds them
+        super().__init__(name, help, labelnames)
 
     def observe(self, value: float, **labels) -> None:
         """Record one observation into the bucketed distribution."""
-        value = float(value)
-        index = bisect.bisect_left(self.buckets, value)
+        self._child(labels).observe(value)
+
+    def _read(self, labels: dict) -> tuple[list[int], float, int]:
+        """The addressed child's bucket counts, sum and count."""
         with self._lock:
-            child = self._child_locked(labels)
-            child.counts[index] += 1
-            child.sum += value
-            child.count += 1
+            child = self._children.get(self._key(labels))
+            if child is None:
+                return [], 0.0, 0
+            return list(child.counts), child.sum, child.count
+
+    def _items(self) -> list[tuple[tuple, list[int], float, int]]:
+        with self._lock:
+            return [(key, list(child.counts), child.sum, child.count)
+                    for key, child in sorted(self._children.items())]
 
     def count(self, **labels) -> int:
         """Total observations recorded for the addressed child."""
-        with self._lock:
-            child = self._children.get(self._key(labels))
-            return 0 if child is None else child.count
+        return self._read(labels)[2]
 
     def total(self, **labels) -> float:
         """Sum of all observed values for the addressed child."""
-        with self._lock:
-            child = self._children.get(self._key(labels))
-            return 0.0 if child is None else child.sum
+        return self._read(labels)[1]
 
     def value(self, **labels) -> float:
         """The mean observation (sum/count); 0.0 when empty."""
-        with self._lock:
-            child = self._children.get(self._key(labels))
-        if child is None or child.count == 0:
-            return 0.0
-        return child.sum / child.count
+        _counts, total, count = self._read(labels)
+        return total / count if count else 0.0
 
     def quantile(self, q: float, **labels) -> float:
         """Estimate the ``q``-quantile (``q`` in [0, 1]) by bucket
         interpolation; ``nan`` when no observations exist."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            child = self._children.get(self._key(labels))
-            counts = None if child is None else list(child.counts)
-            total = 0 if child is None else child.count
+        counts, _sum, total = self._read(labels)
         if not total:
             return math.nan
         rank = q * total
@@ -282,18 +347,11 @@ class Histogram(_Instrument):
 
     def snapshot(self) -> dict:
         """JSON-able form including per-bucket cumulative counts."""
-        with self._lock:
-            items = [(key, list(child.counts), child.sum, child.count)
-                     for key, child in sorted(self._children.items())]
         values = []
-        for key, counts, total, count in items:
-            cumulative, running = [], 0
-            for c in counts:
-                running += c
-                cumulative.append(running)
+        for key, counts, total, count in self._items():
             values.append({
                 "labels": dict(zip(self.labelnames, key)),
-                "buckets": cumulative,
+                "buckets": list(itertools.accumulate(counts)),
                 "bounds": list(self.buckets),
                 "sum": total,
                 "count": count,
@@ -301,19 +359,11 @@ class Histogram(_Instrument):
         return {"type": self.kind, "help": self.help,
                 "labelnames": list(self.labelnames), "values": values}
 
-    def labelsets(self) -> list[tuple]:
-        """Every label-value tuple this family has seen, sorted."""
-        with self._lock:
-            return sorted(self._children)
-
     def render(self) -> list[str]:
         """Prometheus text lines (``_bucket``/``_sum``/``_count``)."""
         lines = [f"# HELP {self.name} {self.help}",
                  f"# TYPE {self.name} {self.kind}"]
-        with self._lock:
-            items = [(key, list(child.counts), child.sum, child.count)
-                     for key, child in sorted(self._children.items())]
-        for key, counts, total, count in items:
+        for key, counts, total, count in self._items():
             running = 0
             for bound, bucket_count in zip(
                     list(self.buckets) + [math.inf], counts):
@@ -325,30 +375,6 @@ class Histogram(_Instrument):
             lines.append(f"{self.name}_sum{labels} {_format_value(total)}")
             lines.append(f"{self.name}_count{labels} {count}")
         return lines
-
-
-def _scalar_snapshot(instrument: _Instrument, values: dict) -> dict:
-    return {
-        "type": instrument.kind,
-        "help": instrument.help,
-        "labelnames": list(instrument.labelnames),
-        "values": [
-            {"labels": dict(zip(instrument.labelnames, key)),
-             "value": value}
-            for key, value in sorted(values.items())
-        ],
-    }
-
-
-def _scalar_render(instrument: _Instrument) -> list[str]:
-    lines = [f"# HELP {instrument.name} {instrument.help}",
-             f"# TYPE {instrument.name} {instrument.kind}"]
-    with instrument._lock:
-        items = sorted(instrument._children.items())
-    for key, value in items:
-        labels = _render_labels(instrument.labelnames, key)
-        lines.append(f"{instrument.name}{labels} {_format_value(value)}")
-    return lines
 
 
 class MetricsRegistry:

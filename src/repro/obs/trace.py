@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 
 __all__ = [
     "NULL_TRACER",
@@ -199,6 +199,9 @@ class Trace:
 # signatures match Trace exactly (mypy --strict checks the overrides).
 _NULL_SPAN = Span(trace_id=0, span_id=0, parent_id=None, name="null",
                   start=0.0, end=0.0, clock="null")
+# ... and a single reusable no-op scope yielding it: a null span costs
+# no generator.
+_NULL_SCOPE = nullcontext(_NULL_SPAN)
 
 
 class _NullTrace(Trace):
@@ -207,10 +210,10 @@ class _NullTrace(Trace):
     def __init__(self) -> None:  # noqa: D107 - no tracer to bind
         pass
 
-    @contextmanager
-    def span(self, name: str, **attrs) -> Iterator[Span]:
+    def span(  # type: ignore[override]
+            self, name: str, **attrs) -> AbstractContextManager[Span]:
         """No-op child span."""
-        yield _NULL_SPAN
+        return _NULL_SCOPE
 
     def record(self, name: str, start: float, end: float,
                clock: Optional[str] = None, **attrs) -> Span:

@@ -125,7 +125,7 @@ class CallHeader:
     the resilience fields (protocol v3, DESIGN.md §3.5) ride after it:
 
     - ``logical_id`` identifies the *logical* call across retries (a
-      UUID hex string; empty = client opted out of dedup);
+      128-bit random hex string; empty = client opted out of dedup);
     - ``attempt`` is the 1-based attempt number for this logical call;
     - ``budget`` is the client's remaining deadline budget in seconds,
       *relative* so clock skew cannot corrupt it (0 = no deadline).

@@ -3,7 +3,7 @@
 A CALL whose reply is lost in flight leaves the client unable to tell
 "never ran" from "ran, reply lost" — so CALL historically could not be
 retried.  This cache closes that gap server-side: every logical call
-(identified by the client's UUID ``logical_id``) passes through
+(identified by the client's random ``logical_id``) passes through
 :meth:`DedupCache.begin` before execution, and its reply is parked in
 :meth:`DedupCache.complete`.  A retried attempt then either
 
@@ -41,6 +41,7 @@ import time
 from collections import OrderedDict
 from typing import Callable, Hashable, Optional, Union
 
+from repro.obs import MetricsRegistry, names
 from repro.xdr import bulk
 
 __all__ = ["DedupCache", "DedupEntry", "Reply"]
@@ -53,10 +54,9 @@ Waiter = Callable[[Optional[Reply]], None]
 class DedupEntry:
     """One logical call's slot: pending until ``reply`` is parked."""
 
-    __slots__ = ("done", "reply", "stamp", "waiters")
+    __slots__ = ("reply", "stamp", "waiters")
 
     def __init__(self, stamp: float) -> None:
-        self.done = threading.Event()
         self.reply: Optional[Reply] = None
         self.stamp = stamp  # creation time; completion time once done
         # Continuations of duplicate attempts; appended under the
@@ -83,7 +83,8 @@ class DedupCache:
     clock:
         Injected monotonic clock (tests drive it manually).
     metrics:
-        Optional :class:`~repro.obs.MetricsRegistry` receiving
+        The :class:`~repro.obs.MetricsRegistry` (a private one when
+        ``None``) receiving
         ``ninf_server_dedup_hits_total`` (replays of a cached or
         in-flight attempt) and ``ninf_server_dedup_entries`` (current
         size, gauge).
@@ -104,16 +105,13 @@ class DedupCache:
         self._done: OrderedDict[Hashable, DedupEntry] = OrderedDict()
         self._done_bytes = 0
         self.hits = 0
-        self._hits_metric = self._entries_metric = None
-        if metrics is not None:
-            from repro.obs import names
-
-            self._hits_metric = metrics.counter(
-                names.SERVER_DEDUP_HITS,
-                "Retried CALL attempts answered from the dedup cache")
-            self._entries_metric = metrics.gauge(
-                names.SERVER_DEDUP_ENTRIES,
-                "Logical calls currently tracked by the dedup cache")
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._hits_metric = metrics.counter(
+            names.SERVER_DEDUP_HITS,
+            "Retried CALL attempts answered from the dedup cache").labels()
+        self._entries_metric = metrics.gauge(
+            names.SERVER_DEDUP_ENTRIES,
+            "Logical calls currently tracked by the dedup cache").labels()
 
     # -- internal -----------------------------------------------------------
 
@@ -139,14 +137,12 @@ class DedupCache:
         return entry
 
     def _note_size_locked(self) -> None:
-        if self._entries_metric is not None:
-            self._entries_metric.set(len(self._pending) + len(self._done))
+        self._entries_metric.set(len(self._pending) + len(self._done))
 
     def _hit(self) -> None:
         with self._lock:
             self.hits += 1
-        if self._hits_metric is not None:
-            self._hits_metric.inc()
+        self._hits_metric.inc()
 
     # -- protocol -----------------------------------------------------------
 
@@ -216,7 +212,6 @@ class DedupCache:
     def _settle(entry: DedupEntry) -> None:
         """Release everything parked on ``entry``, which has just left
         the pending table: nothing can be appended to it any more."""
-        entry.done.set()
         waiters, entry.waiters = entry.waiters, []
         for waiter in waiters:
             waiter(entry.reply)
@@ -233,13 +228,6 @@ class DedupCache:
                         None)
         self._hit()
         return "done", entry.reply
-
-    def wait(self, entry: DedupEntry,
-             timeout: Optional[float] = None) -> Optional[Reply]:
-        """Block until ``entry`` completes; ``None`` = timeout or abort."""
-        if not entry.done.wait(timeout):
-            return None
-        return entry.reply
 
     def __len__(self) -> int:
         with self._lock:

@@ -24,6 +24,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from repro.obs import MetricsRegistry, names
 from repro.protocol.errors import RemoteError, ServerBusy, ServerShutdown
 from repro.protocol.messages import JobTimestamps
 from repro.server.admission import AdmissionCore, Ticket
@@ -78,9 +79,10 @@ class Executor:
     deadline, so ``deadline-expired`` is answered on time while every PE
     is busy; only a deadline-bearing ``submit`` wakes it.
 
-    When given a :class:`~repro.obs.MetricsRegistry` (``metrics``), the
-    executor publishes the server-side half of the OBSERVABILITY.md
-    breakdown: ``ninf_server_queue_depth`` (jobs awaiting a PE),
+    Into its :class:`~repro.obs.MetricsRegistry` (``metrics``; a private
+    one when ``None``) the executor publishes the server-side half of the
+    OBSERVABILITY.md breakdown: ``ninf_server_queue_depth`` (jobs
+    awaiting a PE),
     ``ninf_server_dispatch_seconds`` (the paper's ``T_wait``:
     dequeue - enqueue), ``ninf_server_execute_seconds{function}`` (the
     service time: complete - dequeue), and
@@ -109,38 +111,35 @@ class Executor:
         self._core = AdmissionCore(num_pes, policy, clock, max_queued)
         self.num_pes = num_pes
         self.clock = clock
-        self._queue_gauge = self._dispatch_hist = None
-        self._execute_hist = self._calls_counter = None
-        self._expired_counter = self._cancelled_counter = None
-        self._shed_counter = self._completion_errors_counter = None
-        if metrics is not None:
-            from repro.obs import names
-
-            self._queue_gauge = metrics.gauge(
-                names.SERVER_QUEUE_DEPTH, "Jobs queued awaiting a PE")
-            self._dispatch_hist = metrics.histogram(
-                names.SERVER_DISPATCH_SECONDS,
-                "Queue wait per job (T_dequeue - T_enqueue)")
-            self._execute_hist = metrics.histogram(
-                names.SERVER_EXECUTE_SECONDS,
-                "Executable service time (T_complete - T_dequeue)",
-                labelnames=("function",))
-            self._calls_counter = metrics.counter(
-                names.SERVER_CALLS, "Jobs run to completion",
-                labelnames=("function", "status"))
-            self._expired_counter = metrics.counter(
-                names.SERVER_JOBS_EXPIRED,
-                "Queued jobs dropped because their deadline passed")
-            self._cancelled_counter = metrics.counter(
-                names.SERVER_JOBS_CANCELLED,
-                "Queued jobs dropped by a client CANCEL")
-            self._shed_counter = metrics.counter(
-                names.SERVER_JOBS_SHED,
-                "Calls refused at admission instead of queued",
-                labelnames=("reason",))
-            self._completion_errors_counter = metrics.counter(
-                names.SERVER_COMPLETION_ERRORS,
-                "on_complete callbacks that raised (the job is still done)")
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._queue_gauge = metrics.gauge(
+            names.SERVER_QUEUE_DEPTH, "Jobs queued awaiting a PE").labels()
+        self._dispatch_hist = metrics.histogram(
+            names.SERVER_DISPATCH_SECONDS,
+            "Queue wait per job (T_dequeue - T_enqueue)").labels()
+        self._execute_hist = metrics.histogram(
+            names.SERVER_EXECUTE_SECONDS,
+            "Executable service time (T_complete - T_dequeue)",
+            labelnames=("function",))
+        self._calls_counter = metrics.counter(
+            names.SERVER_CALLS, "Jobs run to completion",
+            labelnames=("function", "status"))
+        self._expired_counter = metrics.counter(
+            names.SERVER_JOBS_EXPIRED,
+            "Queued jobs dropped because their deadline passed")
+        self._cancelled_counter = metrics.counter(
+            names.SERVER_JOBS_CANCELLED,
+            "Queued jobs dropped by a client CANCEL")
+        self._shed_counter = metrics.counter(
+            names.SERVER_JOBS_SHED,
+            "Calls refused at admission instead of queued",
+            labelnames=("reason",))
+        self._completion_errors_counter = metrics.counter(
+            names.SERVER_COMPLETION_ERRORS,
+            "on_complete callbacks that raised (the job is still done)")
+        # function -> its bound children: a finished job looks no
+        # label up (see _bound).
+        self._per_function: dict[str, tuple[Any, Any, Any]] = {}
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)    # idle PEs wait here
         self._expiry = threading.Condition(self._lock)  # ninf-expiry does
@@ -185,8 +184,7 @@ class Executor:
             try:
                 self._core.offer(job)
             except ServerBusy as busy:
-                if self._shed_counter is not None:
-                    self._shed_counter.inc(reason=busy.message)
+                self._shed_counter.inc(reason=busy.message)
                 raise
             if deadline is not None:
                 self._expiry.notify()  # it may be the earliest now
@@ -212,8 +210,7 @@ class Executor:
             return self._core.estimated_wait()
 
     def _queue_changed_locked(self) -> None:
-        if self._queue_gauge is not None:
-            self._queue_gauge.set(len(self._core.pending))
+        self._queue_gauge.set(len(self._core.pending))
 
     # -- the PE and expiry threads --------------------------------------------
 
@@ -228,8 +225,7 @@ class Executor:
                 dead.error = ServerBusy("deadline-expired",
                                         retry_after=retry_after)
             self._queue_changed_locked()
-            if self._expired_counter is not None:
-                self._expired_counter.inc(len(expired))
+            self._expired_counter.inc(len(expired))
         return expired
 
     def _finish(self, job: Job) -> None:
@@ -238,8 +234,7 @@ class Executor:
             job.on_complete(job)
         except Exception:
             traceback.print_exc()
-            if self._completion_errors_counter is not None:
-                self._completion_errors_counter.inc()
+            self._completion_errors_counter.inc()
         finally:
             job.done.set()
 
@@ -286,17 +281,26 @@ class Executor:
             job.error = ExecutionError(job.executable.name, exc)
         job.complete_time = self.clock()
         service = job.complete_time - job.dequeue_time
-        if self._dispatch_hist is not None:
-            self._dispatch_hist.observe(job.dequeue_time - job.enqueue_time)
-            self._execute_hist.observe(service, function=job.executable.name)
-            self._calls_counter.inc(
-                function=job.executable.name,
-                status="ok" if job.error is None else "error")
+        execute, ok, error = self._bound(job.executable.name)
+        self._dispatch_hist.observe(job.dequeue_time - job.enqueue_time)
+        execute.observe(service)
+        (ok if job.error is None else error).inc()
         with self._lock:
             self._core.release(job, service, ok=job.error is None)
             if self._core.pending:
                 self._work.notify()  # for the PE idle while we reply
         self._finish(job)
+
+    def _bound(self, function: str) -> tuple[Any, Any, Any]:
+        """``function``'s execute, calls{ok} and calls{error} children
+        (two PE threads binding a new name make the same series)."""
+        children = self._per_function.get(function)
+        if children is None:
+            children = self._per_function[function] = (
+                self._execute_hist.labels(function=function), *(
+                    self._calls_counter.labels(function=function, status=s)
+                    for s in ("ok", "error")))
+        return children
 
     # -- cancellation and shutdown ------------------------------------------
 
@@ -312,8 +316,7 @@ class Executor:
                 return False  # already dispatched (or never queued here)
             self._queue_changed_locked()
             self._work.notify()  # the head of the line may have gone
-        if self._cancelled_counter is not None:
-            self._cancelled_counter.inc()
+        self._cancelled_counter.inc()
         job.error = RemoteError("cancelled", "call cancelled by client")
         self._finish(job)
         return True

@@ -28,14 +28,14 @@ from repro.protocol.aframing import FrameStream
 from repro.protocol.errors import TimeoutError
 from repro.protocol.framing import BytesLike, encode_frame
 from repro.protocol.messages import checked_reply
-from repro.transport.channel import _DEFAULT, _Unset, _note_io
+from repro.transport.channel import _DEFAULT, _Metered, _Unset
 from repro.transport.faults import FaultPlan
 
 __all__ = ["AsyncChannel", "AsyncFaultyChannel", "aconnect",
            "aconnect_with_faults"]
 
 
-class AsyncChannel:
+class AsyncChannel(_Metered):
     """One framed connection on an event loop, Channel-equivalent.
 
     Owns a connected :class:`~repro.protocol.aframing.FrameStream`
@@ -57,7 +57,6 @@ class AsyncChannel:
         self.stream = stream
         self.timeout = timeout
         self.remote = remote
-        self.metrics = None
         self._send_lock = asyncio.Lock()
         self._recv_lock = asyncio.Lock()
         self._rpc_lock = asyncio.Lock()
@@ -124,7 +123,7 @@ class AsyncChannel:
         async with self._send_lock:
             await self.stream.write_frame(msg_type, payload,
                                           timeout=self._resolve(timeout))
-        _note_io(self.metrics, "sent", len(payload))
+        self._note_io(self._sent, len(payload))
 
     async def recv(self, timeout: Union[None, float, _Unset] = _DEFAULT
                    ) -> tuple[int, bytearray]:
@@ -133,7 +132,7 @@ class AsyncChannel:
         async with self._recv_lock:
             msg_type, payload = await self.stream.read_frame(
                 timeout=self._resolve(timeout))
-        _note_io(self.metrics, "received", len(payload))
+        self._note_io(self._received, len(payload))
         return msg_type, payload
 
     async def request(self, msg_type: int, payload: BytesLike = b"",

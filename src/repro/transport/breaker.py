@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Hashable, Optional, TYPE_CHECKING
+from typing import Callable, Hashable, Optional
 
-if TYPE_CHECKING:  # import only for annotations; obs stays optional here
-    from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, names
 
 __all__ = ["CircuitBreaker"]
 
@@ -57,7 +56,8 @@ class CircuitBreaker:
     clock:
         Injected monotonic clock (tests drive it manually).
     metrics:
-        Optional :class:`~repro.obs.MetricsRegistry`; every trip
+        The :class:`~repro.obs.MetricsRegistry` (a private one when
+        ``None``); every trip
         (closed/half-open -> open transition) increments
         ``ninf_breaker_trips_total``.
     """
@@ -73,13 +73,10 @@ class CircuitBreaker:
         self._lock = threading.Lock()
         self._keys: dict[Hashable, _Key] = {}
         self.trips = 0
-        self._trips_metric = None
-        if metrics is not None:
-            from repro.obs import names
-
-            self._trips_metric = metrics.counter(
-                names.BREAKER_TRIPS,
-                "Circuit-breaker open transitions (closed/half-open -> open)")
+        self._trips_metric = (metrics or MetricsRegistry()).counter(
+            names.BREAKER_TRIPS,
+            "Circuit-breaker open transitions (closed/half-open -> open)"
+        ).labels()
 
     def _key_locked(self, key: Hashable) -> _Key:
         state = self._keys.get(key)
@@ -159,7 +156,7 @@ class CircuitBreaker:
                     self.trips += 1
                 state.opened_at = self.clock()
                 state.probing = False
-        if tripped and self._trips_metric is not None:
+        if tripped:
             self._trips_metric.inc()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

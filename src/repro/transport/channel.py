@@ -14,7 +14,7 @@ from __future__ import annotations
 import select
 import socket
 import threading
-from typing import Optional, TYPE_CHECKING, Union
+from typing import Any, Optional, TYPE_CHECKING, Union
 
 from repro.protocol.framing import BytesLike, HEADER, crc_covers_payload, \
     encode_frame, recv_frame, send_frame
@@ -39,30 +39,45 @@ class _Unset:
 _DEFAULT = _Unset()
 
 
-def _note_io(registry: Optional["MetricsRegistry"], direction: str,
-             payload_len: int) -> None:
-    """Record one framed exchange into a channel's attached registry
-    (shared by the sync and asyncio channels)."""
-    if registry is None:
-        return
-    from repro.obs import names
+class _Metered:
+    """The :attr:`metrics` attribute of the sync and asyncio channels:
+    attaching a registry binds the four ``ninf_transport_*`` counters
+    once, so a frame costs two bound ``inc`` calls."""
 
-    nbytes = HEADER.size + payload_len
-    if direction == "sent":
-        registry.counter(names.TRANSPORT_BYTES_SENT,
-                         "Framed bytes written, header included"
-                         ).inc(nbytes)
-        registry.counter(names.TRANSPORT_FRAMES_SENT,
-                         "Frames written").inc()
-    else:
-        registry.counter(names.TRANSPORT_BYTES_RECEIVED,
-                         "Framed bytes read, header included"
-                         ).inc(nbytes)
-        registry.counter(names.TRANSPORT_FRAMES_RECEIVED,
-                         "Frames read").inc()
+    _metrics: Optional["MetricsRegistry"] = None
+    _sent: Optional[tuple[Any, Any]] = None      # (bytes, frames)
+    _received: Optional[tuple[Any, Any]] = None
+
+    @property
+    def metrics(self) -> Optional["MetricsRegistry"]:
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: Optional["MetricsRegistry"]) -> None:
+        from repro.obs import names
+
+        self._metrics, self._sent, self._received = registry, None, None
+        if registry is not None:
+            self._sent = (registry.counter(
+                names.TRANSPORT_BYTES_SENT,
+                "Framed bytes written, header included").labels(),
+                registry.counter(names.TRANSPORT_FRAMES_SENT,
+                                 "Frames written").labels())
+            self._received = (registry.counter(
+                names.TRANSPORT_BYTES_RECEIVED,
+                "Framed bytes read, header included").labels(),
+                registry.counter(names.TRANSPORT_FRAMES_RECEIVED,
+                                 "Frames read").labels())
+
+    @staticmethod
+    def _note_io(counters: Optional[tuple[Any, Any]],
+                 payload_len: int) -> None:
+        if counters is not None:
+            counters[0].inc(HEADER.size + payload_len)
+            counters[1].inc()
 
 
-class Channel:
+class Channel(_Metered):
     """One framed TCP connection with per-operation deadlines.
 
     Parameters
@@ -107,7 +122,6 @@ class Channel:
         self.sock = sock
         self.timeout = timeout
         self.remote = remote
-        self.metrics = None
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
         self._rpc_lock = threading.RLock()
@@ -217,7 +231,7 @@ class Channel:
                 send_frame(self.sock, msg_type, payload,
                            timeout=self._resolve(timeout),
                            covers_payload=self.covers_payload)
-        _note_io(self.metrics, "sent", len(payload))
+        self._note_io(self._sent, len(payload))
 
     def _encode_frame(self, msg_type: int, payload: BytesLike) -> bytes:
         """The bytes :meth:`send` would put on the medium frames flow
@@ -257,15 +271,20 @@ class Channel:
             else:
                 msg_type, payload = recv_frame(self.sock,
                                                timeout=self._resolve(timeout))
-        _note_io(self.metrics, "received", len(payload))
+        self._note_io(self._received, len(payload))
         return msg_type, payload
+
+    def received_delay(self) -> float:
+        """Seconds a frame the endpoint's reactor read waits before it
+        is dispatched: none (a fault plan's channel draws one)."""
+        return 0.0
 
     def received(self, msg_type: int, payload: bytearray
                  ) -> tuple[int, bytearray]:
         """Take one frame that the endpoint's reactor read off
         :attr:`sock` (its own :class:`~repro.protocol.framing
         .FrameReader`), accounted as :meth:`recv` accounts its own."""
-        _note_io(self.metrics, "received", len(payload))
+        self._note_io(self._received, len(payload))
         return msg_type, payload
 
     def request(self, msg_type: int, payload: BytesLike = b"",

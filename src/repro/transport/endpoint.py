@@ -175,6 +175,16 @@ class _SocketConnection(Connection):
         self.sock = sock
         self.reader = FrameReader()
         self._closed = closed
+        # (delay, rest) the reactor drew and left to the writer thread.
+        self.later: collections.deque[tuple[float, Callable[[], None]]] = \
+            collections.deque()
+
+    def defer(self, delay: float, rest: Callable[[], None]) -> bool:
+        """Leave a fault delay drawn on the reactor to the writer."""
+        if threading.get_ident() != self.sock.reactor:
+            return False
+        self.later.append((delay, rest))
+        return True
 
     def send(self, msg_type: int, payload: BytesLike = b"") -> None:
         sock = self.sock
@@ -413,7 +423,9 @@ class Endpoint(EndpointCore):
     another (:class:`_ReplySocket`).  A reply the reactor cannot write
     at once parks its connection: it is not read while a
     ``<name>-writer`` thread writes the rest out, within
-    :data:`REPLY_STALL_SECONDS` of no progress.  Idle connections cost
+    :data:`REPLY_STALL_SECONDS` of no progress.  So does a fault delay
+    drawn on the reactor: the writer thread sleeps it, then dispatches
+    the frame or finishes the send.  Idle connections cost
     a selector entry, not a thread; the live count is
     ``ninf_server_connections_open``.
 
@@ -581,11 +593,11 @@ class Endpoint(EndpointCore):
                 return
             self._accepted.inc()
             sock = _ReplySocket(sock)
-            channel = Channel(sock)
+            conn = _SocketConnection(Channel(sock), sock, self._give_back)
             if self.fault_plan is not None:
-                channel = self.fault_plan.wrap(channel)
-            channel.metrics = self.metrics
-            conn = _SocketConnection(channel, sock, self._give_back)
+                faulty = conn.channel = self.fault_plan.wrap(conn.channel)
+                faulty.defer = conn.defer
+            conn.channel.metrics = self.metrics
             try:
                 selector.register(sock, selectors.EVENT_READ, conn)
             except KeyError:
@@ -615,7 +627,12 @@ class Endpoint(EndpointCore):
                 frame = reader.advance(nbytes)
                 if frame is not None:
                     break
-            self.dispatch(conn, *channel.received(*frame))
+            delay = channel.received_delay()
+            if delay:
+                conn.later.append((delay, lambda: self.dispatch(
+                    conn, *channel.received(*frame))))
+            else:
+                self.dispatch(conn, *channel.received(*frame))
         except (ProtocolError, OSError):
             self._drop(selector, conn)
             return
@@ -625,39 +642,52 @@ class Endpoint(EndpointCore):
             sys.excepthook(type(exc), exc, exc.__traceback__)
             return
         if channel.via_shm:
-            # Ring waits are polled: the connection gets its own thread
-            # (which first writes out any backlog the reactor left).
-            selector.unregister(sock)
-            thread = threading.Thread(
-                target=self._serve_ring, args=(conn,),
-                name=f"{self.name}-ring", daemon=True)
-            with self._lock:
-                self._rings[thread] = channel
-            thread.start()
-        elif sock.owner is not None:
+            self._to_ring(selector, conn)
+        elif sock.owner is not None or conn.later:
             self._park(selector, conn)
+
+    def _to_ring(self, selector: selectors.BaseSelector,
+                 conn: _SocketConnection) -> None:
+        """Ring waits are polled: an upgraded connection gets its own
+        thread (which first writes out any backlog the reactor left)."""
+        selector.unregister(conn.sock)
+        thread = threading.Thread(
+            target=self._serve_ring, args=(conn,),
+            name=f"{self.name}-ring", daemon=True)
+        with self._lock:
+            self._rings[thread] = conn.channel
+        thread.start()
 
     def _park(self, selector: selectors.BaseSelector,
               conn: _SocketConnection) -> None:
-        """``conn`` has a backlog: stop reading it (a peer that does not
-        read its replies has no more requests read) while a writer
-        thread writes out the reactor's backlog, or waits out a PE
-        thread's."""
+        """``conn`` has a backlog or a fault delay: stop reading it (a
+        peer that does not read its replies has no more requests read)
+        while a writer thread waits out the delays, then writes out the
+        reactor's backlog, or waits out a PE thread's."""
         selector.unregister(conn.sock)
         self._parked.add(conn)
         threading.Thread(target=self._write_out, args=(conn,),
                          name=f"{self.name}-writer", daemon=True).start()
 
     def _write_out(self, conn: _SocketConnection) -> None:
-        sock = conn.sock
+        sock, me = conn.sock, threading.get_ident()
         try:
+            # A delayed frame's dispatch, or the rest of a delayed send.
+            while conn.later and not conn.channel.closed:
+                delay, rest = conn.later.popleft()
+                time.sleep(delay)
+                rest()
+                if sock.owner == me:
+                    sock.drain()
             # Only the reactor's backlog is left for this thread: a PE
             # thread drains its own.
             sock.wait_flushed()
             if sock.owner == sock.reactor:
                 sock.drain()
-        except OSError:
+        except Exception as exc:
             conn.channel.shutdown()  # the reactor reads EOF, and drops it
+            if not isinstance(exc, (ProtocolError, OSError)):
+                sys.excepthook(type(exc), exc, exc.__traceback__)
         self._give_back(conn)
 
     def _give_back(self, conn: _SocketConnection) -> None:
@@ -679,6 +709,8 @@ class Endpoint(EndpointCore):
         elif conn in self._parked:
             self._parked.discard(conn)
             selector.register(conn.sock, selectors.EVENT_READ, conn)
+            if conn.channel.via_shm:  # upgraded by a delayed SHM_HELLO
+                self._to_ring(selector, conn)
 
     def _drop(self, selector: selectors.BaseSelector,
               conn: _SocketConnection) -> None:

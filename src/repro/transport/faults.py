@@ -433,6 +433,8 @@ class FaultyChannel(Channel):
       closed; the failure surfaces at the next operation.
 
     A partitioned edge fails every send and recv like ``drop_pre``.
+    A send's delay is slept on the calling thread unless :attr:`defer`
+    has another thread sleep it and finish the send (a reactor's).
     """
 
     def __init__(self, sock: socket.socket, plan: FaultPlan,
@@ -440,6 +442,9 @@ class FaultyChannel(Channel):
                  remote: Optional[tuple[str, int]] = None) -> None:
         super().__init__(sock, timeout=timeout, remote=remote)
         self.plan = plan
+        # defer(delay, rest): True if another thread is to do both.
+        self.defer: Optional[Callable[[float, Callable[[], None]],
+                                      bool]] = None
 
     def send(self, msg_type: int, payload: BytesLike = b"",
              timeout: Union[None, float, _Unset] = _DEFAULT) -> None:
@@ -449,8 +454,18 @@ class FaultyChannel(Channel):
         # so they hit an attached shm medium the way they hit a socket.
         step = self.plan.step("send", self.remote,
                               lambda: self._encode_frame(msg_type, payload))
+        if step.delay and self.defer is not None:
+            data = bytes(payload)  # the caller reuses its buffers
+            if self.defer(step.delay,
+                          lambda: self._send_step(step, msg_type, data,
+                                                  timeout)):
+                return
         if step.delay:
             time.sleep(step.delay)
+        self._send_step(step, msg_type, payload, timeout)
+
+    def _send_step(self, step: FaultStep, msg_type: int, payload: BytesLike,
+                   timeout: Union[None, float, _Unset]) -> None:
         if step.clean:
             super().send(msg_type, payload, timeout=timeout)
         elif step.data is not None:
@@ -460,20 +475,17 @@ class FaultyChannel(Channel):
     def recv(self, timeout: Union[None, float, _Unset] = _DEFAULT
              ) -> tuple[int, bytearray]:
         """Receive one frame, subject to delay/drop faults."""
-        self._recv_step()
+        delay = self.received_delay()
+        if delay:
+            time.sleep(delay)
         return super().recv(timeout=timeout)
 
-    def received(self, msg_type: int, payload: bytearray
-                 ) -> tuple[int, bytearray]:
-        """Take a frame the reactor read, subject to the same step."""
-        self._recv_step()
-        return super().received(msg_type, payload)
-
-    def _recv_step(self) -> None:
+    def received_delay(self) -> float:
+        """Draw the recv step: a drop closes the channel and raises
+        here; a delay is returned, not slept."""
         step = self.plan.step("recv", self.remote)
-        if step.delay:
-            time.sleep(step.delay)
         step.settle(self.close)
+        return step.delay
 
 
 def _corrupt(frame: bytes, ratio: float) -> bytes:

@@ -9,6 +9,7 @@ handshake) stays reproducible as an ablation.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -98,6 +99,9 @@ class ConnectionPool:
         # (host, port) -> [(channel, checkin_stamp), ...]; reuse is LIFO
         # so hot channels stay hot and cold ones age out.
         self._idle: dict[tuple[str, int], list[tuple[Channel, float]]] = {}
+        # No idle stamp is older: eviction sweeps once it may be due.
+        self._oldest = math.inf
+        self._idle_reported = 0  # what the idle gauge was last set to
         self._closed = False
         # Observability for the connection-reuse benchmarks (PR 1's
         # ad-hoc created/reused counters, now registry-backed -- see
@@ -111,7 +115,7 @@ class ConnectionPool:
             names.POOL_CONNECTIONS_REUSED,
             "Checkouts satisfied from an idle channel")
         self._idle_gauge = self.metrics.gauge(
-            names.POOL_IDLE_CONNECTIONS, "Idle channels currently held")
+            names.POOL_IDLE_CONNECTIONS, "Idle channels currently held").labels()
         self._dials_refused = self.metrics.counter(
             names.POOL_DIALS_REFUSED,
             "Dials that failed with connection-refused")
@@ -133,8 +137,10 @@ class ConnectionPool:
         return int(self._dials_refused.value())
 
     def _sync_idle_gauge_locked(self) -> None:
-        self._idle_gauge.set(
-            sum(len(bucket) for bucket in self._idle.values()))
+        count = sum(len(bucket) for bucket in self._idle.values())
+        if count != self._idle_reported:
+            self._idle_reported = count
+            self._idle_gauge.set(count)
 
     # -- checkout / checkin -------------------------------------------------
 
@@ -199,6 +205,7 @@ class ConnectionPool:
                 channel.close()
                 return
             bucket.append((channel, now))
+            self._oldest = min(self._oldest, now)
             self._sync_idle_gauge_locked()
 
     def discard(self, channel: Channel) -> None:
@@ -224,6 +231,8 @@ class ConnectionPool:
         if self.max_idle_seconds is None:
             return
         horizon = now - self.max_idle_seconds
+        if self._oldest >= horizon:
+            return  # nothing idles past the horizon yet
         for key, bucket in list(self._idle.items()):
             keep = []
             for channel, stamp in bucket:
@@ -235,6 +244,8 @@ class ConnectionPool:
                 self._idle[key] = keep
             else:
                 del self._idle[key]
+        self._oldest = min((bucket[0][1] for bucket in self._idle.values()),
+                           default=math.inf)
 
     def evict_idle(self) -> None:
         """Synchronously drop idle channels past ``max_idle_seconds``."""

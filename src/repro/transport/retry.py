@@ -25,11 +25,9 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Callable, Optional, TYPE_CHECKING, TypeVar
+from typing import Callable, Optional, TypeVar
 
-if TYPE_CHECKING:  # import only for annotations; obs stays optional here
-    from repro.obs import MetricsRegistry
-
+from repro.obs import MetricsRegistry, names
 from repro.protocol.errors import (
     ProtocolError,
     RemoteError,
@@ -87,7 +85,8 @@ class RetryPolicy:
         Predicate deciding retryability; defaults to
         :func:`is_transient`.
     metrics:
-        Optional :class:`~repro.obs.MetricsRegistry` receiving
+        The :class:`~repro.obs.MetricsRegistry` (a private one when
+        ``None``) receiving
         ``ninf_retry_attempts_total`` / ``ninf_retry_retries_total``
         alongside the instance's own ``attempts``/``retries``
         attributes (which always work, registry or not).
@@ -118,16 +117,13 @@ class RetryPolicy:
         # them for remote exposition (OBSERVABILITY.md).
         self.attempts = 0
         self.retries = 0
-        self._attempts_metric = self._retries_metric = None
-        if metrics is not None:
-            from repro.obs import names
-
-            self._attempts_metric = metrics.counter(
-                names.RETRY_ATTEMPTS,
-                "Invocations wrapped by a RetryPolicy")
-            self._retries_metric = metrics.counter(
-                names.RETRY_RETRIES,
-                "Backoff-then-retry cycles taken by a RetryPolicy")
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._attempts_metric = metrics.counter(
+            names.RETRY_ATTEMPTS,
+            "Invocations wrapped by a RetryPolicy").labels()
+        self._retries_metric = metrics.counter(
+            names.RETRY_RETRIES,
+            "Backoff-then-retry cycles taken by a RetryPolicy").labels()
 
     def backoff(self, retry_index: int) -> float:
         """Jittered delay before 1-based retry ``retry_index``."""
@@ -143,8 +139,7 @@ class RetryPolicy:
         """Count one wrapped invocation (``attempts`` + mirror metric)."""
         with self._lock:
             self.attempts += 1
-        if self._attempts_metric is not None:
-            self._attempts_metric.inc()
+        self._attempts_metric.inc()
 
     def retry_delay(self, attempt: int, exc: BaseException,
                     deadline: Optional[float] = None,
@@ -168,8 +163,7 @@ class RetryPolicy:
             raise exc
         with self._lock:
             self.retries += 1
-        if self._retries_metric is not None:
-            self._retries_metric.inc()
+        self._retries_metric.inc()
         delay = self.backoff(attempt)
         hint = getattr(exc, "retry_after", 0.0)
         if hint:

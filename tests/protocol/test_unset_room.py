@@ -12,7 +12,6 @@ import asyncio
 import socket
 import struct
 import threading
-import uuid
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,7 @@ ECHO_IDL = ('Define bench_echo(mode_in int n, mode_in double A[n], '
             'Calls "C" bench_echo(n, A, B);')
 DOUBLES = 150_000                  # 1.2 MB: above UNZEROED_MIN
 BIG = bulk.UNZEROED_MIN + 4096     # a payload whose buffer is left unset
+FIXED_LOGICAL_ID = bytes.fromhex("0123456789abcdef0123456789abcdef")
 
 
 def _poisoned_room(nbytes: int) -> bytearray:
@@ -77,8 +77,7 @@ def test_a_failed_pack_leaves_no_unset_byte_below_the_cursor(poisoned, pack):
 
 
 def _bench_echo_call_and_result(monkeypatch) -> tuple[bytes, bytes]:
-    fixed = uuid.UUID(int=0x0123456789ABCDEF0123456789ABCDEF)
-    monkeypatch.setattr(core.uuid, "uuid4", lambda: fixed)
+    monkeypatch.setattr(core, "urandom", lambda _n: FIXED_LOGICAL_ID)
     signature = Signature.from_idl(ECHO_IDL)
     array = np.random.default_rng(27).random(DOUBLES)
     call = _CallPayload("bench_echo", signature, 7, (DOUBLES, array, None))
@@ -96,8 +95,7 @@ def _bench_echo_call_and_result(monkeypatch) -> tuple[bytes, bytes]:
 def _bench_echo_deferred(monkeypatch) -> tuple[bulk.Payload, bulk.Payload]:
     """The CALL and RESULT of :func:`_bench_echo_call_and_result` as
     they are handed to a channel: their arrays still regions."""
-    fixed = uuid.UUID(int=0x0123456789ABCDEF0123456789ABCDEF)
-    monkeypatch.setattr(core.uuid, "uuid4", lambda: fixed)
+    monkeypatch.setattr(core, "urandom", lambda _n: FIXED_LOGICAL_ID)
     signature = Signature.from_idl(ECHO_IDL)
     array = np.random.default_rng(27).random(DOUBLES)
     call = _CallPayload("bench_echo", signature, 7, (DOUBLES, array, None))

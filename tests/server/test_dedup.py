@@ -148,13 +148,10 @@ def test_pending_entries_never_evicted():
 
 def test_abort_wakes_waiter_with_none():
     cache = DedupCache()
-    _state, entry = cache.begin("shed-call")
+    cache.begin("shed-call")
     results = []
-    waiter = threading.Thread(
-        target=lambda: results.append(cache.wait(entry, timeout=2.0)))
-    waiter.start()
+    assert cache.begin("shed-call", waiter=results.append)[0] == "pending"
     cache.abort("shed-call")
-    waiter.join(2.0)
     assert results == [None]
     # The key is free again: the waiter re-begins and takes over.
     assert cache.begin("shed-call")[0] == "new"
@@ -168,14 +165,13 @@ def test_concurrent_same_key_blocks_not_double_executes():
 
     def attempt():
         barrier.wait()
-        state, entry = cache.begin("hot-call")
+        # A pending attempt's waiter runs on the completing thread.
+        state, entry = cache.begin("hot-call", waiter=replies.append)
         if state == "new":
             executions.append(1)
             cache.complete("hot-call", REPLY)
             replies.append(REPLY)
-        elif state == "pending":
-            replies.append(cache.wait(entry, timeout=2.0))
-        else:
+        elif state == "done":
             replies.append(entry.reply)
 
     threads = [threading.Thread(target=attempt) for _ in range(4)]
@@ -188,9 +184,14 @@ def test_concurrent_same_key_blocks_not_double_executes():
 
 
 def test_wait_timeout_returns_none():
+    # A waiter parked on a pending entry runs only when it settles.
     cache = DedupCache()
-    _state, entry = cache.begin("slow")
-    assert cache.wait(entry, timeout=0.01) is None
+    cache.begin("slow")
+    results = []
+    cache.begin("slow", waiter=results.append)
+    assert results == []
+    cache.complete("slow", REPLY)
+    assert results == [REPLY]
 
 
 def test_metrics_mirror_hits_and_size():

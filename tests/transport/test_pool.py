@@ -199,3 +199,62 @@ def test_concurrent_checkout_is_safe(connector):
     assert pool.idle_count("h", 1) <= pool.max_idle_per_key
     assert connector.dials == pool.created
     pool.close()
+
+
+def _idle_gauge(pool):
+    return pool.metrics.get("ninf_pool_idle_connections").value()
+
+
+@pytest.mark.parametrize("touch", ["checkout", "checkin"])
+def test_a_channel_idle_past_the_horizon_goes_on_the_next_touch(
+        connector, touch):
+    """Eviction sweeps only once the oldest idle stamp is past the
+    horizon, and then on whichever of checkout or checkin comes next."""
+    clock = FakeClock()
+    pool = ConnectionPool(connector=connector, max_idle_seconds=10.0,
+                          clock=clock)
+    stale, held = pool.checkout("h", 1), pool.checkout("h", 2)
+    pool.checkin(stale)
+    clock.now = 9.0
+    pool.checkin(pool.checkout("h", 3))  # inside the horizon: kept
+    assert not stale.closed and pool.idle_count() == 2
+    clock.now = 10.5
+    if touch == "checkout":
+        pool.checkin(pool.checkout("h", 3))
+    else:
+        pool.checkin(held)
+    assert stale.closed
+    assert pool.idle_count("h", 1) == 0
+    assert pool.idle_count("h", 3) == 1
+    assert _idle_gauge(pool) == pool.idle_count()
+    pool.close()
+
+
+def test_idle_gauge_equals_idle_count_after_every_operation(connector):
+    clock = FakeClock()
+    pool = ConnectionPool(connector=connector, max_idle_seconds=10.0,
+                          max_idle_per_key=2, clock=clock)
+    held = []
+
+    def check():
+        assert _idle_gauge(pool) == pool.idle_count()
+
+    steps = [
+        lambda: held.extend(pool.checkout("h", 1) for _ in range(3)),
+        lambda: pool.checkin(held.pop()),
+        lambda: pool.checkin(held.pop()),
+        lambda: pool.checkin(held.pop()),  # bucket full: closed
+        lambda: held.append(pool.checkout("h", 1)),
+        lambda: held.append(pool.checkout("h", 2)),
+        lambda: setattr(clock, "now", 30.0),
+        lambda: pool.checkin(held.pop()),  # sweeps the stale (h, 1)
+        lambda: pool.discard(held.pop()),
+        lambda: setattr(clock, "now", 60.0),
+        pool.evict_idle,
+        lambda: pool.checkin(pool.checkout("h", 1)),
+        pool.close,
+    ]
+    for step in steps:
+        step()
+        check()
+    assert pool.idle_count() == 0

@@ -20,7 +20,7 @@ from repro.protocol.framing import HEADER, encode_frame
 from repro.protocol.messages import MessageType, pack, unpack
 from repro.server import NinfServer, Registry
 from repro.transport import Channel, FaultPlan, connect
-from repro.transport.faults import DROP_POST
+from repro.transport.faults import DELAY, DROP_POST, FaultStep
 
 NOOP_IDL = ('Define bench_noop(mode_in int x, mode_out int y) '
             '"benchmark: y = x + 1" Calls "C" bench_noop(x, y);')
@@ -202,6 +202,41 @@ def test_connections_a_send_fault_closed_are_not_counted_open():
                 assert channel.recv()[0] == MessageType.RESULT
             assert _wait(lambda: server.connections_open == 0)
         assert plan.faults_injected == 20
+
+
+class _SendDelays(FaultPlan):
+    """A plan whose faults land on sends only."""
+
+    def step(self, op, remote, frame=None):
+        return super().step(op, remote, frame) if op == "send" \
+            else FaultStep()
+
+
+@pytest.mark.parametrize("plan", [
+    FaultPlan(seed=1, rate=1.0, kinds=(DELAY,), max_faults=1,
+              delay_range=(1.0, 1.0)),
+    _SendDelays(seed=1, rate=1.0, kinds=(DELAY,), max_faults=1,
+                delay_range=(1.0, 1.0)),
+], ids=["recv", "send"])
+def test_a_fault_delay_on_one_connection_stalls_no_other(plan):
+    """A 1 s delay drawn for connection A's PING (reading it, or
+    writing its PONG) is waited out off the reactor: a PING on
+    connection B is answered meanwhile, and A's PONG still comes."""
+    with NinfServer(build_registry(), num_pes=1, fault_plan=plan) as server:
+        with connect(*server.address, timeout=10.0) as a, \
+                connect(*server.address, timeout=10.0) as b:
+            started = time.monotonic()
+            a.send(MessageType.PING, b"a")
+            assert _wait(lambda: plan.faults_injected == 1)
+            pinged = time.monotonic()
+            _ping(b)
+            assert time.monotonic() - pinged < 0.1
+            assert a.recv() == (MessageType.PONG, b"a")
+            assert time.monotonic() - started >= 0.9
+            _ping(a)  # A is read again once its delay is over
+        assert plan.schedule() == [
+            f"#1 {'send' if isinstance(plan, _SendDelays) else 'recv'} "
+            f"delay delay=1.000000 ratio={plan.events[0].ratio:.6f}"]
 
 
 def test_stop_leaves_no_reactor_thread_or_socket():
