@@ -33,7 +33,11 @@ class AsyncNinfClient(ClientState):
     Parameters are :class:`~repro.client.NinfClient`'s, documented
     there, minus ``shm`` (the event loop never blocks on ring polls).
     A ``retry`` backoff is slept with ``asyncio.sleep``, so a seeded
-    policy replays the same schedule on either client.
+    policy replays the same schedule on either client.  As there,
+    ``retry_calls`` with a ``retry`` policy makes ``CALL`` and
+    ``CALL_DETACHED`` exactly-once under a ``logical_id`` whose reply
+    the server holds; without both a call is at-most-once and sends
+    ``logical_id=""``, so the server keeps nothing of it.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 300.0,

@@ -108,10 +108,12 @@ class NinfClient(ClientState):
     retry_calls:
         Opt ``CALL``/``CALL_DETACHED`` into the retry policy too
         (DESIGN.md §3.5).  Safe against double execution because every
-        logical call carries a random ``logical_id`` and the server's
-        dedup cache replays the first attempt's result instead of
-        recomputing; requires a v3 server.  No effect without
-        ``retry``.
+        such logical call carries a random ``logical_id`` and the
+        server's dedup cache holds its reply and replays it to a later
+        attempt instead of recomputing; requires a v3 server.  No
+        effect without ``retry``.  Otherwise a call is at-most-once
+        and sends an empty ``logical_id``: the server keeps no reply
+        that no attempt could ask for.
     call_budget:
         Default per-logical-call deadline budget in seconds, stamped
         on the CALL wire header so the server can shed or expire work

@@ -23,6 +23,7 @@ import itertools
 import json
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from os import urandom
 from typing import Any, Callable, Generator, NamedTuple, Optional, Sequence
@@ -116,13 +117,14 @@ class _CallPayload:
     straight from the caller's arrays, a socket attempt flattens the
     payload once and every later attempt reuses those bytes.  Argument
     errors raise here, before any dial.  Stamp only between sends
-    (DESIGN.md §3.1)."""
+    (DESIGN.md §3.1).  ``logical_id`` stays ``""`` unless the client
+    may send the call again (:func:`_resends_calls`)."""
 
     args_bytes: int     #: size of the marshalled argument block
     _header_end: int    #: offset of the args length word: the header's end
 
     def __init__(self, function: str, signature: Signature, call_id: int,
-                 args: Sequence[Any]) -> None:
+                 args: Sequence[Any], logical_id: str = "") -> None:
         def fill(enc: XdrEncoder) -> None:
             self._header_end = len(enc) - 4    # word just reserved
             marshal_inputs(signature, args, into=enc)
@@ -131,7 +133,7 @@ class _CallPayload:
         self._payload = pack(
             MessageType.CALL,
             CallHeader(function=function, call_id=call_id,
-                       logical_id=urandom(16).hex()), fill)
+                       logical_id=logical_id), fill)
         self._attempts = itertools.count(1)
 
     def stamp(self, deadline: Optional[float],
@@ -255,6 +257,20 @@ def _idempotent(state: ClientState, request: Exchange) -> Operation:
     return _retrying(state, lambda: _counted(state, request))
 
 
+def _resends_calls(state: ClientState) -> bool:
+    """Whether a CALL / CALL_DETACHED may be sent again: a ``retry``
+    policy and ``retry_calls`` (DESIGN.md §3.5).  The one rule behind
+    both a call's :func:`_logical_id` and its :func:`_retrying` loop."""
+    return state.retry is not None and state.retry_calls
+
+
+def _logical_id(resends: bool) -> str:
+    """A fresh logical id for a call that may be sent again, so the
+    server's dedup cache can replay the reply; ``""`` -- no dedup, the
+    server keeps nothing -- for an at-most-once call."""
+    return urandom(16).hex() if resends else ""
+
+
 def _budget(state: ClientState, timeout: Optional[float],
             now: float) -> Optional[float]:
     """A logical call's absolute deadline on the client clock."""
@@ -373,6 +389,8 @@ def call_with_record(
     retry loop under ``retry_calls``, whose attempts share one
     ``call_id`` and ``logical_id`` (attempt number incremented) so the
     server's dedup cache replays a completed attempt, not recomputes.
+    An at-most-once call (no ``retry_calls`` or no policy) is sent once
+    with an empty ``logical_id``, so the server retains no reply.
     """
     signature = yield from get_signature(state, function)
     submit_time = state.clock()
@@ -415,14 +433,16 @@ def call_with_record(
         state._pool.checkin(channel)
         return result
 
+    # Historical at-most-once CALL unless ``retry_calls`` with a
+    # policy: then exactly-once, safe because the server dedups on
+    # logical_id (DESIGN.md §3.5).
+    resends = _resends_calls(state)
     try:
         with trace.span(SPAN_MARSHAL):
-            call = _CallPayload(function, signature, call_id, args)
-        # Historical at-most-once CALL unless ``retry_calls``: then
-        # exactly-once, safe because the server dedups on logical_id
-        # (DESIGN.md §3.5).
+            call = _CallPayload(function, signature, call_id, args,
+                                _logical_id(resends))
         timestamps, out_payload = yield from _retrying(
-            state, attempt, deadline, enabled=state.retry_calls)
+            state, attempt, deadline, enabled=resends)
         with trace.span(SPAN_UNMARSHAL):
             outputs = unmarshal_outputs(signature, out_payload)
         # Server-side phases, in the server's clock ("server-wall"):
@@ -464,13 +484,15 @@ def call_detached(state: ClientState, function: str, *args: Any,
     header as the deadline budget; a retried submission (with
     ``retry_calls``) replays the same logical id, so a lost
     CALL_ACCEPTED yields the original ticket rather than a second
-    queued job.
+    queued job; an at-most-once submission sends no logical id.
     """
     signature = yield from get_signature(state, function)
     submit_time = state.clock()
     deadline = _budget(state, timeout, submit_time)
     call_id = next(_call_ids)
-    call = _CallPayload(function, signature, call_id, args)
+    resends = _resends_calls(state)
+    call = _CallPayload(function, signature, call_id, args,
+                        _logical_id(resends))
 
     def submit() -> Operation:
         return _counted(state, Exchange(MessageType.CALL_DETACHED,
@@ -478,7 +500,7 @@ def call_detached(state: ClientState, function: str, *args: Any,
                                         expect=MessageType.CALL_ACCEPTED))
 
     _type, reply = yield from _retrying(state, submit, deadline,
-                                        enabled=state.retry_calls)
+                                        enabled=resends)
     reply_id, ticket = unpack(MessageType.CALL_ACCEPTED, reply)
     if reply_id != call_id:
         raise ProtocolError(f"accept for call {reply_id}, "
@@ -591,7 +613,8 @@ class ClientState:
         self._signatures: dict[str, Signature] = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.records: list[CallRecord] = []
+        # The most recent calls only, as BrokeredClient.records.
+        self.records: deque[CallRecord] = deque(maxlen=1024)
         self._records_lock = threading.Lock()
         self._attempts = self.metrics.counter(
             names.CLIENT_ATTEMPTS,

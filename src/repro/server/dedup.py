@@ -3,9 +3,11 @@
 A CALL whose reply is lost in flight leaves the client unable to tell
 "never ran" from "ran, reply lost" — so CALL historically could not be
 retried.  This cache closes that gap server-side: every logical call
-(identified by the client's random ``logical_id``) passes through
-:meth:`DedupCache.begin` before execution, and its reply is parked in
-:meth:`DedupCache.complete`.  A retried attempt then either
+its client may retry (identified by the client's random
+``logical_id``; an at-most-once call sends ``""`` and bypasses the
+cache) passes through :meth:`DedupCache.begin` before execution, and
+its reply is parked in :meth:`DedupCache.complete`.  A retried attempt
+then either
 
 - finds the entry ``"done"`` and replays the parked reply (no second
   execution),

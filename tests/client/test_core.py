@@ -161,7 +161,7 @@ def test_result_for_another_call_burns_the_channel():
         wire.run(core.call_with_record(state, "double_it", 7, None))
     assert state._pool.discarded == ["ch1"]
     assert state._pool.checked_in == []
-    assert state.records == []
+    assert not state.records
 
 
 def test_transient_error_without_retry_calls_propagates_after_one_attempt():

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.client import core
 from repro.client.core import _CallPayload
 from repro.idl import Signature
 from repro.protocol import ConnectionClosed
@@ -36,7 +35,7 @@ ECHO_IDL = ('Define bench_echo(mode_in int n, mode_in double A[n], '
             'Calls "C" bench_echo(n, A, B);')
 DOUBLES = 150_000                  # 1.2 MB: above UNZEROED_MIN
 BIG = bulk.UNZEROED_MIN + 4096     # a payload whose buffer is left unset
-FIXED_LOGICAL_ID = bytes.fromhex("0123456789abcdef0123456789abcdef")
+FIXED_LOGICAL_ID = "0123456789abcdef0123456789abcdef"
 
 
 def _poisoned_room(nbytes: int) -> bytearray:
@@ -76,11 +75,11 @@ def test_a_failed_pack_leaves_no_unset_byte_below_the_cursor(poisoned, pack):
     assert bytes(enc.getbuffer()) == b"\x00\x00\x00\x07"
 
 
-def _bench_echo_call_and_result(monkeypatch) -> tuple[bytes, bytes]:
-    monkeypatch.setattr(core, "urandom", lambda _n: FIXED_LOGICAL_ID)
+def _bench_echo_call_and_result() -> tuple[bytes, bytes]:
     signature = Signature.from_idl(ECHO_IDL)
     array = np.random.default_rng(27).random(DOUBLES)
-    call = _CallPayload("bench_echo", signature, 7, (DOUBLES, array, None))
+    call = _CallPayload("bench_echo", signature, 7, (DOUBLES, array, None),
+                        logical_id=FIXED_LOGICAL_ID)
     payload = bytes(call.stamp(None, lambda: 0.0))
     values = unmarshal_inputs(signature, memoryview(payload)[
         call._header_end + 4:call._header_end + 4 + call.args_bytes])
@@ -92,13 +91,13 @@ def _bench_echo_call_and_result(monkeypatch) -> tuple[bytes, bytes]:
     return payload, bytes(result)
 
 
-def _bench_echo_deferred(monkeypatch) -> tuple[bulk.Payload, bulk.Payload]:
+def _bench_echo_deferred() -> tuple[bulk.Payload, bulk.Payload]:
     """The CALL and RESULT of :func:`_bench_echo_call_and_result` as
     they are handed to a channel: their arrays still regions."""
-    monkeypatch.setattr(core, "urandom", lambda _n: FIXED_LOGICAL_ID)
     signature = Signature.from_idl(ECHO_IDL)
     array = np.random.default_rng(27).random(DOUBLES)
-    call = _CallPayload("bench_echo", signature, 7, (DOUBLES, array, None))
+    call = _CallPayload("bench_echo", signature, 7, (DOUBLES, array, None),
+                        logical_id=FIXED_LOGICAL_ID)
 
     def fill(enc):
         marshal_outputs(signature, [DOUBLES, array, array], into=enc)
@@ -116,19 +115,18 @@ def _decoded_echo(op: MessageType, payload) -> list:
 
 
 def test_the_ring_delivers_a_bench_echo_call_and_result_bit_equal(
-        poisoned, monkeypatch):
+        poisoned):
     """Through a ring from poisoned room, arrays converted straight in
     and out of ring memory: each payload decodes bit-equal to the socket
     decode of the same payload, and flattens to the same bytes."""
-    wires = _bench_echo_call_and_result(monkeypatch)
+    wires = _bench_echo_call_and_result()
     ring, idle = ShmRing.create(1 << 18), ShmRing.create(1 << 12)
     writer = ShmTransport(send_ring=ShmRing.attach(ring.name, ring.capacity),
                           recv_ring=ShmRing.attach(idle.name, idle.capacity))
     reader = ShmTransport(send_ring=idle, recv_ring=ring)
     ops = (MessageType.CALL, MessageType.RESULT)
     try:
-        for op, sent, wire in zip(ops, _bench_echo_deferred(monkeypatch),
-                                  wires):
+        for op, sent, wire in zip(ops, _bench_echo_deferred(), wires):
             assert sent.rest is not None        # not flattened
             sender = threading.Thread(
                 target=writer.send_frame, args=(op, sent, 30.0))
@@ -149,9 +147,9 @@ def test_the_ring_delivers_a_bench_echo_call_and_result_bit_equal(
 
 def test_a_bench_echo_call_and_result_encode_the_same_from_poisoned_room(
         monkeypatch):
-    clean = _bench_echo_call_and_result(monkeypatch)
+    clean = _bench_echo_call_and_result()
     monkeypatch.setattr(bulk, "room", _poisoned_room)
-    call, result = _bench_echo_call_and_result(monkeypatch)
+    call, result = _bench_echo_call_and_result()
     assert (call, result) == clean
     # The padding of "bench_echo" (10 bytes) and of each ">f8" is zeros.
     assert call[:16] == b"\x00\x00\x00\x0abench_echo\x00\x00"

@@ -72,8 +72,8 @@ def test_bad_result_completes_the_dedup_key(server_cls):
     """A retry of the same logical call replays the ``bad-result`` reply
     instead of parking behind a key that never settles."""
     payload = bytes(_CallPayload(
-        "bad_scalar", Signature.from_idl(SCALAR_IDL), 7,
-        (3, None)).stamp(None, time.monotonic))
+        "bad_scalar", Signature.from_idl(SCALAR_IDL), 7, (3, None),
+        logical_id="logical-bad").stamp(None, time.monotonic))
     with server_cls(build_registry(), num_pes=1) as server:
         replies = []
         for _attempt in range(2):

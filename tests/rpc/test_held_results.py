@@ -62,7 +62,8 @@ def test_a_replay_returns_the_values_of_its_call_not_what_followed(shm):
     signature = Signature.from_idl(GLOBAL_IDL)
     argument = np.zeros(DOUBLES)
     first, second = (_CallPayload("global_echo", signature, call_id,
-                                  (DOUBLES, argument, None))
+                                  (DOUBLES, argument, None),
+                                  logical_id=f"logical-{call_id}")
                      for call_id in (1, 2))
     GLOBAL[:] = 0.0
     with NinfServer(registry, num_pes=1) as server, \

@@ -240,8 +240,8 @@ def test_duplicate_attempts_do_not_starve_the_server(env, server_cls):
     park on its dedup entry: none holds a thread, other connections are
     answered at once, and all 41 get the one execution's RESULT."""
     payload = bytes(_CallPayload(
-        "sleeper", Signature.from_idl(SLEEP_IDL), 7,
-        (1.0,)).stamp(None, time.monotonic))
+        "sleeper", Signature.from_idl(SLEEP_IDL), 7, (1.0,),
+        logical_id="logical-sleeper").stamp(None, time.monotonic))
     with server_cls(env.registry, num_pes=1) as server, ExitStack() as stack:
         host, port = server.address
         owner = stack.enter_context(connect(host, port, timeout=10.0))
@@ -273,7 +273,8 @@ def test_a_duplicate_takes_over_when_the_owner_is_shed(env, server_cls):
     """The owning attempt expires in the queue (BUSY): exactly one of
     the attempts parked behind it executes, and the rest get its
     RESULT."""
-    call = _CallPayload("bump", Signature.from_idl(BUMP_IDL), 9, (41,))
+    call = _CallPayload("bump", Signature.from_idl(BUMP_IDL), 9, (41,),
+                        logical_id="logical-bump")
     with server_cls(env.registry, num_pes=1) as server, ExitStack() as stack:
         host, port = server.address
         client = stack.enter_context(NinfClient(host, port))
@@ -339,8 +340,9 @@ def test_stop_delivers_shutdown_errors_before_closing(env, server_cls):
                       for _ in range(3)]
             for call_id, channel in enumerate(queued):
                 channel.send(MessageType.CALL, bytes(_CallPayload(
-                    "bump", signature, call_id,
-                    (41,)).stamp(None, time.monotonic)))
+                    "bump", signature, call_id, (41,),
+                    logical_id=f"logical-{call_id}").stamp(
+                        None, time.monotonic)))
             assert wait_until(lambda: server.executor.queued == 3)
             # Release the parked sleeper once stop() has taken the queued
             # jobs (it answers them before joining the PEs), so the join

@@ -145,7 +145,8 @@ def test_many_callers_share_num_pes_workers():
 
 @SERVERS
 def test_a_worker_killed_mid_call_costs_one_reply(server_cls):
-    call = _CallPayload("whoami", Signature.from_idl(PID_IDL), 7, (0.2, None))
+    call = _CallPayload("whoami", Signature.from_idl(PID_IDL), 7, (0.2, None),
+                        logical_id="logical-whoami")
     with server_cls(build_registry(), num_pes=1) as server:
         host, port = server.address
         with NinfClient(host, port) as client:

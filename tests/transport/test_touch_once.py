@@ -113,7 +113,9 @@ def _result_of(compute) -> tuple[bulk.Payload, int, np.ndarray]:
     signature = Signature.from_idl(ECHO_IDL)
     array = np.random.default_rng(18).random(DOUBLES)
     request = _CallPayload("bench_echo", signature, 9,
-                           (DOUBLES, array, None)).stamp(None, time.monotonic)
+                           (DOUBLES, array, None),
+                           logical_id="logical-echo").stamp(None,
+                                                            time.monotonic)
     with NinfServer(registry, num_pes=1) as server:
         server._handlers[int(MessageType.CALL)](Sink(), request)
         assert sent.wait(30.0)
