@@ -113,9 +113,9 @@ class _CallPayload:
     (reserved once, filled in place), never built apart and copied in,
     and attempts differ only in ``attempt``/``budget``, which
     :meth:`stamp` rewrites in place.  Bulk arrays stay unwritten, held
-    by reference as the payload's regions: a ring attempt converts them
-    straight from the caller's arrays, a socket attempt flattens the
-    payload once and every later attempt reuses those bytes.  Argument
+    by reference as the payload's regions: every attempt converts them
+    straight from the caller's arrays, into ring memory or through the
+    sending thread's piece buffer onto a socket.  Argument
     errors raise here, before any dial.  Stamp only between sends
     (DESIGN.md §3.1).  ``logical_id`` stays ``""`` unless the client
     may send the call again (:func:`_resends_calls`)."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -52,6 +53,12 @@ class ArgSpec:
     dtype: str
     name: str
     dims: tuple[str, ...] = ()
+    #: ``dims`` parsed once, at construction.
+    exprs: tuple[Expr, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "exprs",
+                           tuple(parse_expr(d) for d in self.dims))
 
     @property
     def is_array(self) -> bool:
@@ -65,14 +72,10 @@ class ArgSpec:
     def is_output(self) -> bool:
         return self.mode in ("mode_out", "mode_inout")
 
-    def dim_exprs(self) -> tuple[Expr, ...]:
-        """Parsed dimension expressions (from their wire strings)."""
-        return tuple(parse_expr(d) for d in self.dims)
-
     def shape(self, env: Mapping[str, float]) -> tuple[int, ...]:
         """Evaluate the dimension expressions against scalar inputs."""
         shape = []
-        for dim_source, expr in zip(self.dims, self.dim_exprs()):
+        for dim_source, expr in zip(self.dims, self.exprs):
             value = expr.evaluate(env)
             rounded = int(round(value)) if math.isfinite(value) else -1
             if abs(value - rounded) > 1e-9 or rounded < 0:
@@ -165,8 +168,8 @@ class Signature:
         for arg in self.args:
             if arg.dtype not in DTYPE_SIZES:
                 raise IdlError(f"unknown dtype {arg.dtype!r} for {arg.name}")
-            for dim in arg.dims:
-                unknown = parse_expr(dim).free_variables() - scalars
+            for dim, expr in zip(arg.dims, arg.exprs):
+                unknown = expr.free_variables() - scalars
                 if unknown:
                     raise IdlError(
                         f"dimension {dim!r} of {arg.name} references "
@@ -239,16 +242,27 @@ class Signature:
 
     # -- prediction -------------------------------------------------------------------
 
+    # The clauses are evaluated per call, on the reactor: each is parsed
+    # on its first use and kept.
+
+    @cached_property
+    def _calc(self) -> Optional[Expr]:
+        return parse_expr(self.calc_order) if self.calc_order else None
+
+    @cached_property
+    def _comm(self) -> Optional[Expr]:
+        return parse_expr(self.comm_order) if self.comm_order else None
+
     def predicted_flops(self, env: Mapping[str, float]) -> Optional[float]:
         """Evaluate ``CalcOrder`` if present (None otherwise)."""
-        if not self.calc_order:
+        if self._calc is None:
             return None
-        return float(parse_expr(self.calc_order).evaluate(env))
+        return float(self._calc.evaluate(env))
 
     def predicted_comm_bytes(self, env: Mapping[str, float]) -> float:
         """``CommOrder`` if present, else the exact marshalled byte count."""
-        if self.comm_order:
-            return float(parse_expr(self.comm_order).evaluate(env))
+        if self._comm is not None:
+            return float(self._comm.evaluate(env))
         total = 0
         for arg in self.args:
             if arg.is_input:

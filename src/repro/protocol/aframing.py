@@ -1,14 +1,15 @@
 """Asyncio framing: the :mod:`repro.protocol.framing` wire format as one
 :class:`asyncio.BufferedProtocol` per connection.
 
-Byte-for-byte the same protocol (``MAGIC | type | length | crc |
-payload``, header from the shared ``encode_header``), so a sync client
-speaks to an async server and vice versa.  :class:`FrameStream` drives
-the sync layer's :class:`~repro.protocol.framing.FrameReader`:
-``get_buffer`` hands the event loop the reader's buffer -- the 16-byte
-header, then the frame's own ``bytearray`` -- so the kernel's
-``recv_into`` puts payload bytes straight into the buffer ``read_frame``
-returns, and ``buffer_updated`` tells the reader how many landed.  The
+Byte-for-byte the same protocol (header, region table, payload, regions;
+laid out by the sync layer's ``_frame_pieces``), so a sync client speaks
+to an async server and vice versa.  :class:`FrameStream` drives the sync
+layer's :class:`~repro.protocol.framing.FrameReader`: ``get_buffer``
+hands the event loop the reader's buffer -- the header and count word,
+the table, the frame's own ``bytearray``, then each region's native
+array -- so the kernel's ``recv_into`` puts payload bytes straight into
+what ``read_frame`` returns, and ``buffer_updated`` tells the reader how
+many landed.  The
 stream adds what an event loop needs: delivery to the waiting reader,
 at most one complete frame parked ahead of it (the transport is paused
 until it is taken), and deadlines.
@@ -31,13 +32,12 @@ import socket
 from typing import Callable, Optional, TypeVar, Union, cast
 
 from repro.protocol.errors import ConnectionClosed, ProtocolError, TimeoutError
-from repro.protocol.framing import BytesLike, FrameReader, \
-    crc_covers_payload, encode_header
+from repro.protocol.framing import BytesLike, Frame, FrameReader, \
+    _frame_pieces, _gathers, crc_covers_payload
 from repro.xdr import bulk
 
 __all__ = ["FrameStream"]
 
-Frame = tuple[int, bytearray]
 _T = TypeVar("_T")
 
 
@@ -193,26 +193,27 @@ class FrameStream(asyncio.BufferedProtocol):
         finally:
             self._reader = None
 
-    async def write_frame(self, msg_type: int, payload: BytesLike = b"",
+    async def write_frame(self, msg_type: int,
+                          payload: Union[BytesLike, bulk.Payload] = b"",
                           timeout: Optional[float] = None) -> None:
         """Write one frame; raises ProtocolError on oversize payloads.
 
         ``payload`` may be any bytes-like object, or a
-        :class:`~repro.xdr.bulk.Payload` (flattened once); header and
-        payload are handed to the transport as two writes, never
-        concatenated.
+        :class:`~repro.xdr.bulk.Payload`, whose regions are converted
+        :data:`~repro.protocol.framing.PIECE` bytes at a time, each piece
+        into a buffer of its own (the transport may hold what it is
+        given until it is written); the bytes around them are handed to
+        the transport as they are, never joined.
         ``timeout`` bounds the whole write, the wait for transport
         backpressure to clear included; expiry raises
         :class:`~repro.protocol.errors.TimeoutError`.
         """
-        payload = bulk.flat(payload)
-        header = encode_header(msg_type, payload,
-                               covers_payload=self.covers_payload)
+        pieces = _frame_pieces(msg_type, payload, self.covers_payload)
         if timeout is not None and timeout <= 0:
             raise TimeoutError("frame send deadline expired")
-        self.transport.write(header)
-        if len(payload):
-            self.transport.write(payload)
+        for gather in _gathers(pieces, fresh=True):
+            for buffer in gather:
+                self.transport.write(buffer)
         await self.drain(timeout)
 
     async def drain(self, timeout: Optional[float] = None) -> None:

@@ -1,48 +1,61 @@
-"""Framing: ``MAGIC | type | length | crc | payload``.
+"""Framing: one frame layout on every medium.
 
-The header is 16 bytes on every medium: 4-byte magic ``b"NINF"``,
-4-byte big-endian message type, 4-byte big-endian payload length, and
-a CRC-32 word.  Payload length is bounded by :data:`MAX_FRAME_SIZE`
-(1 GiB) so a corrupt header cannot trigger an absurd allocation.
+A frame is a 16-byte header -- 4-byte magic ``b"NINF"``, then the
+big-endian message type, payload length and a CRC-32 word -- a region
+table, the payload bytes outside its bulk regions, then each region
+(PROTOCOL.md, *Frame format*).  The table is a count word and, per
+region, its wire offset in the payload, its ``nbytes`` and its wire
+dtype's index in :data:`repro.xdr.bulk.WIRE_DTYPES`.  The bytes before
+the first region and each region are padded to a multiple of
+:data:`ALIGN`, so in a shared-memory ring every region starts 16-aligned.
+A payload without regions is the header, a zero count word, the payload
+and its pad.  Payload length is bounded by :data:`MAX_FRAME_SIZE`
+(1 GiB) and the region count by :data:`MAX_REGIONS`, so a corrupt header
+cannot trigger an absurd allocation.
 
-What the ``crc`` word covers is the medium's (PROTOCOL.md, *Frame
-format*).  Every receiver starts from :func:`header_crc`, the CRC-32 of
-the type and length words:
+What the ``crc`` word covers is the medium's.  Every receiver starts
+from :func:`header_crc`, the CRC-32 of the type and length words, and
+folds the region table in:
 
 - On a **linked socket** (a peer at any address but loopback, or an
-  ``AF_UNIX`` one) the payload bytes are folded in after it, so any
+  ``AF_UNIX`` one) every byte after the table is folded in too, so any
   single corrupted byte on the wire (CRC-32 detects all error bursts
   shorter than 32 bits) is surfaced as
   :class:`~repro.protocol.errors.ProtocolError` instead of being
   decoded as garbage -- the property the chaos and fuzz suites assert.
-- On a **loopback socket** the word is :func:`header_crc` itself, and
-  on a **shared-memory ring** (:mod:`repro.transport.shm`) that CRC
-  folded over the frame's region table; the sender makes no pass over
-  payload bytes.  Loopback bytes are
-  copied by the kernel from one socket buffer to another, and ring
-  bytes never leave memory both process heaps are equally exposed to:
-  neither medium can flip a bit in transit.  Both can lose frame
-  boundaries (a torn ring counter, a writer dying mid-frame) -- magic,
-  the header CRC and mid-frame EOF catch that.
+  The sender folds its converted pieces in a first pass, before the
+  header goes out; the receiver folds each piece as it lands.
+- On a **loopback socket** and on a **shared-memory ring**
+  (:mod:`repro.transport.shm`) the word stops at the table; neither side
+  makes a pass over payload bytes.  Loopback bytes are copied by the
+  kernel from one socket buffer to another, and ring bytes never leave
+  memory both process heaps are equally exposed to: neither medium can
+  flip a bit in transit.  Both can lose frame boundaries (a torn ring
+  counter, a writer dying mid-frame) -- magic, the header CRC and
+  mid-frame EOF catch that.
 
 The sender's choice is made once per connection, from the peer's
 address (:func:`crc_covers_payload`).  A socket receiver takes either
-form and tells them apart from the header alone
-(:func:`payload_seed`): a ``crc`` word equal to the header CRC means no
-pass over the payload; any other is compared with the payload folded
-in.
+form: a ``crc`` word equal to the check of header and table means no
+pass over the rest; any other is compared with the rest folded in.
 
-Every socket receiver is one :class:`FrameReader`, a sans-IO state
-machine that says where the next bytes go and is told how many landed;
-the blocking socket (:func:`recv_frame`) and the event loop
+One layout, two writers.  :func:`_frame_pieces` lays a frame out as
+bytes and, for a region still held as the sender's array, that array
+and its wire dtype.  A ring converts the array straight into ring
+memory; a socket (:func:`send_frame`) converts it :data:`PIECE` bytes at
+a time into a buffer of the sending thread's own and writes each piece
+before it converts the next.  Every socket receiver is one
+:class:`FrameReader`, a sans-IO state machine that says where the next
+bytes go and is told how many landed: it reads the table, allocates one
+native array per region, receives the region's bytes straight into it
+and converts each piece in place as it lands.  The blocking socket
+(:func:`recv_frame`), the reactor and the event loop
 (:class:`~repro.protocol.aframing.FrameStream`) only move bytes into its
-buffers.  The ring frame (header, region table, payload, bulk regions)
-is the shared-memory ring's alone, written and read in
-:mod:`repro.transport.shm`; every receiver checks a header's magic and
-length with :func:`parse_header`.
+buffers.  Neither side of a socket allocates a buffer the size of the
+frame.
 
 Both :func:`send_frame` and :func:`recv_frame` accept an optional
-``timeout`` (seconds) covering the *whole* frame, not each ``recv``:
+``timeout`` (seconds) covering the *whole* frame, not each piece:
 a peer that trickles one byte per second cannot stretch a 5-second
 deadline indefinitely.  Deadline expiry raises
 :class:`repro.protocol.errors.TimeoutError`; the socket's previous
@@ -54,9 +67,13 @@ from __future__ import annotations
 import ipaddress
 import socket
 import struct
+import threading
 import time
 import zlib
-from typing import Optional, Union
+from typing import Any, Iterable, Iterator, Optional, Sequence, Union
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.protocol.errors import ConnectionClosed, ProtocolError, TimeoutError
 from repro.xdr import bulk
@@ -64,21 +81,59 @@ from repro.xdr import bulk
 #: Anything the framing layer will put on the wire without copying.
 BytesLike = Union[bytes, bytearray, memoryview]
 
-__all__ = ["FrameReader", "MAGIC", "MAX_FRAME_SIZE", "checksum_mismatch",
-           "crc_covers_payload", "encode_frame", "encode_header",
-           "header_crc", "parse_header", "payload_seed", "recv_frame",
-           "send_frame"]
+#: A received frame: ``(msg_type, payload)``, the payload a private
+#: ``bytearray``, or a received :class:`~repro.xdr.bulk.Payload` when the
+#: frame carried regions.
+Frame = tuple[int, Union[bytearray, bulk.Payload]]
+
+__all__ = ["ALIGN", "Frame", "FrameReader", "MAGIC", "MAX_FRAME_SIZE",
+           "MAX_REGIONS", "PIECE", "checksum_mismatch", "crc_covers_payload",
+           "encode_frame", "header_crc", "parse_header", "recv_frame",
+           "region_count", "send_frame", "table_size"]
 
 MAGIC = b"NINF"
 HEADER = struct.Struct(">4sIII")
 MAX_FRAME_SIZE = 1 << 30
 
+#: The bytes before the first region and every region are padded to a
+#: multiple of this.
+ALIGN = 16
+
+#: Most bulk regions one frame may announce.
+MAX_REGIONS = 1 << 12
+
+#: A region table: a count word, then per region its wire offset, its
+#: ``nbytes`` and its wire dtype's index in ``bulk.WIRE_DTYPES``.
+_COUNT = struct.Struct(">I")
+_ENTRY = struct.Struct(">III")
+
+#: What the header of a frame and its count word are read as, at once.
+_HEAD_SIZE = HEADER.size + _COUNT.size
+
+#: Zeros a frame is padded with up to an :data:`ALIGN` boundary.
+_PAD = bytes(ALIGN)
+
+#: The table of a frame without regions: its count word.
+_NO_REGIONS = _COUNT.pack(0)
+
+#: A socket converts a region this many bytes at a time, and receives
+#: at most this many into a region before it converts them: 8 MB moved
+#: through a buffer of this size in 4.2-4.7 ms over loopback, against
+#: 5.2-5.8 ms as one 8 MB buffer (2 shared vCPUs).
+PIECE = 1 << 18
+
+#: Most buffers one ``sendmsg`` is handed (Linux allows 1024).
+_GATHER_MAX = 64
+
+#: What a frame is written from: bytes, or an array and the wire dtype
+#: it is converted to.
+_Piece = Union[BytesLike, tuple[NDArray[Any], str]]
+
 
 def header_crc(msg_type: int, length: int) -> int:
-    """CRC-32 of the big-endian ``type`` and ``length`` words: the whole
-    of a header-only frame's check, and the seed a payload-covering
-    frame's payload is folded into.  The one header check every
-    receiver shares."""
+    """CRC-32 of the big-endian ``type`` and ``length`` words: the seed
+    the region table, and on a linked socket the rest of the frame, is
+    folded into.  The one header check every receiver shares."""
     return zlib.crc32(struct.pack(">II", msg_type, length))
 
 
@@ -101,53 +156,165 @@ def crc_covers_payload(peer: object) -> bool:
     return not (getattr(address, "ipv4_mapped", None) or address).is_loopback
 
 
-def payload_seed(msg_type: int, length: int, crc: int) -> Optional[int]:
-    """The receiver's per-frame test: None when ``crc`` is the header
-    CRC -- a header-only frame, whose payload is not read -- else that
-    header CRC, the seed the payload is folded into before comparing
-    with ``crc``.  A payload-covering ``crc`` equals the header CRC with
-    probability 2**-32, CRC-32's own miss rate."""
-    seed = header_crc(msg_type, length)
-    return None if crc == seed else seed
+# -- the layout, both media ---------------------------------------------------
 
 
-def encode_header(msg_type: int, payload: BytesLike, *,
-                  covers_payload: bool = True) -> bytes:
-    """The 16-byte header for ``payload`` (not yet on the wire), its
-    ``crc`` word folding in the payload or (``covers_payload`` False)
-    covering the type and length words only, without reading a payload
-    byte.
-
-    The zero-copy seam: callers that can scatter-gather (``sendmsg``,
-    ``StreamWriter.write`` twice) send header and payload separately and
-    never materialise the concatenated frame.
-    """
+def _frame_pieces(msg_type: int, payload: Union[BytesLike, bulk.Payload],
+                  covers_payload: bool = False) -> list[_Piece]:
+    """A frame in the order it is written: the header and region table,
+    whose ``crc`` word is the header CRC folded over the table (and with
+    ``covers_payload`` over the rest, converted piece by piece in a first
+    pass); the payload's bytes outside its regions, padded; then each
+    region, padded -- its array and wire dtype, to be converted, or its
+    big-endian bytes once the payload is flat."""
     length = len(payload)
     if length > MAX_FRAME_SIZE:
         raise ProtocolError(f"frame payload too large: {length} bytes")
-    crc = header_crc(msg_type, length)
+    pieces: list[_Piece] = [b""]        # the header and table, below
+    if isinstance(payload, bulk.Payload):
+        spans, sources = payload.parts()    # one snapshot of the payload
+        table = _COUNT.pack(len(sources))
+        for region, _source in sources:
+            table += _ENTRY.pack(region.offset, region.nbytes,
+                                 bulk.WIRE_DTYPES.index(region.wire))
+        pieces += spans
+        rest = length - sum(region.nbytes for region, _source in sources)
+    else:
+        sources, table, rest = [], _NO_REGIONS, length
+        pieces.append(payload)
+    pieces.append(_PAD[:-(HEADER.size + len(table) + rest) % ALIGN])
+    for region, source in sources:
+        pieces.append((source, region.wire)
+                      if isinstance(source, np.ndarray) else source)
+        pieces.append(_PAD[:-region.nbytes % ALIGN])
+    crc = zlib.crc32(table, header_crc(msg_type, length))
     if covers_payload:
-        # Incremental CRC over the payload buffer itself -- no
-        # header+payload concatenation, any bytes-like (memoryview too).
-        crc = zlib.crc32(payload, crc)
-    return HEADER.pack(MAGIC, msg_type, length, crc)
+        for piece in pieces[1:]:
+            if isinstance(piece, tuple):
+                for chunk in _converted(*piece):
+                    crc = zlib.crc32(chunk, crc)
+            else:
+                crc = zlib.crc32(piece, crc)
+    pieces[0] = HEADER.pack(MAGIC, msg_type, length, crc) + table
+    return pieces
+
+
+_windows = threading.local()
+
+
+def _window() -> bytearray:
+    """This thread's conversion buffer, :data:`PIECE` bytes, made by its
+    first bulk send and kept."""
+    window: Optional[bytearray] = getattr(_windows, "buffer", None)
+    if window is None or len(window) < PIECE:
+        window = _windows.buffer = bulk.room(PIECE)
+    return window
+
+
+def _converted(array: NDArray[Any], wire: str, fresh: bool = False
+               ) -> Iterator[memoryview]:
+    """``array`` as ``wire`` elements, converted :data:`PIECE` bytes at a
+    time into this thread's buffer, each piece valid until the next is
+    drawn -- or, ``fresh``, into a new buffer each."""
+    source = array.reshape(-1)
+    step = PIECE // source.itemsize
+    for start in range(0, source.size, step):
+        part = source[start:start + step]
+        out = bulk.room(part.nbytes) if fresh else _window()
+        yield memoryview(out)[:bulk.pack_array_into(out, 0, part, wire)]
+
+
+def _gathers(pieces: Iterable[_Piece], fresh: bool = False
+             ) -> Iterator[list[BytesLike]]:
+    """``pieces`` as the buffer lists a socket writes, one ``sendmsg``
+    each; a list holding a converted piece ends with it, and is valid
+    until the next list is drawn (``fresh``: for good)."""
+    gather: list[BytesLike] = []
+    for piece in pieces:
+        if isinstance(piece, tuple):
+            for chunk in _converted(*piece, fresh):
+                gather.append(chunk)
+                yield gather
+                gather = []
+        elif len(piece):
+            gather.append(piece)
+            if len(gather) == _GATHER_MAX:
+                yield gather
+                gather = []
+    if gather:
+        yield gather
+
+
+def unsent(gather: Sequence[BytesLike], sent: int) -> list[memoryview]:
+    """What of ``gather`` a write of ``sent`` bytes left, as views."""
+    rest = []
+    for buffer in gather:
+        if sent < len(buffer):
+            rest.append(memoryview(buffer)[sent:])
+        sent = max(0, sent - len(buffer))
+    return rest
+
+
+def _joined(pieces: Sequence[_Piece]) -> bytearray:
+    """The bytes of ``pieces`` in one buffer, each array converted in
+    place."""
+    frame = bulk.room(sum(piece[0].nbytes if isinstance(piece, tuple)
+                          else len(piece) for piece in pieces))
+    at = 0
+    for piece in pieces:
+        if isinstance(piece, tuple):
+            at += bulk.pack_array_into(frame, at, *piece)
+        else:
+            frame[at:at + len(piece)] = piece
+            at += len(piece)
+    return frame
+
+
+def _table_regions(table: BytesLike, length: int
+                   ) -> list[tuple[int, int, str]]:
+    """A region table's ``(offset, nbytes, wire)`` entries, each checked
+    before anything is sized by it: a known wire dtype, a 4-aligned
+    offset past the region before, a whole number of elements, inside
+    the ``length``-byte payload."""
+    regions: list[tuple[int, int, str]] = []
+    end = 0
+    for offset, nbytes, code in _ENTRY.iter_unpack(table):
+        if code >= len(bulk.WIRE_DTYPES):
+            raise ProtocolError(f"bulk region of unknown dtype code {code}")
+        wire = bulk.WIRE_DTYPES[code]
+        if offset % 4:
+            raise ProtocolError(f"bulk region at unaligned offset {offset}")
+        if offset < end:
+            raise ProtocolError(f"bulk region at offset {offset} is out of "
+                                f"order or overlapping (the one before "
+                                f"ends at {end})")
+        if nbytes == 0 or nbytes % np.dtype(wire).itemsize:
+            raise ProtocolError(f"bulk region of {nbytes} bytes is no whole "
+                                f"number of {wire} elements")
+        end = offset + nbytes
+        if end > length:
+            raise ProtocolError(f"bulk region ends at {end}, past the "
+                                f"{length}-byte payload")
+        regions.append((offset, nbytes, wire))
+    return regions
 
 
 def encode_frame(msg_type: int,
                  payload: Union[BytesLike, bulk.Payload] = b"", *,
-                 covers_payload: bool = True) -> bytes:
-    """The exact bytes :func:`send_frame` puts on a socket (a
-    :class:`~repro.xdr.bulk.Payload` flattened, as there).
+                 covers_payload: bool = True) -> bytearray:
+    """The exact bytes :func:`send_frame` puts on a socket -- or, with
+    ``covers_payload`` False, a loopback socket or a ring -- in one
+    buffer.
 
     Exposed so fault injection (:mod:`repro.transport.faults`) and the
     framing property tests can truncate or corrupt real frames without
-    re-implementing the header layout (a ring's are
-    ``ShmTransport.encode_frame``).  This *does* concatenate -- the
-    hot paths use :func:`encode_header` plus scatter-gather instead.
+    re-implementing the layout.  This *does* join the frame -- the hot
+    paths write it piece by piece instead.
     """
-    payload = bulk.flat(payload)
-    return encode_header(msg_type, payload,
-                         covers_payload=covers_payload) + payload
+    return _joined(_frame_pieces(msg_type, payload, covers_payload))
+
+
+# -- the blocking socket -----------------------------------------------------
 
 
 class _DeadlineSocket:
@@ -191,33 +358,27 @@ class _DeadlineSocket:
         except socket.timeout:
             raise TimeoutError(f"frame {what} timed out") from None
 
-    def sendall(self, data: BytesLike, what: str) -> None:
-        self._arm(what)
-        try:
-            self.sock.sendall(data)
-        except socket.timeout:
-            raise TimeoutError(f"frame {what} timed out") from None
-
-    def send_vectored(self, header: bytes, payload: BytesLike,
-                      what: str) -> None:
-        """Scatter-gather write of header + payload without joining them.
-
-        ``sendmsg`` may write fewer bytes than offered; the remainder is
-        resent via plain ``sendall`` on a sliced view -- still no copy
-        of the full frame.
-        """
-        self._arm(what)
-        try:
-            sent = self.sock.sendmsg((header, payload))
-        except socket.timeout:
-            raise TimeoutError(f"frame {what} timed out") from None
-        total = len(header) + len(payload)
-        if sent >= total:
+    def send_gathers(self, gathers: Iterator[list[BytesLike]],
+                     what: str) -> None:
+        """Write each buffer list with ``sendmsg``, resending what a
+        short write left, before the next list is drawn.  A socket with
+        its own ``send_gathers`` (the server's reply socket, which never
+        waits for its peer) is handed the lists and draws them itself."""
+        own = getattr(self.sock, "send_gathers", None)
+        if own is not None:
+            own(gathers)
             return
-        if sent < len(header):
-            self.sendall(memoryview(header)[sent:], what)
-            sent = len(header)
-        self.sendall(memoryview(payload)[sent - len(header):], what)
+        for gather in gathers:
+            total = sum(map(len, gather))
+            while True:
+                self._arm(what)
+                try:
+                    sent = self.sock.sendmsg(gather)
+                except socket.timeout:
+                    raise TimeoutError(f"frame {what} timed out") from None
+                if sent == total:
+                    break
+                gather, total = unsent(gather, sent), total - sent
 
 
 def send_frame(sock: socket.socket, msg_type: int,
@@ -227,22 +388,20 @@ def send_frame(sock: socket.socket, msg_type: int,
     """Write one frame; raises ProtocolError on oversize payloads.
 
     ``payload`` may be any bytes-like object, or a
-    :class:`~repro.xdr.bulk.Payload`, which is flattened (once: it keeps
-    its wire bytes); header and payload go out as one scatter-gather
-    write (``sendmsg``), so the frame is never concatenated in user
-    space.  ``timeout`` bounds the whole write; expiry raises
-    :class:`~repro.protocol.errors.TimeoutError`.  ``covers_payload`` is
-    the connection's :func:`crc_covers_payload`.
+    :class:`~repro.xdr.bulk.Payload`, whose regions are converted from
+    their arrays :data:`PIECE` bytes at a time into this thread's buffer,
+    each piece written before the next is converted; the bytes around
+    them go out as they are, gathered (``sendmsg``), so the frame is
+    never joined in user space.  ``timeout`` bounds the whole write;
+    expiry raises :class:`~repro.protocol.errors.TimeoutError`.
+    ``covers_payload`` is the connection's :func:`crc_covers_payload`.
     """
-    payload = bulk.flat(payload)
-    header = encode_header(msg_type, payload, covers_payload=covers_payload)
+    pieces = _frame_pieces(msg_type, payload, covers_payload)
+    # Without regions the frame is three buffers: one gather.
+    gathers = _gathers(pieces) if isinstance(payload, bulk.Payload) \
+        else iter((pieces,))
     with _DeadlineSocket(sock, timeout) as guarded:
-        if not len(payload):
-            guarded.sendall(header, "send")
-        elif hasattr(sock, "sendmsg"):
-            guarded.send_vectored(header, payload, "send")
-        else:  # pragma: no cover - all supported platforms have sendmsg
-            guarded.sendall(header + bytes(payload), "send")
+        guarded.send_gathers(gathers, "send")
 
 
 def checksum_mismatch(msg_type: int, length: int) -> ProtocolError:
@@ -252,9 +411,10 @@ def checksum_mismatch(msg_type: int, length: int) -> ProtocolError:
 
 
 def parse_header(header: BytesLike) -> tuple[int, int, int]:
-    """``(msg_type, length, crc)`` of a 16-byte header whose magic and
-    length every receiver checks before anything is sized by it."""
-    magic, msg_type, length, crc = HEADER.unpack(header)
+    """``(msg_type, length, crc)`` of the 16-byte header at the start of
+    ``header``, whose magic and length every receiver checks before
+    anything is sized by it."""
+    magic, msg_type, length, crc = HEADER.unpack_from(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
     if length > MAX_FRAME_SIZE:
@@ -262,87 +422,217 @@ def parse_header(header: BytesLike) -> tuple[int, int, int]:
     return msg_type, length, crc
 
 
+def region_count(head: BytesLike) -> int:
+    """The count word after a frame's header, checked against
+    :data:`MAX_REGIONS` before a table is sized by it."""
+    (count,) = _COUNT.unpack_from(head, HEADER.size)
+    if count > MAX_REGIONS:
+        raise ProtocolError(f"frame announces {count} bulk regions, at "
+                            f"most {MAX_REGIONS}")
+    return count
+
+
+def table_size(head: BytesLike) -> int:
+    """The size of the region table after a frame's header, count word
+    included (:func:`region_count`)."""
+    return _COUNT.size + _ENTRY.size * region_count(head)
+
+
+# The parts of a frame a FrameReader receives in turn.
+_HEAD, _TABLE, _REST, _REGION, _DESYNC = range(5)
+
+
 class FrameReader:
     """The receive side of the socket frame format, without I/O.
 
-    :meth:`buffer` is where the next bytes go -- the rest of the 16-byte
-    header, then the rest of the frame's own payload buffer
-    (``bulk.room``, handed to the caller once full); :meth:`advance` is
-    told how many landed and returns ``(msg_type, payload)`` once a
-    frame is complete.  Magic and length are checked before anything
-    sized by the peer is allocated.  Either ``crc`` form is taken
-    (:func:`payload_seed`), a payload-covering frame's payload folded in
-    chunk by chunk as it lands.  A checksum mismatch raises after the
-    reader has reset, so the next frame is readable; a desync -- bad
-    magic, an implausible length -- raises mid-frame
-    (:attr:`at_boundary` False), and nothing after it can be parsed.
+    :meth:`buffer` is where the next bytes go: the header and count word
+    (one receive), the region table, the payload bytes outside the
+    regions with their pad (one ``bytearray``, handed on once full),
+    then each region -- a native array allocated for it, into which its
+    big-endian bytes land at most :data:`PIECE` at a time and are
+    converted in place as they land.  :meth:`advance` is told how many
+    landed and returns ``(msg_type, payload)`` once a frame is complete:
+    the ``bytearray``, or a received :class:`~repro.xdr.bulk.Payload`
+    around it holding the region arrays.  Magic, length, count and every
+    table entry are checked before anything sized by them is allocated.
+    Either ``crc`` form is taken, a payload-covering frame's bytes folded
+    in as they land.  A checksum mismatch raises after the reader has
+    reset, so the next frame is readable; a desync -- bad magic, an
+    implausible length or table -- raises mid-frame (:attr:`at_boundary`
+    False), and nothing after it can be parsed.
+
+    A view :meth:`buffer` hands out is filled, then reported, before the
+    next is asked for; the one that fills the payload buffer is released
+    when the frame completes, so the pad can be trimmed in place.
     """
 
-    __slots__ = ("_header", "_target", "_got", "_msg_type", "_crc_want",
-                 "_crc")
+    __slots__ = ("_head", "_part", "_target", "_got", "_tail", "_view",
+                 "_msg_type", "_length", "_crc_want", "_crc", "_rest",
+                 "_regions", "_arrays", "_array", "_swap", "_swapped")
 
     def __init__(self) -> None:
-        # Bytes land in _header, then in the frame's own payload buffer:
-        # _target is the one being filled, _got counts into it.
-        self._target = self._header = bulk.room(HEADER.size)
-        self._got = self._msg_type = self._crc_want = 0
-        # The running CRC of the payload; None for a header-only frame.
+        self._head = bulk.room(_HEAD_SIZE)
+        self._view: Optional[memoryview] = None
+        self._msg_type = self._length = self._crc_want = 0
+        # The running CRC of the rest; None for a header-only frame.
         self._crc: Optional[int] = None
+        self._regions: list[tuple[int, int, str]] = []
+        self._begin()
+
+    def _begin(self) -> None:
+        """Await the next frame's header and count word."""
+        self._part, self._target, self._got = _HEAD, self._head, 0
+        # Bytes at the end of the target that are not the part's own: the
+        # count word after a header, the pad after the payload or a region.
+        self._tail = _COUNT.size
 
     @property
     def receiving(self) -> str:
         """``"header"`` or ``"payload"``, for the timeout messages."""
-        return "header" if self._target is self._header else "payload"
+        return "payload" if self._part in (_REST, _REGION) else "header"
 
     @property
     def outstanding(self) -> int:
         """Bytes owed to the part being received, for the EOF message."""
-        return len(self._target) - self._got
+        owed = len(self._target) - self._got
+        return owed - self._tail if owed > self._tail else owed
 
     @property
     def at_boundary(self) -> bool:
         """Whether no byte of a next frame has landed."""
-        return self._target is self._header and self._got == 0
+        return self._part == _HEAD and self._got == 0
 
     def buffer(self) -> memoryview:
         """Where the next bytes go (empty only after a desync)."""
-        return memoryview(self._target)[self._got:]
+        got = self._got
+        if self._part == _REGION:
+            return self._target[got:got + PIECE]
+        view = self._view = memoryview(self._target)[got:]
+        return view
 
-    def advance(self, nbytes: int) -> Optional[tuple[int, bytearray]]:
+    def advance(self, nbytes: int) -> Optional[Frame]:
         """``nbytes`` landed where :meth:`buffer` pointed: the completed
         frame, or None while one is still owed."""
         start = self._got
         self._got = end = start + nbytes
-        payload = self._target
-        if payload is self._header:
-            if end < HEADER.size:
+        part = self._part
+        try:
+            if part == _HEAD:
+                if start < HEADER.size <= end:
+                    self._msg_type, self._length, self._crc_want = \
+                        parse_header(self._head)
+            elif part != _TABLE:
+                if self._crc is not None:
+                    self._crc = zlib.crc32(
+                        memoryview(self._target)[start:end], self._crc)
+                if part == _REGION and self._swap:
+                    done = end // self._array.itemsize
+                    self._array[self._swapped:done].byteswap(inplace=True)
+                    self._swapped = done
+            if end < len(self._target):
                 return None
-            msg_type, length, crc = parse_header(payload)
-            self._msg_type, self._crc_want = msg_type, crc
-            self._crc = payload_seed(msg_type, length, crc)
-            self._target = payload = bulk.room(length)
-            self._got = end = 0
-        elif self._crc is not None:
-            self._crc = zlib.crc32(memoryview(payload)[start:end], self._crc)
-        if end < len(payload):
-            return None
-        self._target, self._got = self._header, 0
-        if self._crc is not None and self._crc != self._crc_want:
-            raise checksum_mismatch(self._msg_type, len(payload))
-        return self._msg_type, payload
+            if part == _HEAD:
+                return self._table()
+            if part == _TABLE:
+                assert self._crc is not None
+                return self._body(self._target,
+                                  zlib.crc32(self._target, self._crc))
+            if part == _REST:
+                return self._payload()
+            return self._region_done()
+        except ProtocolError:
+            if not self.at_boundary:    # not a checksum: a desync
+                self._part, self._target, self._got = _DESYNC, b"", 0
+            raise
+
+    def _table(self) -> Optional[Frame]:
+        """Header and count word are in: make room for the table, or on
+        to the payload."""
+        head = self._head
+        count = region_count(head)
+        # The type and length words as they landed: header_crc's bytes.
+        check = zlib.crc32(head[HEADER.size:], zlib.crc32(head[4:12]))
+        if not count:
+            return self._body(b"", check)
+        self._crc = check               # held here until the table is in
+        self._receive(_TABLE, bulk.room(count * _ENTRY.size), 0)
+        return None
+
+    def _body(self, table: BytesLike, check: int) -> Optional[Frame]:
+        """Header and table are in: check them, then make room for the
+        bytes outside the regions and their pad."""
+        self._crc = None if check == self._crc_want else check
+        size = self._length
+        if table:
+            self._regions = _table_regions(table, size)
+            size -= sum(nbytes for _, nbytes, _ in self._regions)
+        elif self._regions:
+            self._regions = []
+        pad = -(_HEAD_SIZE + len(table) + size) % ALIGN
+        self._receive(_REST, bulk.room(size + pad), pad)
+        return None if size + pad else self._payload()
+
+    def _payload(self) -> Optional[Frame]:
+        """The bytes outside the regions are in: trim their pad (the view
+        :meth:`buffer` handed out is released first), then the regions."""
+        rest = self._rest = self._target
+        if self._tail:
+            view, self._view = self._view, None
+            if view is not None:
+                view.release()
+            del rest[-self._tail:]
+        if not self._regions:
+            return self._finish(rest)
+        self._arrays: list[bulk.Region] = []
+        return self._region()
+
+    def _region(self) -> None:
+        """Receive the next region into a native array of its own."""
+        _offset, nbytes, wire = self._regions[len(self._arrays)]
+        dtype = np.dtype(wire)
+        # The pad is a whole number of elements, received with them.
+        pad = -nbytes % ALIGN
+        self._array = np.empty((nbytes + pad) // dtype.itemsize,
+                               dtype.newbyteorder("="))
+        self._swap, self._swapped = not dtype.isnative, 0
+        self._receive(_REGION, memoryview(self._array.view(np.uint8)), pad)
+
+    def _region_done(self) -> Optional[Frame]:
+        array, (offset, nbytes, wire) = \
+            self._array, self._regions[len(self._arrays)]
+        if self._tail:
+            array = array[:nbytes // array.itemsize]
+        self._arrays.append(bulk.Region(offset, nbytes, wire, array))
+        if len(self._arrays) < len(self._regions):
+            return self._region()
+        return self._finish(bulk.Payload(self._rest, self._arrays,
+                                         self._length, received=True))
+
+    def _finish(self, payload: Union[bytearray, bulk.Payload]) -> Frame:
+        msg_type, crc = self._msg_type, self._crc
+        self._begin()
+        if crc is not None and crc != self._crc_want:
+            raise checksum_mismatch(msg_type, self._length)
+        return msg_type, payload
+
+    def _receive(self, part: int, target: Union[bytearray, memoryview],
+                 tail: int) -> None:
+        self._part, self._target, self._got, self._tail = part, target, 0, tail
 
 
 def recv_frame(sock: socket.socket,
-               timeout: Optional[float] = None) -> tuple[int, bytearray]:
+               timeout: Optional[float] = None) -> Frame:
     """Read one frame; returns ``(msg_type, payload)``.
 
     The payload is a private, mutable ``bytearray`` the bytes were
-    received into directly (``recv_into``); the caller owns it.
+    received into directly (``recv_into``), or for a frame with bulk
+    regions a received :class:`~repro.xdr.bulk.Payload` holding one
+    native array per region (:class:`FrameReader`); the caller owns it.
 
     Raises :class:`ConnectionClosed` on clean EOF before a header,
-    :class:`ProtocolError` on bad magic, implausible length, or a
-    checksum mismatch (a corrupted type, length or ``crc`` word, or a
-    payload byte of a payload-covering frame), and
+    :class:`ProtocolError` on bad magic, implausible length or region
+    table, or a checksum mismatch (a corrupted type, length, table or
+    ``crc`` word, or a payload byte of a payload-covering frame), and
     :class:`~repro.protocol.errors.TimeoutError` when ``timeout``
     seconds elapse before the full frame arrives.
     """

@@ -114,7 +114,7 @@ class MessageType(enum.IntEnum):
     MS_SYNC_REPLY = 38
 
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 
 @dataclass(frozen=True)

@@ -348,8 +348,7 @@ class NinfRpcServices:
         def finish(reply_type: int, reply_payload: memoryview | bulk.Payload,
                    cache: bool = True) -> None:
             # Park before sending: the eviction the park triggers frees
-            # an old reply before a socket send flattens this one, so a
-            # bulk server holds one reply buffer fewer at its peak.
+            # an old reply before this one goes out.
             if key is not None:
                 if cache:
                     self.dedup.complete(key, (reply_type, reply_payload))
@@ -532,9 +531,9 @@ def _result_payload(reply_id: int, executable: NinfExecutable,
     one of the call's own buffers -- a decoded argument or a ``mode_out``
     array, the same memory, whatever array object stands for it -- stays
     a region holding that array until a medium takes it: a ring converts
-    it straight into ring memory, a socket flattens it on the sending
-    thread.  Nothing else writes to those buffers once the job is done,
-    so the dedup cache may replay them.  Any other output (a module
+    it straight into ring memory, a socket through the sending thread's
+    piece buffer.  Nothing else writes to those buffers once the job is
+    done, so the dedup cache may replay them.  Any other output (a module
     global, a view the executable keeps, a fresh array) could change
     before a replay, so the payload is flattened now."""
 

@@ -136,8 +136,8 @@ class Channel(_Metered):
 
     def attach_io(self, io: "ShmTransport") -> None:
         """Reroute this channel's frames onto ``io`` (an object with
-        ``send_frame``/``recv_frame``/``encode_frame``/``sendall``/
-        ``healthy``/``shutdown``/``close``,
+        ``send_frame``/``recv_frame``/``sendall``/``healthy``/
+        ``shutdown``/``close``,
         e.g. :class:`repro.transport.shm.ShmTransport`).  Existing locks
         and deadline semantics keep applying; the socket remains owned
         and becomes pure liveness signal."""
@@ -233,16 +233,12 @@ class Channel(_Metered):
                            covers_payload=self.covers_payload)
         self._note_io(self._sent, len(payload))
 
-    def _encode_frame(self, msg_type: int, payload: BytesLike) -> bytes:
+    def _encode_frame(self, msg_type: int, payload: BytesLike) -> bytearray:
         """The bytes :meth:`send` would put on the medium frames flow
-        over, framed by that medium's codec (a ring's or a loopback
-        socket's ``crc`` word does not cover the payload) -- what fault
-        injection cuts and flips."""
-        io = self._io
-        if io is not None:
-            return io.encode_frame(msg_type, payload)
-        return encode_frame(msg_type, payload,
-                            covers_payload=self.covers_payload)
+        over (a ring's or a loopback socket's ``crc`` word does not cover
+        the payload) -- what fault injection cuts and flips."""
+        return encode_frame(msg_type, payload, covers_payload=(
+            self.covers_payload and self._io is None))
 
     def _raw_sendall(self, data: BytesLike,
                      timeout: Optional[float] = None) -> None:

@@ -27,12 +27,12 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import (Any, Callable, Iterable, Optional, TYPE_CHECKING,
-                    TypeVar)
+from typing import (Any, Callable, Iterator, Optional, TYPE_CHECKING,
+                    TypeVar, Union)
 
 from repro.obs import MetricsRegistry, names
 from repro.protocol.errors import ConnectionClosed, ProtocolError
-from repro.protocol.framing import BytesLike, FrameReader
+from repro.protocol.framing import BytesLike, FrameReader, unsent
 from repro.protocol.messages import (ErrorReply, MessageType, pack,
                                      unpack)
 from repro.transport import shm
@@ -73,17 +73,19 @@ class Connection:
 class _ReplySocket(socket.socket):
     """An accepted TCP socket whose frame writes never wait for the peer.
 
-    A frame write (``sendall``/``sendmsg``, under the channel's send
-    lock) puts what the kernel takes at once on the wire and keeps the
-    rest as a backlog, owned by the thread that left it
-    (:attr:`owner`), for :meth:`drain` to write out blocking --
+    A frame write (``send_gathers``, or ``sendall`` of a pre-framed one,
+    under the channel's send lock) puts what the kernel takes at once on
+    the wire and keeps the rest as a backlog, owned by the thread that
+    left it (:attr:`owner`), for :meth:`drain` to write out blocking --
     ``SO_SNDTIMEO`` (:data:`REPLY_STALL_SECONDS`) bounds a stall.  A
     frame written while a backlog is owned queues behind it, so no
     writer ever waits for another.  A PE thread drains its own backlog
     before its ``send`` returns, so that backlog may be views of its
-    buffers; the reactor must not block, so its backlog is copied and
-    handed to a writer thread (:meth:`Endpoint._park`), which also
-    waits out another thread's (:meth:`wait_flushed`).
+    buffers and the rest of its frame not yet drawn: a bulk region is
+    converted into the thread's one piece buffer only as the piece
+    before it has gone out.  The reactor must not block, so its backlog
+    is copied and handed to a writer thread (:meth:`Endpoint._park`),
+    which also waits out another thread's (:meth:`wait_flushed`).
     """
 
     # Thousands are held at once: no per-socket ``__dict__``.
@@ -94,8 +96,10 @@ class _ReplySocket(socket.socket):
         self.reactor = threading.get_ident()  # accepted on the reactor
         self._lock = threading.Lock()
         # GUARDED_BY(_lock): what the kernel has not taken yet, in order
-        # (a chunk or two), and the condition wait_flushed() makes.
-        self._backlog: list[BytesLike] = []
+        # -- bytes, or the buffer lists of a frame still to be drawn --
+        # and the condition wait_flushed() makes.
+        self._backlog: list[Union[BytesLike,
+                                  Iterator[list[BytesLike]]]] = []
         self._flushed: Optional[threading.Condition] = None
         # The thread that owes the socket the backlog (None: no backlog).
         self.owner: Optional[int] = None
@@ -103,33 +107,38 @@ class _ReplySocket(socket.socket):
             "ll", *divmod(int(REPLY_STALL_SECONDS * 1e6), 10**6)))
 
     def sendall(self, data: BytesLike, flags: int = 0) -> None:
-        self.sendmsg((data,))
+        self.send_gathers(iter(([data],)))
 
-    def sendmsg(self, buffers: Iterable[BytesLike], *_args: Any) -> int:
-        views = [memoryview(buf).cast("B") for buf in buffers]
-        total = sum(len(view) for view in views)
+    def send_gathers(self, gathers: Iterator[list[BytesLike]]) -> None:
+        """Write one frame, given as buffer lists each valid until the
+        next is drawn (``framing.send_frame``)."""
         with self._lock:
             if self.owner is not None:
                 # Queue behind the owner's backlog; copied, because the
                 # caller reuses its buffers once this returns.
-                self._backlog.extend(bytes(view) for view in views)
-                return total
+                self._backlog.extend(bytes(buf) for gather in gathers
+                                     for buf in gather)
+                return
         # No backlog: it only starts here, under the channel's send lock.
-        try:
-            sent = super().sendmsg(views, (), socket.MSG_DONTWAIT)
-        except BlockingIOError:
-            sent = 0
-        if sent < total:
+        for gather in gathers:
+            try:
+                sent = super().sendmsg(gather, (), socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                sent = 0
+            if sent == sum(map(len, gather)):
+                continue
+            rest = unsent(gather, sent)
             me = threading.get_ident()
             with self._lock:
                 self.owner = me
-                for view in views:
-                    if sent < len(view):
-                        self._backlog.append(bytes(view[sent:])
-                                             if me == self.reactor
-                                             else view[sent:])
-                    sent = max(0, sent - len(view))
-        return total
+                if me == self.reactor:
+                    self._backlog.extend(bytes(view) for view in rest)
+                    self._backlog.extend(bytes(buf) for gather in gathers
+                                         for buf in gather)
+                else:
+                    self._backlog.extend(rest)
+                    self._backlog.append(gathers)
+            return
 
     def drain(self) -> None:
         """Write out the backlog this thread owns, blocking; raises
@@ -140,8 +149,13 @@ class _ReplySocket(socket.socket):
                     if not self._backlog:
                         self._flushed_locked()
                         return
-                    chunk = self._backlog.pop(0)
-                super().sendall(chunk)
+                    item = self._backlog.pop(0)
+                if isinstance(item, (bytes, bytearray, memoryview)):
+                    super().sendall(item)
+                else:
+                    for gather in item:
+                        for buf in gather:
+                            super().sendall(buf)
         except OSError:
             with self._lock:
                 self._backlog.clear()

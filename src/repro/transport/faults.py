@@ -52,7 +52,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from repro.protocol.errors import ConnectionClosed
-from repro.protocol.framing import HEADER, BytesLike, payload_seed
+from repro.protocol.framing import HEADER, BytesLike, header_crc, \
+    table_size
 from repro.transport.channel import _DEFAULT, Channel, _Unset, connect
 
 __all__ = [
@@ -490,23 +491,22 @@ class FaultyChannel(Channel):
 
 def _corrupt(frame: bytes, ratio: float) -> bytes:
     """Flip one byte of ``frame`` where its receiver's check looks,
-    never in the magic or length fields.
+    never in the magic, length or region count fields.
 
     Whether the ``crc`` word covers the payload is read off the frame:
-    it does when the payload folded into the header CRC
-    (``framing.payload_seed``) gives the ``crc`` word.  If it does, a
-    payload byte is flipped.  If not -- a ring's frame, whose word
-    covers its region table, a loopback socket's, or any payload-less
-    one -- the byte is one of the eight in the ``type`` and ``crc``
-    words.  Either way the receiver's checksum verification fails
-    deterministically (magic and length are left intact so the receiver
-    reads exactly this frame and cannot mis-frame the stream).
+    it does when everything after the header, folded into the header
+    CRC, gives the ``crc`` word.  If it does, a byte after the region
+    table is flipped.  If not -- a ring's frame or a loopback socket's,
+    whose word stops at the table -- the byte is one of the eight in the
+    ``type`` and ``crc`` words.  Either way the receiver's checksum
+    verification fails deterministically (magic, length and table are
+    left intact so the receiver reads exactly this frame and cannot
+    mis-frame the stream).
     """
     _magic, msg_type, length, crc = HEADER.unpack_from(frame)
-    seed = payload_seed(msg_type, length, crc)
-    if seed is None or zlib.crc32(
-            frame[HEADER.size:HEADER.size + length], seed) != crc:
+    if zlib.crc32(frame[HEADER.size:], header_crc(msg_type, length)) != crc:
         index = (4, 5, 6, 7, 12, 13, 14, 15)[int(ratio * 8)]
     else:
-        index = HEADER.size + int(ratio * (len(frame) - HEADER.size))
+        body = HEADER.size + table_size(frame)
+        index = body + int(ratio * (len(frame) - body))
     return frame[:index] + bytes((frame[index] ^ 0xFF,)) + frame[index + 1:]

@@ -4,8 +4,8 @@ The paper's LAN results put the floor of call latency at the network
 stack; on the *same host* (client and server sharing a machine, the
 common case for the breakdown experiment and local development) even
 loopback TCP pays per-byte kernel copies.  This module carries frames
-with the same 16-byte header layout -- ``MAGIC | type | len | crc`` --
-over a pair of single-producer/single-consumer ring buffers in
+of the socket's layout (:mod:`repro.protocol.framing`) over a pair of
+single-producer/single-consumer ring buffers in
 :mod:`multiprocessing.shared_memory`, so payload bytes move
 process-to-process through one shared mapping.
 
@@ -34,10 +34,10 @@ element; only the per-piece copy differs).  Neither side allocates a
 buffer the size of the frame.  Capacities are
 multiples of 16 and every frame is padded to one, so each region starts
 16-aligned in ring memory and no element straddles the ring's end.  The
-ring frame is known to this module alone: :func:`_frame_pieces` lays it
-out for :meth:`ShmTransport.send_frame` and
-:meth:`ShmTransport.encode_frame`, and :meth:`ShmTransport.recv_frame`
-reads it back in order.
+frame is a loopback socket's, byte for byte: ``framing._frame_pieces``
+lays it out for :meth:`ShmTransport.send_frame` (and
+``framing.encode_frame`` joins it, for fault injection), and
+:meth:`ShmTransport.recv_frame` reads it back in order.
 
 Negotiation (PROTOCOL.md §"Shared-memory handshake") happens over the
 already-established TCP channel, and both halves live here: the client
@@ -70,12 +70,10 @@ ring's fault model and would not be noticed.
 from __future__ import annotations
 
 import os
-import struct
 import time
 import zlib
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Iterable, Iterator, Optional, TYPE_CHECKING, \
-    Union
+from typing import Any, Iterable, Optional, TYPE_CHECKING, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -91,8 +89,9 @@ from repro.protocol.errors import (
     TimeoutError,
 )
 from repro.protocol import framing
-from repro.protocol.framing import HEADER, MAGIC, MAX_FRAME_SIZE, \
-    BytesLike, header_crc, parse_header
+from repro.protocol.framing import ALIGN as RING_ALIGN, HEADER, \
+    MAX_REGIONS, BytesLike, _COUNT, _ENTRY, _Piece, _frame_pieces, \
+    _joined, _table_regions, header_crc, parse_header, region_count
 from repro.protocol.messages import MessageType, pack, unpack
 from repro.xdr import XdrError, bulk
 
@@ -120,24 +119,6 @@ DEFAULT_CAPACITY = 1 << 18
 #: region table and the 16-byte alignment.  A peer speaking another
 #: format is refused before any ring carries a frame.
 RING_FORMAT = 3
-
-#: Ring frames and the regions in them start at multiples of this.
-RING_ALIGN = 16
-
-#: Most bulk regions one ring frame may announce.
-MAX_REGIONS = 1 << 12
-
-#: A region table: a count word, then per region its wire offset, its
-#: ``nbytes`` and its wire dtype's index in ``bulk.WIRE_DTYPES``.
-_COUNT = struct.Struct(">I")
-_ENTRY = struct.Struct(">III")
-
-#: Zeros a frame is padded with up to a :data:`RING_ALIGN` boundary.
-_PAD = bytes(RING_ALIGN)
-
-#: What a ring frame is written from: bytes, or an array and the wire
-#: dtype it is converted to (:func:`_frame_pieces`).
-_Piece = Union[BytesLike, tuple[NDArray[Any], str]]
 
 #: A frame without regions whose payload is this size or less is joined
 #: and goes into the ring as one write, not three (header and table,
@@ -459,11 +440,11 @@ class ShmTransport:
     """Frame I/O over a ring pair; the object ``Channel.attach_io`` takes.
 
     ``send_ring`` carries this side's outgoing frames, ``recv_ring`` the
-    peer's.  A frame in a ring is the 16-byte ``MAGIC|type|len|crc``
-    header of TCP framing, the region table, the payload bytes outside
-    its bulk regions, then each region, padded to 16 bytes apiece
-    (PROTOCOL.md, *Shared-memory handshake*); the ``crc`` word covers
-    the type and length words and the table only.  A desynchronised ring
+    peer's.  A frame in a ring is the frame of a socket: the 16-byte
+    ``MAGIC|type|len|crc`` header, the region table, the payload bytes
+    outside its bulk regions, then each region, padded to 16 bytes
+    apiece (PROTOCOL.md, *Frame format*); the ``crc`` word covers the
+    type and length words and the table only.  A desynchronised ring
     (bad magic, a header or table that fails its CRC, a table that does
     not validate, EOF mid-frame) surfaces as the same
     :class:`ProtocolError` TCP framing raises, before any buffer sized
@@ -490,7 +471,7 @@ class ShmTransport:
                    payload: Union[BytesLike, bulk.Payload] = b"",
                    timeout: Optional[float] = None) -> None:
         """Write one frame into the send ring, piece by piece
-        (:func:`_frame_pieces`): each region is converted straight from
+        (``framing._frame_pieces``): each region is converted straight from
         its array, or copied once the payload is flat.  A small frame
         without regions is joined into one write (:data:`_INLINE_MAX`)."""
         deadline = self._deadline(timeout)
@@ -504,14 +485,6 @@ class ShmTransport:
                 ring.write_array(*piece, deadline)
             else:
                 ring.write(piece, deadline)
-
-    @staticmethod
-    def encode_frame(msg_type: int,
-                     payload: Union[BytesLike, bulk.Payload] = b"") -> bytes:
-        """The exact bytes :meth:`send_frame` puts into the ring, for
-        fault injection to truncate or corrupt."""
-        bulk.flat(payload)      # region sources become big-endian bytes
-        return bytes(_joined(_frame_pieces(msg_type, payload)))
 
     def sendall(self, data: BytesLike,
                 timeout: Optional[float] = None) -> None:
@@ -537,10 +510,7 @@ class ShmTransport:
         msg_type, length, crc = parse_header(head[:HEADER.size])
         if got < len(head):
             ring.read_into(head[got:], deadline)
-        (count,) = _COUNT.unpack_from(head, HEADER.size)
-        if count > MAX_REGIONS:
-            raise ProtocolError(f"ring frame announces {count} bulk regions, "
-                                f"at most {MAX_REGIONS}")
+        count = region_count(head)
         check = zlib.crc32(head[HEADER.size:], header_crc(msg_type, length))
         table = bytearray()
         if count:
@@ -586,76 +556,6 @@ class ShmTransport:
         """Close both rings (marking them for the peer; owner unlinks)."""
         self.send_ring.close()
         self.recv_ring.close()
-
-
-def _frame_pieces(msg_type: int, payload: Union[BytesLike, bulk.Payload]
-                  ) -> Iterator[_Piece]:
-    """A ring frame in the order it is written: the header and region
-    table, whose ``crc`` word is the header CRC folded over the table;
-    the payload's bytes outside its regions, padded to 16; then each
-    region, padded to 16 -- its array and wire dtype, to be converted,
-    or its big-endian bytes once the payload is flat."""
-    length = len(payload)
-    if length > MAX_FRAME_SIZE:
-        raise ProtocolError(f"frame payload too large: {length} bytes")
-    if isinstance(payload, bulk.Payload):
-        spans, sources = payload.parts()    # one snapshot of the payload
-    else:
-        spans, sources = [payload], []
-    table = _COUNT.pack(len(sources))
-    for region, _source in sources:
-        table += _ENTRY.pack(region.offset, region.nbytes,
-                             bulk.WIRE_DTYPES.index(region.wire))
-    crc = zlib.crc32(table, header_crc(msg_type, length))
-    size = HEADER.size + len(table)
-    yield HEADER.pack(MAGIC, msg_type, length, crc) + table
-    for span in spans:
-        size += len(span)
-        yield span
-    yield _PAD[:-size % RING_ALIGN]
-    for region, source in sources:
-        yield (source, region.wire) if isinstance(source, np.ndarray) \
-            else source
-        yield _PAD[:-region.nbytes % RING_ALIGN]
-
-
-def _joined(pieces: Iterable[_Piece]) -> bytearray:
-    """The bytes of ``pieces`` in one buffer: a frame without regions,
-    or one whose payload is flat."""
-    frame = bytearray()
-    for piece in pieces:
-        assert not isinstance(piece, tuple), "a region is still an array"
-        frame += piece
-    return frame
-
-
-def _table_regions(table: BytesLike, length: int
-                   ) -> list[tuple[int, int, str]]:
-    """A region table's ``(offset, nbytes, wire)`` entries, each checked
-    before anything is sized by it: a known wire dtype, a 4-aligned
-    offset past the region before, a whole number of elements, inside
-    the ``length``-byte payload."""
-    regions: list[tuple[int, int, str]] = []
-    end = 0
-    for offset, nbytes, code in _ENTRY.iter_unpack(table):
-        if code >= len(bulk.WIRE_DTYPES):
-            raise ProtocolError(f"bulk region of unknown dtype code {code}")
-        wire = bulk.WIRE_DTYPES[code]
-        if offset % 4:
-            raise ProtocolError(f"bulk region at unaligned offset {offset}")
-        if offset < end:
-            raise ProtocolError(f"bulk region at offset {offset} is out of "
-                                f"order or overlapping (the one before "
-                                f"ends at {end})")
-        if nbytes == 0 or nbytes % np.dtype(wire).itemsize:
-            raise ProtocolError(f"bulk region of {nbytes} bytes is no whole "
-                                f"number of {wire} elements")
-        end = offset + nbytes
-        if end > length:
-            raise ProtocolError(f"bulk region ends at {end}, past the "
-                                f"{length}-byte payload")
-        regions.append((offset, nbytes, wire))
-    return regions
 
 
 # Bound the handshake wait: a SHM_HELLO to a peer that never answers

@@ -23,12 +23,15 @@ host copies without swapping, by the same statement.
 A large array need not be converted into the frame buffer at all.
 :class:`Payload` is a message whose bulk *regions* -- arrays of
 :data:`REGION_MIN` bytes and up -- are held apart from its other bytes:
-on the sending side as the caller's own arrays, on the receiving side of
-a shared-memory ring as the native arrays they were converted into.  A
-ring carries a region table and converts each array straight between
-NumPy and ring memory (:mod:`repro.transport.shm`); a socket takes the
-wire bytes, built by :meth:`Payload.flat` in the same one pass per
-array the encoder used to make.
+on the sending side as the caller's own arrays, on the receiving side
+as the native arrays they were converted into.  Every frame carries a
+region table (:mod:`repro.protocol.framing`): a ring converts each array
+straight between NumPy and ring memory (:mod:`repro.transport.shm`), a
+socket through a piece-sized buffer on the way out and in place as its
+bytes land on the way in.  :meth:`Payload.flat` builds the wire bytes
+in one pass per array for the few places that need a flat copy: a
+reply whose arrays may change before a replay, a send finished later
+on another thread.
 
 The scalar-loop oracles at the bottom (``scalar_*``) are the pre-bulk
 encodings; ``tests/xdr/test_bulk.py`` holds the engine to byte
@@ -101,7 +104,7 @@ def room(nbytes: int) -> bytearray:
 REGION_MIN = 1 << 18
 
 #: The big-endian wire dtypes of NumPy arrays (the encoder maps each
-#: native dtype to one), indexed by their code in a ring frame's region
+#: native dtype to one), indexed by their code in a frame's region
 #: table.
 WIRE_DTYPES = (">i4", ">u4", ">i8", ">u8", ">f4", ">f8", ">c8", ">c16")
 
@@ -114,7 +117,7 @@ class Region(NamedTuple):
     nbytes: int
     wire: str           #: the wire dtype, one of :data:`WIRE_DTYPES`
     #: Sending: the caller's contiguous array.  Received: the native 1-D
-    #: array converted out of the ring.  None once the bytes are flat.
+    #: array the region was converted into.  None once the bytes are flat.
     array: Optional["_np.ndarray"]
 
 
@@ -126,17 +129,17 @@ class Payload:
     the wire bytes, converting each region's array once, and keeps them:
     from then on ``rest`` is None, the regions hold no array, and the
     flat bytes are what every medium copies.  The region table stays, so
-    a ring still places each region where its reader converts it.
+    a frame still places each region where its reader converts it.
 
     Two threads may send one payload at once (a reply the dedup cache
     replays while its owner sends it): the build runs under a lock, and
     the payload's form -- its bytes and its regions -- is one attribute,
-    replaced whole, so a reader takes both from one snapshot and a ring
+    replaced whole, so a reader takes both from one snapshot and a frame
     write that took the arrays keeps them alive to its end.
 
-    ``received`` marks a payload a ring reader built: the decoder takes
-    its regions' arrays as the decoded values.  Any other payload is
-    decoded from its flat bytes.
+    ``received`` marks a payload a frame reader built (a socket's or a
+    ring's): the decoder takes its regions' arrays as the decoded
+    values.  Any other payload is decoded from its flat bytes.
     """
 
     __slots__ = ("received", "_length", "_lock", "_form")
@@ -194,7 +197,7 @@ class Payload:
     def parts(self) -> tuple[list[BufferLike],
                              list[tuple[Region,
                                         Union["_np.ndarray", memoryview]]]]:
-        """One snapshot of the payload as a ring writes it: the bytes
+        """One snapshot of the payload as a frame is written: the bytes
         outside every region, in wire order, and each region with what
         it is written from -- its array, or its big-endian bytes once
         the payload is flat."""

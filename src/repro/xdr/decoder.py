@@ -9,7 +9,7 @@ the same property to nested payloads: a CALL body can be unmarshalled
 straight out of the enclosing frame without materialising an
 intermediate ``bytes``.
 
-A :class:`~repro.xdr.bulk.Payload` a ring reader built carries its bulk
+A :class:`~repro.xdr.bulk.Payload` a frame reader built carries its bulk
 regions as native arrays already converted: :meth:`XdrDecoder.unpack_ndarray`
 takes a region's array when the array's data starts the region, and no
 byte of a region is ever read as XDR -- a read that runs into one, a

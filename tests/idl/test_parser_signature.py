@@ -270,3 +270,34 @@ def test_signature_equality_and_hash():
     assert hash(a) == hash(b)
     c = Signature.from_idl(LINPACK_IDL)
     assert a != c
+
+
+def test_expressions_are_parsed_once_not_per_call(monkeypatch):
+    """Every dimension is parsed when the signature is built (or decoded
+    off the wire), ``CalcOrder`` and ``CommOrder`` on their first use:
+    after the first call, binding, shaping, unmarshalling and predicting
+    a call parse nothing."""
+    from repro.idl import expr as expr_module
+    from repro.idl import signature as signature_module
+    from repro.protocol.marshal import marshal_inputs, unmarshal_inputs
+
+    sig = wire_roundtrip(Signature.from_idl(LINPACK_IDL))
+    sig.predicted_flops({"n": 1.0})
+    sig.predicted_comm_bytes({"n": 1.0})
+    parsed = []
+    parse = expr_module.parse_expr
+    monkeypatch.setattr(signature_module, "parse_expr",
+                        lambda *a: parsed.append(a) or parse(*a))
+    n = 12
+    args = (n, np.eye(n), np.ones(n))
+    for _ in range(3):
+        bound = sig.bind(args)
+        enc = XdrEncoder()
+        marshal_inputs(sig, args, into=enc)
+        unmarshal_inputs(sig, enc.getvalue())
+        assert sig.predicted_flops(bound.env) == 2 * n**3 / 3 + 2 * n * n
+        assert sig.predicted_comm_bytes(bound.env) \
+            == 2 * (8 * n * n + 8 * n) + 4
+        assert [spec.shape(bound.env) for spec in sig.args] \
+            == [(), (n, n), (n,)]
+    assert parsed == []

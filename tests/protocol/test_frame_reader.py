@@ -1,31 +1,72 @@
 """FrameReader: the one socket receive state machine, fed without a
 socket, and the ring's reader beside it.
 
-The blocking socket and the event loop only move bytes into
-:meth:`FrameReader.buffer`; everything a socket receiver checks is here,
-so it is tested here byte by byte -- any chunking, both ``crc`` forms,
-a corrupted frame in the middle of a stream.  The shm ring reads its own
-frames in order; the same properties are pinned for it through a ring.
+The blocking socket, the reactor and the event loop only move bytes
+into :meth:`FrameReader.buffer`; everything a socket receiver checks is
+here, so it is tested here byte by byte -- any chunking, both ``crc``
+forms, frames with bulk regions of every wire dtype, a corrupted frame
+in the middle of a stream.  The shm ring reads its own frames in order;
+the same properties are pinned for it through a ring.
 """
 
+import contextlib
 import socket
 import threading
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.protocol import framing
 from repro.protocol.errors import ConnectionClosed, ProtocolError
 from repro.protocol.framing import HEADER, FrameReader, encode_frame, \
-    recv_frame
+    recv_frame, table_size
 from repro.transport import ShmRing, ShmTransport
-from repro.xdr import bulk
+from repro.xdr import XdrEncoder, bulk
+from tests.transport.test_ring_regions import _array, _decoded, _same_bits
 
 MISMATCH = "checksum mismatch"
 
+
+@contextlib.contextmanager
+def _small_pieces(region_min=8, piece=48):
+    """Arrays of ``region_min`` bytes and up are regions, and a region is
+    received (and sent) ``piece`` bytes at a time -- 3 elements of the
+    widest dtype -- so a few hundred bytes cross many piece edges."""
+    saved = bulk.REGION_MIN, framing.PIECE
+    bulk.REGION_MIN, framing.PIECE = region_min, piece
+    try:
+        yield
+    finally:
+        bulk.REGION_MIN, framing.PIECE = saved
+
+
+#: A message: bytes, or the ``(wire, count, seed)`` of each array of
+#: an XDR message (:func:`_built`) -- every wire dtype, in sizes that
+#: are no multiple of the piece.
+messages = st.one_of(
+    st.binary(max_size=300),
+    st.lists(st.tuples(st.sampled_from(bulk.WIRE_DTYPES),
+                       st.integers(1, 40), st.integers(0, 2**32 - 1)),
+             max_size=3))
+
 frames_strategy = st.lists(
-    st.tuples(st.integers(0, 2**32 - 1), st.binary(max_size=300),
-              st.booleans()),
+    st.tuples(st.integers(0, 2**32 - 1), messages, st.booleans()),
     min_size=1, max_size=6)
+
+
+def _built(message):
+    """``(payload, wires)``: bytes and None, or an XDR message -- a name,
+    then per array a marker word and the array -- whose arrays are
+    regions once they reach ``bulk.REGION_MIN``."""
+    if isinstance(message, bytes):
+        return message, None
+    enc = XdrEncoder()
+    enc.pack_string("frame")
+    for marker, (wire, count, seed) in enumerate(message):
+        enc.pack_uint(marker)
+        enc.pack_ndarray(_array(wire, count, seed))
+    return enc.payload(), [wire for wire, _count, _seed in message]
 
 
 def feed(reader: FrameReader, wire: bytes, cuts: list) -> list:
@@ -56,27 +97,104 @@ def feed(reader: FrameReader, wire: bytes, cuts: list) -> list:
     return out
 
 
+def _check(got, frames):
+    """``got`` from :func:`feed` against the ``(type, (payload, wires))``
+    sent: a frame with regions decodes equal to the flat decode of what
+    was sent, any other is the bytes sent."""
+    assert len(got) == len(frames)
+    for item, want in zip(got, frames):
+        if want == MISMATCH:
+            assert item == MISMATCH
+            continue
+        msg_type, (payload, wires) = want
+        assert item != MISMATCH and item[0] == msg_type
+        if wires is None:
+            assert type(item[1]) is bytearray and item[1] == payload
+            continue
+        received = item[1]
+        if not isinstance(payload, bulk.Payload):   # no array a region
+            assert type(received) is bytearray
+        _same_bits(_decoded(received, wires),
+                   _decoded(bytes(bulk.flat(payload)), wires))
+        for region in getattr(received, "regions", ()):
+            assert region.array.dtype.isnative
+            assert region.array.nbytes == region.nbytes
+
+
 @settings(max_examples=80, deadline=None)
 @given(frames=frames_strategy, cuts=st.lists(st.integers(0, 2400),
                                              max_size=40),
        data=st.data())
 def test_any_chunking_yields_the_frames_and_one_mismatch_at_its_index(
         frames, cuts, data):
-    """Frames of both ``crc`` forms, one payload-covering frame with a
-    flipped payload byte among them: the reader yields every frame as
-    given to ``encode_frame``, the mismatch at its own index, and goes
-    on with the next frame."""
-    bad = data.draw(st.integers(0, len(frames) - 1))
-    msg_type, payload, _covers = frames[bad]
-    frames[bad] = (msg_type, payload or b"\x00", True)
-    wires = [encode_frame(t, p, covers_payload=c) for t, p, c in frames]
-    flipped = bytearray(wires[bad])
-    index = data.draw(st.integers(HEADER.size, len(flipped) - 1))
-    flipped[index] ^= data.draw(st.integers(1, 255))
-    wires[bad] = bytes(flipped)
-    expected = [(t, p) for t, p, _c in frames]
-    expected[bad] = MISMATCH
-    assert feed(FrameReader(), b"".join(wires), cuts) == expected
+    """Frames of both ``crc`` forms, with and without regions, one
+    payload-covering frame with a flipped byte past its region table
+    among them: the reader yields every frame as given to
+    ``encode_frame``, the mismatch at its own index, and goes on with
+    the next frame."""
+    with _small_pieces():
+        bad = data.draw(st.integers(0, len(frames) - 1))
+        msg_type, message, _covers = frames[bad]
+        frames[bad] = (msg_type, message, True)
+        frames = [(t, _built(m), c) for t, m, c in frames]
+        wires = [encode_frame(t, p, covers_payload=c)
+                 for t, (p, _w), c in frames]
+        flipped = bytearray(wires[bad])
+        # The one frame the rule cannot catch: a covering word that equals
+        # the header-only one (the CRC register at its fixed point, here
+        # type 0xFFFFFFFF and zero words).  Real traffic meets it with
+        # CRC-32's own miss rate, 2**-32.
+        assume(flipped[12:16] != encode_frame(
+            msg_type, frames[bad][1][0], covers_payload=False)[12:16])
+        index = data.draw(st.integers(
+            HEADER.size + table_size(flipped), len(flipped) - 1))
+        flipped[index] ^= data.draw(st.integers(1, 255))
+        wires[bad] = bytes(flipped)
+        expected = [(t, m) for t, m, _c in frames]
+        expected[bad] = MISMATCH
+        _check(feed(FrameReader(), b"".join(wires), cuts), expected)
+
+
+@settings(max_examples=10, deadline=None)
+@given(wire=st.sampled_from(bulk.WIRE_DTYPES), covers=st.booleans(),
+       extra=st.integers(1, 3), cuts=st.lists(
+           st.integers(0, 3 * framing.PIECE), max_size=12))
+def test_a_region_larger_than_a_piece_arrives_whole(wire, covers, extra,
+                                                    cuts):
+    """At the real piece size: a region a few elements past one and a
+    half pieces, sent in any chunking, is received into one native array
+    per region, equal bit for bit to what was sent."""
+    itemsize = np.dtype(wire).itemsize
+    array = _array(wire, framing.PIECE * 3 // 2 // itemsize + extra, 5)
+    enc = XdrEncoder()
+    enc.pack_string("frame")
+    enc.pack_uint(0)
+    enc.pack_ndarray(array)
+    payload = enc.payload()
+    assert isinstance(payload, bulk.Payload)
+    got = feed(FrameReader(), encode_frame(3, payload, covers_payload=covers),
+               cuts)
+    _check(got, [(3, (payload, [wire]))])
+
+
+@pytest.mark.parametrize("covers", [True, False])
+def test_a_flipped_region_byte_fails_a_covering_frame_only(covers):
+    """One flipped byte inside a region: the covering frame raises the
+    checksum mismatch, and a header-only one -- loopback's and the
+    ring's fault model -- hands on the region with that byte."""
+    array = np.arange(float(bulk.REGION_MIN // 8))
+    enc = XdrEncoder()
+    enc.pack_ndarray(array)
+    wire = bytearray(encode_frame(7, enc.payload(), covers_payload=covers))
+    wire[-1000] ^= 0x01
+    reader = FrameReader()
+    got = feed(reader, bytes(wire), [])
+    if covers:
+        assert got == [MISMATCH]
+        return
+    ((msg_type, got),) = got
+    assert msg_type == 7 and isinstance(got, bulk.Payload)
+    assert np.count_nonzero(got.regions[0].array != array) == 1
 
 
 def _ring_pair():
@@ -90,9 +208,13 @@ def _ring_pair():
 @given(frames=frames_strategy, cuts=st.lists(st.integers(0, 2400),
                                              max_size=20))
 def test_a_ring_reader_takes_header_only_frames(frames, cuts):
-    """Ring frames -- header, an empty region table, payload, pad --
-    written into the ring in any chunking, read back in order."""
-    wire = b"".join(ShmTransport.encode_frame(t, p) for t, p, _c in frames)
+    """Header-only frames -- header, region table, payload, pad, then
+    any regions -- written into the ring in any chunking, read back in
+    order, one native array per region."""
+    with _small_pieces():
+        frames = [(t, _built(m)) for t, m, _c in frames]
+        wire = b"".join(encode_frame(t, p, covers_payload=False)
+                        for t, (p, _w) in frames)
     edges = sorted({min(cut, len(wire)) for cut in cuts} | {len(wire)})
     writer, reader = _ring_pair()
 
@@ -109,7 +231,7 @@ def test_a_ring_reader_takes_header_only_frames(frames, cuts):
         reader.close()
         writer.close()
     assert not thread.is_alive()
-    assert got == [(t, p) for t, p, _c in frames]
+    _check(got, frames)
 
 
 def test_a_ring_reader_refuses_a_covering_header_before_any_room(
@@ -117,12 +239,12 @@ def test_a_ring_reader_refuses_a_covering_header_before_any_room(
     """A socket's payload-covering ``crc`` word fails the ring's check
     of header and table: raised before ``bulk.room`` sizes anything by
     it."""
+    header = encode_frame(7, b"payload" * 1000)[:HEADER.size]
     writer, reader = _ring_pair()
     rooms = []
     room = bulk.room
     monkeypatch.setattr(bulk, "room",
                         lambda n: rooms.append(n) or room(n))
-    header = encode_frame(7, b"payload" * 1000)[:HEADER.size]
     try:
         writer.sendall(header + bytes(4))   # an empty region table
         with pytest.raises(ProtocolError, match=MISMATCH):
@@ -133,6 +255,12 @@ def test_a_ring_reader_refuses_a_covering_header_before_any_room(
     assert rooms == []
 
 
+def _past_count(cut: int) -> int:
+    """``cut`` header and payload bytes as a frame offset: past the
+    header, the region count word is in too."""
+    return cut + (4 if cut >= HEADER.size else 0)
+
+
 @pytest.mark.parametrize("landed, outstanding, receiving", [
     (0, 16, "header"),
     (5, 11, "header"),
@@ -141,7 +269,7 @@ def test_a_ring_reader_refuses_a_covering_header_before_any_room(
 ])
 def test_outstanding_names_the_part_being_received(landed, outstanding,
                                                    receiving):
-    wire = memoryview(encode_frame(7, b"x" * 100))[:landed]
+    wire = memoryview(encode_frame(7, b"x" * 100))[:_past_count(landed)]
     reader = FrameReader()
     while len(wire):
         room = reader.buffer()
@@ -149,6 +277,16 @@ def test_outstanding_names_the_part_being_received(landed, outstanding,
         room[:nbytes], wire = wire[:nbytes], wire[nbytes:]
         assert reader.advance(nbytes) is None
     assert (reader.outstanding, reader.receiving) == (outstanding, receiving)
+
+
+def test_the_count_word_is_received_with_the_header():
+    """Past the header, the count word is still owed to the same part."""
+    reader = FrameReader()
+    room = reader.buffer()
+    assert len(room) == HEADER.size + 4
+    room[:HEADER.size] = encode_frame(7, b"x" * 100)[:HEADER.size]
+    assert reader.advance(HEADER.size) is None
+    assert (reader.outstanding, reader.receiving) == (4, "header")
 
 
 def _socket_eof(wire: bytes):
@@ -162,15 +300,11 @@ def _socket_eof(wire: bytes):
 
 
 def _ring_eof(wire: bytes):
-    """The ring's frame of the same payload, cut at the same header or
-    payload byte (past the header, its empty region table is in)."""
-    frame = ShmTransport.encode_frame(7, b"x" * 100)
-    cut = len(wire) + (4 if len(wire) >= HEADER.size else 0)
     ring = ShmRing.create(1 << 12)
     idle = ShmRing.create(1 << 12)
     reader = ShmTransport(send_ring=idle, recv_ring=ring)
     try:
-        ring.write(frame[:cut])
+        ring.write(wire)
         ring.mark_closed()
         reader.recv_frame(timeout=5.0)
     finally:
@@ -181,7 +315,10 @@ def _ring_eof(wire: bytes):
 @pytest.mark.parametrize("cut, outstanding", [
     (0, 16), (9, 7), (HEADER.size, 100), (HEADER.size + 40, 60)])
 def test_eof_reports_what_the_reader_still_owed(eof, cut, outstanding):
-    wire = encode_frame(7, b"x" * 100, covers_payload=False)[:cut]
+    """The same frame cut at the same header or payload byte, on a
+    socket and on a ring."""
+    wire = encode_frame(7, b"x" * 100,
+                        covers_payload=False)[:_past_count(cut)]
     with pytest.raises(ConnectionClosed,
                        match=f"with {outstanding} bytes outstanding"):
         eof(wire)

@@ -101,8 +101,8 @@ def test_trickled_payload_cannot_stretch_the_whole_frame_deadline():
     frame = encode_frame(MessageType.PONG, b"x" * 64)
 
     async def script(reader, writer):
-        writer.write(frame[:16])
-        for i in range(16, len(frame)):
+        writer.write(frame[:20])            # header and region count
+        for i in range(20, len(frame)):
             writer.write(frame[i:i + 1])
             await writer.drain()
             await asyncio.sleep(0.05)
@@ -120,7 +120,7 @@ def test_eof_mid_frame_names_the_outstanding_bytes():
     frame = encode_frame(MessageType.PONG, b"x" * 100)
 
     async def script(reader, writer):
-        writer.write(frame[:16 + 40])
+        writer.write(frame[:16 + 4 + 40])   # header, count word, 40 bytes
         await writer.drain()
         writer.close()  # FIN with 60 payload bytes unsent
 
@@ -156,7 +156,7 @@ def test_clean_eof_reads_as_a_whole_header_outstanding():
 
 def test_one_flipped_byte_is_a_protocol_error_naming_type_and_length():
     frame = bytearray(encode_frame(MessageType.PONG, b"ninf"))
-    frame[-2] ^= 0x01
+    frame[22] ^= 0x01       # a payload byte, past header and count word
 
     async def script(reader, writer):
         writer.write(bytes(frame) + encode_frame(MessageType.PING, b"ok"))

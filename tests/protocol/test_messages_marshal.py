@@ -172,7 +172,8 @@ def test_frame_truncated_mid_payload():
     try:
         import struct
 
-        a.sendall(struct.pack(">4sIII", b"NINF", 1, 100, 0) + b"short")
+        # Header and an empty region table, then 5 of 100 payload bytes.
+        a.sendall(struct.pack(">4sIIII", b"NINF", 1, 100, 0, 0) + b"short")
         a.close()
         with pytest.raises(ConnectionClosed):
             recv_frame(b)

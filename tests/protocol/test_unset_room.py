@@ -210,7 +210,7 @@ def test_a_truncated_frame_is_not_delivered_by_the_sync_receiver(poisoned):
 
 def test_a_truncated_frame_is_not_delivered_by_a_frame_stream(poisoned):
     sent = _truncated(encode_frame(MessageType.CALL, bytes(BIG)))
-    outstanding = HEADER.size + BIG - len(sent)
+    outstanding = HEADER.size + 4 + BIG - len(sent)     # 4: the count word
 
     async def main():
         async def peer(reader, writer):
@@ -238,8 +238,8 @@ def test_a_truncated_frame_is_not_delivered_by_the_ring(poisoned):
     idle = ShmRing.create(1 << 12)
     reader = ShmTransport(send_ring=idle, recv_ring=ring)
     try:
-        ring.write(_truncated(ShmTransport.encode_frame(MessageType.CALL,
-                                                        bytes(BIG))))
+        ring.write(_truncated(encode_frame(MessageType.CALL, bytes(BIG),
+                                           covers_payload=False)))
         ring.mark_closed()
         with pytest.raises(ConnectionClosed, match="bytes outstanding"):
             reader.recv_frame(timeout=30.0)

@@ -4,9 +4,10 @@ Each hex literal below was recorded from the *hand-written* encoder of
 its op at the last commit that had one (PR 23, ``1db2e00``): a
 dataclass ``encode`` in ``protocol/messages.py`` or the inline
 ``enc.pack_*`` chain at the op's sender.  The declarations that
-replaced them must reproduce every byte and decode it back, which is
-what "the wire is unchanged, ``PROTOCOL_VERSION`` stays 3" means.  A
-vector changes only together with ``PROTOCOL_VERSION``.
+replaced them must reproduce every byte and decode it back.  A vector
+changes only together with ``PROTOCOL_VERSION``: version 4 changed the
+frame around every payload (its region table) and no payload, so only
+``HELLO_REPLY``, which carries the version, moved.
 """
 
 import struct
@@ -103,7 +104,7 @@ VALUES = {
 
 GOLDEN = {
     "HELLO": "",
-    "HELLO_REPLY": "00000003000000036a393000",
+    "HELLO_REPLY": "00000004000000036a393000",
     "INTERFACE_REQUEST": "00000005646d6d756c000000",
     "INTERFACE_REPLY": (
         "000000076c696e7061636b00000000144c5520666163746f72697a65202b20736f6c"

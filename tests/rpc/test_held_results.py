@@ -6,8 +6,10 @@ The server parks a reply whose bulk outputs are the call's own buffers
 by reference; anything else is flattened at completion.  A parked reply
 may then be sent at the same moment by its owner and by a duplicate
 attempt's replay, over a ring (which converts each array straight into
-ring memory) and a socket (which flattens the payload and keeps the flat
-bytes).  The interleavings are forced with events, not hoped for.
+ring memory) and a socket (which converts it through the sending
+thread's piece buffer), while the payload may be flattened where a flat
+copy is needed.  The interleavings are forced with events, not hoped
+for.
 """
 
 import contextlib
@@ -101,11 +103,11 @@ def _held_result(seed: int) -> tuple[bulk.Payload, np.ndarray]:
     return payload, plain
 
 
-def _pause_flatten(monkeypatch) -> tuple[threading.Event, threading.Event,
-                                         list]:
-    """``(started, go, conversions)``: a flatten stops inside its lock,
-    at its first array conversion, until ``go`` is set; every
-    conversion is counted."""
+def _pause_conversion(monkeypatch) -> tuple[threading.Event,
+                                            threading.Event, list]:
+    """``(started, go, conversions)``: the first array conversion -- a
+    socket send's first piece, or a flatten inside its lock -- stops
+    until ``go`` is set; every conversion is counted."""
     started, go, conversions = threading.Event(), threading.Event(), []
     convert = bulk.pack_array_into
 
@@ -180,10 +182,11 @@ def _decoded(frame) -> np.ndarray:
 
 
 def test_a_ring_send_does_not_wait_for_a_socket_flatten(monkeypatch):
-    """A socket sender is mid-flatten when a ring sender takes the same
-    reply: the ring send converts the arrays and completes meanwhile."""
+    """A socket sender is mid-conversion when a ring sender takes the
+    same reply: the ring send converts the arrays and completes
+    meanwhile."""
     payload, plain = _held_result(1)
-    started, go, _conversions = _pause_flatten(monkeypatch)
+    started, go, _conversions = _pause_conversion(monkeypatch)
     with _ring() as (writer, reader), _socket_pair() as pair:
         sock_sent, sock_got = _socket_send(pair, payload)
         assert started.wait(30.0)
@@ -199,11 +202,13 @@ def test_a_ring_send_does_not_wait_for_a_socket_flatten(monkeypatch):
     assert _decoded(sock_frame).tobytes() == plain.tobytes()
 
 
-def test_a_ring_send_keeps_the_arrays_it_took_while_a_socket_flattens(
+def test_a_ring_send_keeps_the_arrays_it_took_while_a_flatten_runs(
         monkeypatch):
     """A ring sender has taken the reply's arrays and stops before
-    writing them; a socket send flattens the reply, which lets its
-    arrays go.  The ring send then writes the arrays it took."""
+    writing them; the payload is flattened meanwhile (as a foreign
+    output is at completion), which lets its arrays go.  The ring send
+    then writes the arrays it took, and a socket send after it the flat
+    bytes."""
     payload, plain = _held_result(2)
     taken, go = threading.Event(), threading.Event()
     write_array = ShmRing.write_array
@@ -218,9 +223,10 @@ def test_a_ring_send_keeps_the_arrays_it_took_while_a_socket_flattens(
         ring_sent = _Run(lambda: writer.send_frame(
             MessageType.RESULT, payload, timeout=30.0))
         assert taken.wait(30.0)
+        _Run(payload.flat).outcome()
+        assert [region.array for region in payload.regions] == [None]
         sock_sent, sock_got = _socket_send(pair, payload)
         sock_sent.outcome()
-        assert [region.array for region in payload.regions] == [None]
         go.set()
         ring_got = _Run(lambda: reader.recv_frame(timeout=30.0))
         ring_sent.outcome()
@@ -229,52 +235,61 @@ def test_a_ring_send_keeps_the_arrays_it_took_while_a_socket_flattens(
     assert _decoded(sock_frame).tobytes() == plain.tobytes()
 
 
-def test_two_socket_sends_of_one_reply_flatten_it_once(monkeypatch):
-    """The second socket sender enters the flatten while the first is
-    mid-conversion: it waits for those bytes and builds none."""
+def test_two_socket_sends_of_one_reply_convert_it_apart_and_keep_it_held(
+        monkeypatch):
+    """The second socket sender starts while the first is mid-conversion:
+    it converts the arrays for itself, waiting for no one, and neither
+    flattens the reply."""
     payload, plain = _held_result(3)
-    started, go, conversions = _pause_flatten(monkeypatch)
-    entered, both_in = [], threading.Event()
-    flat = bulk.Payload.flat
-
-    def counting(self):
-        entered.append(threading.get_ident())
-        if len(entered) == 2:
-            both_in.set()
-        return flat(self)
-
-    monkeypatch.setattr(bulk.Payload, "flat", counting)
+    started, go, conversions = _pause_conversion(monkeypatch)
     with _socket_pair() as first, _socket_pair() as second:
         one = _socket_send(first, payload)
         assert started.wait(30.0)
         two = _socket_send(second, payload)
-        assert both_in.wait(30.0)
+        deadline = time.monotonic() + 30.0
+        while len(conversions) < 2:         # the second is converting too
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
         go.set()
         for sent, _got in (one, two):
             sent.outcome()
         frames = [got.outcome() for _sent, got in (one, two)]
-    assert conversions == [">f8"] and len(set(entered)) == 2
+    assert set(conversions) == {">f8"}
+    assert payload.rest is not None         # still held, never flattened
     for frame in frames:
         assert _decoded(frame).tobytes() == plain.tobytes()
 
 
-# -- the reactor's select loop never flattens another thread's reply ----------
+def test_two_flattens_of_one_reply_convert_it_once(monkeypatch):
+    """The second thread to flatten a reply enters while the first is
+    mid-conversion: it waits for those bytes and builds none."""
+    payload, _plain = _held_result(5)
+    started, go, conversions = _pause_conversion(monkeypatch)
+    one = _Run(payload.flat)
+    assert started.wait(30.0)
+    two = _Run(payload.flat)
+    go.set()
+    assert one.outcome() is two.outcome()
+    assert conversions == [">f8"]
 
 
-def test_a_loop_connection_flattens_a_reply_from_another_thread_there(
+# -- the reactor's select loop never converts another thread's reply ----------
+
+
+def test_a_loop_connection_converts_a_reply_on_the_thread_that_sends_it(
         monkeypatch):
     """A reply a PE-like thread sends on a connection the reactor's
-    select loop serves is flattened on that thread, never on the
-    reactor's."""
-    flattened_on = []
-    flat = bulk.Payload.flat
+    select loop serves is converted on that thread, never on the
+    reactor's, and never flattened."""
+    converted_on = []
+    convert = bulk.pack_array_into
 
-    def recording(self):
-        flattened_on.append(threading.get_ident())
-        return flat(self)
+    def recording(*args):
+        converted_on.append(threading.get_ident())
+        return convert(*args)
 
     payload, plain = _held_result(4)
-    monkeypatch.setattr(bulk.Payload, "flat", recording)
+    monkeypatch.setattr(bulk, "pack_array_into", recording)
     threads = {}
 
     def handler(conn, _request):
@@ -290,6 +305,7 @@ def test_a_loop_connection_flattens_a_reply_from_another_thread_there(
     with endpoint, connect(*endpoint.address, timeout=30.0) as channel:
         frame = channel.request(MessageType.CALL, b"",
                                 expect=MessageType.RESULT)
-    assert flattened_on and set(flattened_on) == {threads["sender"]}
+    assert converted_on and set(converted_on) == {threads["sender"]}
     assert threads["loop"] != threads["sender"]
+    assert payload.rest is not None
     assert _decoded(frame).tobytes() == plain.tobytes()

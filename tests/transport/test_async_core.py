@@ -75,7 +75,7 @@ def test_async_framing_rejects_corrupt_crc():
     async def main():
         async def corrupter(reader, writer):
             frame = bytearray(encode_frame(MessageType.PONG, b"ninf"))
-            frame[-1] ^= 0xFF  # flip a payload byte, keep the old CRC
+            frame[23] ^= 0xFF  # flip a payload byte, keep the old CRC
             writer.write(bytes(frame))
             await writer.drain()
 

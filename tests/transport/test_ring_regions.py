@@ -9,8 +9,10 @@ table is refused before allocation, region bytes are never read as XDR,
 and the server survives a peer that tries.
 """
 
+import contextlib
 import os
 import queue
+import socket
 import struct
 import threading
 import time
@@ -26,7 +28,8 @@ from repro.client.core import _CallPayload
 from repro.idl import Signature
 from repro.protocol.errors import ConnectionClosed, ProtocolError, \
     RemoteError
-from repro.protocol.framing import HEADER, MAGIC, header_crc
+from repro.protocol.framing import HEADER, MAGIC, encode_frame, \
+    header_crc, recv_frame
 from repro.protocol.messages import MessageType, pack
 from repro.server import NinfServer, Registry
 from repro.transport import Channel, Endpoint, ShmRing, ShmTransport, \
@@ -128,7 +131,7 @@ class RingRegions(RuleBasedStateMachine):
             if item is None:
                 return
             try:
-                if isinstance(item, bytes):      # a frame cut short
+                if isinstance(item, (bytes, bytearray)):    # cut short
                     self.writer.sendall(item, timeout=30.0)
                     self.writer.send_ring.mark_closed()
                 else:
@@ -170,7 +173,7 @@ class RingRegions(RuleBasedStateMachine):
         enc = XdrEncoder()
         enc.pack_string("cut")
         enc.pack_ndarray(_array(">f8", 700, 1))
-        frame = ShmTransport.encode_frame(7, enc.payload())
+        frame = encode_frame(7, enc.payload(), covers_payload=False)
         self.outbox.put(frame[:data.draw(st.integers(0, len(frame) - 1))])
         self.closed = True
         with pytest.raises(ConnectionClosed):
@@ -221,30 +224,78 @@ F8 = bulk.WIRE_DTYPES.index(">f8")
     ([1, 0, 64, len(bulk.WIRE_DTYPES)], "unknown dtype"),
 ], ids=["count", "overlap", "order", "unaligned", "past-length",
         "itemsize", "empty", "dtype"])
-def test_a_hostile_table_is_refused_before_anything_is_sized_by_it(
-        monkeypatch, words, match):
-    head = _ring_head(4096, words)
+@contextlib.contextmanager
+def _ring_refusal():
+    """``receive(head)``: the head into a ring, one frame read back."""
     writer, reader = _ring_pair(1 << 16)
-    rooms = []
-    room = bulk.room
-    monkeypatch.setattr(bulk, "room", lambda n: rooms.append(n) or room(n))
     try:
-        writer.sendall(head)
-        with pytest.raises(ProtocolError, match=match):
+        def receive(head):
+            writer.sendall(head)
             reader.recv_frame(timeout=5.0)
+        yield receive
     finally:
         writer.close()
         reader.close()
+
+
+@contextlib.contextmanager
+def _socket_refusal():
+    """``receive(head)``: the head onto a socket, one frame read back."""
+    left, right = socket.socketpair()
+    try:
+        def receive(head):
+            left.sendall(head)
+            recv_frame(right, timeout=5.0)
+        yield receive
+    finally:
+        left.close()
+        right.close()
+
+
+HOSTILE = [
+    ("count", [MAX_REGIONS + 1], "at most"),
+    ("overlap", [2, 0, 64, F8, 32, 64, F8], "out of order or overlapping"),
+    ("order", [2, 128, 64, F8, 0, 64, F8], "out of order or overlapping"),
+    ("unaligned", [1, 2, 64, F8], "unaligned"),
+    ("past-length", [1, 4064, 64, F8], "past the"),
+    ("itemsize", [1, 0, 20, F8], "no whole number"),
+    ("empty", [1, 0, 0, F8], "no whole number"),
+    ("dtype", [1, 0, 64, len(bulk.WIRE_DTYPES)], "unknown dtype"),
+]
+
+
+@pytest.mark.parametrize("receive, words, match", [
+    pytest.param(receive, words, match, id=name + suffix)
+    for receive, suffix in ((_ring_refusal, ""), (_socket_refusal, "-socket"))
+    for name, words, match in HOSTILE])
+def test_a_hostile_table_is_refused_before_anything_is_sized_by_it(
+        monkeypatch, receive, words, match):
+    """Over a ring or a socket: ``ProtocolError`` before any payload
+    buffer or region array exists."""
+    head = _ring_head(4096, words)
+    rooms, arrays = [], []
+    room, empty = bulk.room, np.empty
+    with receive() as refuse:
+        monkeypatch.setattr(bulk, "room",
+                            lambda n: rooms.append(n) or room(n))
+        monkeypatch.setattr(np, "empty", lambda *a, **k:
+                            arrays.append(a) or empty(*a, **k))
+        with pytest.raises(ProtocolError, match=match):
+            refuse(head)
+        monkeypatch.undo()
     # Only the entries themselves were made room for, sized by the
-    # bounded count.
+    # bounded count -- after, on a socket, the reader's own fixed room
+    # for a header and its count word.
     entries = 4 * (len(words) - 1)
-    assert rooms == ([entries] if entries else [])
+    fixed = [HEADER.size + 4] if receive is _socket_refusal else []
+    assert rooms == fixed + ([entries] if entries else [])
+    assert arrays == []
 
 
 def test_a_flipped_table_byte_fails_the_frame_check():
     enc = XdrEncoder()
     enc.pack_ndarray(np.arange(float(DOUBLES)))
-    frame = bytearray(ShmTransport.encode_frame(7, enc.payload()))
+    frame = bytearray(encode_frame(7, enc.payload(), covers_payload=False))
     frame[HEADER.size + 9] ^= 0x10         # the first region's nbytes
     writer, reader = _ring_pair(1 << 18)
     try:

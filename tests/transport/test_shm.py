@@ -202,7 +202,8 @@ def test_transport_rejects_corrupted_frame():
     is the format, shown by the first frame."""
     a, b = transport_pair()
     try:
-        frame = a.encode_frame(MessageType.PING, b"payload")
+        frame = framing.encode_frame(MessageType.PING, b"payload",
+                                     covers_payload=False)
         at = frame.index(b"payload")        # after header and table
         a.sendall(frame[:at] + b"paYload" + frame[at + 7:])
         assert b.recv_frame() == (MessageType.PING, b"paYload")
@@ -223,7 +224,8 @@ def test_every_ring_header_byte_is_checked(index, mask):
     waiting for a payload the flipped length announced."""
     a, b = transport_pair()
     try:
-        frame = bytearray(a.encode_frame(MessageType.PING, b"payload"))
+        frame = bytearray(framing.encode_frame(
+            MessageType.PING, b"payload", covers_payload=False))
         frame[index] ^= mask
         a.sendall(bytes(frame))
         with pytest.raises(ProtocolError) as caught:
@@ -240,7 +242,8 @@ def test_ring_header_is_verified_before_the_payload_is_allocated():
     a, b = transport_pair()
     tracemalloc.start()
     try:
-        frame = bytearray(a.encode_frame(MessageType.PING, b"payload"))
+        frame = bytearray(framing.encode_frame(
+            MessageType.PING, b"payload", covers_payload=False))
         frame[9] ^= 0xFF
         announced = framing.HEADER.unpack(bytes(frame[:16]))[2]
         assert 1 << 23 < announced <= framing.MAX_FRAME_SIZE
@@ -655,7 +658,8 @@ def test_corrupt_lands_where_the_medium_checks(ratio):
     """On a ring the flipped byte is in the type or crc word -- never in
     the payload, which the ring does not check; on a socket it stays in
     the payload."""
-    frame = ShmTransport.encode_frame(MessageType.PING, b"payload")
+    frame = framing.encode_frame(MessageType.PING, b"payload",
+                                 covers_payload=False)
     flipped = _corrupt(frame, ratio)
     (index,) = [i for i in range(len(frame)) if frame[i] != flipped[i]]
     assert index in (4, 5, 6, 7, 12, 13, 14, 15)

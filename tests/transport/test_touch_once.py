@@ -24,13 +24,13 @@ import repro
 from repro.client.core import _CallPayload
 from repro.idl import Signature
 from repro.protocol.errors import ProtocolError
-from repro.protocol.framing import HEADER, crc_covers_payload, encode_frame, \
-    recv_frame, send_frame
+from repro.protocol.framing import HEADER, FrameReader, crc_covers_payload, \
+    encode_frame, recv_frame, send_frame
 from repro.protocol.messages import MessageType
 from repro.server import NinfServer, Registry
 from repro.protocol.aframing import FrameStream
 from repro.transport import Channel, Endpoint, ShmRing, ShmTransport, \
-    aconnect, connect
+    aconnect, connect, endpoint
 from repro.xdr import XdrDecoder, bulk
 
 ECHO_IDL = ('Define bench_echo(mode_in int n, mode_in double A[n], '
@@ -64,9 +64,9 @@ def _peak_over(step) -> tuple[int, object]:
 
 def test_client_call_encode_allocates_the_payload_once(traced):
     """The argument stays the caller's array, a region of the payload:
-    encoding allocates nothing of its size, and a socket attempt
-    flattens it once -- one payload-sized buffer, which every later
-    attempt reuses."""
+    encoding allocates nothing of its size.  A flat copy, where one is
+    needed (a deferred fault-injected send), is one payload-sized
+    buffer, which every later attempt reuses."""
     signature = Signature.from_idl(ECHO_IDL)
     array = np.random.default_rng(17).random(DOUBLES)
 
@@ -150,38 +150,39 @@ def test_a_ring_send_of_a_held_result_allocates_no_frame_sized_buffer(
     assert got.regions[0].array.tobytes() == out.tobytes()
 
 
-def test_a_socket_send_of_a_held_result_flattens_it_on_the_sending_thread(
-        traced, monkeypatch):
-    """One payload-sized buffer, built by the thread that sends, which
-    then stands in for the array."""
-    payload, _peak, out = _result_of(lambda a: a)
-    flattened_on = []
-    flat = bulk.Payload.flat
-
-    def recording(self):
-        flattened_on.append(threading.get_ident())
-        return flat(self)
-
-    monkeypatch.setattr(bulk.Payload, "flat", recording)
-    frame = memoryview(bytearray(HEADER.size + len(payload)))
+def _drained(send, nbytes: int) -> tuple[int, bytearray]:
+    """The peak of ``send(sock)`` into a socket pair whose other end a
+    thread drains into a buffer made beforehand, and what it drained."""
+    wire = bytearray(nbytes)
     left, right = socket.socketpair()
     try:
         def drain():
-            got = 0
-            while got < len(frame):
-                got += right.recv_into(frame[got:])
+            view, got = memoryview(wire), 0
+            while got < nbytes:
+                got += right.recv_into(view[got:])
         reader = _send_from_thread(drain)
-        peak, _ = _peak_over(lambda: send_frame(
-            left, MessageType.RESULT, payload, timeout=30.0))
+        peak, _ = _peak_over(lambda: send(left))
         reader.join(30.0)
     finally:
         left.close()
         right.close()
-    assert NBYTES <= peak <= 1.1 * NBYTES
-    assert flattened_on and set(flattened_on) == {threading.get_ident()}
-    assert [region.array for region in payload.regions] == [None]
-    assert frame[HEADER.size:] == payload.flat()
-    assert frame.tobytes().endswith(out.astype(">f8").tobytes())
+    return peak, wire
+
+
+def test_a_socket_send_of_a_held_result_allocates_no_frame_sized_buffer(
+        traced):
+    """The region goes from the held array through the sending thread's
+    piece buffer onto the socket: nothing near its size is allocated,
+    the payload is never flattened, and the socket carries the frame
+    ``encode_frame`` describes."""
+    payload, _peak, out = _result_of(lambda a: a)
+    frame = encode_frame(MessageType.RESULT, payload)
+    peak, wire = _drained(lambda sock: send_frame(
+        sock, MessageType.RESULT, payload, timeout=30.0), len(frame))
+    assert peak < 1 << 20
+    assert payload.rest is not None         # still held, never flattened
+    assert wire == frame
+    assert out.astype(">f8").tobytes() in wire
 
 
 def test_a_foreign_output_is_flattened_at_completion(traced):
@@ -203,7 +204,10 @@ def _send_from_thread(send) -> threading.Thread:
 
 
 def test_sync_recv_frame_receives_into_one_buffer(traced):
-    payload = bytes(NBYTES)
+    """A payload without regions lands in one buffer with its pad, which
+    is trimmed in place: one payload-sized buffer in all, the one handed
+    on, and none on the sending side."""
+    payload = bytes(range(256)) * (NBYTES // 256) + b"tail!"
     left, right = socket.socketpair()
     try:
         sender = _send_from_thread(
@@ -215,8 +219,8 @@ def test_sync_recv_frame_receives_into_one_buffer(traced):
         left.close()
         right.close()
     assert peak <= 1.1 * NBYTES
-    assert msg_type == MessageType.CALL and len(got) == NBYTES
-    assert isinstance(got, bytearray)
+    assert msg_type == MessageType.CALL and got == payload
+    assert type(got) is bytearray
 
 
 @contextlib.contextmanager
@@ -255,33 +259,153 @@ def _echo_call(seed: int) -> tuple[np.ndarray, bulk.Payload]:
     return array, call.stamp(None, time.monotonic)
 
 
-def test_a_ring_call_send_allocates_no_frame_sized_buffer(traced):
-    """The 8 MB argument goes from the caller's array into ring memory:
-    the send allocates nothing near its size (a ring that holds the
-    whole frame, so nothing is read while the send is measured)."""
-    array, payload = _echo_call(19)
+def _ring_send(payload) -> tuple[int, object]:
+    """Into a ring that holds the whole frame, so nothing is read while
+    the send is measured."""
     with _ring_transports(1 << 24) as (writer, reader):
         peak, _ = _peak_over(lambda: writer.send_frame(
             MessageType.CALL, payload, timeout=30.0))
         _type, got = reader.recv_frame(timeout=30.0)
+    return peak, got
+
+
+def _client_send(payload) -> tuple[int, object]:
+    """A client channel's send, to a peer draining into a buffer made
+    beforehand."""
+    frame = encode_frame(MessageType.CALL, payload)
+    peak, wire = _drained(lambda sock: Channel(sock, timeout=30.0).send(
+        MessageType.CALL, payload), len(frame))
+    assert wire == frame
+    return peak, _decoded_frame(wire)
+
+
+def _reactor_send(payload) -> tuple[int, object]:
+    """The server's reply socket, written as a PE thread writes a RESULT:
+    what the peer does not take at once is drained before ``send``
+    returns, the rest of the region converted only as it goes out."""
+    frame = encode_frame(MessageType.CALL, payload)
+    left, right = socket.socketpair()
+    sock = endpoint._ReplySocket(left)      # the reactor: this thread
+    conn = endpoint._SocketConnection(Channel(sock), sock, lambda c: None)
+    wire = bytearray(len(frame))
+    try:
+        def drain():
+            view, got = memoryview(wire), 0
+            while got < len(wire):
+                got += right.recv_into(view[got:])
+
+        def send():
+            sender = _send_from_thread(
+                lambda: conn.send(MessageType.CALL, payload))
+            sender.join(30.0)
+        reader = _send_from_thread(drain)
+        peak, _ = _peak_over(send)
+        reader.join(30.0)
+    finally:
+        sock.close()
+        right.close()
+    assert wire == frame
+    return peak, _decoded_frame(wire)
+
+
+def _decoded_frame(wire: bytes):
+    reader = FrameReader()
+    view = reader.buffer()
+    view[:] = wire[:len(view)]
+    at, frame = len(view), reader.advance(len(view))
+    while frame is None:
+        view = reader.buffer()
+        view[:] = wire[at:at + len(view)]
+        at += len(view)
+        frame = reader.advance(len(view))
+    return frame[1]
+
+
+def _call_send_allocates_no_frame_sized_buffer(send) -> None:
+    """The 8 MB argument goes from the caller's array into ring memory,
+    or through the sending thread's piece buffer onto a socket: the send
+    allocates nothing near its size."""
+    array, payload = _echo_call(19)
+    peak, got = send(payload)
     assert peak < 1 << 20
+    assert payload.rest is not None         # never flattened
     assert np.array_equal(got.regions[0].array, array)
 
 
-def test_a_ring_receive_allocates_one_native_array_per_region(traced):
-    array, payload = _echo_call(20)
+def test_a_ring_call_send_allocates_no_frame_sized_buffer(traced):
+    _call_send_allocates_no_frame_sized_buffer(_ring_send)
+
+
+@pytest.mark.parametrize("send", [_client_send, _reactor_send],
+                         ids=["client", "reactor"])
+def test_a_socket_call_send_allocates_no_frame_sized_buffer(traced, send):
+    _call_send_allocates_no_frame_sized_buffer(send)
+
+
+def _ring_receive(payload) -> tuple[int, tuple]:
     with _ring_transports() as (writer, reader):
         sender = _send_from_thread(lambda: writer.send_frame(
             MessageType.CALL, payload, timeout=30.0))
-        peak, (msg_type, got) = _peak_over(
-            lambda: reader.recv_frame(timeout=30.0))
+        peak, frame = _peak_over(lambda: reader.recv_frame(timeout=30.0))
         sender.join(30.0)
+    return peak, frame
+
+
+def _client_receive(payload) -> tuple[int, tuple]:
+    left, right = socket.socketpair()
+    with Channel(left, timeout=30.0) as sender, \
+            Channel(right, timeout=30.0) as receiver:
+        thread = _send_from_thread(
+            lambda: sender.send(MessageType.CALL, payload))
+        peak, frame = _peak_over(receiver.recv)
+        thread.join(30.0)
+    return peak, frame
+
+
+def _reactor_receive(payload) -> tuple[int, tuple]:
+    """An endpoint's reactor reads the frame and hands it to a handler,
+    which notes the peak so far."""
+    got = {}
+
+    def handler(conn, received):
+        _, got["peak"] = tracemalloc.get_traced_memory()
+        got["frame"] = (MessageType.CALL, received)
+        conn.send(MessageType.PONG, b"")
+
+    with Endpoint() as server:
+        server.register_handler(MessageType.CALL, handler)
+        with connect(*server.address, timeout=30.0) as channel:
+            channel.request(MessageType.PING, b"warm")
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            channel.request(MessageType.CALL, payload,
+                            expect=MessageType.PONG)
+    return got["peak"] - base, got["frame"]
+
+
+def _receive_allocates_one_native_array_per_region(receive) -> None:
+    """Header, table and the bytes outside the region land in buffers of
+    their own size; the region's bytes land in one native array, which
+    the payload hands on: one payload-sized allocation, and no second."""
+    array, payload = _echo_call(20)
+    peak, (msg_type, got) = receive(payload)
     assert NBYTES <= peak <= 1.1 * NBYTES
     assert msg_type == MessageType.CALL and len(got) == len(payload)
     (region,) = got.regions
     assert region.array.dtype == np.float64 and region.array.nbytes == NBYTES
     assert len(got.rest) < 256      # the header and the scalars
     assert np.array_equal(region.array, array)
+
+
+def test_a_ring_receive_allocates_one_native_array_per_region(traced):
+    _receive_allocates_one_native_array_per_region(_ring_receive)
+
+
+@pytest.mark.parametrize("receive", [_client_receive, _reactor_receive],
+                         ids=["client", "reactor"])
+def test_a_socket_receive_allocates_one_native_array_per_region(traced,
+                                                                receive):
+    _receive_allocates_one_native_array_per_region(receive)
 
 
 # -- checksum: a ring frame checks its header, not its payload ----------------
@@ -318,8 +442,9 @@ def test_a_ring_frame_feeds_the_crc_eight_bytes_a_side(crc_fed, nbytes):
 
 
 def test_a_socket_frame_still_feeds_the_crc_its_payload(crc_fed):
-    """The same 8 MB frame over a socket pair: header words plus the
-    whole payload, on each side -- TCP keeps its CRC."""
+    """The same 8 MB frame over a socket pair: header words, the count
+    word, the whole payload and its 12-byte pad, on each side -- a
+    linked socket keeps its CRC."""
     payload = bytes(NBYTES)
     left, right = socket.socketpair()
     try:
@@ -331,7 +456,7 @@ def test_a_socket_frame_still_feeds_the_crc_its_payload(crc_fed):
         left.close()
         right.close()
     assert msg_type == MessageType.CALL and len(got) == NBYTES
-    assert sum(crc_fed) == 2 * (8 + NBYTES)
+    assert sum(crc_fed) == 2 * (8 + 4 + NBYTES + 12)
 
 
 # -- checksum: a loopback socket frame checks its header, like a ring ---------
@@ -391,10 +516,10 @@ def test_a_loopback_frame_feeds_the_crc_eight_bytes_a_side(crc_fed,
                                                            exchange):
     """8 MB over 127.0.0.1 and back, sync sender to loop receiver and
     the other way round: each of the four ends checksums the type and
-    length words only."""
+    length words and the region table (its count word), like a ring."""
     payload, (msg_type, echoed) = exchange()
     assert msg_type == MessageType.PONG and echoed == payload
-    assert crc_fed == [8, 8, 8, 8]
+    assert sorted(crc_fed) == [4, 4, 4, 4, 8, 8, 8, 8]
 
 
 def _covering_frame_with_a_flipped_payload_byte() -> bytes:
@@ -452,7 +577,8 @@ def test_the_sender_rule_over_peer_addresses(peer, covers):
 def test_a_dual_stack_listener_agrees_with_its_ipv4_client(crc_fed):
     """A listener on ``::`` sees a 127.0.0.1 client as
     ``::ffff:127.0.0.1``: both ends still send header-only frames, and
-    8 MB each way feeds the CRC eight bytes a side."""
+    8 MB each way feeds the CRC the header words and the count word a
+    side."""
     try:
         listener = socket.socket(socket.AF_INET6, socket.SOCK_STREAM)
     except OSError:
@@ -478,7 +604,7 @@ def test_a_dual_stack_listener_agrees_with_its_ipv4_client(crc_fed):
             msg_type, got = receiver.recv()
             thread.join(30.0)
             assert msg_type == MessageType.CALL and got == payload
-    assert crc_fed == [8, 8, 8, 8]
+    assert sorted(crc_fed) == [4, 4, 4, 4, 8, 8, 8, 8]
 
 
 @pytest.mark.parametrize("probe", [b"", b"probe"])
