@@ -1,14 +1,13 @@
 """``repro.analysis`` -- project-aware static checks (``ninf-lint``).
 
 An AST-walking lint framework (:mod:`repro.analysis.core`) plus the
-seven checkers that encode this repo's concurrency, wire-protocol, and
+six checkers that encode this repo's concurrency, wire-protocol, and
 observability conventions:
 
 - ``lock-discipline`` (:mod:`repro.analysis.locks`)
 - ``resource-lifecycle`` (:mod:`repro.analysis.lifecycle`)
 - ``deadline-propagation`` (:mod:`repro.analysis.deadlines`) -- both
   per-function and, since the interprocedural layer, call-graph-aware
-- ``await-under-lock`` (:mod:`repro.analysis.awaitlock`)
 - ``catalog-pinned-names`` (:mod:`repro.analysis.catalog`)
 - ``async-blocking-reachability`` (:mod:`repro.analysis.asyncblocking`)
 - ``struct-arity`` (:mod:`repro.analysis.structarity`)
@@ -29,7 +28,6 @@ from pathlib import Path
 from typing import Optional
 
 from repro.analysis.asyncblocking import AsyncBlockingReachabilityChecker
-from repro.analysis.awaitlock import AwaitUnderLockChecker
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.catalog import CatalogNamesChecker
 from repro.analysis.core import (
@@ -51,7 +49,6 @@ from repro.analysis.structarity import StructArityChecker
 __all__ = [
     "ALL_CHECKER_CLASSES",
     "AsyncBlockingReachabilityChecker",
-    "AwaitUnderLockChecker",
     "CallGraph",
     "CatalogNamesChecker",
     "Checker",
@@ -77,7 +74,6 @@ ALL_CHECKER_CLASSES = (
     LockDisciplineChecker,
     ResourceLifecycleChecker,
     DeadlinePropagationChecker,
-    AwaitUnderLockChecker,
     CatalogNamesChecker,
     AsyncBlockingReachabilityChecker,
     StructArityChecker,
@@ -91,7 +87,6 @@ def all_checkers(repo_root: Optional[Path] = None) -> tuple[Checker, ...]:
         LockDisciplineChecker(),
         ResourceLifecycleChecker(),
         DeadlinePropagationChecker(),
-        AwaitUnderLockChecker(),
         CatalogNamesChecker(repo_root=repo_root),
         AsyncBlockingReachabilityChecker(),
         StructArityChecker(),

@@ -1,50 +1,38 @@
-"""``async-blocking-reachability``: no blocking call on the event loop.
+"""``async-blocking-reachability``: no blocking call on the reactor.
 
-One ``time.sleep`` -- or one sync ``Channel.request`` -- buried three
-calls below a coroutine stalls the whole event loop: every pending
-connection's latency inflates by the blocked interval, which corrupts
-exactly the loop-lag and saturation measurements the bench harness
-exists to take.  The intraprocedural rules (PR 4) can only flag what
-they can see inside one function; this rule walks the project call
-graph from every ``async def`` and flags any *path* to a blocking
-primitive.  Two more kinds of function run on a loop without being
-coroutines, and are roots too: the generators of
-:data:`LOOP_STEPPED_MODULES` (the sans-IO client core, which the
-asyncio driver steps on its loop), and every endpoint handler -- the
-endpoint's reactor thread runs them inline for every connection, so a
-handler that blocks stalls them all (DESIGN.md §3.6: a handler never
-blocks).
+An endpoint's reactor thread reads every TCP connection and runs each
+handler inline (DESIGN.md §3.6), so one ``time.sleep`` -- or one sync
+``Channel.request`` -- buried three calls below a handler stalls every
+connection of the process for the blocked interval.  The
+intraprocedural rules (PR 4) can only flag what they can see inside one
+function; this rule walks the project call graph from every function an
+endpoint's ``register_handler`` map names and flags any *path* to a
+blocking primitive.
 
 The registry has three layers:
 
 - **project primitives** (:data:`BLOCKING_PROJECT`): the sync
-  transport surface (``Channel``, the dialing half of
-  ``ConnectionPool``, sync framing, shm ring waits) and the
-  lock-taking
-  ``MetricsRegistry`` lookup methods.  Instrument *micro-ops*
-  (``Counter.inc``, ``Gauge.set``, ``Histogram.observe``) are
-  deliberately absent: they hold their lock for nanoseconds and are the
-  sanctioned way to record metrics from a coroutine -- the rule forces
-  the registry *lookups* off-loop, after which the cached instruments
-  are cheap.
+  transport surface (``Channel``, the pool's checkout, sync framing,
+  shm ring waits) and the lock-taking ``MetricsRegistry`` lookup
+  methods.  Instrument *micro-ops* (``Counter.inc``, ``Gauge.set``,
+  ``Histogram.observe``) are deliberately absent: they hold their lock
+  for nanoseconds and are how a handler records metrics -- the rule
+  forces the registry *lookups* out of handlers, after which the bound
+  instruments are cheap.
 - **external primitives** (:data:`BLOCKING_EXTERNAL` exact names,
   :data:`BLOCKING_EXTERNAL_PREFIXES` for module families like
   ``subprocess.*``): ``time.sleep``, sync socket constructors,
   ``select.select``, the ``open`` builtin.
 - **syntactic patterns**, for receivers the type inference cannot
-  name: a non-awaited ``.acquire()``, ``.get()``/``.put()`` (without
-  the ``_nowait`` suffix) on a receiver whose name contains ``queue``,
+  name: an ``.acquire()``, ``.get()``/``.put()`` (without the
+  ``_nowait`` suffix) on a receiver whose name contains ``queue``,
   ``pathlib``-style ``.read_text``/``.write_bytes`` file I/O, and a
-  non-awaited ``.result()`` on a receiver named like a future.
+  ``.result()`` on a receiver named like a future.
 
-Sanctioned bridges (:data:`SANCTIONED_BRIDGES` --
-``loop.run_in_executor``, ``asyncio.to_thread`` and
-``asyncio.run_coroutine_threadsafe``) need no special-casing in the
-traversal: a callable
-*passed as an argument* never creates a call edge, so handing blocking
-work to an executor is invisible to reachability -- which is precisely
-the fix this rule pushes you toward.  The bridge names are still
-exported so the docs and tests can pin the allowlist.
+Work a handler hands to another thread (a PE, a writer) is passed as a
+callable *argument*, which never creates a call edge, so it is
+invisible to reachability -- which is precisely the fix this rule
+pushes you toward.
 """
 
 from __future__ import annotations
@@ -52,7 +40,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from repro.analysis.callgraph import CallGraph, FunctionInfo, _local_nodes
+from repro.analysis.callgraph import CallGraph, FunctionInfo
 from repro.analysis.core import Finding, Project, ProjectChecker
 
 __all__ = [
@@ -60,8 +48,6 @@ __all__ = [
     "BLOCKING_EXTERNAL",
     "BLOCKING_EXTERNAL_PREFIXES",
     "BLOCKING_PROJECT",
-    "LOOP_STEPPED_MODULES",
-    "SANCTIONED_BRIDGES",
 ]
 
 #: Project-internal blocking primitives: qualname -> what it blocks on.
@@ -73,9 +59,8 @@ BLOCKING_PROJECT: dict[str, str] = {
     "repro.transport.channel.connect": "sync TCP connect",
     "repro.transport.endpoint.EndpointCore.stop":
         "reactor and ring thread joins",
-    # The pool's bookkeeping (checkin/discard/evict_idle/close) is
-    # shared with AsyncConnectionPool and only ever closes channels;
-    # what blocks is the sync dial.
+    # The pool's bookkeeping (checkin/discard/evict_idle/close) only
+    # ever closes channels; what blocks is the dial.
     "repro.transport.pool.ConnectionPool.checkout": "sync pool checkout",
     "repro.transport.pool.ConnectionPool.lease": "sync pool lease",
     "repro.protocol.framing.send_frame": "sync frame write",
@@ -102,12 +87,6 @@ BLOCKING_PROJECT: dict[str, str] = {
         "registry-wide lock + full scrape",
 }
 
-#: Modules of sans-IO generators that an asyncio driver steps on its
-#: event loop (``AsyncNinfClient._drive`` over ``repro.client.core``):
-#: their code runs between two awaits, so every generator function in
-#: them is a root exactly like an ``async def``.
-LOOP_STEPPED_MODULES: frozenset[str] = frozenset({"repro.client.core"})
-
 #: Blocking stdlib/builtin calls by exact dotted name.
 BLOCKING_EXTERNAL: frozenset[str] = frozenset({
     "time.sleep",
@@ -125,34 +104,25 @@ BLOCKING_EXTERNAL: frozenset[str] = frozenset({
 #: Blocking stdlib families: any call under these module prefixes.
 BLOCKING_EXTERNAL_PREFIXES: tuple[str, ...] = ("subprocess.",)
 
-#: The sanctioned sync/async bridges.  Callables handed to these run
-#: off-loop; because arguments never become call edges, the graph
-#: already treats them as safe -- the set is exported for docs/tests.
-SANCTIONED_BRIDGES: frozenset[str] = frozenset({
-    "asyncio.to_thread",
-    "asyncio.run_coroutine_threadsafe",
-    "run_in_executor",
-})
-
 _FILE_IO_ATTRS = frozenset({
     "read_text", "write_text", "read_bytes", "write_bytes",
 })
 
 
 class AsyncBlockingReachabilityChecker(ProjectChecker):
-    """Flag every path from a loop root to a blocking primitive."""
+    """Flag every path from an endpoint handler to a blocking primitive."""
 
     rule = "async-blocking-reachability"
     description = ("no blocking primitive (sync transport, registry "
                    "lookup, time.sleep, sync queue/file I/O) may be "
-                   "reachable from an async def or an endpoint handler")
+                   "reachable from an endpoint handler")
 
     def check_project(self, project: Project) -> Iterator[Finding]:
-        """BFS the call graph from every loop root; flag each blocking
+        """BFS the call graph from every handler; flag each blocking
         primitive whose shortest path is reachable, naming the path in
         the finding."""
         graph = project.callgraph
-        kinds = _loop_roots(graph)
+        kinds = _handler_roots(graph)
         pred: dict[str, Optional[str]] = {}
         origin: dict[str, str] = {}
         queue: list[str] = []
@@ -204,17 +174,16 @@ class AsyncBlockingReachabilityChecker(ProjectChecker):
             target_short = graph.functions[site.target].short
             yield self.finding(
                 info.module, site.node,
-                f"blocking call {target_short}() ({desc}) {via}; move "
-                f"it behind run_in_executor/to_thread or use the async "
-                f"equivalent")
+                f"blocking call {target_short}() ({desc}) {via}; hand "
+                f"it to another thread")
 
         for call in graph.external_calls(info.qualname):
             if not self._external_blocks(call.name):
                 continue
             yield self.finding(
                 info.module, call.node,
-                f"blocking call {call.name}() {via}; use the asyncio "
-                f"equivalent or a sanctioned bridge")
+                f"blocking call {call.name}() {via}; hand it to "
+                f"another thread")
 
         yield from self._syntactic(info, via)
 
@@ -233,38 +202,32 @@ class AsyncBlockingReachabilityChecker(ProjectChecker):
                     and isinstance(node.func, ast.Attribute)):
                 continue
             attr = node.func.attr
-            awaited = isinstance(module.parents.get(node), ast.Await)
-            receiver = _receiver_name(node.func.value)
-            if attr == "acquire" and not awaited:
+            receiver = _receiver_name(node.func.value).lower()
+            if attr == "acquire":
                 yield self.finding(
                     module, node,
-                    f"non-awaited .acquire() {via}; a sync lock "
-                    f"acquire stalls the event loop -- use asyncio "
-                    f"primitives or run it off-loop")
-            elif (attr in ("get", "put") and not awaited
-                    and "queue" in receiver.lower()):
+                    f"lock .acquire() {via}; a contended lock stalls the "
+                    f"reactor -- take it on another thread")
+            elif attr in ("get", "put") and "queue" in receiver:
                 yield self.finding(
                     module, node,
-                    f"blocking queue .{attr}() {via}; use "
-                    f".{attr}_nowait(), an asyncio queue, or a "
-                    f"to_thread bridge")
+                    f"blocking queue .{attr}() {via}; use .{attr}_nowait()")
             elif attr in _FILE_IO_ATTRS:
                 yield self.finding(
                     module, node,
-                    f"blocking file I/O .{attr}() {via}; wrap it in "
-                    f"run_in_executor/to_thread")
-            elif (attr == "result" and not awaited
-                    and ("fut" in receiver.lower()
-                         or "promise" in receiver.lower())):
+                    f"blocking file I/O .{attr}() {via}; hand it to "
+                    f"another thread")
+            elif attr == "result" and ("fut" in receiver
+                                       or "promise" in receiver):
                 yield self.finding(
                     module, node,
-                    f"blocking Future.result() {via}; await the "
-                    f"future instead")
+                    f"blocking Future.result() {via}; complete the reply "
+                    f"from the future's callback instead")
 
 
-def _loop_roots(graph: CallGraph) -> dict[str, str]:
-    """Every function that runs on an event loop without being called
-    by one that does: qualname -> what kind of root it is."""
+def _handler_roots(graph: CallGraph) -> dict[str, str]:
+    """Every function an endpoint's ``register_handler`` map names:
+    qualname -> what kind of root it is."""
     kinds: dict[str, str] = {}
     for registration in graph.handler_registrations():
         registrar = graph.functions[registration.caller].short
@@ -272,18 +235,7 @@ def _loop_roots(graph: CallGraph) -> dict[str, str]:
             kinds.setdefault(
                 handler, f"endpoint handler (register_handler map of "
                          f"{registrar}())")
-    for qualname, info in graph.functions.items():
-        if info.is_async:
-            kinds[qualname] = "async def"
-        elif _is_loop_stepped(info):
-            kinds[qualname] = "loop-stepped generator"
     return kinds
-
-
-def _is_loop_stepped(info: FunctionInfo) -> bool:
-    return info.module_prefix in LOOP_STEPPED_MODULES and any(
-        isinstance(node, (ast.Yield, ast.YieldFrom))
-        for node in _local_nodes(info.node))
 
 
 def _receiver_name(node: ast.expr) -> str:

@@ -12,7 +12,7 @@ dynamic dispatch through a handler table, a callable parameter, an
 attribute of unknown type -- lands in the explicit
 :attr:`CallGraph.unresolved` set instead of being guessed at.  The
 checkers treat unresolved calls as "no edge" (they can neither block a
-coroutine nor carry a deadline), and the golden tests pin the
+handler nor carry a deadline), and the golden tests pin the
 unresolved set so a resolver regression is a visible diff, not a
 silent hole.
 
@@ -32,11 +32,10 @@ What *is* resolved:
 - constructor calls, which edge to the class's ``__init__``.
 
 Calls whose callable is passed *as an argument* never produce an edge,
-which is exactly how the sanctioned async/sync bridges
-(``run_in_executor``, ``asyncio.to_thread``,
-``run_coroutine_threadsafe``) stay invisible
-to reachability: handing a blocking callable to an executor is the fix,
-not the bug.
+which is exactly how work a handler hands to another thread
+(``threading.Thread(target=...)``, an executor's ``submit``) stays
+invisible to reachability: handing a blocking callable to a thread is
+the fix, not the bug.
 """
 
 from __future__ import annotations
@@ -92,7 +91,6 @@ class FunctionInfo:
     qualname: str
     module: SourceModule
     node: _FunctionNode
-    is_async: bool
     owner: Optional[str] = None   #: owning class qualname for methods
     parent: Optional[str] = None  #: enclosing function qualname (closures)
 
@@ -234,7 +232,6 @@ class CallGraph:
                 qualname = f"{prefix}.{stmt.name}"
                 self.functions[qualname] = FunctionInfo(
                     qualname=qualname, module=module, node=stmt,
-                    is_async=isinstance(stmt, ast.AsyncFunctionDef),
                     owner=owner, parent=parent)
                 if owner is not None and parent is None:
                     self.classes[owner].methods.setdefault(stmt.name,
@@ -562,7 +559,7 @@ class CallGraph:
             return f"external:{name}"
         if isinstance(func, ast.Attribute):
             receiver = func.value
-            # Module-alias receivers: time.sleep, asyncio.get_event_loop.
+            # Module-alias receivers: time.sleep, os.getpid.
             dotted = _dotted(receiver)
             if dotted is not None:
                 head = dotted.split(".")[0]

@@ -52,18 +52,14 @@ DEADLINE_PARAMS = frozenset({
     "timeout", "deadline", "connect_timeout", "poll_timeout",
 })
 
-#: ``obj.<attr>(...)`` transport primitives that accept a deadline:
-#: the channel surface, and the async frame stream underneath it
-#: (``FrameStream.read_frame``/``write_frame``/``drain``) -- ``await``-ing
-#: those without a deadline is the same unbounded hang.
-TRANSPORT_ATTRS = frozenset({
-    "send", "recv", "request", "read_frame", "write_frame", "drain",
-})
+#: ``obj.<attr>(...)`` transport primitives that accept a deadline: the
+#: channel surface.
+TRANSPORT_ATTRS = frozenset({"send", "recv", "request"})
 
-#: Bare-name transport primitives that accept a deadline (sync framing
-#: and the dialers, ``aconnect`` included).
+#: Bare-name transport primitives that accept a deadline: framing and
+#: the dialers.
 TRANSPORT_NAMES = frozenset({
-    "connect", "send_frame", "recv_frame", "create_connection", "aconnect",
+    "connect", "send_frame", "recv_frame", "create_connection",
 })
 
 _FunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]

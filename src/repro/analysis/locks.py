@@ -105,7 +105,7 @@ GUARDED_BY: dict[str, tuple[LockSpec, ...]] = {
               writes=("_ticket_counter",)),
         _spec("_load_lock", guarded=("_load_value", "_load_stamp")),
     ),
-    # repro.client.core -- NinfClient and AsyncNinfClient inherit it
+    # repro.client.core -- NinfClient inherits it
     "ClientState": (_spec("_records_lock", guarded=("records",)),),
     # repro.metaserver.metaserver
     "MetaClient": (_spec("_lock", guarded=("_observations",)),),

@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "connections",
         help="C10K idle-plus-ping ramp against the server's reactor")
     conn.add_argument("--connections", type=int, default=5000,
-                      help="asyncio-client connection target "
+                      help="connections to dial and hold "
                            "(default: %(default)s)")
     conn.add_argument("--output", type=Path,
                       default=Path("BENCH_asyncio.json"),
@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="fail (exit 1) if the server sustains "
                            "fewer connections than this")
     conn.add_argument("--max-p95-ms", type=float, default=None,
-                      help="fail (exit 1) if the asyncio clients' ping "
+                      help="fail (exit 1) if the ping "
                            "p95 exceeds this many milliseconds")
     conn.add_argument("--quiet", action="store_true",
                       help="suppress progress lines")

@@ -3,17 +3,22 @@
 The server's reactor (DESIGN.md §3.6) reads every TCP connection on one
 thread, so an idle client costs it a selector entry and a frame reader,
 not a thread.  This benchmark measures that claim against one
-:class:`~repro.server.NinfServer` (the **async phase**): open N idle
-connections from asyncio clients, then ping every one of them (bounded
-concurrency), reporting max sustained connections, saturation ping
-throughput, p50/p95/p99 ping latency, per-connection RSS growth, and
-the threads the server runs while holding them.
+:class:`~repro.server.NinfServer`: one thread dials N blocking
+:class:`~repro.transport.Channel`\\ s and holds them idle, then pings
+every one of them in windows of :data:`PING_CONCURRENCY` (send on each
+channel of a window, then receive on each), reporting max sustained
+connections, saturation ping throughput, p50/p95/p99 ping latency,
+per-connection RSS growth, and the threads the process runs while
+holding them -- the bench starts none of its own.  The phase keeps the
+report key ``async`` it had when asyncio clients drove it, so every
+committed report reads alike.
 
 Both endpoints live in this process, so ``rss_per_connection_bytes``
 charges each connection its client *and* server cost -- an honest
 upper bound.
 ``server_threads`` counts the threads started since the server was
-built (its reactor, PE threads and expiry sweep).
+built (its reactor, PE threads and expiry sweep; the bench's dials and
+pings start none).
 
 The report is written as ``BENCH_asyncio.json`` (see
 :func:`write_report`); CI runs a 2,000-connection smoke and archives
@@ -23,7 +28,6 @@ on loopback.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import sys
 import threading
@@ -32,8 +36,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
+from repro.protocol.errors import ProtocolError, RemoteError
+from repro.protocol.messages import MessageType, checked_reply
 from repro.server import NinfServer, Registry
-from repro.transport import aconnect
+from repro.transport import Channel, connect
 
 __all__ = [
     "PhaseReport",
@@ -44,14 +50,10 @@ __all__ = [
     "write_report",
 ]
 
-#: Dial batches keep the accept backlog (512) comfortably ahead of the
-#: connect burst.
-DIAL_CONCURRENCY = 256
-
-#: Concurrent in-flight pings during the saturation sweep.  Enough to
-#: keep the client loop and the reactor busy (throughput saturates around ~10 in flight);
-#: small enough that a ping's RTT measures service time plus a short
-#: queue, not the whole sweep queued behind it.
+#: Pings in flight during the saturation sweep: the size of a window.
+#: Enough to keep the reactor busy (throughput saturates around ~10 in
+#: flight); small enough that a ping's RTT measures service time plus a
+#: short queue, not the whole sweep queued behind it.
 PING_CONCURRENCY = 128
 
 _PING_IDL = 'Define noop(mode_in int n) "benchmark no-op";'
@@ -155,86 +157,76 @@ class PhaseReport:
         return out
 
 
-# -- async phase: asyncio clients -------------------------------------------
+# -- the phase: blocking channels from one thread ---------------------------
 
 
-async def _dial_many(host: str, port: int, count: int,
-                     report: PhaseReport) -> list:
-    """Open ``count`` idle channels (bounded bursts); dial refusals and
-    descriptor exhaustion end the ramp instead of crashing it."""
-    channels: list = []
-    gate = asyncio.Semaphore(DIAL_CONCURRENCY)
-
-    async def dial_one():
-        async with gate:
-            return await aconnect(host, port, timeout=30.0,
-                                  connect_timeout=10.0)
-
-    failed = False
-    while len(channels) < count and not failed:
-        batch = min(DIAL_CONCURRENCY, count - len(channels))
-        results = await asyncio.gather(
-            *(dial_one() for _ in range(batch)), return_exceptions=True)
-        for result in results:
-            if isinstance(result, BaseException):
-                report.dial_failures += 1
-                failed = True
-            else:
-                channels.append(result)
+def _dial_many(host: str, port: int, count: int,
+               report: PhaseReport) -> list[Channel]:
+    """Open ``count`` idle channels, one after the other; a dial refusal
+    or descriptor exhaustion ends the ramp instead of crashing it."""
+    channels: list[Channel] = []
+    while len(channels) < count:
+        try:
+            channels.append(connect(host, port, timeout=30.0,
+                                    connect_timeout=10.0))
+        except OSError:
+            report.dial_failures += 1
+            break
     return channels
 
 
-async def _ping_sweep(channels: list, report: PhaseReport) -> None:
-    """One PING per channel at bounded concurrency; wall time over the
+def _ping_sweep(channels: list[Channel], report: PhaseReport) -> None:
+    """One PING per channel, :data:`PING_CONCURRENCY` in flight: send on
+    each channel of a window, then receive on each.  Wall time over the
     sweep is the saturation throughput, per-ping RTTs the latency
     distribution."""
-    from repro.protocol.messages import MessageType
-
-    gate = asyncio.Semaphore(PING_CONCURRENCY)
     latencies: list[float] = []
-
-    async def ping_one(channel) -> None:
-        async with gate:
-            t0 = time.perf_counter()
-            await channel.request(MessageType.PING, b"",
-                                  expect=MessageType.PONG, timeout=30.0)
-            latencies.append(time.perf_counter() - t0)
-
     t_start = time.perf_counter()
-    results = await asyncio.gather(*(ping_one(c) for c in channels),
-                                   return_exceptions=True)
+    for start in range(0, len(channels), PING_CONCURRENCY):
+        window, sent = channels[start:start + PING_CONCURRENCY], []
+        for channel in window:
+            t0 = time.perf_counter()
+            try:
+                channel.send(MessageType.PING, b"", timeout=30.0)
+            except (OSError, ProtocolError):
+                continue
+            sent.append((channel, t0))
+        for channel, t0 in sent:
+            try:
+                reply_type, reply = channel.recv(timeout=30.0)
+                checked_reply(reply_type, reply, MessageType.PONG)
+            except (OSError, ProtocolError, RemoteError):
+                continue
+            latencies.append(time.perf_counter() - t0)
     report.ping_seconds = time.perf_counter() - t_start
-    report.ping_count = sum(1 for r in results
-                            if not isinstance(r, BaseException))
+    report.ping_count = len(latencies)
     report.ping_percentiles = _percentiles_ms(latencies)
 
 
 def bench_async_phase(connections: int, log=print) -> PhaseReport:
-    """Idle-plus-ping ramp of asyncio clients against one server."""
+    """Idle-plus-ping ramp of blocking channels against one server, all
+    driven from the calling thread.  Reported under the ``async`` key,
+    which every committed connections report carries."""
     report = PhaseReport("async", connections)
     before = set(threading.enumerate())
     with NinfServer(_bench_registry(), num_pes=1) as server:
         host, port = server.address
         report.rss_before_bytes = current_rss_bytes()
-
-        async def drive() -> None:
-            channels = await _dial_many(host, port, connections, report)
+        channels = _dial_many(host, port, connections, report)
+        try:
             report.sustained_connections = len(channels)
             deadline = time.perf_counter() + 5.0
             while (server.connections_open < len(channels)
                    and time.perf_counter() < deadline):
-                await asyncio.sleep(0.01)
+                time.sleep(0.01)
             _record_held(report, before)
             log(f"[async] {len(channels)} connections open, "
                 f"{report.dial_failures} refused, "
                 f"{report.extra['server_threads']} server threads")
-            try:
-                await _ping_sweep(channels, report)
-            finally:
-                for channel in channels:
-                    channel.close()
-
-        asyncio.run(drive())
+            _ping_sweep(channels, report)
+        finally:
+            for channel in channels:
+                channel.close()
     return report
 
 

@@ -52,6 +52,7 @@ from repro.obs import names
 
 __all__ = [
     "DEFAULT_SPIN_SECONDS",
+    "MAX_CLIENTS_PER_WORKER",
     "StageRow",
     "cross_check_summary",
     "run_rpc_benchmark",
@@ -59,7 +60,7 @@ __all__ = [
 ]
 
 #: Server-side service time of one bench call.  Non-zero on purpose:
-#: a pure noop saturates on the event loop alone at trivially small
+#: a pure noop saturates on the reactor alone at trivially small
 #: concurrency, while a short fixed service time gives the ramp a
 #: linear region and a knee the regression can find (DiPerF's shape).
 DEFAULT_SPIN_SECONDS = 0.002
@@ -70,6 +71,11 @@ _SPIN_IDL = ('Define bench_spin(mode_in double seconds) '
 #: How long past a stage's nominal duration the coordinator waits for
 #: worker reports before declaring the run wedged.
 _STAGE_GRACE_S = 120.0
+
+#: Most closed-loop clients one worker process runs, one thread each (a
+#: worker's clients share its one interpreter lock): a stage that would
+#: put more on one worker is refused before anything starts.
+MAX_CLIENTS_PER_WORKER = 256
 
 
 def _bench_registry():
@@ -273,6 +279,13 @@ def run_rpc_benchmark(schedule: Optional[StageSchedule] = None,
         raise ValueError(f"need at least one worker, got {processes}")
     if servers < 1:
         raise ValueError(f"need at least one server, got {servers}")
+    per_worker = -(-schedule.max_clients // processes)
+    if per_worker > MAX_CLIENTS_PER_WORKER:
+        raise ValueError(
+            f"{schedule.max_clients} clients over {processes} worker "
+            f"processes puts {per_worker} on one, more than "
+            f"{MAX_CLIENTS_PER_WORKER}: raise --processes to at least "
+            f"{-(-schedule.max_clients // MAX_CLIENTS_PER_WORKER)}")
     fd_limit = raise_fd_limit(max(4096, 4 * schedule.max_clients))
     log(f"fd soft limit: {fd_limit}")
 

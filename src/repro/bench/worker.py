@@ -6,16 +6,18 @@ GIL, so past a few thousand calls per second the *client* becomes the
 bottleneck and the measured "saturation" is an artifact.  Each worker
 here is a separate OS process (spawned, never forked -- the coordinator
 runs its servers on background threads, and forking a threaded parent
-is undefined behaviour) running an asyncio loop with a slice of
-the stage's closed-loop clients.
+is undefined behaviour) running a slice of the stage's closed-loop
+clients, one thread each.
 
 Protocol (all over ``multiprocessing`` queues, everything picklable):
 
 - coordinator -> worker: one :class:`StageTask` per stage on the
   worker's private task queue, ``None`` to shut down;
-- worker: builds one :class:`~repro.client.aio.AsyncNinfClient` per
-  assigned client id (own connection pool -- per-client connections,
-  like DiPerF's independent clients), warms the signature cache, posts
+- worker: builds one :class:`~repro.client.NinfClient` per assigned
+  client id (own connection pool -- per-client connections, like
+  DiPerF's independent clients) and a thread to drive it (a blocking
+  call holds its thread, as a paper client's ``Ninf_call`` holds its
+  process), warms the signature caches, posts
   ``("ready", worker_id)`` on the result queue, then blocks on the
   shared start event so every worker begins issuing together;
 - worker -> coordinator: a :class:`WorkerStageReport` on the shared
@@ -34,7 +36,7 @@ a registry snapshot, not a hand-rolled dict.
 
 from __future__ import annotations
 
-import asyncio
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -78,10 +80,10 @@ class WorkerStageReport:
     failure: Optional[str] = None  # traceback text when the stage crashed
 
 
-async def _client_loop(client, client_id: int, task: StageTask,
-                       deadline: float, calls, latency,
-                       per_client_ok: dict) -> None:
-    """One closed-loop client: call, record, repeat until the deadline.
+def _client_loop(client, task: StageTask, deadline: float, ok, shed,
+                 error, latency) -> int:
+    """One closed-loop client: call, record, repeat until the deadline;
+    returns the calls completed.
 
     A shed (BUSY) or transport error counts against its outcome bucket
     and the loop presses on -- the stage measures the service under
@@ -89,36 +91,30 @@ async def _client_loop(client, client_id: int, task: StageTask,
     """
     from repro.protocol.errors import ProtocolError, RemoteError, ServerBusy
 
+    completed = 0
     while time.monotonic() < deadline:
         if task.think_s > 0:
-            await asyncio.sleep(task.think_s)
+            time.sleep(task.think_s)
             if time.monotonic() >= deadline:
                 break
         t0 = time.perf_counter()
         try:
-            await client.call(task.function, *task.args)
+            client.call(task.function, *task.args)
         except ServerBusy:
-            calls.inc(outcome="shed")
+            shed.inc()
             continue
-        except (RemoteError, ProtocolError, OSError, asyncio.TimeoutError):
-            calls.inc(outcome="error")
+        except (RemoteError, ProtocolError, OSError):
+            error.inc()
             continue
         latency.observe(time.perf_counter() - t0)
-        calls.inc(outcome="ok")
-        per_client_ok[client_id] = per_client_ok.get(client_id, 0) + 1
+        ok.inc()
+        completed += 1
+    return completed
 
 
 def _prepare_stage(task: StageTask):
-    """Build the stage's registry, instruments, and clients.
-
-    Runs *off-loop* (``asyncio.to_thread``): registry lookups take the
-    registry lock and client construction builds connection pools --
-    none of which belongs on the event loop the stage is about to
-    measure (``ninf-lint``'s async-blocking-reachability rule enforces
-    this).  The coroutine only ever touches the returned instrument
-    handles, whose ``inc``/``observe`` micro-ops are loop-safe.
-    """
-    from repro.client import AsyncNinfClient
+    """Build the stage's registry, instruments, and clients."""
+    from repro.client import NinfClient
     from repro.transport import RetryPolicy
 
     registry = MetricsRegistry()
@@ -138,7 +134,7 @@ def _prepare_stage(task: StageTask):
         for client_id in task.client_ids:
             host, port = task.servers[client_id % len(task.servers)]
             retry = RetryPolicy(max_attempts=3) if task.retry_calls else None
-            clients.append((client_id, AsyncNinfClient(
+            clients.append((client_id, NinfClient(
                 host, port, timeout=task.timeout, metrics=registry,
                 retry=retry, retry_calls=task.retry_calls)))
     except BaseException:
@@ -148,35 +144,47 @@ def _prepare_stage(task: StageTask):
     return calls, latency, retries, clients
 
 
-async def _run_stage_async(worker_id: int, task: StageTask, result_queue,
-                           start_event) -> WorkerStageReport:
-    calls, latency, retries_counter, clients = await asyncio.to_thread(
-        _prepare_stage, task)
+def _run_stage(worker_id: int, task: StageTask, result_queue,
+               start_event) -> WorkerStageReport:
+    calls, latency, retries_counter, clients = _prepare_stage(task)
     per_client_ok: dict = {}
+    outcomes = [calls.labels(outcome=outcome)
+                for outcome in ("ok", "shed", "error")]
+    go = threading.Event()
+    deadline = 0.0      # set before ``go``
+
+    def drive(client_id, client) -> None:
+        go.wait()
+        completed = _client_loop(client, task, deadline, *outcomes, latency)
+        if completed:
+            per_client_ok[client_id] = completed
+
+    threads = [threading.Thread(target=drive, args=client, daemon=True,
+                                name=f"bench-client-{client[0]}")
+               for client in clients]
     try:
         # Warm the signature caches and open each pool connection before
         # reporting ready, so stage timing measures calls, not handshakes.
-        await asyncio.gather(*(client.get_signature(task.function)
-                               for _cid, client in clients))
+        for _cid, client in clients:
+            client.get_signature(task.function)
+        for thread in threads:
+            thread.start()
         # Rendezvous: tell the coordinator we are set, then wait for the
         # all-workers-ready start signal so the fleet begins together.
-        # Both the queue put and the event wait can block on their
-        # multiprocessing pipes, so both go through the thread bridge.
-        await asyncio.to_thread(result_queue.put,
-                                ("ready", worker_id, task.stage_index))
-        await asyncio.to_thread(start_event.wait)
+        result_queue.put(("ready", worker_id, task.stage_index))
+        start_event.wait()
         t_start = time.perf_counter()
         deadline = time.monotonic() + task.duration_s
-        await asyncio.gather(*(
-            _client_loop(client, client_id, task, deadline, calls,
-                         latency, per_client_ok)
-            for client_id, client in clients))
+        go.set()
+        for thread in threads:
+            thread.join()
         wall = time.perf_counter() - t_start
     finally:
+        go.set()    # a failed warm-up releases the threads it started
         for _cid, client in clients:
             client.close()
-    outcomes = {outcome: int(calls.value(outcome=outcome))
-                for outcome in ("ok", "shed", "error")}
+    ok, shed, error = (int(calls.value(outcome=outcome))
+                       for outcome in ("ok", "shed", "error"))
     snap = latency.snapshot()
     if snap["values"]:
         value = snap["values"][0]
@@ -189,7 +197,7 @@ async def _run_stage_async(worker_id: int, task: StageTask, result_queue,
     retries = int(retries_counter.value())
     return WorkerStageReport(
         worker_id=worker_id, stage_index=task.stage_index,
-        ok=outcomes["ok"], shed=outcomes["shed"], error=outcomes["error"],
+        ok=ok, shed=shed, error=error,
         retries=retries, per_client_ok=per_client_ok,
         latency_bounds=bounds, latency_cumulative=cumulative,
         latency_sum=total, wall_seconds=wall)
@@ -208,9 +216,8 @@ def worker_main(worker_id: int, task_queue, result_queue,
         if task is None:
             return
         try:
-            report = asyncio.run(
-                _run_stage_async(worker_id, task, result_queue,
-                                 start_event))
+            report = _run_stage(worker_id, task, result_queue,
+                                start_event)
         except BaseException:
             import traceback
 

@@ -9,11 +9,10 @@ are filled in place, and results are also returned.
 - :class:`NinfClient` -- connection to one computational server:
   :meth:`~NinfClient.call` (synchronous), :meth:`~NinfClient.call_async`
   (returns a :class:`NinfFuture`), signature cache, ping/load queries.
-  Blocking sockets, on the calling thread.
-- :class:`AsyncNinfClient` -- the same client natively ``async``:
-  ``await client.call(...)`` on the caller's event loop.  Both are thin
-  drivers of the one sans-IO core, :mod:`repro.client.core` (DESIGN.md
-  §3.6).
+  Blocking sockets, on the calling thread; ``call_async`` is the same
+  call on a thread of its own, as the paper's ``Ninf_call_async`` is.
+  It drives the operations of the sans-IO core,
+  :mod:`repro.client.core` (DESIGN.md §3.6).
 - :func:`ninf_call` / :func:`ninf_call_async` -- the paper's free-form
   API: ``ninf_call("ninf://host:port/dmmul", n, A, B, C)``.
 - :class:`Transaction` -- ``Ninf_transaction_begin``/``end``: records
@@ -21,7 +20,6 @@ are filled in place, and results are also returned.
   calls in parallel across one or more servers (§2.4).
 """
 
-from repro.client.aio import AsyncNinfClient
 from repro.client.api import (
     DetachedCall,
     NinfClient,
@@ -32,7 +30,6 @@ from repro.client.api import (
 from repro.client.transaction import Transaction
 
 __all__ = [
-    "AsyncNinfClient",
     "DetachedCall",
     "NinfClient",
     "NinfFuture",

@@ -4,16 +4,14 @@ Each operation (``ping``, ``list_functions``, ``query_load``,
 ``get_signature``, ``fetch_stats``, ``call_with_record``,
 ``call_detached``, ``fetch_detached``, ``cancel_detached``) is a plain
 generator over one :class:`ClientState`.  An operation never touches a
-socket, an event loop or ``time.sleep``: it ``yield``\\ s one of five
-requests -- :class:`Checkout`, :class:`Send`, :class:`Recv`,
-:class:`Exchange`, :class:`Sleep` -- and is resumed with the answer, or
-has the I/O error thrown in.  Two drivers perform the requests:
-:class:`~repro.client.NinfClient` with blocking sockets and
-:class:`~repro.client.AsyncNinfClient` with ``await`` (DESIGN.md §3.6).
-All wire knowledge of the client -- payload layouts, reply
-classification, retry, spans, :class:`CallRecord` bookkeeping -- lives
-here; ``checkin``/``discard`` never block on either pool and are called
-directly.
+socket or ``time.sleep``: it ``yield``\\ s one of five requests --
+:class:`Checkout`, :class:`Send`, :class:`Recv`, :class:`Exchange`,
+:class:`Sleep` -- and is resumed with the answer, or has the I/O error
+thrown in.  :class:`~repro.client.NinfClient` performs the requests
+with blocking sockets on the calling thread (DESIGN.md §3.6).  All wire
+knowledge of the client -- payload layouts, reply classification,
+retry, spans, :class:`CallRecord` bookkeeping -- lives here;
+``checkin``/``discard`` never block and are called directly.
 """
 
 from __future__ import annotations
@@ -568,9 +566,8 @@ def cancel_detached(state: ClientState, call: DetachedCall) -> Operation:
 # -- the client ---------------------------------------------------------------
 
 def _driven(operation: Callable[..., Operation]) -> Callable[..., Any]:
-    """The public method for an operation: run it on the client's own
-    driver -- the result from :class:`~repro.client.NinfClient`, an
-    awaitable of it from :class:`~repro.client.AsyncNinfClient`."""
+    """The public method for an operation: run it on the client's
+    driver (``_drive``) and return its result."""
     @functools.wraps(operation)
     def method(self: ClientState, *args: Any, **kwargs: Any) -> Any:
         return self._drive(operation(self, *args, **kwargs))
@@ -580,9 +577,10 @@ def _driven(operation: Callable[..., Operation]) -> Callable[..., Any]:
 class ClientState:
     """What the operations work on -- the server's address, clock, retry
     settings, signature cache, tracer, counters and call records -- and
-    the operations themselves as methods.  The two clients subclass it
-    and add the I/O: ``_pool``, the connection pool, and ``_drive``,
-    which runs an operation by answering its requests from that pool."""
+    the operations themselves as methods.
+    :class:`~repro.client.NinfClient` subclasses it and adds the I/O:
+    ``_pool``, the connection pool, and ``_drive``, which runs an
+    operation by answering its requests from that pool."""
 
     _pool: Any
     _drive: Callable[[Operation], Any]

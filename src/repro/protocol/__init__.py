@@ -16,10 +16,9 @@ two-stage RPC:
 
 Modules:
 
-- :mod:`repro.protocol.framing` -- socket framing: magic, type, length.
-- :mod:`repro.protocol.aframing` -- the same frame format on an event
-  loop: :class:`FrameStream`, one ``asyncio.BufferedProtocol`` per
-  connection that receives each payload straight into its own buffer.
+- :mod:`repro.protocol.framing` -- the frame layout of every medium,
+  the blocking socket's send and receive, and :class:`FrameReader`, the
+  one socket receive state machine (the reactor's too).
 - :mod:`repro.protocol.messages` -- typed message encode/decode.
 - :mod:`repro.protocol.marshal` -- signature-driven argument and result
   marshalling.
@@ -33,7 +32,6 @@ from repro.protocol.errors import (
     ServerShutdown,
     TimeoutError,
 )
-from repro.protocol.aframing import FrameStream
 from repro.protocol.framing import MAX_FRAME_SIZE, recv_frame, send_frame
 from repro.protocol.messages import (
     BusyReply,
@@ -55,7 +53,6 @@ __all__ = [
     "CallHeader",
     "ConnectionClosed",
     "ErrorReply",
-    "FrameStream",
     "JobTimestamps",
     "LoadReply",
     "MAX_FRAME_SIZE",

@@ -49,10 +49,9 @@ before it converts the next.  Every socket receiver is one
 bytes go and is told how many landed: it reads the table, allocates one
 native array per region, receives the region's bytes straight into it
 and converts each piece in place as it lands.  The blocking socket
-(:func:`recv_frame`), the reactor and the event loop
-(:class:`~repro.protocol.aframing.FrameStream`) only move bytes into its
-buffers.  Neither side of a socket allocates a buffer the size of the
-frame.
+(:func:`recv_frame`) and the reactor only move bytes into its buffers.
+Neither side of a socket allocates a buffer the size of the frame.
+:func:`frame_size` is a frame's length on any medium, pads included.
 
 Both :func:`send_frame` and :func:`recv_frame` accept an optional
 ``timeout`` (seconds) covering the *whole* frame, not each piece:
@@ -88,8 +87,8 @@ Frame = tuple[int, Union[bytearray, bulk.Payload]]
 
 __all__ = ["ALIGN", "Frame", "FrameReader", "MAGIC", "MAX_FRAME_SIZE",
            "MAX_REGIONS", "PIECE", "checksum_mismatch", "crc_covers_payload",
-           "encode_frame", "header_crc", "parse_header", "recv_frame",
-           "region_count", "send_frame", "table_size"]
+           "encode_frame", "frame_size", "header_crc", "parse_header",
+           "recv_frame", "region_count", "send_frame", "table_size"]
 
 MAGIC = b"NINF"
 HEADER = struct.Struct(">4sIII")
@@ -159,6 +158,25 @@ def crc_covers_payload(peer: object) -> bool:
 # -- the layout, both media ---------------------------------------------------
 
 
+def _pad(nbytes: int) -> int:
+    """The zeros that follow ``nbytes`` bytes up to an :data:`ALIGN`
+    boundary."""
+    return -nbytes % ALIGN
+
+
+def frame_size(payload: Union[BytesLike, bulk.Payload]) -> int:
+    """The bytes a frame of ``payload`` takes on its medium, any medium:
+    the header and region table with the bytes outside the regions, then
+    each region, each part padded."""
+    if not isinstance(payload, bulk.Payload):
+        return _HEAD_SIZE + len(payload) + _pad(_HEAD_SIZE + len(payload))
+    regions = payload.regions
+    head = _HEAD_SIZE + _ENTRY.size * len(regions) + len(payload) \
+        - sum(region.nbytes for region in regions)
+    return head + _pad(head) + sum(region.nbytes + _pad(region.nbytes)
+                                   for region in regions)
+
+
 def _frame_pieces(msg_type: int, payload: Union[BytesLike, bulk.Payload],
                   covers_payload: bool = False) -> list[_Piece]:
     """A frame in the order it is written: the header and region table,
@@ -182,11 +200,11 @@ def _frame_pieces(msg_type: int, payload: Union[BytesLike, bulk.Payload],
     else:
         sources, table, rest = [], _NO_REGIONS, length
         pieces.append(payload)
-    pieces.append(_PAD[:-(HEADER.size + len(table) + rest) % ALIGN])
+    pieces.append(_PAD[:_pad(HEADER.size + len(table) + rest)])
     for region, source in sources:
         pieces.append((source, region.wire)
                       if isinstance(source, np.ndarray) else source)
-        pieces.append(_PAD[:-region.nbytes % ALIGN])
+        pieces.append(_PAD[:_pad(region.nbytes)])
     crc = zlib.crc32(table, header_crc(msg_type, length))
     if covers_payload:
         for piece in pieces[1:]:
@@ -568,7 +586,7 @@ class FrameReader:
             size -= sum(nbytes for _, nbytes, _ in self._regions)
         elif self._regions:
             self._regions = []
-        pad = -(_HEAD_SIZE + len(table) + size) % ALIGN
+        pad = _pad(_HEAD_SIZE + len(table) + size)
         self._receive(_REST, bulk.room(size + pad), pad)
         return None if size + pad else self._payload()
 
@@ -591,7 +609,7 @@ class FrameReader:
         _offset, nbytes, wire = self._regions[len(self._arrays)]
         dtype = np.dtype(wire)
         # The pad is a whole number of elements, received with them.
-        pad = -nbytes % ALIGN
+        pad = _pad(nbytes)
         self._array = np.empty((nbytes + pad) // dtype.itemsize,
                                dtype.newbyteorder("="))
         self._swap, self._swapped = not dtype.isnative, 0

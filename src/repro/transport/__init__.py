@@ -20,8 +20,7 @@ abstractions:
   fault injection at the three places a channel is born (``connect``,
   pool checkout, endpoint accept).  The plan computes one
   :class:`~repro.transport.faults.FaultStep` per dial, send and recv,
-  which the blocking :class:`FaultyChannel` and the asyncio
-  :class:`AsyncFaultyChannel` only apply; see
+  which :class:`FaultyChannel` applies; see
   :mod:`repro.transport.faults`.
 - :class:`RetryPolicy` -- bounded exponential backoff with seeded
   jitter and transient-error classification, used by the client's
@@ -30,9 +29,6 @@ abstractions:
 - :class:`CircuitBreaker` -- per-host consecutive-failure trip with a
   half-open probe, so failover skips dead hosts without paying a
   connect timeout each time; see :mod:`repro.transport.breaker`.
-- :class:`AsyncChannel` / :class:`AsyncConnectionPool` -- the asyncio
-  channel, and the pool's ``await``-dialing subclass: the asyncio
-  client's transport (DESIGN.md §3.6).
 - :class:`ShmRing` / :class:`ShmTransport` / :func:`shm_negotiate`
   (:mod:`repro.transport.shm`) -- the same-host shared-memory fast
   path.  A dialing channel that shares a machine with the server and
@@ -45,21 +41,12 @@ abstractions:
   the socket stays open purely as the liveness/close signal.  The
   :class:`Endpoint` answers every hello
   (:func:`repro.transport.shm.serve_hello`) and refuses only one it
-  cannot take; refusals fall back to TCP silently.  Blocking channels
-  are the only negotiating client side (the asyncio loop never blocks
-  on ring polls).
+  cannot take; refusals fall back to TCP silently.
 
 Layering: ``xdr`` (encoding) -> ``protocol`` (framing + messages) ->
 ``transport`` (connections) -> ``client`` / ``server`` / ``metaserver``.
 """
 
-from repro.transport.aiochannel import (
-    AsyncChannel,
-    AsyncFaultyChannel,
-    aconnect,
-    aconnect_with_faults,
-)
-from repro.transport.aiopool import AsyncConnectionPool
 from repro.transport.breaker import CircuitBreaker
 from repro.transport.channel import Channel, connect
 from repro.transport.endpoint import Connection, Endpoint, EndpointCore
@@ -75,9 +62,6 @@ from repro.transport.shm import ShmRing, ShmTransport
 from repro.transport.shm import negotiate as shm_negotiate
 
 __all__ = [
-    "AsyncChannel",
-    "AsyncConnectionPool",
-    "AsyncFaultyChannel",
     "Channel",
     "CircuitBreaker",
     "Connection",
@@ -91,8 +75,6 @@ __all__ = [
     "RetryPolicy",
     "ShmRing",
     "ShmTransport",
-    "aconnect",
-    "aconnect_with_faults",
     "connect",
     "is_transient",
     "shm_negotiate",

@@ -16,12 +16,13 @@ import socket
 import threading
 from typing import Any, Optional, TYPE_CHECKING, Union
 
-from repro.protocol.framing import BytesLike, HEADER, crc_covers_payload, \
-    encode_frame, recv_frame, send_frame
+from repro.protocol.framing import BytesLike, crc_covers_payload, \
+    encode_frame, frame_size, recv_frame, send_frame
 
 if TYPE_CHECKING:  # annotation only
     from repro.obs import MetricsRegistry
     from repro.transport.shm import ShmTransport
+    from repro.xdr.bulk import Payload
 from repro.protocol.messages import (ErrorReply, MessageType,
                                      checked_reply, pack)
 from repro.transport import shm as shm_mod
@@ -39,45 +40,7 @@ class _Unset:
 _DEFAULT = _Unset()
 
 
-class _Metered:
-    """The :attr:`metrics` attribute of the sync and asyncio channels:
-    attaching a registry binds the four ``ninf_transport_*`` counters
-    once, so a frame costs two bound ``inc`` calls."""
-
-    _metrics: Optional["MetricsRegistry"] = None
-    _sent: Optional[tuple[Any, Any]] = None      # (bytes, frames)
-    _received: Optional[tuple[Any, Any]] = None
-
-    @property
-    def metrics(self) -> Optional["MetricsRegistry"]:
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry: Optional["MetricsRegistry"]) -> None:
-        from repro.obs import names
-
-        self._metrics, self._sent, self._received = registry, None, None
-        if registry is not None:
-            self._sent = (registry.counter(
-                names.TRANSPORT_BYTES_SENT,
-                "Framed bytes written, header included").labels(),
-                registry.counter(names.TRANSPORT_FRAMES_SENT,
-                                 "Frames written").labels())
-            self._received = (registry.counter(
-                names.TRANSPORT_BYTES_RECEIVED,
-                "Framed bytes read, header included").labels(),
-                registry.counter(names.TRANSPORT_FRAMES_RECEIVED,
-                                 "Frames read").labels())
-
-    @staticmethod
-    def _note_io(counters: Optional[tuple[Any, Any]],
-                 payload_len: int) -> None:
-        if counters is not None:
-            counters[0].inc(HEADER.size + payload_len)
-            counters[1].inc()
-
-
-class Channel(_Metered):
+class Channel:
     """One framed TCP connection with per-operation deadlines.
 
     Parameters
@@ -104,8 +67,15 @@ class Channel(_Metered):
     :class:`~repro.obs.MetricsRegistry`, default ``None`` = no
     recording) is set by whoever owns the channel -- the pool on
     checkout, the endpoint on accept -- and receives per-frame
-    byte/frame counters (``ninf_transport_*``; see OBSERVABILITY.md).
+    byte/frame counters (``ninf_transport_*``; see OBSERVABILITY.md),
+    bound once, so a frame costs two bound ``inc`` calls.  A frame's
+    bytes are :func:`~repro.protocol.framing.frame_size`: the frame as
+    it is on its medium.
     """
+
+    _metrics: Optional["MetricsRegistry"] = None
+    _sent: Optional[tuple[Any, Any]] = None      # (bytes, frames)
+    _received: Optional[tuple[Any, Any]] = None
 
     def __init__(self, sock: socket.socket,
                  timeout: Optional[float] = None,
@@ -131,6 +101,34 @@ class Channel(_Metered):
         # socket stays open for liveness/close but carries no frames
         # once this is set.
         self._io = None
+
+    @property
+    def metrics(self) -> Optional["MetricsRegistry"]:
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: Optional["MetricsRegistry"]) -> None:
+        from repro.obs import names
+
+        self._metrics, self._sent, self._received = registry, None, None
+        if registry is not None:
+            self._sent = (registry.counter(
+                names.TRANSPORT_BYTES_SENT,
+                "Framed bytes written, header and pads included").labels(),
+                registry.counter(names.TRANSPORT_FRAMES_SENT,
+                                 "Frames written").labels())
+            self._received = (registry.counter(
+                names.TRANSPORT_BYTES_RECEIVED,
+                "Framed bytes read, header and pads included").labels(),
+                registry.counter(names.TRANSPORT_FRAMES_RECEIVED,
+                                 "Frames read").labels())
+
+    @staticmethod
+    def _note_io(counters: Optional[tuple[Any, Any]],
+                 payload: Union[BytesLike, Payload]) -> None:
+        if counters is not None:
+            counters[0].inc(frame_size(payload))
+            counters[1].inc()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -231,7 +229,7 @@ class Channel(_Metered):
                 send_frame(self.sock, msg_type, payload,
                            timeout=self._resolve(timeout),
                            covers_payload=self.covers_payload)
-        self._note_io(self._sent, len(payload))
+        self._note_io(self._sent, payload)
 
     def _encode_frame(self, msg_type: int, payload: BytesLike) -> bytearray:
         """The bytes :meth:`send` would put on the medium frames flow
@@ -267,7 +265,7 @@ class Channel(_Metered):
             else:
                 msg_type, payload = recv_frame(self.sock,
                                                timeout=self._resolve(timeout))
-        self._note_io(self._received, len(payload))
+        self._note_io(self._received, payload)
         return msg_type, payload
 
     def received_delay(self) -> float:
@@ -280,7 +278,7 @@ class Channel(_Metered):
         """Take one frame that the endpoint's reactor read off
         :attr:`sock` (its own :class:`~repro.protocol.framing
         .FrameReader`), accounted as :meth:`recv` accounts its own."""
-        self._note_io(self._received, len(payload))
+        self._note_io(self._received, payload)
         return msg_type, payload
 
     def request(self, msg_type: int, payload: BytesLike = b"",

@@ -16,9 +16,7 @@ provide that:
   rejects the frame), drop the connection before or after a send, or
   refuse a dial.
 - :class:`FaultyChannel` -- a :class:`~repro.transport.channel.Channel`
-  that applies the steps, as its asyncio twin
-  :class:`~repro.transport.aiochannel.AsyncFaultyChannel` does with
-  ``await``: the drivers only sleep and write.
+  that applies the steps: it only sleeps and writes.
 
 Plans are injectable at the three places a channel is born, so no call
 site changes to come under test:
@@ -331,7 +329,7 @@ class FaultPlan:
     def step(self, op: str, remote: Union[tuple[str, int], None],
              frame: Optional[Callable[[], bytes]] = None) -> FaultStep:
         """The :class:`FaultStep` for the next ``op`` on a connection to
-        ``remote``: the one fault rule both channel drivers apply.
+        ``remote``: the one fault rule a faulty channel applies.
 
         A partitioned edge fails the operation before any draw; else
         one :meth:`draw` decides.  ``frame`` (sends only) builds the

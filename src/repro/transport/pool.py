@@ -13,7 +13,7 @@ import math
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional, TYPE_CHECKING
+from typing import Callable, Iterator, Optional, TYPE_CHECKING
 
 from repro.obs import MetricsRegistry, names
 from repro.transport.channel import Channel, connect
@@ -144,48 +144,35 @@ class ConnectionPool:
 
     # -- checkout / checkin -------------------------------------------------
 
-    def _take_idle(self, host: str, port: int) -> Optional[Any]:
-        """The reuse half of a checkout: the most recently idle healthy
-        channel to ``host:port`` (LIFO), or ``None`` -- dial one."""
-        if not self.pooling:
-            return None
-        with self._lock:
-            self._evict_locked(self._clock())
-            bucket = self._idle.get((host, port))
-            while bucket:
-                channel, _stamp = bucket.pop()
-                # healthy() spots sockets whose peer died while the
-                # channel idled (EOF pending), not just local closes
-                # -- a dead channel is never handed out.
-                if channel.healthy():
-                    self._reused.inc()
-                    self._sync_idle_gauge_locked()
-                    return channel
-                channel.close()
-            self._sync_idle_gauge_locked()
-        return None
-
-    def _dial(self, host: str, port: int) -> Any:
+    def checkout(self, host: str, port: int) -> Channel:
+        """An open channel to ``host:port``: the most recently idle
+        healthy one (LIFO), else a fresh dial."""
+        if self.pooling:
+            with self._lock:
+                self._evict_locked(self._clock())
+                bucket = self._idle.get((host, port))
+                while bucket:
+                    channel, _stamp = bucket.pop()
+                    # healthy() spots sockets whose peer died while the
+                    # channel idled (EOF pending), not just local closes
+                    # -- a dead channel is never handed out.
+                    if channel.healthy():
+                        self._reused.inc()
+                        self._sync_idle_gauge_locked()
+                        return channel
+                    channel.close()
+                self._sync_idle_gauge_locked()
         options = {"shm": True} if self.shm and self._connect_shm else {}
         try:
-            return self._connect(host, port, timeout=self.timeout,
-                                 connect_timeout=self.connect_timeout,
-                                 **options)
+            channel = self._connect(host, port, timeout=self.timeout,
+                                    connect_timeout=self.connect_timeout,
+                                    **options)
         except ConnectionRefusedError:
             self._dials_refused.inc()
             raise
-
-    def _adopt(self, channel: Any) -> Any:
-        """Account for a freshly dialed channel."""
         channel.metrics = self.metrics
         self._created.inc()
         return channel
-
-    def checkout(self, host: str, port: int) -> Channel:
-        """An open channel to ``host:port`` -- reused when possible."""
-        channel = self._take_idle(host, port)
-        return channel if channel is not None \
-            else self._adopt(self._dial(host, port))
 
     def checkin(self, channel: Channel) -> None:
         """Return a healthy channel for reuse (closes it when pooling is

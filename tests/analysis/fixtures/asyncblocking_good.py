@@ -1,40 +1,36 @@
 """True negatives for ``async-blocking-reachability``.
 
 The same shapes as ``asyncblocking_bad.py``, written the sanctioned
-way: asyncio primitives on-loop, blocking work handed to a bridge
-(``asyncio.to_thread`` / ``run_in_executor``) as a *callable argument*
--- which never becomes a call edge, so the graph cannot reach it.
+way: a handler that must wait hands the work to another thread as a
+*callable argument* -- which never becomes a call edge, so the graph
+cannot reach it -- and takes nothing from a queue it may wait on.
 """
 
-import asyncio
+import threading
+import time
 
 
-def _blocking_read(path):
-    """Only ever invoked off-loop (handed to ``to_thread``)."""
-    return path.read_text(encoding="utf-8")
+def _blocking_read(conn, path):
+    """Only ever run on a thread of its own, never on the reactor."""
+    time.sleep(0.1)
+    conn.send(2, path.read_text(encoding="utf-8"))
 
 
-async def poll(channel):
-    for attempt in range(3):
-        await asyncio.sleep(0.1 * attempt)
-    return await channel.recv()
+class Service:
+    def __init__(self):
+        self.register_handler(3, self.read_settings)
+        self.register_handler(5, self.handshake)
+        self.register_handler(7, self.fanout)
 
+    def register_handler(self, msg_type, handler):
+        pass
 
-async def read_settings(path):
-    return await asyncio.to_thread(_blocking_read, path)
+    def read_settings(self, conn, path):
+        threading.Thread(target=_blocking_read, args=(conn, path)).start()
 
+    def handshake(self, conn, result_queue):
+        result_queue.put_nowait("ready")
+        conn.send(2, result_queue.get_nowait())
 
-async def handshake(result_queue):
-    await asyncio.to_thread(result_queue.put, "ready")
-    item = result_queue.get_nowait()
-    return item
-
-
-async def scrape(registry):
-    loop = asyncio.get_running_loop()
-    return await loop.run_in_executor(None, registry.snapshot)
-
-
-async def fanout(lock, fut):
-    async with lock:
-        return await fut
+    def fanout(self, conn, fut):
+        fut.add_done_callback(lambda done: conn.send(2, done.result()))

@@ -1,7 +1,7 @@
 """Goldens for the project call graph, plus the mutation acceptance
 tests the interprocedural rules are gated on: deleting one encoder
 ``pack_*`` call from a real ``protocol/messages.py`` handler, or
-inserting ``time.sleep`` into a real coroutine-reachable helper, must
+inserting ``time.sleep`` into a real handler-reachable helper, must
 make ``ninf-lint`` exit 1.
 """
 
@@ -177,31 +177,6 @@ def test_src_graph_carries_no_silent_failures(src_graph):
 
 # -- mutation acceptance ------------------------------------------------------
 
-def test_inserting_sleep_into_reachable_helper_fails_lint(tmp_path, capsys):
-    """Acceptance: ``time.sleep`` planted in a sync helper called from
-    a coroutine (``AsyncChannel._check_open``) must exit 1, reported with
-    the reachability chain."""
-    source = (REPO_ROOT / "src" / "repro" / "transport"
-              / "aiochannel.py").read_text(encoding="utf-8")
-    pristine = tmp_path / "aiochannel_pristine.py"
-    pristine.write_text(source, encoding="utf-8")
-    assert main([str(pristine), "--rules",
-                 "async-blocking-reachability"]) == 0
-
-    needle = "def _check_open(self) -> None:"
-    assert needle in source
-    mutated = tmp_path / "aiochannel.py"
-    mutated.write_text(
-        "import time\n" + source.replace(
-            needle, needle + "\n        time.sleep(0.001)"),
-        encoding="utf-8")
-    assert main([str(mutated), "--rules",
-                 "async-blocking-reachability"]) == 1
-    out = capsys.readouterr().out
-    assert "time.sleep" in out
-    assert "via AsyncChannel.recv -> AsyncChannel._check_open" in out
-
-
 def _copy_sources(tmp_path, monkeypatch, *relative):
     """Copies of ``src/repro/<relative>`` under ``./repro`` of a fresh
     working directory (module names derive from the relative path)."""
@@ -214,34 +189,34 @@ def _copy_sources(tmp_path, monkeypatch, *relative):
     return Path("repro")
 
 
-def test_sleep_planted_in_the_client_core_fails_lint(
+def test_inserting_sleep_into_reachable_helper_fails_lint(
         tmp_path, monkeypatch, capsys):
-    """The asyncio driver steps the sans-IO core's generators on its
-    loop, so they are roots like any ``async def``: a blocking call in
-    any core helper must be found through the ``yield from`` chain."""
-    root = _copy_sources(tmp_path, monkeypatch, "client/core.py")
+    """Acceptance: ``time.sleep`` planted in a sync helper a handler
+    calls (``NinfRpcServices.load_snapshot``, behind the LOAD_QUERY
+    handler) must exit 1, reported with the reachability chain."""
+    root = _copy_sources(tmp_path, monkeypatch, "server/services.py",
+                         "transport/endpoint.py")
     rule = ["--rules", "async-blocking-reachability"]
     assert main([str(root), *rule]) == 0
 
-    core = root / "client" / "core.py"
-    needle = "def _note_fault(state: ClientState, exc: BaseException) -> None:"
-    source = core.read_text(encoding="utf-8")
+    services = root / "server" / "services.py"
+    needle = "    def load_snapshot(self) -> LoadReply:"
+    source = services.read_text(encoding="utf-8")
     assert needle in source
-    core.write_text(source.replace(needle,
-                                   needle + "\n    time.sleep(0.001)"),
-                    encoding="utf-8")
+    services.write_text(source.replace(
+        needle, needle + "\n        time.sleep(0.001)"), encoding="utf-8")
     assert main([str(root), *rule]) == 1
     out = capsys.readouterr().out
     assert "time.sleep" in out
-    assert "reachable from loop-stepped generator" in out
-    assert "-> _note_fault" in out
+    assert ("via NinfRpcServices._handle_load_query -> "
+            "NinfRpcServices.load_snapshot") in out
 
 
 def test_sleep_planted_in_an_endpoint_handler_fails_lint(
         tmp_path, monkeypatch, capsys):
     """Handlers run inline on the endpoint's reactor thread, so every
-    function in an endpoint's ``register_handler`` map is a root like
-    an ``async def``, the core's STATS handler included."""
+    function in an endpoint's ``register_handler`` map is a root, the
+    core's STATS handler included."""
     root = _copy_sources(tmp_path, monkeypatch, "server/services.py",
                          "transport/endpoint.py")
     rule = ["--rules", "async-blocking-reachability"]

@@ -109,7 +109,7 @@ def test_sarif_clean_run_still_advertises_rules(capsys):
     log = json.loads(capsys.readouterr().out)
     (run,) = log["runs"]
     assert run["results"] == []
-    assert len(run["tool"]["driver"]["rules"]) == 7
+    assert len(run["tool"]["driver"]["rules"]) == 6
 
 
 def test_text_output_is_one_line_per_finding(capsys):

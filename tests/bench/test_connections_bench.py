@@ -11,6 +11,7 @@ from repro.bench import run_connections_benchmark
 from repro.bench.cli import main
 from repro.bench.connections import (
     _percentiles_ms,
+    bench_async_phase,
     current_rss_bytes,
     raise_fd_limit,
 )
@@ -116,3 +117,15 @@ def test_cli_connections_json_path_writes_report(tmp_path):
     assert code == 0
     assert json.loads(
         out.read_text(encoding="utf-8"))["benchmark"] == "connections"
+
+
+def test_the_thread_count_does_not_grow_with_the_connections():
+    """One thread dials and pings every connection: the threads the
+    process runs while holding them (the server's reactor, PE and
+    expiry sweep) are as many at 128 connections as at 16."""
+    quiet = lambda *a, **k: None  # noqa: E731
+    few = bench_async_phase(16, log=quiet)
+    many = bench_async_phase(128, log=quiet)
+    assert many.sustained_connections == 128
+    assert many.ping_count == 128
+    assert many.extra["server_threads"] == few.extra["server_threads"] <= 3

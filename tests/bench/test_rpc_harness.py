@@ -7,11 +7,14 @@ report pipeline works, while CI's perf-gate job runs the real thing.
 """
 
 import json
+import multiprocessing.process
+import threading
 
 import pytest
 
 from repro.bench.cli import main
-from repro.bench.rpc import run_rpc_benchmark, run_rpc_sim
+from repro.bench.rpc import MAX_CLIENTS_PER_WORKER, run_rpc_benchmark, \
+    run_rpc_sim
 from repro.bench.schema import dump_report, validate_report
 from repro.bench.stages import build_ramp, parse_stage_list
 
@@ -117,3 +120,24 @@ class TestLiveHarness:
         with pytest.raises(ValueError, match="server"):
             run_rpc_benchmark(parse_stage_list("1,2"), servers=0,
                               log=lambda *a, **k: None)
+
+    def test_a_stage_past_the_per_worker_bound_starts_nothing(
+            self, monkeypatch):
+        """513 clients over 2 workers puts 257 on one: refused, naming
+        ``--processes``, before a process or a thread is started."""
+        started = []
+
+        def refuse(what):
+            def start(self, *args, **kwargs):
+                started.append(what)
+                raise AssertionError(f"a {what} was started")
+            return start
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse("process"))
+        monkeypatch.setattr(threading.Thread, "start", refuse("thread"))
+        too_many = 2 * MAX_CLIENTS_PER_WORKER + 1
+        with pytest.raises(ValueError, match="--processes to at least 3"):
+            run_rpc_benchmark(parse_stage_list(f"4,{too_many}"),
+                              processes=2, log=lambda *a, **k: None)
+        assert started == []

@@ -2,13 +2,12 @@
 sleeps.  Each test answers the requests a ``repro.client.core``
 operation yields and checks what it asked for and what it concluded."""
 
-import asyncio
 import inspect
 import random
 
 import pytest
 
-from repro.client import AsyncNinfClient, NinfClient, core
+from repro.client import NinfClient, core
 from repro.client.core import Checkout, ClientState, Exchange, Recv, Send, \
     Sleep
 from repro.idl import Signature
@@ -203,7 +202,7 @@ def seeded_policy(sleep):
                        rng=random.Random(1997), sleep=sleep)
 
 
-def test_seeded_policy_sleeps_the_same_schedule_on_every_path(monkeypatch):
+def test_seeded_policy_sleeps_the_same_schedule_on_every_path():
     def fail():
         raise ConnectionResetError("down")
 
@@ -217,21 +216,10 @@ def test_seeded_policy_sleeps_the_same_schedule_on_every_path(monkeypatch):
     client._pool = DeadPool()
     assert client.ping() is False
 
-    via_asyncio = []
-
-    async def fake_sleep(seconds):
-        via_asyncio.append(seconds)
-
-    monkeypatch.setattr(asyncio, "sleep", fake_sleep)
-    aclient = AsyncNinfClient("server.invalid", 1,
-                              retry=seeded_policy(None))
-    aclient._pool = DeadPool()
-    assert asyncio.run(aclient.ping()) is False
-
     assert len(via_run) == 4 and all(d > 0 for d in via_run)
-    assert via_run == via_blocking == via_asyncio
-    assert client.retries == aclient.retries == 4
-    assert client.faults_seen == aclient.faults_seen == 5
+    assert via_run == via_blocking
+    assert client.retries == 4
+    assert client.faults_seen == 5
 
 
 def test_ninf_client_has_no_transport_knob():

@@ -1,8 +1,8 @@
 """FrameReader: the one socket receive state machine, fed without a
 socket, and the ring's reader beside it.
 
-The blocking socket, the reactor and the event loop only move bytes
-into :meth:`FrameReader.buffer`; everything a socket receiver checks is
+The blocking socket and the reactor only move bytes into
+:meth:`FrameReader.buffer`; everything a socket receiver checks is
 here, so it is tested here byte by byte -- any chunking, both ``crc``
 forms, frames with bulk regions of every wire dtype, a corrupted frame
 in the middle of a stream.  The shm ring reads its own frames in order;
@@ -12,15 +12,18 @@ the same properties are pinned for it through a ring.
 import contextlib
 import socket
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.protocol import framing
-from repro.protocol.errors import ConnectionClosed, ProtocolError
+from repro.protocol.errors import ConnectionClosed, ProtocolError, \
+    TimeoutError
 from repro.protocol.framing import HEADER, FrameReader, encode_frame, \
-    recv_frame, table_size
+    recv_frame, send_frame, table_size
+from repro.protocol.messages import MessageType
 from repro.transport import ShmRing, ShmTransport
 from repro.xdr import XdrEncoder, bulk
 from tests.transport.test_ring_regions import _array, _decoded, _same_bits
@@ -322,3 +325,82 @@ def test_eof_reports_what_the_reader_still_owed(eof, cut, outstanding):
     with pytest.raises(ConnectionClosed,
                        match=f"with {outstanding} bytes outstanding"):
         eof(wire)
+
+
+# -- the blocking socket's deadline, errors and limits ------------------------
+
+
+def test_trickled_payload_cannot_stretch_the_whole_frame_deadline():
+    """Every byte arrives well inside 0.2 s of the previous one; the
+    frame as a whole does not: repro TimeoutError, naming the part."""
+    frame = encode_frame(MessageType.PONG, b"x" * 64)
+    left, right = socket.socketpair()
+    stop = threading.Event()
+
+    def trickle():
+        left.sendall(frame[:20])            # header and region count
+        for i in range(20, len(frame)):
+            if stop.wait(0.05):
+                return
+            left.sendall(frame[i:i + 1])
+
+    writer = threading.Thread(target=trickle)
+    writer.start()
+    try:
+        with pytest.raises(TimeoutError,
+                           match="payload (timed out|deadline expired)"):
+            recv_frame(right, timeout=0.2)
+    finally:
+        stop.set()
+        writer.join(5.0)
+        left.close()
+        right.close()
+    assert not writer.is_alive()
+
+
+def test_one_flipped_byte_is_a_protocol_error_naming_type_and_length():
+    frame = bytearray(encode_frame(MessageType.PONG, b"ninf"))
+    frame[22] ^= 0x01       # a payload byte, past header and count word
+    left, right = socket.socketpair()
+    with left, right:
+        left.sendall(bytes(frame) + encode_frame(MessageType.PING, b"ok"))
+        with pytest.raises(ProtocolError) as info:
+            recv_frame(right, timeout=5.0)
+        assert MISMATCH in str(info.value)
+        assert f"message {int(MessageType.PONG)}" in str(info.value)
+        assert "(4-byte payload)" in str(info.value)
+        # Frame boundaries survive a bad checksum.
+        assert recv_frame(right, timeout=5.0) == (MessageType.PING, b"ok")
+
+
+@pytest.mark.parametrize("header, message", [
+    (HEADER.pack(b"NOPE", 9, 1 << 29, 0), "bad frame magic"),
+    (HEADER.pack(framing.MAGIC, 9, framing.MAX_FRAME_SIZE + 1, 0),
+     "implausible frame length"),
+])
+def test_bad_header_is_rejected_before_any_payload_allocation(header,
+                                                              message):
+    reader = FrameReader()
+    wire = header + bytes(4) + b"trailing bytes nobody should parse"
+    tracemalloc.start()
+    try:
+        room = reader.buffer()
+        room[:] = wire[:len(room)]
+        with pytest.raises(ProtocolError, match=message):
+            reader.advance(len(room))
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the header claimed half a gigabyte and up
+    assert reader.receiving == "header"   # no payload buffer
+    assert len(reader.buffer()) == 0      # a desync: nothing more parses
+
+
+def test_oversize_payload_is_refused_on_the_way_out():
+    class Huge(bytes):
+        def __len__(self):
+            return framing.MAX_FRAME_SIZE + 1
+
+    left, right = socket.socketpair()
+    with left, right, pytest.raises(ProtocolError, match="too large"):
+        send_frame(left, MessageType.CALL, Huge())

@@ -8,7 +8,6 @@ a receiver must deliver a frame only once all of its bytes have landed.
 """
 
 import ast
-import asyncio
 import socket
 import struct
 import threading
@@ -21,14 +20,14 @@ import repro
 from repro.client.core import _CallPayload
 from repro.idl import Signature
 from repro.protocol import ConnectionClosed
-from repro.protocol.aframing import FrameStream
 from repro.protocol.framing import HEADER, encode_frame, recv_frame
 from repro.protocol.marshal import marshal_outputs, unmarshal_inputs, \
     unmarshal_outputs
 from repro.protocol.messages import JobTimestamps, MessageType, pack, unpack
-from repro.transport import ShmRing, ShmTransport
+from repro.transport import Endpoint, ShmRing, ShmTransport
 from repro.xdr import XdrEncoder, XdrError, bulk
 from tests.protocol.test_wire_golden import GOLDEN, VALUES
+from tests.rpc.test_async_close import wait_until
 
 ECHO_IDL = ('Define bench_echo(mode_in int n, mode_in double A[n], '
             'mode_out double B[n]) "benchmark: B = A" '
@@ -208,29 +207,17 @@ def test_a_truncated_frame_is_not_delivered_by_the_sync_receiver(poisoned):
         right.close()
 
 
-def test_a_truncated_frame_is_not_delivered_by_a_frame_stream(poisoned):
+def test_a_truncated_frame_is_not_delivered_by_the_reactor(poisoned):
     sent = _truncated(encode_frame(MessageType.CALL, bytes(BIG)))
-    outstanding = HEADER.size + 4 + BIG - len(sent)     # 4: the count word
-
-    async def main():
-        async def peer(reader, writer):
-            writer.write(sent)
-            await writer.drain()
-            writer.close()
-
-        server = await asyncio.start_server(peer, "127.0.0.1", 0)
-        port = server.sockets[0].getsockname()[1]
-        _transport, stream = await asyncio.get_running_loop() \
-            .create_connection(FrameStream, "127.0.0.1", port)
-        try:
-            with pytest.raises(ConnectionClosed,
-                               match=f"{outstanding} bytes outstanding"):
-                await stream.read_frame(timeout=30.0)
-        finally:
-            stream.transport.close()
-            server.close()
-
-    asyncio.run(main())
+    delivered = []
+    with Endpoint() as endpoint:
+        endpoint.register_handler(
+            MessageType.CALL, lambda conn, payload: delivered.append(payload))
+        with socket.create_connection(endpoint.address, timeout=30.0) as sock:
+            sock.sendall(sent)
+        assert wait_until(lambda: endpoint.connections_accepted == 1
+                          and endpoint.connections_open == 0)
+    assert delivered == []
 
 
 def test_a_truncated_frame_is_not_delivered_by_the_ring(poisoned):

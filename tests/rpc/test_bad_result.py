@@ -18,7 +18,6 @@ from repro.protocol import RemoteError
 from repro.protocol.messages import MessageType, unpack
 from repro.server import Registry
 from repro.transport import connect
-from tests.rpc.conftest import NativeClientDriver
 
 SCALAR_IDL = 'Define bad_scalar(mode_in int x, mode_out int y) "y is a str";'
 ARRAY_IDL = ('Define bad_array(mode_in int x, mode_out double y[x]) '
@@ -37,9 +36,9 @@ def build_registry() -> Registry:
     return registry
 
 
-@pytest.fixture(params=["blocking", "native"])
+@pytest.fixture(params=["blocking"])
 def client_cls(request):
-    return NinfClient if request.param == "blocking" else NativeClientDriver
+    return NinfClient
 
 
 @pytest.mark.parametrize("function", sorted(BAD))

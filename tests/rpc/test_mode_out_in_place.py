@@ -2,7 +2,7 @@
 contract says: all zeros, writable, C-contiguous, of the declared dtype
 and shape, whether their frames are above ``bulk.UNZEROED_MIN`` (receive
 and encoder room left unset) or below it.  An executable that fills them
-in place and returns ``None`` round-trips on both servers, on a PE
+in place and returns ``None`` round-trips, on a PE
 thread and in a PE worker process.
 """
 
@@ -12,9 +12,8 @@ import pytest
 from repro.client import NinfClient
 from repro.idl import Signature
 from repro.protocol.marshal import marshal_inputs, unmarshal_inputs
-from repro.server import Registry
+from repro.server import NinfServer, Registry
 from repro.xdr import bulk
-from tests.rpc.conftest import SERVER_CLASSES
 
 FILL_IDL = ('Define {name}(mode_in int n, mode_out double B[n][n], '
             'mode_out int C[n]) "B, C = ranges" {order} '
@@ -54,8 +53,7 @@ def test_a_large_mode_out_array_is_zeros_of_the_declared_kind():
 
 @pytest.mark.parametrize("function", ["fill", "fill_in_worker"])
 @pytest.mark.parametrize("n", [BIG_N, SMALL_N])
-@pytest.mark.parametrize("server_cls", list(SERVER_CLASSES.values()),
-                         ids=list(SERVER_CLASSES))
+@pytest.mark.parametrize("server_cls", [NinfServer], ids=["threaded"])
 def test_a_mode_out_array_filled_in_place_round_trips(server_cls, n,
                                                       function):
     with server_cls(_registry(), num_pes=1) as server, \

@@ -1,6 +1,6 @@
 """End-to-end resilience over the real wire: BUSY shedding, deadline
 budgets, CANCEL, and logical-id dedup (DESIGN.md §3.5), exercised
-against the server under both of its names (§3.6)."""
+against the server (§3.6)."""
 
 import logging
 import threading
@@ -23,7 +23,6 @@ from repro.protocol.messages import (
 )
 from repro.server import Registry
 from repro.transport import RetryPolicy, connect, is_transient
-from tests.rpc.conftest import NativeClientDriver
 from tests.rpc.test_async_close import wait_until
 
 SLEEP_IDL = 'Define sleeper(mode_in double seconds) "waits on an event";'
@@ -124,11 +123,12 @@ def test_fetch_deadline_expiry_cancels_queued_job(env, server_cls):
             client.fetch_detached(parked, timeout=5.0)
 
 
-@pytest.mark.parametrize("driver", [NinfClient, NativeClientDriver],
-                         ids=["sync", "native"])
+# One client driver is left; the name and the ``sync`` id stay as the
+# suite's pass-floor lists them.
+@pytest.mark.parametrize("driver", [NinfClient], ids=["sync"])
 def test_fetch_timeout_is_the_protocol_error_on_both_drivers(env, server_cls,
                                                              driver):
-    """One core, one exception: the transient ``repro.protocol``
+    """The transient ``repro.protocol``
     TimeoutError (a builtin ``TimeoutError`` too), after a best-effort
     CANCEL of the still-queued job."""
     with server_cls(env.registry, num_pes=1) as server:
@@ -309,7 +309,7 @@ def test_reply_to_a_peer_that_has_gone_raises_nowhere(env, server_cls,
     closed, the call still counts, and no thread or task dies of it."""
     died = []
     monkeypatch.setattr(threading, "excepthook", died.append)
-    caplog.set_level(logging.ERROR, logger="asyncio")
+    caplog.set_level(logging.ERROR)
     with server_cls(env.registry, num_pes=1) as server:
         host, port = server.address
         with NinfClient(host, port) as client:

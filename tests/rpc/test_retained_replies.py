@@ -19,7 +19,6 @@ from repro.client import NinfClient
 from repro.protocol.messages import MessageType, unpack
 from repro.server import NinfServer, Registry
 from repro.transport import Connection, RetryPolicy
-from tests.rpc.conftest import NativeClientDriver
 
 NOOP_IDL = ('Define bench_noop(mode_in int x, mode_out int y) '
             '"benchmark: y = x + 1" Calls "C" bench_noop(x, y);')
@@ -29,9 +28,9 @@ ECHO_IDL = ('Define bench_echo(mode_in int n, mode_in double A[n], '
 DOUBLES = (1 << 20) // 8            # a 1 MiB argument, a 1 MiB reply
 
 
-@pytest.fixture(params=["blocking", "native"])
+@pytest.fixture(params=["blocking"])
 def client_cls(request):
-    return NinfClient if request.param == "blocking" else NativeClientDriver
+    return NinfClient
 
 
 @pytest.fixture

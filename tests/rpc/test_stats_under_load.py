@@ -8,14 +8,12 @@ each scrape in place.  After the load drains, the scraped counters must account 
 exactly the calls the clients made.
 """
 
-import asyncio
-import threading
-
 import pytest
 
-from repro.client import AsyncNinfClient, NinfClient
+from repro.client import NinfClient
 from repro.obs import names
-from tests.rpc.conftest import SERVER_CLASSES, LoopThread, build_registry
+from repro.server import NinfServer
+from tests.rpc.conftest import build_registry
 
 CONCURRENT_CALLS = 100
 
@@ -44,78 +42,49 @@ def _ok_calls(snapshot) -> int:
                if v["labels"].get("status") == "ok")
 
 
-@pytest.mark.parametrize("flavour", sorted(SERVER_CLASSES))
+def _load(client, calls, seconds):
+    """``calls`` sleeper calls in flight at once, each on its own
+    ``call_async`` thread and pooled connection."""
+    return [client.call_async("sleeper", seconds) for _ in range(calls)]
+
+
+@pytest.mark.parametrize("flavour", ["threaded"])
 def test_fetch_stats_returns_consistent_snapshot_under_load(flavour):
-    server_cls = SERVER_CLASSES[flavour]
     # Plenty of PEs so 100 concurrent sleeps drain in well under a
     # second while still overlapping the scrapes.
-    with server_cls(build_registry(), num_pes=64, mode="task") as server:
-        host, port = server.address
-        runner = LoopThread(name=f"stats-load-{flavour}")
-        started = threading.Event()
-
-        async def drive_load():
-            client = AsyncNinfClient(host, port)
-            try:
-                await client.get_signature("sleeper")
-                started.set()
-                await asyncio.gather(*(client.call("sleeper", 0.2)
-                                       for _ in range(CONCURRENT_CALLS)))
-            finally:
-                client.close()
-
-        future = asyncio.run_coroutine_threadsafe(drive_load(),
-                                                  runner.loop)
-        try:
-            assert started.wait(timeout=30.0)
-            with NinfClient(host, port) as scraper:
-                previous_ok = 0
-                while not future.done():
-                    snapshot = scraper.fetch_stats("json")
-                    _assert_snapshot_consistent(snapshot)
-                    ok_now = _ok_calls(snapshot)
-                    assert ok_now >= previous_ok, "counter went backwards"
-                    previous_ok = ok_now
-                future.result(timeout=60.0)
-                # After the dust settles the server accounts for every
-                # call the load driver made -- no more, no fewer.
-                final = scraper.fetch_stats("json")
-                _assert_snapshot_consistent(final)
-                assert _ok_calls(final) == CONCURRENT_CALLS
-        finally:
-            if not future.done():  # pragma: no cover - failure path
-                future.cancel()
-            runner.stop()
+    with NinfServer(build_registry(), num_pes=64, mode="task") as server, \
+            NinfClient(*server.address) as client, \
+            NinfClient(*server.address) as scraper:
+        client.get_signature("sleeper")
+        futures = _load(client, CONCURRENT_CALLS, 0.2)
+        previous_ok = 0
+        while not all(future.done for future in futures):
+            snapshot = scraper.fetch_stats("json")
+            _assert_snapshot_consistent(snapshot)
+            ok_now = _ok_calls(snapshot)
+            assert ok_now >= previous_ok, "counter went backwards"
+            previous_ok = ok_now
+        for future in futures:
+            future.result(timeout=60.0)
+        # After the dust settles the server accounts for every call the
+        # load driver made -- no more, no fewer.
+        final = scraper.fetch_stats("json")
+        _assert_snapshot_consistent(final)
+        assert _ok_calls(final) == CONCURRENT_CALLS
 
 
-@pytest.mark.parametrize("flavour", sorted(SERVER_CLASSES))
+@pytest.mark.parametrize("flavour", ["threaded"])
 def test_prometheus_stats_scrape_under_load(flavour):
     """The prom rendering stays parseable mid-load too."""
-    server_cls = SERVER_CLASSES[flavour]
-    with server_cls(build_registry(), num_pes=16, mode="task") as server:
-        host, port = server.address
-        runner = LoopThread(name=f"stats-prom-{flavour}")
-
-        async def drive_load():
-            client = AsyncNinfClient(host, port)
-            try:
-                await asyncio.gather(*(client.call("sleeper", 0.1)
-                                       for _ in range(20)))
-            finally:
-                client.close()
-
-        future = asyncio.run_coroutine_threadsafe(drive_load(),
-                                                  runner.loop)
-        try:
-            with NinfClient(host, port) as scraper:
-                text = scraper.fetch_stats("prom")
-                assert "# TYPE" in text
-                for line in text.splitlines():
-                    if line and not line.startswith("#"):
-                        # every sample line is "name{labels} value"
-                        assert len(line.rsplit(None, 1)) == 2
-                future.result(timeout=60.0)
-        finally:
-            if not future.done():  # pragma: no cover - failure path
-                future.cancel()
-            runner.stop()
+    with NinfServer(build_registry(), num_pes=16, mode="task") as server, \
+            NinfClient(*server.address) as client, \
+            NinfClient(*server.address) as scraper:
+        futures = _load(client, 20, 0.1)
+        text = scraper.fetch_stats("prom")
+        assert "# TYPE" in text
+        for line in text.splitlines():
+            if line and not line.startswith("#"):
+                # every sample line is "name{labels} value"
+                assert len(line.rsplit(None, 1)) == 2
+        for future in futures:
+            future.result(timeout=60.0)

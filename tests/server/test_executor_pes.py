@@ -14,7 +14,7 @@ import pytest
 from repro.idl import Signature
 from repro.obs import MetricsRegistry, names
 from repro.protocol import RemoteError, ServerBusy
-from repro.server import AsyncNinfServer, NinfServer, Registry
+from repro.server import NinfServer, Registry
 from repro.server.executor import Executor
 from repro.server.registry import NinfExecutable
 from repro.server.scheduling import SchedulingPolicy, make_policy
@@ -103,10 +103,8 @@ def test_shutdown_waits_for_the_job_a_pe_is_inside():
     assert not [t.name for t in spawned if t.is_alive()]
 
 
-# One class under both names since the asyncio server went; the ids stay
-# as the suite's pass-floor lists them.
-@pytest.mark.parametrize("server_cls", [NinfServer, AsyncNinfServer],
-                         ids=["NinfServer", "AsyncNinfServer"])
+# One server class; its id stays as the suite's pass-floor lists it.
+@pytest.mark.parametrize("server_cls", [NinfServer], ids=["NinfServer"])
 def test_stopped_server_leaves_no_pe_thread(server_cls):
     registry = Registry()
     registry.register(NOOP_IDL, lambda n: None)

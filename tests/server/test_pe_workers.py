@@ -20,7 +20,7 @@ from repro.libs.openblas import blas_kernel, blas_threads
 from repro.obs import names
 from repro.protocol import RemoteError
 from repro.protocol.messages import MessageType, unpack
-from repro.server import AsyncNinfServer, NinfServer, Registry, services
+from repro.server import NinfServer, Registry, services
 from repro.transport import connect
 from tests.rpc.conftest import DMMUL_IDL, LINPACK_IDL, _dmmul, _linpack
 from tests.rpc.test_async_close import wait_until
@@ -38,10 +38,9 @@ WHERE_IDL = ('Define linpack_where(mode_in int n, mode_inout double A[n][n], '
 HERE_IDL = ('Define threads_here(mode_out int threads) "the BLAS count of '
             'a PE thread";')
 RAISES_IDL = 'Define raises(mode_in int n) "a kernel that fails";'
-# One class under both names since the asyncio server went; the ids stay
-# as the suite's pass-floor lists them.
-SERVERS = pytest.mark.parametrize("server_cls", [NinfServer, AsyncNinfServer],
-                                  ids=["NinfServer", "AsyncNinfServer"])
+# One server class; its id stays as the suite's pass-floor lists it.
+SERVERS = pytest.mark.parametrize("server_cls", [NinfServer],
+                                  ids=["NinfServer"])
 
 
 def whoami(nap, pid, ninf_callback):

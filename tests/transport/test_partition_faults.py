@@ -5,12 +5,9 @@ dials and frames deterministically and consume none of the owning
 :class:`FaultPlan`'s RNG, so a seeded chaos schedule is byte-identical
 with or without partitions active.
 
-Each plan-integration test runs on the blocking channel
-(``plan.connector``) and, as its ``_async`` twin, on the asyncio one
-(``aconnect_with_faults``): both apply the plan's one fault step.
+The plan-integration tests dial through ``plan.connector``.
 """
 
-import asyncio
 import threading
 
 import pytest
@@ -19,7 +16,7 @@ from repro.obs import MetricsRegistry, names
 from repro.protocol.errors import ConnectionClosed
 from repro.protocol.messages import MessageType
 from repro.server import NinfServer, Registry
-from repro.transport import FaultPlan, PartitionMap, aconnect_with_faults
+from repro.transport import FaultPlan, PartitionMap
 
 IDL = 'Define noop(mode_in int n) "does nothing";'
 
@@ -36,48 +33,8 @@ def server():
         yield srv
 
 
-def sync_dial(plan, host, port):
+def dial(plan, host, port):
     return plan.connector(host, port, timeout=2.0)
-
-
-class LoopChannel:
-    """An :class:`AsyncFaultyChannel` run to completion, call by call,
-    on a loop of this thread: the blocking channel's methods over the
-    asyncio driver."""
-
-    def __init__(self, loop, plan, host, port):
-        self.loop = loop
-        self.channel = loop.run_until_complete(
-            aconnect_with_faults(plan, host, port, timeout=2.0))
-
-    def send(self, *args, **kwargs):
-        return self.loop.run_until_complete(self.channel.send(*args, **kwargs))
-
-    def recv(self, *args, **kwargs):
-        return self.loop.run_until_complete(self.channel.recv(*args, **kwargs))
-
-    def request(self, *args, **kwargs):
-        return self.loop.run_until_complete(
-            self.channel.request(*args, **kwargs))
-
-    def close(self):
-        self.channel.close()
-        self.loop.run_until_complete(asyncio.sleep(0))  # let it finish
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-
-@pytest.fixture
-def loop_dial():
-    loop = asyncio.new_event_loop()
-    try:
-        yield lambda plan, host, port: LoopChannel(loop, plan, host, port)
-    finally:
-        loop.close()
 
 
 # -- the map itself -----------------------------------------------------------
@@ -152,7 +109,7 @@ def test_partition_map_thread_safety():
 
 # -- plan integration ---------------------------------------------------------
 
-def test_partitioned_dial_refused(server, dial=sync_dial):
+def test_partitioned_dial_refused(server):
     host, port = server.address
     pmap = PartitionMap()
     plan = FaultPlan(partitions=pmap, src="client")
@@ -166,11 +123,7 @@ def test_partitioned_dial_refused(server, dial=sync_dial):
         channel.request(MessageType.PING, expect=MessageType.PONG)
 
 
-def test_partitioned_dial_refused_async(server, loop_dial):
-    test_partitioned_dial_refused(server, dial=loop_dial)
-
-
-def test_partition_cuts_established_channel(server, dial=sync_dial):
+def test_partition_cuts_established_channel(server):
     """A partition that lands mid-connection kills in-flight frames."""
     host, port = server.address
     pmap = PartitionMap()
@@ -182,11 +135,7 @@ def test_partition_cuts_established_channel(server, dial=sync_dial):
             channel.send(MessageType.PING)
 
 
-def test_partition_cuts_established_channel_async(server, loop_dial):
-    test_partition_cuts_established_channel(server, dial=loop_dial)
-
-
-def test_partition_recv_side(server, dial=sync_dial):
+def test_partition_recv_side(server):
     host, port = server.address
     pmap = PartitionMap()
     plan = FaultPlan(partitions=pmap, src="client")
@@ -197,11 +146,7 @@ def test_partition_recv_side(server, dial=sync_dial):
             channel.recv(timeout=2.0)
 
 
-def test_partition_recv_side_async(server, loop_dial):
-    test_partition_recv_side(server, dial=loop_dial)
-
-
-def test_partition_consumes_no_rng(server, dial=sync_dial):
+def test_partition_consumes_no_rng(server):
     """The acceptance property: equal seeds produce equal fault
     schedules whether or not a partition fired in between."""
     host, port = server.address
@@ -232,11 +177,7 @@ def test_partition_consumes_no_rng(server, dial=sync_dial):
     assert drive(False) == drive(True)
 
 
-def test_partition_consumes_no_rng_async(server, loop_dial):
-    test_partition_consumes_no_rng(server, dial=loop_dial)
-
-
-def test_partition_drop_metric(server, dial=sync_dial):
+def test_partition_drop_metric(server):
     host, port = server.address
     pmap = PartitionMap()
     plan = FaultPlan(partitions=pmap, src="client")
@@ -247,7 +188,3 @@ def test_partition_drop_metric(server, dial=sync_dial):
         dial(plan, host, port)
     metric = registry.counter(names.FAULTS_PARTITION_DROPS)
     assert metric.value() == 1.0
-
-
-def test_partition_drop_metric_async(server, loop_dial):
-    test_partition_drop_metric(server, dial=loop_dial)
