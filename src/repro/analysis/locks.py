@@ -24,7 +24,8 @@ What the checker accepts as "lock held":
 - the access is lexically inside ``with self.<lock>:`` (any of the
   class's declared locks counts only for its own attributes);
 - the enclosing method's name ends in ``_locked`` (the caller-holds-
-  the-lock convention);
+  the-lock convention) -- and a ``self.<name>_locked`` used where no
+  lock of the class is held is itself a finding;
 - the access is in ``__init__``/``__del__`` (no concurrent aliasing
   yet / anymore).
 
@@ -74,7 +75,7 @@ GUARDED_BY: dict[str, tuple[LockSpec, ...]] = {
     "Tracer": (_spec("_lock", guarded=("_spans",)),),
     # repro.transport.pool
     "ConnectionPool": (_spec("_lock", guarded=("_idle", "_closed",
-                                               "_oldest", "_idle_reported")),),
+                                               "_oldest", "_idle_count")),),
     # repro.transport.faults
     "FaultPlan": (_spec("_lock",
                         guarded=("events", "injected", "ops_seen")),),
@@ -92,8 +93,10 @@ GUARDED_BY: dict[str, tuple[LockSpec, ...]] = {
     "_ReplySocket": (_spec("_lock", guarded=("_backlog", "_flushed"),
                            writes=("owner",)),),
     # repro.server.executor -- every queue and PE decision is its
-    # AdmissionCore's, so the core is what the lock guards.
-    "Executor": (_spec("_lock", guarded=("_core",)),),
+    # AdmissionCore's, so the core is what the lock guards, with the
+    # idle PEs a hand-off takes its PE from.
+    "Executor": (_spec("_lock", guarded=("_core", "_idle",
+                                         "_queue_reported")),),
     # repro.server.dedup
     "DedupCache": (_spec("_lock", guarded=("_pending", "_done",
                                           "_done_bytes", "hits")),),
@@ -211,7 +214,13 @@ class LockDisciplineChecker(Checker):
 
         if isinstance(node, ast.Attribute):
             attr = _self_attr(node)
-            if attr is not None:
+            if attr is not None and attr.endswith("_locked") and not held:
+                yield self.finding(
+                    module, node,
+                    f"use of {classdef.name}.{attr} without holding a lock "
+                    f"of the class (a _locked method assumes its caller "
+                    f"holds it)")
+            elif attr is not None:
                 is_write = isinstance(node.ctx, (ast.Store, ast.Del))
                 for spec in specs:
                     if attr in spec.guarded or (

@@ -22,6 +22,7 @@ import json
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from os import urandom
 from typing import Any, Callable, Generator, NamedTuple, Optional, Sequence
@@ -59,6 +60,9 @@ __all__ = ["CallRecord", "Checkout", "ClientState", "DetachedCall",
            "Exchange", "Recv", "Send", "Sleep"]
 
 _call_ids = itertools.count(1)
+
+#: The span scope of a call traced by no one.
+_UNTRACED = nullcontext()
 
 #: What an operation is to its driver: yields requests, returns a value.
 Operation = Generator[Any, Any, Any]
@@ -230,14 +234,12 @@ def _counted(state: ClientState, request: Exchange) -> Operation:
 
 
 def _retrying(state: ClientState, attempt: Callable[[], Operation],
-              deadline: Optional[float] = None,
-              enabled: bool = True) -> Operation:
+              deadline: Optional[float] = None) -> Operation:
     """``attempt()`` under the client's retry policy (one shot without a
-    policy or when not ``enabled``): :meth:`RetryPolicy.run` with the
-    backoff as a :class:`Sleep` request -- same decisions, same
-    counters, same seeded schedule."""
+    policy): :meth:`RetryPolicy.run` with the backoff as a :class:`Sleep`
+    request -- same decisions, same counters, same seeded schedule."""
     policy, tries = state.retry, 1
-    if policy is None or not enabled:
+    if policy is None:
         return (yield from attempt())
     while True:
         policy.count_attempt()
@@ -258,7 +260,8 @@ def _idempotent(state: ClientState, request: Exchange) -> Operation:
 def _resends_calls(state: ClientState) -> bool:
     """Whether a CALL / CALL_DETACHED may be sent again: a ``retry``
     policy and ``retry_calls`` (DESIGN.md §3.5).  The one rule behind
-    both a call's :func:`_logical_id` and its :func:`_retrying` loop."""
+    both a call's :func:`_logical_id` and whether :func:`_retrying`
+    drives its attempts (else its one attempt runs bare)."""
     return state.retry is not None and state.retry_calls
 
 
@@ -394,19 +397,22 @@ def call_with_record(
     submit_time = state.clock()
     call_id = next(_call_ids)
     deadline = _budget(state, timeout, submit_time)
-    trace = state.tracer.trace(SPAN_ROOT, start=submit_time,
-                               function=function, call_id=call_id,
-                               source="live")
+    # Without a tracer the phases cost no span: ``trace`` is None, each
+    # span site enters the shared no-op scope and records nothing.
+    tracer = state.tracer
+    trace = tracer.trace(SPAN_ROOT, start=submit_time, function=function,
+                         call_id=call_id, source="live") \
+        if tracer.enabled else None
 
     def attempt() -> Operation:
         """One wire attempt of the logical call (same logical id, fresh
         attempt number and re-computed remaining budget)."""
         payload = call.stamp(deadline, state.clock)
         state._attempts.inc()
-        with trace.span(SPAN_CONNECT):
+        with trace.span(SPAN_CONNECT) if trace else _UNTRACED:
             channel = yield Checkout()
         try:
-            with trace.span(SPAN_SEND):
+            with trace.span(SPAN_SEND) if trace else _UNTRACED:
                 yield Send(channel, MessageType.CALL, payload)
             recv_start = state.clock()
             while True:
@@ -420,7 +426,8 @@ def call_with_record(
             # The recv window covers server queueing + compute as seen
             # from the client; the breakdown derives transfer as
             # total - queue - compute, so the overlap is fine.
-            trace.record(SPAN_RECV, recv_start, state.clock())
+            if trace:
+                trace.record(SPAN_RECV, recv_start, state.clock())
             # Checked before checkin: a stream that delivered another
             # call's RESULT is in an unknown state and must be burned.
             result = _decode_result(reply_type, reply, call_id, "call")
@@ -436,30 +443,33 @@ def call_with_record(
     # logical_id (DESIGN.md §3.5).
     resends = _resends_calls(state)
     try:
-        with trace.span(SPAN_MARSHAL):
+        with trace.span(SPAN_MARSHAL) if trace else _UNTRACED:
             call = _CallPayload(function, signature, call_id, args,
                                 _logical_id(resends))
-        timestamps, out_payload = yield from _retrying(
-            state, attempt, deadline, enabled=resends)
-        with trace.span(SPAN_UNMARSHAL):
+        timestamps, out_payload = yield from (
+            _retrying(state, attempt, deadline) if resends else attempt())
+        with trace.span(SPAN_UNMARSHAL) if trace else _UNTRACED:
             outputs = unmarshal_outputs(signature, out_payload)
-        # Server-side phases, in the server's clock ("server-wall"):
-        # durations are comparable across clocks, absolute start/end
-        # values are not (OBSERVABILITY.md, clock-injection rules).
-        trace.record(SPAN_QUEUE, timestamps.enqueue, timestamps.dequeue,
-                     clock="server-wall")
-        trace.record(SPAN_COMPUTE, timestamps.dequeue, timestamps.complete,
-                     clock="server-wall")
+        if trace:
+            # Server-side phases, in the server's clock ("server-wall"):
+            # durations are comparable across clocks, absolute start/end
+            # values are not (OBSERVABILITY.md, clock-injection rules).
+            trace.record(SPAN_QUEUE, timestamps.enqueue,
+                         timestamps.dequeue, clock="server-wall")
+            trace.record(SPAN_COMPUTE, timestamps.dequeue,
+                         timestamps.complete, clock="server-wall")
         complete_time = state.clock()
     except BaseException:
-        trace.end(at=state.clock(), status="error")
+        if trace:
+            trace.end(at=state.clock(), status="error")
         raise
     _write_back(signature, args, outputs)
     timers = state._call_seconds_by_function  # bound once per function
     timer = timers.get(function) or timers.setdefault(
         function, state._call_seconds.labels(function=function))
     timer.observe(complete_time - submit_time)
-    trace.end(at=complete_time, status="ok")
+    if trace:
+        trace.end(at=complete_time, status="ok")
     record = CallRecord(function=function, call_id=call_id,
                         submit_time=submit_time,
                         complete_time=complete_time, server=timestamps,
@@ -497,8 +507,8 @@ def call_detached(state: ClientState, function: str, *args: Any,
                                         call.stamp(deadline, state.clock),
                                         expect=MessageType.CALL_ACCEPTED))
 
-    _type, reply = yield from _retrying(state, submit, deadline,
-                                        enabled=resends)
+    _type, reply = yield from (
+        _retrying(state, submit, deadline) if resends else submit())
     reply_id, ticket = unpack(MessageType.CALL_ACCEPTED, reply)
     if reply_id != call_id:
         raise ProtocolError(f"accept for call {reply_id}, "

@@ -167,7 +167,9 @@ class _CounterChild(_Child):
         """Add ``amount`` (>= 0)."""
         if amount < 0:
             raise ValueError(f"counters only go up, got {amount}")
-        self._add(amount)
+        key = self._key
+        with self._lock:
+            self._children[key] = self._children.get(key, 0.0) + amount
 
 
 class _GaugeChild(_Child):

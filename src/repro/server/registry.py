@@ -69,12 +69,12 @@ class NinfExecutable:
         ``callback(progress, message)`` is injected as the
         ``ninf_callback`` keyword when the implementation declares it.
         """
-        values = list(values)
-        kwargs = {}
-        if self.wants_callback:
-            kwargs["ninf_callback"] = callback or (lambda _p, _m: None)
         try:
-            returned = self.func(*values, **kwargs)
+            if self.wants_callback:
+                returned = self.func(*values, ninf_callback=callback or (
+                    lambda _p, _m: None))
+            else:
+                returned = self.func(*values)
         except Exception as exc:
             raise ExecutionError(self.name, exc) from exc
         out_indices = self.signature.output_indices()

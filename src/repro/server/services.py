@@ -145,7 +145,8 @@ class NinfRpcServices:
         # Where each executable runs, decided in on_start: a BLAS kernel
         # capped on its PE thread, another CalcOrder one (or a kernel no
         # setter can cap) in a PE worker process, both at the PEs the
-        # call claims; a name not in the map runs from the registry.
+        # call claims, any other as registered; a name registered after
+        # start is not in the map and runs from the registry.
         self._workers: WorkerPool | None = None
         self._placed: dict[str, NinfExecutable] = {}
         self.register_handler(MessageType.HELLO, self._handle_hello)
@@ -178,6 +179,8 @@ class NinfRpcServices:
                     executable, set_local, self._pes_claimed(executable))
             elif kernel or executable.signature.calc_order:
                 offload[name] = executable
+            else:
+                self._placed[name] = executable
         if offload:
             self._workers = WorkerPool(offload, self._worker_deaths)
             for name, executable in offload.items():

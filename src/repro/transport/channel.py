@@ -16,8 +16,8 @@ import socket
 import threading
 from typing import Any, Optional, TYPE_CHECKING, Union
 
-from repro.protocol.framing import BytesLike, crc_covers_payload, \
-    encode_frame, frame_size, recv_frame, send_frame
+from repro.protocol.framing import BytesLike, FrameReader, \
+    crc_covers_payload, encode_frame, frame_size, recv_frame, send_frame
 
 if TYPE_CHECKING:  # annotation only
     from repro.obs import MetricsRegistry
@@ -76,6 +76,9 @@ class Channel:
     _metrics: Optional["MetricsRegistry"] = None
     _sent: Optional[tuple[Any, Any]] = None      # (bytes, frames)
     _received: Optional[tuple[Any, Any]] = None
+    # The socket's receive side, kept from frame to frame: made on the
+    # first recv (a server-side channel is read by the reactor's own).
+    _reader: Optional[FrameReader] = None
 
     def __init__(self, sock: socket.socket,
                  timeout: Optional[float] = None,
@@ -263,8 +266,11 @@ class Channel:
                 msg_type, payload = self._io.recv_frame(
                     timeout=self._resolve(timeout))
             else:
-                msg_type, payload = recv_frame(self.sock,
-                                               timeout=self._resolve(timeout))
+                reader = self._reader
+                if reader is None:
+                    reader = self._reader = FrameReader()
+                msg_type, payload = recv_frame(
+                    self.sock, self._resolve(timeout), reader)
         self._note_io(self._received, payload)
         return msg_type, payload
 

@@ -101,7 +101,7 @@ class ConnectionPool:
         self._idle: dict[tuple[str, int], list[tuple[Channel, float]]] = {}
         # No idle stamp is older: eviction sweeps once it may be due.
         self._oldest = math.inf
-        self._idle_reported = 0  # what the idle gauge was last set to
+        self._idle_count = 0  # channels in _idle, counted as they move
         self._closed = False
         # Observability for the connection-reuse benchmarks (PR 1's
         # ad-hoc created/reused counters, now registry-backed -- see
@@ -136,11 +136,10 @@ class ConnectionPool:
         whose accept queue overflows shows up here, not as a hang."""
         return int(self._dials_refused.value())
 
-    def _sync_idle_gauge_locked(self) -> None:
-        count = sum(len(bucket) for bucket in self._idle.values())
-        if count != self._idle_reported:
-            self._idle_reported = count
-            self._idle_gauge.set(count)
+    def _idle_changed_locked(self, count: int) -> None:
+        """``count`` channels idle now; the gauge follows."""
+        self._idle_count = count
+        self._idle_gauge.set(count)
 
     # -- checkout / checkin -------------------------------------------------
 
@@ -153,15 +152,14 @@ class ConnectionPool:
                 bucket = self._idle.get((host, port))
                 while bucket:
                     channel, _stamp = bucket.pop()
+                    self._idle_changed_locked(self._idle_count - 1)
                     # healthy() spots sockets whose peer died while the
                     # channel idled (EOF pending), not just local closes
                     # -- a dead channel is never handed out.
                     if channel.healthy():
                         self._reused.inc()
-                        self._sync_idle_gauge_locked()
                         return channel
                     channel.close()
-                self._sync_idle_gauge_locked()
         options = {"shm": True} if self.shm and self._connect_shm else {}
         try:
             channel = self._connect(host, port, timeout=self.timeout,
@@ -193,7 +191,7 @@ class ConnectionPool:
                 return
             bucket.append((channel, now))
             self._oldest = min(self._oldest, now)
-            self._sync_idle_gauge_locked()
+            self._idle_changed_locked(self._idle_count + 1)
 
     def discard(self, channel: Channel) -> None:
         """Close a channel that hit an error; never goes back in the pool."""
@@ -233,12 +231,13 @@ class ConnectionPool:
                 del self._idle[key]
         self._oldest = min((bucket[0][1] for bucket in self._idle.values()),
                            default=math.inf)
+        self._idle_changed_locked(
+            sum(len(bucket) for bucket in self._idle.values()))
 
     def evict_idle(self) -> None:
         """Synchronously drop idle channels past ``max_idle_seconds``."""
         with self._lock:
             self._evict_locked(self._clock())
-            self._sync_idle_gauge_locked()
 
     def idle_count(self, host: Optional[str] = None,
                    port: Optional[int] = None) -> int:
@@ -246,7 +245,7 @@ class ConnectionPool:
         with self._lock:
             if host is not None and port is not None:
                 return len(self._idle.get((host, port), ()))
-            return sum(len(bucket) for bucket in self._idle.values())
+            return self._idle_count
 
     def close(self) -> None:
         """Close every idle channel; the pool stays usable as a factory
@@ -255,7 +254,7 @@ class ConnectionPool:
             self._closed = True
             buckets = list(self._idle.values())
             self._idle.clear()
-            self._sync_idle_gauge_locked()
+            self._idle_changed_locked(0)
         for bucket in buckets:
             for channel, _stamp in bucket:
                 channel.close()

@@ -36,6 +36,9 @@ _WIRE_TO_NATIVE = {wire: dtype for dtype, wire in NUMPY_WIRE_DTYPES.items()}
 # Reject absurd length words before allocating (protocol sanity limit).
 MAX_REASONABLE_LENGTH = 1 << 33
 
+_LENGTH = struct.Struct(">I")
+_ZERO_PADS = (b"", b"\x00", b"\x00\x00", b"\x00\x00\x00")
+
 
 class XdrDecoder:
     """Decodes XDR values from a byte buffer.
@@ -153,6 +156,17 @@ class XdrDecoder:
         self._advance_to(end, skipped, len(inside))
         return bulk.Payload(rest, inside, n, received=True)
 
+    def _take_padded(self, n: int) -> memoryview:
+        """The ``n`` (>= 0) bytes of a variable-length opaque and their
+        XDR padding, in one window; the padding must be zeros."""
+        pad = -n % 4
+        view = self._take(n + pad)
+        if not pad:
+            return view
+        if view[n:] != _ZERO_PADS[pad]:
+            raise XdrError(f"nonzero XDR padding {bytes(view[n:])!r}")
+        return view[:n]
+
     def _skip_pad(self, n: int) -> None:
         pad = (4 - n % 4) % 4
         if pad:
@@ -214,8 +228,8 @@ class XdrDecoder:
 
     def unpack_opaque(self) -> bytes:
         """Variable-length opaque (length word + bytes)."""
-        n = self.unpack_uint()
-        return self.unpack_fopaque(n)
+        (n,) = _LENGTH.unpack(self._take(4))
+        return bytes(self._take_padded(n))
 
     def unpack_opaque_view(self) -> Union[memoryview, bulk.Payload]:
         """Variable-length opaque as a zero-copy window.
@@ -239,9 +253,9 @@ class XdrDecoder:
 
     def unpack_string(self) -> str:
         """UTF-8 string as variable opaque."""
-        raw = self.unpack_opaque()
+        (n,) = _LENGTH.unpack(self._take(4))
         try:
-            return raw.decode("utf-8")
+            return str(self._take_padded(n), "utf-8")
         except UnicodeDecodeError as exc:
             raise XdrError(f"invalid UTF-8 in XDR string: {exc}") from exc
 

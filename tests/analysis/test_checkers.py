@@ -50,6 +50,12 @@ def test_lock_discipline_honours_locked_suffix_and_init_exemption():
     assert findings == []  # _evict_locked and __init__ both exempt
 
 
+def test_lock_discipline_flags_a_locked_helper_used_without_the_lock():
+    findings = _run(LockDisciplineChecker(), "lock_suffix_bad")
+    assert [(f.symbol, f.line) for f in findings] == [("Executor.cancel", 15)]
+    assert "Executor._hand_off_locked without holding" in findings[0].message
+
+
 # -- resource-lifecycle -------------------------------------------------------
 
 def test_resource_lifecycle_flags_each_leak_shape():

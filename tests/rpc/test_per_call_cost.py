@@ -38,6 +38,19 @@ def _counts(server: NinfServer, client: NinfClient) -> dict:
     }
 
 
+def _settled(server: NinfServer, client: NinfClient) -> dict:
+    """The counts once the server has counted every reply it owes: it
+    counts a RESULT frame once its write returns, which may be just
+    after the client has read it."""
+    deadline = time.monotonic() + 10.0
+    while True:
+        counts = _counts(server, client)
+        if counts["server_frames_sent"] == counts["server_frames_received"] \
+                or time.monotonic() > deadline:
+            return counts
+        time.sleep(0.01)
+
+
 def test_null_calls_resolve_no_metric_and_count_exactly(monkeypatch):
     registry = Registry()
     registry.register(NOOP_IDL, lambda x, y: int(x) + 1)
@@ -45,7 +58,7 @@ def test_null_calls_resolve_no_metric_and_count_exactly(monkeypatch):
             NinfClient(*server.address, timeout=10.0) as client:
         for i in range(5):  # warm: dialled, signature fetched, bound
             assert client.call("bench_noop", i, None) == [i + 1]
-        before = _counts(server, client)
+        before = _settled(server, client)
         lookups = []
         get_or_create = MetricsRegistry._get_or_create
 
@@ -63,13 +76,7 @@ def test_null_calls_resolve_no_metric_and_count_exactly(monkeypatch):
                     "calls_ok", "client_frames_sent",
                     "client_frames_received", "attempts", "pool_reused"):
             expected[key] += CALLS
-        # The server counts a RESULT frame once its write returns, which
-        # may be just after the client has read it.
-        deadline = time.monotonic() + 10.0
-        while _counts(server, client) != expected \
-                and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert _counts(server, client) == expected
+        assert _settled(server, client) == expected
         # And STATS, the same registry on the wire, shows the calls.
         stats = client.fetch_stats()[names.SERVER_CALLS]["values"]
         assert [v["labels"] for v in stats] \

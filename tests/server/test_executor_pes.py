@@ -1,6 +1,6 @@
-"""The executor's threads: a PE is one long-lived thread that takes its
-own work.  No dispatcher, no thread per job; accounting, policy order,
-expiry promptness and cancel hold under concurrency."""
+"""The executor's threads: a PE is one long-lived thread that runs the
+work handed to it.  No dispatcher, no thread per job; accounting, policy
+order, expiry promptness and cancel hold under concurrency."""
 
 import random
 import sys

@@ -54,6 +54,19 @@ def test_recv_frame_times_out_mid_frame():
         b.close()
 
 
+def test_a_deadline_past_one_poll_still_waits_for_the_frame():
+    """A deadline is waited out with ``poll``, whose timeout is a C int
+    of milliseconds: one too far for it is waited a day at a time."""
+    a, b = make_pair()
+    try:
+        threading.Timer(0.1, send_frame, (a, MessageType.PING, b"late")).start()
+        assert recv_frame(b, timeout=1e12) == (MessageType.PING, b"late")
+        assert b.gettimeout() is None
+    finally:
+        a.close()
+        b.close()
+
+
 def test_recv_frame_restores_socket_timeout():
     a, b = make_pair()
     try:
