@@ -200,6 +200,56 @@ def test_a_flipped_region_byte_fails_a_covering_frame_only(covers):
     assert np.count_nonzero(got.regions[0].array != array) == 1
 
 
+def _refused(reader: FrameReader, wire: bytes) -> ProtocolError:
+    """The error ``reader`` raises once the last byte of ``wire``, one
+    frame, has landed."""
+    view = memoryview(wire)
+    while len(view) > 1:
+        room = reader.buffer()
+        nbytes = min(len(room), len(view) - 1)
+        room[:nbytes] = view[:nbytes]
+        del room    # released before the reader trims the buffer behind it
+        assert reader.advance(nbytes) is None
+        view = view[nbytes:]
+    reader.buffer()[:1] = view
+    with pytest.raises(ProtocolError) as refused:
+        reader.advance(1)
+    return refused.value
+
+
+@pytest.mark.parametrize("regions", [False, True])
+def test_a_flipped_pad_byte_fails_a_header_only_frame(regions):
+    """The last byte of a header-only frame is a pad byte -- after the
+    payload, or after its one region of three doubles: it must be zero,
+    so a flipped one is refused, though no ``crc`` covers it, and the
+    reader goes on with the next frame."""
+    with _small_pieces():
+        enc = XdrEncoder()
+        enc.pack_ndarray(np.arange(3.0))
+        payload = enc.payload() if regions else b"abc"
+        assert isinstance(payload, bulk.Payload) == regions
+        wire = bytearray(encode_frame(7, payload, covers_payload=False))
+        wire[-1] ^= 0x01
+        reader = FrameReader()
+        assert "pad is not zeros" in str(_refused(reader, bytes(wire)))
+        assert reader.at_boundary
+        assert feed(reader, encode_frame(8, b"next"), []) == [(8, b"next")]
+
+
+def test_a_zero_payload_frame_at_the_crc_fixed_point_checks_its_pad():
+    """Type 0xFFFFFFFF with an empty payload: the header CRC leaves the
+    CRC register at zero, so zeros folded in do not move it and both
+    ``crc`` forms are one word.  The reader takes the frame as header
+    only; its pad check still refuses a flipped pad byte."""
+    frame = encode_frame(0xFFFFFFFF, b"")
+    assert frame == encode_frame(0xFFFFFFFF, b"", covers_payload=False)
+    for index in range(HEADER.size + table_size(frame), len(frame)):
+        corrupted = bytearray(frame)
+        corrupted[index] ^= 0x01
+        assert "pad is not zeros" in str(
+            _refused(FrameReader(), bytes(corrupted)))
+
+
 def _ring_pair():
     """``(writer, reader)`` over one 4 KiB ring each way."""
     ring, idle = ShmRing.create(1 << 12), ShmRing.create(1 << 12)
